@@ -1,7 +1,8 @@
 """Half-inverse driver: one full spectrum on (0, 2pi), the right half known.
 
 The known right half (potential antiderivative plus its boundary pair) is
-folded into an entire pair (f1, f2) by backward integration to the midpoint;
+folded into an entire pair (f1, f2): the solution pinned at the right end,
+carried back to the midpoint by the inverse of the right half's monodromy;
 the remaining task is the standard subspectrum reconstruction of the left-half
 Cauchy data.  The exclusion rule says the first (r - p)/2 eigenvalues are
 redundant; dropping more loses uniqueness, which the rank evidence reports.
@@ -17,8 +18,8 @@ import numpy as np
 
 from .errors import NonUniqueWarning, ParityMismatch, RootLoss
 from .forward import find_eigenvalues, make_delta
-from .moments import build_moment_system
-from .ode import _propagate_exact
+from .moments import build_moment_system  # noqa: F401  (lookup site wrapped by bench/spans.py)
+from .ode import monodromy
 from .reconstruct import (
     ReconstructionResult,
     completeness_ratio,
@@ -71,31 +72,28 @@ def psi_mid(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair, lam,
     """Backward solution at the midpoint.
 
     `sigma_right` holds sigma(pi + s) for s in [0, pi].  The solution psi is
-    pinned at the right end by (psi, psi^{[1]})(2pi) = (r1, -r2) and integrated
-    back to x = pi as a forward run of the reflected system.
+    pinned at the right end by (psi, psi^{[1]})(2pi) = (r1, -r2); its midpoint
+    values are M^{-1} (r1, -r2) = adj(M) (r1, -r2), with M the monodromy of
+    the right half (det M = 1).  The lambda-derivative follows by the product
+    rule, adj(M') b + adj(M) b'.
     """
     if abs(sigma_right.interval_length - np.pi) > 1e-12:
         raise ValueError("right-half antiderivative must live on an interval of length pi")
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
-    refl = sigma_right.reflected()
     r1 = right_pair.p1(lam_arr)
     r2 = right_pair.p2(lam_arr)
-    v0 = r2 + refl.samples[0] * r1
-    if derivative:
-        dr1 = right_pair.dp1(lam_arr)
-        dr2 = right_pair.dp2(lam_arr)
-        out = _propagate_exact(refl, lam_arr, r1, v0, dlam=True,
-                               dy0=dr1, dv0=dr2 + refl.samples[0] * dr1)
-    else:
-        out = _propagate_exact(refl, lam_arr, r1, v0)
-    sig_end = refl.samples[-1]
-    psi = out["y"]
-    psi_q = -(out["v"] - sig_end * out["y"])
+
+    def adj_apply(m, b1, b2):
+        # adj(M) (b1, -b2)
+        return m[1, 1] * b1 + m[0, 1] * b2, -m[1, 0] * b1 - m[0, 0] * b2
+
     if not derivative:
-        return psi, psi_q
-    dpsi = out["dy"]
-    dpsi_q = -(out["dv"] - sig_end * out["dy"])
-    return psi, psi_q, dpsi, dpsi_q
+        return adj_apply(monodromy(sigma_right, lam_arr), r1, r2)
+    m, dm = monodromy(sigma_right, lam_arr, derivative=True)
+    psi, psi_q = adj_apply(m, r1, r2)
+    d_m = adj_apply(dm, r1, r2)
+    d_b = adj_apply(m, right_pair.dp1(lam_arr), right_pair.dp2(lam_arr))
+    return psi, psi_q, d_m[0] + d_b[0], d_m[1] + d_b[1]
 
 
 def hl_entire_pair(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair) -> EntirePair:
@@ -159,8 +157,7 @@ def hl_reconstruct(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair,
     result.report["drop"] = drop
     result.report["drop_allowed"] = allowed
     if rank_evidence:
-        system = build_moment_system(used, f, p, grid)
-        comp = completeness_ratio(system)
+        comp = completeness_ratio(result.system)
         result.report["completeness"] = comp
         if comp["gram_ratio"] <= 1e-8:
             msg = (f"completeness evidence collapsed (gram ratio {comp['gram_ratio']:.2e}); "

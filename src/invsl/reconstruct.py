@@ -365,12 +365,16 @@ def deltas_from_cauchy(data: CauchyData, p: int, lam):
 
 @dataclass
 class ReconstructionResult:
-    """Recovered unknown vector, unpacked Cauchy data, and solve evidence."""
+    """Recovered unknown vector, unpacked Cauchy data, and solve evidence.
+
+    `system` is the moment system the solve used, kept for rank evidence.
+    """
 
     u: HpVector
     cauchy: CauchyData
     p: int
     report: dict = field(default_factory=dict)
+    system: Optional[MomentSystem] = field(default=None, repr=False)
 
     def deltas(self, lam):
         return deltas_from_cauchy(self.cauchy, self.p, lam)
@@ -452,7 +456,7 @@ def reconstruct(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
             "sum_inv_rho_sq": diag.sum_inv_rho_sq,
         },
     }
-    return ReconstructionResult(u=u, cauchy=cauchy, p=p, report=report)
+    return ReconstructionResult(u=u, cauchy=cauchy, p=p, report=report, system=system)
 
 
 def completeness_ratio(system: MomentSystem, freq_step: float = 0.5,

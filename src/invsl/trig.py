@@ -26,29 +26,29 @@ def sinc(z):
     return out
 
 
-def cos_sqrt(z2):
-    """cos(sqrt(z2)); single-valued (even) function of sqrt(z2)."""
-    w = np.sqrt(np.asarray(z2, dtype=complex))
-    return np.cos(w)
+def cos_sinc_sqrt(z2, derivative=False):
+    """cos(w) and sin(w)/w at w = sqrt(z2), plus d/dz2 of sin(w)/w with `derivative`.
 
-
-def sinc_sqrt(z2):
-    """sin(sqrt(z2))/sqrt(z2); single-valued function of z2."""
-    w = np.sqrt(np.asarray(z2, dtype=complex))
-    return sinc(w)
-
-
-def dsinc_sqrt(z2):
-    """d/dz2 of sinc_sqrt: (w cos w - sin w)/(2 w^3) at w = sqrt(z2)."""
+    All three are single-valued (even in w) functions of z2.  cos and sin
+    share one evaluation of the real trigonometric and hyperbolic parts of w.
+    """
     z2 = np.asarray(z2, dtype=complex)
     w = np.sqrt(z2)
-    out = np.empty_like(z2)
-    small = np.abs(z2) < _SMALL
-    zs = z2[small]
-    out[small] = -1.0 / 6.0 + zs / 60.0 - zs * zs / 1680.0
-    wb = w[~small]
-    out[~small] = (wb * np.cos(wb) - np.sin(wb)) / (2.0 * wb**3)
-    return out
+    cx, sx = np.cos(w.real), np.sin(w.real)
+    chy, shy = np.cosh(w.imag), np.sinh(w.imag)
+    cos_w = np.empty_like(w)
+    cos_w.real = cx * chy
+    cos_w.imag = -sx * shy
+    sin_w = np.empty_like(w)
+    sin_w.real = sx * chy
+    sin_w.imag = cx * shy
+    sinc_w = np.divide(sin_w, w, out=np.ones_like(w), where=w != 0)
+    if not derivative:
+        return cos_w, sinc_w
+    # (w cos w - sin w)/(2 w^3), with its series where that cancels
+    dsinc = -1.0 / 6.0 + z2 / 60.0 - z2 * z2 / 1680.0
+    np.divide(cos_w - sinc_w, 2.0 * z2, out=dsinc, where=np.abs(z2) >= _SMALL)
+    return cos_w, sinc_w, dsinc
 
 
 def overlap_sin_sin(mu, rho, length=np.pi):

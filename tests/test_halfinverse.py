@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import rel_l2
-from invsl.errors import ParityMismatch
+from invsl.errors import ParityMismatch, StepFailure
 from invsl.halfinverse import (
     TwoSidedProblem,
     hl_entire_pair,
@@ -13,7 +13,7 @@ from invsl.halfinverse import (
     psi_mid,
 )
 from invsl.moments import build_moment_system
-from invsl.ode import fundamental_pair
+from invsl.ode import _propagate_exact, fundamental_pair
 from invsl.problems import (
     hl_exclusion_instance,
     hl_step_instance,
@@ -25,6 +25,9 @@ from invsl.reconstruct import completeness_ratio
 from invsl.types import BoundaryPolyPair, SigmaFunction
 
 SIGR0 = SigmaFunction.zero(np.pi, 128)
+# adjugate of the monodromy against the reflected sequential run: both reorder
+# the same cell products (measured max 1.6e-13 of |M| |b|, 6x headroom)
+PSI_RTOL = 1e-12
 
 
 class TestPsiMid:
@@ -69,6 +72,46 @@ class TestPsiMid:
         psi, psi_q, dpsi, dpsi_q = res
         assert (psi[1] - psi[0]) / (2 * h) == pytest.approx(dpsi[2], rel=1e-5)
         assert (psi_q[1] - psi_q[0]) / (2 * h) == pytest.approx(dpsi_q[2], rel=1e-5)
+
+    @pytest.mark.parametrize("imag", [0.0, 1.5])
+    def test_adjugate_matches_reflected_route(self, imag):
+        # previous route: psi pinned at 2pi and carried to pi as a forward run
+        # of the reflected system by the sequential cell loop; by linearity
+        # psi = r1 C~ + r2 S~ and psi^[1] = -(r1 C~^[1] + r2 S~^[1])
+        prob = hl_exclusion_instance()
+        _, sig_right = prob.halves()
+        pair = prob.right_pair
+        assert prob.r == 3
+        lam = np.linspace(-4.0, 650.0, 41) + 1j * imag
+        refl = sig_right.reflected()
+        ends = []
+        for y0, yq0 in ((1.0, 0.0), (0.0, 1.0)):
+            rec = _propagate_exact(refl, lam, y0, yq0 + refl.samples[0] * y0, dlam=True)
+            y, dy = rec["y"][-1], rec["dy"][-1]
+            ends.append((y, -(rec["v"][-1] - refl.samples[-1] * y),
+                         dy, -(rec["dv"][-1] - refl.samples[-1] * dy)))
+        (c, cq, dc, dcq), (s, sq, ds, dsq) = ends
+        r1, r2, dr1, dr2 = pair.p1(lam), pair.p2(lam), pair.dp1(lam), pair.dp2(lam)
+        ref = (r1 * c + r2 * s, r1 * cq + r2 * sq,
+               dr1 * c + r1 * dc + dr2 * s + r2 * ds,
+               dr1 * cq + r1 * dcq + dr2 * sq + r2 * dsq)
+        got = psi_mid(sig_right, pair, lam, derivative=True)
+        plain = psi_mid(sig_right, pair, lam)
+        assert np.array_equal(plain[0], got[0]) and np.array_equal(plain[1], got[1])
+        # rounding scale: |M| |b| for the values, |M'| |b| + |M| |b'| for the derivatives
+        m_size = np.max(np.abs([c, cq, s, sq]), axis=0)
+        dm_size = np.max(np.abs([dc, dcq, ds, dsq]), axis=0)
+        b_size, db_size = np.maximum(abs(r1), abs(r2)), np.maximum(abs(dr1), abs(dr2))
+        scales = (m_size * b_size,) * 2 + (dm_size * b_size + m_size * db_size,) * 2
+        for g, r, scale in zip(got, ref, scales):
+            assert np.max(np.abs(g - r) / scale) <= PSI_RTOL
+
+    def test_step_failure_on_overflow(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for derivative in (False, True):
+                with pytest.raises(StepFailure):
+                    psi_mid(SigmaFunction.zero(np.pi, 64), BoundaryPolyPair([1.0], [0.0]),
+                            np.array([-1e8 + 0j]), derivative=derivative)
 
 
 class TestEntirePair:
@@ -156,6 +199,19 @@ class TestReconstructDriver:
             assert rel_l2(res.cauchy.g, oracle.g) <= 1e-3
             assert np.max(np.abs(res.cauchy.a - oracle.a)) <= 1e-3
             assert res.report["completeness"]["gram_ratio"] > 1e-8
+
+    def test_rank_evidence_from_the_solved_system(self, exclusion_case):
+        # the completeness block reads the moment system the solve built; it
+        # must equal the evidence of an independently built system exactly
+        _, sigma_right = exclusion_case.problem.halves()
+        used = exclusion_case.spectrum.take(41).drop_first(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = hl_reconstruct(sigma_right, exclusion_case.problem.right_pair,
+                                 1, exclusion_case.spectrum.take(41), 1, 128)
+        rebuilt = build_moment_system(used, exclusion_case.f, 1, 128)
+        assert len(res.system) == len(used)
+        assert res.report["completeness"] == completeness_ratio(rebuilt)
 
     def test_drop_two_collapses(self, exclusion_case):
         _, sigma_right = exclusion_case.problem.halves()

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from invsl.errors import StepFailure
-from invsl.ode import endpoint_data, fundamental_pair, lambda_derivative, solve_cauchy
+from invsl.ode import (
+    _BLOCK,
+    _propagate_exact,
+    _reduce,
+    endpoint_data,
+    fundamental_pair,
+    lambda_derivative,
+    monodromy,
+    solve_cauchy,
+)
 from invsl.problems import sigma_random_smooth, sigma_step
 from invsl.types import SigmaFunction
 
@@ -132,3 +141,90 @@ class TestProperties:
         a = solve_cauchy(sig, 7.7, 0.1, 0.9)
         b = solve_cauchy(sig, 7.7, 0.1, 0.9)
         assert np.array_equal(a.y, b.y) and np.array_equal(a.yq, b.yq)
+
+
+# Tree against loop: the pairwise product reorders the same cell products, so
+# the two agree to a few hundred eps of the largest entry per lambda, growing
+# with the cell count (measured max 7.0e-14 over these cases, 14x headroom).
+TREE_RTOL = 1e-12
+# |det M - 1| relative to (max |M_ij|)^2, the scale of the rounding in
+# m00 m11 - m01 m10; measured max 3.0e-14 over |lambda| <= 1e3 (33x headroom).
+DET_RTOL = 1e-12
+
+
+def _sequential_endpoints(sig, lam, derivative):
+    """endpoint_data's quantities from the last node of the recorded cell loop."""
+    out = {}
+    for name, (y0, yq0) in (("S", (0.0, 1.0)), ("C", (1.0, 0.0))):
+        rec = _propagate_exact(sig, lam, y0, yq0 + sig.samples[0] * y0, dlam=derivative)
+        y = rec["y"][-1]
+        out[name], out[name + "1"] = y, rec["v"][-1] - sig.samples[-1] * y
+        if derivative:
+            dy = rec["dy"][-1]
+            out["d" + name], out["d" + name + "1"] = dy, rec["dv"][-1] - sig.samples[-1] * dy
+    return out
+
+
+def _normwise_dev(a, b, keys):
+    scale = np.max([np.abs(b[k]) for k in keys], axis=0)
+    return np.max([np.abs(a[k] - b[k]) for k in keys], axis=0) / scale
+
+
+class TestMonodromy:
+    # SigmaFunction needs at least 16 cells; 17 and 257 pad odd levels of the tree
+    @pytest.mark.parametrize("m", [16, 17, 257, 512])
+    @pytest.mark.parametrize("batch", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1400])
+    def test_matches_sequential_loop(self, m, batch):
+        sig = sigma_random_smooth(m, scale=0.8, seed=m)
+        rng = np.random.default_rng(batch)
+        real = rng.uniform(-20.0, 1000.0, batch)
+        for lam in (real, real + 1j * rng.uniform(-3.0, 3.0, batch)):
+            for derivative in (False, True):
+                tree = endpoint_data(sig, lam, derivative=derivative)
+                loop = _sequential_endpoints(sig, lam, derivative)
+                keys = ["S", "S1", "C", "C1"]
+                assert tree["S"].shape == lam.shape
+                assert np.max(_normwise_dev(tree, loop, keys)) <= TREE_RTOL
+                if derivative:
+                    dkeys = ["d" + k for k in keys]
+                    assert np.max(_normwise_dev(tree, loop, dkeys)) <= TREE_RTOL
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_short_products(self, n):
+        # the tree on 1-3 factors (one is a no-op, three pads with the identity)
+        rng = np.random.default_rng(n)
+        mats = rng.standard_normal((n, 2, 2, 5)) + 1j * rng.standard_normal((n, 2, 2, 5))
+        dmats = rng.standard_normal((n, 2, 2, 5))
+        prod, dprod = _reduce(tuple(mats[:, i, j] for i in (0, 1) for j in (0, 1)),
+                              tuple(dmats[:, i, j] for i in (0, 1) for j in (0, 1)))
+        for col in range(5):
+            ref, dref = np.eye(2), np.zeros((2, 2))
+            for k in range(n):
+                a, da = mats[k, :, :, col], dmats[k, :, :, col]
+                ref, dref = a @ ref, da @ ref + a @ dref
+            got = np.array([x[0, col] for x in prod]).reshape(2, 2)
+            dgot = np.array([x[0, col] for x in dprod]).reshape(2, 2)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert np.max(np.abs(dgot - dref)) <= 1e-14 * np.max(np.abs(dref))
+
+    def test_unit_determinant(self):
+        # Lagrange identity over |lambda| <= 1e3: the real axis, where the
+        # entries reach e^(pi sqrt(1000)) on the negative side, and three rays
+        # of complex rho
+        sig = sigma_random_smooth(512, scale=0.8, seed=7)
+        rho = np.linspace(0.0, np.sqrt(1000.0), 500)
+        lam = np.concatenate([np.linspace(-1000.0, 1000.0, 2001)]
+                             + [(rho + 1j * b) ** 2 for b in (0.25, 0.5, 1.0)])
+        lam = lam[np.abs(lam) <= 1000.0]
+        m = monodromy(sig, lam)
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        scale = np.max(np.abs(m.reshape(4, -1)), axis=0) ** 2
+        assert np.max(np.abs(det - 1.0) / scale) <= DET_RTOL
+
+    def test_step_failure_on_overflow(self):
+        sig = SigmaFunction.zero(np.pi, 64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(StepFailure):
+                endpoint_data(sig, [1.0, -1e8])
+            with pytest.raises(StepFailure):
+                endpoint_data(sig, [-1e8], derivative=True)

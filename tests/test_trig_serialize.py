@@ -19,6 +19,7 @@ from invsl.serialize import (
     subspectrum_to_json,
 )
 from invsl.trig import (
+    cos_sinc_sqrt,
     gauss_panels,
     overlap_cos_cos,
     overlap_sin_cos,
@@ -64,6 +65,23 @@ class TestTrigClosedForms:
         z = np.array([1e-5, 5e-5 + 1e-5j, 9e-5])
         direct = np.sin(z.astype(complex)) / z
         assert np.max(np.abs(sinc(z) - direct)) <= 1e-15
+
+    def test_cos_sinc_sqrt_against_mpmath(self):
+        # zero, both sides of the series switch at |z2| = 1e-4, both signs,
+        # complex arguments and the exponential range of negative z2
+        mpmath = pytest.importorskip("mpmath")
+        z2 = np.array([0.0, 1e-12, 9.9e-5, -1.01e-4, 1e-4j, 0.3 - 0.2j, 2.5, -40.0,
+                       -7.0 + 3.0j, 60.0 + 0.5j])
+        got = cos_sinc_sqrt(z2, derivative=True)
+        with mpmath.workdps(40):
+            for i, z in enumerate(z2):
+                w = mpmath.sqrt(mpmath.mpc(z))
+                ref = (mpmath.cos(w), mpmath.sinc(w),
+                       mpmath.mpf(-1) / 6 if z == 0 else (mpmath.cos(w) - mpmath.sinc(w)) / (2 * w * w))
+                # the derivative's direct branch cancels to about eps/|z2| just
+                # above the switch
+                for val, r, rtol in zip(got, ref, (1e-14, 1e-14, 1e-11)):
+                    assert abs(complex(val[i]) - complex(r)) <= rtol * max(1.0, abs(complex(r)))
 
 
 class TestRootLoss:
