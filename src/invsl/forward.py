@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import IllConditioned, PoleProximity, RootLoss
 from .ode import endpoint_data
-from .trig import overlap_cos_cos, overlap_sin_sin, poly_cos, poly_sin, sinc
+from .trig import overlap_cos_cos, overlap_sin_sin, poly_cos, poly_sin, sinc, synth_series
 from .types import (
     BoundaryPolyPair,
     CauchyData,
@@ -81,16 +81,26 @@ def make_delta(sigma: SigmaFunction, pair: BoundaryPolyPair, f: Optional[EntireP
     return delta, ddelta
 
 
-def weyl(sigma: SigmaFunction, pair: BoundaryPolyPair, lam, on_pole="raise"):
-    """Weyl function Delta0/Delta1 with a scale-aware pole guard."""
-    scalar = np.isscalar(lam) or np.asarray(lam).ndim == 0
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    d0, d1 = char_pair(sigma, pair, lam)
+def weyl_ratio(d0, d1, on_pole="raise") -> np.ndarray:
+    """Delta0/Delta1 with a scale-aware pole guard.
+
+    Where |Delta1| <= 1e-8 max(|Delta0|, |Delta1|) the ratio raises
+    PoleProximity, or is nan when `on_pole` is not "raise".
+    """
+    d0 = np.atleast_1d(np.asarray(d0))
+    d1 = np.atleast_1d(np.asarray(d1))
     scale = np.maximum(np.abs(d0), np.abs(d1))
     bad = np.abs(d1) <= 1e-8 * np.maximum(scale, 1e-300)
     if np.any(bad) and on_pole == "raise":
         raise PoleProximity("Delta1 below tolerance at requested lambda")
-    out = np.where(bad, np.nan + 0j, d0 / np.where(bad, 1.0, d1))
+    return np.where(bad, np.nan + 0j, d0 / np.where(bad, 1.0, d1))
+
+
+def weyl(sigma: SigmaFunction, pair: BoundaryPolyPair, lam, on_pole="raise"):
+    """Weyl function Delta0/Delta1 with the pole guard of `weyl_ratio`."""
+    scalar = np.isscalar(lam) or np.asarray(lam).ndim == 0
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    out = weyl_ratio(*char_pair(sigma, pair, lam), on_pole=on_pole)
     return complex(out[0]) if scalar else out
 
 
@@ -381,27 +391,15 @@ def _solve_family(design, rhs, transform=None, cond_limit=1e10):
     return x, cond, resid
 
 
-def _synth(names, coeffs, t):
-    out = np.zeros_like(t, dtype=complex)
-    for (kind, idx), c in zip(names, coeffs):
-        if kind == "sin":
-            out += c * np.sin(idx * t)
-        elif kind == "cos":
-            out += c * np.cos(idx * t)
-        elif kind == "poly":
-            out += c * t ** idx
-    return out
-
-
 def resample_cauchy(data: CauchyData, grid_m: int) -> CauchyData:
     """Re-synthesize the kernels on another uniform grid (needs `series`)."""
     if data.series is None:
         raise ValueError("no series representation attached to this Cauchy data")
     t = np.linspace(0.0, np.pi, grid_m + 1)
-    j = _synth([tag for tag, _ in data.series["j"]],
-               np.array([c for _, c in data.series["j"]]), t)
-    g = _synth([tag for tag, _ in data.series["g"]],
-               np.array([c for _, c in data.series["g"]]), t)
+    j = synth_series([tag for tag, _ in data.series["j"]],
+                     np.array([c for _, c in data.series["j"]]), t)
+    g = synth_series([tag for tag, _ in data.series["g"]],
+                     np.array([c for _, c in data.series["g"]]), t)
     return CauchyData(j=j, g=g, a=data.a.copy(), series=data.series, meta=data.meta)
 
 
@@ -456,8 +454,8 @@ def extract_cauchy(sigma: SigmaFunction, pair: BoundaryPolyPair,
 
     nk1 = len(names1) - len(pw1)
     nk0 = len(names0) - len(pw0)
-    j_kernel = _synth(names1[:nk1], x1[:nk1], t)
-    g_kernel = _synth(names0[:nk0], x0[:nk0], t)
+    j_kernel = synth_series(names1[:nk1], x1[:nk1], t)
+    g_kernel = synth_series(names0[:nk0], x0[:nk0], t)
     a_odd = x1[nk1:]
     a_even = x0[nk0:]
     p = pair.p

@@ -1,18 +1,22 @@
-"""Moment-system ingredients: the vector function v(t, lambda), the scalar
-w(lambda), per-eigenvalue sequences, identity diagnostics, and Riesz-basis
-condition estimates.
+"""Moment-system ingredients: the odd/even slot layout of the moment row
+v(t, lambda), the row itself on a grid, the scalar w(lambda), the moment
+system of a subspectrum as arrays, identity diagnostics, and Riesz-basis
+condition estimates for sine families.
+
+`slot_layout` is the one place that knows how the boundary degree p arranges
+the row; every builder here and the probe-space solve in `reconstruct` read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import ParityMismatch
 from .forward import char_delta
-from .trig import overlap_cos_cos, overlap_sin_sin, sinc
+from .trig import gauss_nodes, overlap_cos_cos, overlap_sin_sin, sinc
 from .types import (
     BoundaryPolyPair,
     CauchyData,
@@ -31,86 +35,99 @@ def _as_grid(grid) -> np.ndarray:
     return np.asarray(grid, dtype=float)
 
 
-def _check_p(p: int):
+class SlotLayout(NamedTuple):
+    """Odd/even layout of v(., lambda) at an array of lambda (see `slot_layout`).
+
+    `k1` and `k2` weight the H1 and H2 kernels; `h1_sin` says H1 pairs with
+    sin(rho t)/rho and H2 with cos(rho t) (odd p) rather than the reverse
+    (even p); `slots` holds the p scalar slots along its last axis.
+    """
+
+    k1: np.ndarray
+    k2: np.ndarray
+    h1_sin: bool
+    slots: np.ndarray
+
+    def kernels(self, sin_like, cos_like):
+        """(H1 item, H2 item) from the sin(rho t)/rho- and cos(rho t)-type items."""
+        return (sin_like, cos_like) if self.h1_sin else (cos_like, sin_like)
+
+    def free_terms(self, sin_pi, cos_pi):
+        """Free terms (e1, e0) of the Cauchy representation at pi.
+
+        Delta1 = lambda^(n + p % 2) (e1 + (J, K1)) + ... and
+        Delta0 = lambda^n (e0 + (G, K2)) + ..., where e1 = -K1(pi) and e0 is
+        cos(rho pi) for odd p, -sin(rho pi)/rho for even p.  The moment
+        target is w = -(k1 e1 + k2 e0).
+        """
+        return (-sin_pi, cos_pi) if self.h1_sin else (-cos_pi, -sin_pi)
+
+
+def slot_layout(p: int, lam=0.0, f1=1.0, f2=1.0) -> SlotLayout:
+    """Decide the odd/even layout of the moment row, vectorized over lambda.
+
+    With n = p // 2 the kernel weights are k1 = f1 lambda^(n + p % 2) and
+    k2 = f2 lambda^n, and the slots are f1, f2, f1 lambda, f2 lambda, ...
+    (p of them, f1 on even indices):
+
+    Odd p:  [k1 sin(rho t)/rho, k2 cos(rho t), f1, f2, ..., f1 lambda^n].
+    Even p: [k1 cos(rho t), k2 sin(rho t)/rho, f1, f2, ..., f2 lambda^(n-1)].
+
+    All entries are even functions of rho, so they are entire in lambda.
+    """
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise ParityMismatch(f"boundary degree p must be a positive integer, got {p!r}")
+    n, odd = divmod(p, 2)
+    lam = np.asarray(lam, dtype=complex)
+    f1 = np.asarray(f1, dtype=complex)
+    f2 = np.asarray(f2, dtype=complex)
+    slots = np.stack([(f2 if i % 2 else f1) * lam ** (i // 2) for i in range(p)], axis=-1)
+    return SlotLayout(k1=f1 * lam ** (n + odd), k2=f2 * lam**n, h1_sin=bool(odd), slots=slots)
+
+
+def _layout_at(lam, f: EntirePair, p: int, f_values):
+    lam = np.asarray(lam, dtype=complex)
+    if f_values is None:
+        f_values = f(lam.reshape(-1))
+    f1, f2 = (np.asarray(v, dtype=complex).reshape(lam.shape) for v in f_values)
+    return lam, slot_layout(p, lam, f1, f2)
+
+
+def _grid_row(lam, layout: SlotLayout, grid) -> HpVector:
+    t = _as_grid(grid)
+    rho = branch_sqrt(lam)
+    h1, h2 = layout.kernels(t * sinc(rho * t), np.cos(rho * t))
+    return HpVector(layout.k1 * h1, layout.k2 * h2, layout.slots)
 
 
 def build_v(lam, f: EntirePair, p: int, grid, f_values=None) -> HpVector:
-    """Moment row v(., lambda) in L2+L2+C^p.
+    """Moment row v(., lambda) in L2+L2+C^p on the grid, laid out by `slot_layout`.
 
-    Odd p:  [f1 rho^p sin(rho t), f2 rho^(p-1) cos(rho t),
-             f1, f2, f1 rho^2, f2 rho^2, ..., f1 rho^(p-3), f2 rho^(p-3), f1 rho^(p-1)].
-    Even p: [f1 rho^p cos(rho t), f2 rho^(p-1) sin(rho t),
-             f1, f2, ..., f1 rho^(p-2), f2 rho^(p-2)].
-    All entries are assembled from even functions of rho, so they are entire
-    in lambda.  `f_values` short-circuits the evaluation of `f` at `lam`.
+    `f_values` short-circuits the evaluation of `f` at `lam`.
     """
-    _check_p(p)
-    t = _as_grid(grid)
-    lam = complex(lam)
-    rho = complex(branch_sqrt(lam))
-    if f_values is None:
-        f_values = f(np.array([lam]))
-    f1, f2 = (complex(np.asarray(v).ravel()[0]) for v in f_values)
-    sin_over_rho = t * np.asarray(sinc(rho * t))
-    cos_t = np.cos(rho * t).astype(complex)
-    slots = []
-    if p % 2:
-        n1 = (p - 1) // 2
-        h1 = f1 * lam ** (n1 + 1) * sin_over_rho
-        h2 = f2 * lam**n1 * cos_t
-        for k in range(n1):
-            slots.extend([f1 * lam**k, f2 * lam**k])
-        slots.append(f1 * lam**n1)
-    else:
-        n2 = p // 2
-        h1 = f1 * lam**n2 * cos_t
-        h2 = f2 * lam**n2 * sin_over_rho
-        for k in range(n2):
-            slots.extend([f1 * lam**k, f2 * lam**k])
-    return HpVector(h1, h2, np.array(slots, dtype=complex))
+    lam, layout = _layout_at(complex(lam), f, p, f_values)
+    return _grid_row(lam, layout, grid)
 
 
-def build_w(lam, f: EntirePair, p: int, f_values=None) -> complex:
-    """Right-hand side w(lambda) of the moment relation."""
-    _check_p(p)
-    lam = complex(lam)
-    rho = complex(branch_sqrt(lam))
-    if f_values is None:
-        f_values = f(np.array([lam]))
-    f1, f2 = (complex(np.asarray(v).ravel()[0]) for v in f_values)
-    sin_pi_over_rho = np.pi * complex(sinc(rho * np.pi))
-    cos_pi = complex(np.cos(rho * np.pi))
-    if p % 2:
-        n1 = (p - 1) // 2
-        return f1 * lam ** (n1 + 1) * sin_pi_over_rho - f2 * lam**n1 * cos_pi
-    n2 = p // 2
-    return f1 * lam**n2 * cos_pi + f2 * lam**n2 * sin_pi_over_rho
+def build_w(lam, f: EntirePair, p: int, f_values=None):
+    """Right-hand side w(lambda) of the moment relation, elementwise over lambda."""
+    lam, layout = _layout_at(lam, f, p, f_values)
+    rho = branch_sqrt(lam)
+    e1, e0 = layout.free_terms(np.pi * sinc(rho * np.pi), np.cos(rho * np.pi))
+    w = -(layout.k1 * e1 + layout.k2 * e0)
+    return complex(w) if w.ndim == 0 else w
 
 
 def build_g(lam, d0, d1, p: int, grid) -> HpVector:
     """Companion row built from the characteristic functions Delta0/Delta1.
 
-    At an eigenvalue this vector is collinear with v(., lambda); the sign
-    pattern pairs +Delta0 with the f1 slots and -Delta1 with the f2 slots.
-    Only the odd branch is defined.
+    It is v(., lambda) with (f1, f2) -> (Delta0, -Delta1), so at an eigenvalue
+    it is collinear with v.  Only the odd branch is defined.
     """
-    _check_p(p)
     if p % 2 == 0:
         raise ParityMismatch("companion rows are defined for odd p only")
-    t = _as_grid(grid)
     lam = complex(lam)
-    rho = complex(branch_sqrt(lam))
-    d0, d1 = complex(d0), complex(d1)
-    n1 = (p - 1) // 2
-    h1 = d0 * lam ** (n1 + 1) * (t * np.asarray(sinc(rho * t)))
-    h2 = -d1 * lam**n1 * np.cos(rho * t).astype(complex)
-    slots = []
-    for k in range(n1):
-        slots.extend([d0 * lam**k, -d1 * lam**k])
-    slots.append(d0 * lam**n1)
-    return HpVector(h1, h2, np.array(slots, dtype=complex))
+    return _grid_row(lam, slot_layout(p, lam, complex(d0), -complex(d1)), grid)
 
 
 def u_from_cauchy(data: CauchyData) -> HpVector:
@@ -130,70 +147,54 @@ def moment_identity_check(u: HpVector, lam, f: EntirePair,
     return abs(lhs - delta - w) / scale
 
 
-def row_norm_exact(lam, f: EntirePair, p: int, f_values=None) -> float:
-    """Continuum norm of v(., lambda) from closed-form trig integrals."""
-    lam = complex(lam)
-    rho = complex(branch_sqrt(lam))
-    if f_values is None:
-        f_values = f(np.array([lam]))
-    f1, f2 = (complex(np.asarray(v).ravel()[0]) for v in f_values)
-    rb = np.conj(rho)
-    if abs(rho) > 1e-6:
-        int_sin = complex(overlap_sin_sin(rho, rb)) / (rho * rb)
-        int_cos = complex(overlap_cos_cos(rho, rb))
-    else:
-        int_sin = np.pi**3 / 3.0
-        int_cos = np.pi
-    total = 0.0
-    if p % 2:
-        n1 = (p - 1) // 2
-        total += abs(f1 * lam ** (n1 + 1)) ** 2 * int_sin.real
-        total += abs(f2 * lam**n1) ** 2 * int_cos.real
-        for k in range(n1):
-            total += abs(f1 * lam**k) ** 2 + abs(f2 * lam**k) ** 2
-        total += abs(f1 * lam**n1) ** 2
-    else:
-        n2 = p // 2
-        total += abs(f1 * lam**n2) ** 2 * int_cos.real
-        total += abs(f2 * lam**n2) ** 2 * int_sin.real
-        for k in range(n2):
-            total += abs(f1 * lam**k) ** 2 + abs(f2 * lam**k) ** 2
-    return float(np.sqrt(total))
+def row_norm_exact(lam, f: EntirePair, p: int, f_values=None):
+    """Continuum norm of v(., lambda) from closed-form trig integrals,
+    elementwise over lambda."""
+    lam, layout = _layout_at(lam, f, p, f_values)
+    rho = branch_sqrt(lam)
+    tiny = np.abs(rho) <= 1e-6
+    safe = np.where(tiny, 1.0, rho)
+    int_sin = np.where(tiny, np.pi**3 / 3.0,
+                       (overlap_sin_sin(safe, np.conj(safe)) / (safe * np.conj(safe))).real)
+    int_cos = np.where(tiny, np.pi, overlap_cos_cos(safe, np.conj(safe)).real)
+    int1, int2 = layout.kernels(int_sin, int_cos)
+    total = (np.abs(layout.k1) ** 2 * int1 + np.abs(layout.k2) ** 2 * int2
+             + np.sum(np.abs(layout.slots) ** 2, axis=-1))
+    norm = np.sqrt(total)
+    return float(norm) if norm.ndim == 0 else norm
 
 
 @dataclass(frozen=True)
 class MomentSystem:
-    """Rows v_n = v(., lambda_n), targets w_n, and row norms for a subspectrum."""
+    """The moment relation (u, v_n) = w_n at every eigenvalue of a subspectrum.
 
-    vs: list
+    Arrays over the eigenvalues: `f_values` holds (f1, f2), `ws` the targets
+    w_n and `norms` the continuum norms ||v_n||.  The rows v_n themselves are
+    not stored: the solve integrates them against its probe functions in
+    closed form (`reconstruct.moment_design`), and `build_v` gives one on a
+    grid.  `grid_size` is the size of the grid the solution is synthesized on.
+    """
+
+    lambdas: Subspectrum
+    f_values: tuple
     ws: np.ndarray
     norms: np.ndarray
-    lambdas: Subspectrum
-    parity: str
     p: int
     grid_size: int
-    f_values: Optional[tuple] = field(default=None, compare=False)
 
     def __len__(self):
-        return len(self.vs)
+        return self.ws.size
 
 
 def build_moment_system(subspectrum: Subspectrum, f: EntirePair, p: int, grid) -> MomentSystem:
-    """Assemble rows and targets for every eigenvalue of a simple subspectrum."""
-    _check_p(p)
+    """Targets and row norms for every eigenvalue of a simple subspectrum."""
     subspectrum.require_simple()
-    t = _as_grid(grid)
     lams = subspectrum.lambdas
-    f1s, f2s = f(lams)
-    vs = [build_v(lam, f, p, t, f_values=(f1s[i], f2s[i]))
-          for i, lam in enumerate(lams)]
-    ws = np.array([build_w(lam, f, p, f_values=(f1s[i], f2s[i]))
-                   for i, lam in enumerate(lams)], dtype=complex)
-    norms = np.array([row_norm_exact(lam, f, p, f_values=(f1s[i], f2s[i]))
-                      for i, lam in enumerate(lams)])
-    return MomentSystem(vs=vs, ws=ws, norms=norms, lambdas=subspectrum,
-                        parity="odd" if p % 2 else "even", p=p,
-                        grid_size=t.size, f_values=(f1s, f2s))
+    f_values = f(lams)
+    return MomentSystem(lambdas=subspectrum, f_values=f_values,
+                        ws=build_w(lams, f, p, f_values),
+                        norms=row_norm_exact(lams, f, p, f_values),
+                        p=p, grid_size=_as_grid(grid).size)
 
 
 def xi_identity_residual(rhos: Sequence[complex], order: int = 12,
@@ -217,21 +218,11 @@ def xi_identity_residual(rhos: Sequence[complex], order: int = 12,
         c = np.cos(rho[:, None] * tvals[None, :])
         return s * np.cos(rho[:, None] * np.pi), -c * np.sin(rho[:, None] * np.pi)
 
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-
-    def grid_w(a, b, n_panels):
-        edges = np.linspace(a, b, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        x = (mid[:, None] + half * nodes[None, :]).ravel()
-        w = (half * np.broadcast_to(weights, (n_panels, order))).ravel()
-        return x, w
-
-    x2, w2 = grid_w(0.0, 2 * np.pi, panels)
+    x2, w2 = gauss_nodes(0.0, 2 * np.pi, panels, order)
     f2 = sines_2pi(x2)
     lhs = (np.conj(f2) * w2[None, :]) @ f2.T
 
-    x1, w1 = grid_w(0.0, np.pi, max(panels // 2, 12))
+    x1, w1 = gauss_nodes(0.0, np.pi, max(panels // 2, 12), order)
     a_part, b_part = xi_parts(x1)
     rhs = (np.conj(a_part) * w1[None, :]) @ a_part.T + (np.conj(b_part) * w1[None, :]) @ b_part.T
 
@@ -248,43 +239,18 @@ class BasisDiagnostics:
     growth_ratio: float
 
 
-def _gram_normalized(vectors: list) -> np.ndarray:
-    n = len(vectors)
-    g = np.empty((n, n), dtype=complex)
-    norms = [v.norm() for v in vectors]
-    for i in range(n):
-        for k in range(i, n):
-            val = hp_inner(vectors[i], vectors[k]) / max(norms[i] * norms[k], 1e-300)
-            g[i, k] = val
-            g[k, i] = np.conj(val)
-    return g
-
-
-def _gram_sine_family(rhos: np.ndarray, length: float) -> np.ndarray:
-    r = rhos[:, None]
-    c = rhos[None, :]
-    g = np.asarray(overlap_sin_sin(np.conj(r), c, length))
-    norms = np.sqrt(np.abs(np.diag(g)))
-    return g / np.maximum(np.outer(norms, norms), 1e-300)
-
-
-def basis_diagnostics(system: Union[MomentSystem, list, np.ndarray],
-                      length: float = 2 * np.pi,
+def basis_diagnostics(rhos, length: float = 2 * np.pi,
                       cond_threshold: float = 1e3) -> BasisDiagnostics:
     """Condition estimates for the normalized Gram matrix under truncation.
 
-    Accepts a MomentSystem, a list of HpVector rows, or an array of rho values
-    (interpreted as the sine family sin(rho_n t) on (0, length)).  Flags the
-    family "basis-like" when the full condition number stays below the
-    threshold and grows by no more than 20% from the half truncation.
+    The family is the sine family sin(rho_n t) on (0, length) of the given rho
+    values.  Flags it "basis-like" when the full condition number stays below
+    the threshold and grows by no more than 20% from the half truncation.
     """
-    if isinstance(system, MomentSystem):
-        gram = _gram_normalized(system.vs)
-    elif isinstance(system, (list, tuple)) and system and isinstance(system[0], HpVector):
-        gram = _gram_normalized(list(system))
-    else:
-        rhos = np.atleast_1d(np.asarray(system, dtype=complex))
-        gram = _gram_sine_family(rhos, length)
+    rhos = np.atleast_1d(np.asarray(rhos, dtype=complex))
+    gram = np.asarray(overlap_sin_sin(np.conj(rhos[:, None]), rhos[None, :], length))
+    norms = np.sqrt(np.abs(np.diag(gram)))
+    gram = gram / np.maximum(np.outer(norms, norms), 1e-300)
 
     n = gram.shape[0]
     if n < 2:

@@ -16,8 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonUniqueWarning, PoleProximity, RankDeficient
-from .moments import MomentSystem, build_moment_system, _as_grid
+from .errors import NonUniqueWarning, RankDeficient
+from .forward import weyl_ratio
+from .moments import MomentSystem, build_moment_system, slot_layout, u_from_cauchy, _as_grid
 from .trig import (
     overlap_cos_cos,
     overlap_sin_sin,
@@ -25,6 +26,7 @@ from .trig import (
     poly_poly,
     poly_sin,
     sinc,
+    synth_series,
 )
 from .types import (
     CauchyData,
@@ -111,12 +113,8 @@ def make_probe_basis(p: int, n_modes, n_poly: int = 3,
         n_sin = n_cos = int(n_modes)
     else:
         n_sin, n_cos = (int(v) for v in n_modes)
-    if p % 2:
-        h1_tags = _tags_for("sin", n_sin, n_poly, freq_step)
-        h2_tags = _tags_for("cos", n_cos, n_poly, freq_step)
-    else:
-        h1_tags = _tags_for("cos", n_cos, n_poly, freq_step)
-        h2_tags = _tags_for("sin", n_sin, n_poly, freq_step)
+    h1_tags, h2_tags = slot_layout(p).kernels(_tags_for("sin", n_sin, n_poly, freq_step),
+                                              _tags_for("cos", n_cos, n_poly, freq_step))
     b1 = _whiten(_gram_block(h1_tags))
     b2 = _whiten(_gram_block(h2_tags))
     return ProbeBasis(h1_tags=h1_tags, h2_tags=h2_tags, p=p, b1=b1, b2=b2)
@@ -142,19 +140,6 @@ def _component_columns(tags, rho, against: str):
     return np.stack(cols, axis=1) if cols else np.zeros((rho.size, 0), complex)
 
 
-def _slot_matrix(lams, f1s, f2s, p: int) -> np.ndarray:
-    n1 = (p - 1) // 2 if p % 2 else None
-    cols = []
-    if p % 2:
-        for k in range(n1):
-            cols.extend([f1s * lams**k, f2s * lams**k])
-        cols.append(f1s * lams**n1)
-    else:
-        for k in range(p // 2):
-            cols.extend([f1s * lams**k, f2s * lams**k])
-    return np.stack(cols, axis=1) if cols else np.zeros((lams.size, 0), complex)
-
-
 def moment_design(system: MomentSystem, basis: ProbeBasis):
     """Normalized design matrix over the orthonormal probe space, plus targets.
 
@@ -164,22 +149,11 @@ def moment_design(system: MomentSystem, basis: ProbeBasis):
     """
     lams = system.lambdas.lambdas
     rho = branch_sqrt(lams)
-    f1s, f2s = system.f_values
-    p = system.p
-    if p % 2:
-        n1 = (p - 1) // 2
-        fac1 = f1s * lams ** (n1 + 1)
-        fac2 = f2s * lams**n1
-        m1 = fac1[:, None] * _component_columns(basis.h1_tags, rho, "sin_over_rho")
-        m2 = fac2[:, None] * _component_columns(basis.h2_tags, rho, "cos")
-    else:
-        n2 = p // 2
-        fac1 = f1s * lams**n2
-        fac2 = f2s * lams**n2
-        m1 = fac1[:, None] * _component_columns(basis.h1_tags, rho, "cos")
-        m2 = fac2[:, None] * _component_columns(basis.h2_tags, rho, "sin_over_rho")
-    slots = _slot_matrix(lams, f1s, f2s, p)
-    raw = np.concatenate([m1, m2, slots], axis=1)
+    layout = slot_layout(system.p, lams, *system.f_values)
+    against1, against2 = layout.kernels("sin_over_rho", "cos")
+    m1 = layout.k1[:, None] * _component_columns(basis.h1_tags, rho, against1)
+    m2 = layout.k2[:, None] * _component_columns(basis.h2_tags, rho, against2)
+    raw = np.concatenate([m1, m2, layout.slots], axis=1)
     inv_norm = 1.0 / np.maximum(system.norms, 1e-300)
     rows = np.conj(raw) * inv_norm[:, None]
     d1 = rows[:, : len(basis.h1_tags)] @ basis.b1
@@ -187,18 +161,6 @@ def moment_design(system: MomentSystem, basis: ProbeBasis):
     design = np.concatenate([d1, d2, rows[:, len(basis.h1_tags) + len(basis.h2_tags):]], axis=1)
     rhs = np.conj(system.ws) * inv_norm
     return design, rhs
-
-
-def _synth_tags(tags, coeffs, t):
-    out = np.zeros_like(t, dtype=complex)
-    for (kind, v), c in zip(tags, coeffs):
-        if kind == "poly":
-            out += c * t**v
-        elif kind == "sin":
-            out += c * np.sin(v * t)
-        else:
-            out += c * np.cos(v * t)
-    return out
 
 
 def default_probe_modes(n_rows: int, p: int, n_poly: int = 3, margin: int = 2,
@@ -232,8 +194,6 @@ def solve_moment(system: MomentSystem, reg: float = 0.0, basis: Optional[ProbeBa
     `on_deficient`) when the normalized design collapses below `rank_tol`.
     The solve report is attached as `meta` on the returned element.
     """
-    if system.f_values is None:
-        return _solve_moment_grid(system, reg, rank_tol, on_deficient)
     if basis is None:
         band = float(np.max(np.abs(system.lambdas.rhos.real)))
         basis = make_probe_basis(
@@ -263,8 +223,8 @@ def solve_moment(system: MomentSystem, reg: float = 0.0, basis: Optional[ProbeBa
     x2 = basis.b2 @ z[d1: d1 + d2]
     scalars = z[d1 + d2:]
     t = np.linspace(0.0, np.pi, system.grid_size)
-    h1 = _synth_tags(basis.h1_tags, x1, t)
-    h2 = _synth_tags(basis.h2_tags, x2, t)
+    h1 = synth_series(basis.h1_tags, x1, t)
+    h2 = synth_series(basis.h2_tags, x2, t)
     meta = {
         "residual": residual,
         "cond": smax / smin if smin > 0 else np.inf,
@@ -278,43 +238,6 @@ def solve_moment(system: MomentSystem, reg: float = 0.0, basis: Optional[ProbeBa
     return HpVector(h1, h2, scalars, meta=meta)
 
 
-def _solve_moment_grid(system: MomentSystem, reg: float, rank_tol: float,
-                       on_deficient: str) -> HpVector:
-    """Fallback for generic rows: weighted least squares on the grid."""
-    rows = system.vs
-    n = len(rows)
-    gsz = system.grid_size
-    w = rows[0].weights()
-    sq = np.sqrt(w)
-    inv_norm = 1.0 / np.maximum(system.norms, 1e-300)
-    design = np.empty((n, 2 * gsz + system.p), dtype=complex)
-    for i, v in enumerate(rows):
-        design[i] = np.concatenate([np.conj(v.h1) * sq, np.conj(v.h2) * sq, np.conj(v.scalars)])
-        design[i] *= inv_norm[i]
-    rhs = np.conj(system.ws) * inv_norm
-    u_mat, svals, vh = np.linalg.svd(design, full_matrices=False)
-    smax = float(svals[0]) if svals.size else 0.0
-    smin = float(svals[-1]) if svals.size else 0.0
-    ratio = smin / smax if smax > 0 else 0.0
-    deficient = ratio <= rank_tol
-    if deficient and on_deficient == "raise":
-        raise RankDeficient(f"normalized moment design has singular-value ratio {ratio:.3e}")
-    coeff = u_mat.conj().T @ rhs
-    if reg > 0:
-        gains = svals / (svals**2 + reg)
-    else:
-        keep = svals > rank_tol * smax
-        gains = np.where(keep, 1.0 / np.maximum(svals, 1e-300), 0.0)
-    x = vh.conj().T @ (gains * coeff)
-    residual = float(np.linalg.norm(design @ x - rhs))
-    h1 = x[:gsz] / np.maximum(sq, 1e-300)
-    h2 = x[gsz: 2 * gsz] / np.maximum(sq, 1e-300)
-    meta = {"residual": residual, "cond": smax / smin if smin > 0 else np.inf,
-            "smin_ratio": ratio, "design_shape": design.shape,
-            "deficient": bool(deficient), "reg": reg, "series": None}
-    return HpVector(h1, h2, x[2 * gsz:], meta=meta)
-
-
 def unpack_u(u: HpVector) -> CauchyData:
     """Invert the entry-wise conjugation packing of the unknown vector."""
     series = None
@@ -326,38 +249,23 @@ def unpack_u(u: HpVector) -> CauchyData:
 
 
 def deltas_from_cauchy(data: CauchyData, p: int, lam):
-    """Rebuild (Delta0, Delta1) from Cauchy data by grid quadrature."""
+    """Rebuild (Delta0, Delta1) from Cauchy data by grid quadrature.
+
+    Delta1 is the moment row's pattern at (f1, f2) = (1, 0) and Delta0 at
+    (0, 1): kernel weights and slots come from `slot_layout`.
+    """
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
     rho = branch_sqrt(lam_arr)
-    m = data.j.size - 1
-    t = np.linspace(0.0, np.pi, m + 1)
-    w = np.full(m + 1, np.pi / m)
-    w[0] = w[-1] = 0.5 * np.pi / m
-    sin_over = t[None, :] * np.asarray(sinc(rho[:, None] * t[None, :]))
-    cos_mat = np.cos(rho[:, None] * t[None, :])
-    sin_pi = np.pi * np.asarray(sinc(rho * np.pi))
-    cos_pi = np.cos(rho * np.pi)
-
-    def poly(coeffs):
-        out = np.zeros_like(lam_arr)
-        for c in coeffs[::-1]:
-            out = out * lam_arr + c
-        return out
-
-    a_odd = data.a[0::2]
-    a_even = data.a[1::2]
-    if p % 2:
-        n1 = (p - 1) // 2
-        tj = (w * data.j)[None, :] * sin_over
-        tg = (w * data.g)[None, :] * cos_mat
-        d1 = lam_arr ** (n1 + 1) * (-sin_pi + tj.sum(axis=1)) + poly(a_odd)
-        d0 = lam_arr**n1 * (cos_pi + tg.sum(axis=1)) + poly(a_even)
-    else:
-        n2 = p // 2
-        tj = (w * data.j)[None, :] * cos_mat
-        tg = (w * data.g)[None, :] * sin_over
-        d1 = lam_arr**n2 * (-cos_pi + tj.sum(axis=1)) + poly(a_odd)
-        d0 = lam_arr**n2 * (-sin_pi + tg.sum(axis=1)) + poly(a_even)
+    t = np.linspace(0.0, np.pi, data.j.size)
+    w = u_from_cauchy(data).weights()
+    one, zero = np.ones_like(lam_arr), np.zeros_like(lam_arr)
+    lay1 = slot_layout(p, lam_arr, one, zero)
+    lay0 = slot_layout(p, lam_arr, zero, one)
+    k1, k2 = lay1.kernels(t[None, :] * np.asarray(sinc(rho[:, None] * t[None, :])),
+                          np.cos(rho[:, None] * t[None, :]))
+    e1, e0 = lay1.free_terms(np.pi * np.asarray(sinc(rho * np.pi)), np.cos(rho * np.pi))
+    d1 = lay1.k1 * (e1 + ((w * data.j)[None, :] * k1).sum(axis=1)) + lay1.slots @ data.a
+    d0 = lay0.k2 * (e0 + ((w * data.g)[None, :] * k2).sum(axis=1)) + lay0.slots @ data.a
     if np.isscalar(lam) or np.asarray(lam).ndim == 0:
         return complex(d0[0]), complex(d1[0])
     return d0, d1
@@ -380,14 +288,7 @@ class ReconstructionResult:
         return deltas_from_cauchy(self.cauchy, self.p, lam)
 
     def weyl(self, lam, on_pole="raise"):
-        d0, d1 = self.deltas(lam)
-        d0 = np.atleast_1d(np.asarray(d0))
-        d1 = np.atleast_1d(np.asarray(d1))
-        scale = np.maximum(np.abs(d0), np.abs(d1))
-        bad = np.abs(d1) <= 1e-8 * np.maximum(scale, 1e-300)
-        if np.any(bad) and on_pole == "raise":
-            raise PoleProximity("Delta1 below tolerance at requested lambda")
-        out = np.where(bad, np.nan + 0j, d0 / np.where(bad, 1.0, d1))
+        out = weyl_ratio(*self.deltas(lam), on_pole=on_pole)
         if np.isscalar(lam) or np.asarray(lam).ndim == 0:
             return complex(out[0])
         return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 _SMALL = 1e-4
+_DSINC_SMALL = 1e-2   # |z2| below which d/dz2 sin(w)/w uses its series
 
 
 def sinc(z):
@@ -45,9 +46,11 @@ def cos_sinc_sqrt(z2, derivative=False):
     sinc_w = np.divide(sin_w, w, out=np.ones_like(w), where=w != 0)
     if not derivative:
         return cos_w, sinc_w
-    # (w cos w - sin w)/(2 w^3), with its series where that cancels
-    dsinc = -1.0 / 6.0 + z2 / 60.0 - z2 * z2 / 1680.0
-    np.divide(cos_w - sinc_w, 2.0 * z2, out=dsinc, where=np.abs(z2) >= _SMALL)
+    # (w cos w - sin w)/(2 w^3); the direct form loses eps/|z2| to
+    # cancellation, so the series (through z2^4) takes over below 1e-2
+    z4 = z2 * z2
+    dsinc = -1.0 / 6.0 + z2 / 60.0 - z4 / 1680.0 + z4 * z2 / 90720.0 - z4 * z4 / 7983360.0
+    np.divide(cos_w - sinc_w, 2.0 * z2, out=dsinc, where=np.abs(z2) >= _DSINC_SMALL)
     return cos_w, sinc_w, dsinc
 
 
@@ -168,13 +171,31 @@ def poly_poly(m, n, length=np.pi):
     return length ** (m + n + 1) / (m + n + 1)
 
 
-def gauss_panels(f, a, b, panels, order=12):
-    """Composite Gauss-Legendre quadrature of a (vector-valued) callable."""
+def gauss_nodes(a, b, panels, order=12):
+    """Nodes and weights of composite Gauss-Legendre quadrature on [a, b]."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     x = (mid[:, None] + half * nodes[None, :]).ravel()
     w = (half * np.broadcast_to(weights, (panels, order))).ravel()
-    vals = f(x)
-    return np.tensordot(vals, w, axes=([-1], [0]))
+    return x, w
+
+
+def gauss_panels(f, a, b, panels, order=12):
+    """Composite Gauss-Legendre quadrature of a (vector-valued) callable."""
+    x, w = gauss_nodes(a, b, panels, order)
+    return np.tensordot(f(x), w, axes=([-1], [0]))
+
+
+def synth_series(tags, coeffs, t):
+    """Sum of coeff * basis(t) over ("sin", v), ("cos", v) and ("poly", m) tags."""
+    out = np.zeros_like(t, dtype=complex)
+    for (kind, v), c in zip(tags, coeffs):
+        if kind == "sin":
+            out += c * np.sin(v * t)
+        elif kind == "cos":
+            out += c * np.cos(v * t)
+        elif kind == "poly":
+            out += c * t**v
+    return out

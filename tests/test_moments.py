@@ -95,12 +95,14 @@ class TestMomentIdentity:
 class TestMomentSystem:
     def test_rows_and_norms(self):
         sub = Subspectrum((np.arange(1, 9) - 0.5) ** 2 + 0j)
-        sys_ = build_moment_system(sub, F01, 1, 128)
-        assert len(sys_) == 8
-        assert np.all(sys_.norms > 0)
-        # closed-form norms agree with the grid quadrature at grid accuracy
-        for v, n in zip(sys_.vs, sys_.norms):
-            assert v.norm() == pytest.approx(n, rel=1e-4)
+        for p in (1, 2, 3, 4):
+            sys_ = build_moment_system(sub, F01, p, 128)
+            assert len(sys_) == 8
+            assert np.all(sys_.norms > 0)
+            # closed-form norms agree with the grid quadrature at grid accuracy
+            for lam, w, n in zip(sub.lambdas, sys_.ws, sys_.norms):
+                assert build_v(lam, F01, p, 128).norm() == pytest.approx(n, rel=1e-4)
+                assert build_w(lam, F01, p) == pytest.approx(w, rel=1e-14)
 
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateEigenvalue):
@@ -167,13 +169,6 @@ class TestBasisDiagnostics:
         rhos = np.array([1.0, 2.0, 2.0, 3.0], dtype=complex)
         bd = basis_diagnostics(rhos, length=2 * np.pi)
         assert bd.smin <= 1e-10
-
-    def test_moment_system_input(self):
-        sub = Subspectrum((np.arange(1, 13) - 0.5) ** 2 + 0j)
-        sys_ = build_moment_system(sub, F01, 1, 128)
-        bd = basis_diagnostics(sys_)
-        assert np.isfinite(bd.conds[-1])
-        assert bd.conds[-1] < 50
 
 
 def test_row_norm_exact_positive():

@@ -4,17 +4,22 @@ import numpy as np
 import pytest
 
 from conftest import rel_l2
-from invsl.errors import NonUniqueWarning, RankDeficient
+from invsl.errors import NonUniqueWarning, PoleProximity, RankDeficient
 from invsl.forward import char_pair, extract_cauchy
-from invsl.moments import MomentSystem, build_moment_system, u_from_cauchy
+from invsl.moments import build_moment_system, build_v, u_from_cauchy
 from invsl.reconstruct import (
+    ProbeBasis,
+    ReconstructionResult,
     completeness_ratio,
     deltas_from_cauchy,
+    make_probe_basis,
+    moment_design,
     reconstruct,
     solve_moment,
     stability_experiment,
     unpack_u,
 )
+from invsl.trig import synth_series
 from invsl.types import (
     BoundaryPolyPair,
     CauchyData,
@@ -30,31 +35,39 @@ PAIR_FREE = BoundaryPolyPair([1.0], [0.0])
 F01 = EntirePair.constant(0.0, 1.0)
 
 
-def synthetic_system(rows, ws, p=1, grid_size=33):
-    norms = np.array([v.norm() for v in rows])
-    return MomentSystem(vs=rows, ws=np.asarray(ws, complex), norms=norms,
-                        lambdas=Subspectrum(np.arange(1, len(rows) + 1) + 0j),
-                        parity="odd", p=p, grid_size=grid_size, f_values=None)
+class TestMomentDesign:
+    def test_raw_rows_match_grid_quadrature(self):
+        # with identity whitening the design is conj((phi_i, v_n))/||v_n||;
+        # the closed-form integrals must match trapezoid quadrature of the
+        # probe functions against build_v's grid rows, for both parities
+        f = EntirePair.constant(0.7, -1.3)
+        sub = Subspectrum(np.concatenate([[-2.0], (np.arange(1, 9) - 0.3) ** 2]) + 0j)
+        m = 4096
+        t = np.linspace(0.0, np.pi, m + 1)
+        wts = np.full(m + 1, np.pi / m)
+        wts[0] = wts[-1] = 0.5 * np.pi / m
+        for p in (1, 2, 3, 4):
+            probe = make_probe_basis(p, (4, 5))
+            n1, n2 = len(probe.h1_tags), len(probe.h2_tags)
+            basis = ProbeBasis(probe.h1_tags, probe.h2_tags, p, np.eye(n1), np.eye(n2))
+            system = build_moment_system(sub, f, p, m)
+            design, _ = moment_design(system, basis)
+            raw = np.conj(design) * system.norms[:, None]
+            for n, lam in enumerate(sub.lambdas):
+                v = build_v(lam, f, p, t)
+                quad = np.concatenate([
+                    [np.sum(wts * synth_series([tag], [1.0], t) * v.h1) for tag in probe.h1_tags],
+                    [np.sum(wts * synth_series([tag], [1.0], t) * v.h2) for tag in probe.h2_tags],
+                    v.scalars])
+                assert np.max(np.abs(raw[n] - quad)) <= 1e-4 * system.norms[n]
 
 
 class TestSolveMoment:
-    def test_orthonormal_slot_rows(self):
-        # rows are the unit scalar slots; the solution is sum conj(w_n) e_n
-        rows = []
-        p = 3
-        for k in range(p):
-            sc = np.zeros(p, complex)
-            sc[k] = 1.0
-            rows.append(HpVector(np.zeros(33), np.zeros(33), sc))
-        ws = np.array([1.0 + 2j, -0.5, 0.25j])
-        u = solve_moment(synthetic_system(rows, ws, p=p))
-        assert np.allclose(u.scalars, np.conj(ws), atol=1e-12)
-        assert np.max(np.abs(u.h1)) <= 1e-12
-
-    def test_duplicated_row_rank_deficient(self):
-        row = HpVector(np.ones(33), np.zeros(33), [0.5])
+    def test_blank_h1_block_rank_deficient(self):
+        # f1 == 0 zeroes the H1 block of every row: the default solve raises
+        sub = Subspectrum((np.arange(1, 41) - 0.5) ** 2 + 0j)
         with pytest.raises(RankDeficient):
-            solve_moment(synthetic_system([row, row], [1.0, 1.0]))
+            solve_moment(build_moment_system(sub, F01, 1, 128))
 
     def test_roundtrip_matches_oracle_u(self, rt_free):
         # forward-generated problem: rebuilt element matches the packed oracle
@@ -73,8 +86,8 @@ class TestSolveMoment:
         system = build_moment_system(sub, F01, 1, 128)
         u = solve_moment(system, on_deficient="truncate")
         worst = 0.0
-        for v, w, n in zip(system.vs, system.ws, system.norms):
-            worst = max(worst, abs(hp_inner(u, v) - w) / n)
+        for lam, w, n in zip(sub.lambdas, system.ws, system.norms):
+            worst = max(worst, abs(hp_inner(u, build_v(lam, F01, 1, 128)) - w) / n)
         assert worst <= 1e-8 + 1e-6 * np.linalg.norm(system.ws)
 
     def test_moment_residual_invariant_corpus(self, rt_free):
@@ -126,6 +139,16 @@ class TestDeltasFromCauchy:
         d0, d1 = char_pair(SIG0, PAIR_FREE, np.array([2.0 + 0j]))
         assert abs(d1r - d1[0]) <= 1e-6 * max(1, abs(d1[0]))
         assert abs(d0r - d0[0]) <= 1e-6 * max(1, abs(d0[0]))
+
+    def test_weyl_pole_guard(self):
+        # zero data with p = 1: Delta1 = -lambda sin(rho pi)/rho vanishes at 1
+        cd = CauchyData(np.zeros(257), np.zeros(257), [0.0])
+        res = ReconstructionResult(u=u_from_cauchy(cd), cauchy=cd, p=1)
+        with pytest.raises(PoleProximity):
+            res.weyl(1.0)
+        assert np.isnan(res.weyl(1.0, on_pole="nan"))
+        assert np.isnan(res.weyl(np.array([1.0, 2.0]), on_pole="nan")[0])
+        assert res.weyl(2.25) == pytest.approx(0.0, abs=1e-12)
 
     def test_finite_at_lambda_zero(self):
         m = 64
