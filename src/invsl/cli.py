@@ -47,7 +47,7 @@ def _load(path: str, schema_name: str) -> dict:
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
-        jsonschema.validate(obj, schemas.ALL[schema_name])
+        jsonschema.validate(obj, schemas.ALL[schema_name], cls=schemas.Validator)
     except jsonschema.ValidationError as exc:
         raise SchemaError(f"{path}: {exc.message}") from exc
     return obj

@@ -109,27 +109,34 @@ def weyl(sigma: SigmaFunction, pair: BoundaryPolyPair, lam, on_pole="raise"):
 # ----------------------------------------------------------------------------
 
 def _refine_brackets(delta, a, b, fa, fb, iters=100):
-    """Illinois-style false position on the signed-sqrt axis, all roots at once."""
+    """Illinois-style false position on the signed-sqrt axis, all roots at once.
+
+    Delta is evaluated only at brackets still wider than 1e-15 relative.
+    """
     a, b = a.copy(), b.copy()
     fa, fb = fa.copy(), fb.copy()
     side = np.zeros(a.shape, dtype=int)
+    live = np.ones(a.shape, dtype=bool)
     for _ in range(iters):
         denom = fb - fa
         safe = denom != 0
         m = np.where(safe, b - fb * (b - a) / np.where(safe, denom, 1.0), 0.5 * (a + b))
         inside = (m > np.minimum(a, b)) & (m < np.maximum(a, b))
         m = np.where(inside, m, 0.5 * (a + b))
-        fm = np.real(np.asarray(delta(np.sign(m) * m * m)))
-        go_left = (fm < 0) == (fa < 0)
+        fm = np.zeros_like(fa)
+        fm[live] = np.real(np.asarray(delta(np.sign(m[live]) * m[live] * m[live])))
+        go_left = live & ((fm < 0) == (fa < 0))
+        go_right = live & ~go_left
         # Illinois damping when the same endpoint survives twice in a row
         fb = np.where(go_left & (side == -1), 0.5 * fb, fb)
-        fa = np.where(~go_left & (side == +1), 0.5 * fa, fa)
+        fa = np.where(go_right & (side == +1), 0.5 * fa, fa)
         a = np.where(go_left, m, a)
         fa = np.where(go_left, fm, fa)
-        b = np.where(~go_left, m, b)
-        fb = np.where(~go_left, fm, fb)
+        b = np.where(go_right, m, b)
+        fb = np.where(go_right, fm, fb)
         side = np.where(go_left, -1, +1)
-        if np.max(np.abs(b - a) / (1.0 + np.abs(a) + np.abs(b))) < 1e-15:
+        live &= np.abs(b - a) / (1.0 + np.abs(a) + np.abs(b)) >= 1e-15
+        if not np.any(live):
             break
     s = 0.5 * (a + b)
     return np.sign(s) * s * s

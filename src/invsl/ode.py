@@ -8,7 +8,9 @@ monodromy matrix, the ordered product of all cell matrices, reduced pairwise
 in log2(m) vectorized steps over the whole lambda batch; node-by-node
 trajectories apply the same cell matrices one at a time.  Cost is independent
 of |lambda| and the Lagrange identity (det of the monodromy = 1) holds to
-rounding.
+rounding.  On the real axis (real sigma, every lambda of the batch real) the
+cell matrices and their product are computed in float64, elsewhere in
+complex128; endpoint values are returned as complex128 in both cases.
 
 A classical RK4 path over the same piecewise-linear sigma is kept as an
 independent cross-check (`method="rk4"`); it converges at order 4 to the exact
@@ -46,11 +48,12 @@ def _cell_matrices(sigma: SigmaFunction, lam, derivative=False):
 
     Returns ((c, sn, msn, c), dmats): arrays of shape (m,) + lam.shape in the
     (m00, m01, m10, m11) order, and their lambda-derivatives in the same
-    layout when `derivative` is set (None otherwise).
+    layout when `derivative` is set (None otherwise).  A real `lam` gives real
+    entries from the real part of sigma (the caller checks that sigma is real).
     """
     h = sigma.dx
     h2 = h * h
-    slopes = np.diff(sigma.samples) / h
+    slopes = np.diff(sigma.samples if np.iscomplexobj(lam) else sigma.samples.real) / h
     mu2 = lam[None] - slopes.reshape((-1,) + (1,) * lam.ndim)
     trig = cos_sinc_sqrt(mu2 * h2, derivative=derivative)
     c = trig[0]
@@ -145,10 +148,16 @@ def monodromy(sigma: SigmaFunction, lams, derivative=False):
     = (a, b) ends at M @ (a, b), so the columns are C and S and det M = 1.
     The cell matrices are reduced pairwise in log2(m) vectorized steps, over
     blocks of lambdas.  With `derivative`, returns (M, dM/dlambda).
+
+    When sigma is real and no lambda has a nonzero imaginary part, the cell
+    matrices and the tree are float64 (cos/cosh and sin/sinh by the sign of
+    mu^2), otherwise complex128; both run the same code and M is complex128.
     """
-    lam = np.atleast_1d(np.asarray(lams, dtype=complex))
+    lam = np.atleast_1d(np.asarray(lams))
+    real = not np.any(lam.imag) and sigma.is_real()
+    lam = lam.real.astype(float, copy=False) if real else lam.astype(complex, copy=False)
     flat = lam.ravel()
-    out = np.empty((8 if derivative else 4, flat.size), dtype=complex)
+    out = np.empty((8 if derivative else 4, flat.size), dtype=lam.dtype)
     for start in range(0, flat.size, _BLOCK):
         mats, dmats = _reduce(*_cell_matrices(sigma, flat[start:start + _BLOCK], derivative))
         out[:4, start:start + _BLOCK] = [x[0] for x in mats]

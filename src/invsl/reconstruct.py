@@ -71,26 +71,20 @@ def _tags_for(kind: str, n_modes: int, n_poly: int, freq_step: float = 1.0):
 
 
 def _gram_block(tags) -> np.ndarray:
-    n = len(tags)
-    g = np.empty((n, n), dtype=float)
-    for i, ti in enumerate(tags):
-        for k in range(i, n):
-            tk = tags[k]
-            g[i, k] = g[k, i] = float(np.real(_probe_overlap(ti, tk)))
+    """Gram matrix over [0, pi] of one family's monomial and trig tags."""
+    poly = np.array([kind == "poly" for kind, _ in tags])
+    vals = np.array([v for _, v in tags], dtype=float)
+    degs, mu = vals[poly].astype(int), vals[~poly] + 0j
+    trig_kind = next((kind for kind, _ in tags if kind != "poly"), "sin")
+    overlap, poly_trig = ((overlap_sin_sin, poly_sin) if trig_kind == "sin"
+                          else (overlap_cos_cos, poly_cos))
+    g = np.empty((len(tags), len(tags)))
+    g[np.ix_(~poly, ~poly)] = overlap(mu[:, None], mu[None, :]).real
+    g[np.ix_(poly, poly)] = poly_poly(degs[:, None], degs[None, :])
+    cross = np.array([poly_trig(d, mu).real for d in degs]).reshape(degs.size, mu.size)
+    g[np.ix_(poly, ~poly)] = cross
+    g[np.ix_(~poly, poly)] = cross.T
     return g
-
-
-def _probe_overlap(ti, tk):
-    (ka, va), (kb, vb) = ti, tk
-    if ka == "poly" and kb == "poly":
-        return poly_poly(va, vb)
-    if ka == "poly":
-        ka, va, kb, vb = kb, vb, ka, va
-    if kb == "poly":
-        fn = poly_sin if ka == "sin" else poly_cos
-        return complex(np.asarray(fn(vb, np.array([va + 0j]))).ravel()[0])
-    fn = overlap_sin_sin if ka == "sin" else overlap_cos_cos
-    return complex(np.asarray(fn(va, np.array([vb + 0j]))).ravel()[0])
 
 
 def _whiten(gram: np.ndarray, tol: float = 1e-11) -> np.ndarray:

@@ -2,8 +2,11 @@
 
 Snapshots of these schemas are kept under docs/schema/; a test pins the two
 copies together.  Complex numbers are [re, im] pairs; bare reals are accepted
-for polynomial coefficients.
+for polynomial coefficients.  `Validator` checks them as Draft 2020-12 does,
+with a one-pass check of plain numeric arrays.
 """
+
+import jsonschema
 
 COMPLEX = {
     "type": "array",
@@ -92,3 +95,27 @@ ALL = {
     "two_sided-v1": TWO_SIDED_V1,
     "subspectrum-v1": SUBSPECTRUM_V1,
 }
+
+
+def _number_or_pair(x):
+    # a JSON number loads as int or float; bool subclasses int but is no number
+    return type(x) in (int, float) or (type(x) is list and len(x) == 2
+                                       and type(x[0]) in (int, float)
+                                       and type(x[1]) in (int, float))
+
+
+_stock_items = jsonschema.Draft202012Validator.VALIDATORS["items"]
+
+
+def _items(validator, items, instance, schema):
+    """`items`, accepting an array of plain numbers and [re, im] pairs at once.
+
+    Any other array goes to the stock keyword (`oneOf` per item), so errors
+    and their messages are unchanged.
+    """
+    if items == NUMBER_OR_COMPLEX and type(instance) is list and all(map(_number_or_pair, instance)):
+        return
+    yield from _stock_items(validator, items, instance, schema)
+
+
+Validator = jsonschema.validators.extend(jsonschema.Draft202012Validator, {"items": _items})

@@ -30,19 +30,30 @@ def sinc(z):
 def cos_sinc_sqrt(z2, derivative=False):
     """cos(w) and sin(w)/w at w = sqrt(z2), plus d/dz2 of sin(w)/w with `derivative`.
 
-    All three are single-valued (even in w) functions of z2.  cos and sin
-    share one evaluation of the real trigonometric and hyperbolic parts of w.
+    All three are single-valued (even in w) functions of z2, in the dtype of
+    the input.  Complex z2: cos and sin share one evaluation of the real trig
+    and hyperbolic parts of w.  Real z2 stays real: with w = sqrt(|z2|), cos w
+    and sin w where z2 >= 0, cosh w and sinh w (w imaginary) where z2 < 0.
     """
-    z2 = np.asarray(z2, dtype=complex)
-    w = np.sqrt(z2)
-    cx, sx = np.cos(w.real), np.sin(w.real)
-    chy, shy = np.cosh(w.imag), np.sinh(w.imag)
-    cos_w = np.empty_like(w)
-    cos_w.real = cx * chy
-    cos_w.imag = -sx * shy
-    sin_w = np.empty_like(w)
-    sin_w.real = sx * chy
-    sin_w.imag = cx * shy
+    z2 = np.asarray(z2)
+    if np.iscomplexobj(z2):
+        w = np.sqrt(z2)
+        cx, sx = np.cos(w.real), np.sin(w.real)
+        chy, shy = np.cosh(w.imag), np.sinh(w.imag)
+        cos_w = np.empty_like(w)
+        cos_w.real = cx * chy
+        cos_w.imag = -sx * shy
+        sin_w = np.empty_like(w)
+        sin_w.real = sx * chy
+        sin_w.imag = cx * shy
+    else:
+        z2 = z2.astype(float, copy=False)
+        w = np.sqrt(np.abs(z2))
+        osc = z2 >= 0
+        cos_w = np.cos(w, out=np.empty_like(w), where=osc)
+        np.cosh(w, out=cos_w, where=~osc)
+        sin_w = np.sin(w, out=np.empty_like(w), where=osc)
+        np.sinh(w, out=sin_w, where=~osc)
     sinc_w = np.divide(sin_w, w, out=np.ones_like(w), where=w != 0)
     if not derivative:
         return cos_w, sinc_w

@@ -11,6 +11,7 @@ from invsl.forward import (
     resample_cauchy,
     weyl,
     winding_count,
+    _refine_brackets,
     _solve_family,
 )
 from invsl.halfinverse import hl_entire_pair
@@ -106,6 +107,27 @@ class TestFindEigenvalues:
         spec = find_eigenvalues(delta, (-1.0, 100.0), ddelta=ddelta)
         exact = np.arange(0, 10) ** 2
         assert np.max(np.abs(spec.lambdas[:10].real - exact)) <= 1e-9
+
+    def test_refine_evaluates_only_open_brackets(self):
+        # criterion 01's zero-potential problem with lambda = n^2, n >= 1 (at
+        # n = 0 delta is flat to second order in s and Newton has to finish);
+        # the scan grid on the signed-sqrt axis misses every root
+        delta, _ = make_delta(SIG0, PAIR_FREE, F_NEU)
+        s = np.linspace(0.69, 11.69, 551)
+        fv = np.real(delta(np.sign(s) * s * s))
+        idx = np.nonzero(np.signbit(fv[:-1]) != np.signbit(fv[1:]))[0]
+        sizes = []
+
+        def counted(lam):
+            sizes.append(np.size(lam))
+            return delta(lam)
+
+        roots = _refine_brackets(counted, s[idx], s[idx + 1], fv[idx], fv[idx + 1])
+        exact = np.arange(1.0, 12.0) ** 2
+        assert idx.size == exact.size
+        assert sizes[0] == idx.size and sizes[-1] < idx.size
+        assert all(later <= earlier for earlier, later in zip(sizes, sizes[1:]))
+        assert np.max(np.abs(roots - exact) / (1.0 + exact)) <= 1e-12
 
     def test_step_sigma_vs_dense_scan(self):
         sig = sigma_step(512, height=1.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from invsl import ode
 from invsl.errors import StepFailure
 from invsl.ode import (
     _BLOCK,
@@ -13,6 +14,7 @@ from invsl.ode import (
     solve_cauchy,
 )
 from invsl.problems import sigma_random_smooth, sigma_step
+from invsl.trig import cos_sinc_sqrt
 from invsl.types import SigmaFunction
 
 
@@ -207,19 +209,52 @@ class TestMonodromy:
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
             assert np.max(np.abs(dgot - dref)) <= 1e-14 * np.max(np.abs(dref))
 
+    @pytest.mark.parametrize("m", [16, 17, 257, 512])
+    @pytest.mark.parametrize("batch", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1400])
+    def test_real_path_matches_complex_path(self, m, batch):
+        # an imaginary part far below rounding sends the same lambdas through
+        # the complex128 tree
+        sig = sigma_random_smooth(m, scale=0.8, seed=m)
+        lam = np.random.default_rng(batch).uniform(-20.0, 1000.0, batch)
+        for derivative in (False, True):
+            real = endpoint_data(sig, lam, derivative=derivative)
+            cplx = endpoint_data(sig, lam + 1e-200j, derivative=derivative)
+            keys = ["S", "S1", "C", "C1"]
+            assert real["S"].dtype == np.complex128
+            assert np.max(_normwise_dev(real, cplx, keys)) <= TREE_RTOL
+            if derivative:
+                dkeys = ["d" + k for k in keys]
+                assert np.max(_normwise_dev(real, cplx, dkeys)) <= TREE_RTOL
+
+    def test_arithmetic_follows_inputs(self, monkeypatch):
+        seen = []
+
+        def record(z2, derivative=False):
+            seen.append(z2.dtype)
+            return cos_sinc_sqrt(z2, derivative)
+
+        monkeypatch.setattr(ode, "cos_sinc_sqrt", record)
+        sig = sigma_random_smooth(64, scale=0.8, seed=3)
+        sig_c = SigmaFunction(sig.samples + 0.1j * np.sin(sig.nodes), sig.interval_length)
+        cases = [(sig, [1.0, 2.0 + 0j], np.float64), (sig, [1.0, 2.0 + 1e-200j], np.complex128),
+                 (sig_c, [1.0, 2.0], np.complex128)]
+        for s, lam, dtype in cases:
+            seen.clear()
+            monodromy(s, np.array(lam), derivative=True)
+            assert seen == [dtype]
+
     def test_unit_determinant(self):
-        # Lagrange identity over |lambda| <= 1e3: the real axis, where the
-        # entries reach e^(pi sqrt(1000)) on the negative side, and three rays
-        # of complex rho
+        # Lagrange identity over |lambda| <= 1e3: the real axis (float64 tree),
+        # where the entries reach e^(pi sqrt(1000)) on the negative side, and
+        # three rays of complex rho (complex128 tree)
         sig = sigma_random_smooth(512, scale=0.8, seed=7)
         rho = np.linspace(0.0, np.sqrt(1000.0), 500)
-        lam = np.concatenate([np.linspace(-1000.0, 1000.0, 2001)]
-                             + [(rho + 1j * b) ** 2 for b in (0.25, 0.5, 1.0)])
-        lam = lam[np.abs(lam) <= 1000.0]
-        m = monodromy(sig, lam)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        scale = np.max(np.abs(m.reshape(4, -1)), axis=0) ** 2
-        assert np.max(np.abs(det - 1.0) / scale) <= DET_RTOL
+        rays = np.concatenate([(rho + 1j * b) ** 2 for b in (0.25, 0.5, 1.0)])
+        for lam in (np.linspace(-1000.0, 1000.0, 2001), rays[np.abs(rays) <= 1000.0]):
+            m = monodromy(sig, lam)
+            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+            scale = np.max(np.abs(m.reshape(4, -1)), axis=0) ** 2
+            assert np.max(np.abs(det - 1.0) / scale) <= DET_RTOL
 
     def test_step_failure_on_overflow(self):
         sig = SigmaFunction.zero(np.pi, 64)

@@ -9,6 +9,8 @@ from invsl.forward import char_pair, extract_cauchy
 from invsl.moments import build_moment_system, build_v, u_from_cauchy
 from invsl.reconstruct import (
     ProbeBasis,
+    _gram_block,
+    _tags_for,
     ReconstructionResult,
     completeness_ratio,
     deltas_from_cauchy,
@@ -19,7 +21,7 @@ from invsl.reconstruct import (
     stability_experiment,
     unpack_u,
 )
-from invsl.trig import synth_series
+from invsl.trig import gauss_panels, synth_series
 from invsl.types import (
     BoundaryPolyPair,
     CauchyData,
@@ -60,6 +62,23 @@ class TestMomentDesign:
                     [np.sum(wts * synth_series([tag], [1.0], t) * v.h2) for tag in probe.h2_tags],
                     v.scalars])
                 assert np.max(np.abs(raw[n] - quad)) <= 1e-4 * system.norms[n]
+
+
+class TestProbeGram:
+    @pytest.mark.parametrize("kind", ["sin", "cos"])
+    @pytest.mark.parametrize("freq_step", [1.0, 0.5])
+    def test_gram_block_matches_quadrature(self, kind, freq_step):
+        tags = _tags_for(kind, 22, 3, freq_step)
+
+        def funcs(t):
+            return np.array([t**v if k == "poly" else getattr(np, k)(v * t) for k, v in tags])
+
+        ref = gauss_panels(lambda t: funcs(t)[:, None] * funcs(t)[None, :], 0.0, np.pi, 64)
+        g = _gram_block(tags)
+        assert np.array_equal(g, g.T)
+        # entry-wise, against the Cauchy-Schwarz scale sqrt(g_ii g_kk)
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+        assert np.max(np.abs(g - ref) / scale) <= 1e-12
 
 
 class TestSolveMoment:

@@ -1,0 +1,69 @@
+"""The package's schema validator against stock Draft 2020-12 on mutated documents."""
+
+import copy
+
+import jsonschema
+import pytest
+
+from invsl import schemas
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+SIGMA = {"interval": 3.14, "samples": [0.0] * 9 + [[0.1, 0.0]] * 4 + [1, -2, 0.5, [3, 4]]}
+BASES = {
+    "problem-v1": {"schema": "invsl/problem-v1", "sigma": SIGMA, "p1": [1.0], "p2": [[0.5, 0.0]],
+                   "f": {"kind": "constant", "f1": 1.0, "f2": [0.0, 0.0]},
+                   "subspectrum": [1.0, [2.0, 0.1]]},
+    "two_sided-v1": {"schema": "invsl/two_sided-v1", "sigma": SIGMA, "p1": [1], "p2": [0.0],
+                     "r1": [1.0], "r2": [[0, 0], 1]},
+    "subspectrum-v1": {"schema": "invsl/subspectrum-v1", "lambdas": [1.0, 4, [9.0, 0.0]]},
+}
+ITEM = st.one_of(st.floats(), st.integers(), st.booleans(), st.none())
+MUTANTS = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=2), st.integers(), st.floats(),
+    st.just(10**400), st.just(float("nan")),
+    st.lists(ITEM, max_size=3),                                  # 0- to 3-element lists
+    st.lists(st.lists(ITEM, max_size=3), min_size=1, max_size=2),  # nested lists
+    st.dictionaries(st.text(max_size=1), st.integers(), max_size=1),
+)
+
+
+def _sites(node, path=()):
+    """Paths to every value below the root."""
+    if path:
+        yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _sites(value, path + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _sites(value, path + (index,))
+
+
+def _errors(validator, doc):
+    return [(e.message, list(e.absolute_path)) for e in validator.iter_errors(doc)]
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(name=st.sampled_from(sorted(BASES)), data=st.data())
+def test_validator_matches_stock_draft(name, data):
+    doc = copy.deepcopy(BASES[name])
+    for _ in range(data.draw(st.integers(0, 3))):
+        path = data.draw(st.sampled_from(list(_sites(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(MUTANTS)
+    fast = schemas.Validator(schemas.ALL[name])
+    stock = jsonschema.Draft202012Validator(schemas.ALL[name])
+    assert fast.is_valid(doc) == stock.is_valid(doc)
+    assert _errors(fast, doc) == _errors(stock, doc)
+    fast_best, stock_best = (jsonschema.exceptions.best_match(v.iter_errors(doc))
+                             for v in (fast, stock))
+    assert (fast_best and fast_best.message) == (stock_best and stock_best.message)
+
+
+def test_bases_are_valid():
+    for name, doc in BASES.items():
+        schemas.Validator(schemas.ALL[name]).validate(doc)

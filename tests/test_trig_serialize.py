@@ -84,6 +84,23 @@ class TestTrigClosedForms:
                 for val, r, rtol in zip(got, ref, (1e-14, 1e-14, 1e-13)):
                     assert abs(complex(val[i]) - complex(r)) <= rtol * max(1.0, abs(complex(r)))
 
+    def test_cos_sinc_sqrt_real_against_mpmath(self):
+        # real input stays float64 (cos/sin for z2 >= 0, cosh/sinh below),
+        # across the series switches and deep into the cosh branch
+        mpmath = pytest.importorskip("mpmath")
+        z2 = np.array([0.0, 1e-12, -1e-12, 9.9e-5, -9.9e-5, 1.01e-4, -1.01e-4, 9.9e-3, -9.9e-3,
+                       1.01e-2, -1.01e-2, 0.3, -0.3, 2.5, -2.5, 60.0, -40.0, -700.0, -3e3])
+        got = cos_sinc_sqrt(z2, derivative=True)
+        assert all(g.dtype == np.float64 for g in got)
+        with mpmath.workdps(40):
+            for i, z in enumerate(z2):
+                w = mpmath.sqrt(mpmath.mpc(z))
+                ref = (mpmath.cos(w), mpmath.sinc(w),
+                       mpmath.mpf(-1) / 6 if z == 0 else (mpmath.cos(w) - mpmath.sinc(w)) / (2 * w * w))
+                for val, r in zip(got, ref):
+                    r = float(mpmath.re(r))
+                    assert abs(val[i] - r) <= 1e-13 * max(1.0, abs(r))
+
 
 class TestRootLoss:
     def test_verify_detects_missed_pair(self):
