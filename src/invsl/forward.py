@@ -54,14 +54,15 @@ def make_delta(sigma: SigmaFunction, pair: BoundaryPolyPair, f: Optional[EntireP
     """Bundle (delta, ddelta) callables for root finding.
 
     Without `f`, the pair's own Delta1 is used (poles of the Weyl function).
-    ddelta is None when `f` carries no derivative information.
+    ddelta(lam) returns (delta, d delta / d lambda), both from one propagation
+    with lambda-derivatives; it is None when `f` carries no derivatives.
     """
     if f is None:
         def delta(lam):
             return char_pair(sigma, pair, lam)[1]
 
         def ddelta(lam):
-            return char_pair(sigma, pair, lam, derivative=True)[3]
+            return char_pair(sigma, pair, lam, derivative=True)[1::2]
 
         return delta, ddelta
 
@@ -74,9 +75,8 @@ def make_delta(sigma: SigmaFunction, pair: BoundaryPolyPair, f: Optional[EntireP
     def ddelta(lam):
         lamc = np.asarray(lam, dtype=complex)
         d0, d1, dd0, dd1 = char_pair(sigma, pair, lamc, derivative=True)
-        f1, f2 = f(lamc)
-        g1, g2 = f.derivative(lamc)
-        return g1 * d1 + f1 * dd1 + g2 * d0 + f2 * dd0
+        f1, f2, g1, g2 = f.jet(lamc)
+        return f1 * d1 + f2 * d0, g1 * d1 + f1 * dd1 + g2 * d0 + f2 * dd0
 
     return delta, ddelta
 
@@ -108,41 +108,59 @@ def weyl(sigma: SigmaFunction, pair: BoundaryPolyPair, lam, on_pole="raise"):
 # eigenvalue location
 # ----------------------------------------------------------------------------
 
-def _refine_brackets(delta, a, b, fa, fb, iters=100):
-    """Illinois-style false position on the signed-sqrt axis, all roots at once.
+def refine_brackets(delta, ddelta, a, b, fa, fb, iters=100):
+    """Roots of a real delta in brackets [a, b] of lambda, all at once.
 
-    Delta is evaluated only at brackets still wider than 1e-15 relative.
+    delta(a) = fa and delta(b) = fb differ in sign (or one is zero).  Each
+    step is a Newton step on the (delta, derivative) pair that `ddelta`
+    returns or, without `ddelta`, an Illinois false-position step; a step
+    that leaves the bracket is replaced by its midpoint, and every value
+    shrinks the bracket on its side of the root.  A root is done when the
+    step or its bracket falls below 1e-14 (1 + |lambda|), or delta vanishes;
+    delta is evaluated only at the roots still open.
     """
-    a, b = a.copy(), b.copy()
-    fa, fb = fa.copy(), fb.copy()
-    side = np.zeros(a.shape, dtype=int)
-    live = np.ones(a.shape, dtype=bool)
+    a, b, fa, fb = (np.array(x, dtype=float) for x in (a, b, fa, fb))
+    x = _false_position(a, b, fa, fb)
+    f, df = np.zeros_like(x), np.ones_like(x)
+    side = np.zeros(x.shape, dtype=int)
+    live = np.ones(x.shape, dtype=bool)
     for _ in range(iters):
-        denom = fb - fa
-        safe = denom != 0
-        m = np.where(safe, b - fb * (b - a) / np.where(safe, denom, 1.0), 0.5 * (a + b))
-        inside = (m > np.minimum(a, b)) & (m < np.maximum(a, b))
-        m = np.where(inside, m, 0.5 * (a + b))
-        fm = np.zeros_like(fa)
-        fm[live] = np.real(np.asarray(delta(np.sign(m[live]) * m[live] * m[live])))
-        go_left = live & ((fm < 0) == (fa < 0))
-        go_right = live & ~go_left
-        # Illinois damping when the same endpoint survives twice in a row
-        fb = np.where(go_left & (side == -1), 0.5 * fb, fb)
-        fa = np.where(go_right & (side == +1), 0.5 * fa, fa)
-        a = np.where(go_left, m, a)
-        fa = np.where(go_left, fm, fa)
-        b = np.where(go_right, m, b)
-        fb = np.where(go_right, fm, fb)
-        side = np.where(go_left, -1, +1)
-        live &= np.abs(b - a) / (1.0 + np.abs(a) + np.abs(b)) >= 1e-15
+        if ddelta is None:
+            f[live] = np.real(np.asarray(delta(x[live])))
+        else:
+            f[live], df[live] = (np.real(np.asarray(v)) for v in ddelta(x[live]))
+        low = live & (f != 0) & (np.signbit(f) == np.signbit(fa))   # the root lies above x
+        high = live & (f != 0) & ~low
+        if ddelta is None:
+            # Illinois damping when the same end moves twice in a row
+            fb = np.where(low & (side == -1), 0.5 * fb, fb)
+            fa = np.where(high & (side == 1), 0.5 * fa, fa)
+            side = np.where(low, -1, np.where(high, 1, side))
+        a, fa = np.where(low, x, a), np.where(low, f, fa)
+        b, fb = np.where(high, x, b), np.where(high, f, fb)
+        if ddelta is None:
+            step = _false_position(a, b, fa, fb)
+        else:
+            step = x - f / np.where(df != 0, df, np.nan)
+        step = np.where((step >= a) & (step <= b), step, 0.5 * (a + b))
+        step = np.where(f == 0, x, step)
+        tol = 1e-14 * (1.0 + np.abs(x))
+        done = (np.abs(step - x) <= tol) | (b - a <= tol)
+        x = np.where(live, step, x)
+        live &= ~done
         if not np.any(live):
             break
-    s = 0.5 * (a + b)
-    return np.sign(s) * s * s
+    return x
 
 
-def _newton_polish(delta, ddelta, lam, iters=6):
+def _false_position(a, b, fa, fb):
+    """Secant point of (a, fa) and (b, fb); the midpoint where fa = fb."""
+    denom = fb - fa
+    safe = denom != 0
+    return np.where(safe, b - fb * (b - a) / np.where(safe, denom, 1.0), 0.5 * (a + b))
+
+
+def _newton_polish(ddelta, lam, iters=6):
     """Batched Newton polish with per-root convergence masking."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex)).copy()
     active = np.ones(lam.shape, dtype=bool)
@@ -150,8 +168,7 @@ def _newton_polish(delta, ddelta, lam, iters=6):
     for _ in range(iters):
         if not np.any(active):
             break
-        d = np.asarray(delta(lam[active]))
-        dd = np.asarray(ddelta(lam[active]))
+        d, dd = (np.asarray(v) for v in ddelta(lam[active]))
         step = np.where(dd != 0, d / np.where(dd != 0, dd, 1.0), 0.0)
         # reject wild steps (stay within the bracket scale)
         step = np.where(np.abs(step) > 0.5 * (1.0 + np.abs(lam[active])), 0.0, step)
@@ -203,7 +220,7 @@ def _complex_zeros(delta, ddelta, rect, depth=0, max_depth=24, min_size=1e-9):
     center = 0.5 * (re_lo + re_hi) + 0.5j * (im_lo + im_hi)
     if count == 1 and (max(width, height) < 0.05 or depth >= max_depth):
         if ddelta is not None:
-            z = complex(_newton_polish(delta, ddelta, center)[0])
+            z = complex(_newton_polish(ddelta, center)[0])
         else:
             z = _muller_polish(delta, center, 0.25 * max(width, height, min_size))
         return [z]
@@ -252,19 +269,39 @@ def _muller_polish(delta, z0, h, iters=40):
 def find_eigenvalues(delta: Callable, window, count: Optional[int] = None,
                      imag_band: float = 0.0, ddelta: Optional[Callable] = None,
                      scan_step: float = 0.02, simple_tol: float = 1e-8,
-                     verify: bool = False) -> Subspectrum:
+                     verify: bool = False, index: Optional[tuple] = None) -> Subspectrum:
     """Locate zeros of an entire characteristic function.
 
-    `window` is a real interval for Re(lambda).  For `imag_band == 0` a dense
-    scan over the signed-sqrt axis (lambda = sign(s) s^2) locates sign changes
-    of the real-valued delta, which are then refined by a bisection/secant
-    hybrid and polished by Newton when `ddelta` is supplied.  For a positive
-    band, rectangles are subdivided by the argument principle.  With `verify`,
-    the winding count over the whole window is compared against the number of
-    refined roots (RootLoss on mismatch).
+    With `index` = (count_below, ends) the zeros are the eigenvalues
+    0..count-1: `count_below(lam)` gives the number of eigenvalues below each
+    real lambda, and brackets from the ascending points `ends` of the
+    signed-sqrt axis (lambda = sign(s) s^2) are certified to hold one index
+    each (see `_index_brackets`).  Otherwise `window` is a real interval for
+    Re(lambda): for `imag_band == 0` a dense scan of the signed-sqrt axis
+    (step `scan_step`) locates sign changes of the real-valued delta, and for
+    a positive band rectangles are subdivided by the argument principle.
+    The scan also stands in, with `fallback` set on the result, where the
+    count of `index` is not monotone.  Real brackets of either source go
+    through `refine_brackets` (Newton when `ddelta` is supplied, Illinois
+    otherwise).  Duplicates and roots with a large residual are dropped and
+    counted (`dropped`); with an index, any drop raises RootLoss.  With
+    `verify`, the winding count over the whole window is compared against
+    the number of roots the scan or the rectangles found (RootLoss on
+    mismatch).
     """
+    brackets = None if index is None else _index_brackets(*index, count)
     lam_lo, lam_hi = float(window[0]), float(window[1])
-    if imag_band > 0:
+    if brackets is not None:
+        lo, hi = (np.sign(s) * s * s for s in brackets)
+        pts, where = np.unique(np.concatenate((lo, hi)), return_inverse=True)
+        vals = np.real(np.asarray(delta(pts)))[where]
+        f_lo, f_hi = vals[:count], vals[count:]
+        same = f_lo * f_hi > 0
+        if np.any(same):
+            raise RootLoss(f"delta keeps its sign across the count bracket of eigenvalue(s) "
+                           f"{np.nonzero(same)[0].tolist()}")
+        lam = refine_brackets(delta, ddelta, lo, hi, f_lo, f_hi)
+    elif imag_band > 0:
         rect = ((lam_lo, lam_hi), (-imag_band, imag_band))
         roots = _complex_zeros(delta, ddelta, rect)
         roots.sort(key=lambda z: (z.real, z.imag))
@@ -280,30 +317,11 @@ def find_eigenvalues(delta: Callable, window, count: Optional[int] = None,
             raise ValueError("delta is not real on the real axis; use imag_band > 0")
         fv = vals.real
         idx = np.nonzero(np.signbit(fv[:-1]) != np.signbit(fv[1:]))[0]
-        if idx.size:
-            roots = _refine_brackets(delta, s[idx], s[idx + 1], fv[idx], fv[idx + 1])
-            roots = roots.astype(complex)
-            if ddelta is not None:
-                roots = _newton_polish(delta, ddelta, roots)
-            lam = np.sort_complex(roots)
-        else:
-            lam = np.array([], dtype=complex)
+        lam = np.sort(refine_brackets(delta, ddelta, lam_scan[idx], lam_scan[idx + 1],
+                                      fv[idx], fv[idx + 1]))
+    lam, dropped = _screen(delta, lam, simple_tol, indexed=brackets is not None)
 
-    # drop duplicates within the simplicity tolerance
-    if lam.size:
-        keep = [0]
-        for i in range(1, lam.size):
-            if abs(lam[i] - lam[keep[-1]]) > simple_tol:
-                keep.append(i)
-        lam = lam[keep]
-    # residual check against the local scale of delta
-    if lam.size:
-        vals = np.abs(np.asarray(delta(lam)))
-        near = np.abs(np.asarray(delta(lam + 0.1)))
-        bad = vals > 1e-6 * np.maximum(near, 1.0)
-        lam = lam[~bad]
-
-    if verify:
+    if verify and brackets is None:
         band = imag_band if imag_band > 0 else 1.0
         total = winding_count(lambda z: np.asarray(delta(z)),
                               ((lam_lo, lam_hi), (-band, band)))
@@ -312,7 +330,78 @@ def find_eigenvalues(delta: Callable, window, count: Optional[int] = None,
 
     if count is not None:
         lam = lam[:count]
-    return Subspectrum(lam)
+    return Subspectrum(lam, fallback=index is not None and brackets is None, dropped=dropped)
+
+
+def _screen(delta, lam, simple_tol, indexed=False):
+    """Sorted roots without duplicates (within `simple_tol`) and without
+    roots whose residual is large against the local scale of delta.
+
+    Returns the kept roots and the number dropped.  With `indexed` every
+    root stands for one eigenvalue index, and any drop raises RootLoss.
+    """
+    if lam.size == 0:
+        return lam, 0
+    keep = [0]
+    for i in range(1, lam.size):
+        if abs(lam[i] - lam[keep[-1]]) > simple_tol:
+            keep.append(i)
+    kept = lam[keep]
+    vals = np.abs(np.asarray(delta(kept)))
+    near = np.abs(np.asarray(delta(kept + 0.1)))
+    kept = kept[vals <= 1e-6 * np.maximum(near, 1.0)]
+    dropped = lam.size - kept.size
+    if indexed and dropped:
+        raise RootLoss(f"{dropped} of {lam.size} indexed roots failed the duplicate or "
+                       "residual screen, so the eigenvalue indices would change")
+    return kept, dropped
+
+
+def _index_brackets(count_below: Callable, ends, n_roots: int):
+    """Brackets on the signed-sqrt axis that hold eigenvalue k alone, k < n_roots.
+
+    `count_below(lam)` gives the number of eigenvalues below each real
+    lambda; `ends` are ascending points s of the signed-sqrt axis (lambda =
+    sign(s) s^2).  The count is taken at all ends in one batch, the ends are
+    extended outwards until they enclose indices 0..n_roots-1, and a bracket
+    that does not hold exactly one eigenvalue is bisected on the count.
+    Returns (lo, hi) arrays of s, or None when the count is not monotone
+    (then it counts no eigenvalues).
+    """
+    def count(s):
+        return np.asarray(count_below(np.sign(s) * s * s))
+
+    s = np.asarray(ends, dtype=float)
+    c = count(s)
+    width = 0.5
+    while c[0] > 0 or c[-1] < n_roots:
+        if width > 4096.0:
+            raise RootLoss(f"the eigenvalue count does not reach indices 0..{n_roots - 1}")
+        lower = s[:1] - width if c[0] > 0 else s[:0]
+        upper = s[-1:] + width if c[-1] < n_roots else s[:0]
+        c_new = count(np.concatenate((lower, upper)))
+        s = np.concatenate((lower, s, upper))
+        c = np.concatenate((c_new[:lower.size], c, c_new[lower.size:]))
+        width *= 2.0
+    if np.any(np.diff(c) < 0):
+        return None
+    k = np.arange(n_roots)
+    lo_at = np.searchsorted(c, k, side="right") - 1
+    hi_at = np.searchsorted(c, k + 1, side="left")
+    lo, hi, c_lo, c_hi = s[lo_at], s[hi_at], c[lo_at], c[hi_at]
+    for _ in range(60):
+        wide = np.nonzero((c_lo != k) | (c_hi != k + 1))[0]
+        if wide.size == 0:
+            return lo, hi
+        mid = 0.5 * (lo[wide] + hi[wide])
+        points, where = np.unique(mid, return_inverse=True)
+        c_mid = count(points)[where]
+        if np.any(c_mid < c_lo[wide]) or np.any(c_mid > c_hi[wide]):
+            return None
+        up = c_mid <= k[wide]
+        lo[wide[up]], c_lo[wide[up]] = mid[up], c_mid[up]
+        hi[wide[~up]], c_hi[wide[~up]] = mid[~up], c_mid[~up]
+    raise RootLoss("bisection on the eigenvalue count did not isolate every index")
 
 
 # ----------------------------------------------------------------------------

@@ -6,7 +6,8 @@ cell k, with a closed-form constant-coefficient 2x2 transfer matrix (the
 Pruess piecewise-constant-coefficient method).  Endpoint values come from the
 monodromy matrix, the ordered product of all cell matrices, reduced pairwise
 in log2(m) vectorized steps over the whole lambda batch; node-by-node
-trajectories apply the same cell matrices one at a time.  Cost is independent
+trajectories come from a down-sweep over the levels of that same tree
+(adjugates of suffix products for backward runs).  Cost is independent
 of |lambda| and the Lagrange identity (det of the monodromy = 1) holds to
 rounding.  On the real axis (real sigma, every lambda of the batch real) the
 cell matrices and their product are computed in float64, elsewhere in
@@ -66,42 +67,6 @@ def _cell_matrices(sigma: SigmaFunction, lam, derivative=False):
     return (c, sn, msn, c), (dc, dsn, -sn - mu2 * dsn, dc)
 
 
-def _propagate_exact(sigma: SigmaFunction, lams, y0, v0, dlam=False):
-    """Sequential cell-by-cell propagation of (y, y'), recorded at every node.
-
-    `v0` is y'(0) = y^{[1]}(0) + sigma(0) y(0); conversion back to the
-    quasi-derivative is the caller's job.  The initial conditions do not
-    depend on lambda.  This is the trajectory path; endpoint values come
-    from `monodromy`, which tests compare against this loop.
-    """
-    lam = np.atleast_1d(np.asarray(lams, dtype=complex))
-    (c, sn, msn, _), dmats = _cell_matrices(sigma, lam, derivative=dlam)
-
-    ys = np.empty((sigma.m + 1,) + lam.shape, dtype=complex)
-    vs = np.empty_like(ys)
-    ys[0] = y0
-    vs[0] = v0
-    if dlam:
-        dc, dsn, dmsn, _ = dmats
-        dys = np.zeros_like(ys)
-        dvs = np.zeros_like(ys)
-    for k in range(sigma.m):
-        y, v = ys[k], vs[k]
-        ys[k + 1] = c[k] * y + sn[k] * v
-        vs[k + 1] = msn[k] * y + c[k] * v
-        if dlam:
-            dy, dv = dys[k], dvs[k]
-            dys[k + 1] = dc[k] * y + dsn[k] * v + c[k] * dy + sn[k] * dv
-            dvs[k + 1] = dmsn[k] * y + msn[k] * dy + dc[k] * v + c[k] * dv
-
-    if not (np.all(np.isfinite(ys[-1])) and np.all(np.isfinite(vs[-1]))):
-        raise StepFailure("propagation produced non-finite values; lambda or sigma out of range")
-    out = {"y": ys, "v": vs}
-    if dlam:
-        out.update(dy=dys, dv=dvs)
-    return out
-
-
 # Lambdas per reduction block: the working set is (cells x block) per matrix
 # entry, so memory stays bounded on dense scans of thousands of lambdas.  64
 # timed fastest of 32-1400 at 256-1024 cells and 1400 lambdas (Xeon, 2 MB L2
@@ -117,12 +82,15 @@ def _matmul(a, b):
             a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
-def _reduce(mats, dmats=None):
-    """Ordered product T[n-1] ... T[1] T[0] along axis 0, by pairwise levels.
+def _tree(mats, dmats=None):
+    """Levels of the ordered product T[n-1] ... T[1] T[0] along axis 0, leaves first.
 
+    Every level but the last is padded with the identity to even length and
+    its pairs multiply into the next level; the last level is the product.
     `dmats` carries the lambda-derivatives through the same tree by the
-    product rule.  An odd level is padded with the identity.
+    product rule.  Returns the list of (mats, dmats) levels.
     """
+    levels = []
     while mats[0].shape[0] > 1:
         if mats[0].shape[0] % 2:
             one = np.ones_like(mats[0][:1])
@@ -130,6 +98,7 @@ def _reduce(mats, dmats=None):
             mats = tuple(np.concatenate((x, e)) for x, e in zip(mats, (one, zero, zero, one)))
             if dmats is not None:
                 dmats = tuple(np.concatenate((x, zero)) for x in dmats)
+        levels.append((mats, dmats))
         later = tuple(x[1::2] for x in mats)
         earlier = tuple(x[0::2] for x in mats)
         if dmats is not None:
@@ -138,7 +107,63 @@ def _reduce(mats, dmats=None):
             dmats = tuple(p + q for p, q in zip(_matmul(dlater, earlier),
                                                 _matmul(later, dearlier)))
         mats = _matmul(later, earlier)
-    return mats, dmats
+    levels.append((mats, dmats))
+    return levels
+
+
+def _apply(mats, vec):
+    """Entry-wise 2x2 matrix-vector products over stacked arrays."""
+    m00, m01, m10, m11 = mats
+    y, v = vec
+    return m00 * y + m01 * v, m10 * y + m11 * v
+
+
+def _adjugate(mats):
+    """adj [[a, b], [c, d]] = [[d, -b], [-c, a]], the inverse when det = 1."""
+    a, b, c, d = mats
+    return d, -b, -c, a
+
+
+def _sweep(levels, vec, backward=False):
+    """Vectors at every node of the product that the tree levels hold.
+
+    Forward, `vec` is the vector at the first node, and the later child of
+    every pair starts where its earlier child takes the pair's start.
+    Backward, `vec` is the vector at the last node, and the earlier child ends
+    where the adjugate (det = 1: the inverse) of the later child takes the
+    pair's end.  `vec` is (y, y') plus (dy, dy') = 0 when the levels carry
+    derivatives.  Returns the vectors at the start (forward) or end
+    (backward) of every leaf, padding included, and the one at the opposite
+    end of the product, in the layout of `vec` with a leading node axis.
+    """
+    pick = slice(1, None, 2) if backward else slice(0, None, 2)
+    vals = tuple(x[None] for x in vec)
+    # the full product gives the node beyond the leaves' starts (ends)
+    full, dfull = levels[-1]
+    if backward:
+        full = _adjugate(full)
+    extra = _apply(full, vals[:2])
+    if dfull is not None:
+        extra += _apply(_adjugate(dfull) if backward else dfull, vals[:2])
+    for mats, dmats in reversed(levels[:-1]):
+        vals = tuple(x[:mats[0].shape[0] // 2] for x in vals)
+        half = tuple(x[pick] for x in mats)
+        if backward:
+            half = _adjugate(half)
+        moved = _apply(half, vals[:2])
+        if dmats is not None:
+            dhalf = tuple(x[pick] for x in dmats)
+            if backward:
+                dhalf = _adjugate(dhalf)
+            moved += tuple(p + q for p, q in zip(_apply(dhalf, vals[:2]), _apply(half, vals[2:])))
+        pairs = zip(moved, vals) if backward else zip(vals, moved)
+        vals = tuple(np.stack(pair, axis=1).reshape((-1,) + pair[0].shape[1:]) for pair in pairs)
+    return vals, extra
+
+
+def _real_axis(sigma: SigmaFunction, *arrays) -> bool:
+    """True when sigma is real and no array has a nonzero imaginary part."""
+    return sigma.is_real() and not any(np.any(np.imag(x)) for x in arrays)
 
 
 def monodromy(sigma: SigmaFunction, lams, derivative=False):
@@ -154,12 +179,12 @@ def monodromy(sigma: SigmaFunction, lams, derivative=False):
     mu^2), otherwise complex128; both run the same code and M is complex128.
     """
     lam = np.atleast_1d(np.asarray(lams))
-    real = not np.any(lam.imag) and sigma.is_real()
+    real = _real_axis(sigma, lam)
     lam = lam.real.astype(float, copy=False) if real else lam.astype(complex, copy=False)
     flat = lam.ravel()
     out = np.empty((8 if derivative else 4, flat.size), dtype=lam.dtype)
     for start in range(0, flat.size, _BLOCK):
-        mats, dmats = _reduce(*_cell_matrices(sigma, flat[start:start + _BLOCK], derivative))
+        mats, dmats = _tree(*_cell_matrices(sigma, flat[start:start + _BLOCK], derivative))[-1]
         out[:4, start:start + _BLOCK] = [x[0] for x in mats]
         if derivative:
             out[4:, start:start + _BLOCK] = [x[0] for x in dmats]
@@ -170,6 +195,52 @@ def monodromy(sigma: SigmaFunction, lams, derivative=False):
     if derivative:
         return m, _to_quasi(out[4:].reshape((4,) + lam.shape), sig0, sig1)
     return m
+
+
+def node_values(sigma: SigmaFunction, lams, y0, yq0, derivative=False, direction="forward"):
+    """(y, y^{[1]}) at every node for a batch of lambdas.
+
+    The solution takes the values (y0, yq0) at x = 0 (forward) or at x = X
+    (backward); they broadcast against the lambdas and may depend on them,
+    but the lambda-derivatives (with `derivative`) treat them as constants.
+    The same cell matrices as in `monodromy` are reduced by the same tree,
+    whose levels a down-sweep then applies to the start (or, through
+    adjugates, the end) vector: 2 log2(m) vectorized steps per block of
+    lambdas.  Returns (y, yq), or (y, yq, dy, dyq) with `derivative`, each of
+    shape (m + 1,) + lam.shape: float64 when sigma, the lambdas and the
+    start values are real, complex128 otherwise.
+    """
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"unknown direction {direction!r}")
+    backward = direction == "backward"
+    lam = np.atleast_1d(np.asarray(lams))
+    y0, yq0 = (np.broadcast_to(np.asarray(x), lam.shape) for x in (y0, yq0))
+    real = _real_axis(sigma, lam, y0, yq0)
+    dtype = float if real else complex
+    lam, y0, yq0 = (x.real.astype(float) if real else x.astype(complex) for x in (lam, y0, yq0))
+    sig = sigma.samples.real if real else sigma.samples
+    # y' = y^[1] + sigma y at the starting node
+    flat = lam.ravel()
+    start_y = y0.ravel()
+    start_v = yq0.ravel() + (sig[-1] if backward else sig[0]) * start_y
+    out = np.empty((4 if derivative else 2, sigma.m + 1, flat.size), dtype=dtype)
+    for start in range(0, flat.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        vec = (start_y[block], start_v[block])
+        if derivative:
+            vec += (np.zeros_like(vec[0]), np.zeros_like(vec[0]))
+        levels = _tree(*_cell_matrices(sigma, flat[block], derivative))
+        leaves, far = _sweep(levels, vec, backward)
+        out[:, slice(1, None) if backward else slice(0, -1), block] = [x[:sigma.m] for x in leaves]
+        out[:, 0 if backward else -1, block] = [x[0] for x in far]
+    if not np.all(np.isfinite(out)):
+        raise StepFailure("propagation produced non-finite values; lambda or sigma out of range")
+    out = out.reshape(out.shape[:2] + lam.shape)
+    sig = sig.reshape((-1,) + (1,) * lam.ndim)
+    res = [out[0], out[1] - sig * out[0]]
+    if derivative:
+        res += [out[2], out[3] - sig * out[2]]
+    return tuple(res)
 
 
 def _to_quasi(t, sig0, sig1):
@@ -228,29 +299,21 @@ def solve_cauchy(sigma: SigmaFunction, lam, y0, yq0, direction="forward",
                  method="exact", refine=1) -> Trajectory:
     """Solve the Cauchy problem for one lambda and return the node samples.
 
-    Forward starts from x = 0, backward from x = X; backward integration is
-    carried out as forward integration of the reflected system.
+    Forward starts from x = 0, backward from x = X (exact method only: the
+    node values come from the adjugates of suffix products).
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
-    if direction == "backward":
-        refl = sigma.reflected()
-        traj = solve_cauchy(refl, lam, y0, -np.asarray(yq0, complex), "forward",
-                            method=method, refine=refine)
-        return Trajectory(x=sigma.nodes, y=traj.y[::-1].copy(), yq=-traj.yq[::-1].copy(),
-                          lam=complex(lam), direction="backward")
-
     if method == "exact":
-        v0 = np.asarray(yq0, complex) + sigma.samples[0] * np.asarray(y0, complex)
-        out = _propagate_exact(sigma, [lam], y0, v0)
-        y = out["y"][:, 0]
-        yq = out["v"][:, 0] - sigma.samples * y
+        y, yq = (x[:, 0] for x in node_values(sigma, [lam], y0, yq0, direction=direction))
     elif method == "rk4":
+        if direction == "backward":
+            raise ValueError("the RK4 cross-check runs forward only")
         out = _propagate_rk4(sigma, lam, y0, yq0, refine=refine, record=True)
         y, yq = out["y"], out["yq"]
     else:
         raise ValueError(f"unknown method {method!r}")
-    return Trajectory(x=sigma.nodes, y=y, yq=yq, lam=complex(lam), direction="forward")
+    return Trajectory(x=sigma.nodes, y=y, yq=yq, lam=complex(lam), direction=direction)
 
 
 def fundamental_pair(sigma: SigmaFunction, lam, method="exact", refine=1):
@@ -265,10 +328,7 @@ def lambda_derivative(sigma: SigmaFunction, lam, which="S") -> Trajectory:
     if which not in ("S", "C"):
         raise ValueError("which must be 'S' or 'C'")
     y0, yq0 = (0.0, 1.0) if which == "S" else (1.0, 0.0)
-    v0 = yq0 + sigma.samples[0] * y0
-    out = _propagate_exact(sigma, [lam], y0, v0, dlam=True)
-    dy = out["dy"][:, 0]
-    dyq = out["dv"][:, 0] - sigma.samples * dy
+    _, _, dy, dyq = (x[:, 0] for x in node_values(sigma, [lam], y0, yq0, derivative=True))
     return Trajectory(x=sigma.nodes, y=dy, yq=dyq, lam=complex(lam), direction="forward")
 
 

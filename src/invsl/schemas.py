@@ -3,7 +3,8 @@
 Snapshots of these schemas are kept under docs/schema/; a test pins the two
 copies together.  Complex numbers are [re, im] pairs; bare reals are accepted
 for polynomial coefficients.  `Validator` checks them as Draft 2020-12 does,
-with a one-pass check of plain numeric arrays.
+with a one-pass check of plain numeric arrays, and checks each schema object
+against the metaschema once per process.
 """
 
 import jsonschema
@@ -119,3 +120,23 @@ def _items(validator, items, instance, schema):
 
 
 Validator = jsonschema.validators.extend(jsonschema.Draft202012Validator, {"items": _items})
+
+# The metaschema check of the schemas above costs 5-32 ms, against ~1 ms for
+# validating a document, and `jsonschema.validate` repeats it on every call.  Its
+# outcome is fixed for a schema object that is not mutated, so each one that
+# passes is remembered for the process; the memo holds the object, which
+# keeps its id from being reused.
+_meta_check = Validator.check_schema
+_checked = {}
+
+
+def _check_schema_once(cls, schema, *args, **kwargs):
+    """`check_schema` that runs once per schema object (always with extra arguments)."""
+    if args or kwargs:
+        return _meta_check(schema, *args, **kwargs)
+    if _checked.get(id(schema)) is not schema:
+        _meta_check(schema)
+        _checked[id(schema)] = schema
+
+
+Validator.check_schema = classmethod(_check_schema_once)

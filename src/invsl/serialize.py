@@ -47,10 +47,6 @@ def sigma_from_json(obj) -> SigmaFunction:
     return SigmaFunction(complex_array(obj["samples"]), float(obj["interval"]))
 
 
-def pair_to_json(pair: BoundaryPolyPair) -> dict:
-    return {"p1": encode_array(pair.a), "p2": encode_array(pair.b)}
-
-
 def pair_from_json(p1, p2) -> BoundaryPolyPair:
     return BoundaryPolyPair(complex_array(p1), complex_array(p2))
 

@@ -59,9 +59,11 @@ def cos_sinc_sqrt(z2, derivative=False):
         return cos_w, sinc_w
     # (w cos w - sin w)/(2 w^3); the direct form loses eps/|z2| to
     # cancellation, so the series (through z2^4) takes over below 1e-2
-    z4 = z2 * z2
-    dsinc = -1.0 / 6.0 + z2 / 60.0 - z4 / 1680.0 + z4 * z2 / 90720.0 - z4 * z4 / 7983360.0
-    np.divide(cos_w - sinc_w, 2.0 * z2, out=dsinc, where=np.abs(z2) >= _DSINC_SMALL)
+    small = np.abs(z2) < _DSINC_SMALL
+    dsinc = np.divide(cos_w - sinc_w, 2.0 * z2, out=np.empty_like(cos_w), where=~small)
+    zs = z2[small]
+    z4 = zs * zs
+    dsinc[small] = -1.0 / 6.0 + zs / 60.0 - z4 / 1680.0 + z4 * zs / 90720.0 - z4 * z4 / 7983360.0
     return cos_w, sinc_w, dsinc
 
 

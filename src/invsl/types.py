@@ -7,7 +7,7 @@ diagnostics (normalization and coprimality).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -235,7 +235,7 @@ class EntirePair:
     bounds: Optional[tuple] = None
     descriptor: Optional[dict] = None
     joint: Optional[Callable] = None      # lam -> (f1, f2) in one evaluation
-    djoint: Optional[Callable] = None     # lam -> (df1, df2)
+    djoint: Optional[Callable] = None     # lam -> (f1, f2, df1, df2) in one evaluation
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)
@@ -246,16 +246,19 @@ class EntirePair:
         return (np.asarray(self.f1(lam), dtype=complex) + np.zeros_like(lam),
                 np.asarray(self.f2(lam), dtype=complex) + np.zeros_like(lam))
 
-    def derivative(self, lam):
+    def jet(self, lam):
+        """(f1, f2, df1, df2) at `lam`, from one evaluation when `djoint` is set.
+
+        None when the pair carries no derivatives.
+        """
         lam = np.asarray(lam, dtype=complex)
         if self.djoint is not None:
-            v1, v2 = self.djoint(lam)
-            return (np.asarray(v1, dtype=complex) + np.zeros_like(lam),
-                    np.asarray(v2, dtype=complex) + np.zeros_like(lam))
+            return tuple(np.asarray(v, dtype=complex) + np.zeros_like(lam)
+                         for v in self.djoint(lam))
         if self.df1 is None or self.df2 is None:
             return None
-        return (np.asarray(self.df1(lam), dtype=complex) + np.zeros_like(lam),
-                np.asarray(self.df2(lam), dtype=complex) + np.zeros_like(lam))
+        return self(lam) + (np.asarray(self.df1(lam), dtype=complex) + np.zeros_like(lam),
+                            np.asarray(self.df2(lam), dtype=complex) + np.zeros_like(lam))
 
     def no_common_zero(self, lams, tol: float = 1e-9) -> bool:
         f1, f2 = self(lams)
@@ -285,9 +288,16 @@ class SubspectrumDiagnostics:
 
 @dataclass(frozen=True)
 class Subspectrum:
-    """Finite ordered list of distinct eigenvalues with derived rho values."""
+    """Finite ordered list of distinct eigenvalues with derived rho values.
+
+    `fallback` and `dropped` record how the eigenvalue search went (the
+    dense scan stood in for an index count; roots the duplicate and residual
+    screen removed); they are not part of the value and are not serialized.
+    """
 
     lambdas: np.ndarray
+    fallback: bool = field(default=False, compare=False)
+    dropped: int = field(default=0, compare=False)
 
     def __post_init__(self):
         lam = np.atleast_1d(np.array(self.lambdas, dtype=complex))
@@ -302,10 +312,10 @@ class Subspectrum:
         return self.lambdas.size
 
     def drop_first(self, k: int) -> "Subspectrum":
-        return Subspectrum(self.lambdas[k:].copy())
+        return replace(self, lambdas=self.lambdas[k:].copy())
 
     def take(self, n: int) -> "Subspectrum":
-        return Subspectrum(self.lambdas[:n].copy())
+        return replace(self, lambdas=self.lambdas[:n].copy())
 
     def diagnostics(self, simple_tol: float = 1e-8) -> SubspectrumDiagnostics:
         lam = self.lambdas

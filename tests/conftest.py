@@ -5,6 +5,7 @@ import pytest
 
 from invsl.forward import extract_cauchy, resample_cauchy
 from invsl.halfinverse import hl_entire_pair, hl_spectrum
+from invsl.ode import _cell_matrices
 from invsl.problems import hl_exclusion_instance, roundtrip_corpus
 from invsl.serialize import complex_array
 
@@ -44,6 +45,39 @@ def rt_robin(rt_problems):
 def exclusion_case():
     prob = hl_exclusion_instance()
     return RoundTrip("hl_exclusion", prob, count=52)
+
+
+def sequential_cells(sigma, lams, y0, v0, dlam=False):
+    """Reference propagator: the cell matrices applied one at a time, recorded at every node.
+
+    `v0` is y'(0) = y^{[1]}(0) + sigma(0) y(0), and the result holds y and y'
+    (keys "y", "v", plus "dy", "dv" with `dlam`), shape (m + 1,) + lam.shape;
+    the initial values do not depend on lambda.  The product tree of
+    `invsl.ode` reorders the same cell products, so tests compare it with
+    this loop.
+    """
+    lam = np.atleast_1d(np.asarray(lams, dtype=complex))
+    (c, sn, msn, _), dmats = _cell_matrices(sigma, lam, derivative=dlam)
+    ys = np.empty((sigma.m + 1,) + lam.shape, dtype=complex)
+    vs = np.empty_like(ys)
+    ys[0] = y0
+    vs[0] = v0
+    if dlam:
+        dc, dsn, dmsn, _ = dmats
+        dys = np.zeros_like(ys)
+        dvs = np.zeros_like(ys)
+    for k in range(sigma.m):
+        y, v = ys[k], vs[k]
+        ys[k + 1] = c[k] * y + sn[k] * v
+        vs[k + 1] = msn[k] * y + c[k] * v
+        if dlam:
+            dy, dv = dys[k], dvs[k]
+            dys[k + 1] = dc[k] * y + dsn[k] * v + c[k] * dy + sn[k] * dv
+            dvs[k + 1] = dmsn[k] * y + msn[k] * dy + dc[k] * v + c[k] * dv
+    out = {"y": ys, "v": vs}
+    if dlam:
+        out.update(dy=dys, dv=dvs)
+    return out
 
 
 def rel_l2(a, b, length=np.pi):

@@ -11,8 +11,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from invsl import cli, schemas
+from invsl import cli, halfinverse, schemas
 from invsl.errors import SchemaError
+from invsl.problems import hl_zero_instance
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,6 +29,25 @@ def spans():
 def test_every_site_resolves(spans):
     # building looks up every (module, attribute) of SITES; nothing is installed
     spans.Instrumentation(spans.Tracer())
+
+
+def test_hl_spectrum_reaches_the_traced_sites(spans):
+    # forward.points_per_root counts the delta points of hl_spectrum only if
+    # they pass through halfinverse.make_delta's closures and its roots
+    # through halfinverse.find_eigenvalues, and the propagator time only
+    # through forward.endpoint_data and halfinverse.psi_mid
+    tracer = spans.Tracer()
+    instrumentation = spans.Instrumentation(tracer)
+    instrumentation.install()
+    try:
+        halfinverse.hl_spectrum(hl_zero_instance(64), 8)
+    finally:
+        instrumentation.remove()
+    counts = tracer.counters[None]
+    assert counts["forward.roots"] == 8
+    assert counts["forward.delta_points"] > 0 and counts["forward.ddelta_calls"] > 0
+    assert counts["halfinverse.psi_mid.calls"] > 0
+    assert {"ode.endpoint_data", "halfinverse.psi_mid"} <= {s["name"] for s in tracer.spans}
 
 
 def test_load_validates_through_the_traced_proxy(spans, monkeypatch, tmp_path):

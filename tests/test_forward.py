@@ -10,8 +10,8 @@ from invsl.forward import (
     make_delta,
     resample_cauchy,
     weyl,
+    refine_brackets,
     winding_count,
-    _refine_brackets,
     _solve_family,
 )
 from invsl.halfinverse import hl_entire_pair
@@ -109,25 +109,31 @@ class TestFindEigenvalues:
         assert np.max(np.abs(spec.lambdas[:10].real - exact)) <= 1e-9
 
     def test_refine_evaluates_only_open_brackets(self):
-        # criterion 01's zero-potential problem with lambda = n^2, n >= 1 (at
-        # n = 0 delta is flat to second order in s and Newton has to finish);
-        # the scan grid on the signed-sqrt axis misses every root
-        delta, _ = make_delta(SIG0, PAIR_FREE, F_NEU)
-        s = np.linspace(0.69, 11.69, 551)
-        fv = np.real(delta(np.sign(s) * s * s))
+        # criterion 01's zero-potential problem with lambda = n^2, n >= 0; the
+        # scan grid on the signed-sqrt axis misses every root, and the bracket
+        # [-1e-4, 1e-4] of lambda = 0, where delta is flat to second order in
+        # s, converges like the others because refinement runs in lambda
+        delta, ddelta = make_delta(SIG0, PAIR_FREE, F_NEU)
+        s = np.linspace(-0.31, 11.69, 601)
+        lam = np.sign(s) * s * s
+        fv = np.real(delta(lam))
         idx = np.nonzero(np.signbit(fv[:-1]) != np.signbit(fv[1:]))[0]
-        sizes = []
-
-        def counted(lam):
-            sizes.append(np.size(lam))
-            return delta(lam)
-
-        roots = _refine_brackets(counted, s[idx], s[idx + 1], fv[idx], fv[idx + 1])
-        exact = np.arange(1.0, 12.0) ** 2
+        exact = np.arange(0.0, 12.0) ** 2
         assert idx.size == exact.size
-        assert sizes[0] == idx.size and sizes[-1] < idx.size
-        assert all(later <= earlier for earlier, later in zip(sizes, sizes[1:]))
-        assert np.max(np.abs(roots - exact) / (1.0 + exact)) <= 1e-12
+        for jet in (None, ddelta):
+            sizes = []
+
+            def counted(fn):
+                def wrapped(lam):
+                    sizes.append(np.size(lam))
+                    return fn(lam)
+                return wrapped
+
+            roots = refine_brackets(counted(delta), jet and counted(jet),
+                                    lam[idx], lam[idx + 1], fv[idx], fv[idx + 1])
+            assert sizes[0] == idx.size and sizes[-1] < idx.size
+            assert all(later <= earlier for earlier, later in zip(sizes, sizes[1:]))
+            assert np.max(np.abs(roots - exact) / (1.0 + exact)) <= 1e-12
 
     def test_step_sigma_vs_dense_scan(self):
         sig = sigma_step(512, height=1.0)
@@ -189,7 +195,9 @@ class TestWeyl:
 
         def recip(lam):
             d0, d1 = char_pair(sig, pair, np.asarray(lam, dtype=complex))
-            return d1 / d0
+            # real arithmetic can round d0 to 0.0 at a pole
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return d1 / d0
 
         # the reciprocal Weyl function vanishes exactly at the poles; sign scan
         # crossings at the interlacing poles of d1/d0 are rejected by the

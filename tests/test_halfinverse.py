@@ -3,21 +3,26 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import rel_l2
-from invsl.errors import ParityMismatch, StepFailure
+from conftest import rel_l2, sequential_cells
+from invsl import halfinverse
+from invsl.errors import ParityMismatch, RootLoss, StepFailure
+from invsl.forward import find_eigenvalues, make_delta
 from invsl.halfinverse import (
     TwoSidedProblem,
+    count_below,
     hl_entire_pair,
     hl_reconstruct,
     hl_spectrum,
+    hl_window,
     psi_mid,
 )
 from invsl.moments import build_moment_system
-from invsl.ode import _propagate_exact, fundamental_pair
 from invsl.problems import (
     hl_exclusion_instance,
     hl_step_instance,
     hl_zero_instance,
+    roundtrip_corpus,
+    sigma_bump,
     sigma_step,
     two_sided_from_left,
 )
@@ -86,7 +91,7 @@ class TestPsiMid:
         refl = sig_right.reflected()
         ends = []
         for y0, yq0 in ((1.0, 0.0), (0.0, 1.0)):
-            rec = _propagate_exact(refl, lam, y0, yq0 + refl.samples[0] * y0, dlam=True)
+            rec = sequential_cells(refl, lam, y0, yq0 + refl.samples[0] * y0, dlam=True)
             y, dy = rec["y"][-1], rec["dy"][-1]
             ends.append((y, -(rec["v"][-1] - refl.samples[-1] * y),
                          dy, -(rec["dv"][-1] - refl.samples[-1] * dy)))
@@ -184,6 +189,96 @@ class TestSpectrum:
                                BoundaryPolyPair([0.5], [0.3, 1.0]))
         with pytest.raises(ParityMismatch):
             hl_spectrum(prob, 8)
+
+
+def _scan_spectrum(prob, count):
+    """The first `count` roots of delta by the dense scan, which needs no count."""
+    sigma_left, sigma_right = prob.halves()
+    delta, ddelta = make_delta(sigma_left, prob.left_pair,
+                               hl_entire_pair(sigma_right, prob.right_pair))
+    return find_eigenvalues(delta, hl_window(count, prob.p, prob.r), ddelta=ddelta).take(count)
+
+
+@pytest.fixture(scope="module")
+def scanned():
+    """The two-sided problems of the round trips and the asymptotics, 48 roots each."""
+    probs = roundtrip_corpus() + [("hl_exclusion", hl_exclusion_instance()),
+                                  ("hl_zero", hl_zero_instance()), ("hl_step", hl_step_instance())]
+    return [(name, prob, _scan_spectrum(prob, 48).lambdas.real) for name, prob in probs]
+
+
+class TestIndexedSpectrum:
+    def test_count_is_the_index_between_roots(self, scanned):
+        # hl_step_instance is off by one at alternating midpoints without
+        # the end-angle term; hl_exclusion_instance needs the lift at the
+        # root lambda = -0.5 of r1
+        for name, prob, lam in scanned:
+            assert lam.size == 48, name
+            points = np.concatenate(([lam[0] - 1.0], 0.5 * (lam[1:] + lam[:-1])))
+            assert np.array_equal(count_below(prob, points), np.arange(48)), name
+
+    def test_roots_match_the_scan_index_by_index(self, scanned):
+        for name, prob, lam in scanned:
+            spec = hl_spectrum(prob, 48)
+            assert not spec.fallback and spec.dropped == 0, name
+            assert np.max(np.abs(spec.lambdas - lam) / (1.0 + np.abs(lam))) <= 1e-12, name
+
+    def test_roots_closer_than_one_scan_step(self):
+        # a barrier q = 100 on |x - pi| < 0.3 leaves two nearly equal wells,
+        # whose eigenvalues pair up 1.8e-4 to 1.1e-3 apart in sqrt(lambda), inside
+        # one 0.02 step of the dense scan; r2 = sigma(2pi) makes the right
+        # condition y'(2pi) = 0, the mirror image of the left one
+        x = np.linspace(0.0, 2 * np.pi, 513)
+        sigma = SigmaFunction(100.0 * np.clip(x - (np.pi - 0.3), 0.0, 0.6), 2 * np.pi)
+        prob = TwoSidedProblem(sigma, BoundaryPolyPair([1.0], [0.0]),
+                               BoundaryPolyPair([1.0], [60.0]))
+        spec = hl_spectrum(prob, 6)
+        rho = np.sqrt(spec.lambdas.real)
+        assert np.all(np.diff(rho)[0::2] < 2e-3)
+        sigma_left, sigma_right = prob.halves()
+        delta, _ = make_delta(sigma_left, prob.left_pair,
+                              hl_entire_pair(sigma_right, prob.right_pair))
+        from test_forward import brute_scan_roots
+        for k in (0, 2, 4):
+            oracle = brute_scan_roots(delta, np.linspace(rho[k] - 1e-3, rho[k + 1] + 1e-3, 2001))
+            assert oracle.size == 2
+            assert np.max(np.abs(oracle - spec.lambdas.real[k:k + 2])) <= 1e-9
+        # the scan sees no sign change across either root of a pair
+        scan = _scan_spectrum(prob, 6).lambdas.real
+        assert not np.any(np.abs(scan[:, None] - spec.lambdas.real[None, :]) <= 1e-3)
+
+    def test_forced_count_mismatch_raises(self, monkeypatch):
+        # a count one too high above a point between two roots certifies a
+        # bracket in which delta keeps its sign
+        prob = hl_zero_instance(128)
+        lam = hl_spectrum(prob, 8).lambdas.real
+        cut = 0.5 * (lam[3] + lam[4])
+        true_count = halfinverse.count_below
+        monkeypatch.setattr(halfinverse, "count_below",
+                            lambda p, x: true_count(p, x) + (np.asarray(x) > cut))
+        with pytest.raises(RootLoss):
+            hl_spectrum(prob, 8)
+
+    def test_count_refuses_unresolved_cells(self):
+        # 32 cells on (0, 2pi): a cell can hold two zeros once lambda h^2 >= pi^2
+        prob = hl_zero_instance(16)
+        assert count_below(prob, [250.0])[0] > 0
+        with pytest.raises(RootLoss):
+            count_below(prob, [260.0])
+
+    def test_non_herglotz_pair_falls_back_to_the_scan(self):
+        # r1' r2 - r1 r2' = -0.2 < 0: the right angle turns the count down;
+        # the count over a dense grid is not monotone there, while at the
+        # bracket ends it is, and two roots would go missing without the
+        # check of the pair
+        prob = two_sided_from_left(sigma_bump(256, amp=0.15), BoundaryPolyPair([1.0], [0.2]),
+                                   BoundaryPolyPair([-0.5, 1.0], [0.8, -2.0]))
+        counts = count_below(prob, np.linspace(-6.0, 30.0, 2000))
+        assert np.any(np.diff(counts) < 0)
+        spec = hl_spectrum(prob, 8)
+        assert spec.fallback
+        assert np.array_equal(spec.lambdas, _scan_spectrum(prob, 8).lambdas)
+        assert not hl_spectrum(hl_exclusion_instance(256), 8).fallback
 
 
 class TestReconstructDriver:

@@ -1,11 +1,13 @@
-"""The package's schema validator against stock Draft 2020-12 on mutated documents."""
+"""The package's schema validator: stock Draft 2020-12 results on mutated documents,
+and one metaschema check per schema."""
 
 import copy
+import json
 
 import jsonschema
 import pytest
 
-from invsl import schemas
+from invsl import cli, schemas
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -67,3 +69,29 @@ def test_validator_matches_stock_draft(name, data):
 def test_bases_are_valid():
     for name, doc in BASES.items():
         schemas.Validator(schemas.ALL[name]).validate(doc)
+
+
+def test_each_schema_checked_once(monkeypatch, tmp_path):
+    # cli._load calls jsonschema.validate, which checks the schema against
+    # the metaschema before validating; that check runs once per schema
+    checked = []
+    meta_check = schemas._meta_check
+
+    def recording(schema, *args, **kwargs):
+        checked.append(schema.get("$id"))
+        return meta_check(schema, *args, **kwargs)
+
+    monkeypatch.setattr(schemas, "_checked", {})
+    monkeypatch.setattr(schemas, "_meta_check", recording)
+    for name, doc in BASES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        for _ in range(3):
+            assert cli._load(str(path), name) == doc
+    assert sorted(checked) == sorted(schema["$id"] for schema in schemas.ALL.values())
+
+    # an invalid schema is never remembered, so it raises every time
+    for _ in range(2):
+        with pytest.raises(jsonschema.SchemaError):
+            jsonschema.validate({}, {"type": 5}, cls=schemas.Validator)
+    assert checked.count(None) == 2
