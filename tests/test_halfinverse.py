@@ -279,6 +279,11 @@ class TestIndexedSpectrum:
         assert spec.fallback
         assert np.array_equal(spec.lambdas, _scan_spectrum(prob, 8).lambdas)
         assert not hl_spectrum(hl_exclusion_instance(256), 8).fallback
+        # the left end is checked on its own: p1 p2' - p1' p2 = -0.75 < 0
+        left = two_sided_from_left(sigma_bump(256, amp=0.15),
+                                   BoundaryPolyPair([0.5, 1.0], [0.8, 0.1]),
+                                   BoundaryPolyPair([1.0], [0.2]))
+        assert hl_spectrum(left, 8).fallback
 
 
 class TestReconstructDriver:

@@ -91,7 +91,8 @@ def test_each_schema_checked_once(monkeypatch, tmp_path):
     assert sorted(checked) == sorted(schema["$id"] for schema in schemas.ALL.values())
 
     # an invalid schema is never remembered, so it raises every time
+    bad = {"type": 5}
     for _ in range(2):
         with pytest.raises(jsonschema.SchemaError):
-            jsonschema.validate({}, {"type": 5}, cls=schemas.Validator)
+            jsonschema.validate({}, bad, cls=schemas.Validator)
     assert checked.count(None) == 2
