@@ -163,7 +163,23 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _omegas(text: str) -> list:
+    """Noise sizes of `--omega`: distinct, finite and non-negative."""
+    try:
+        omegas = [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise SchemaError(f"--omega {text!r}: {exc}") from exc
+    if not all(np.isfinite(v) and v >= 0 for v in omegas):
+        raise SchemaError(f"--omega {text!r}: sizes must be finite and non-negative")
+    if len(set(omegas)) != len(omegas):
+        raise SchemaError(f"--omega {text!r}: sizes must be distinct")
+    return omegas
+
+
 def cmd_stability(args) -> int:
+    omegas = _omegas(args.omega)
+    if args.trials < 1:
+        raise SchemaError(f"--trials {args.trials}: at least one trial is needed")
     obj = _load(args.problem, "problem-v1")
     sigma, pair, f, sub = problem_from_json(obj)
     if sub is None:
@@ -172,7 +188,6 @@ def cmd_stability(args) -> int:
         r_guess = len(obj["f"].get("r1", [1])) * 2 - 1
         window = _spectrum_window(kind, args.eigs, pair.p, r_guess)
         sub = find_eigenvalues(delta, window, ddelta=ddelta).take(args.eigs)
-    omegas = [float(v) for v in args.omega.split(",")]
     out = stability_experiment(pair.p, f, sub, args.grid, omegas,
                                trials=args.trials, seed=args.seed, reg=args.reg)
     lines = ["omega,trial,err_u,err_j,err_g,err_a"]

@@ -173,6 +173,8 @@ class MomentSystem:
     not stored: the solve integrates them against its probe functions in
     closed form (`reconstruct.moment_design`), and `build_v` gives one on a
     grid.  `grid_size` is the size of the grid the solution is synthesized on.
+    A stacked subspectrum gives a stacked system: every array has its
+    (trials, N) shape.
     """
 
     lambdas: Subspectrum
@@ -187,10 +189,13 @@ class MomentSystem:
 
 
 def build_moment_system(subspectrum: Subspectrum, f: EntirePair, p: int, grid) -> MomentSystem:
-    """Targets and row norms for every eigenvalue of a simple subspectrum."""
+    """Targets and row norms for every eigenvalue of a simple subspectrum.
+
+    `f` is evaluated once over all eigenvalues, also those of a stack.
+    """
     subspectrum.require_simple()
     lams = subspectrum.lambdas
-    f_values = f(lams)
+    f_values = tuple(v.reshape(lams.shape) for v in f(lams.reshape(-1)))
     return MomentSystem(lambdas=subspectrum, f_values=f_values,
                         ws=build_w(lams, f, p, f_values),
                         norms=row_norm_exact(lams, f, p, f_values),

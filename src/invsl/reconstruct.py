@@ -115,23 +115,24 @@ def make_probe_basis(p: int, n_modes, n_poly: int = 3,
 
 
 def _component_columns(tags, rho, against: str):
-    """(phi_i, component) integrals against sin(rho t)/rho or cos(rho t)."""
-    cols = []
+    """(phi_i, component) integrals against sin(rho t)/rho or cos(rho t).
+
+    One closed-form call per monomial degree and one over rows x trig modes,
+    placed in tag order.
+    """
+    if against == "sin_over_rho" and np.any(np.abs(rho) < 1e-8):
+        raise ValueError("moment rows require nonzero rho")
+    overlap, poly_trig = ((overlap_sin_sin, poly_sin) if against == "sin_over_rho"
+                          else (overlap_cos_cos, poly_cos))
+    poly = np.array([kind == "poly" for kind, _ in tags], dtype=bool)
+    mu = np.array([v for kind, v in tags if kind != "poly"], dtype=float)
+    cols = np.empty((rho.size, len(tags)), dtype=complex)
+    cols[:, ~poly] = overlap(mu[None, :], rho[:, None])
+    for k in np.flatnonzero(poly):
+        cols[:, k] = poly_trig(tags[k][1], rho)
     if against == "sin_over_rho":
-        if np.any(np.abs(rho) < 1e-8):
-            raise ValueError("moment rows require nonzero rho")
-        for kind, v in tags:
-            if kind == "poly":
-                cols.append(poly_sin(v, rho) / rho)
-            else:
-                cols.append(overlap_sin_sin(v, rho) / rho)
-    else:
-        for kind, v in tags:
-            if kind == "poly":
-                cols.append(poly_cos(v, rho))
-            else:
-                cols.append(overlap_cos_cos(v, rho))
-    return np.stack(cols, axis=1) if cols else np.zeros((rho.size, 0), complex)
+        cols /= rho[:, None]
+    return cols
 
 
 def moment_design(system: MomentSystem, basis: ProbeBasis):
@@ -139,21 +140,22 @@ def moment_design(system: MomentSystem, basis: ProbeBasis):
 
     Row n is conj((phi_i, v_n))/||v_n||; the right-hand side is
     conj(w_n)/||v_n||.  Solving D x = b in this basis minimizes the true
-    product-space norm of the reconstructed element.
+    product-space norm of the reconstructed element.  The rows of a stacked
+    system come trial by trial, so the design is always (rows, columns).
     """
-    lams = system.lambdas.lambdas
+    lams = system.lambdas.lambdas.reshape(-1)
     rho = branch_sqrt(lams)
-    layout = slot_layout(system.p, lams, *system.f_values)
+    layout = slot_layout(system.p, lams, *(v.reshape(-1) for v in system.f_values))
     against1, against2 = layout.kernels("sin_over_rho", "cos")
     m1 = layout.k1[:, None] * _component_columns(basis.h1_tags, rho, against1)
     m2 = layout.k2[:, None] * _component_columns(basis.h2_tags, rho, against2)
     raw = np.concatenate([m1, m2, layout.slots], axis=1)
-    inv_norm = 1.0 / np.maximum(system.norms, 1e-300)
+    inv_norm = 1.0 / np.maximum(system.norms.reshape(-1), 1e-300)
     rows = np.conj(raw) * inv_norm[:, None]
     d1 = rows[:, : len(basis.h1_tags)] @ basis.b1
     d2 = rows[:, len(basis.h1_tags): len(basis.h1_tags) + len(basis.h2_tags)] @ basis.b2
     design = np.concatenate([d1, d2, rows[:, len(basis.h1_tags) + len(basis.h2_tags):]], axis=1)
-    rhs = np.conj(system.ws) * inv_norm
+    rhs = np.conj(system.ws.reshape(-1)) * inv_norm
     return design, rhs
 
 
@@ -179,7 +181,7 @@ def default_probe_modes(n_rows: int, p: int, n_poly: int = 3, margin: int = 2,
 
 def solve_moment(system: MomentSystem, reg: float = 0.0, basis: Optional[ProbeBasis] = None,
                  n_poly: int = 3, rank_tol: float = 1e-12,
-                 on_deficient: str = "raise") -> HpVector:
+                 on_deficient: str = "raise"):
     """Solve (u, v_n) = w_n in the least-squares sense over the probe space.
 
     Rows are normalized by ||v_n||; `reg` adds Tikhonov damping in the true
@@ -187,15 +189,31 @@ def solve_moment(system: MomentSystem, reg: float = 0.0, basis: Optional[ProbeBa
     is underdetermined.  Raises RankDeficient (or truncates, per
     `on_deficient`) when the normalized design collapses below `rank_tol`.
     The solve report is attached as `meta` on the returned element.
+
+    A stacked system is solved with one SVD over its (trials, N, K) design
+    stack and gives a list of elements, one per trial, each by the rules
+    above; all trials share one probe basis.
     """
     if basis is None:
         band = float(np.max(np.abs(system.lambdas.rhos.real)))
         basis = make_probe_basis(
             system.p,
-            default_probe_modes(len(system), system.p, n_poly, band=band),
+            default_probe_modes(system.ws.shape[-1], system.p, n_poly, band=band),
             n_poly=n_poly)
     design, rhs = moment_design(system, basis)
+    design = design.reshape(system.ws.shape + design.shape[-1:])
+    rhs = rhs.reshape(system.ws.shape)
     u_mat, svals, vh = np.linalg.svd(design, full_matrices=False)
+    t = np.linspace(0.0, np.pi, system.grid_size)
+    out = [_solve_one(design[k], rhs[k], u_mat[k], svals[k], vh[k], basis, t,
+                      reg, rank_tol, on_deficient)
+           for k in np.ndindex(system.ws.shape[:-1])]
+    return out if system.ws.ndim > 1 else out[0]
+
+
+def _solve_one(design, rhs, u_mat, svals, vh, basis: ProbeBasis, t, reg, rank_tol,
+               on_deficient) -> HpVector:
+    """One trial of `solve_moment` from the SVD of its design."""
     smax = float(svals[0]) if svals.size else 0.0
     smin = float(svals[-1]) if svals.size else 0.0
     ratio = smin / smax if smax > 0 else 0.0
@@ -216,7 +234,6 @@ def solve_moment(system: MomentSystem, reg: float = 0.0, basis: Optional[ProbeBa
     x1 = basis.b1 @ z[:d1]
     x2 = basis.b2 @ z[d1: d1 + d2]
     scalars = z[d1 + d2:]
-    t = np.linspace(0.0, np.pi, system.grid_size)
     h1 = synth_series(basis.h1_tags, x1, t)
     h2 = synth_series(basis.h2_tags, x2, t)
     meta = {
@@ -382,10 +399,22 @@ def stability_experiment(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
                          reg: float = 0.0, n_modes: Optional[int] = None) -> dict:
     """Perturb the subspectrum roots at fixed l2 size and measure the response.
 
-    Each trial draws i.i.d. complex Gaussian noise on the rho values, rescales
-    it to the exact target omega, reruns the reconstruction, and records the
-    product-space and component-wise errors against the unperturbed solve.
+    Each trial draws i.i.d. complex Gaussian noise on the rho values (real
+    part, then imaginary part, omega by omega and trial by trial) and
+    rescales it to the exact target omega.  All noise is drawn first; the
+    perturbed subspectra form one stack, solved by one `solve_moment` call
+    with the rules of `reconstruct` (one f-evaluation, one design, one SVD).
+    Each row records the product-space and component-wise errors against the
+    unperturbed solve, which runs on its own.  `omegas` must be distinct,
+    finite and non-negative, and `trials` at least 1 (else ValueError).
     """
+    omegas = [float(o) for o in omegas]
+    if trials < 1:
+        raise ValueError(f"stability needs at least one trial, got {trials}")
+    if not all(np.isfinite(o) and o >= 0 for o in omegas):
+        raise ValueError(f"omegas must be finite and non-negative, got {omegas}")
+    if len(set(omegas)) != len(omegas):
+        raise ValueError(f"omegas must be distinct, got {omegas}")
     rng = np.random.default_rng(seed)
     t = _as_grid(grid)
     if n_modes is None:
@@ -393,44 +422,43 @@ def stability_experiment(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
         n_modes = default_probe_modes(len(subspectrum), p, band=band)
     basis = make_probe_basis(p, n_modes)
     base = reconstruct(p, f, subspectrum, t, reg=reg, basis=basis)
-    rho0 = subspectrum.rhos
     w = base.u.weights()
 
     def l2(vec):
         return float(np.sqrt(np.sum(w * np.abs(vec) ** 2).real))
 
+    n = len(subspectrum)
+    noise = np.zeros((len(omegas) * trials, n), dtype=complex)
+    for i, omega in enumerate(np.repeat(omegas, trials)):
+        draw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if omega > 0:
+            noise[i] = draw * (omega / np.linalg.norm(draw))
+    rho = subspectrum.rhos + noise
+    system = build_moment_system(Subspectrum(rho * rho), f, p, t)
+    solved = solve_moment(system, reg=reg, basis=basis, on_deficient="truncate")
+
     rows = []
-    for omega in omegas:
-        for trial in range(trials):
-            noise = rng.standard_normal(len(subspectrum)) + 1j * rng.standard_normal(len(subspectrum))
-            if omega > 0:
-                noise *= omega / np.linalg.norm(noise)
-            else:
-                noise = np.zeros_like(noise)
-            rho = rho0 + noise
-            pert = Subspectrum(rho * rho)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", NonUniqueWarning)
-                res = reconstruct(p, f, pert, t, reg=reg, basis=basis)
-            du = res.u - base.u
-            rows.append({
-                "omega": float(omega),
-                "trial": trial,
-                "err_u": float(np.sqrt(abs(
-                    np.sum(w * (np.abs(du.h1) ** 2 + np.abs(du.h2) ** 2))
-                    + np.sum(np.abs(du.scalars) ** 2)))),
-                "err_j": l2(res.cauchy.j - base.cauchy.j),
-                "err_g": l2(res.cauchy.g - base.cauchy.g),
-                "err_a": float(np.max(np.abs(res.cauchy.a - base.cauchy.a)))
-                if res.cauchy.a.size else 0.0,
-            })
+    for i, u in enumerate(solved):
+        cauchy = unpack_u(u)
+        du = u - base.u
+        rows.append({
+            "omega": omegas[i // trials],
+            "trial": i % trials,
+            "err_u": float(np.sqrt(abs(
+                np.sum(w * (np.abs(du.h1) ** 2 + np.abs(du.h2) ** 2))
+                + np.sum(np.abs(du.scalars) ** 2)))),
+            "err_j": l2(cauchy.j - base.cauchy.j),
+            "err_g": l2(cauchy.g - base.cauchy.g),
+            "err_a": float(np.max(np.abs(cauchy.a - base.cauchy.a)))
+            if cauchy.a.size else 0.0,
+        })
     summary = {}
-    for omega in omegas:
-        sel = [r["err_u"] for r in rows if r["omega"] == float(omega)]
-        summary[float(omega)] = {
-            "median_err_u": float(np.median(sel)),
-            "ratio_vs_omega": float(np.median(sel) / omega) if omega > 0 else 0.0,
+    for k, omega in enumerate(omegas):
+        median = float(np.median([r["err_u"] for r in rows[k * trials: (k + 1) * trials]]))
+        summary[omega] = {
+            "median_err_u": median,
+            "ratio_vs_omega": median / omega if omega > 0 else 0.0,
         }
-    pos = [summary[float(o)]["ratio_vs_omega"] for o in omegas if o > 0]
+    pos = [summary[o]["ratio_vs_omega"] for o in omegas if o > 0]
     fitted_c = float(max(pos)) if pos else 0.0
     return {"rows": rows, "summary": summary, "fitted_c": fitted_c, "seed": seed}

@@ -290,6 +290,11 @@ class SubspectrumDiagnostics:
 class Subspectrum:
     """Finite ordered list of distinct eigenvalues with derived rho values.
 
+    A 2-D `lambdas` is a stack of subspectra of one length, one per row (the
+    trials of `reconstruct.stability_experiment`): `len` counts every
+    eigenvalue, `take`/`drop_first` act on each row, and simplicity is judged
+    within each row, so rows may repeat one another.
+
     `fallback` and `dropped` record how the eigenvalue search went (the
     dense scan stood in for an index count; roots the duplicate and residual
     screen removed); they are not part of the value and are not serialized.
@@ -312,16 +317,17 @@ class Subspectrum:
         return self.lambdas.size
 
     def drop_first(self, k: int) -> "Subspectrum":
-        return replace(self, lambdas=self.lambdas[k:].copy())
+        return replace(self, lambdas=self.lambdas[..., k:].copy())
 
     def take(self, n: int) -> "Subspectrum":
-        return replace(self, lambdas=self.lambdas[:n].copy())
+        return replace(self, lambdas=self.lambdas[..., :n].copy())
 
     def diagnostics(self, simple_tol: float = 1e-8) -> SubspectrumDiagnostics:
         lam = self.lambdas
-        if lam.size >= 2:
-            diff = np.abs(lam[:, None] - lam[None, :])
-            np.fill_diagonal(diff, np.inf)
+        if lam.shape[-1] >= 2:
+            diff = np.abs(lam[..., :, None] - lam[..., None, :])
+            own = np.arange(lam.shape[-1])
+            diff[..., own, own] = np.inf
             min_gap = float(diff.min())
         else:
             min_gap = np.inf

@@ -1,13 +1,19 @@
 """Shared fixtures: corpus problems with precomputed spectra and oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from invsl.errors import NonUniqueWarning
 from invsl.forward import extract_cauchy, resample_cauchy
 from invsl.halfinverse import hl_entire_pair, hl_spectrum
+from invsl.moments import _as_grid
 from invsl.ode import _cell_matrices
 from invsl.problems import hl_exclusion_instance, roundtrip_corpus
+from invsl.reconstruct import default_probe_modes, make_probe_basis, reconstruct
 from invsl.serialize import complex_array
+from invsl.types import Subspectrum
 
 
 class RoundTrip:
@@ -78,6 +84,65 @@ def sequential_cells(sigma, lams, y0, v0, dlam=False):
     if dlam:
         out.update(dy=dys, dv=dvs)
     return out
+
+
+def sequential_stability(p, f, subspectrum, grid, omegas, trials=20, seed=0, reg=0.0,
+                         n_modes=None):
+    """Reference stability experiment: one `reconstruct` per trial, in sequence.
+
+    Draws the noise in the order of `invsl.reconstruct.stability_experiment`
+    and solves every perturbed subspectrum on its own (its own f-evaluation,
+    design and SVD, the rank-deficient retry included), so tests compare the
+    stacked solve with it.
+    """
+    rng = np.random.default_rng(seed)
+    t = _as_grid(grid)
+    if n_modes is None:
+        band = float(np.max(np.abs(subspectrum.rhos.real)))
+        n_modes = default_probe_modes(len(subspectrum), p, band=band)
+    basis = make_probe_basis(p, n_modes)
+    base = reconstruct(p, f, subspectrum, t, reg=reg, basis=basis)
+    rho0 = subspectrum.rhos
+    w = base.u.weights()
+
+    def l2(vec):
+        return float(np.sqrt(np.sum(w * np.abs(vec) ** 2).real))
+
+    rows = []
+    for omega in omegas:
+        for trial in range(trials):
+            noise = rng.standard_normal(len(subspectrum)) + 1j * rng.standard_normal(len(subspectrum))
+            if omega > 0:
+                noise *= omega / np.linalg.norm(noise)
+            else:
+                noise = np.zeros_like(noise)
+            rho = rho0 + noise
+            pert = Subspectrum(rho * rho)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NonUniqueWarning)
+                res = reconstruct(p, f, pert, t, reg=reg, basis=basis)
+            du = res.u - base.u
+            rows.append({
+                "omega": float(omega),
+                "trial": trial,
+                "err_u": float(np.sqrt(abs(
+                    np.sum(w * (np.abs(du.h1) ** 2 + np.abs(du.h2) ** 2))
+                    + np.sum(np.abs(du.scalars) ** 2)))),
+                "err_j": l2(res.cauchy.j - base.cauchy.j),
+                "err_g": l2(res.cauchy.g - base.cauchy.g),
+                "err_a": float(np.max(np.abs(res.cauchy.a - base.cauchy.a)))
+                if res.cauchy.a.size else 0.0,
+            })
+    summary = {}
+    for omega in omegas:
+        sel = [r["err_u"] for r in rows if r["omega"] == float(omega)]
+        summary[float(omega)] = {
+            "median_err_u": float(np.median(sel)),
+            "ratio_vs_omega": float(np.median(sel) / omega) if omega > 0 else 0.0,
+        }
+    pos = [summary[float(o)]["ratio_vs_omega"] for o in omegas if o > 0]
+    fitted_c = float(max(pos)) if pos else 0.0
+    return {"rows": rows, "summary": summary, "fitted_c": fitted_c, "seed": seed}
 
 
 def rel_l2(a, b, length=np.pi):

@@ -194,6 +194,21 @@ class TestStability:
         assert all(v > 0 for v in noisy)
 
 
+class TestStabilityInput:
+    @pytest.mark.parametrize("flags", [
+        ["--omega", "abc"],
+        ["--trials", "0"],
+        ["--omega", "nan"],
+        ["--omega=-1e-3"],
+        ["--omega", "1e-3,1e-3"],
+    ])
+    def test_bad_noise_plan_exit2(self, free_problem, tmp_path, flags, capsys):
+        out = tmp_path / "out"
+        assert main(["stability", free_problem, *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+        assert not out.exists()
+
+
 class TestDiagnose:
     def test_integer_sines(self, tmp_path):
         sub = Subspectrum(np.arange(1, 13, dtype=complex) ** 2)

@@ -1,14 +1,17 @@
+import dataclasses
+import importlib
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import rel_l2
-from invsl.errors import NonUniqueWarning, PoleProximity, RankDeficient
+from conftest import rel_l2, sequential_stability
+from invsl.errors import DuplicateEigenvalue, NonUniqueWarning, PoleProximity, RankDeficient
 from invsl.forward import char_pair, extract_cauchy
 from invsl.moments import build_moment_system, build_v, u_from_cauchy
 from invsl.reconstruct import (
     ProbeBasis,
+    _component_columns,
     _gram_block,
     _tags_for,
     ReconstructionResult,
@@ -21,7 +24,14 @@ from invsl.reconstruct import (
     stability_experiment,
     unpack_u,
 )
-from invsl.trig import gauss_panels, synth_series
+from invsl.trig import (
+    gauss_panels,
+    overlap_cos_cos,
+    overlap_sin_sin,
+    poly_cos,
+    poly_sin,
+    synth_series,
+)
 from invsl.types import (
     BoundaryPolyPair,
     CauchyData,
@@ -31,6 +41,9 @@ from invsl.types import (
     Subspectrum,
     hp_inner,
 )
+
+# the package exports a function of the same name, which hides the module
+reconstruct_module = importlib.import_module("invsl.reconstruct")
 
 SIG0 = SigmaFunction.zero(np.pi, 512)
 PAIR_FREE = BoundaryPolyPair([1.0], [0.0])
@@ -62,6 +75,33 @@ class TestMomentDesign:
                     [np.sum(wts * synth_series([tag], [1.0], t) * v.h2) for tag in probe.h2_tags],
                     v.scalars])
                 assert np.max(np.abs(raw[n] - quad)) <= 1e-4 * system.norms[n]
+
+
+def _columns_per_tag(tags, rho, against):
+    """The probe columns one closed-form call per tag, in tag order."""
+    cols = []
+    for kind, v in tags:
+        if against == "sin_over_rho":
+            cols.append((poly_sin(v, rho) if kind == "poly" else overlap_sin_sin(v, rho)) / rho)
+        else:
+            cols.append(poly_cos(v, rho) if kind == "poly" else overlap_cos_cos(v, rho))
+    return np.stack(cols, axis=1)
+
+
+class TestComponentColumns:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("freq_step", [1.0, 0.5])
+    def test_matches_per_tag_loop_bitwise(self, p, freq_step):
+        # real and complex rho, both sides of the series switch of poly_*
+        rng = np.random.default_rng(p)
+        rho = np.concatenate([np.arange(1, 30) - 0.25, [0.05, 0.1j, 0.3 - 0.2j],
+                              np.arange(1, 12) + 1e-3 * rng.standard_normal(11)
+                              + 1e-3j * rng.standard_normal(11)]).astype(complex)
+        basis = make_probe_basis(p, (9, 14), freq_step=freq_step)
+        for tags in (basis.h1_tags, basis.h2_tags):
+            for against in ("sin_over_rho", "cos"):
+                assert np.array_equal(_component_columns(tags, rho, against),
+                                      _columns_per_tag(tags, rho, against))
 
 
 class TestProbeGram:
@@ -296,3 +336,123 @@ class TestStability:
                 res = reconstruct(1, rt_free.f, Subspectrum(rho * rho), 128)
             responses.append((res.u - base.u).norm() / delta)
         assert max(responses) / min(responses) <= 3
+
+
+@pytest.fixture(scope="module")
+def deficit_case(even_left):
+    # the p = 2 construction of test_density_deficit_detected
+    sigma_left, left_pair = even_left
+    return _even_spectrum(sigma_left, left_pair, BoundaryPolyPair([1.0], [0.4]))
+
+
+def _assert_matches_oracle(out, ref):
+    """Batched rows against the sequential ones; returns the worst deviations."""
+    assert [(r["omega"], r["trial"]) for r in out["rows"]] == \
+        [(r["omega"], r["trial"]) for r in ref["rows"]]
+    worst_rel = worst_zero = 0.0
+    for got, want in zip(out["rows"], ref["rows"]):
+        for key in ("err_u", "err_j", "err_g", "err_a"):
+            dev = abs(got[key] - want[key])
+            if want["omega"] == 0.0:
+                assert dev <= 1e-12, (key, got, want)
+                worst_zero = max(worst_zero, dev)
+            else:
+                assert dev <= 1e-10 * abs(want[key]), (key, got, want)
+                worst_rel = max(worst_rel, dev / abs(want[key]))
+    assert out["summary"].keys() == ref["summary"].keys()
+    for omega, entry in ref["summary"].items():
+        for key, want in entry.items():
+            assert abs(out["summary"][omega][key] - want) <= 1e-10 * abs(want) + 1e-12
+    assert out["fitted_c"] == pytest.approx(ref["fitted_c"], rel=1e-10, abs=1e-12)
+    return worst_rel, worst_zero
+
+
+class TestStackedStability:
+    def test_matches_sequential_oracle(self, rt_free):
+        args = (1, rt_free.f, rt_free.spectrum, 128, [0.0, 1e-3, 1e-2])
+        out = stability_experiment(*args, trials=5, seed=3)
+        _assert_matches_oracle(out, sequential_stability(*args, trials=5, seed=3))
+
+    def test_matches_sequential_oracle_with_reg(self, rt_free):
+        args = (1, rt_free.f, rt_free.spectrum, 128, [1e-3, 1e-2])
+        out = stability_experiment(*args, trials=4, seed=5, reg=1e-6)
+        _assert_matches_oracle(out, sequential_stability(*args, trials=4, seed=5, reg=1e-6))
+
+    def test_matches_sequential_oracle_when_every_trial_truncates(self, deficit_case,
+                                                                  monkeypatch):
+        # every perturbed design is rank deficient: each trial takes the
+        # keep-mask branch that reconstruct's RankDeficient retry takes
+        f, spec = deficit_case
+        stacked = []
+        solve = reconstruct_module.solve_moment
+
+        def recording_solve(system, *a, **kw):
+            out = solve(system, *a, **kw)
+            if system.ws.ndim > 1:
+                stacked.extend(out)
+            return out
+
+        monkeypatch.setattr(reconstruct_module, "solve_moment", recording_solve)
+        args = (2, f, spec, 128, [0.0, 1e-3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonUniqueWarning)
+            out = stability_experiment(*args, trials=3, seed=7)
+            ref = sequential_stability(*args, trials=3, seed=7)
+        assert len(stacked) == 6 and all(u.meta["deficient"] for u in stacked)
+        _assert_matches_oracle(out, ref)
+
+    def test_zero_omega_trials_pass_the_simplicity_check(self, rt_free):
+        # the zero-omega trials repeat the base eigenvalues and each other
+        out = stability_experiment(1, rt_free.f, rt_free.spectrum, 128,
+                                   omegas=[0.0], trials=4, seed=1)
+        assert len(out["rows"]) == 4
+        assert max(r["err_u"] for r in out["rows"]) <= 1e-12
+
+    def test_non_simple_input_raises(self, rt_free):
+        lams = rt_free.spectrum.lambdas
+        doubled = Subspectrum(np.concatenate([lams, lams[3:4]]))
+        with pytest.raises(DuplicateEigenvalue):
+            stability_experiment(1, rt_free.f, doubled, 128, omegas=[0.0], trials=2)
+
+    def test_stack_row_with_a_duplicate_raises(self, rt_free):
+        lams = rt_free.spectrum.lambdas[:8]
+        bad = lams.copy()
+        bad[5] = bad[2]
+        with pytest.raises(DuplicateEigenvalue):
+            build_moment_system(Subspectrum(np.stack([lams, bad])), rt_free.f, 1, 128)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"omegas": [float("nan")]},
+        {"omegas": [float("inf")]},
+        {"omegas": [-1e-3]},
+        {"omegas": [1e-3, 1e-3]},
+        {"omegas": [1e-3], "trials": 0},
+    ])
+    def test_rejects_bad_noise_plans(self, rt_free, kwargs):
+        with pytest.raises(ValueError):
+            stability_experiment(1, rt_free.f, rt_free.spectrum, 128, **kwargs)
+
+    @pytest.mark.parametrize("trials", [1, 6])
+    def test_work_is_independent_of_trials(self, rt_free, trials, monkeypatch):
+        # one f-evaluation and one SVD for the base solve, one of each for
+        # the stack of all trials
+        f_sizes, svd_shapes = [], []
+
+        def joint(lam):
+            f_sizes.append(lam.size)
+            return rt_free.f.joint(lam)
+
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            svd_shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        f = dataclasses.replace(rt_free.f, joint=joint)
+        n = len(rt_free.spectrum)
+        stability_experiment(1, f, rt_free.spectrum, 128, omegas=[0.0, 1e-3],
+                             trials=trials, seed=2)
+        assert f_sizes == [n, 2 * trials * n]
+        assert len(svd_shapes) == 2
+        assert svd_shapes[1][:2] == (2 * trials, n)

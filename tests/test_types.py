@@ -134,6 +134,18 @@ class TestSubspectrum:
         with pytest.raises(DuplicateEigenvalue):
             Subspectrum([1.0, 2.0, 2.0 + 1e-12]).require_simple()
 
+    def test_stack_is_simple_row_by_row(self):
+        # rows may repeat one another; a repeat within a row is not simple
+        rows = np.array([[1.0, 4.0, 9.0], [1.0, 4.0, 9.0], [1.0, 4.5, 9.0]])
+        stack = Subspectrum(rows).require_simple()
+        assert len(stack) == 9
+        assert stack.diagnostics().min_gap == pytest.approx(3.0)
+        assert np.array_equal(stack.take(2).lambdas, rows[:, :2])
+        assert np.array_equal(stack.drop_first(1).lambdas, rows[:, 1:])
+        rows[2, 2] = 4.5
+        with pytest.raises(DuplicateEigenvalue):
+            Subspectrum(rows).require_simple()
+
     def test_class_a_diagnostics(self):
         lam = (np.arange(1, 21) - 0.5) ** 2
         d = Subspectrum(lam).diagnostics()
