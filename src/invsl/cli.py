@@ -24,7 +24,7 @@ from .errors import InvslError, NonUniqueWarning, RootLoss, SchemaError
 from .forward import extract_cauchy, find_eigenvalues, make_delta, weyl
 from .halfinverse import hl_reconstruct, hl_spectrum, hl_window
 from .moments import basis_diagnostics, xi_identity_residual
-from .reconstruct import reconstruct, stability_experiment
+from .reconstruct import noise_plan, reconstruct, stability_experiment
 from .serialize import (
     canonical_dumps,
     cauchy_to_json,
@@ -163,23 +163,11 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _omegas(text: str) -> list:
-    """Noise sizes of `--omega`: distinct, finite and non-negative."""
-    try:
-        omegas = [float(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise SchemaError(f"--omega {text!r}: {exc}") from exc
-    if not all(np.isfinite(v) and v >= 0 for v in omegas):
-        raise SchemaError(f"--omega {text!r}: sizes must be finite and non-negative")
-    if len(set(omegas)) != len(omegas):
-        raise SchemaError(f"--omega {text!r}: sizes must be distinct")
-    return omegas
-
-
 def cmd_stability(args) -> int:
-    omegas = _omegas(args.omega)
-    if args.trials < 1:
-        raise SchemaError(f"--trials {args.trials}: at least one trial is needed")
+    try:
+        omegas = noise_plan(args.omega.split(","), args.trials)
+    except ValueError as exc:
+        raise SchemaError(f"--omega {args.omega} --trials {args.trials}: {exc}") from exc
     obj = _load(args.problem, "problem-v1")
     sigma, pair, f, sub = problem_from_json(obj)
     if sub is None:

@@ -394,6 +394,19 @@ def completeness_ratio(system: MomentSystem, freq_step: float = 0.5,
             "design_shape": design.shape, "freq_step": freq_step}
 
 
+def noise_plan(omegas, trials: int) -> list:
+    """The noise sizes as floats, after checking that they are distinct, finite
+    and non-negative and that `trials` is at least 1 (else ValueError)."""
+    omegas = [float(o) for o in omegas]
+    if trials < 1:
+        raise ValueError(f"at least one trial is needed, got {trials}")
+    if not all(np.isfinite(o) and o >= 0 for o in omegas):
+        raise ValueError(f"noise sizes must be finite and non-negative, got {omegas}")
+    if len(set(omegas)) != len(omegas):
+        raise ValueError(f"noise sizes must be distinct, got {omegas}")
+    return omegas
+
+
 def stability_experiment(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
                          omegas, trials: int = 20, seed: int = 0,
                          reg: float = 0.0, n_modes: Optional[int] = None) -> dict:
@@ -405,16 +418,10 @@ def stability_experiment(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
     perturbed subspectra form one stack, solved by one `solve_moment` call
     with the rules of `reconstruct` (one f-evaluation, one design, one SVD).
     Each row records the product-space and component-wise errors against the
-    unperturbed solve, which runs on its own.  `omegas` must be distinct,
-    finite and non-negative, and `trials` at least 1 (else ValueError).
+    unperturbed solve, which runs on its own.  `noise_plan` checks `omegas`
+    and `trials`.
     """
-    omegas = [float(o) for o in omegas]
-    if trials < 1:
-        raise ValueError(f"stability needs at least one trial, got {trials}")
-    if not all(np.isfinite(o) and o >= 0 for o in omegas):
-        raise ValueError(f"omegas must be finite and non-negative, got {omegas}")
-    if len(set(omegas)) != len(omegas):
-        raise ValueError(f"omegas must be distinct, got {omegas}")
+    omegas = noise_plan(omegas, trials)
     rng = np.random.default_rng(seed)
     t = _as_grid(grid)
     if n_modes is None:
