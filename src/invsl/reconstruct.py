@@ -204,16 +204,21 @@ def solve_moment(system: MomentSystem, reg: float = 0.0, basis: Optional[ProbeBa
     design = design.reshape(system.ws.shape + design.shape[-1:])
     rhs = rhs.reshape(system.ws.shape)
     u_mat, svals, vh = np.linalg.svd(design, full_matrices=False)
+    parts = [_solve_one(design[k], rhs[k], u_mat[k], svals[k], vh[k], basis,
+                        reg, rank_tol, on_deficient)
+             for k in np.ndindex(system.ws.shape[:-1])]
     t = np.linspace(0.0, np.pi, system.grid_size)
-    out = [_solve_one(design[k], rhs[k], u_mat[k], svals[k], vh[k], basis, t,
-                      reg, rank_tol, on_deficient)
-           for k in np.ndindex(system.ws.shape[:-1])]
+    h1 = synth_series(basis.h1_tags, np.array([x1 for x1, _, _, _ in parts]), t)
+    h2 = synth_series(basis.h2_tags, np.array([x2 for _, x2, _, _ in parts]), t)
+    out = [HpVector(a, b, scalars, meta=meta)
+           for a, b, (_, _, scalars, meta) in zip(h1, h2, parts)]
     return out if system.ws.ndim > 1 else out[0]
 
 
-def _solve_one(design, rhs, u_mat, svals, vh, basis: ProbeBasis, t, reg, rank_tol,
-               on_deficient) -> HpVector:
-    """One trial of `solve_moment` from the SVD of its design."""
+def _solve_one(design, rhs, u_mat, svals, vh, basis: ProbeBasis, reg, rank_tol,
+               on_deficient):
+    """One trial of `solve_moment` from the SVD of its design: the probe-series
+    coefficients of both components, the scalars and the solve report."""
     smax = float(svals[0]) if svals.size else 0.0
     smin = float(svals[-1]) if svals.size else 0.0
     ratio = smin / smax if smax > 0 else 0.0
@@ -233,9 +238,6 @@ def _solve_one(design, rhs, u_mat, svals, vh, basis: ProbeBasis, t, reg, rank_to
     d2 = basis.b2.shape[1]
     x1 = basis.b1 @ z[:d1]
     x2 = basis.b2 @ z[d1: d1 + d2]
-    scalars = z[d1 + d2:]
-    h1 = synth_series(basis.h1_tags, x1, t)
-    h2 = synth_series(basis.h2_tags, x2, t)
     meta = {
         "residual": residual,
         "cond": smax / smin if smin > 0 else np.inf,
@@ -246,7 +248,7 @@ def _solve_one(design, rhs, u_mat, svals, vh, basis: ProbeBasis, t, reg, rank_to
         "series": {"h1": list(zip(basis.h1_tags, x1.tolist())),
                    "h2": list(zip(basis.h2_tags, x2.tolist()))},
     }
-    return HpVector(h1, h2, scalars, meta=meta)
+    return x1, x2, z[d1 + d2:], meta
 
 
 def unpack_u(u: HpVector) -> CauchyData:

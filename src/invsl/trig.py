@@ -202,9 +202,15 @@ def gauss_panels(f, a, b, panels, order=12):
 
 
 def synth_series(tags, coeffs, t):
-    """Sum of coeff * basis(t) over ("sin", v), ("cos", v) and ("poly", m) tags."""
-    out = np.zeros_like(t, dtype=complex)
-    for (kind, v), c in zip(tags, coeffs):
+    """Sum of coeff * basis(t) over ("sin", v), ("cos", v) and ("poly", m) tags.
+
+    `coeffs` may carry leading axes (one series per row, say); the last axis
+    runs over the tags, and each series is summed in tag order.
+    """
+    coeffs = np.asarray(coeffs)
+    out = np.zeros(coeffs.shape[:-1] + np.shape(t), dtype=complex)
+    for (kind, v), c in zip(tags, np.moveaxis(coeffs, -1, 0)):
+        c = c[..., None]
         if kind == "sin":
             out += c * np.sin(v * t)
         elif kind == "cos":

@@ -292,8 +292,8 @@ class Subspectrum:
 
     A 2-D `lambdas` is a stack of subspectra of one length, one per row (the
     trials of `reconstruct.stability_experiment`): `len` counts every
-    eigenvalue, `take`/`drop_first` act on each row, and simplicity is judged
-    within each row, so rows may repeat one another.
+    eigenvalue, and simplicity is judged within each row, so rows may repeat
+    one another.
 
     `fallback` and `dropped` record how the eigenvalue search went (the
     dense scan stood in for an index count; roots the duplicate and residual
@@ -317,10 +317,10 @@ class Subspectrum:
         return self.lambdas.size
 
     def drop_first(self, k: int) -> "Subspectrum":
-        return replace(self, lambdas=self.lambdas[..., k:].copy())
+        return replace(self, lambdas=self.lambdas[k:].copy())
 
     def take(self, n: int) -> "Subspectrum":
-        return replace(self, lambdas=self.lambdas[..., :n].copy())
+        return replace(self, lambdas=self.lambdas[:n].copy())
 
     def diagnostics(self, simple_tol: float = 1e-8) -> SubspectrumDiagnostics:
         lam = self.lambdas

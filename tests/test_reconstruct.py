@@ -414,13 +414,6 @@ class TestStackedStability:
         with pytest.raises(DuplicateEigenvalue):
             stability_experiment(1, rt_free.f, doubled, 128, omegas=[0.0], trials=2)
 
-    def test_stack_row_with_a_duplicate_raises(self, rt_free):
-        lams = rt_free.spectrum.lambdas[:8]
-        bad = lams.copy()
-        bad[5] = bad[2]
-        with pytest.raises(DuplicateEigenvalue):
-            build_moment_system(Subspectrum(np.stack([lams, bad])), rt_free.f, 1, 128)
-
     @pytest.mark.parametrize("kwargs", [
         {"omegas": [float("nan")]},
         {"omegas": [float("inf")]},

@@ -27,8 +27,30 @@ from invsl.trig import (
     poly_cos,
     poly_sin,
     sinc,
+    synth_series,
 )
 from invsl.types import BoundaryPolyPair, SigmaFunction, Subspectrum
+
+
+def _series_loop(tags, coeffs, t):
+    """One series, one scalar coefficient at a time."""
+    out = np.zeros_like(t, dtype=complex)
+    for (kind, v), c in zip(tags, coeffs):
+        out += c * {"sin": np.sin(v * t), "cos": np.cos(v * t), "poly": t**v}[kind]
+    return out
+
+
+def test_synth_series_rows_equal_single_series():
+    # a coefficient stack sums every row as the scalar loop does, bit for bit
+    rng = np.random.default_rng(5)
+    tags = [("poly", 0), ("poly", 2), ("sin", 1.0), ("cos", 0.5), ("sin", 3.0)]
+    coeffs = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    t = np.linspace(0.0, np.pi, 129)
+    stacked = synth_series(tags, coeffs, t)
+    assert stacked.shape == (4, 129)
+    for row, c in zip(stacked, coeffs):
+        assert np.array_equal(row, _series_loop(tags, c, t))
+        assert np.array_equal(row, synth_series(tags, list(c), t))
 
 
 class TestTrigClosedForms:

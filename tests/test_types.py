@@ -140,8 +140,6 @@ class TestSubspectrum:
         stack = Subspectrum(rows).require_simple()
         assert len(stack) == 9
         assert stack.diagnostics().min_gap == pytest.approx(3.0)
-        assert np.array_equal(stack.take(2).lambdas, rows[:, :2])
-        assert np.array_equal(stack.drop_first(1).lambdas, rows[:, 1:])
         rows[2, 2] = 4.5
         with pytest.raises(DuplicateEigenvalue):
             Subspectrum(rows).require_simple()
