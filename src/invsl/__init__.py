@@ -64,10 +64,9 @@ from .moments import (  # noqa: F401
     xi_identity_residual,
 )
 from .ode import (  # noqa: F401
-    Trajectory,
-    fundamental_pair,
-    lambda_derivative,
-    solve_cauchy,
+    monodromy,
+    node_values,
+    rk4_node_values,
 )
 from .reconstruct import (  # noqa: F401
     ReconstructionResult,

@@ -61,23 +61,26 @@ def _write(out_dir: str, name: str, payload: dict) -> Path:
     return target
 
 
-def _spectrum_window(kind: str, count: int, p: int, r_guess: int = 1):
-    if kind == "hl_right_half":
-        return hl_window(count, p, r_guess)
-    return (-9.0, float((count + 2) ** 2))
+def _eigenvalues(obj: dict, sigma, pair, f, args, window=None):
+    """The first `args.eigs` eigenvalues of a problem file's problem, found in
+    `window` (by default one sized for the count and the kind of f) with
+    simplicity tolerance `args.tol`; RootLoss when fewer are found."""
+    delta, ddelta = make_delta(sigma, pair, f)
+    if window is None:
+        if obj["f"].get("kind") == "hl_right_half":
+            window = hl_window(args.eigs, pair.p, len(obj["f"]["r1"]) * 2 - 1)
+        else:
+            window = (-9.0, float((args.eigs + 2) ** 2))
+    spec = find_eigenvalues(delta, window, ddelta=ddelta, simple_tol=args.tol)
+    if len(spec) < args.eigs:
+        raise RootLoss(f"found {len(spec)} eigenvalues in {window}, requested {args.eigs}")
+    return spec.take(args.eigs)
 
 
 def cmd_forward(args) -> int:
     obj = _load(args.problem, "problem-v1")
     sigma, pair, f, _ = problem_from_json(obj)
-    delta, ddelta = make_delta(sigma, pair, f)
-    kind = obj["f"].get("kind", "constant")
-    r_guess = len(obj["f"].get("r1", [1])) * 2 - 1
-    window = args.window or _spectrum_window(kind, args.eigs, pair.p, r_guess)
-    spec = find_eigenvalues(delta, window, ddelta=ddelta, simple_tol=args.tol)
-    if len(spec) < args.eigs:
-        raise RootLoss(f"found {len(spec)} eigenvalues in {window}, requested {args.eigs}")
-    spec = spec.take(args.eigs)
+    spec = _eigenvalues(obj, sigma, pair, f, args, args.window)
     data = extract_cauchy(sigma, pair, grid_m=args.grid)
 
     meta = meta_block(obj, grid_m=args.grid, eigs=args.eigs)
@@ -171,13 +174,12 @@ def cmd_stability(args) -> int:
     obj = _load(args.problem, "problem-v1")
     sigma, pair, f, sub = problem_from_json(obj)
     if sub is None:
-        delta, ddelta = make_delta(sigma, pair, f)
-        kind = obj["f"].get("kind", "constant")
-        r_guess = len(obj["f"].get("r1", [1])) * 2 - 1
-        window = _spectrum_window(kind, args.eigs, pair.p, r_guess)
-        sub = find_eigenvalues(delta, window, ddelta=ddelta).take(args.eigs)
-    out = stability_experiment(pair.p, f, sub, args.grid, omegas,
-                               trials=args.trials, seed=args.seed, reg=args.reg)
+        sub = _eigenvalues(obj, sigma, pair, f, args)
+    with warnings.catch_warnings(record=True) as wlist:
+        warnings.simplefilter("always")
+        out = stability_experiment(pair.p, f, sub, args.grid, omegas,
+                                   trials=args.trials, seed=args.seed, reg=args.reg)
+        caught = [str(w.message) for w in wlist if issubclass(w.category, NonUniqueWarning)]
     lines = ["omega,trial,err_u,err_j,err_g,err_a"]
     for row in out["rows"]:
         lines.append(",".join([_fmt(row["omega"]), str(row["trial"]),
@@ -189,8 +191,13 @@ def cmd_stability(args) -> int:
     meta = meta_block(obj, grid_m=args.grid, seed=args.seed, trials=args.trials)
     _write(args.out, "stability_summary.json", {
         "schema": "invsl/report-v1", "meta": meta,
-        "report": {"summary": out["summary"], "fitted_c": out["fitted_c"]},
+        "report": {"summary": out["summary"], "fitted_c": out["fitted_c"],
+                   "non_unique": out["base"]["non_unique"],
+                   "warnings": out["base"]["warnings"]},
     })
+    if caught and args.strict:
+        print("non-unique reconstruction: " + "; ".join(caught), file=sys.stderr)
+        return EXIT_NON_UNIQUE
     return 0
 
 

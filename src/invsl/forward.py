@@ -69,13 +69,13 @@ def make_delta(sigma: SigmaFunction, pair: BoundaryPolyPair, f: Optional[EntireP
     def delta(lam):
         return char_delta(sigma, pair, f, lam)
 
-    if f.df1 is None or f.df2 is None:
+    if f.djoint is None:
         return delta, None
 
     def ddelta(lam):
         lamc = np.asarray(lam, dtype=complex)
         d0, d1, dd0, dd1 = char_pair(sigma, pair, lamc, derivative=True)
-        f1, f2, g1, g2 = f.jet(lamc)
+        f1, f2, g1, g2 = f.djoint(lamc)
         return f1 * d1 + f2 * d0, g1 * d1 + f1 * dd1 + g2 * d0 + f2 * dd0
 
     return delta, ddelta

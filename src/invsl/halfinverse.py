@@ -98,7 +98,6 @@ def psi_mid(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair, lam,
 
 def hl_entire_pair(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair) -> EntirePair:
     """Entire pair encoding the known right half: f1 = -psi(mid), f2 = psi^{[1]}(mid)."""
-    r = right_pair.p
 
     def joint(lam):
         psi, psi_q = psi_mid(sigma_right, right_pair, lam)
@@ -108,12 +107,8 @@ def hl_entire_pair(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair) -> 
         psi, psi_q, dpsi, dpsi_q = psi_mid(sigma_right, right_pair, lam, derivative=True)
         return -psi, psi_q, -dpsi, dpsi_q
 
-    return EntirePair(
-        f1=lambda lam: joint(lam)[0], f2=lambda lam: joint(lam)[1],
-        df1=lambda lam: djoint(lam)[2], df2=lambda lam: djoint(lam)[3],
-        joint=joint, djoint=djoint, alpha=float(r - 1),
-        descriptor={"kind": "hl_right_half", "r": r},
-    )
+    return EntirePair(joint=joint, djoint=djoint,
+                      descriptor={"kind": "hl_right_half", "r": right_pair.p})
 
 
 def hl_window(count: int, p: int, r: int, margin: float = 2.0):

@@ -14,34 +14,17 @@ cell matrices and their product are computed in float64, elsewhere in
 complex128; endpoint values are returned as complex128 in both cases.
 
 A classical RK4 path over the same piecewise-linear sigma is kept as an
-independent cross-check (`method="rk4"`); it converges at order 4 to the exact
-propagator as the per-cell substep count grows.
+independent cross-check (`rk4_node_values`); it converges at order 4 to the
+exact propagator as the per-cell substep count grows.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StepFailure
 from .trig import cos_sinc_sqrt
-from .types import SigmaFunction, branch_sqrt
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Samples of (y, y^{[1]}) along the integration interval."""
-
-    x: np.ndarray
-    y: np.ndarray
-    yq: np.ndarray
-    lam: complex
-    direction: str = "forward"
-
-    @property
-    def end(self):
-        return self.y[-1], self.yq[-1]
+from .types import SigmaFunction
 
 
 def _cell_matrices(sigma: SigmaFunction, lam, derivative=False):
@@ -253,28 +236,28 @@ def _to_quasi(t, sig0, sig1):
     return np.array([[m00, t01], [t10 + sig0 * t11 - sig1 * m00, t11 - sig1 * t01]])
 
 
-def _substeps(lam, h, refine):
-    rho_mag = float(np.max(np.abs(branch_sqrt(np.atleast_1d(lam)))))
-    return max(1, int(np.ceil(rho_mag * h / 0.02))) * max(1, int(refine))
+def rk4_node_values(sigma: SigmaFunction, lam, y0, yq0, refine=1):
+    """(y, y^{[1]}) at every node for one lambda by classical RK4, forward from x = 0.
 
-
-def _propagate_rk4(sigma: SigmaFunction, lam, y0, yq0, refine=1, record=False):
-    """RK4 on the first-order quasi-derivative system with linearly interpolated sigma."""
+    The quasi-derivative system is integrated with linearly interpolated sigma,
+    `refine` times the substeps that |rho| h needs, independently of the cell
+    matrices of `monodromy` and `node_values`; it converges to them at order 4.
+    """
     lam = complex(lam)
     h = sigma.dx
     sig = sigma.samples
     slopes = np.diff(sig) / h
-    nsub = _substeps(lam, h, refine)
+    # |rho| h <= 0.02 per substep, times `refine`
+    nsub = max(1, int(np.ceil(np.sqrt(abs(lam)) * h / 0.02))) * max(1, int(refine))
     hs = h / nsub
 
     def rhs(sig_x, y, yq):
         return yq + sig_x * y, -sig_x * yq - (sig_x * sig_x + lam) * y
 
+    ys = np.empty(sigma.m + 1, dtype=complex)
+    yqs = np.empty_like(ys)
     y, yq = complex(y0), complex(yq0)
-    if record:
-        ys = np.empty(sigma.m + 1, dtype=complex)
-        yqs = np.empty_like(ys)
-        ys[0], yqs[0] = y, yq
+    ys[0], yqs[0] = y, yq
     for k in range(sigma.m):
         for j in range(nsub):
             s0 = sig[k] + slopes[k] * (j * hs)
@@ -286,50 +269,10 @@ def _propagate_rk4(sigma: SigmaFunction, lam, y0, yq0, refine=1, record=False):
             k4 = rhs(s1, y + hs * k3[0], yq + hs * k3[1])
             y = y + hs / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
             yq = yq + hs / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        if record:
-            ys[k + 1], yqs[k + 1] = y, yq
+        ys[k + 1], yqs[k + 1] = y, yq
     if not (np.isfinite(y) and np.isfinite(yq)):
         raise StepFailure("RK4 propagation produced non-finite values")
-    if record:
-        return {"y": ys, "yq": yqs}
-    return {"y": y, "yq": yq}
-
-
-def solve_cauchy(sigma: SigmaFunction, lam, y0, yq0, direction="forward",
-                 method="exact", refine=1) -> Trajectory:
-    """Solve the Cauchy problem for one lambda and return the node samples.
-
-    Forward starts from x = 0, backward from x = X (exact method only: the
-    node values come from the adjugates of suffix products).
-    """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"unknown direction {direction!r}")
-    if method == "exact":
-        y, yq = (x[:, 0] for x in node_values(sigma, [lam], y0, yq0, direction=direction))
-    elif method == "rk4":
-        if direction == "backward":
-            raise ValueError("the RK4 cross-check runs forward only")
-        out = _propagate_rk4(sigma, lam, y0, yq0, refine=refine, record=True)
-        y, yq = out["y"], out["yq"]
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return Trajectory(x=sigma.nodes, y=y, yq=yq, lam=complex(lam), direction=direction)
-
-
-def fundamental_pair(sigma: SigmaFunction, lam, method="exact", refine=1):
-    """Trajectories S (y(0)=0, y^{[1]}(0)=1) and C (y(0)=1, y^{[1]}(0)=0)."""
-    s = solve_cauchy(sigma, lam, 0.0, 1.0, method=method, refine=refine)
-    c = solve_cauchy(sigma, lam, 1.0, 0.0, method=method, refine=refine)
-    return s, c
-
-
-def lambda_derivative(sigma: SigmaFunction, lam, which="S") -> Trajectory:
-    """Samples of (d/dlambda y, d/dlambda y^{[1]}) for the fundamental solution `which`."""
-    if which not in ("S", "C"):
-        raise ValueError("which must be 'S' or 'C'")
-    y0, yq0 = (0.0, 1.0) if which == "S" else (1.0, 0.0)
-    _, _, dy, dyq = (x[:, 0] for x in node_values(sigma, [lam], y0, yq0, derivative=True))
-    return Trajectory(x=sigma.nodes, y=dy, yq=dyq, lam=complex(lam), direction="forward")
+    return ys, yqs
 
 
 def endpoint_data(sigma: SigmaFunction, lams, derivative=False) -> dict:

@@ -215,6 +215,10 @@ def solve_moment(system: MomentSystem, reg: float = 0.0, basis: Optional[ProbeBa
     return out if system.ws.ndim > 1 else out[0]
 
 
+def _deficiency(ratio) -> str:
+    return f"normalized moment design has singular-value ratio {ratio:.3e}"
+
+
 def _solve_one(design, rhs, u_mat, svals, vh, basis: ProbeBasis, reg, rank_tol,
                on_deficient):
     """One trial of `solve_moment` from the SVD of its design: the probe-series
@@ -224,7 +228,7 @@ def _solve_one(design, rhs, u_mat, svals, vh, basis: ProbeBasis, reg, rank_tol,
     ratio = smin / smax if smax > 0 else 0.0
     deficient = ratio <= rank_tol
     if deficient and on_deficient == "raise":
-        raise RankDeficient(f"normalized moment design has singular-value ratio {ratio:.3e}")
+        raise RankDeficient(_deficiency(ratio))
     coeff = u_mat.conj().T @ rhs
     if reg > 0:
         gains = svals / (svals**2 + reg)
@@ -338,11 +342,9 @@ def reconstruct(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
     else:
         n_modes = (sum(1 for k, _ in basis.h1_tags if k != "poly"),
                    sum(1 for k, _ in basis.h2_tags if k != "poly"))
-    try:
-        u = solve_moment(system, reg=reg, basis=basis, on_deficient="raise")
-    except RankDeficient as exc:
-        warn_msgs.append(str(exc))
-        u = solve_moment(system, reg=reg, basis=basis, on_deficient="truncate")
+    u = solve_moment(system, reg=reg, basis=basis, on_deficient="truncate")
+    if u.meta["deficient"]:
+        warn_msgs.append(_deficiency(u.meta["smin_ratio"]))
     if u.meta["smin_ratio"] < rank_warn:
         warn_msgs.append(
             f"moment design singular-value ratio {u.meta['smin_ratio']:.3e} below {rank_warn:.0e}"
@@ -420,8 +422,8 @@ def stability_experiment(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
     perturbed subspectra form one stack, solved by one `solve_moment` call
     with the rules of `reconstruct` (one f-evaluation, one design, one SVD).
     Each row records the product-space and component-wise errors against the
-    unperturbed solve, which runs on its own.  `noise_plan` checks `omegas`
-    and `trials`.
+    unperturbed solve, which runs on its own; its report is `base`.
+    `noise_plan` checks `omegas` and `trials`.
     """
     omegas = noise_plan(omegas, trials)
     rng = np.random.default_rng(seed)
@@ -470,4 +472,5 @@ def stability_experiment(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
         }
     pos = [summary[o]["ratio_vs_omega"] for o in omegas if o > 0]
     fitted_c = float(max(pos)) if pos else 0.0
-    return {"rows": rows, "summary": summary, "fitted_c": fitted_c, "seed": seed}
+    return {"rows": rows, "summary": summary, "fitted_c": fitted_c, "seed": seed,
+            "base": base.report}

@@ -222,43 +222,19 @@ def _true_degree(coeffs: np.ndarray) -> int:
 class EntirePair:
     """Evaluable pair (f1, f2) of entire functions of lambda.
 
-    `df1`/`df2` are optional lambda-derivatives (used by Newton refinement);
-    `alpha`, `bounds` are optional growth metadata; `descriptor` is a
-    serializable description of how the pair was built.
+    `joint(lam)` gives (f1, f2) from one evaluation; the optional
+    `djoint(lam)` gives (f1, f2, df1, df2), the lambda-derivatives that
+    Newton refinement uses; `descriptor` is a serializable description of
+    how the pair was built.
     """
 
-    f1: Callable
-    f2: Callable
-    df1: Optional[Callable] = None
-    df2: Optional[Callable] = None
-    alpha: Optional[float] = None
-    bounds: Optional[tuple] = None
+    joint: Callable
+    djoint: Optional[Callable] = None
     descriptor: Optional[dict] = None
-    joint: Optional[Callable] = None      # lam -> (f1, f2) in one evaluation
-    djoint: Optional[Callable] = None     # lam -> (f1, f2, df1, df2) in one evaluation
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)
-        if self.joint is not None:
-            v1, v2 = self.joint(lam)
-            return (np.asarray(v1, dtype=complex) + np.zeros_like(lam),
-                    np.asarray(v2, dtype=complex) + np.zeros_like(lam))
-        return (np.asarray(self.f1(lam), dtype=complex) + np.zeros_like(lam),
-                np.asarray(self.f2(lam), dtype=complex) + np.zeros_like(lam))
-
-    def jet(self, lam):
-        """(f1, f2, df1, df2) at `lam`, from one evaluation when `djoint` is set.
-
-        None when the pair carries no derivatives.
-        """
-        lam = np.asarray(lam, dtype=complex)
-        if self.djoint is not None:
-            return tuple(np.asarray(v, dtype=complex) + np.zeros_like(lam)
-                         for v in self.djoint(lam))
-        if self.df1 is None or self.df2 is None:
-            return None
-        return self(lam) + (np.asarray(self.df1(lam), dtype=complex) + np.zeros_like(lam),
-                            np.asarray(self.df2(lam), dtype=complex) + np.zeros_like(lam))
+        return tuple(np.asarray(v, dtype=complex) + np.zeros_like(lam) for v in self.joint(lam))
 
     def no_common_zero(self, lams, tol: float = 1e-9) -> bool:
         f1, f2 = self(lams)
@@ -267,14 +243,19 @@ class EntirePair:
 
     @classmethod
     def constant(cls, c1, c2) -> "EntirePair":
-        return cls(
-            f1=lambda lam, _c=complex(c1): np.full_like(np.asarray(lam, complex), _c),
-            f2=lambda lam, _c=complex(c2): np.full_like(np.asarray(lam, complex), _c),
-            df1=lambda lam: np.zeros_like(np.asarray(lam, complex)),
-            df2=lambda lam: np.zeros_like(np.asarray(lam, complex)),
-            descriptor={"kind": "constant", "f1": [complex(c1).real, complex(c1).imag],
-                        "f2": [complex(c2).real, complex(c2).imag]},
-        )
+        c1, c2 = complex(c1), complex(c2)
+
+        def joint(lam):
+            lam = np.asarray(lam, complex)
+            return np.full_like(lam, c1), np.full_like(lam, c2)
+
+        def djoint(lam):
+            zero = np.zeros_like(np.asarray(lam, complex))
+            return joint(lam) + (zero, zero)
+
+        return cls(joint=joint, djoint=djoint,
+                   descriptor={"kind": "constant", "f1": [c1.real, c1.imag],
+                               "f2": [c2.real, c2.imag]})
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from invsl.errors import NonUniqueWarning
 from invsl.forward import extract_cauchy, resample_cauchy
 from invsl.halfinverse import hl_entire_pair, hl_spectrum
 from invsl.moments import _as_grid
-from invsl.ode import _cell_matrices
+from invsl.ode import _cell_matrices, node_values
 from invsl.problems import hl_exclusion_instance, roundtrip_corpus
 from invsl.reconstruct import default_probe_modes, make_probe_basis, reconstruct
 from invsl.serialize import complex_array
@@ -51,6 +51,13 @@ def rt_robin(rt_problems):
 def exclusion_case():
     prob = hl_exclusion_instance()
     return RoundTrip("hl_exclusion", prob, count=52)
+
+
+def fundamental_nodes(sigma, lam):
+    """Node values (s, s1, c, c1) at one lambda of the fundamental solutions S,
+    with (y, y^{[1]})(0) = (0, 1), and C, with (1, 0): one `node_values` batch."""
+    y, yq = node_values(sigma, [lam, lam], [0.0, 1.0], [1.0, 0.0])
+    return y[:, 0], yq[:, 0], y[:, 1], yq[:, 1]
 
 
 def sequential_cells(sigma, lams, y0, v0, dlam=False):

@@ -11,12 +11,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import rel_l2
+from conftest import fundamental_nodes, rel_l2
 from invsl.cli import main
 from invsl.forward import char_pair, extract_cauchy, find_eigenvalues, make_delta, resample_cauchy
 from invsl.halfinverse import hl_reconstruct, hl_spectrum
 from invsl.moments import moment_identity_check, u_from_cauchy, xi_identity_residual
-from invsl.ode import fundamental_pair
 from invsl.problems import (
     forward_corpus,
     hl_step_instance,
@@ -60,8 +59,8 @@ def test_criterion_02_lagrange_identity():
         else:
             sig = SigmaFunction(0.5 * rng.standard_normal(513) + 0j, np.pi)
         lam = rng.uniform(0.2, 90) + (rng.uniform(-1, 1) * 1j if k % 4 == 0 else 0)
-        s, c = fundamental_pair(sig, lam)
-        worst = max(worst, float(np.max(np.abs(c.y * s.yq - c.yq * s.y - 1.0))))
+        s, s1, c, c1 = fundamental_nodes(sig, lam)
+        worst = max(worst, float(np.max(np.abs(c * s1 - c1 * s - 1.0))))
     assert worst <= 1e-8
     report(2, f"Lagrange identity residual {worst:.2e} <= 1e-8 on 20 draws")
 

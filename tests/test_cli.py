@@ -8,6 +8,9 @@ import pytest
 from conftest import assert_json_close, rel_l2
 from invsl import schemas
 from invsl.cli import main
+from invsl.forward import find_eigenvalues, make_delta
+from invsl.halfinverse import hl_entire_pair
+from invsl.problems import sigma_bump
 from invsl.serialize import (
     canonical_dumps,
     complex_array,
@@ -192,6 +195,40 @@ class TestStability:
         assert all(float(l.split(",")[2]) <= 1e-10 for l in zero_rows)
         noisy = [float(l.split(",")[2]) for l in lines[1:] if not l.startswith("0.0,")]
         assert all(v > 0 for v in noisy)
+        report = json.load(open(tmp_path / "a" / "stability_summary.json"))["report"]
+        assert report["non_unique"] is False and report["warnings"] == []
+
+    def test_strict_non_unique_base_exit4(self, tmp_path, capsys):
+        # the p = 2 density-deficit problem of the reconstruction tests: the
+        # base solve is not unique, which the report records and --strict
+        # turns into exit 4
+        right = (SigmaFunction.zero(np.pi, 512), BoundaryPolyPair([1.0], [0.4]))
+        sigma_left, left_pair = sigma_bump(512, amp=0.2), BoundaryPolyPair([0.9], [0.3, 1.0])
+        delta, ddelta = make_delta(sigma_left, left_pair, hl_entire_pair(*right))
+        spec = find_eigenvalues(delta, (-6.0, 540.0), ddelta=ddelta).take(40)
+        prob_file = write(tmp_path / "p.json", problem_to_json(
+            sigma_left, left_pair, hl_f_descriptor(*right), subspectrum=spec))
+        flags = ["--omega", "1e-3", "--trials", "2"]
+        for strict, code in ((False, 0), (True, 4)):
+            out = tmp_path / str(strict)
+            argv = ["stability", prob_file, *flags, "--out", str(out)] + ["--strict"] * strict
+            assert main(argv) == code
+            report = json.load(open(out / "stability_summary.json"))["report"]
+            assert report["non_unique"] is True
+            assert any("singular-value ratio" in w for w in report["warnings"])
+            assert (out / "stability.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("non-unique reconstruction: ") and "singular-value ratio" in err
+
+    def test_tol_reaches_the_eigenvalue_search(self, free_problem, tmp_path, capsys):
+        # a simplicity tolerance wider than the eigenvalue gaps merges roots,
+        # so fewer than --eigs remain: RootLoss, as in forward
+        out = tmp_path / "out"
+        assert main(["stability", free_problem, "--eigs", "12", "--trials", "2",
+                     "--out", str(out)]) == 0
+        assert main(["stability", free_problem, "--eigs", "12", "--trials", "2",
+                     "--tol", "1e3", "--out", str(out)]) == 3
+        assert "RootLoss" in capsys.readouterr().err
 
 
 class TestStabilityInput:

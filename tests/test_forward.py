@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import fundamental_nodes
 from invsl.errors import IllConditioned, PoleProximity
 from invsl.forward import (
     char_delta,
@@ -15,7 +16,6 @@ from invsl.forward import (
     _solve_family,
 )
 from invsl.halfinverse import hl_entire_pair
-from invsl.ode import fundamental_pair
 from invsl.problems import sigma_bump, sigma_step
 from invsl.reconstruct import deltas_from_cauchy
 from invsl.types import BoundaryPolyPair, EntirePair, SigmaFunction
@@ -67,10 +67,10 @@ class TestCharPair:
         pair = BoundaryPolyPair([0.2, 1.0], [0.5, 0.1])
         lam = np.array([2.5 + 0j])
         d0, d1 = char_pair(sig, pair, lam)
-        s, c = fundamental_pair(sig, 2.5)
+        s, s1, c, c1 = fundamental_nodes(sig, 2.5)
         p1, p2 = pair.p1(lam[0]), pair.p2(lam[0])
-        assert d1[0] == pytest.approx(p1 * c.yq[-1] - p2 * s.yq[-1], rel=1e-12)
-        assert d0[0] == pytest.approx(p1 * c.y[-1] - p2 * s.y[-1], rel=1e-12)
+        assert d1[0] == pytest.approx(p1 * c1[-1] - p2 * s1[-1], rel=1e-12)
+        assert d0[0] == pytest.approx(p1 * c[-1] - p2 * s[-1], rel=1e-12)
 
 
 class TestCharDelta:
@@ -185,9 +185,9 @@ class TestWeyl:
         lam = rng.uniform(0.3, 40, 20) + 0j
         m = weyl(sig, pair, lam)
         for i, lv in enumerate(lam):
-            s, c = fundamental_pair(sig, lv)
+            s, s1, c, c1 = fundamental_nodes(sig, lv)
             p1, p2 = pair.p1(lv), pair.p2(lv)
-            direct = (p1 * c.y[-1] - p2 * s.y[-1]) / (p1 * c.yq[-1] - p2 * s.yq[-1])
+            direct = (p1 * c[-1] - p2 * s[-1]) / (p1 * c1[-1] - p2 * s1[-1])
             assert m[i] == pytest.approx(direct, rel=1e-10)
 
     def test_poles_are_delta1_zeros(self):

@@ -17,6 +17,7 @@ from invsl.halfinverse import (
     psi_mid,
 )
 from invsl.moments import build_moment_system
+from invsl.ode import rk4_node_values
 from invsl.problems import (
     hl_exclusion_instance,
     hl_step_instance,
@@ -59,12 +60,11 @@ class TestPsiMid:
         lam = 3.3
         psi, psi_q = psi_mid(sig_right, right_pair, np.array([lam + 0j]))
         refl = sig_right.reflected()
-        from invsl.ode import solve_cauchy
-        s = solve_cauchy(refl, lam, 0.0, 1.0, method="rk4", refine=6)
-        c = solve_cauchy(refl, lam, 1.0, 0.0, method="rk4", refine=6)
+        s, s1 = (v[-1] for v in rk4_node_values(refl, lam, 0.0, 1.0, refine=6))
+        c, c1 = (v[-1] for v in rk4_node_values(refl, lam, 1.0, 0.0, refine=6))
         r1, r2 = right_pair.p1(lam), right_pair.p2(lam)
-        psi_ref = r1 * c.y[-1] + r2 * s.y[-1]
-        psi_q_ref = -(r1 * c.yq[-1] + r2 * s.yq[-1])
+        psi_ref = r1 * c + r2 * s
+        psi_q_ref = -(r1 * c1 + r2 * s1)
         assert psi[0] == pytest.approx(psi_ref, rel=1e-6)
         assert psi_q[0] == pytest.approx(psi_q_ref, rel=1e-6)
 
@@ -120,13 +120,19 @@ class TestPsiMid:
 
 
 class TestEntirePair:
-    def test_signs_and_alpha(self):
-        f = hl_entire_pair(SIGR0, BoundaryPolyPair([1.0], [0.0]))
+    def test_signs_and_joint(self):
+        right_pair = BoundaryPolyPair([1.0], [0.0])
+        f = hl_entire_pair(SIGR0, right_pair)
         lam = np.array([2.25 + 0j])
         f1, f2 = f(lam)
         assert f1[0] == pytest.approx(-np.cos(1.5 * np.pi), abs=1e-10)
         assert f2[0] == pytest.approx(1.5 * np.sin(1.5 * np.pi), abs=1e-10)
-        assert f.alpha == 0.0
+        # joint and djoint are psi_mid's values (and derivatives), f1 with flipped sign
+        psi, psi_q, dpsi, dpsi_q = psi_mid(SIGR0, right_pair, lam, derivative=True)
+        for got, want in zip(f.joint(lam), (-psi, psi_q)):
+            assert np.array_equal(got, want)
+        for got, want in zip(f.djoint(lam), (-psi, psi_q, -dpsi, dpsi_q)):
+            assert np.array_equal(got, want)
 
     def test_no_common_zeros_on_spectrum(self, exclusion_case):
         f1, f2 = exclusion_case.f(exclusion_case.spectrum.lambdas)

@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import sequential_cells
+from conftest import fundamental_nodes, sequential_cells
 from invsl import ode
 from invsl.errors import StepFailure
 from invsl.ode import (
     _BLOCK,
     _tree,
     endpoint_data,
-    fundamental_pair,
-    lambda_derivative,
     monodromy,
     node_values,
-    solve_cauchy,
+    rk4_node_values,
 )
 from invsl.problems import sigma_random_smooth, sigma_step
 from invsl.trig import cos_sinc_sqrt
@@ -26,49 +24,50 @@ def sig0():
 
 class TestClosedForms:
     def test_free_sine(self, sig0):
-        t = solve_cauchy(sig0, 1.0, 0.0, 1.0)
-        assert abs(t.y[-1]) <= 1e-8
-        assert abs(t.yq[-1] + 1.0) <= 1e-8
-        assert np.max(np.abs(t.y - np.sin(t.x))) <= 1e-10
+        y, yq = (v[:, 0] for v in node_values(sig0, [1.0], 0.0, 1.0))
+        assert abs(y[-1]) <= 1e-8
+        assert abs(yq[-1] + 1.0) <= 1e-8
+        assert np.max(np.abs(y - np.sin(sig0.nodes))) <= 1e-10
 
     def test_constant_sigma_shift(self):
         # q = sigma' = 0, so y = sin(rho x)/rho and only the quasi-derivative shifts
         c, rho = 0.7, 2.0
         sig = SigmaFunction(np.full(513, c, dtype=complex), np.pi)
-        t = solve_cauchy(sig, rho**2, 0.0, 1.0)
-        assert np.max(np.abs(t.y - np.sin(rho * t.x) / rho)) <= 1e-10
-        assert np.max(np.abs(t.yq - (np.cos(rho * t.x) - c * np.sin(rho * t.x) / rho))) <= 1e-10
+        y, yq = (v[:, 0] for v in node_values(sig, [rho**2], 0.0, 1.0))
+        x = sig.nodes
+        assert np.max(np.abs(y - np.sin(rho * x) / rho)) <= 1e-10
+        assert np.max(np.abs(yq - (np.cos(rho * x) - c * np.sin(rho * x) / rho))) <= 1e-10
 
     def test_lambda_zero(self, sig0):
-        s, c = fundamental_pair(sig0, 0.0)
-        assert np.max(np.abs(s.y - s.x)) <= 1e-10
-        assert np.max(np.abs(s.yq - 1.0)) <= 1e-10
-        assert np.max(np.abs(c.y - 1.0)) <= 1e-10
-        assert np.max(np.abs(c.yq)) <= 1e-10
+        s, s1, c, c1 = fundamental_nodes(sig0, 0.0)
+        assert np.max(np.abs(s - sig0.nodes)) <= 1e-10
+        assert np.max(np.abs(s1 - 1.0)) <= 1e-10
+        assert np.max(np.abs(c - 1.0)) <= 1e-10
+        assert np.max(np.abs(c1)) <= 1e-10
 
     def test_fundamental_pair_lam4(self, sig0):
-        s, c = fundamental_pair(sig0, 4.0)
-        assert abs(s.y[-1]) <= 1e-8                      # sin(2 pi)/2
-        assert abs(c.y[-1] - 1.0) <= 1e-8                # cos(2 pi)
-        assert abs(c.yq[-1]) <= 1e-8
+        s, _, c, c1 = fundamental_nodes(sig0, 4.0)
+        assert abs(s[-1]) <= 1e-8                        # sin(2 pi)/2
+        assert abs(c[-1] - 1.0) <= 1e-8                  # cos(2 pi)
+        assert abs(c1[-1]) <= 1e-8
 
 
 class TestStepSigma:
     def test_endpoint_vs_refined_rk4(self):
         sig = sigma_step(512, height=1.0)
-        coarse = solve_cauchy(sig, 4.0, 0.0, 1.0, method="rk4", refine=1)
-        fine = solve_cauchy(sig, 4.0, 0.0, 1.0, method="rk4", refine=4)
-        assert abs(coarse.y[-1] - fine.y[-1]) <= 1e-6
-        assert abs(coarse.yq[-1] - fine.yq[-1]) <= 1e-6
+        coarse = rk4_node_values(sig, 4.0, 0.0, 1.0, refine=1)
+        fine = rk4_node_values(sig, 4.0, 0.0, 1.0, refine=4)
+        assert abs(coarse[0][-1] - fine[0][-1]) <= 1e-6
+        assert abs(coarse[1][-1] - fine[1][-1]) <= 1e-6
 
     def test_exact_path_matches_rk4_oracle(self):
         # dual-route check: cell-exact propagator vs refined RK4 on the same object
         sig = sigma_step(256, height=1.0)
         for lam in (1.0, 4.0, 17.3, -2.0, 2.5 + 0.4j):
-            ex = solve_cauchy(sig, lam, 0.3, -0.8)
-            rk = solve_cauchy(sig, lam, 0.3, -0.8, method="rk4", refine=8)
-            assert abs(ex.y[-1] - rk.y[-1]) <= 2e-9 * max(1, abs(rk.y[-1]))
-            assert abs(ex.yq[-1] - rk.yq[-1]) <= 2e-9 * max(1, abs(rk.yq[-1]))
+            ex = [v[-1, 0] for v in node_values(sig, [lam], 0.3, -0.8)]
+            rk = [v[-1] for v in rk4_node_values(sig, lam, 0.3, -0.8, refine=8)]
+            assert abs(ex[0] - rk[0]) <= 2e-9 * max(1, abs(rk[0]))
+            assert abs(ex[1] - rk[1]) <= 2e-9 * max(1, abs(rk[1]))
 
 
 class TestWronskian:
@@ -84,16 +83,16 @@ class TestWronskian:
             else:
                 sig = SigmaFunction(rng.standard_normal(513) * 0.4 + 0j, np.pi)
             lam = rng.uniform(0.2, 80) + (rng.uniform(-0.5, 0.5) if k % 2 else 0.0) * 1j
-            s, c = fundamental_pair(sig, lam)
-            residual = np.max(np.abs(c.y * s.yq - c.yq * s.y - 1.0))
+            s, s1, c, c1 = fundamental_nodes(sig, lam)
+            residual = np.max(np.abs(c * s1 - c1 * s - 1.0))
             assert residual <= 1e-8
 
 
 class TestLambdaDerivative:
     def test_closed_form_at_free(self, sig0):
         # d/dlambda [sin(rho pi)/rho] at lambda = 1 equals -pi/2
-        d = lambda_derivative(sig0, 1.0, "S")
-        assert d.y[-1] == pytest.approx(-np.pi / 2, rel=1e-7)
+        _, _, dy, _ = node_values(sig0, [1.0], 0.0, 1.0, derivative=True)
+        assert dy[-1, 0] == pytest.approx(-np.pi / 2, rel=1e-7)
 
     def test_finite_difference_cross_check(self):
         sig = sigma_random_smooth(256, scale=0.6, seed=4)
@@ -104,8 +103,8 @@ class TestLambdaDerivative:
             assert abs(fd - e["d" + key][2]) <= 1e-5 * max(1, abs(fd))
 
     def test_regular_at_lambda_zero(self, sig0):
-        d = lambda_derivative(sig0, 0.0, "C")
-        assert np.all(np.isfinite(d.y)) and np.all(np.isfinite(d.yq))
+        _, _, dy, dyq = node_values(sig0, [0.0], 1.0, 0.0, derivative=True)
+        assert np.all(np.isfinite(dy)) and np.all(np.isfinite(dyq))
 
 
 class TestProperties:
@@ -121,29 +120,29 @@ class TestProperties:
         # error by >= 8 (order >= 3; classical RK4 gives ~16)
         sig = sigma_random_smooth(64, scale=0.8, seed=2)
         lam = 9.0
-        ref = solve_cauchy(sig, lam, 0.0, 1.0)          # cell-exact reference
+        ref = [v[-1, 0] for v in node_values(sig, [lam], 0.0, 1.0)]   # cell-exact
         errs = []
         for refine in (1, 2, 4):
-            t = solve_cauchy(sig, lam, 0.0, 1.0, method="rk4", refine=refine)
-            errs.append(abs(t.y[-1] - ref.y[-1]) + abs(t.yq[-1] - ref.yq[-1]))
+            y, yq = rk4_node_values(sig, lam, 0.0, 1.0, refine=refine)
+            errs.append(abs(y[-1] - ref[0]) + abs(yq[-1] - ref[1]))
         assert errs[0] / errs[1] >= 8
         assert errs[1] / errs[2] >= 8
 
     def test_backward_is_reflected_forward(self, sig0):
-        t = solve_cauchy(sig0, 4.0, 1.0, 0.0, direction="backward")
-        assert np.max(np.abs(t.y - np.cos(2 * (np.pi - t.x)))) <= 1e-10
+        y, _ = node_values(sig0, [4.0], 1.0, 0.0, direction="backward")
+        assert np.max(np.abs(y[:, 0] - np.cos(2 * (np.pi - sig0.nodes)))) <= 1e-10
 
     def test_step_failure_on_overflow(self):
         sig = SigmaFunction.zero(np.pi, 64)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(StepFailure):
-                solve_cauchy(sig, -1e8, 0.0, 1.0)
+                node_values(sig, [-1e8], 0.0, 1.0)
 
     def test_determinism(self):
         sig = sigma_random_smooth(128, seed=5)
-        a = solve_cauchy(sig, 7.7, 0.1, 0.9)
-        b = solve_cauchy(sig, 7.7, 0.1, 0.9)
-        assert np.array_equal(a.y, b.y) and np.array_equal(a.yq, b.yq)
+        a = node_values(sig, [7.7], 0.1, 0.9)
+        b = node_values(sig, [7.7], 0.1, 0.9)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 # Tree against loop: the pairwise product reorders the same cell products, so

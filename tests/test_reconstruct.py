@@ -227,6 +227,29 @@ class TestReconstruct:
         assert np.max(np.abs(res.cauchy.g)) <= 1e-5
         assert np.max(np.abs(res.cauchy.a)) <= 1e-5
 
+    def test_deficient_design_solved_once(self, monkeypatch):
+        # the truncating solve's own report flags the collapse: one solve, and
+        # the warnings name the equation shortfall and the singular-value ratio
+        calls = []
+        solve = reconstruct_module.solve_moment
+
+        def counting_solve(*args, **kwargs):
+            calls.append(kwargs.get("on_deficient"))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(reconstruct_module, "solve_moment", counting_solve)
+        sub = Subspectrum((np.arange(1, 41) - 0.5) ** 2 + 0j)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = reconstruct(1, F01, sub, 128)
+        assert calls == ["truncate"]
+        ratio = res.report["smin_ratio"]
+        texts = ["only 40 equations for natural dimension 83",
+                 f"normalized moment design has singular-value ratio {ratio:.3e}",
+                 f"moment design singular-value ratio {ratio:.3e} below 1e-08"]
+        assert [str(w.message) for w in caught if w.category is NonUniqueWarning] == texts
+        assert res.report["warnings"] == texts and res.report["non_unique"]
+
     def test_full_pipeline_on_corpus(self, rt_robin):
         res = reconstruct(1, rt_robin.f, rt_robin.spectrum, 128)
         oracle = rt_robin.oracle_on(128)

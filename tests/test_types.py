@@ -185,11 +185,10 @@ def test_branch_sqrt_negative_real_axis():
 def test_entire_pair_common_zero_screen():
     from invsl.types import EntirePair
 
-    f = EntirePair(f1=lambda lam: np.cos(np.sqrt(lam) * np.pi),
-                   f2=lambda lam: np.sin(np.sqrt(lam) * np.pi))
+    f = EntirePair(lambda lam: (np.cos(np.sqrt(lam) * np.pi), np.sin(np.sqrt(lam) * np.pi)))
     # cos and sin never vanish together
     assert f.no_common_zero(np.linspace(0.3, 20, 37) + 0j)
-    g = EntirePair(f1=lambda lam: lam - 4.0, f2=lambda lam: (lam - 4.0) ** 2)
+    g = EntirePair(lambda lam: (lam - 4.0, (lam - 4.0) ** 2))
     assert not g.no_common_zero(np.array([4.0 + 0j]))
 
 
