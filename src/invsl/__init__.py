@@ -20,7 +20,6 @@ from .errors import (  # noqa: F401
     NormalizationViolation,
     ParityMismatch,
     PoleProximity,
-    RankDeficient,
     RootLoss,
     SchemaError,
     StepFailure,

@@ -99,29 +99,11 @@ def cmd_forward(args) -> int:
     return 0
 
 
-def _run_reconstruct(p, f, sub, args, input_obj, extra_report=None, spectrum=None):
-    caught = []
-    with warnings.catch_warnings(record=True) as wlist:
-        warnings.simplefilter("always")
-        result = reconstruct(p, f, sub, args.grid, reg=args.reg)
-        caught = [str(w.message) for w in wlist if issubclass(w.category, NonUniqueWarning)]
-
-    meta = meta_block(input_obj, grid_m=args.grid, reg=args.reg)
-    payload = {"schema": "invsl/cauchy-v1", "meta": meta}
-    payload.update(cauchy_to_json(result.cauchy))
-    _write(args.out, "cauchy_recovered.json", payload)
-    report = dict(result.report)
-    if extra_report:
-        report.update(extra_report)
-    if spectrum is not None:
-        _write(args.out, "spectrum.json", {
-            "schema": "invsl/spectrum-v1", "meta": meta,
-            "lambdas": encode_array(spectrum.lambdas),
-        })
-    _write(args.out, getattr(args, "report", "report.json"),
-           {"schema": "invsl/report-v1", "meta": meta, "report": report})
-    if caught and args.strict:
-        print("non-unique reconstruction: " + "; ".join(caught), file=sys.stderr)
+def _strict_exit(report: dict, args) -> int:
+    """EXIT_NON_UNIQUE, with the report's warnings on stderr, when `report`
+    is flagged non-unique under --strict; 0 otherwise."""
+    if report["non_unique"] and args.strict:
+        print("non-unique reconstruction: " + "; ".join(report["warnings"]), file=sys.stderr)
         return EXIT_NON_UNIQUE
     return 0
 
@@ -131,7 +113,14 @@ def cmd_reconstruct(args) -> int:
     sub_obj = _load(args.subspectrum, "subspectrum-v1")
     _, pair, f, _ = problem_from_json(obj)
     sub = subspectrum_from_json(sub_obj["lambdas"])
-    return _run_reconstruct(pair.p, f, sub, args, {"problem": obj, "subspectrum": sub_obj})
+    result = reconstruct(pair.p, f, sub, args.grid, reg=args.reg)
+    meta = meta_block({"problem": obj, "subspectrum": sub_obj}, grid_m=args.grid, reg=args.reg)
+    payload = {"schema": "invsl/cauchy-v1", "meta": meta}
+    payload.update(cauchy_to_json(result.cauchy))
+    _write(args.out, "cauchy_recovered.json", payload)
+    _write(args.out, args.report,
+           {"schema": "invsl/report-v1", "meta": meta, "report": result.report})
+    return _strict_exit(result.report, args)
 
 
 def cmd_hl(args) -> int:
@@ -139,12 +128,8 @@ def cmd_hl(args) -> int:
     problem = two_sided_from_json(obj)
     spec = hl_spectrum(problem, args.eigs)
     sigma_left, sigma_right = problem.halves()
-    caught = []
-    with warnings.catch_warnings(record=True) as wlist:
-        warnings.simplefilter("always")
-        result = hl_reconstruct(sigma_right, problem.right_pair, problem.p,
-                                spec, args.drop, args.grid, reg=args.reg)
-        caught = [str(w.message) for w in wlist]
+    result = hl_reconstruct(sigma_right, problem.right_pair, problem.p,
+                            spec, args.drop, args.grid, reg=args.reg)
 
     meta = meta_block(obj, grid_m=args.grid, eigs=args.eigs, drop=args.drop)
     _write(args.out, "spectrum.json", {
@@ -156,10 +141,7 @@ def cmd_hl(args) -> int:
     _write(args.out, "cauchy_recovered.json", payload)
     _write(args.out, "report.json",
            {"schema": "invsl/report-v1", "meta": meta, "report": result.report})
-    if result.report["non_unique"] and args.strict:
-        print("non-unique reconstruction: " + "; ".join(caught), file=sys.stderr)
-        return EXIT_NON_UNIQUE
-    return 0
+    return _strict_exit(result.report, args)
 
 
 def _fmt(x: float) -> str:
@@ -175,11 +157,8 @@ def cmd_stability(args) -> int:
     sigma, pair, f, sub = problem_from_json(obj)
     if sub is None:
         sub = _eigenvalues(obj, sigma, pair, f, args)
-    with warnings.catch_warnings(record=True) as wlist:
-        warnings.simplefilter("always")
-        out = stability_experiment(pair.p, f, sub, args.grid, omegas,
-                                   trials=args.trials, seed=args.seed, reg=args.reg)
-        caught = [str(w.message) for w in wlist if issubclass(w.category, NonUniqueWarning)]
+    out = stability_experiment(pair.p, f, sub, args.grid, omegas,
+                               trials=args.trials, seed=args.seed, reg=args.reg)
     lines = ["omega,trial,err_u,err_j,err_g,err_a"]
     for row in out["rows"]:
         lines.append(",".join([_fmt(row["omega"]), str(row["trial"]),
@@ -195,10 +174,7 @@ def cmd_stability(args) -> int:
                    "non_unique": out["base"]["non_unique"],
                    "warnings": out["base"]["warnings"]},
     })
-    if caught and args.strict:
-        print("non-unique reconstruction: " + "; ".join(caught), file=sys.stderr)
-        return EXIT_NON_UNIQUE
-    return 0
+    return _strict_exit(out["base"], args)
 
 
 def cmd_diagnose(args) -> int:
@@ -301,7 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # the reports record non-uniqueness; --strict reads it from there
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonUniqueWarning)
+            return args.fn(args)
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -26,7 +26,13 @@ class StepFailure(InvslError):
 
 
 class RootLoss(InvslError):
-    """Root count from the argument principle disagrees with the refined roots found."""
+    """Eigenvalues were lost or could not be certified.
+
+    Raised when fewer roots are found than requested, when an index bracket
+    or the duplicate/residual screen would change eigenvalue indices, when
+    the cells are too coarse to count oscillations, and when the argument
+    principle disagrees with the refined roots.
+    """
 
 
 class PoleProximity(InvslError):
@@ -35,10 +41,6 @@ class PoleProximity(InvslError):
 
 class IllConditioned(InvslError):
     """A least-squares design matrix is numerically singular beyond the allowed tolerance."""
-
-
-class RankDeficient(InvslError):
-    """Moment system rows are numerically dependent; the solve cannot proceed reliably."""
 
 
 class DuplicateEigenvalue(InvslError):

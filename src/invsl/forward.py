@@ -499,9 +499,15 @@ def resample_cauchy(data: CauchyData, grid_m: int) -> CauchyData:
     return CauchyData(j=j, g=g, a=data.a.copy(), series=data.series, meta=data.meta)
 
 
+# The extraction fit: monomial degrees below _EXTRACT_POLY per family (the
+# cosine family starts at degree 1, its constant being a trig mode), and
+# samples at rho = 1/2, 1, ..., n_modes + _EXTRACT_OVERSAMPLE.
+_EXTRACT_POLY = 3
+_EXTRACT_OVERSAMPLE = 10
+
+
 def extract_cauchy(sigma: SigmaFunction, pair: BoundaryPolyPair,
-                   n_modes: int = 64, n_poly: int = 3, oversample: int = 10,
-                   grid_m: Optional[int] = None) -> CauchyData:
+                   n_modes: int = 64, grid_m: Optional[int] = None) -> CauchyData:
     """Extract {J, G, A1..Ap} from characteristic-function samples.
 
     Delta0 and Delta1 are sampled at rho in {0.5, 1.0, 1.5, ...} (both integer
@@ -519,7 +525,7 @@ def extract_cauchy(sigma: SigmaFunction, pair: BoundaryPolyPair,
     if abs(sigma.interval_length - np.pi) > 1e-12:
         raise ValueError("Cauchy-data extraction expects a problem on [0, pi]")
     diag = validate_rp(pair)
-    rho = 0.5 * np.arange(1, 2 * (n_modes + oversample) + 1)
+    rho = 0.5 * np.arange(1, 2 * (n_modes + _EXTRACT_OVERSAMPLE) + 1)
     lam = rho.astype(complex) ** 2
     d0, d1 = char_pair(sigma, pair, lam)
 
@@ -528,19 +534,19 @@ def extract_cauchy(sigma: SigmaFunction, pair: BoundaryPolyPair,
         n1 = pair.n1
         # Delta1 family: sine kernel plus odd-indexed constants
         rhs1 = d1 / lam ** (n1 + 1) + np.pi * sinc(rho * np.pi) / 1.0
-        fam1 = _Family("sin", n_modes, tuple(range(0, n_poly)), n1 + 1)
+        fam1 = _Family("sin", n_modes, tuple(range(0, _EXTRACT_POLY)), n1 + 1)
         pw1 = [n - (n1 + 1) for n in range(0, n1 + 1)]
         # Delta0 family: cosine kernel plus even-indexed constants
         rhs0 = d0 / lam ** n1 - np.cos(rho * np.pi)
-        fam0 = _Family("cos", n_modes, tuple(range(1, n_poly)), n1)
+        fam0 = _Family("cos", n_modes, tuple(range(1, _EXTRACT_POLY)), n1)
         pw0 = [n - n1 for n in range(0, n1)]
     else:
         n2 = pair.n2
         rhs1 = d1 / lam ** n2 + np.cos(rho * np.pi)
-        fam1 = _Family("cos", n_modes, tuple(range(1, n_poly)), n2)
+        fam1 = _Family("cos", n_modes, tuple(range(1, _EXTRACT_POLY)), n2)
         pw1 = [n - n2 for n in range(0, n2)]
         rhs0 = d0 / lam ** n2 + np.pi * sinc(rho * np.pi)
-        fam0 = _Family("sin", n_modes, tuple(range(0, n_poly)), n2)
+        fam0 = _Family("sin", n_modes, tuple(range(0, _EXTRACT_POLY)), n2)
         pw0 = [n - n2 for n in range(0, n2)]
 
     a1, names1, t1 = _design_columns(fam1, rho, lam, pw1)
@@ -565,5 +571,5 @@ def extract_cauchy(sigma: SigmaFunction, pair: BoundaryPolyPair,
         "g": list(zip([n for n in names0[:nk0]], x0[:nk0].tolist())),
     }
     meta = {"cond": (cond1, cond0), "residual": (res1, res0),
-            "n_modes": n_modes, "n_poly": n_poly}
+            "n_modes": n_modes, "n_poly": _EXTRACT_POLY}
     return CauchyData(j=j_kernel, g=g_kernel, a=a_vec, series=series, meta=meta)

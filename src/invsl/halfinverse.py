@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -111,10 +110,11 @@ def hl_entire_pair(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair) -> 
                       descriptor={"kind": "hl_right_half", "r": right_pair.p})
 
 
-def hl_window(count: int, p: int, r: int, margin: float = 2.0):
-    """Real search window covering the first `count` eigenvalues."""
-    top = (0.5 * count - 0.25 * (p + r) + margin) ** 2
-    return (-max(4.0, margin**2), float(top))
+def hl_window(count: int, p: int, r: int):
+    """Real search window covering the first `count` eigenvalues, with a
+    margin of 2 in sqrt(lambda) above them."""
+    top = (0.5 * count - 0.25 * (p + r) + 2.0) ** 2
+    return (-4.0, float(top))
 
 
 def _root_lifts(pair: BoundaryPolyPair, lam, sign: float):
@@ -175,30 +175,26 @@ def count_below(problem: TwoSidedProblem, lam) -> np.ndarray:
     return changes + (end > beta) + _root_lifts(left, lam, -1.0) + _root_lifts(right, lam, 1.0)
 
 
-def hl_spectrum(problem: TwoSidedProblem, count: int,
-                window=None, scan_step: float = 0.02) -> Subspectrum:
+def hl_spectrum(problem: TwoSidedProblem, count: int) -> Subspectrum:
     """First `count` eigenvalues of the two-sided problem, by index.
 
     Bracket k starts at rho = (k + 1)/2 - (p + r)/4 +- 1/4, is certified to
     hold eigenvalue k alone by `count_below` and refined by Newton.  Where
     the count can fall as lambda grows (a boundary pair that is not
     Herglotz, complex data, or a count found not monotone), a dense scan of
-    `window` with step `scan_step` in sqrt(lambda) stands in, and the result
-    has `fallback` set.
+    `hl_window` stands in, and the result has `fallback` set.
     """
     problem.require_odd()
     sigma_left, sigma_right = problem.halves()
     f = hl_entire_pair(sigma_right, problem.right_pair)
     delta, ddelta = make_delta(sigma_left, problem.left_pair, f)
-    if window is None:
-        window = hl_window(count, problem.p, problem.r)
+    window = hl_window(count, problem.p, problem.r)
     index = None
     if (problem.sigma_full.is_real() and _herglotz(problem.left_pair, -1.0)
             and _herglotz(problem.right_pair, 1.0)):
         ends = 0.5 * np.arange(count + 1) + 0.25 - 0.25 * (problem.p + problem.r)
         index = (lambda lam: count_below(problem, lam), ends)
-    spec = find_eigenvalues(delta, window, count=count, ddelta=ddelta, scan_step=scan_step,
-                            index=index)
+    spec = find_eigenvalues(delta, window, count=count, ddelta=ddelta, index=index)
     if len(spec) < count:
         raise RootLoss(f"found {len(spec)} eigenvalues in {window}, need {count}")
     return spec if index is not None else replace(spec, fallback=True)
@@ -206,13 +202,13 @@ def hl_spectrum(problem: TwoSidedProblem, count: int,
 
 def hl_reconstruct(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair,
                    p: int, spectrum: Subspectrum, drop: int, grid,
-                   reg: float = 0.0, n_modes: Optional[int] = None,
-                   rank_evidence: bool = True) -> ReconstructionResult:
+                   reg: float = 0.0) -> ReconstructionResult:
     """Left-half Cauchy data from the spectrum with the first `drop` values excluded.
 
-    `drop` up to (r - p)/2 keeps uniqueness; beyond that the report's
-    completeness evidence degrades and NonUniqueWarning is emitted by the
-    underlying solve.
+    `drop` up to (r - p)/2 keeps uniqueness; beyond that the completeness
+    evidence collapses.  A collapse or a drop beyond the rule is added to the
+    report's `warnings`, sets `non_unique` and emits NonUniqueWarning, as
+    `reconstruct` does for its own findings.
     """
     if p % 2 == 0 or right_pair.p % 2 == 0:
         raise ParityMismatch("the half-inverse driver ships for odd boundary degrees only")
@@ -220,21 +216,19 @@ def hl_reconstruct(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair,
     allowed = (r - p) // 2
     f = hl_entire_pair(sigma_right, right_pair)
     used = spectrum.drop_first(drop)
-    result = reconstruct(p, f, used, grid, reg=reg, n_modes=n_modes)
-    result.report["drop"] = drop
-    result.report["drop_allowed"] = allowed
-    if rank_evidence:
-        comp = completeness_ratio(result.system)
-        result.report["completeness"] = comp
-        if comp["gram_ratio"] <= 1e-8:
-            msg = (f"completeness evidence collapsed (gram ratio {comp['gram_ratio']:.2e}); "
-                   "the subspectrum no longer determines the data")
-            result.report["non_unique"] = True
-            result.report["warnings"].append(msg)
-            warnings.warn(msg, category=NonUniqueWarning, stacklevel=2)
+    result = reconstruct(p, f, used, grid, reg=reg)
+    report = result.report
+    report["drop"] = drop
+    report["drop_allowed"] = allowed
+    report["completeness"] = comp = completeness_ratio(result.system)
+    msgs = []
+    if comp["gram_ratio"] <= 1e-8:
+        msgs.append(f"completeness evidence collapsed (gram ratio {comp['gram_ratio']:.2e}); "
+                    "the subspectrum no longer determines the data")
     if drop > allowed:
-        msg = f"dropping {drop} > (r-p)/2 = {allowed} eigenvalues loses uniqueness"
-        result.report["non_unique"] = True
-        result.report["warnings"].append(msg)
+        msgs.append(f"dropping {drop} > (r-p)/2 = {allowed} eigenvalues loses uniqueness")
+    for msg in msgs:
+        report["non_unique"] = True
+        report["warnings"].append(msg)
         warnings.warn(msg, category=NonUniqueWarning, stacklevel=2)
     return result

@@ -6,12 +6,12 @@ cell k, with a closed-form constant-coefficient 2x2 transfer matrix (the
 Pruess piecewise-constant-coefficient method).  Endpoint values come from the
 monodromy matrix, the ordered product of all cell matrices, reduced pairwise
 in log2(m) vectorized steps over the whole lambda batch; node-by-node
-trajectories come from a down-sweep over the levels of that same tree
-(adjugates of suffix products for backward runs).  Cost is independent
-of |lambda| and the Lagrange identity (det of the monodromy = 1) holds to
-rounding.  On the real axis (real sigma, every lambda of the batch real) the
-cell matrices and their product are computed in float64, elsewhere in
-complex128; endpoint values are returned as complex128 in both cases.
+trajectories, forward from x = 0, come from a down-sweep over the levels of
+that same tree.  Cost is independent of |lambda| and the Lagrange identity
+(det of the monodromy = 1) holds to rounding.  On the real axis (real sigma,
+every lambda of the batch real) the cell matrices and their product are
+computed in float64, elsewhere in complex128; endpoint values are returned
+as complex128 in both cases.
 
 A classical RK4 path over the same piecewise-linear sigma is kept as an
 independent cross-check (`rk4_node_values`); it converges at order 4 to the
@@ -101,47 +101,22 @@ def _apply(mats, vec):
     return m00 * y + m01 * v, m10 * y + m11 * v
 
 
-def _adjugate(mats):
-    """adj [[a, b], [c, d]] = [[d, -b], [-c, a]], the inverse when det = 1."""
-    a, b, c, d = mats
-    return d, -b, -c, a
-
-
-def _sweep(levels, vec, backward=False):
+def _sweep(levels, vec):
     """Vectors at every node of the product that the tree levels hold.
 
-    Forward, `vec` is the vector at the first node, and the later child of
-    every pair starts where its earlier child takes the pair's start.
-    Backward, `vec` is the vector at the last node, and the earlier child ends
-    where the adjugate (det = 1: the inverse) of the later child takes the
-    pair's end.  `vec` is (y, y') plus (dy, dy') = 0 when the levels carry
-    derivatives.  Returns the vectors at the start (forward) or end
-    (backward) of every leaf, padding included, and the one at the opposite
-    end of the product, in the layout of `vec` with a leading node axis.
+    `vec` is the vector at the first node, and the later child of every pair
+    starts where its earlier child takes the pair's start.  Returns the
+    vectors at the start of every leaf, padding included, and the one at the
+    end of the product, as (y, y') with a leading node axis.
     """
-    pick = slice(1, None, 2) if backward else slice(0, None, 2)
     vals = tuple(x[None] for x in vec)
-    # the full product gives the node beyond the leaves' starts (ends)
-    full, dfull = levels[-1]
-    if backward:
-        full = _adjugate(full)
-    extra = _apply(full, vals[:2])
-    if dfull is not None:
-        extra += _apply(_adjugate(dfull) if backward else dfull, vals[:2])
-    for mats, dmats in reversed(levels[:-1]):
+    last = _apply(levels[-1][0], vals)
+    for mats, _ in reversed(levels[:-1]):
         vals = tuple(x[:mats[0].shape[0] // 2] for x in vals)
-        half = tuple(x[pick] for x in mats)
-        if backward:
-            half = _adjugate(half)
-        moved = _apply(half, vals[:2])
-        if dmats is not None:
-            dhalf = tuple(x[pick] for x in dmats)
-            if backward:
-                dhalf = _adjugate(dhalf)
-            moved += tuple(p + q for p, q in zip(_apply(dhalf, vals[:2]), _apply(half, vals[2:])))
-        pairs = zip(moved, vals) if backward else zip(vals, moved)
-        vals = tuple(np.stack(pair, axis=1).reshape((-1,) + pair[0].shape[1:]) for pair in pairs)
-    return vals, extra
+        moved = _apply(tuple(x[0::2] for x in mats), vals)
+        vals = tuple(np.stack(pair, axis=1).reshape((-1,) + pair[0].shape[1:])
+                     for pair in zip(vals, moved))
+    return vals, last
 
 
 def _real_axis(sigma: SigmaFunction, *arrays) -> bool:
@@ -180,50 +155,39 @@ def monodromy(sigma: SigmaFunction, lams, derivative=False):
     return m
 
 
-def node_values(sigma: SigmaFunction, lams, y0, yq0, derivative=False, direction="forward"):
-    """(y, y^{[1]}) at every node for a batch of lambdas.
+def node_values(sigma: SigmaFunction, lams, y0, yq0):
+    """(y, y^{[1]}) at every node for a batch of lambdas, forward from x = 0.
 
-    The solution takes the values (y0, yq0) at x = 0 (forward) or at x = X
-    (backward); they broadcast against the lambdas and may depend on them,
-    but the lambda-derivatives (with `derivative`) treat them as constants.
-    The same cell matrices as in `monodromy` are reduced by the same tree,
-    whose levels a down-sweep then applies to the start (or, through
-    adjugates, the end) vector: 2 log2(m) vectorized steps per block of
-    lambdas.  Returns (y, yq), or (y, yq, dy, dyq) with `derivative`, each of
-    shape (m + 1,) + lam.shape: float64 when sigma, the lambdas and the
-    start values are real, complex128 otherwise.
+    The solution takes the values (y0, yq0) at x = 0; they broadcast against
+    the lambdas and may depend on them.  The same cell matrices as in
+    `monodromy` are reduced by the same tree, whose levels a down-sweep then
+    applies to the start vector: 2 log2(m) vectorized steps per block of
+    lambdas.  Returns (y, yq), each of shape (m + 1,) + lam.shape: float64
+    when sigma, the lambdas and the start values are real, complex128
+    otherwise.
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"unknown direction {direction!r}")
-    backward = direction == "backward"
     lam = np.atleast_1d(np.asarray(lams))
     y0, yq0 = (np.broadcast_to(np.asarray(x), lam.shape) for x in (y0, yq0))
     real = _real_axis(sigma, lam, y0, yq0)
     dtype = float if real else complex
     lam, y0, yq0 = (x.real.astype(float) if real else x.astype(complex) for x in (lam, y0, yq0))
     sig = sigma.samples.real if real else sigma.samples
-    # y' = y^[1] + sigma y at the starting node
+    # y' = y^[1] + sigma y at x = 0
     flat = lam.ravel()
     start_y = y0.ravel()
-    start_v = yq0.ravel() + (sig[-1] if backward else sig[0]) * start_y
-    out = np.empty((4 if derivative else 2, sigma.m + 1, flat.size), dtype=dtype)
+    start_v = yq0.ravel() + sig[0] * start_y
+    out = np.empty((2, sigma.m + 1, flat.size), dtype=dtype)
     for start in range(0, flat.size, _BLOCK):
         block = slice(start, start + _BLOCK)
-        vec = (start_y[block], start_v[block])
-        if derivative:
-            vec += (np.zeros_like(vec[0]), np.zeros_like(vec[0]))
-        levels = _tree(*_cell_matrices(sigma, flat[block], derivative))
-        leaves, far = _sweep(levels, vec, backward)
-        out[:, slice(1, None) if backward else slice(0, -1), block] = [x[:sigma.m] for x in leaves]
-        out[:, 0 if backward else -1, block] = [x[0] for x in far]
+        levels = _tree(*_cell_matrices(sigma, flat[block]))
+        leaves, last = _sweep(levels, (start_y[block], start_v[block]))
+        out[:, :-1, block] = [x[:sigma.m] for x in leaves]
+        out[:, -1, block] = [x[0] for x in last]
     if not np.all(np.isfinite(out)):
         raise StepFailure("propagation produced non-finite values; lambda or sigma out of range")
     out = out.reshape(out.shape[:2] + lam.shape)
     sig = sig.reshape((-1,) + (1,) * lam.ndim)
-    res = [out[0], out[1] - sig * out[0]]
-    if derivative:
-        res += [out[2], out[3] - sig * out[2]]
-    return tuple(res)
+    return out[0], out[1] - sig * out[0]
 
 
 def _to_quasi(t, sig0, sig1):

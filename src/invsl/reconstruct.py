@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonUniqueWarning, RankDeficient
+from .errors import NonUniqueWarning
 from .forward import weyl_ratio
 from .moments import MomentSystem, build_moment_system, slot_layout, u_from_cauchy, _as_grid
 from .trig import (
@@ -35,6 +35,13 @@ from .types import (
     Subspectrum,
     branch_sqrt,
 )
+
+# Monomial columns per kernel component of the default probe basis.
+_N_POLY = 3
+# Singular values at or below this fraction of the largest are truncated.
+_RANK_TOL = 1e-12
+# A smaller singular-value ratio marks a reconstruction as non-unique.
+_RANK_WARN = 1e-8
 
 
 # ----------------------------------------------------------------------------
@@ -93,7 +100,7 @@ def _whiten(gram: np.ndarray, tol: float = 1e-11) -> np.ndarray:
     return vecs[:, keep] / np.sqrt(vals[keep])[None, :]
 
 
-def make_probe_basis(p: int, n_modes, n_poly: int = 3,
+def make_probe_basis(p: int, n_modes, n_poly: int = _N_POLY,
                      freq_step: float = 1.0) -> ProbeBasis:
     """Probe family per kernel component, orthonormalized by eigen-whitening.
 
@@ -159,53 +166,44 @@ def moment_design(system: MomentSystem, basis: ProbeBasis):
     return design, rhs
 
 
-def default_probe_modes(n_rows: int, p: int, n_poly: int = 3, margin: int = 2,
-                        band: Optional[float] = None):
-    """Trig budget split between the components, keeping rows >= columns.
+def default_basis(subspectrum: Subspectrum, p: int) -> ProbeBasis:
+    """The probe basis of a reconstruction from `subspectrum`, rows >= columns.
 
-    The sine-type component leans on the monomial columns for its structural
-    part and decays quickly, so the cosine-type component gets the larger
-    share of the modes.  Frequencies are additionally capped two units below
-    the subspectrum bandwidth `band`: probe modes beyond the highest data
-    frequency are invisible to the rows and would poison the conditioning.
+    The trig budget is what the rows leave after the p scalar slots, the
+    monomial columns and a margin of two.  The sine-type component leans on
+    the monomial columns for its structural part and decays quickly, so the
+    cosine-type component gets the larger share of the modes.  Frequencies
+    are capped two units below the subspectrum bandwidth: probe modes beyond
+    the highest data frequency are invisible to the rows and would poison the
+    conditioning.
     """
-    budget = n_rows - p - (2 * n_poly - 1) - margin
+    budget = len(subspectrum) - p - (2 * _N_POLY - 1) - 2
     n_cos = max(4, budget * 3 // 5)
     n_sin = max(4, budget - n_cos)
-    if band is not None:
-        cap = int(np.floor(band)) - 2
-        n_cos = max(4, min(n_cos, cap + 1))   # cosine indices start at zero
-        n_sin = max(4, min(n_sin, cap))
-    return (n_sin, n_cos)
+    cap = int(np.floor(np.max(np.abs(subspectrum.rhos.real)))) - 2
+    # cosine indices start at zero
+    return make_probe_basis(p, (max(4, min(n_sin, cap)), max(4, min(n_cos, cap + 1))))
 
 
-def solve_moment(system: MomentSystem, reg: float = 0.0, basis: Optional[ProbeBasis] = None,
-                 n_poly: int = 3, rank_tol: float = 1e-12,
-                 on_deficient: str = "raise"):
+def solve_moment(system: MomentSystem, basis: ProbeBasis, reg: float = 0.0):
     """Solve (u, v_n) = w_n in the least-squares sense over the probe space.
 
     Rows are normalized by ||v_n||; `reg` adds Tikhonov damping in the true
-    product-space norm.  The minimum-norm solution is returned when the system
-    is underdetermined.  Raises RankDeficient (or truncates, per
-    `on_deficient`) when the normalized design collapses below `rank_tol`.
-    The solve report is attached as `meta` on the returned element.
+    product-space norm.  Without damping, singular values at or below
+    `_RANK_TOL` times the largest are truncated, so an underdetermined or
+    rank-deficient system gives the minimum-norm solution, and the report
+    sets `deficient` when the smallest one is among them.  The solve report
+    is attached as `meta` on the returned element.
 
     A stacked system is solved with one SVD over its (trials, N, K) design
     stack and gives a list of elements, one per trial, each by the rules
     above; all trials share one probe basis.
     """
-    if basis is None:
-        band = float(np.max(np.abs(system.lambdas.rhos.real)))
-        basis = make_probe_basis(
-            system.p,
-            default_probe_modes(system.ws.shape[-1], system.p, n_poly, band=band),
-            n_poly=n_poly)
     design, rhs = moment_design(system, basis)
     design = design.reshape(system.ws.shape + design.shape[-1:])
     rhs = rhs.reshape(system.ws.shape)
     u_mat, svals, vh = np.linalg.svd(design, full_matrices=False)
-    parts = [_solve_one(design[k], rhs[k], u_mat[k], svals[k], vh[k], basis,
-                        reg, rank_tol, on_deficient)
+    parts = [_solve_one(design[k], rhs[k], u_mat[k], svals[k], vh[k], basis, reg)
              for k in np.ndindex(system.ws.shape[:-1])]
     t = np.linspace(0.0, np.pi, system.grid_size)
     h1 = synth_series(basis.h1_tags, np.array([x1 for x1, _, _, _ in parts]), t)
@@ -215,25 +213,17 @@ def solve_moment(system: MomentSystem, reg: float = 0.0, basis: Optional[ProbeBa
     return out if system.ws.ndim > 1 else out[0]
 
 
-def _deficiency(ratio) -> str:
-    return f"normalized moment design has singular-value ratio {ratio:.3e}"
-
-
-def _solve_one(design, rhs, u_mat, svals, vh, basis: ProbeBasis, reg, rank_tol,
-               on_deficient):
+def _solve_one(design, rhs, u_mat, svals, vh, basis: ProbeBasis, reg):
     """One trial of `solve_moment` from the SVD of its design: the probe-series
     coefficients of both components, the scalars and the solve report."""
     smax = float(svals[0]) if svals.size else 0.0
     smin = float(svals[-1]) if svals.size else 0.0
     ratio = smin / smax if smax > 0 else 0.0
-    deficient = ratio <= rank_tol
-    if deficient and on_deficient == "raise":
-        raise RankDeficient(_deficiency(ratio))
     coeff = u_mat.conj().T @ rhs
     if reg > 0:
         gains = svals / (svals**2 + reg)
     else:
-        keep = svals > rank_tol * smax
+        keep = svals > _RANK_TOL * smax
         gains = np.where(keep, 1.0 / np.maximum(svals, 1e-300), 0.0)
     z = vh.conj().T @ (gains * coeff)
     residual = float(np.linalg.norm(design @ z - rhs))
@@ -247,7 +237,7 @@ def _solve_one(design, rhs, u_mat, svals, vh, basis: ProbeBasis, reg, rank_tol,
         "cond": smax / smin if smin > 0 else np.inf,
         "smin_ratio": ratio,
         "design_shape": design.shape,
-        "deficient": bool(deficient),
+        "deficient": ratio <= _RANK_TOL,
         "reg": reg,
         "series": {"h1": list(zip(basis.h1_tags, x1.tolist())),
                    "h2": list(zip(basis.h2_tags, x2.tolist()))},
@@ -318,45 +308,39 @@ def natural_dimension(subspectrum: Subspectrum, p: int) -> int:
 
 
 def reconstruct(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
-                reg: float = 0.0, n_modes=None, n_poly: int = 3,
-                rank_warn: float = 1e-8, basis: Optional[ProbeBasis] = None) -> ReconstructionResult:
+                reg: float = 0.0, basis: Optional[ProbeBasis] = None) -> ReconstructionResult:
     """Recover generalized Cauchy data from a subspectrum.
 
-    Composes the moment-system assembly, the normalized least-squares solve,
-    the unpacking of the unknown vector, and the characteristic-function
-    rebuild.  Emits NonUniqueWarning (and flags the report) when the equation
-    count falls short of the data's own bandwidth or the design collapses.
+    Composes the moment-system assembly, the normalized least-squares solve
+    over `basis` (by default `default_basis`), the unpacking of the unknown
+    vector, and the characteristic-function rebuild.  Emits NonUniqueWarning
+    (and flags the report) when the equation count falls short of the data's
+    own bandwidth or the design collapses.
     """
     t = _as_grid(grid)
     system = build_moment_system(subspectrum, f, p, t)
     n = len(system)
     d_nat = natural_dimension(subspectrum, p)
+    if basis is None:
+        basis = default_basis(subspectrum, p)
+    u = solve_moment(system, basis, reg=reg)
+    ratio = u.meta["smin_ratio"]
     warn_msgs = []
     if n < d_nat - 5:
         warn_msgs.append(f"only {n} equations for natural dimension {d_nat}")
-    if basis is None:
-        if n_modes is None:
-            band = float(np.max(np.abs(subspectrum.rhos.real)))
-            n_modes = default_probe_modes(n, p, n_poly, band=band)
-        basis = make_probe_basis(p, n_modes, n_poly=n_poly)
-    else:
-        n_modes = (sum(1 for k, _ in basis.h1_tags if k != "poly"),
-                   sum(1 for k, _ in basis.h2_tags if k != "poly"))
-    u = solve_moment(system, reg=reg, basis=basis, on_deficient="truncate")
     if u.meta["deficient"]:
-        warn_msgs.append(_deficiency(u.meta["smin_ratio"]))
-    if u.meta["smin_ratio"] < rank_warn:
-        warn_msgs.append(
-            f"moment design singular-value ratio {u.meta['smin_ratio']:.3e} below {rank_warn:.0e}"
-        )
+        warn_msgs.append(f"normalized moment design has singular-value ratio {ratio:.3e}")
+    if ratio < _RANK_WARN:
+        warn_msgs.append(f"moment design singular-value ratio {ratio:.3e} below {_RANK_WARN:.0e}")
     for msg in warn_msgs:
         warnings.warn(msg, NonUniqueWarning, stacklevel=2)
     cauchy = unpack_u(u)
     diag = subspectrum.diagnostics()
+    kinds = [kind for kind, _ in basis.h1_tags + basis.h2_tags]
     report = {
         "n_rows": n,
         "natural_dimension": d_nat,
-        "probe_modes": n_modes,
+        "probe_modes": (kinds.count("sin"), kinds.count("cos")),
         "probe_dim": basis.dim,
         "residual": u.meta["residual"],
         "cond": u.meta["cond"],
@@ -375,27 +359,23 @@ def reconstruct(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
     return ReconstructionResult(u=u, cauchy=cauchy, p=p, report=report, system=system)
 
 
-def completeness_ratio(system: MomentSystem, freq_step: float = 0.5,
-                       n_poly: int = 2, n_modes: Optional[int] = None) -> dict:
+def completeness_ratio(system: MomentSystem) -> dict:
     """Spanning evidence: min/max singular value of the design over a probe
-    space at `freq_step` frequency resolution (half-integer by default).
+    space at half-integer frequency resolution, two monomials per component.
 
     A healthy (complete) moment system keeps the ratio at O(1); losing a
     required eigenvalue leaves a probe direction nearly unseen by every row
     and the ratio collapses as the row count grows.
     """
-    p = system.p
-    n = len(system)
-    if n_modes is None:
-        n_modes = max(4, (n - p - (2 * n_poly - 1)) // 2)
-    basis = make_probe_basis(p, n_modes, n_poly=n_poly, freq_step=freq_step)
+    n_modes = max(4, (len(system) - system.p - 3) // 2)
+    basis = make_probe_basis(system.p, n_modes, n_poly=2, freq_step=0.5)
     design, _ = moment_design(system, basis)
     svals = np.linalg.svd(design, compute_uv=False)
     smax, smin = float(svals[0]), float(svals[-1])
     ratio = smin / smax if smax > 0 else 0.0
     return {"smin": smin, "smax": smax, "ratio": ratio,
             "gram_ratio": ratio**2,
-            "design_shape": design.shape, "freq_step": freq_step}
+            "design_shape": design.shape, "freq_step": 0.5}
 
 
 def noise_plan(omegas, trials: int) -> list:
@@ -413,7 +393,7 @@ def noise_plan(omegas, trials: int) -> list:
 
 def stability_experiment(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
                          omegas, trials: int = 20, seed: int = 0,
-                         reg: float = 0.0, n_modes: Optional[int] = None) -> dict:
+                         reg: float = 0.0) -> dict:
     """Perturb the subspectrum roots at fixed l2 size and measure the response.
 
     Each trial draws i.i.d. complex Gaussian noise on the rho values (real
@@ -428,10 +408,7 @@ def stability_experiment(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
     omegas = noise_plan(omegas, trials)
     rng = np.random.default_rng(seed)
     t = _as_grid(grid)
-    if n_modes is None:
-        band = float(np.max(np.abs(subspectrum.rhos.real)))
-        n_modes = default_probe_modes(len(subspectrum), p, band=band)
-    basis = make_probe_basis(p, n_modes)
+    basis = default_basis(subspectrum, p)
     base = reconstruct(p, f, subspectrum, t, reg=reg, basis=basis)
     w = base.u.weights()
 
@@ -446,7 +423,7 @@ def stability_experiment(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
             noise[i] = draw * (omega / np.linalg.norm(draw))
     rho = subspectrum.rhos + noise
     system = build_moment_system(Subspectrum(rho * rho), f, p, t)
-    solved = solve_moment(system, reg=reg, basis=basis, on_deficient="truncate")
+    solved = solve_moment(system, basis, reg=reg)
 
     rows = []
     for i, u in enumerate(solved):

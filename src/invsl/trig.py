@@ -83,26 +83,6 @@ def overlap_cos_cos(mu, rho, length=np.pi):
     return 0.5 * length * (sinc(d) + sinc(s))
 
 
-def _cosm1_over(z):
-    """(1 - cos z)/z with series fallback near zero."""
-    z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
-    small = np.abs(z) < _SMALL
-    zs = z[small]
-    out[small] = zs / 2.0 - zs**3 / 24.0
-    zb = z[~small]
-    out[~small] = (1.0 - np.cos(zb)) / zb
-    return out
-
-
-def overlap_sin_cos(mu, rho, length=np.pi):
-    """Integral of sin(mu t) cos(rho t) over [0, length]."""
-    mu = np.asarray(mu, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    d, s = (mu - rho) * length, (mu + rho) * length
-    return 0.5 * length * (_cosm1_over(s) + _cosm1_over(d))
-
-
 def poly_sin(m, rho, length=np.pi):
     """Integral of t^m sin(rho t) over [0, length] (entire in lambda = rho^2 for odd use sites)."""
     rho = np.asarray(rho, dtype=complex)

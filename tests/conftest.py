@@ -11,7 +11,7 @@ from invsl.halfinverse import hl_entire_pair, hl_spectrum
 from invsl.moments import _as_grid
 from invsl.ode import _cell_matrices, node_values
 from invsl.problems import hl_exclusion_instance, roundtrip_corpus
-from invsl.reconstruct import default_probe_modes, make_probe_basis, reconstruct
+from invsl.reconstruct import default_basis, reconstruct
 from invsl.serialize import complex_array
 from invsl.types import Subspectrum
 
@@ -93,21 +93,17 @@ def sequential_cells(sigma, lams, y0, v0, dlam=False):
     return out
 
 
-def sequential_stability(p, f, subspectrum, grid, omegas, trials=20, seed=0, reg=0.0,
-                         n_modes=None):
+def sequential_stability(p, f, subspectrum, grid, omegas, trials=20, seed=0, reg=0.0):
     """Reference stability experiment: one `reconstruct` per trial, in sequence.
 
     Draws the noise in the order of `invsl.reconstruct.stability_experiment`
     and solves every perturbed subspectrum on its own (its own f-evaluation,
-    design and SVD, the rank-deficient retry included), so tests compare the
-    stacked solve with it.
+    design and SVD), over the default basis of the unperturbed subspectrum,
+    so tests compare the stacked solve with it.
     """
     rng = np.random.default_rng(seed)
     t = _as_grid(grid)
-    if n_modes is None:
-        band = float(np.max(np.abs(subspectrum.rhos.real)))
-        n_modes = default_probe_modes(len(subspectrum), p, band=band)
-    basis = make_probe_basis(p, n_modes)
+    basis = default_basis(subspectrum, p)
     base = reconstruct(p, f, subspectrum, t, reg=reg, basis=basis)
     rho0 = subspectrum.rhos
     w = base.u.weights()

@@ -1,5 +1,6 @@
 import copy
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from conftest import assert_json_close, rel_l2
 from invsl import schemas
 from invsl.cli import main
+from invsl.errors import NonUniqueWarning
 from invsl.forward import find_eigenvalues, make_delta
 from invsl.halfinverse import hl_entire_pair
 from invsl.problems import sigma_bump
@@ -72,6 +74,13 @@ def _shift_lambdas(doc):
 def write(path, obj):
     path.write_text(canonical_dumps(obj))
     return str(path)
+
+
+def strict_message(out):
+    """The --strict stderr built from the non-unique report.json in `out`."""
+    report = json.load(open(out / "report.json"))["report"]
+    assert report["non_unique"]
+    return "non-unique reconstruction: " + "; ".join(report["warnings"]) + "\n"
 
 
 @pytest.fixture()
@@ -140,14 +149,19 @@ class TestReconstruct:
         assert report["residual"] <= 1e-3
         assert not report["non_unique"]
 
-    def test_strict_starved_exit4(self, rt_free, tmp_path):
+    def test_strict_starved_exit4(self, rt_free, tmp_path, capsys):
         prob_file = write(tmp_path / "p.json", problem_to_json(
             rt_free.sigma_left, rt_free.left_pair,
             hl_f_descriptor(rt_free.sigma_right, rt_free.problem.right_pair)))
         sparse = Subspectrum(rt_free.spectrum.lambdas[::2])
         sub_file = write(tmp_path / "s.json", subspectrum_to_json(sparse))
         out = tmp_path / "out"
-        assert main(["reconstruct", prob_file, sub_file, "--strict", "--out", str(out)]) == 4
+        # the report carries the non-uniqueness; the CLI emits no warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["reconstruct", prob_file, sub_file, "--strict", "--out", str(out)]) == 4
+        assert not [w for w in caught if w.category is NonUniqueWarning]
+        assert capsys.readouterr().err == strict_message(out)
 
     def test_empty_subspectrum_exit2(self, free_problem, tmp_path):
         sub_file = tmp_path / "s.json"
@@ -156,7 +170,7 @@ class TestReconstruct:
 
 
 class TestHalfInverse:
-    def test_drop_rule_file_level(self, exclusion_case, tmp_path):
+    def test_drop_rule_file_level(self, exclusion_case, tmp_path, capsys):
         ts_file = write(tmp_path / "two.json", two_sided_to_json(exclusion_case.problem))
         out0 = tmp_path / "d0"
         assert main(["hl", ts_file, "--eigs", "40", "--drop", "0",
@@ -172,6 +186,7 @@ class TestHalfInverse:
                      "--strict", "--out", str(out2)]) == 4
         report2 = json.load(open(out2 / "report.json"))["report"]
         assert report2["completeness"]["gram_ratio"] <= 1e-8
+        assert capsys.readouterr().err == strict_message(out2)
 
 
 class TestStability:

@@ -91,8 +91,8 @@ class TestWronskian:
 class TestLambdaDerivative:
     def test_closed_form_at_free(self, sig0):
         # d/dlambda [sin(rho pi)/rho] at lambda = 1 equals -pi/2
-        _, _, dy, _ = node_values(sig0, [1.0], 0.0, 1.0, derivative=True)
-        assert dy[-1, 0] == pytest.approx(-np.pi / 2, rel=1e-7)
+        _, dm = monodromy(sig0, [1.0], derivative=True)
+        assert dm[0, 1, 0] == pytest.approx(-np.pi / 2, rel=1e-7)
 
     def test_finite_difference_cross_check(self):
         sig = sigma_random_smooth(256, scale=0.6, seed=4)
@@ -103,8 +103,8 @@ class TestLambdaDerivative:
             assert abs(fd - e["d" + key][2]) <= 1e-5 * max(1, abs(fd))
 
     def test_regular_at_lambda_zero(self, sig0):
-        _, _, dy, dyq = node_values(sig0, [0.0], 1.0, 0.0, derivative=True)
-        assert np.all(np.isfinite(dy)) and np.all(np.isfinite(dyq))
+        _, dm = monodromy(sig0, [0.0], derivative=True)
+        assert np.all(np.isfinite(dm))
 
 
 class TestProperties:
@@ -127,10 +127,6 @@ class TestProperties:
             errs.append(abs(y[-1] - ref[0]) + abs(yq[-1] - ref[1]))
         assert errs[0] / errs[1] >= 8
         assert errs[1] / errs[2] >= 8
-
-    def test_backward_is_reflected_forward(self, sig0):
-        y, _ = node_values(sig0, [4.0], 1.0, 0.0, direction="backward")
-        assert np.max(np.abs(y[:, 0] - np.cos(2 * (np.pi - sig0.nodes)))) <= 1e-10
 
     def test_step_failure_on_overflow(self):
         sig = SigmaFunction.zero(np.pi, 64)
@@ -282,33 +278,12 @@ class TestNodeValues:
         rng = np.random.default_rng(m)
         real = rng.uniform(-20.0, 1000.0, _BLOCK + 1)
         for lam in (real, real + 1j * rng.uniform(-3.0, 3.0, real.size)):
-            got = node_values(sig, lam, 0.3, -0.8, derivative=True)
-            rec = sequential_cells(sig, lam, 0.3, -0.8 + sig.samples[0] * 0.3, dlam=True)
-            s = sig.samples[:, None]
-            ref = (rec["y"], rec["v"] - s * rec["y"], rec["dy"], rec["dv"] - s * rec["dy"])
+            got = node_values(sig, lam, 0.3, -0.8)
+            rec = sequential_cells(sig, lam, 0.3, -0.8 + sig.samples[0] * 0.3)
+            ref = (rec["y"], rec["v"] - sig.samples[:, None] * rec["y"])
             assert got[0].shape == (m + 1, lam.size)
             assert got[0].dtype == (np.float64 if lam is real else np.complex128)
-            assert np.max(_nodewise_dev(got[:2], ref[:2])) <= TREE_RTOL
-            assert np.max(_nodewise_dev(got[2:], ref[2:])) <= TREE_RTOL
-            plain = node_values(sig, lam, 0.3, -0.8)
-            assert np.array_equal(plain[0], got[0]) and np.array_equal(plain[1], got[1])
-
-    @pytest.mark.parametrize("m", [16, 17, 257, 512])
-    def test_backward_matches_reflected_loop(self, m):
-        # adjugates of suffix products against the loop on the reflected
-        # system, which runs from x = X as a forward problem (y^[1] changes sign)
-        sig = sigma_random_smooth(m, scale=0.8, seed=m)
-        refl = sig.reflected()
-        rng = np.random.default_rng(m)
-        real = rng.uniform(-20.0, 1000.0, _BLOCK + 1)
-        for lam in (real, real + 1j * rng.uniform(-3.0, 3.0, real.size)):
-            got = node_values(sig, lam, 0.3, -0.8, derivative=True, direction="backward")
-            rec = sequential_cells(refl, lam, 0.3, 0.8 + refl.samples[0] * 0.3, dlam=True)
-            s = refl.samples[:, None]
-            ref = (rec["y"][::-1], -(rec["v"] - s * rec["y"])[::-1],
-                   rec["dy"][::-1], -(rec["dv"] - s * rec["dy"])[::-1])
-            assert np.max(_nodewise_dev(got[:2], ref[:2])) <= TREE_RTOL
-            assert np.max(_nodewise_dev(got[2:], ref[2:])) <= TREE_RTOL
+            assert np.max(_nodewise_dev(got, ref)) <= TREE_RTOL
 
     def test_lambda_dependent_start(self):
         # one batch with a start vector per lambda equals single-lambda runs

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import rel_l2, sequential_stability
-from invsl.errors import DuplicateEigenvalue, NonUniqueWarning, PoleProximity, RankDeficient
+from invsl.errors import DuplicateEigenvalue, NonUniqueWarning, PoleProximity
 from invsl.forward import char_pair, extract_cauchy
 from invsl.moments import build_moment_system, build_v, u_from_cauchy
 from invsl.reconstruct import (
@@ -16,6 +16,7 @@ from invsl.reconstruct import (
     _tags_for,
     ReconstructionResult,
     completeness_ratio,
+    default_basis,
     deltas_from_cauchy,
     make_probe_basis,
     moment_design,
@@ -123,14 +124,15 @@ class TestProbeGram:
 
 class TestSolveMoment:
     def test_blank_h1_block_rank_deficient(self):
-        # f1 == 0 zeroes the H1 block of every row: the default solve raises
+        # f1 == 0 zeroes the H1 block of every row: the solve reports it
         sub = Subspectrum((np.arange(1, 41) - 0.5) ** 2 + 0j)
-        with pytest.raises(RankDeficient):
-            solve_moment(build_moment_system(sub, F01, 1, 128))
+        u = solve_moment(build_moment_system(sub, F01, 1, 128), default_basis(sub, 1))
+        assert u.meta["deficient"]
 
     def test_roundtrip_matches_oracle_u(self, rt_free):
         # forward-generated problem: rebuilt element matches the packed oracle
-        u = solve_moment(build_moment_system(rt_free.spectrum, rt_free.f, 1, 128))
+        u = solve_moment(build_moment_system(rt_free.spectrum, rt_free.f, 1, 128),
+                         default_basis(rt_free.spectrum, 1))
         u_oracle = u_from_cauchy(rt_free.oracle_on(128))
         err = (u - u_oracle).norm() / u_oracle.norm()
         assert err <= 1e-3
@@ -140,10 +142,10 @@ class TestSolveMoment:
     def test_moment_residual_invariant_trivial(self):
         # exact-representation case: every equation is satisfied to rounding.
         # f1 == 0 blanks the H1 block, so the solve must truncate the
-        # structurally invisible directions instead of raising.
+        # structurally invisible directions.
         sub = Subspectrum((np.arange(1, 41) - 0.5) ** 2 + 0j)
         system = build_moment_system(sub, F01, 1, 128)
-        u = solve_moment(system, on_deficient="truncate")
+        u = solve_moment(system, default_basis(sub, 1))
         worst = 0.0
         for lam, w, n in zip(sub.lambdas, system.ws, system.norms):
             worst = max(worst, abs(hp_inner(u, build_v(lam, F01, 1, 128)) - w) / n)
@@ -153,7 +155,7 @@ class TestSolveMoment:
         # on a truncated representation the residual equals the information
         # tail beyond the probe space; see the decisions ledger
         system = build_moment_system(rt_free.spectrum, rt_free.f, 1, 128)
-        u = solve_moment(system)
+        u = solve_moment(system, default_basis(rt_free.spectrum, 1))
         assert u.meta["residual"] <= 1e-5
 
 
@@ -234,7 +236,7 @@ class TestReconstruct:
         solve = reconstruct_module.solve_moment
 
         def counting_solve(*args, **kwargs):
-            calls.append(kwargs.get("on_deficient"))
+            calls.append(args)
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(reconstruct_module, "solve_moment", counting_solve)
@@ -242,7 +244,7 @@ class TestReconstruct:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             res = reconstruct(1, F01, sub, 128)
-        assert calls == ["truncate"]
+        assert len(calls) == 1
         ratio = res.report["smin_ratio"]
         texts = ["only 40 equations for natural dimension 83",
                  f"normalized moment design has singular-value ratio {ratio:.3e}",
@@ -368,6 +370,20 @@ def deficit_case(even_left):
     return _even_spectrum(sigma_left, left_pair, BoundaryPolyPair([1.0], [0.4]))
 
 
+class TestProbeModes:
+    @pytest.mark.parametrize("p, case", [(1, "rt_free"), (2, "deficit_case")])
+    def test_passed_basis_reports_like_the_default(self, p, case, request):
+        # (sine modes, cosine modes) either way: for even p the sine family
+        # sits on H2, so a count per component would swap the pair
+        data = request.getfixturevalue(case)
+        f, spec = (data.f, data.spectrum) if p == 1 else data
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonUniqueWarning)
+            default = reconstruct(p, f, spec, 128).report["probe_modes"]
+            passed = reconstruct(p, f, spec, 128, basis=default_basis(spec, p))
+        assert passed.report["probe_modes"] == default
+
+
 def _assert_matches_oracle(out, ref):
     """Batched rows against the sequential ones; returns the worst deviations."""
     assert [(r["omega"], r["trial"]) for r in out["rows"]] == \
@@ -404,7 +420,7 @@ class TestStackedStability:
     def test_matches_sequential_oracle_when_every_trial_truncates(self, deficit_case,
                                                                   monkeypatch):
         # every perturbed design is rank deficient: each trial takes the
-        # keep-mask branch that reconstruct's RankDeficient retry takes
+        # keep-mask branch of the truncating solve, as the base solve does
         f, spec = deficit_case
         stacked = []
         solve = reconstruct_module.solve_moment

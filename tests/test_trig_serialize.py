@@ -22,7 +22,6 @@ from invsl.trig import (
     cos_sinc_sqrt,
     gauss_panels,
     overlap_cos_cos,
-    overlap_sin_cos,
     overlap_sin_sin,
     poly_cos,
     poly_sin,
@@ -69,7 +68,6 @@ class TestTrigClosedForms:
             rho = self.rng.uniform(0, 12) + 1j * self.rng.uniform(-0.2, 0.2)
             self._check(overlap_sin_sin, lambda m, r, t: np.sin(m * t) * np.sin(r * t), mu, rho)
             self._check(overlap_cos_cos, lambda m, r, t: np.cos(m * t) * np.cos(r * t), mu, rho)
-            self._check(overlap_sin_cos, lambda m, r, t: np.sin(m * t) * np.cos(r * t), mu, rho)
 
     def test_poly_trig(self):
         for m in range(5):
