@@ -22,24 +22,16 @@ from .types import (
 )
 
 
-def char_pair(sigma: SigmaFunction, pair: BoundaryPolyPair, lam, derivative=False):
+def char_pair(sigma: SigmaFunction, pair: BoundaryPolyPair, lam):
     """Values (Delta0, Delta1) of the two characteristic functions at `lam`.
 
     Both come from a single fundamental-pair evaluation:
     Delta_j = p1(lam) C^{[j]}(X, lam) - p2(lam) S^{[j]}(X, lam).
-    With `derivative`, also returns their lambda-derivatives.
     """
     lam = np.asarray(lam, dtype=complex)
-    e = endpoint_data(sigma, lam, derivative=derivative)
+    e = endpoint_data(sigma, lam)
     p1, p2 = pair.p1(lam), pair.p2(lam)
-    d0 = p1 * e["C"] - p2 * e["S"]
-    d1 = p1 * e["C1"] - p2 * e["S1"]
-    if not derivative:
-        return d0, d1
-    dp1, dp2 = pair.dp1(lam), pair.dp2(lam)
-    dd0 = dp1 * e["C"] + p1 * e["dC"] - dp2 * e["S"] - p2 * e["dS"]
-    dd1 = dp1 * e["C1"] + p1 * e["dC1"] - dp2 * e["S1"] - p2 * e["dS1"]
-    return d0, d1, dd0, dd1
+    return p1 * e["C"] - p2 * e["S"], p1 * e["C1"] - p2 * e["S1"]
 
 
 def char_delta(sigma: SigmaFunction, pair: BoundaryPolyPair, f: EntirePair, lam):
@@ -51,34 +43,19 @@ def char_delta(sigma: SigmaFunction, pair: BoundaryPolyPair, f: EntirePair, lam)
 
 
 def make_delta(sigma: SigmaFunction, pair: BoundaryPolyPair, f: Optional[EntirePair] = None):
-    """Bundle (delta, ddelta) callables for root finding.
+    """The characteristic function delta(lam) for root finding, as (delta, None).
 
     Without `f`, the pair's own Delta1 is used (poles of the Weyl function).
-    ddelta(lam) returns (delta, d delta / d lambda), both from one propagation
-    with lambda-derivatives; it is None when `f` carries no derivatives.
+    The second slot is always None; it is kept because the benchmark's
+    instrumentation (bench/spans.py) unpacks two closures from this call.
     """
     if f is None:
         def delta(lam):
             return char_pair(sigma, pair, lam)[1]
-
-        def ddelta(lam):
-            return char_pair(sigma, pair, lam, derivative=True)[1::2]
-
-        return delta, ddelta
-
-    def delta(lam):
-        return char_delta(sigma, pair, f, lam)
-
-    if f.djoint is None:
-        return delta, None
-
-    def ddelta(lam):
-        lamc = np.asarray(lam, dtype=complex)
-        d0, d1, dd0, dd1 = char_pair(sigma, pair, lamc, derivative=True)
-        f1, f2, g1, g2 = f.djoint(lamc)
-        return f1 * d1 + f2 * d0, g1 * d1 + f1 * dd1 + g2 * d0 + f2 * dd0
-
-    return delta, ddelta
+    else:
+        def delta(lam):
+            return char_delta(sigma, pair, f, lam)
+    return delta, None
 
 
 def weyl_ratio(d0, d1, on_pole="raise") -> np.ndarray:
@@ -108,40 +85,33 @@ def weyl(sigma: SigmaFunction, pair: BoundaryPolyPair, lam, on_pole="raise"):
 # eigenvalue location
 # ----------------------------------------------------------------------------
 
-def refine_brackets(delta, ddelta, a, b, fa, fb, iters=100):
+def refine_brackets(delta, a, b, fa, fb, iters=100):
     """Roots of a real delta in brackets [a, b] of lambda, all at once.
 
     delta(a) = fa and delta(b) = fb differ in sign (or one is zero).  Each
-    step is a Newton step on the (delta, derivative) pair that `ddelta`
-    returns or, without `ddelta`, an Illinois false-position step; a step
-    that leaves the bracket is replaced by its midpoint, and every value
-    shrinks the bracket on its side of the root.  A root is done when the
-    step or its bracket falls below 1e-14 (1 + |lambda|), or delta vanishes;
-    delta is evaluated only at the roots still open.
+    step is an Illinois false-position step (Dowell and Jarratt, 1971): the
+    secant point of the bracket ends, with the value at an end halved when
+    the other end has moved twice in a row.  A step that leaves the bracket
+    is replaced by its midpoint, and every value shrinks the bracket on its
+    side of the root.  A root is done when the step or its bracket falls
+    below 1e-14 (1 + |lambda|), or delta vanishes; delta is evaluated only
+    at the roots still open.
     """
     a, b, fa, fb = (np.array(x, dtype=float) for x in (a, b, fa, fb))
     x = _false_position(a, b, fa, fb)
-    f, df = np.zeros_like(x), np.ones_like(x)
+    f = np.zeros_like(x)
     side = np.zeros(x.shape, dtype=int)
     live = np.ones(x.shape, dtype=bool)
     for _ in range(iters):
-        if ddelta is None:
-            f[live] = np.real(np.asarray(delta(x[live])))
-        else:
-            f[live], df[live] = (np.real(np.asarray(v)) for v in ddelta(x[live]))
+        f[live] = np.real(np.asarray(delta(x[live])))
         low = live & (f != 0) & (np.signbit(f) == np.signbit(fa))   # the root lies above x
         high = live & (f != 0) & ~low
-        if ddelta is None:
-            # Illinois damping when the same end moves twice in a row
-            fb = np.where(low & (side == -1), 0.5 * fb, fb)
-            fa = np.where(high & (side == 1), 0.5 * fa, fa)
-            side = np.where(low, -1, np.where(high, 1, side))
+        fb = np.where(low & (side == -1), 0.5 * fb, fb)
+        fa = np.where(high & (side == 1), 0.5 * fa, fa)
+        side = np.where(low, -1, np.where(high, 1, side))
         a, fa = np.where(low, x, a), np.where(low, f, fa)
         b, fb = np.where(high, x, b), np.where(high, f, fb)
-        if ddelta is None:
-            step = _false_position(a, b, fa, fb)
-        else:
-            step = x - f / np.where(df != 0, df, np.nan)
+        step = _false_position(a, b, fa, fb)
         step = np.where((step >= a) & (step <= b), step, 0.5 * (a + b))
         step = np.where(f == 0, x, step)
         tol = 1e-14 * (1.0 + np.abs(x))
@@ -158,28 +128,6 @@ def _false_position(a, b, fa, fb):
     denom = fb - fa
     safe = denom != 0
     return np.where(safe, b - fb * (b - a) / np.where(safe, denom, 1.0), 0.5 * (a + b))
-
-
-def _newton_polish(ddelta, lam, iters=6):
-    """Batched Newton polish with per-root convergence masking."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex)).copy()
-    active = np.ones(lam.shape, dtype=bool)
-    start = lam.copy()
-    for _ in range(iters):
-        if not np.any(active):
-            break
-        d, dd = (np.asarray(v) for v in ddelta(lam[active]))
-        step = np.where(dd != 0, d / np.where(dd != 0, dd, 1.0), 0.0)
-        # reject wild steps (stay within the bracket scale)
-        step = np.where(np.abs(step) > 0.5 * (1.0 + np.abs(lam[active])), 0.0, step)
-        lam[active] = lam[active] - step
-        conv = np.abs(step) < 1e-14 * (1.0 + np.abs(lam[active]))
-        idx = np.nonzero(active)[0]
-        active[idx[conv]] = False
-    # a polished root should not have wandered to a different zero
-    moved = np.abs(lam - start) > 0.1 * (1.0 + np.abs(start))
-    lam[moved] = start[moved]
-    return lam
 
 
 def winding_count(delta, rect, samples_per_edge=600, max_refine=6):
@@ -211,7 +159,7 @@ def winding_count(delta, rect, samples_per_edge=600, max_refine=6):
     raise RootLoss("winding number did not stabilize on the contour")
 
 
-def _complex_zeros(delta, ddelta, rect, depth=0, max_depth=24, min_size=1e-9):
+def _complex_zeros(delta, rect, depth=0, max_depth=24, min_size=1e-9):
     count = winding_count(delta, rect)
     if count == 0:
         return []
@@ -219,11 +167,7 @@ def _complex_zeros(delta, ddelta, rect, depth=0, max_depth=24, min_size=1e-9):
     width, height = re_hi - re_lo, im_hi - im_lo
     center = 0.5 * (re_lo + re_hi) + 0.5j * (im_lo + im_hi)
     if count == 1 and (max(width, height) < 0.05 or depth >= max_depth):
-        if ddelta is not None:
-            z = complex(_newton_polish(ddelta, center)[0])
-        else:
-            z = _muller_polish(delta, center, 0.25 * max(width, height, min_size))
-        return [z]
+        return [_muller_polish(delta, center, 0.25 * max(width, height, min_size))]
     if max(width, height) < min_size or depth >= max_depth:
         return [center] * count
     # a split line may pass through a zero; retry with shifted fractions
@@ -237,7 +181,7 @@ def _complex_zeros(delta, ddelta, rect, depth=0, max_depth=24, min_size=1e-9):
         try:
             out = []
             for r in rects:
-                out.extend(_complex_zeros(delta, ddelta, r, depth + 1, max_depth, min_size))
+                out.extend(_complex_zeros(delta, r, depth + 1, max_depth, min_size))
             return out
         except RootLoss:
             continue
@@ -267,8 +211,7 @@ def _muller_polish(delta, z0, h, iters=40):
 
 
 def find_eigenvalues(delta: Callable, window, count: Optional[int] = None,
-                     imag_band: float = 0.0, ddelta: Optional[Callable] = None,
-                     scan_step: float = 0.02, simple_tol: float = 1e-8,
+                     imag_band: float = 0.0, scan_step: float = 0.02, simple_tol: float = 1e-8,
                      verify: bool = False, index: Optional[tuple] = None) -> Subspectrum:
     """Locate zeros of an entire characteristic function.
 
@@ -282,8 +225,8 @@ def find_eigenvalues(delta: Callable, window, count: Optional[int] = None,
     a positive band rectangles are subdivided by the argument principle.
     The scan also stands in, with `fallback` set on the result, where the
     count of `index` is not monotone.  Real brackets of either source go
-    through `refine_brackets` (Newton when `ddelta` is supplied, Illinois
-    otherwise).  Duplicates and roots with a large residual are dropped and
+    through `refine_brackets` (Illinois false position), and the rectangles'
+    isolated zeros are polished by Muller's method.  Duplicates and roots with a large residual are dropped and
     counted (`dropped`); with an index, any drop raises RootLoss.  With
     `verify`, the winding count over the whole window is compared against
     the number of roots the scan or the rectangles found (RootLoss on
@@ -300,10 +243,10 @@ def find_eigenvalues(delta: Callable, window, count: Optional[int] = None,
         if np.any(same):
             raise RootLoss(f"delta keeps its sign across the count bracket of eigenvalue(s) "
                            f"{np.nonzero(same)[0].tolist()}")
-        lam = refine_brackets(delta, ddelta, lo, hi, f_lo, f_hi)
+        lam = refine_brackets(delta, lo, hi, f_lo, f_hi)
     elif imag_band > 0:
         rect = ((lam_lo, lam_hi), (-imag_band, imag_band))
-        roots = _complex_zeros(delta, ddelta, rect)
+        roots = _complex_zeros(delta, rect)
         roots.sort(key=lambda z: (z.real, z.imag))
         lam = np.array(roots, dtype=complex)
     else:
@@ -317,7 +260,7 @@ def find_eigenvalues(delta: Callable, window, count: Optional[int] = None,
             raise ValueError("delta is not real on the real axis; use imag_band > 0")
         fv = vals.real
         idx = np.nonzero(np.signbit(fv[:-1]) != np.signbit(fv[1:]))[0]
-        lam = np.sort(refine_brackets(delta, ddelta, lam_scan[idx], lam_scan[idx + 1],
+        lam = np.sort(refine_brackets(delta, lam_scan[idx], lam_scan[idx + 1],
                                       fv[idx], fv[idx + 1]))
     lam, dropped = _screen(delta, lam, simple_tol, indexed=brackets is not None)
 

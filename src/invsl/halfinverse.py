@@ -66,33 +66,20 @@ class TwoSidedProblem:
         return self
 
 
-def psi_mid(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair, lam,
-            derivative: bool = False):
+def psi_mid(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair, lam):
     """Backward solution at the midpoint.
 
     `sigma_right` holds sigma(pi + s) for s in [0, pi].  The solution psi is
     pinned at the right end by (psi, psi^{[1]})(2pi) = (r1, -r2); its midpoint
     values are M^{-1} (r1, -r2) = adj(M) (r1, -r2), with M the monodromy of
-    the right half (det M = 1).  The lambda-derivative follows by the product
-    rule, adj(M') b + adj(M) b'.
+    the right half (det M = 1).
     """
     if abs(sigma_right.interval_length - np.pi) > 1e-12:
         raise ValueError("right-half antiderivative must live on an interval of length pi")
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
-    r1 = right_pair.p1(lam_arr)
-    r2 = right_pair.p2(lam_arr)
-
-    def adj_apply(m, b1, b2):
-        # adj(M) (b1, -b2)
-        return m[1, 1] * b1 + m[0, 1] * b2, -m[1, 0] * b1 - m[0, 0] * b2
-
-    if not derivative:
-        return adj_apply(monodromy(sigma_right, lam_arr), r1, r2)
-    m, dm = monodromy(sigma_right, lam_arr, derivative=True)
-    psi, psi_q = adj_apply(m, r1, r2)
-    d_m = adj_apply(dm, r1, r2)
-    d_b = adj_apply(m, right_pair.dp1(lam_arr), right_pair.dp2(lam_arr))
-    return psi, psi_q, d_m[0] + d_b[0], d_m[1] + d_b[1]
+    r1, r2 = right_pair.p1(lam_arr), right_pair.p2(lam_arr)
+    m = monodromy(sigma_right, lam_arr)
+    return m[1, 1] * r1 + m[0, 1] * r2, -m[1, 0] * r1 - m[0, 0] * r2
 
 
 def hl_entire_pair(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair) -> EntirePair:
@@ -102,12 +89,7 @@ def hl_entire_pair(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair) -> 
         psi, psi_q = psi_mid(sigma_right, right_pair, lam)
         return -psi, psi_q
 
-    def djoint(lam):
-        psi, psi_q, dpsi, dpsi_q = psi_mid(sigma_right, right_pair, lam, derivative=True)
-        return -psi, psi_q, -dpsi, dpsi_q
-
-    return EntirePair(joint=joint, djoint=djoint,
-                      descriptor={"kind": "hl_right_half", "r": right_pair.p})
+    return EntirePair(joint=joint, descriptor={"kind": "hl_right_half", "r": right_pair.p})
 
 
 def hl_window(count: int, p: int, r: int):
@@ -179,22 +161,23 @@ def hl_spectrum(problem: TwoSidedProblem, count: int) -> Subspectrum:
     """First `count` eigenvalues of the two-sided problem, by index.
 
     Bracket k starts at rho = (k + 1)/2 - (p + r)/4 +- 1/4, is certified to
-    hold eigenvalue k alone by `count_below` and refined by Newton.  Where
-    the count can fall as lambda grows (a boundary pair that is not
-    Herglotz, complex data, or a count found not monotone), a dense scan of
-    `hl_window` stands in, and the result has `fallback` set.
+    hold eigenvalue k alone by `count_below` and refined by Illinois false
+    position (`refine_brackets`).  Where the count can fall as lambda grows
+    (a boundary pair that is not Herglotz, complex data, or a count found
+    not monotone), a dense scan of `hl_window` stands in, and the result
+    has `fallback` set.
     """
     problem.require_odd()
     sigma_left, sigma_right = problem.halves()
     f = hl_entire_pair(sigma_right, problem.right_pair)
-    delta, ddelta = make_delta(sigma_left, problem.left_pair, f)
+    delta, _ = make_delta(sigma_left, problem.left_pair, f)
     window = hl_window(count, problem.p, problem.r)
     index = None
     if (problem.sigma_full.is_real() and _herglotz(problem.left_pair, -1.0)
             and _herglotz(problem.right_pair, 1.0)):
         ends = 0.5 * np.arange(count + 1) + 0.25 - 0.25 * (problem.p + problem.r)
         index = (lambda lam: count_below(problem, lam), ends)
-    spec = find_eigenvalues(delta, window, count=count, ddelta=ddelta, index=index)
+    spec = find_eigenvalues(delta, window, count=count, index=index)
     if len(spec) < count:
         raise RootLoss(f"found {len(spec)} eigenvalues in {window}, need {count}")
     return spec if index is not None else replace(spec, fallback=True)

@@ -27,27 +27,19 @@ from .trig import cos_sinc_sqrt
 from .types import SigmaFunction
 
 
-def _cell_matrices(sigma: SigmaFunction, lam, derivative=False):
+def _cell_matrices(sigma: SigmaFunction, lam):
     """Every cell's transfer matrix [[c, sn], [msn, c]] for (y, y'), as entries.
 
-    Returns ((c, sn, msn, c), dmats): arrays of shape (m,) + lam.shape in the
-    (m00, m01, m10, m11) order, and their lambda-derivatives in the same
-    layout when `derivative` is set (None otherwise).  A real `lam` gives real
-    entries from the real part of sigma (the caller checks that sigma is real).
+    Returns (c, sn, msn, c): arrays of shape (m,) + lam.shape in the (m00,
+    m01, m10, m11) order.  A real `lam` gives real entries from the real part
+    of sigma (the caller checks that sigma is real).
     """
     h = sigma.dx
-    h2 = h * h
     slopes = np.diff(sigma.samples if np.iscomplexobj(lam) else sigma.samples.real) / h
     mu2 = lam[None] - slopes.reshape((-1,) + (1,) * lam.ndim)
-    trig = cos_sinc_sqrt(mu2 * h2, derivative=derivative)
-    c = trig[0]
-    sn = h * trig[1]
-    msn = -mu2 * sn
-    if not derivative:
-        return (c, sn, msn, c), None
-    dc = -0.5 * h * sn
-    dsn = h * h2 * trig[2]
-    return (c, sn, msn, c), (dc, dsn, -sn - mu2 * dsn, dc)
+    c, sinc = cos_sinc_sqrt(mu2 * (h * h))
+    sn = h * sinc
+    return c, sn, -mu2 * sn, c
 
 
 # Lambdas per reduction block: the working set is (cells x block) per matrix
@@ -65,13 +57,11 @@ def _matmul(a, b):
             a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
-def _tree(mats, dmats=None):
+def _tree(mats):
     """Levels of the ordered product T[n-1] ... T[1] T[0] along axis 0, leaves first.
 
     Every level but the last is padded with the identity to even length and
     its pairs multiply into the next level; the last level is the product.
-    `dmats` carries the lambda-derivatives through the same tree by the
-    product rule.  Returns the list of (mats, dmats) levels.
     """
     levels = []
     while mats[0].shape[0] > 1:
@@ -79,18 +69,9 @@ def _tree(mats, dmats=None):
             one = np.ones_like(mats[0][:1])
             zero = np.zeros_like(one)
             mats = tuple(np.concatenate((x, e)) for x, e in zip(mats, (one, zero, zero, one)))
-            if dmats is not None:
-                dmats = tuple(np.concatenate((x, zero)) for x in dmats)
-        levels.append((mats, dmats))
-        later = tuple(x[1::2] for x in mats)
-        earlier = tuple(x[0::2] for x in mats)
-        if dmats is not None:
-            dlater = tuple(x[1::2] for x in dmats)
-            dearlier = tuple(x[0::2] for x in dmats)
-            dmats = tuple(p + q for p, q in zip(_matmul(dlater, earlier),
-                                                _matmul(later, dearlier)))
-        mats = _matmul(later, earlier)
-    levels.append((mats, dmats))
+        levels.append(mats)
+        mats = _matmul(tuple(x[1::2] for x in mats), tuple(x[0::2] for x in mats))
+    levels.append(mats)
     return levels
 
 
@@ -110,8 +91,8 @@ def _sweep(levels, vec):
     end of the product, as (y, y') with a leading node axis.
     """
     vals = tuple(x[None] for x in vec)
-    last = _apply(levels[-1][0], vals)
-    for mats, _ in reversed(levels[:-1]):
+    last = _apply(levels[-1], vals)
+    for mats in reversed(levels[:-1]):
         vals = tuple(x[:mats[0].shape[0] // 2] for x in vals)
         moved = _apply(tuple(x[0::2] for x in mats), vals)
         vals = tuple(np.stack(pair, axis=1).reshape((-1,) + pair[0].shape[1:])
@@ -124,13 +105,13 @@ def _real_axis(sigma: SigmaFunction, *arrays) -> bool:
     return sigma.is_real() and not any(np.any(np.imag(x)) for x in arrays)
 
 
-def monodromy(sigma: SigmaFunction, lams, derivative=False):
+def monodromy(sigma: SigmaFunction, lams):
     """Transfer matrix of (y, y^{[1]}) from x = 0 to x = X for a batch of lambdas.
 
     Returns M of shape (2, 2) + lam.shape: the solution with (y, y^{[1]})(0)
     = (a, b) ends at M @ (a, b), so the columns are C and S and det M = 1.
     The cell matrices are reduced pairwise in log2(m) vectorized steps, over
-    blocks of lambdas.  With `derivative`, returns (M, dM/dlambda).
+    blocks of lambdas.
 
     When sigma is real and no lambda has a nonzero imaginary part, the cell
     matrices and the tree are float64 (cos/cosh and sin/sinh by the sign of
@@ -140,19 +121,13 @@ def monodromy(sigma: SigmaFunction, lams, derivative=False):
     real = _real_axis(sigma, lam)
     lam = lam.real.astype(float, copy=False) if real else lam.astype(complex, copy=False)
     flat = lam.ravel()
-    out = np.empty((8 if derivative else 4, flat.size), dtype=lam.dtype)
+    out = np.empty((4, flat.size), dtype=lam.dtype)
     for start in range(0, flat.size, _BLOCK):
-        mats, dmats = _tree(*_cell_matrices(sigma, flat[start:start + _BLOCK], derivative))[-1]
-        out[:4, start:start + _BLOCK] = [x[0] for x in mats]
-        if derivative:
-            out[4:, start:start + _BLOCK] = [x[0] for x in dmats]
+        mats = _tree(_cell_matrices(sigma, flat[start:start + _BLOCK]))[-1]
+        out[:, start:start + _BLOCK] = [x[0] for x in mats]
     if not np.all(np.isfinite(out)):
         raise StepFailure("propagation produced non-finite values; lambda or sigma out of range")
-    sig0, sig1 = sigma.samples[0], sigma.samples[-1]
-    m = _to_quasi(out[:4].reshape((4,) + lam.shape), sig0, sig1)
-    if derivative:
-        return m, _to_quasi(out[4:].reshape((4,) + lam.shape), sig0, sig1)
-    return m
+    return _to_quasi(out.reshape((4,) + lam.shape), sigma.samples[0], sigma.samples[-1])
 
 
 def node_values(sigma: SigmaFunction, lams, y0, yq0):
@@ -179,7 +154,7 @@ def node_values(sigma: SigmaFunction, lams, y0, yq0):
     out = np.empty((2, sigma.m + 1, flat.size), dtype=dtype)
     for start in range(0, flat.size, _BLOCK):
         block = slice(start, start + _BLOCK)
-        levels = _tree(*_cell_matrices(sigma, flat[block]))
+        levels = _tree(_cell_matrices(sigma, flat[block]))
         leaves, last = _sweep(levels, (start_y[block], start_v[block]))
         out[:, :-1, block] = [x[:sigma.m] for x in leaves]
         out[:, -1, block] = [x[0] for x in last]
@@ -191,10 +166,7 @@ def node_values(sigma: SigmaFunction, lams, y0, yq0):
 
 
 def _to_quasi(t, sig0, sig1):
-    """[[1, 0], [-sig1, 1]] T [[1, 0], [sig0, 1]]: (y, y') -> (y, y^{[1]}) at both ends.
-
-    Linear in T, so it maps the lambda-derivative of T the same way.
-    """
+    """[[1, 0], [-sig1, 1]] T [[1, 0], [sig0, 1]]: (y, y') -> (y, y^{[1]}) at both ends."""
     t00, t01, t10, t11 = t
     m00 = t00 + sig0 * t01
     return np.array([[m00, t01], [t10 + sig0 * t11 - sig1 * m00, t11 - sig1 * t01]])
@@ -239,16 +211,12 @@ def rk4_node_values(sigma: SigmaFunction, lam, y0, yq0, refine=1):
     return ys, yqs
 
 
-def endpoint_data(sigma: SigmaFunction, lams, derivative=False) -> dict:
+def endpoint_data(sigma: SigmaFunction, lams) -> dict:
     """Endpoint values of both fundamental solutions for a batch of lambdas.
 
-    Returns S, S1, C, C1 at x = X (value and quasi-derivative), plus their
-    lambda-derivatives when `derivative` is set, all read from one monodromy
-    matrix.  This is the workhorse used by the characteristic-function layer.
+    Returns S, S1, C, C1 at x = X (value and quasi-derivative), all read from
+    one monodromy matrix.  This is the workhorse used by the
+    characteristic-function layer.
     """
-    res = monodromy(sigma, lams, derivative=derivative)
-    m, dm = res if derivative else (res, None)
-    out = {"C": m[0, 0], "S": m[0, 1], "C1": m[1, 0], "S1": m[1, 1]}
-    if derivative:
-        out.update(dC=dm[0, 0], dS=dm[0, 1], dC1=dm[1, 0], dS1=dm[1, 1])
-    return out
+    m = monodromy(sigma, lams)
+    return {"C": m[0, 0], "S": m[0, 1], "C1": m[1, 0], "S1": m[1, 1]}

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 _SMALL = 1e-4
-_DSINC_SMALL = 1e-2   # |z2| below which d/dz2 sin(w)/w uses its series
 
 
 def sinc(z):
@@ -27,11 +26,11 @@ def sinc(z):
     return out
 
 
-def cos_sinc_sqrt(z2, derivative=False):
-    """cos(w) and sin(w)/w at w = sqrt(z2), plus d/dz2 of sin(w)/w with `derivative`.
+def cos_sinc_sqrt(z2):
+    """cos(w) and sin(w)/w at w = sqrt(z2).
 
-    All three are single-valued (even in w) functions of z2, in the dtype of
-    the input.  Complex z2: cos and sin share one evaluation of the real trig
+    Both are single-valued (even in w) functions of z2, in the dtype of the
+    input.  Complex z2: cos and sin share one evaluation of the real trig
     and hyperbolic parts of w.  Real z2 stays real: with w = sqrt(|z2|), cos w
     and sin w where z2 >= 0, cosh w and sinh w (w imaginary) where z2 < 0.
     """
@@ -54,17 +53,7 @@ def cos_sinc_sqrt(z2, derivative=False):
         np.cosh(w, out=cos_w, where=~osc)
         sin_w = np.sin(w, out=np.empty_like(w), where=osc)
         np.sinh(w, out=sin_w, where=~osc)
-    sinc_w = np.divide(sin_w, w, out=np.ones_like(w), where=w != 0)
-    if not derivative:
-        return cos_w, sinc_w
-    # (w cos w - sin w)/(2 w^3); the direct form loses eps/|z2| to
-    # cancellation, so the series (through z2^4) takes over below 1e-2
-    small = np.abs(z2) < _DSINC_SMALL
-    dsinc = np.divide(cos_w - sinc_w, 2.0 * z2, out=np.empty_like(cos_w), where=~small)
-    zs = z2[small]
-    z4 = zs * zs
-    dsinc[small] = -1.0 / 6.0 + zs / 60.0 - z4 / 1680.0 + z4 * zs / 90720.0 - z4 * z4 / 7983360.0
-    return cos_w, sinc_w, dsinc
+    return cos_w, np.divide(sin_w, w, out=np.ones_like(w), where=w != 0)
 
 
 def overlap_sin_sin(mu, rho, length=np.pi):
@@ -85,25 +74,24 @@ def overlap_cos_cos(mu, rho, length=np.pi):
 
 def poly_sin(m, rho, length=np.pi):
     """Integral of t^m sin(rho t) over [0, length] (entire in lambda = rho^2 for odd use sites)."""
-    rho = np.asarray(rho, dtype=complex)
-    out = np.empty_like(rho)
-    small = np.abs(rho) * length < 0.5
-    if np.any(small):
-        out[small] = _poly_sin_series(m, rho[small], length)
-    if np.any(~small):
-        out[~small] = _poly_trig_recur(m, rho[~small], length)[0]
-    return out
+    return _poly_trig(m, rho, length, 1)
 
 
 def poly_cos(m, rho, length=np.pi):
     """Integral of t^m cos(rho t) over [0, length]."""
+    return _poly_trig(m, rho, length, 0)
+
+
+def _poly_trig(m, rho, length, s):
+    """Integral of t^m sin(rho t) (s = 1) or t^m cos(rho t) (s = 0): the power
+    series where |rho| length < 0.5, the recurrence elsewhere."""
     rho = np.asarray(rho, dtype=complex)
     out = np.empty_like(rho)
     small = np.abs(rho) * length < 0.5
     if np.any(small):
-        out[small] = _poly_cos_series(m, rho[small], length)
+        out[small] = _poly_series(m, rho[small], length, s)
     if np.any(~small):
-        out[~small] = _poly_trig_recur(m, rho[~small], length)[1]
+        out[~small] = _poly_trig_recur(m, rho[~small], length)[1 - s]
     return out
 
 
@@ -121,38 +109,20 @@ def _poly_trig_recur(m, rho, length):
     return s_prev, c_prev
 
 
-def _poly_sin_series(m, rho, length, tol=1e-18):
+def _poly_series(m, rho, length, s, tol=1e-18):
+    # sum_k (-1)^k rho^(2k+s) L^(m+2k+s+1) / ((2k+s)! (m+2k+s+1))
     out = np.zeros_like(rho)
-    term_pow = rho * length ** (m + 2)
+    term_pow = (rho if s else np.ones_like(rho)) * length ** (m + s + 1)
     k = 0
     fact = 1.0
     while True:
-        denom = fact * (m + 2 * k + 2)
+        denom = fact * (m + 2 * k + s + 1)
         contrib = (-1.0) ** k * term_pow / denom
         out = out + contrib
         if np.all(np.abs(contrib) < tol * (1.0 + np.abs(out))):
             break
         k += 1
-        fact *= (2 * k) * (2 * k + 1)
-        term_pow = term_pow * (rho * length) ** 2
-        if k > 60:
-            break
-    return out
-
-
-def _poly_cos_series(m, rho, length, tol=1e-18):
-    out = np.zeros_like(rho)
-    term_pow = np.ones_like(rho) * length ** (m + 1)
-    k = 0
-    fact = 1.0
-    while True:
-        denom = fact * (m + 2 * k + 1)
-        contrib = (-1.0) ** k * term_pow / denom
-        out = out + contrib
-        if np.all(np.abs(contrib) < tol * (1.0 + np.abs(out))):
-            break
-        k += 1
-        fact *= (2 * k - 1) * (2 * k)
+        fact *= (2 * k + s - 1) * (2 * k + s)
         term_pow = term_pow * (rho * length) ** 2
         if k > 60:
             break

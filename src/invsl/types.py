@@ -166,10 +166,6 @@ class BoundaryPolyPair:
         n = np.arange(1, self.a.size)
         return _polyval(self.a[1:] * n, lam)
 
-    def dp2(self, lam):
-        n = np.arange(1, self.b.size)
-        return _polyval(self.b[1:] * n, lam)
-
 
 @dataclass(frozen=True)
 class RpDiagnostics:
@@ -222,14 +218,11 @@ def _true_degree(coeffs: np.ndarray) -> int:
 class EntirePair:
     """Evaluable pair (f1, f2) of entire functions of lambda.
 
-    `joint(lam)` gives (f1, f2) from one evaluation; the optional
-    `djoint(lam)` gives (f1, f2, df1, df2), the lambda-derivatives that
-    Newton refinement uses; `descriptor` is a serializable description of
-    how the pair was built.
+    `joint(lam)` gives (f1, f2) from one evaluation; `descriptor` is a
+    serializable description of how the pair was built.
     """
 
     joint: Callable
-    djoint: Optional[Callable] = None
     descriptor: Optional[dict] = None
 
     def __call__(self, lam):
@@ -249,13 +242,8 @@ class EntirePair:
             lam = np.asarray(lam, complex)
             return np.full_like(lam, c1), np.full_like(lam, c2)
 
-        def djoint(lam):
-            zero = np.zeros_like(np.asarray(lam, complex))
-            return joint(lam) + (zero, zero)
-
-        return cls(joint=joint, djoint=djoint,
-                   descriptor={"kind": "constant", "f1": [c1.real, c1.imag],
-                               "f2": [c2.real, c2.imag]})
+        return cls(joint=joint, descriptor={"kind": "constant", "f1": [c1.real, c1.imag],
+                                            "f2": [c2.real, c2.imag]})
 
 
 @dataclass(frozen=True)

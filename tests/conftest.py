@@ -60,37 +60,25 @@ def fundamental_nodes(sigma, lam):
     return y[:, 0], yq[:, 0], y[:, 1], yq[:, 1]
 
 
-def sequential_cells(sigma, lams, y0, v0, dlam=False):
+def sequential_cells(sigma, lams, y0, v0):
     """Reference propagator: the cell matrices applied one at a time, recorded at every node.
 
     `v0` is y'(0) = y^{[1]}(0) + sigma(0) y(0), and the result holds y and y'
-    (keys "y", "v", plus "dy", "dv" with `dlam`), shape (m + 1,) + lam.shape;
-    the initial values do not depend on lambda.  The product tree of
-    `invsl.ode` reorders the same cell products, so tests compare it with
-    this loop.
+    (keys "y", "v"), shape (m + 1,) + lam.shape; the initial values do not
+    depend on lambda.  The product tree of `invsl.ode` reorders the same cell
+    products, so tests compare it with this loop.
     """
     lam = np.atleast_1d(np.asarray(lams, dtype=complex))
-    (c, sn, msn, _), dmats = _cell_matrices(sigma, lam, derivative=dlam)
+    c, sn, msn, _ = _cell_matrices(sigma, lam)
     ys = np.empty((sigma.m + 1,) + lam.shape, dtype=complex)
     vs = np.empty_like(ys)
     ys[0] = y0
     vs[0] = v0
-    if dlam:
-        dc, dsn, dmsn, _ = dmats
-        dys = np.zeros_like(ys)
-        dvs = np.zeros_like(ys)
     for k in range(sigma.m):
         y, v = ys[k], vs[k]
         ys[k + 1] = c[k] * y + sn[k] * v
         vs[k + 1] = msn[k] * y + c[k] * v
-        if dlam:
-            dy, dv = dys[k], dvs[k]
-            dys[k + 1] = dc[k] * y + dsn[k] * v + c[k] * dy + sn[k] * dv
-            dvs[k + 1] = dmsn[k] * y + msn[k] * dy + dc[k] * v + c[k] * dv
-    out = {"y": ys, "v": vs}
-    if dlam:
-        out.update(dy=dys, dv=dvs)
-    return out
+    return {"y": ys, "v": vs}
 
 
 def sequential_stability(p, f, subspectrum, grid, omegas, trials=20, seed=0, reg=0.0):

@@ -45,7 +45,7 @@ def test_hl_spectrum_reaches_the_traced_sites(spans):
         instrumentation.remove()
     counts = tracer.counters[None]
     assert counts["forward.roots"] == 8
-    assert counts["forward.delta_points"] > 0 and counts["forward.ddelta_calls"] > 0
+    assert counts["forward.delta_points"] > 0 and counts["forward.delta_calls"] > 0
     assert counts["halfinverse.psi_mid.calls"] > 0
     assert {"ode.endpoint_data", "halfinverse.psi_mid"} <= {s["name"] for s in tracer.spans}
 

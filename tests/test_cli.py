@@ -11,7 +11,7 @@ from invsl import schemas
 from invsl.cli import main
 from invsl.errors import NonUniqueWarning
 from invsl.forward import find_eigenvalues, make_delta
-from invsl.halfinverse import hl_entire_pair
+from invsl.halfinverse import TwoSidedProblem, hl_entire_pair
 from invsl.problems import sigma_bump
 from invsl.serialize import (
     canonical_dumps,
@@ -35,9 +35,9 @@ def load_golden(name):
 # move them by up to cond * eps.  The golden file's cond is used, so a
 # regression that worsens the conditioning cannot widen its own tolerance.
 CAUCHY_RTOL = max(load_golden("cauchy.json")["fit"]["cond"]) * np.finfo(float).eps
-# Eigenvalues and Weyl samples: Newton polishing stops at steps below
-# 1e-14 (1 + |lambda|); the margin covers rounding accumulated over the
-# 256-cell propagation.
+# Eigenvalues and Weyl samples: refine_brackets stops a root once its step
+# or its bracket falls below 1e-14 (1 + |lambda|); the margin covers rounding
+# accumulated over the 256-cell propagation.
 SPECTRAL_RTOL = 1e-10
 
 
@@ -133,6 +133,45 @@ class TestForward:
         assert main(["forward", str(notjson)]) == 2
 
 
+def _complex_sigma(tmp_path):
+    sig = SigmaFunction(0.1j * np.sin(np.linspace(0.0, np.pi, 65)), np.pi)
+    obj = problem_to_json(sig, BoundaryPolyPair([1.0], [0.0]), {"kind": "dirichlet_right"})
+    return ["forward", write(tmp_path / "p.json", obj), "--eigs", "4"], "delta is not real"
+
+
+def _interval_not_pi(tmp_path):
+    obj = problem_to_json(SigmaFunction.zero(3.0, 64), BoundaryPolyPair([1.0], [0.0]),
+                          {"kind": "dirichlet_right"})
+    return ["forward", write(tmp_path / "p.json", obj), "--eigs", "4"], "on [0, pi]"
+
+
+def _odd_cell_count(tmp_path):
+    free = BoundaryPolyPair([1.0], [0.0])
+    obj = two_sided_to_json(TwoSidedProblem(SigmaFunction.zero(2 * np.pi, 64), free, free))
+    obj["sigma"]["samples"] = obj["sigma"]["samples"][:-1]
+    return ["hl", write(tmp_path / "two.json", obj), "--eigs", "8"], "even cell count"
+
+
+def _zero_eigenvalue(tmp_path):
+    obj = problem_to_json(SigmaFunction.zero(np.pi, 64), BoundaryPolyPair([1.0], [0.0]),
+                          {"kind": "dirichlet_right"})
+    sub = subspectrum_to_json(Subspectrum(np.arange(0, 12, dtype=complex) ** 2))
+    return (["reconstruct", write(tmp_path / "p.json", obj), write(tmp_path / "s.json", sub)],
+            "nonzero rho")
+
+
+@pytest.mark.parametrize("case", [_complex_sigma, _interval_not_pi, _odd_cell_count,
+                                  _zero_eigenvalue], ids=lambda case: case.__name__[1:])
+def test_unsupported_input_exit2(case, tmp_path, capsys):
+    # files the schema admits but the solvers do not support are input errors
+    argv, reason = case(tmp_path)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and reason in err
+    assert not out.exists()
+
+
 class TestReconstruct:
     def test_roundtrip_errors_small(self, rt_free, tmp_path):
         prob_file = write(tmp_path / "p.json", problem_to_json(
@@ -219,8 +258,8 @@ class TestStability:
         # turns into exit 4
         right = (SigmaFunction.zero(np.pi, 512), BoundaryPolyPair([1.0], [0.4]))
         sigma_left, left_pair = sigma_bump(512, amp=0.2), BoundaryPolyPair([0.9], [0.3, 1.0])
-        delta, ddelta = make_delta(sigma_left, left_pair, hl_entire_pair(*right))
-        spec = find_eigenvalues(delta, (-6.0, 540.0), ddelta=ddelta).take(40)
+        delta, _ = make_delta(sigma_left, left_pair, hl_entire_pair(*right))
+        spec = find_eigenvalues(delta, (-6.0, 540.0)).take(40)
         prob_file = write(tmp_path / "p.json", problem_to_json(
             sigma_left, left_pair, hl_f_descriptor(*right), subspectrum=spec))
         flags = ["--omega", "1e-3", "--trials", "2"]

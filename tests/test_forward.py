@@ -97,14 +97,14 @@ class TestCharDelta:
 
 class TestFindEigenvalues:
     def test_dirichlet_closed_form(self):
-        delta, ddelta = make_delta(SIG0, PAIR_FREE, F_DIR)
-        spec = find_eigenvalues(delta, (-1.0, 150.0), ddelta=ddelta)
+        delta, _ = make_delta(SIG0, PAIR_FREE, F_DIR)
+        spec = find_eigenvalues(delta, (-1.0, 150.0))
         exact = (np.arange(1, 11) - 0.5) ** 2
         assert np.max(np.abs(spec.lambdas[:10].real - exact)) <= 1e-9
 
     def test_neumann_includes_zero(self):
-        delta, ddelta = make_delta(SIG0, PAIR_FREE, F_NEU)
-        spec = find_eigenvalues(delta, (-1.0, 100.0), ddelta=ddelta)
+        delta, _ = make_delta(SIG0, PAIR_FREE, F_NEU)
+        spec = find_eigenvalues(delta, (-1.0, 100.0))
         exact = np.arange(0, 10) ** 2
         assert np.max(np.abs(spec.lambdas[:10].real - exact)) <= 1e-9
 
@@ -113,35 +113,28 @@ class TestFindEigenvalues:
         # scan grid on the signed-sqrt axis misses every root, and the bracket
         # [-1e-4, 1e-4] of lambda = 0, where delta is flat to second order in
         # s, converges like the others because refinement runs in lambda
-        delta, ddelta = make_delta(SIG0, PAIR_FREE, F_NEU)
+        delta, _ = make_delta(SIG0, PAIR_FREE, F_NEU)
         s = np.linspace(-0.31, 11.69, 601)
         lam = np.sign(s) * s * s
         fv = np.real(delta(lam))
         idx = np.nonzero(np.signbit(fv[:-1]) != np.signbit(fv[1:]))[0]
         exact = np.arange(0.0, 12.0) ** 2
         assert idx.size == exact.size
-        for jet in (None, ddelta):
-            sizes = []
+        sizes = []
 
-            def counted(fn):
-                def wrapped(lam):
-                    sizes.append(np.size(lam))
-                    return fn(lam)
-                return wrapped
+        def counted(lam):
+            sizes.append(np.size(lam))
+            return delta(lam)
 
-            roots = refine_brackets(counted(delta), jet and counted(jet),
-                                    lam[idx], lam[idx + 1], fv[idx], fv[idx + 1])
-            assert sizes[0] == idx.size and sizes[-1] < idx.size
-            assert all(later <= earlier for earlier, later in zip(sizes, sizes[1:]))
-            assert np.max(np.abs(roots - exact) / (1.0 + exact)) <= 1e-12
-            if jet is not None:
-                # Newton from the secant point: 3 batches measured
-                assert len(sizes) <= 5
+        roots = refine_brackets(counted, lam[idx], lam[idx + 1], fv[idx], fv[idx + 1])
+        assert sizes[0] == idx.size and sizes[-1] < idx.size
+        assert all(later <= earlier for earlier, later in zip(sizes, sizes[1:]))
+        assert np.max(np.abs(roots - exact) / (1.0 + exact)) <= 1e-12
 
     def test_step_sigma_vs_dense_scan(self):
         sig = sigma_step(512, height=1.0)
-        delta, ddelta = make_delta(sig, PAIR_FREE, F_DIR)
-        spec = find_eigenvalues(delta, (0.01, 144.0), ddelta=ddelta)
+        delta, _ = make_delta(sig, PAIR_FREE, F_DIR)
+        spec = find_eigenvalues(delta, (0.01, 144.0))
         oracle = brute_scan_roots(delta, np.arange(0.1, 12.0, 1e-3))
         n = min(len(spec), oracle.size)
         assert np.max(np.abs(spec.lambdas[:n].real - oracle[:n])) <= 1e-6
@@ -193,8 +186,8 @@ class TestWeyl:
     def test_poles_are_delta1_zeros(self):
         sig = sigma_bump(256, amp=0.4)
         pair = BoundaryPolyPair([1.0], [0.3])
-        delta1, dd1 = make_delta(sig, pair, None)
-        zeros = find_eigenvalues(delta1, (-2.0, 60.0), ddelta=dd1)
+        delta1, _ = make_delta(sig, pair, None)
+        zeros = find_eigenvalues(delta1, (-2.0, 60.0))
 
         def recip(lam):
             d0, d1 = char_pair(sig, pair, np.asarray(lam, dtype=complex))
@@ -215,8 +208,8 @@ class TestNoCommonZeros:
     def test_on_computed_subspectra(self):
         sig = sigma_bump(256, amp=0.5)
         pair = BoundaryPolyPair([1.0], [0.4])
-        d1fn, dd1 = make_delta(sig, pair, None)
-        theta = find_eigenvalues(d1fn, (-2.0, 80.0), ddelta=dd1)
+        d1fn, _ = make_delta(sig, pair, None)
+        theta = find_eigenvalues(d1fn, (-2.0, 80.0))
         d0, d1 = char_pair(sig, pair, theta.lambdas)
         scale = np.abs(d0) + np.abs(d1)
         assert np.all(np.abs(d0) > 1e-6 * scale)
@@ -229,8 +222,8 @@ class TestNoCommonZeros:
         # sqrt(theta_n) - (n - N1 - 1) should look square-summable
         pair = BoundaryPolyPair([1.0], [0.4])
         sig = sigma_bump(256, amp=0.5)
-        d1fn, dd1 = make_delta(sig, pair, None)
-        theta = find_eigenvalues(d1fn, (-2.0, 1700.0), ddelta=dd1).take(40)
+        d1fn, _ = make_delta(sig, pair, None)
+        theta = find_eigenvalues(d1fn, (-2.0, 1700.0)).take(40)
         n = np.arange(1, 41)
         kappa = np.abs(theta.rhos - (n - pair.n1 - 1))
         tails = np.cumsum((kappa**2)[::-1])[::-1]

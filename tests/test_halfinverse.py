@@ -68,16 +68,6 @@ class TestPsiMid:
         assert psi[0] == pytest.approx(psi_ref, rel=1e-6)
         assert psi_q[0] == pytest.approx(psi_q_ref, rel=1e-6)
 
-    def test_lambda_derivative_consistency(self):
-        sig_right = sigma_step(128, height=0.4)
-        right_pair = BoundaryPolyPair([0.5, 1.0], [0.8, 0.1])
-        lam, h = 2.0 + 0.3j, 1e-5
-        res = psi_mid(sig_right, right_pair, np.array([lam - h, lam + h, lam]),
-                      derivative=True)
-        psi, psi_q, dpsi, dpsi_q = res
-        assert (psi[1] - psi[0]) / (2 * h) == pytest.approx(dpsi[2], rel=1e-5)
-        assert (psi_q[1] - psi_q[0]) / (2 * h) == pytest.approx(dpsi_q[2], rel=1e-5)
-
     @pytest.mark.parametrize("imag", [0.0, 1.5])
     def test_adjugate_matches_reflected_route(self, imag):
         # previous route: psi pinned at 2pi and carried to pi as a forward run
@@ -91,32 +81,23 @@ class TestPsiMid:
         refl = sig_right.reflected()
         ends = []
         for y0, yq0 in ((1.0, 0.0), (0.0, 1.0)):
-            rec = sequential_cells(refl, lam, y0, yq0 + refl.samples[0] * y0, dlam=True)
-            y, dy = rec["y"][-1], rec["dy"][-1]
-            ends.append((y, -(rec["v"][-1] - refl.samples[-1] * y),
-                         dy, -(rec["dv"][-1] - refl.samples[-1] * dy)))
-        (c, cq, dc, dcq), (s, sq, ds, dsq) = ends
-        r1, r2, dr1, dr2 = pair.p1(lam), pair.p2(lam), pair.dp1(lam), pair.dp2(lam)
-        ref = (r1 * c + r2 * s, r1 * cq + r2 * sq,
-               dr1 * c + r1 * dc + dr2 * s + r2 * ds,
-               dr1 * cq + r1 * dcq + dr2 * sq + r2 * dsq)
-        got = psi_mid(sig_right, pair, lam, derivative=True)
-        plain = psi_mid(sig_right, pair, lam)
-        assert np.array_equal(plain[0], got[0]) and np.array_equal(plain[1], got[1])
-        # rounding scale: |M| |b| for the values, |M'| |b| + |M| |b'| for the derivatives
-        m_size = np.max(np.abs([c, cq, s, sq]), axis=0)
-        dm_size = np.max(np.abs([dc, dcq, ds, dsq]), axis=0)
-        b_size, db_size = np.maximum(abs(r1), abs(r2)), np.maximum(abs(dr1), abs(dr2))
-        scales = (m_size * b_size,) * 2 + (dm_size * b_size + m_size * db_size,) * 2
-        for g, r, scale in zip(got, ref, scales):
+            rec = sequential_cells(refl, lam, y0, yq0 + refl.samples[0] * y0)
+            y = rec["y"][-1]
+            ends.append((y, -(rec["v"][-1] - refl.samples[-1] * y)))
+        (c, cq), (s, sq) = ends
+        r1, r2 = pair.p1(lam), pair.p2(lam)
+        ref = (r1 * c + r2 * s, r1 * cq + r2 * sq)
+        got = psi_mid(sig_right, pair, lam)
+        # rounding scale: |M| |b|
+        scale = np.max(np.abs([c, cq, s, sq]), axis=0) * np.maximum(abs(r1), abs(r2))
+        for g, r in zip(got, ref):
             assert np.max(np.abs(g - r) / scale) <= PSI_RTOL
 
     def test_step_failure_on_overflow(self):
         with np.errstate(over="ignore", invalid="ignore"):
-            for derivative in (False, True):
-                with pytest.raises(StepFailure):
-                    psi_mid(SigmaFunction.zero(np.pi, 64), BoundaryPolyPair([1.0], [0.0]),
-                            np.array([-1e8 + 0j]), derivative=derivative)
+            with pytest.raises(StepFailure):
+                psi_mid(SigmaFunction.zero(np.pi, 64), BoundaryPolyPair([1.0], [0.0]),
+                        np.array([-1e8 + 0j]))
 
 
 class TestEntirePair:
@@ -127,11 +108,9 @@ class TestEntirePair:
         f1, f2 = f(lam)
         assert f1[0] == pytest.approx(-np.cos(1.5 * np.pi), abs=1e-10)
         assert f2[0] == pytest.approx(1.5 * np.sin(1.5 * np.pi), abs=1e-10)
-        # joint and djoint are psi_mid's values (and derivatives), f1 with flipped sign
-        psi, psi_q, dpsi, dpsi_q = psi_mid(SIGR0, right_pair, lam, derivative=True)
+        # joint gives psi_mid's values, f1 with flipped sign
+        psi, psi_q = psi_mid(SIGR0, right_pair, lam)
         for got, want in zip(f.joint(lam), (-psi, psi_q)):
-            assert np.array_equal(got, want)
-        for got, want in zip(f.djoint(lam), (-psi, psi_q, -dpsi, dpsi_q)):
             assert np.array_equal(got, want)
 
     def test_no_common_zeros_on_spectrum(self, exclusion_case):
@@ -200,9 +179,8 @@ class TestSpectrum:
 def _scan_spectrum(prob, count):
     """The first `count` roots of delta by the dense scan, which needs no count."""
     sigma_left, sigma_right = prob.halves()
-    delta, ddelta = make_delta(sigma_left, prob.left_pair,
-                               hl_entire_pair(sigma_right, prob.right_pair))
-    return find_eigenvalues(delta, hl_window(count, prob.p, prob.r), ddelta=ddelta).take(count)
+    delta, _ = make_delta(sigma_left, prob.left_pair, hl_entire_pair(sigma_right, prob.right_pair))
+    return find_eigenvalues(delta, hl_window(count, prob.p, prob.r)).take(count)
 
 
 @pytest.fixture(scope="module")

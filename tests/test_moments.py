@@ -134,8 +134,8 @@ class TestCompanionCollinearity:
         sig = sigma_bump(256, amp=0.4)
         pair = BoundaryPolyPair([0.3, 1.0], [0.5, 0.2])   # p = 3
         f = F11
-        delta, ddelta = make_delta(sig, pair, f)
-        spec = find_eigenvalues(delta, (-4.0, 90.0), ddelta=ddelta).take(8)
+        delta, _ = make_delta(sig, pair, f)
+        spec = find_eigenvalues(delta, (-4.0, 90.0)).take(8)
         d0, d1 = char_pair(sig, pair, spec.lambdas)
         t = np.linspace(0, np.pi, 257)
         for i, lam in enumerate(spec.lambdas):

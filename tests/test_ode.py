@@ -88,25 +88,6 @@ class TestWronskian:
             assert residual <= 1e-8
 
 
-class TestLambdaDerivative:
-    def test_closed_form_at_free(self, sig0):
-        # d/dlambda [sin(rho pi)/rho] at lambda = 1 equals -pi/2
-        _, dm = monodromy(sig0, [1.0], derivative=True)
-        assert dm[0, 1, 0] == pytest.approx(-np.pi / 2, rel=1e-7)
-
-    def test_finite_difference_cross_check(self):
-        sig = sigma_random_smooth(256, scale=0.6, seed=4)
-        lam, h = 2 + 0.5j, 1e-5
-        e = endpoint_data(sig, [lam - h, lam + h, lam], derivative=True)
-        for key in ("S", "C", "S1", "C1"):
-            fd = (e[key][1] - e[key][0]) / (2 * h)
-            assert abs(fd - e["d" + key][2]) <= 1e-5 * max(1, abs(fd))
-
-    def test_regular_at_lambda_zero(self, sig0):
-        _, dm = monodromy(sig0, [0.0], derivative=True)
-        assert np.all(np.isfinite(dm))
-
-
 class TestProperties:
     def test_conjugate_symmetry_for_real_sigma(self):
         sig = sigma_random_smooth(256, scale=0.7, seed=9)
@@ -150,16 +131,13 @@ TREE_RTOL = 1e-12
 DET_RTOL = 1e-12
 
 
-def _sequential_endpoints(sig, lam, derivative):
+def _sequential_endpoints(sig, lam):
     """endpoint_data's quantities from the last node of the recorded cell loop."""
     out = {}
     for name, (y0, yq0) in (("S", (0.0, 1.0)), ("C", (1.0, 0.0))):
-        rec = sequential_cells(sig, lam, y0, yq0 + sig.samples[0] * y0, dlam=derivative)
+        rec = sequential_cells(sig, lam, y0, yq0 + sig.samples[0] * y0)
         y = rec["y"][-1]
         out[name], out[name + "1"] = y, rec["v"][-1] - sig.samples[-1] * y
-        if derivative:
-            dy = rec["dy"][-1]
-            out["d" + name], out["d" + name + "1"] = dy, rec["dv"][-1] - sig.samples[-1] * dy
     return out
 
 
@@ -177,33 +155,23 @@ class TestMonodromy:
         rng = np.random.default_rng(batch)
         real = rng.uniform(-20.0, 1000.0, batch)
         for lam in (real, real + 1j * rng.uniform(-3.0, 3.0, batch)):
-            for derivative in (False, True):
-                tree = endpoint_data(sig, lam, derivative=derivative)
-                loop = _sequential_endpoints(sig, lam, derivative)
-                keys = ["S", "S1", "C", "C1"]
-                assert tree["S"].shape == lam.shape
-                assert np.max(_normwise_dev(tree, loop, keys)) <= TREE_RTOL
-                if derivative:
-                    dkeys = ["d" + k for k in keys]
-                    assert np.max(_normwise_dev(tree, loop, dkeys)) <= TREE_RTOL
+            tree = endpoint_data(sig, lam)
+            loop = _sequential_endpoints(sig, lam)
+            assert tree["S"].shape == lam.shape
+            assert np.max(_normwise_dev(tree, loop, ["S", "S1", "C", "C1"])) <= TREE_RTOL
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_short_products(self, n):
         # the tree on 1-3 factors (one is a no-op, three pads with the identity)
         rng = np.random.default_rng(n)
         mats = rng.standard_normal((n, 2, 2, 5)) + 1j * rng.standard_normal((n, 2, 2, 5))
-        dmats = rng.standard_normal((n, 2, 2, 5))
-        prod, dprod = _tree(tuple(mats[:, i, j] for i in (0, 1) for j in (0, 1)),
-                            tuple(dmats[:, i, j] for i in (0, 1) for j in (0, 1)))[-1]
+        prod = _tree(tuple(mats[:, i, j] for i in (0, 1) for j in (0, 1)))[-1]
         for col in range(5):
-            ref, dref = np.eye(2), np.zeros((2, 2))
+            ref = np.eye(2)
             for k in range(n):
-                a, da = mats[k, :, :, col], dmats[k, :, :, col]
-                ref, dref = a @ ref, da @ ref + a @ dref
+                ref = mats[k, :, :, col] @ ref
             got = np.array([x[0, col] for x in prod]).reshape(2, 2)
-            dgot = np.array([x[0, col] for x in dprod]).reshape(2, 2)
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-            assert np.max(np.abs(dgot - dref)) <= 1e-14 * np.max(np.abs(dref))
 
     @pytest.mark.parametrize("m", [16, 17, 257, 512])
     @pytest.mark.parametrize("batch", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1400])
@@ -212,22 +180,17 @@ class TestMonodromy:
         # the complex128 tree
         sig = sigma_random_smooth(m, scale=0.8, seed=m)
         lam = np.random.default_rng(batch).uniform(-20.0, 1000.0, batch)
-        for derivative in (False, True):
-            real = endpoint_data(sig, lam, derivative=derivative)
-            cplx = endpoint_data(sig, lam + 1e-200j, derivative=derivative)
-            keys = ["S", "S1", "C", "C1"]
-            assert real["S"].dtype == np.complex128
-            assert np.max(_normwise_dev(real, cplx, keys)) <= TREE_RTOL
-            if derivative:
-                dkeys = ["d" + k for k in keys]
-                assert np.max(_normwise_dev(real, cplx, dkeys)) <= TREE_RTOL
+        real = endpoint_data(sig, lam)
+        cplx = endpoint_data(sig, lam + 1e-200j)
+        assert real["S"].dtype == np.complex128
+        assert np.max(_normwise_dev(real, cplx, ["S", "S1", "C", "C1"])) <= TREE_RTOL
 
     def test_arithmetic_follows_inputs(self, monkeypatch):
         seen = []
 
-        def record(z2, derivative=False):
+        def record(z2):
             seen.append(z2.dtype)
-            return cos_sinc_sqrt(z2, derivative)
+            return cos_sinc_sqrt(z2)
 
         monkeypatch.setattr(ode, "cos_sinc_sqrt", record)
         sig = sigma_random_smooth(64, scale=0.8, seed=3)
@@ -236,7 +199,7 @@ class TestMonodromy:
                  (sig_c, [1.0, 2.0], np.complex128)]
         for s, lam, dtype in cases:
             seen.clear()
-            monodromy(s, np.array(lam), derivative=True)
+            monodromy(s, np.array(lam))
             assert seen == [dtype]
 
     def test_unit_determinant(self):
@@ -257,8 +220,6 @@ class TestMonodromy:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(StepFailure):
                 endpoint_data(sig, [1.0, -1e8])
-            with pytest.raises(StepFailure):
-                endpoint_data(sig, [-1e8], derivative=True)
 
 
 def _nodewise_dev(got, ref):

@@ -301,8 +301,8 @@ def _even_spectrum(sigma_left, left_pair, right_pair, count=40):
     from invsl.forward import find_eigenvalues, make_delta
     from invsl.halfinverse import hl_entire_pair
     f = hl_entire_pair(SigmaFunction.zero(np.pi, 512), right_pair)
-    delta, ddelta = make_delta(sigma_left, left_pair, f)
-    spec = find_eigenvalues(delta, (-6.0, 540.0), ddelta=ddelta).take(count)
+    delta, _ = make_delta(sigma_left, left_pair, f)
+    spec = find_eigenvalues(delta, (-6.0, 540.0)).take(count)
     return f, spec
 
 
