@@ -58,7 +58,6 @@ from .moments import (  # noqa: F401
     build_moment_system,
     build_v,
     build_w,
-    moment_identity_check,
     u_from_cauchy,
     xi_identity_residual,
 )
@@ -71,6 +70,7 @@ from .reconstruct import (  # noqa: F401
     ReconstructionResult,
     completeness_ratio,
     deltas_from_cauchy,
+    moment_identity_check,
     reconstruct,
     solve_moment,
     stability_experiment,

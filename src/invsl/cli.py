@@ -58,17 +58,24 @@ def _keep_freed_heap():
             pass
 
 
-def _load(path: str, schema_name: str) -> dict:
+def _read(path: str):
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+
+
+def _check(obj, path: str, schema_name: str) -> dict:
     try:
         jsonschema.validate(obj, schemas.ALL[schema_name], cls=schemas.Validator)
     except jsonschema.ValidationError as exc:
         raise SchemaError(f"{path}: {exc.message}") from exc
     return obj
+
+
+def _load(path: str, schema_name: str) -> dict:
+    return _check(_read(path), path, schema_name)
 
 
 def _write(out_dir: str, name: str, payload: dict) -> Path:
@@ -196,16 +203,13 @@ def cmd_stability(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    try:
-        with open(args.input) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read {args.input}: {exc}") from exc
-    if raw.get("schema") == "invsl/subspectrum-v1":
-        obj = _load(args.input, "subspectrum-v1")
+    obj = _read(args.input)
+    schema = obj.get("schema") if isinstance(obj, dict) else None
+    if schema == "invsl/subspectrum-v1":
+        _check(obj, args.input, "subspectrum-v1")
         sub = subspectrum_from_json(obj["lambdas"])
-    elif raw.get("schema") == "invsl/problem-v1":
-        obj = _load(args.input, "problem-v1")
+    elif schema == "invsl/problem-v1":
+        _check(obj, args.input, "problem-v1")
         if not obj.get("subspectrum"):
             raise SchemaError("problem file has no subspectrum to diagnose")
         sub = subspectrum_from_json(obj["subspectrum"])
@@ -238,6 +242,17 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
+def _window(text: str) -> tuple:
+    """The --window value: two finite numbers lo,hi with lo < hi."""
+    try:
+        lo, hi = (float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected two numbers lo,hi, got {text!r}") from None
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise argparse.ArgumentTypeError(f"expected finite lo < hi, got {text!r}")
+    return lo, hi
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="invsl", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -259,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forward", help="spectrum + Cauchy data of a problem file")
     p.add_argument("problem")
-    p.add_argument("--window", type=lambda s: tuple(float(v) for v in s.split(",")),
-                   default=None, help="lambda window lo,hi")
+    p.add_argument("--window", type=_window, default=None, help="lambda window lo,hi")
     common(p, grid_default=512)
     p.set_defaults(fn=cmd_forward)
 

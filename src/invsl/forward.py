@@ -1,17 +1,21 @@
 """Characteristic functions, eigenvalue location, Weyl function, and the
 forward extraction of generalized Cauchy data (the oracle for inverse tests).
+
+The extraction fits the samples of Delta0 and Delta1 over the representation
+the inverse solve uses (`moments`): the slot layout, the probe tags with
+their closed-form columns and Gram matrix, and the SVD least-squares step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import IllConditioned, PoleProximity, RootLoss
+from .moments import _component_columns, _gram_block, _tags_for, slot_layout, svd_solve
 from .ode import endpoint_data
-from .trig import overlap_cos_cos, overlap_sin_sin, poly_cos, poly_sin, sinc, synth_series
+from .trig import sinc, synth_series
 from .types import (
     BoundaryPolyPair,
     CauchyData,
@@ -351,70 +355,11 @@ def _index_brackets(count_below: Callable, ends, n_roots: int):
 # generalized Cauchy data extraction (forward oracle)
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Family:
-    """One least-squares family: trig modes + monomials + shared constants."""
-
-    kind: str              # "sin" or "cos"
-    n_modes: int
-    poly_degrees: tuple
-    n_const: int
-
-
-def _design_columns(fam: _Family, rho, lam, const_powers):
-    """Raw columns plus a transform that orthogonalizes the monomial block
-    against the trigonometric block in function space (the monomials are
-    nearly trig-representable, which would otherwise sink the conditioning).
-
-    The orthogonalization does not make the fit well conditioned: the trig
-    columns alone have condition near 10, but the monomial block can still
-    leave the sine-family design near 1e7 (9.55e6 for the golden step
-    problem).  `_solve_family` reports the value, which reaches the output
-    as `meta["cond"]` / `fit.cond`.
-    """
-    cols = []
-    names = []
-    n_trig = fam.n_modes
-    n_par = len(fam.poly_degrees)
-    if fam.kind == "sin":
-        for j in range(1, fam.n_modes + 1):
-            cols.append(overlap_sin_sin(j, rho) / rho)
-            names.append(("sin", j))
-        for m in fam.poly_degrees:
-            cols.append(poly_sin(m, rho) / rho)
-            names.append(("poly", m))
-    else:
-        for j in range(fam.n_modes):
-            cols.append(overlap_cos_cos(j, rho))
-            names.append(("cos", j))
-        for m in fam.poly_degrees:
-            cols.append(poly_cos(m, rho))
-            names.append(("poly", m))
-    for pw in const_powers:
-        cols.append(lam ** pw)
-        names.append(("const", pw))
-    design = np.stack(cols, axis=1)
-
-    n_total = design.shape[1]
-    transform = np.eye(n_total)
-    if n_par:
-        proj = np.zeros((n_trig, n_par))
-        for col, m in enumerate(fam.poly_degrees):
-            if fam.kind == "sin":
-                for row, j in enumerate(range(1, n_trig + 1)):
-                    inner = float(np.real(poly_sin(m, np.array([j + 0j]))[0]))
-                    proj[row, col] = inner / (0.5 * np.pi)
-            else:
-                for row, j in enumerate(range(n_trig)):
-                    inner = float(np.real(poly_cos(m, np.array([j + 0j]))[0]))
-                    proj[row, col] = inner / (np.pi if j == 0 else 0.5 * np.pi)
-        transform[:n_trig, n_trig:n_trig + n_par] = -proj
-    return design, names, transform
-
-
-def _solve_family(design, rhs, transform=None, cond_limit=1e10):
-    if transform is not None:
-        design = design @ transform
+def _solve_family(design, rhs, transform, cond_limit=1e10):
+    """Coefficients of the raw columns, condition number and relative residual
+    of the fit over the unit-norm columns of `design @ transform`; a
+    condition above `cond_limit` raises IllConditioned before `svd_solve`."""
+    design = design @ transform
     norms = np.linalg.norm(design, axis=0)
     norms[norms == 0] = 1.0
     a = design / norms
@@ -422,12 +367,9 @@ def _solve_family(design, rhs, transform=None, cond_limit=1e10):
     cond = s[0] / s[-1] if s[-1] > 0 else np.inf
     if cond > cond_limit:
         raise IllConditioned(f"extraction design matrix condition {cond:.3e}")
-    x = vh.conj().T @ ((u.conj().T @ rhs) / s)
+    x = svd_solve(u, s, vh, rhs)
     resid = np.linalg.norm(a @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
-    x = x / norms
-    if transform is not None:
-        x = transform @ x
-    return x, cond, resid
+    return transform @ (x / norms), cond, resid
 
 
 def resample_cauchy(data: CauchyData, grid_m: int) -> CauchyData:
@@ -449,16 +391,33 @@ _EXTRACT_POLY = 3
 _EXTRACT_OVERSAMPLE = 10
 
 
+def _fit_family(kind, n_modes, rho, rhs, const):
+    """One family of the extraction fit: its kernel's series over the `kind`
+    tags (trig modes, then monomials, these orthogonalized against the modes
+    in function space), the coefficients of the `const` columns, the
+    condition number and the relative residual."""
+    tags = sorted(_tags_for(kind, n_modes, _EXTRACT_POLY), key=lambda tag: tag[0] == "poly")
+    n_trig = sum(tag[0] != "poly" for tag in tags)
+    against = "sin_over_rho" if kind == "sin" else "cos"
+    design = np.concatenate([_component_columns(tags, rho, against), const], axis=1)
+    gram = _gram_block(tags)
+    transform = np.eye(design.shape[1])
+    transform[:n_trig, n_trig:len(tags)] = -gram[:n_trig, n_trig:] / np.diag(gram)[:n_trig, None]
+    x, cond, res = _solve_family(design, rhs, transform)
+    return tags, x[:len(tags)], x[len(tags):], cond, res
+
+
 def extract_cauchy(sigma: SigmaFunction, pair: BoundaryPolyPair,
                    n_modes: int = 64, grid_m: Optional[int] = None) -> CauchyData:
     """Extract {J, G, A1..Ap} from characteristic-function samples.
 
-    Delta0 and Delta1 are sampled at rho in {0.5, 1.0, 1.5, ...} (both integer
-    and half-integer points, which keeps the trigonometric columns of each
-    family well conditioned), and one linear least-squares fit per family
-    recovers the kernel coefficients plus the polynomial constants.  Kernels
-    are synthesized on the sigma grid (or a `grid_m`-cell grid); the fit report
-    lands in `meta`.
+    Delta1 and Delta0 are the moment row's pattern at (f1, f2) = (1, 0) and
+    (0, 1) (`slot_layout`).  Both are sampled at rho in {0.5, 1.0, 1.5, ...}
+    (integer and half-integer points keep the trig columns well conditioned),
+    and one least-squares fit per family (`_fit_family`) recovers its
+    kernel's probe series plus its polynomial constants.  Kernels are
+    synthesized on the sigma grid (or a `grid_m`-cell grid); `series` holds
+    the probe series and `meta` the fit report.
 
     The monomial columns can leave a family's fit with condition number near
     1e7 (9.55e6 for the sine family of the golden step problem); it is
@@ -467,52 +426,25 @@ def extract_cauchy(sigma: SigmaFunction, pair: BoundaryPolyPair,
     """
     if abs(sigma.interval_length - np.pi) > 1e-12:
         raise ValueError("Cauchy-data extraction expects a problem on [0, pi]")
-    diag = validate_rp(pair)
+    p = validate_rp(pair).p
     rho = 0.5 * np.arange(1, 2 * (n_modes + _EXTRACT_OVERSAMPLE) + 1)
     lam = rho.astype(complex) ** 2
     d0, d1 = char_pair(sigma, pair, lam)
+    lay1 = slot_layout(p, lam, 1.0, 0.0)
+    lay0 = slot_layout(p, lam, 0.0, 1.0)
+    e1, e0 = lay1.free_terms(np.pi * sinc(rho * np.pi), np.cos(rho * np.pi))
+    kind1, kind0 = lay1.kernels("sin", "cos")
+    tags1, x1, a_odd, cond1, res1 = _fit_family(
+        kind1, n_modes, rho, d1 / lay1.k1 - e1, lay1.slots[:, 0::2] / lay1.k1[:, None])
+    tags0, x0, a_even, cond0, res0 = _fit_family(
+        kind0, n_modes, rho, d0 / lay0.k2 - e0, lay0.slots[:, 1::2] / lay0.k2[:, None])
 
     t = sigma.nodes if grid_m is None else np.linspace(0.0, np.pi, grid_m + 1)
-    if diag.parity == "odd":
-        n1 = pair.n1
-        # Delta1 family: sine kernel plus odd-indexed constants
-        rhs1 = d1 / lam ** (n1 + 1) + np.pi * sinc(rho * np.pi) / 1.0
-        fam1 = _Family("sin", n_modes, tuple(range(0, _EXTRACT_POLY)), n1 + 1)
-        pw1 = [n - (n1 + 1) for n in range(0, n1 + 1)]
-        # Delta0 family: cosine kernel plus even-indexed constants
-        rhs0 = d0 / lam ** n1 - np.cos(rho * np.pi)
-        fam0 = _Family("cos", n_modes, tuple(range(1, _EXTRACT_POLY)), n1)
-        pw0 = [n - n1 for n in range(0, n1)]
-    else:
-        n2 = pair.n2
-        rhs1 = d1 / lam ** n2 + np.cos(rho * np.pi)
-        fam1 = _Family("cos", n_modes, tuple(range(1, _EXTRACT_POLY)), n2)
-        pw1 = [n - n2 for n in range(0, n2)]
-        rhs0 = d0 / lam ** n2 + np.pi * sinc(rho * np.pi)
-        fam0 = _Family("sin", n_modes, tuple(range(0, _EXTRACT_POLY)), n2)
-        pw0 = [n - n2 for n in range(0, n2)]
-
-    a1, names1, t1 = _design_columns(fam1, rho, lam, pw1)
-    x1, cond1, res1 = _solve_family(a1, rhs1, t1)
-    a0, names0, t0 = _design_columns(fam0, rho, lam, pw0)
-    x0, cond0, res0 = _solve_family(a0, rhs0, t0)
-
-    nk1 = len(names1) - len(pw1)
-    nk0 = len(names0) - len(pw0)
-    j_kernel = synth_series(names1[:nk1], x1[:nk1], t)
-    g_kernel = synth_series(names0[:nk0], x0[:nk0], t)
-    a_odd = x1[nk1:]
-    a_even = x0[nk0:]
-    p = pair.p
     a_vec = np.zeros(p, dtype=complex)
     a_vec[0::2] = a_odd
     a_vec[1::2] = a_even
-
-    series = {
-        "parity": diag.parity,
-        "j": list(zip([n for n in names1[:nk1]], x1[:nk1].tolist())),
-        "g": list(zip([n for n in names0[:nk0]], x0[:nk0].tolist())),
-    }
+    series = {"j": list(zip(tags1, x1.tolist())), "g": list(zip(tags0, x0.tolist()))}
     meta = {"cond": (cond1, cond0), "residual": (res1, res0),
             "n_modes": n_modes, "n_poly": _EXTRACT_POLY}
-    return CauchyData(j=j_kernel, g=g_kernel, a=a_vec, series=series, meta=meta)
+    return CauchyData(j=synth_series(tags1, x1, t), g=synth_series(tags0, x0, t), a=a_vec,
+                      series=series, meta=meta)

@@ -1,10 +1,13 @@
-"""Moment-system ingredients: the odd/even slot layout of the moment row
-v(t, lambda), the row itself on a grid, the scalar w(lambda), the moment
-system of a subspectrum as arrays, identity diagnostics, and Riesz-basis
-condition estimates for sine families.
+"""The trig-plus-monomial representation that the Cauchy-data fit in
+`forward` and the probe-space solve in `reconstruct` share, and the moment
+system built on it.
 
 `slot_layout` is the one place that knows how the boundary degree p arranges
-the row; every builder here and the probe-space solve in `reconstruct` read it.
+the moment row v(t, lambda).  `_tags_for` names the probe functions, with
+their closed-form columns (`_component_columns`) and Gram matrix
+(`_gram_block`); `svd_solve` is the one least-squares step.  Also here: v on
+a grid, the scalar w(lambda), the moment system of a subspectrum as arrays,
+and Riesz-basis condition estimates for sine families.
 """
 
 from __future__ import annotations
@@ -15,18 +18,11 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ParityMismatch
-from .forward import char_delta
-from .trig import gauss_nodes, overlap_cos_cos, overlap_sin_sin, sinc
-from .types import (
-    BoundaryPolyPair,
-    CauchyData,
-    EntirePair,
-    HpVector,
-    SigmaFunction,
-    Subspectrum,
-    branch_sqrt,
-    hp_inner,
-)
+from .trig import gauss_nodes, overlap_cos_cos, overlap_sin_sin, poly_cos, poly_poly, poly_sin, sinc
+from .types import CauchyData, EntirePair, HpVector, Subspectrum, branch_sqrt
+
+# Singular values at or below this fraction of the largest are truncated.
+_RANK_TOL = 1e-12
 
 
 def _as_grid(grid) -> np.ndarray:
@@ -85,6 +81,73 @@ def slot_layout(p: int, lam=0.0, f1=1.0, f2=1.0) -> SlotLayout:
     return SlotLayout(k1=f1 * lam ** (n + odd), k2=f2 * lam**n, h1_sin=bool(odd), slots=slots)
 
 
+def _tags_for(kind: str, n_modes: int, n_poly: int, freq_step: float = 1.0):
+    tags = []
+    if kind == "sin":
+        poly_range = range(0, n_poly)          # constants not in finite sine span
+    else:
+        poly_range = range(1, n_poly)          # cos family already has the constant
+    tags.extend(("poly", m) for m in poly_range)
+    if kind == "sin":
+        tags.extend(("sin", freq_step * j) for j in range(1, n_modes + 1))
+    else:
+        tags.extend(("cos", freq_step * j) for j in range(0, n_modes))
+    return tags
+
+
+def _gram_block(tags) -> np.ndarray:
+    """Gram matrix over [0, pi] of one family's monomial and trig tags."""
+    poly = np.array([kind == "poly" for kind, _ in tags])
+    vals = np.array([v for _, v in tags], dtype=float)
+    degs, mu = vals[poly].astype(int), vals[~poly] + 0j
+    trig_kind = next((kind for kind, _ in tags if kind != "poly"), "sin")
+    overlap, poly_trig = ((overlap_sin_sin, poly_sin) if trig_kind == "sin"
+                          else (overlap_cos_cos, poly_cos))
+    g = np.empty((len(tags), len(tags)))
+    g[np.ix_(~poly, ~poly)] = overlap(mu[:, None], mu[None, :]).real
+    g[np.ix_(poly, poly)] = poly_poly(degs[:, None], degs[None, :])
+    cross = np.array([poly_trig(d, mu).real for d in degs]).reshape(degs.size, mu.size)
+    g[np.ix_(poly, ~poly)] = cross
+    g[np.ix_(~poly, poly)] = cross.T
+    return g
+
+
+def _component_columns(tags, rho, against: str):
+    """(phi_i, component) integrals against sin(rho t)/rho or cos(rho t).
+
+    One closed-form call per monomial degree and one over rows x trig modes,
+    placed in tag order.
+    """
+    if against == "sin_over_rho" and np.any(np.abs(rho) < 1e-8):
+        raise ValueError("moment rows require nonzero rho")
+    overlap, poly_trig = ((overlap_sin_sin, poly_sin) if against == "sin_over_rho"
+                          else (overlap_cos_cos, poly_cos))
+    poly = np.array([kind == "poly" for kind, _ in tags], dtype=bool)
+    mu = np.array([v for kind, v in tags if kind != "poly"], dtype=float)
+    cols = np.empty((rho.size, len(tags)), dtype=complex)
+    cols[:, ~poly] = overlap(mu[None, :], rho[:, None])
+    for k in np.flatnonzero(poly):
+        cols[:, k] = poly_trig(tags[k][1], rho)
+    if against == "sin_over_rho":
+        cols /= rho[:, None]
+    return cols
+
+
+def svd_solve(u, s, vh, rhs, reg: float = 0.0):
+    """Least-squares solution of A x = rhs from the SVD A = u diag(s) vh.
+
+    The gains on the singular directions are s/(s^2 + reg) for a positive
+    `reg` (Tikhonov damping), else 1/s with singular values at or below
+    `_RANK_TOL` times the largest dropped (the minimum-norm solution).
+    """
+    if reg > 0:
+        gains = s / (s**2 + reg)
+    else:
+        keep = s > _RANK_TOL * s.max(initial=0.0)
+        gains = np.where(keep, 1.0 / np.maximum(s, 1e-300), 0.0)
+    return vh.conj().T @ (gains * (u.conj().T @ rhs))
+
+
 def _layout_at(lam, f: EntirePair, p: int, f_values):
     lam = np.asarray(lam, dtype=complex)
     if f_values is None:
@@ -118,33 +181,9 @@ def build_w(lam, f: EntirePair, p: int, f_values=None):
     return complex(w) if w.ndim == 0 else w
 
 
-def build_g(lam, d0, d1, p: int, grid) -> HpVector:
-    """Companion row built from the characteristic functions Delta0/Delta1.
-
-    It is v(., lambda) with (f1, f2) -> (Delta0, -Delta1), so at an eigenvalue
-    it is collinear with v.  Only the odd branch is defined.
-    """
-    if p % 2 == 0:
-        raise ParityMismatch("companion rows are defined for odd p only")
-    lam = complex(lam)
-    return _grid_row(lam, slot_layout(p, lam, complex(d0), -complex(d1)), grid)
-
-
 def u_from_cauchy(data: CauchyData) -> HpVector:
     """Pack Cauchy data into the unknown vector (entry-wise conjugation)."""
     return HpVector(np.conj(data.j), np.conj(data.g), np.conj(data.a))
-
-
-def moment_identity_check(u: HpVector, lam, f: EntirePair,
-                          pair: BoundaryPolyPair, sigma: SigmaFunction) -> float:
-    """Relative residual of (u, v(., lambda)) = Delta(lambda) + w(lambda)."""
-    p = pair.p
-    v = build_v(lam, f, p, u.grid_size - 1)
-    lhs = hp_inner(u, v)
-    delta = complex(np.asarray(char_delta(sigma, pair, f, np.array([lam]))).ravel()[0])
-    w = build_w(lam, f, p)
-    scale = max(abs(delta), abs(w), abs(lhs), 1.0)
-    return abs(lhs - delta - w) / scale
 
 
 def row_norm_exact(lam, f: EntirePair, p: int, f_values=None):

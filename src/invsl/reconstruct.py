@@ -17,29 +17,35 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonUniqueWarning
-from .forward import weyl_ratio
-from .moments import MomentSystem, build_moment_system, slot_layout, u_from_cauchy, _as_grid
-from .trig import (
-    overlap_cos_cos,
-    overlap_sin_sin,
-    poly_cos,
-    poly_poly,
-    poly_sin,
-    sinc,
-    synth_series,
+from .forward import char_delta, weyl_ratio
+from .moments import (
+    _RANK_TOL,
+    MomentSystem,
+    _as_grid,
+    _component_columns,
+    _gram_block,
+    _tags_for,
+    build_moment_system,
+    build_v,
+    build_w,
+    slot_layout,
+    svd_solve,
+    u_from_cauchy,
 )
+from .trig import sinc, synth_series
 from .types import (
+    BoundaryPolyPair,
     CauchyData,
     EntirePair,
     HpVector,
+    SigmaFunction,
     Subspectrum,
     branch_sqrt,
+    hp_inner,
 )
 
 # Monomial columns per kernel component of the default probe basis.
 _N_POLY = 3
-# Singular values at or below this fraction of the largest are truncated.
-_RANK_TOL = 1e-12
 # A smaller singular-value ratio marks a reconstruction as non-unique.
 _RANK_WARN = 1e-8
 
@@ -61,37 +67,6 @@ class ProbeBasis:
     @property
     def dim(self) -> int:
         return self.b1.shape[1] + self.b2.shape[1] + self.p
-
-
-def _tags_for(kind: str, n_modes: int, n_poly: int, freq_step: float = 1.0):
-    tags = []
-    if kind == "sin":
-        poly_range = range(0, n_poly)          # constants not in finite sine span
-    else:
-        poly_range = range(1, n_poly)          # cos family already has the constant
-    tags.extend(("poly", m) for m in poly_range)
-    if kind == "sin":
-        tags.extend(("sin", freq_step * j) for j in range(1, n_modes + 1))
-    else:
-        tags.extend(("cos", freq_step * j) for j in range(0, n_modes))
-    return tags
-
-
-def _gram_block(tags) -> np.ndarray:
-    """Gram matrix over [0, pi] of one family's monomial and trig tags."""
-    poly = np.array([kind == "poly" for kind, _ in tags])
-    vals = np.array([v for _, v in tags], dtype=float)
-    degs, mu = vals[poly].astype(int), vals[~poly] + 0j
-    trig_kind = next((kind for kind, _ in tags if kind != "poly"), "sin")
-    overlap, poly_trig = ((overlap_sin_sin, poly_sin) if trig_kind == "sin"
-                          else (overlap_cos_cos, poly_cos))
-    g = np.empty((len(tags), len(tags)))
-    g[np.ix_(~poly, ~poly)] = overlap(mu[:, None], mu[None, :]).real
-    g[np.ix_(poly, poly)] = poly_poly(degs[:, None], degs[None, :])
-    cross = np.array([poly_trig(d, mu).real for d in degs]).reshape(degs.size, mu.size)
-    g[np.ix_(poly, ~poly)] = cross
-    g[np.ix_(~poly, poly)] = cross.T
-    return g
 
 
 def _whiten(gram: np.ndarray, tol: float = 1e-11) -> np.ndarray:
@@ -119,27 +94,6 @@ def make_probe_basis(p: int, n_modes, n_poly: int = _N_POLY,
     b1 = _whiten(_gram_block(h1_tags))
     b2 = _whiten(_gram_block(h2_tags))
     return ProbeBasis(h1_tags=h1_tags, h2_tags=h2_tags, p=p, b1=b1, b2=b2)
-
-
-def _component_columns(tags, rho, against: str):
-    """(phi_i, component) integrals against sin(rho t)/rho or cos(rho t).
-
-    One closed-form call per monomial degree and one over rows x trig modes,
-    placed in tag order.
-    """
-    if against == "sin_over_rho" and np.any(np.abs(rho) < 1e-8):
-        raise ValueError("moment rows require nonzero rho")
-    overlap, poly_trig = ((overlap_sin_sin, poly_sin) if against == "sin_over_rho"
-                          else (overlap_cos_cos, poly_cos))
-    poly = np.array([kind == "poly" for kind, _ in tags], dtype=bool)
-    mu = np.array([v for kind, v in tags if kind != "poly"], dtype=float)
-    cols = np.empty((rho.size, len(tags)), dtype=complex)
-    cols[:, ~poly] = overlap(mu[None, :], rho[:, None])
-    for k in np.flatnonzero(poly):
-        cols[:, k] = poly_trig(tags[k][1], rho)
-    if against == "sin_over_rho":
-        cols /= rho[:, None]
-    return cols
 
 
 def moment_design(system: MomentSystem, basis: ProbeBasis):
@@ -219,13 +173,7 @@ def _solve_one(design, rhs, u_mat, svals, vh, basis: ProbeBasis, reg):
     smax = float(svals[0]) if svals.size else 0.0
     smin = float(svals[-1]) if svals.size else 0.0
     ratio = smin / smax if smax > 0 else 0.0
-    coeff = u_mat.conj().T @ rhs
-    if reg > 0:
-        gains = svals / (svals**2 + reg)
-    else:
-        keep = svals > _RANK_TOL * smax
-        gains = np.where(keep, 1.0 / np.maximum(svals, 1e-300), 0.0)
-    z = vh.conj().T @ (gains * coeff)
+    z = svd_solve(u_mat, svals, vh, rhs, reg)
     residual = float(np.linalg.norm(design @ z - rhs))
 
     d1 = basis.b1.shape[1]
@@ -246,11 +194,12 @@ def _solve_one(design, rhs, u_mat, svals, vh, basis: ProbeBasis, reg):
 
 
 def unpack_u(u: HpVector) -> CauchyData:
-    """Invert the entry-wise conjugation packing of the unknown vector."""
+    """Invert the entry-wise conjugation packing of the unknown vector; the
+    series of its components become the kernels' "j" and "g" series."""
     series = None
     if u.meta and u.meta.get("series"):
-        series = {k: [(tag, complex(c).conjugate()) for tag, c in v]
-                  for k, v in u.meta["series"].items()}
+        series = {k: [(tag, complex(c).conjugate()) for tag, c in u.meta["series"][h]]
+                  for k, h in (("j", "h1"), ("g", "h2"))}
     return CauchyData(j=np.conj(u.h1), g=np.conj(u.h2), a=np.conj(u.scalars),
                       series=series, meta=u.meta)
 
@@ -276,6 +225,18 @@ def deltas_from_cauchy(data: CauchyData, p: int, lam):
     if np.isscalar(lam) or np.asarray(lam).ndim == 0:
         return complex(d0[0]), complex(d1[0])
     return d0, d1
+
+
+def moment_identity_check(u: HpVector, lam, f: EntirePair,
+                          pair: BoundaryPolyPair, sigma: SigmaFunction) -> float:
+    """Relative residual of (u, v(., lambda)) = Delta(lambda) + w(lambda)."""
+    p = pair.p
+    v = build_v(lam, f, p, u.grid_size - 1)
+    lhs = hp_inner(u, v)
+    delta = complex(np.asarray(char_delta(sigma, pair, f, np.array([lam]))).ravel()[0])
+    w = build_w(lam, f, p)
+    scale = max(abs(delta), abs(w), abs(lhs), 1.0)
+    return abs(lhs - delta - w) / scale
 
 
 @dataclass

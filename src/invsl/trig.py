@@ -145,12 +145,6 @@ def gauss_nodes(a, b, panels, order=12):
     return x, w
 
 
-def gauss_panels(f, a, b, panels, order=12):
-    """Composite Gauss-Legendre quadrature of a (vector-valued) callable."""
-    x, w = gauss_nodes(a, b, panels, order)
-    return np.tensordot(f(x), w, axes=([-1], [0]))
-
-
 def synth_series(tags, coeffs, t):
     """Sum of coeff * basis(t) over ("sin", v), ("cos", v) and ("poly", m) tags.
 

@@ -69,19 +69,6 @@ class SigmaFunction:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.interval_length, self.m + 1)
 
-    @property
-    def trapezoid_weights(self) -> np.ndarray:
-        w = np.full(self.m + 1, self.dx)
-        w[0] = w[-1] = 0.5 * self.dx
-        return w
-
-    def norm_l2(self) -> float:
-        return float(np.sqrt(np.sum(self.trapezoid_weights * np.abs(self.samples) ** 2).real))
-
-    def reflected(self) -> "SigmaFunction":
-        """Antiderivative of the reflected potential: -sigma(X - x)."""
-        return SigmaFunction(-self.samples[::-1].copy(), self.interval_length)
-
     def is_real(self, tol: float = 0.0) -> bool:
         return bool(np.all(np.abs(self.samples.imag) <= tol))
 
@@ -147,14 +134,6 @@ class BoundaryPolyPair:
         if self.parity == "odd":
             return 2 * (self.a.size - 1) + 1
         return 2 * (self.b.size - 1)
-
-    @property
-    def n1(self) -> int:
-        return self.a.size - 1
-
-    @property
-    def n2(self) -> int:
-        return self.b.size - 1
 
     def p1(self, lam):
         return _polyval(self.a, lam)
@@ -228,11 +207,6 @@ class EntirePair:
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)
         return tuple(np.asarray(v, dtype=complex) + np.zeros_like(lam) for v in self.joint(lam))
-
-    def no_common_zero(self, lams, tol: float = 1e-9) -> bool:
-        f1, f2 = self(lams)
-        scale = 1.0 + np.abs(f1) + np.abs(f2)
-        return bool(np.all((np.abs(f1) > tol * scale) | (np.abs(f2) > tol * scale)))
 
     @classmethod
     def constant(cls, c1, c2) -> "EntirePair":
@@ -361,9 +335,6 @@ class HpVector:
     def __sub__(self, other: "HpVector") -> "HpVector":
         _check_compatible(self, other)
         return HpVector(self.h1 - other.h1, self.h2 - other.h2, self.scalars - other.scalars)
-
-    def scaled(self, c) -> "HpVector":
-        return HpVector(c * self.h1, c * self.h2, c * self.scalars)
 
     @classmethod
     def zero(cls, grid_size: int, p: int) -> "HpVector":

@@ -13,7 +13,8 @@ from invsl.ode import _cell_matrices, node_values
 from invsl.problems import hl_exclusion_instance, roundtrip_corpus
 from invsl.reconstruct import default_basis, reconstruct
 from invsl.serialize import complex_array
-from invsl.types import Subspectrum
+from invsl.trig import gauss_nodes
+from invsl.types import HpVector, SigmaFunction, Subspectrum
 
 
 class RoundTrip:
@@ -51,6 +52,29 @@ def rt_robin(rt_problems):
 def exclusion_case():
     prob = hl_exclusion_instance()
     return RoundTrip("hl_exclusion", prob, count=52)
+
+
+def reflected(sigma):
+    """Antiderivative of the reflected potential: -sigma(X - x)."""
+    return SigmaFunction(-sigma.samples[::-1].copy(), sigma.interval_length)
+
+
+def no_common_zero(f, lams, tol=1e-9):
+    """True when the entire pair f has no common zero among `lams`."""
+    f1, f2 = f(lams)
+    scale = 1.0 + np.abs(f1) + np.abs(f2)
+    return bool(np.all((np.abs(f1) > tol * scale) | (np.abs(f2) > tol * scale)))
+
+
+def scaled(h, c):
+    """The product-space element c h."""
+    return HpVector(c * h.h1, c * h.h2, c * h.scalars)
+
+
+def gauss_panels(f, a, b, panels, order=12):
+    """Composite Gauss-Legendre quadrature of a (vector-valued) callable."""
+    x, w = gauss_nodes(a, b, panels, order)
+    return np.tensordot(f(x), w, axes=([-1], [0]))
 
 
 def fundamental_nodes(sigma, lam):

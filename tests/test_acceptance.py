@@ -15,7 +15,7 @@ from conftest import fundamental_nodes, rel_l2
 from invsl.cli import main
 from invsl.forward import char_pair, extract_cauchy, find_eigenvalues, make_delta, resample_cauchy
 from invsl.halfinverse import hl_reconstruct, hl_spectrum
-from invsl.moments import moment_identity_check, u_from_cauchy, xi_identity_residual
+from invsl.moments import u_from_cauchy, xi_identity_residual
 from invsl.problems import (
     forward_corpus,
     hl_step_instance,
@@ -23,7 +23,7 @@ from invsl.problems import (
     sigma_random_smooth,
     sigma_step,
 )
-from invsl.reconstruct import reconstruct, stability_experiment
+from invsl.reconstruct import moment_identity_check, reconstruct, stability_experiment
 from invsl.serialize import canonical_dumps, hl_f_descriptor, problem_to_json, two_sided_to_json
 from invsl.types import BoundaryPolyPair, EntirePair, SigmaFunction
 

@@ -172,6 +172,30 @@ def test_unsupported_input_exit2(case, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["diagnose", "{array}"], "expected a problem-v1 or subspectrum-v1 file"),
+    (["forward", "{golden}", "--window=5"], "expected two numbers lo,hi"),
+    (["forward", "{golden}", "--window=1,2,3"], "expected two numbers lo,hi"),
+    (["forward", "{golden}", "--window=4,-1"], "expected finite lo < hi"),
+    (["forward", "{golden}", "--window=nan,5"], "expected finite lo < hi"),
+    (["forward", "{golden}", "--window=-1,inf"], "expected finite lo < hi"),
+], ids=["diagnose-array", "window-one", "window-three", "window-reversed", "window-nan",
+        "window-inf"])
+def test_bad_input_exit2_without_traceback(argv, reason, tmp_path, capsys):
+    # a JSON array for diagnose and a malformed --window are input errors
+    paths = {"array": write(tmp_path / "a.json", [1.0, 2.0]),
+             "golden": str(GOLDEN / "step_problem.json")}
+    out = tmp_path / "out"
+    try:
+        code = main([a.format(**paths) for a in argv] + ["--out", str(out)])
+    except SystemExit as exc:    # argparse reports its own errors
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert reason in err and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestReconstruct:
     def test_roundtrip_errors_small(self, rt_free, tmp_path):
         prob_file = write(tmp_path / "p.json", problem_to_json(

@@ -219,13 +219,13 @@ class TestNoCommonZeros:
         assert np.all(np.abs(d1m) > 1e-6 * (np.abs(d0m) + np.abs(d1m)))
 
     def test_theta_asymptotics_tail_decays(self):
-        # sqrt(theta_n) - (n - N1 - 1) should look square-summable
+        # sqrt(theta_n) - (n - N1 - 1), N1 = p // 2, should look square-summable
         pair = BoundaryPolyPair([1.0], [0.4])
         sig = sigma_bump(256, amp=0.5)
         d1fn, _ = make_delta(sig, pair, None)
         theta = find_eigenvalues(d1fn, (-2.0, 1700.0)).take(40)
         n = np.arange(1, 41)
-        kappa = np.abs(theta.rhos - (n - pair.n1 - 1))
+        kappa = np.abs(theta.rhos - (n - pair.p // 2 - 1))
         tails = np.cumsum((kappa**2)[::-1])[::-1]
         assert np.all(np.diff(tails) <= 1e-15)
         assert tails[20] <= 0.5 * tails[0]
@@ -274,4 +274,4 @@ class TestExtractCauchy:
         col = rng.standard_normal(40)
         design = np.stack([col, col * (1 + 1e-14), rng.standard_normal(40)], axis=1)
         with pytest.raises(IllConditioned):
-            _solve_family(design, rng.standard_normal(40))
+            _solve_family(design, rng.standard_normal(40), np.eye(3))

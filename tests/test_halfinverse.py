@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import rel_l2, sequential_cells
+from conftest import reflected, rel_l2, sequential_cells
 from invsl import halfinverse
 from invsl.errors import ParityMismatch, RootLoss, StepFailure
 from invsl.forward import find_eigenvalues, make_delta
@@ -59,7 +59,7 @@ class TestPsiMid:
         right_pair = BoundaryPolyPair([1.0], [0.6])
         lam = 3.3
         psi, psi_q = psi_mid(sig_right, right_pair, np.array([lam + 0j]))
-        refl = sig_right.reflected()
+        refl = reflected(sig_right)
         s, s1 = (v[-1] for v in rk4_node_values(refl, lam, 0.0, 1.0, refine=6))
         c, c1 = (v[-1] for v in rk4_node_values(refl, lam, 1.0, 0.0, refine=6))
         r1, r2 = right_pair.p1(lam), right_pair.p2(lam)
@@ -78,7 +78,7 @@ class TestPsiMid:
         pair = prob.right_pair
         assert prob.r == 3
         lam = np.linspace(-4.0, 650.0, 41) + 1j * imag
-        refl = sig_right.reflected()
+        refl = reflected(sig_right)
         ends = []
         for y0, yq0 in ((1.0, 0.0), (0.0, 1.0)):
             rec = sequential_cells(refl, lam, y0, yq0 + refl.samples[0] * y0)

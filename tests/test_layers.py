@@ -1,0 +1,45 @@
+"""The package's modules form layers: each imports only from earlier ones."""
+
+import ast
+from pathlib import Path
+
+import invsl
+
+# Lowest layer first; `__init__` re-exports from all of them.
+ORDER = ["errors", "trig", "types", "ode", "moments", "forward", "reconstruct",
+         "halfinverse", "problems", "serialize", "schemas", "cli", "__init__"]
+SRC = Path(invsl.__file__).parent
+
+
+def _relative_imports(tree):
+    """(imported module, import node) for every relative import of a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node.module, node
+            else:
+                # `from . import name`: the package's version string or a module
+                yield from ((alias.name, node) for alias in node.names
+                            if alias.name != "__version__")
+
+
+def _trees():
+    return {name: ast.parse((SRC / f"{name}.py").read_text()) for name in ORDER}
+
+
+def test_imports_only_from_lower_layers():
+    assert sorted(path.stem for path in SRC.glob("*.py")) == sorted(ORDER)
+    wrong = [f"{name}.py line {node.lineno} imports {imported}"
+             for name, tree in _trees().items()
+             for imported, node in _relative_imports(tree)
+             if imported not in ORDER[:ORDER.index(name)]]
+    assert not wrong, "imports from the same or a higher layer: " + "; ".join(wrong)
+
+
+def test_no_import_inside_a_function():
+    inside = [f"{name}.py line {node.lineno} ({func.name}) imports {imported}"
+              for name, tree in _trees().items()
+              for func in ast.walk(tree)
+              if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for imported, node in _relative_imports(func)]
+    assert not inside, "relative imports inside functions: " + "; ".join(inside)

@@ -5,16 +5,15 @@ from invsl.errors import DuplicateEigenvalue, ParityMismatch
 from invsl.forward import char_pair, extract_cauchy, find_eigenvalues, make_delta
 from invsl.moments import (
     basis_diagnostics,
-    build_g,
     build_moment_system,
     build_v,
     build_w,
-    moment_identity_check,
     row_norm_exact,
     u_from_cauchy,
     xi_identity_residual,
 )
 from invsl.problems import sigma_bump
+from invsl.reconstruct import moment_identity_check
 from invsl.types import BoundaryPolyPair, EntirePair, SigmaFunction, Subspectrum
 
 F10 = EntirePair.constant(1.0, 0.0)
@@ -139,7 +138,7 @@ class TestCompanionCollinearity:
         d0, d1 = char_pair(sig, pair, spec.lambdas)
         t = np.linspace(0, np.pi, 257)
         for i, lam in enumerate(spec.lambdas):
-            g = build_g(lam, d0[i], d1[i], pair.p, t)
+            g = build_v(lam, None, pair.p, t, f_values=(d0[i], -d1[i]))
             v = build_v(lam, f, pair.p, t)
             rows = np.stack([
                 np.concatenate([g.h1, g.h2, g.scalars]),
@@ -147,10 +146,6 @@ class TestCompanionCollinearity:
             ])
             s = np.linalg.svd(rows, compute_uv=False)
             assert s[1] <= 1e-8 * s[0]
-
-    def test_even_p_not_defined(self):
-        with pytest.raises(ParityMismatch):
-            build_g(1.0, 1.0, 1.0, 2, 64)
 
 
 class TestBasisDiagnostics:

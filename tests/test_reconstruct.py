@@ -5,15 +5,19 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import rel_l2, sequential_stability
+from conftest import gauss_panels, rel_l2, sequential_stability
 from invsl.errors import DuplicateEigenvalue, NonUniqueWarning, PoleProximity
-from invsl.forward import char_pair, extract_cauchy
-from invsl.moments import build_moment_system, build_v, u_from_cauchy
-from invsl.reconstruct import (
-    ProbeBasis,
+from invsl.forward import char_pair, extract_cauchy, resample_cauchy
+from invsl.moments import (
     _component_columns,
     _gram_block,
     _tags_for,
+    build_moment_system,
+    build_v,
+    u_from_cauchy,
+)
+from invsl.reconstruct import (
+    ProbeBasis,
     ReconstructionResult,
     completeness_ratio,
     default_basis,
@@ -26,7 +30,6 @@ from invsl.reconstruct import (
     unpack_u,
 )
 from invsl.trig import (
-    gauss_panels,
     overlap_cos_cos,
     overlap_sin_sin,
     poly_cos,
@@ -182,6 +185,22 @@ class TestUnpack:
         assert np.allclose(u2.h1, u.h1) and np.allclose(u2.scalars, u.scalars)
         cd2 = unpack_u(u2)
         assert np.allclose(cd2.j, cd.j) and np.allclose(cd2.a, cd.a)
+
+    @pytest.mark.parametrize("case", ["roundtrip", "complex"])
+    def test_series_resamples_like_reconstruct(self, case, rt_free):
+        # the unpacked series is the kernels' own, in extract_cauchy's format
+        if case == "roundtrip":
+            f, sub = rt_free.f, rt_free.spectrum
+        else:
+            f = EntirePair.constant(1.0, 0.5j)
+            sub = Subspectrum((np.arange(1, 31) - 0.25 + 0.05j) ** 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonUniqueWarning)
+            fine, coarse = (reconstruct(1, f, sub, m).cauchy for m in (128, 64))
+        assert set(fine.series) == {"j", "g"}
+        again = resample_cauchy(fine, 64)
+        for got, want in ((again.j, coarse.j), (again.g, coarse.g)):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestDeltasFromCauchy:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import gauss_panels
 from invsl.errors import RootLoss, SchemaError
 from invsl.cli import main
 from invsl.forward import find_eigenvalues
@@ -20,7 +21,6 @@ from invsl.serialize import (
 )
 from invsl.trig import (
     cos_sinc_sqrt,
-    gauss_panels,
     overlap_cos_cos,
     overlap_sin_sin,
     poly_cos,
