@@ -258,50 +258,54 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def common(p, grid_default=128):
-        p.add_argument("--grid", type=int, default=grid_default, metavar="M",
-                       help="reconstruction grid cells (default %(default)s)")
-        p.add_argument("--eigs", type=int, default=40, metavar="N",
-                       help="eigenvalue count (default %(default)s)")
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="simplicity tolerance for eigenvalues")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=".", metavar="DIR")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 4 when the reconstruction is not unique")
-        p.add_argument("--reg", type=float, default=0.0,
-                       help="Tikhonov damping for the moment solve")
+    # every verb declares only the flags it reads, so argparse rejects the rest
+    flags = {
+        "--grid": dict(type=int, default=128, metavar="M",
+                       help="reconstruction grid cells (default %(default)s)"),
+        "--eigs": dict(type=int, default=40, metavar="N",
+                       help="eigenvalue count (default %(default)s)"),
+        "--tol": dict(type=float, default=1e-8, help="simplicity tolerance for eigenvalues"),
+        "--seed": dict(type=int, default=0),
+        "--out": dict(default=".", metavar="DIR"),
+        "--strict": dict(action="store_true",
+                         help="exit 4 when the reconstruction is not unique"),
+        "--reg": dict(type=float, default=0.0, help="Tikhonov damping for the moment solve"),
+    }
+
+    def shared(p, *names):
+        for name in names:
+            p.add_argument(name, **flags[name])
 
     p = sub.add_parser("forward", help="spectrum + Cauchy data of a problem file")
     p.add_argument("problem")
     p.add_argument("--window", type=_window, default=None, help="lambda window lo,hi")
-    common(p, grid_default=512)
-    p.set_defaults(fn=cmd_forward)
+    shared(p, "--grid", "--eigs", "--tol", "--out")
+    p.set_defaults(fn=cmd_forward, grid=512)
 
     p = sub.add_parser("reconstruct", help="Cauchy data from a subspectrum file")
     p.add_argument("problem")
     p.add_argument("subspectrum")
     p.add_argument("--report", default="report.json")
-    common(p)
+    shared(p, "--grid", "--out", "--strict", "--reg")
     p.set_defaults(fn=cmd_reconstruct)
 
     p = sub.add_parser("hl", help="half-inverse driver for a two-sided problem")
     p.add_argument("two_sided")
     p.add_argument("--drop", type=int, default=0, metavar="K",
                    help="exclude the first K eigenvalues")
-    common(p)
+    shared(p, "--grid", "--eigs", "--out", "--strict", "--reg")
     p.set_defaults(fn=cmd_hl, eigs=48)
 
     p = sub.add_parser("stability", help="noise-response table for a problem")
     p.add_argument("problem")
     p.add_argument("--omega", default="1e-3,1e-2", help="comma list of noise sizes")
     p.add_argument("--trials", type=int, default=20)
-    common(p)
+    shared(p, *flags)
     p.set_defaults(fn=cmd_stability)
 
     p = sub.add_parser("diagnose", help="subspectrum class flags and basis condition")
     p.add_argument("input")
-    common(p)
+    shared(p, "--out")
     p.set_defaults(fn=cmd_diagnose)
     return ap
 

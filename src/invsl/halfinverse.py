@@ -29,6 +29,8 @@ from .types import (
     EntirePair,
     SigmaFunction,
     Subspectrum,
+    encode_array,
+    sigma_to_json,
     validate_rp,
 )
 
@@ -83,13 +85,18 @@ def psi_mid(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair, lam):
 
 
 def hl_entire_pair(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair) -> EntirePair:
-    """Entire pair encoding the known right half: f1 = -psi(mid), f2 = psi^{[1]}(mid)."""
+    """Entire pair encoding the known right half: f1 = -psi(mid), f2 = psi^{[1]}(mid).
+
+    Its descriptor is the problem file's `f` object for this pair.
+    """
 
     def joint(lam):
         psi, psi_q = psi_mid(sigma_right, right_pair, lam)
         return -psi, psi_q
 
-    return EntirePair(joint=joint, descriptor={"kind": "hl_right_half", "r": right_pair.p})
+    return EntirePair(joint=joint, descriptor={
+        "kind": "hl_right_half", "sigma": sigma_to_json(sigma_right),
+        "r1": encode_array(right_pair.a), "r2": encode_array(right_pair.b)})
 
 
 def hl_window(count: int, p: int, r: int):

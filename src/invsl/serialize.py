@@ -1,21 +1,35 @@
-"""In-memory model <-> JSON-able structures.
+"""In-memory model <-> JSON-able structures, and their one canonical encoding.
 
-Complex values are [re, im] pairs everywhere; encoding is canonical (sorted
-keys, fixed separators) so reruns produce byte-identical files.  All actual
-file I/O lives in the CLI.
+Complex values are [re, im] pairs everywhere.  `canonical_dumps` writes the
+bytes of `json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)` plus a
+newline, without going through json's pure-Python indent encoder: a direct
+emitter for the shapes the schemas allow, with every list of [re, im] float
+pairs (the bulk of every file) filled into one template.  Reruns produce
+byte-identical files, and `input_hash` is the sha256 of the same bytes.  All
+actual file I/O lives in the CLI.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+from itertools import chain
 
 import numpy as np
 
 from . import __version__
 from .errors import SchemaError
 from .halfinverse import TwoSidedProblem, hl_entire_pair
-from .types import BoundaryPolyPair, CauchyData, EntirePair, SigmaFunction, Subspectrum
+from .types import (
+    BoundaryPolyPair,
+    CauchyData,
+    EntirePair,
+    SigmaFunction,
+    Subspectrum,
+    encode_array,
+    sigma_to_json,
+)
 
 
 def complex_to_pair(z) -> list:
@@ -32,15 +46,17 @@ def pair_to_complex(v) -> complex:
 
 
 def complex_array(values) -> np.ndarray:
+    """A list of bare numbers, [re, im] pairs or both, as a complex array."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged: bare numbers mixed with pairs
+        arr = None
+    if arr is not None and arr.dtype.kind in "biuf":
+        if arr.ndim == 1:
+            return arr.astype(complex)
+        if arr.ndim == 2 and arr.shape[1] == 2:
+            return np.ascontiguousarray(arr, dtype=float).view(complex).ravel()
     return np.array([pair_to_complex(v) for v in values], dtype=complex)
-
-
-def encode_array(arr) -> list:
-    return [complex_to_pair(z) for z in np.asarray(arr).ravel()]
-
-
-def sigma_to_json(sigma: SigmaFunction) -> dict:
-    return {"interval": float(sigma.interval_length), "samples": encode_array(sigma.samples)}
 
 
 def sigma_from_json(obj) -> SigmaFunction:
@@ -91,15 +107,13 @@ def subspectrum_to_json(sub: Subspectrum) -> dict:
 
 
 def hl_f_descriptor(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair) -> dict:
-    return {"kind": "hl_right_half", "sigma": sigma_to_json(sigma_right),
-            "r1": encode_array(right_pair.a), "r2": encode_array(right_pair.b)}
+    return hl_entire_pair(sigma_right, right_pair).descriptor
 
 
 def problem_to_json(sigma: SigmaFunction, pair: BoundaryPolyPair, f,
                     subspectrum=None) -> dict:
     if isinstance(f, EntirePair):
-        if f.descriptor is None or "kind" not in f.descriptor or (
-                f.descriptor["kind"] == "hl_right_half" and "sigma" not in f.descriptor):
+        if f.descriptor is None or "kind" not in f.descriptor:
             raise SchemaError("this entire pair carries no serializable descriptor")
         f_desc = f.descriptor
     else:
@@ -131,8 +145,92 @@ def cauchy_to_json(data: CauchyData) -> dict:
     }
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _float_pairs(seq):
+    """The floats of `seq`, flattened, when it is a nonempty list or tuple of
+    [re, im] lists of floats (of any float subclass); None otherwise."""
+    if not seq or set(map(type, seq)) != {list} or set(map(len, seq)) != {2}:
+        return None
+    flat = list(chain.from_iterable(seq))
+    if not all(issubclass(t, float) for t in set(map(type, flat))):
+        return None
+    return flat
+
+
+def _float_text(x) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _pairs_text(flat, nl: str) -> str:
+    """A list of len(flat) // 2 [re, im] pairs at the indent `nl`, from one
+    template with a slot per float."""
+    inner = nl + "  "
+    pair = f"{inner}[{inner}  %s,{inner}  %s{inner}]"
+    text = "[" + ",".join([pair] * (len(flat) // 2)) % tuple(map(float.__repr__, flat)) + nl + "]"
+    # the only letters in a finite float's repr are 'e's; nan and +-inf carry an 'n'
+    if "n" in text:
+        for x in flat:
+            _float_text(x)  # raises at the first non-finite float
+    return text
+
+
+def _emit(value, nl: str, out: list):
+    """Append the json.dumps(indent=2, sort_keys=True, allow_nan=False) text
+    of `value` at the indent `nl` ("\n" plus two spaces per level) to `out`."""
+    if isinstance(value, str):
+        out.append(_escape(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        flat = _float_pairs(value)
+        if flat is not None:
+            out.append(_pairs_text(flat, nl))
+        elif not value:
+            out.append("[]")
+        else:
+            inner, sep = nl + "  ", "["
+            for item in value:
+                out.append(sep + inner)
+                _emit(item, inner, out)
+                sep = ","
+            out.append(nl + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner, sep = nl + "  ", "{"
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + inner + _escape(key) + ": ")
+            _emit(value[key], inner, out)
+            sep = ","
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """`json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"`,
+    byte for byte, for dicts with str keys, lists, tuples, str, int, float
+    (subclasses included), bool and None.  ValueError on nan or +-inf,
+    TypeError on any other object."""
+    out = []
+    _emit(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def input_hash(obj) -> str:
@@ -146,10 +244,15 @@ def meta_block(input_obj, **params) -> dict:
 
 
 def jsonable(value):
-    """Recursively convert numpy scalars/arrays and complex values."""
+    """Recursively convert numpy scalars/arrays and complex values; a
+    non-finite float becomes the string "nan", "inf" or "-inf".  A list of
+    finite [re, im] float pairs is returned as it is."""
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
+        flat = _float_pairs(value) if type(value) is list else None
+        if flat is not None and all(map(math.isfinite, flat)):
+            return value
         return [jsonable(v) for v in value]
     if isinstance(value, (np.bool_, bool)):
         return bool(value)
@@ -161,5 +264,7 @@ def jsonable(value):
     if isinstance(value, (np.integer, int)):
         return int(value)
     if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.ravel()]
+        if value.dtype.kind == "c":
+            return encode_array(value)
+        return jsonable(value.ravel().tolist())
     return value

@@ -2,7 +2,9 @@
 
 All types are immutable value objects; construction validates the invariants
 that are cheap to check, while `validate_rp` performs the full boundary-pair
-diagnostics (normalization and coprimality).
+diagnostics (normalization and coprimality).  The JSON form of a complex
+array ([re, im] pairs) and of an antiderivative lives here too, because an
+entire pair carries it in its descriptor.
 """
 
 from __future__ import annotations
@@ -32,6 +34,13 @@ def branch_sqrt(lam):
     z = np.sqrt(lam)
     flip = (z.real < 0) | ((z.real == 0) & (z.imag > 0))
     return np.where(flip, -z, z)
+
+
+def encode_array(values) -> list:
+    """Complex values, flattened, as the JSON form of a complex array: a list
+    of [re, im] float pairs."""
+    a = np.asarray(values, dtype=complex).ravel()
+    return np.column_stack((a.real, a.imag)).tolist()
 
 
 @dataclass(frozen=True)
@@ -89,6 +98,10 @@ class SigmaFunction:
         half = self.interval_length / 2
         return (SigmaFunction(self.samples[: k + 1].copy(), half),
                 SigmaFunction(self.samples[k:].copy(), half))
+
+
+def sigma_to_json(sigma: SigmaFunction) -> dict:
+    return {"interval": float(sigma.interval_length), "samples": encode_array(sigma.samples)}
 
 
 def _polyval(coeffs: np.ndarray, lam):

@@ -12,7 +12,7 @@ from invsl.moments import _as_grid
 from invsl.ode import _cell_matrices, node_values
 from invsl.problems import hl_exclusion_instance, roundtrip_corpus
 from invsl.reconstruct import default_basis, reconstruct
-from invsl.serialize import complex_array
+from invsl.serialize import complex_array, complex_to_pair, pair_to_complex
 from invsl.trig import gauss_nodes
 from invsl.types import HpVector, SigmaFunction, Subspectrum
 
@@ -208,3 +208,33 @@ def assert_json_close(fresh, golden, bounds, path=""):
     else:
         assert type(fresh) is type(golden) and fresh == golden, \
             f"{where}: {fresh!r}, golden has {golden!r}"
+
+
+# The element-wise JSON helpers that `invsl.serialize` vectorized, kept as
+# the oracles of the vectorized ones.
+
+def complex_array_loop(values):
+    return np.array([pair_to_complex(v) for v in values], dtype=complex)
+
+
+def encode_array_loop(arr):
+    return [complex_to_pair(z) for z in np.asarray(arr).ravel()]
+
+
+def jsonable_loop(value):
+    if isinstance(value, dict):
+        return {str(k): jsonable_loop(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable_loop(v) for v in value]
+    if isinstance(value, (np.bool_, bool)):
+        return bool(value)
+    if isinstance(value, (np.complexfloating, complex)):
+        return complex_to_pair(value)
+    if isinstance(value, (np.floating, float)):
+        v = float(value)
+        return v if np.isfinite(v) else repr(v)
+    if isinstance(value, (np.integer, int)):
+        return int(value)
+    if isinstance(value, np.ndarray):
+        return [jsonable_loop(v) for v in value.ravel()]
+    return value

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_json_close, rel_l2
-from invsl import schemas
+from invsl import cli, schemas, serialize
 from invsl.cli import main
 from invsl.errors import NonUniqueWarning
 from invsl.forward import find_eigenvalues, make_delta
@@ -179,10 +179,21 @@ def test_unsupported_input_exit2(case, tmp_path, capsys):
     (["forward", "{golden}", "--window=4,-1"], "expected finite lo < hi"),
     (["forward", "{golden}", "--window=nan,5"], "expected finite lo < hi"),
     (["forward", "{golden}", "--window=-1,inf"], "expected finite lo < hi"),
+    (["diagnose", "{array}", "--strict", "--reg", "5", "--eigs", "3"],
+     "unrecognized arguments: --strict --reg 5 --eigs 3"),
+    (["diagnose", "{array}", "--grid", "64", "--tol", "1", "--seed", "1"],
+     "unrecognized arguments: --grid 64 --tol 1 --seed 1"),
+    (["reconstruct", "{golden}", "{golden}", "--eigs", "3", "--seed", "1", "--tol", "1"],
+     "unrecognized arguments: --eigs 3 --seed 1 --tol 1"),
+    (["hl", "{golden}", "--tol", "1", "--seed", "1"], "unrecognized arguments: --tol 1 --seed 1"),
+    (["forward", "{golden}", "--strict", "--reg", "0.1", "--seed", "1"],
+     "unrecognized arguments: --strict --reg 0.1 --seed 1"),
 ], ids=["diagnose-array", "window-one", "window-three", "window-reversed", "window-nan",
-        "window-inf"])
+        "window-inf", "diagnose-flags", "diagnose-grid-flags", "reconstruct-flags",
+        "hl-flags", "forward-flags"])
 def test_bad_input_exit2_without_traceback(argv, reason, tmp_path, capsys):
-    # a JSON array for diagnose and a malformed --window are input errors
+    # a JSON array for diagnose, a malformed --window and a flag the verb
+    # does not read are input errors
     paths = {"array": write(tmp_path / "a.json", [1.0, 2.0]),
              "golden": str(GOLDEN / "step_problem.json")}
     out = tmp_path / "out"
@@ -361,6 +372,39 @@ class TestDiagnose:
         assert main(["diagnose", full, "--out", str(out2)]) == 0
         d2 = json.load(open(out2 / "diagnostics.json"))
         assert d2["gram"]["conds"][-1] > conds[-1]
+
+
+def test_outputs_are_json_dumps_bytes(rt_free, tmp_path, monkeypatch):
+    # every file reconstruct, hl and diagnose write, and every input hash,
+    # is the text json.dumps gives for the same payload
+    texts = []
+
+    def spy(dumps):
+        def wrapper(obj):
+            text = dumps(obj)
+            texts.append((obj, text))
+            return text
+        return wrapper
+
+    monkeypatch.setattr(cli, "canonical_dumps", spy(cli.canonical_dumps))
+    monkeypatch.setattr(serialize, "canonical_dumps", spy(serialize.canonical_dumps))
+    prob_file = write(tmp_path / "p.json", problem_to_json(
+        rt_free.sigma_left, rt_free.left_pair,
+        hl_entire_pair(rt_free.sigma_right, rt_free.problem.right_pair),
+        subspectrum=rt_free.spectrum))
+    sub_file = write(tmp_path / "s.json", subspectrum_to_json(rt_free.spectrum))
+    two_file = write(tmp_path / "t.json", two_sided_to_json(rt_free.problem))
+    texts.clear()
+    out = tmp_path / "out"
+    for argv in (["reconstruct", prob_file, sub_file], ["hl", two_file, "--drop", "2"],
+                 ["diagnose", prob_file]):
+        assert main(argv + ["--out", str(out / argv[0])]) == 0
+    files = sorted(out.rglob("*.json"))
+    assert len(files) == 6 and len(texts) == 6 + 3   # one input hash per verb
+    for obj, text in texts:
+        assert text == json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    written = {text for _, text in texts}
+    assert all(path.read_text() in written for path in files)
 
 
 def test_schema_snapshots_match_package():

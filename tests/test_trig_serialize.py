@@ -1,17 +1,25 @@
 import json
+import math
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import gauss_panels
+from conftest import complex_array_loop, encode_array_loop, gauss_panels, jsonable_loop
+from invsl import schemas
 from invsl.errors import RootLoss, SchemaError
 from invsl.cli import main
 from invsl.forward import find_eigenvalues
+from invsl.halfinverse import hl_entire_pair
 from invsl.serialize import (
     canonical_dumps,
     complex_array,
+    encode_array,
     entire_pair_from_json,
     input_hash,
+    jsonable,
     pair_from_json,
     problem_from_json,
     problem_to_json,
@@ -176,3 +184,143 @@ class TestSerialize:
         assert pair.a[0] == 1.0
         assert pair.b[0] == 0.3 - 0.1j
         assert np.allclose(complex_array([2, [0, 1]]), [2.0, 1j])
+
+    def test_problem_to_json_takes_the_library_hl_pair(self, rt_free):
+        # the pair hl_entire_pair builds serializes as the descriptor written
+        # out by hand, and the file reads back to the same pair
+        sigma_right, right_pair = rt_free.sigma_right, rt_free.problem.right_pair
+        by_hand = {"kind": "hl_right_half", "sigma": sigma_to_json(sigma_right),
+                   "r1": encode_array(right_pair.a), "r2": encode_array(right_pair.b)}
+        text = canonical_dumps(problem_to_json(
+            rt_free.sigma_left, rt_free.left_pair, hl_entire_pair(sigma_right, right_pair)))
+        assert text == canonical_dumps(problem_to_json(
+            rt_free.sigma_left, rt_free.left_pair, by_hand))
+        obj = json.loads(text)
+        jsonschema.validate(obj, schemas.ALL["problem-v1"], cls=schemas.Validator)
+        back = entire_pair_from_json(obj["f"])
+        assert canonical_dumps(back.descriptor) == canonical_dumps(obj["f"])
+        lam = np.array([0.5, 7.3 + 0.2j, 40.0])
+        for got, want in zip(back(lam), rt_free.f(lam)):
+            assert np.array_equal(got, want)
+
+
+def _json_dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_FLOATS = st.one_of(_FINITE, st.sampled_from([-0.0, 5e-324, 1e308, -1e308, 1e16, 1e-7]),
+                    _FINITE.map(np.float64))
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.integers(min_value=2**63, max_value=2**80).map(lambda n: -n), _FLOATS,
+                    st.text())
+# lists of [re, im] float pairs take the emitter's template path; an int
+# in a pair keeps the list off it
+_PAIRS = st.lists(st.lists(st.one_of(_FLOATS, st.integers()), min_size=2, max_size=2),
+                  max_size=6)
+_VALUES = st.recursive(
+    st.one_of(_LEAVES, _PAIRS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=25)
+_NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan"),
+                              np.float64("-inf")])
+
+
+def _holding(bad):
+    """Values that hold `bad` somewhere, at any depth, among finite siblings."""
+    def wrap(inner):
+        return st.one_of(
+            st.tuples(st.lists(_VALUES, max_size=3), inner).map(lambda t: t[0] + [t[1]]),
+            st.tuples(st.dictionaries(st.text(), _VALUES, max_size=3), st.text(), inner)
+            .map(lambda t: {**t[0], t[1]: t[2]}),
+            st.tuples(_VALUES, inner).map(tuple))
+    leaf = st.one_of(bad, st.tuples(_PAIRS, bad, _FLOATS, st.booleans()).map(
+        lambda t: t[0] + [[t[1], t[2]] if t[3] else [t[2], t[1]]]))
+    return st.recursive(leaf, wrap, max_leaves=6)
+
+
+class TestCanonicalDumps:
+    @settings(max_examples=400, deadline=None)
+    @given(_VALUES)
+    def test_bytes_equal_json_dumps(self, value):
+        assert canonical_dumps(value) == _json_dumps(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_holding(_NONFINITE))
+    def test_nonfinite_raises_value_error(self, value):
+        with pytest.raises(ValueError):
+            _json_dumps(value)
+        with pytest.raises(ValueError):
+            canonical_dumps(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_holding(st.sampled_from([object(), np.int64(3), 1 + 2j, {1, 2}, b"x",
+                                     np.array([1.0])])))
+    def test_unsupported_object_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            canonical_dumps(value)
+
+    def test_input_hash_pinned(self):
+        # sha256 of the json.dumps(sort_keys=True, indent=2) text of this
+        # object, computed with json.dumps itself
+        obj = {
+            "floats": [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308,
+                       1.7976931348623157e308, 1e16, 1e-7, 0.1, 1 / 3, 123456789.123456789,
+                       -2.5e-5],
+            "pairs": [[0.1, -0.0], [1e16, 5e-324], [np.float64(2) ** 0.5, -1e308]],
+            "ints": [0, -1, 2**63, -(2**70), True, False, None],
+            "text": {"\u03bb\u2192\u221e": "tab\there \"quoted\" \\ \x00\x1f ", "": [],
+                     "z": {}, "A": ("x", 1.5)},
+        }
+        assert input_hash(obj) == \
+            "c9207c8c9ffefa9b0a3142bdb88c98de17f91aa1d35306ab341aa0e61962cd81"
+
+
+def _same_json(a, b) -> bool:
+    """Equal as JSON text: float bits (-0.0, nan), int vs float, nesting."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+nan, inf = math.nan, math.inf
+
+
+class TestVectorizedHelpers:
+    """The vectorized complex_array, encode_array and jsonable against their
+    element-wise originals (tests/conftest.py)."""
+
+    @pytest.mark.parametrize("values", [
+        [], [2, [0, 1]], [[0, 1], 2.5, [3.0, -0.0]], [1, 2, 3], [True, 2], [0.5, -0.0],
+        [[1, 2], [3, 4]], [[0.1, -0.0], [5e-324, 1e308]], [[nan, inf], [-inf, 0.0]],
+        [inf, nan], [2**70, 1.0], [np.float64(0.25), [np.float64(1.5), 2]],
+    ])
+    def test_complex_array(self, values):
+        got, want = complex_array(values), complex_array_loop(values)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("values", [[[1, 2, 3]], [[1.0], 2.0], ["1.5"], [1j]])
+    def test_complex_array_rejects_what_the_loop_rejects(self, values):
+        with pytest.raises(SchemaError):
+            complex_array_loop(values)
+        with pytest.raises(SchemaError):
+            complex_array(values)
+
+    @pytest.mark.parametrize("arr", [
+        np.array(1.5 - 2j), np.array(3.0), np.array([], dtype=complex), np.arange(4),
+        np.array([0.1, -0.0, 1e308]), np.array([1 + 2j, -0.0 - 0.0j, nan + 1j, 2 + inf * 1j]),
+        np.arange(6).reshape(2, 3) * (1 - 0.5j), [1, 2.5, 3j], 2 + 0j,
+    ])
+    def test_encode_array(self, arr):
+        assert repr(encode_array(arr)) == repr(encode_array_loop(arr))
+
+    @pytest.mark.parametrize("value", [
+        {"a": np.array(2.5), "b": np.array([1.0, nan, -inf]), "c": np.arange(6).reshape(2, 3)},
+        {"z": np.array([[1 + 2j, -0.0j], [3.0, 4j]]), "s": np.float64(inf), "i": np.int64(7)},
+        {1: [np.bool_(True), 2 + 1j, (1.0, np.float32(0.5))], "t": ("x", None)},
+        [[0.1, -0.0], [np.float64(1e16), 5e-324]], [[1.0, nan], [2.0, 3.0]], [[1.0, 2]],
+        [[1.0, 2.0, 3.0]], ([1.0, 2.0], [3.0, 4.0]), [], [[]], np.array([], dtype=float),
+        {"pairs": [[1.0, 2.0]], "deep": [{"x": [[inf, 1.0]]}]},
+    ])
+    def test_jsonable(self, value):
+        assert _same_json(jsonable(value), jsonable_loop(value))
