@@ -41,6 +41,7 @@ from .forward import (  # noqa: F401
     char_pair,
     extract_cauchy,
     find_eigenvalues,
+    index_search,
     make_delta,
     resample_cauchy,
     weyl,

@@ -21,8 +21,8 @@ import jsonschema
 import numpy as np
 
 from . import schemas
-from .errors import InvslError, NonUniqueWarning, RootLoss, SchemaError
-from .forward import extract_cauchy, find_eigenvalues, make_delta, weyl
+from .errors import InvslError, NonUniqueWarning, SchemaError
+from .forward import extract_cauchy, find_eigenvalues, index_search, make_delta, weyl
 from .halfinverse import hl_reconstruct, hl_spectrum, hl_window
 from .moments import basis_diagnostics, xi_identity_residual
 from .reconstruct import noise_plan, reconstruct, stability_experiment
@@ -36,6 +36,7 @@ from .serialize import (
     subspectrum_from_json,
     two_sided_from_json,
 )
+from .types import BoundaryPolyPair
 EXIT_SCHEMA = 2
 EXIT_SOLVER = 3
 EXIT_NON_UNIQUE = 4
@@ -86,26 +87,30 @@ def _write(out_dir: str, name: str, payload: dict) -> Path:
     return target
 
 
-def _eigenvalues(obj: dict, sigma, pair, f, args, window=None):
-    """The first `args.eigs` eigenvalues of a problem file's problem, found in
-    `window` (by default one sized for the count and the kind of f) with
-    simplicity tolerance `args.tol`; RootLoss when fewer are found."""
+def _eigenvalues(sigma, pair, f, count: int, window=None):
+    """The first `count` eigenvalues of a problem file's problem: by index
+    where `index_search` certifies them, else by a scan of `window` (by
+    default one sized for the count and f) with a note on stderr."""
     delta, _ = make_delta(sigma, pair, f)
-    if window is None:
-        if obj["f"].get("kind") == "hl_right_half":
-            window = hl_window(args.eigs, pair.p, len(obj["f"]["r1"]) * 2 - 1)
-        else:
-            window = (-9.0, float((args.eigs + 2) ** 2))
-    spec = find_eigenvalues(delta, window, simple_tol=args.tol)
-    if len(spec) < args.eigs:
-        raise RootLoss(f"found {len(spec)} eigenvalues in {window}, requested {args.eigs}")
-    return spec.take(args.eigs)
+    desc, index, why = f.descriptor, None, "--window given"
+    if window is None and desc["kind"] == "hl_right_half":
+        why, window = "f is hl_right_half", hl_window(count, pair.p, len(desc["r1"]) * 2 - 1)
+    elif window is None:
+        right = BoundaryPolyPair([complex(*desc["f1"])], [complex(*desc["f2"])])
+        index = index_search(sigma, pair, right, count)
+        why = "complex sigma" if not sigma.is_real() else "a boundary pair is not Herglotz"
+        window = (-9.0, float((count + 2) ** 2))
+    spec = find_eigenvalues(delta, window, count=count, index=index)
+    if spec.fallback:
+        print(f"note: eigenvalues by a scan of lambda in {list(window)} without an index "
+              f"certificate ({why}); {spec.dropped} root(s) dropped", file=sys.stderr)
+    return spec
 
 
 def cmd_forward(args) -> int:
     obj = _load(args.problem, "problem-v1")
     sigma, pair, f, _ = problem_from_json(obj)
-    spec = _eigenvalues(obj, sigma, pair, f, args, args.window)
+    spec = _eigenvalues(sigma, pair, f, args.eigs, args.window)
     data = extract_cauchy(sigma, pair, grid_m=args.grid)
 
     meta = meta_block(obj, grid_m=args.grid, eigs=args.eigs)
@@ -181,7 +186,7 @@ def cmd_stability(args) -> int:
     obj = _load(args.problem, "problem-v1")
     sigma, pair, f, sub = problem_from_json(obj)
     if sub is None:
-        sub = _eigenvalues(obj, sigma, pair, f, args)
+        sub = _eigenvalues(sigma, pair, f, args.eigs)
     out = stability_experiment(pair.p, f, sub, args.grid, omegas,
                                trials=args.trials, seed=args.seed, reg=args.reg)
     lines = ["omega,trial,err_u,err_j,err_g,err_a"]
@@ -264,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reconstruction grid cells (default %(default)s)"),
         "--eigs": dict(type=int, default=40, metavar="N",
                        help="eigenvalue count (default %(default)s)"),
-        "--tol": dict(type=float, default=1e-8, help="simplicity tolerance for eigenvalues"),
         "--seed": dict(type=int, default=0),
         "--out": dict(default=".", metavar="DIR"),
         "--strict": dict(action="store_true",
@@ -279,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forward", help="spectrum + Cauchy data of a problem file")
     p.add_argument("problem")
     p.add_argument("--window", type=_window, default=None, help="lambda window lo,hi")
-    shared(p, "--grid", "--eigs", "--tol", "--out")
+    shared(p, "--grid", "--eigs", "--out")
     p.set_defaults(fn=cmd_forward, grid=512)
 
     p = sub.add_parser("reconstruct", help="Cauchy data from a subspectrum file")

@@ -1,5 +1,6 @@
-"""Characteristic functions, eigenvalue location, Weyl function, and the
-forward extraction of generalized Cauchy data (the oracle for inverse tests).
+"""Characteristic functions, eigenvalue location (by index wherever a Pruefer-
+angle count certifies it, `index_search`), Weyl function, and the forward
+extraction of generalized Cauchy data (the oracle for inverse tests).
 
 The extraction fits the samples of Delta0 and Delta1 over the representation
 the inverse solve uses (`moments`): the slot layout, the probe tags with
@@ -14,7 +15,7 @@ import numpy as np
 
 from .errors import IllConditioned, PoleProximity, RootLoss
 from .moments import _component_columns, _gram_block, _tags_for, slot_layout, svd_solve
-from .ode import endpoint_data
+from .ode import endpoint_data, node_values
 from .trig import sinc, synth_series
 from .types import (
     BoundaryPolyPair,
@@ -214,41 +215,39 @@ def _muller_polish(delta, z0, h, iters=40):
     return zs[-1]
 
 
+_SCAN_STEP = 0.02    # the dense scan's step in sqrt(lambda)
+_SIMPLE_TOL = 1e-8   # the distance at which two of its roots are one
+
+
 def find_eigenvalues(delta: Callable, window, count: Optional[int] = None,
-                     imag_band: float = 0.0, scan_step: float = 0.02, simple_tol: float = 1e-8,
-                     verify: bool = False, index: Optional[tuple] = None) -> Subspectrum:
+                     imag_band: float = 0.0, verify: bool = False,
+                     index: Optional[tuple] = None) -> Subspectrum:
     """Locate zeros of an entire characteristic function.
 
-    With `index` = (count_below, ends) the zeros are the eigenvalues
-    0..count-1: `count_below(lam)` gives the number of eigenvalues below each
-    real lambda, and brackets from the ascending points `ends` of the
-    signed-sqrt axis (lambda = sign(s) s^2) are certified to hold one index
-    each (see `_index_brackets`).  Otherwise `window` is a real interval for
-    Re(lambda): for `imag_band == 0` a dense scan of the signed-sqrt axis
-    (step `scan_step`) locates sign changes of the real-valued delta, and for
-    a positive band rectangles are subdivided by the argument principle.
-    The scan also stands in, with `fallback` set on the result, where the
-    count of `index` is not monotone.  Real brackets of either source go
-    through `refine_brackets` (Illinois false position), and the rectangles'
-    isolated zeros are polished by Muller's method.  Duplicates and roots with a large residual are dropped and
-    counted (`dropped`); with an index, any drop raises RootLoss.  With
-    `verify`, the winding count over the whole window is compared against
-    the number of roots the scan or the rectangles found (RootLoss on
-    mismatch).
+    With `index` from `index_search` they are the eigenvalues 0..count-1,
+    each in a bracket that `_index_brackets` certifies to hold its index
+    alone and across which delta changes sign.  Otherwise a real `window` is
+    scanned on the signed-sqrt axis (lambda = sign(s) s^2, step `_SCAN_STEP`)
+    for sign changes, or for `imag_band` > 0 subdivided into rectangles by
+    the argument principle, with a Muller polish.  Illinois false position
+    (`refine_brackets`) refines real brackets.  The window's roots pass
+    `_screen` (drops counted in `dropped`) and have `fallback` set; `verify`
+    checks their number against the window's winding count.  Fewer than
+    `count` roots raise RootLoss.
     """
-    brackets = None if index is None else _index_brackets(*index, count)
-    lam_lo, lam_hi = float(window[0]), float(window[1])
-    if brackets is not None:
-        lo, hi = (np.sign(s) * s * s for s in brackets)
+    if index is not None:
+        lo, hi = (np.sign(s) * s * s for s in _index_brackets(*index, count))
         pts, where = np.unique(np.concatenate((lo, hi)), return_inverse=True)
         vals = np.real(np.asarray(delta(pts)))[where]
         f_lo, f_hi = vals[:count], vals[count:]
-        same = f_lo * f_hi > 0
+        same = np.sign(f_lo) * np.sign(f_hi) > 0
         if np.any(same):
             raise RootLoss(f"delta keeps its sign across the count bracket of eigenvalue(s) "
                            f"{np.nonzero(same)[0].tolist()}")
-        lam = refine_brackets(delta, lo, hi, f_lo, f_hi)
-    elif imag_band > 0:
+        return Subspectrum(refine_brackets(delta, lo, hi, f_lo, f_hi))
+
+    lam_lo, lam_hi = float(window[0]), float(window[1])
+    if imag_band > 0:
         rect = ((lam_lo, lam_hi), (-imag_band, imag_band))
         roots = _complex_zeros(delta, rect)
         roots.sort(key=lambda z: (z.real, z.imag))
@@ -256,7 +255,7 @@ def find_eigenvalues(delta: Callable, window, count: Optional[int] = None,
     else:
         s_lo = np.sign(lam_lo) * np.sqrt(abs(lam_lo))
         s_hi = np.sign(lam_hi) * np.sqrt(abs(lam_hi))
-        n_pts = int(np.ceil((s_hi - s_lo) / scan_step)) + 1
+        n_pts = int(np.ceil((s_hi - s_lo) / _SCAN_STEP)) + 1
         s = np.linspace(s_lo, s_hi, n_pts)
         lam_scan = np.sign(s) * s * s
         vals = np.asarray(delta(lam_scan))
@@ -266,42 +265,33 @@ def find_eigenvalues(delta: Callable, window, count: Optional[int] = None,
         idx = np.nonzero(np.signbit(fv[:-1]) != np.signbit(fv[1:]))[0]
         lam = np.sort(refine_brackets(delta, lam_scan[idx], lam_scan[idx + 1],
                                       fv[idx], fv[idx + 1]))
-    lam, dropped = _screen(delta, lam, simple_tol, indexed=brackets is not None)
-
-    if verify and brackets is None:
+    lam, dropped = _screen(delta, lam)
+    if verify:
         band = imag_band if imag_band > 0 else 1.0
         total = winding_count(lambda z: np.asarray(delta(z)),
                               ((lam_lo, lam_hi), (-band, band)))
         if total != lam.size:
             raise RootLoss(f"argument principle counts {total} zeros, refined {lam.size}")
+    if count is not None and lam.size < count:
+        raise RootLoss(f"found {lam.size} eigenvalues in {window}, need {count}")
+    return Subspectrum(lam[:count], fallback=True, dropped=dropped)
 
-    if count is not None:
-        lam = lam[:count]
-    return Subspectrum(lam, fallback=index is not None and brackets is None, dropped=dropped)
 
-
-def _screen(delta, lam, simple_tol, indexed=False):
-    """Sorted roots without duplicates (within `simple_tol`) and without
-    roots whose residual is large against the local scale of delta.
-
-    Returns the kept roots and the number dropped.  With `indexed` every
-    root stands for one eigenvalue index, and any drop raises RootLoss.
-    """
+def _screen(delta, lam):
+    """The sorted roots without duplicates (within `_SIMPLE_TOL`) and without
+    roots whose residual is large against the local scale of delta, and the
+    number dropped."""
     if lam.size == 0:
         return lam, 0
     keep = [0]
     for i in range(1, lam.size):
-        if abs(lam[i] - lam[keep[-1]]) > simple_tol:
+        if abs(lam[i] - lam[keep[-1]]) > _SIMPLE_TOL:
             keep.append(i)
     kept = lam[keep]
     vals = np.abs(np.asarray(delta(kept)))
     near = np.abs(np.asarray(delta(kept + 0.1)))
     kept = kept[vals <= 1e-6 * np.maximum(near, 1.0)]
-    dropped = lam.size - kept.size
-    if indexed and dropped:
-        raise RootLoss(f"{dropped} of {lam.size} indexed roots failed the duplicate or "
-                       "residual screen, so the eigenvalue indices would change")
-    return kept, dropped
+    return kept, lam.size - kept.size
 
 
 def _index_brackets(count_below: Callable, ends, n_roots: int):
@@ -311,14 +301,14 @@ def _index_brackets(count_below: Callable, ends, n_roots: int):
     lambda; `ends` are ascending points s of the signed-sqrt axis (lambda =
     sign(s) s^2).  The count is taken at all ends in one batch, the ends are
     extended outwards until they enclose indices 0..n_roots-1, and a bracket
-    that does not hold exactly one eigenvalue is bisected on the count.
-    Returns (lo, hi) arrays of s, or None when the count is not monotone
-    (then it counts no eigenvalues).
-    """
+    is bisected on the count until it holds one eigenvalue and spans at most
+    twice the spacing of `ends` (delta, growing like exp(|s| X), then changes
+    by a bounded factor across it).  A count that falls raises RootLoss."""
     def count(s):
         return np.asarray(count_below(np.sign(s) * s * s))
 
     s = np.asarray(ends, dtype=float)
+    gap = 2.0 * np.min(np.diff(s), initial=np.inf)
     c = count(s)
     width = 0.5
     while c[0] > 0 or c[-1] < n_roots:
@@ -331,24 +321,98 @@ def _index_brackets(count_below: Callable, ends, n_roots: int):
         c = np.concatenate((c_new[:lower.size], c, c_new[lower.size:]))
         width *= 2.0
     if np.any(np.diff(c) < 0):
-        return None
+        raise RootLoss("the eigenvalue count falls as lambda grows, so it certifies no index")
     k = np.arange(n_roots)
     lo_at = np.searchsorted(c, k, side="right") - 1
     hi_at = np.searchsorted(c, k + 1, side="left")
     lo, hi, c_lo, c_hi = s[lo_at], s[hi_at], c[lo_at], c[hi_at]
     for _ in range(60):
-        wide = np.nonzero((c_lo != k) | (c_hi != k + 1))[0]
+        wide = np.nonzero((c_lo != k) | (c_hi != k + 1) | (hi - lo > gap))[0]
         if wide.size == 0:
             return lo, hi
         mid = 0.5 * (lo[wide] + hi[wide])
         points, where = np.unique(mid, return_inverse=True)
         c_mid = count(points)[where]
         if np.any(c_mid < c_lo[wide]) or np.any(c_mid > c_hi[wide]):
-            return None
+            raise RootLoss("the eigenvalue count falls as lambda grows, so it certifies no index")
         up = c_mid <= k[wide]
         lo[wide[up]], c_lo[wide[up]] = mid[up], c_mid[up]
         hi[wide[~up]], c_hi[wide[~up]] = mid[~up], c_mid[~up]
     raise RootLoss("bisection on the eigenvalue count did not isolate every index")
+
+
+def _root_lifts(pair: BoundaryPolyPair, lam, sign: float):
+    """Index lift of a boundary angle through the real roots of p1 passed below lam.
+
+    At a real root of p1 the angle of (p1, -p2) (left end) or of (-p1, p2)
+    (right end) crosses a multiple of pi, where its value mod pi jumps.  The
+    lift undoes the jump: +1 per root where the angle moves the count up
+    (sign * p1'/p2 > 0), -1 where it moves it down (a non-Herglotz pair).
+    """
+    lift = np.zeros(lam.shape, dtype=int)
+    if pair.a.size > 1:
+        roots = np.roots(pair.a[::-1])
+        for xi in roots[np.abs(roots.imag) <= 1e-12 * (1.0 + np.abs(roots))].real:
+            up = sign * pair.dp1(xi).real / pair.p2(xi).real > 0
+            lift += np.where(lam > xi, 1 if up else -1, 0)
+    return lift
+
+
+def _herglotz(pair: BoundaryPolyPair, sign: float) -> bool:
+    """Whether the boundary angle never moves the eigenvalue count down.
+
+    That holds when sign (p1' p2 - p1 p2') >= 0 on the real line (sign -1
+    at the left end, +1 at the right) and the coefficients are real; the
+    polynomial is checked between and beyond its real roots.
+    """
+    if np.any(pair.a.imag) or np.any(pair.b.imag):
+        return False
+    p1, p2 = np.polynomial.Polynomial(pair.a.real), np.polynomial.Polynomial(pair.b.real)
+    w = sign * (p1.deriv() * p2 - p1 * p2.deriv())
+    x = np.sort(w.roots().real) if w.degree() > 0 else np.zeros(1)
+    pts = np.concatenate((x[:1] - 1.0, 0.5 * (x[1:] + x[:-1]), x[-1:] + 1.0))
+    return bool(np.all(w(pts) >= -1e-12 * np.max(np.abs(w.coef))))
+
+
+def _upper(x, y):
+    """The sign that turns the vector (x, y) to an angle in [0, pi)."""
+    return np.where((y > 0) | ((y == 0) & (x > 0)), 1, -1)
+
+
+def count_below(sigma: SigmaFunction, left: BoundaryPolyPair, right: BoundaryPolyPair,
+                lam) -> np.ndarray:
+    """Number of eigenvalues below each real lambda of the problem on [0, X]
+    with (y, y^{[1]})(0) = (p1, -p2) and r1 y^{[1]}(X) + r2 y(X) = 0.
+
+    Pruefer-angle indexing with lambda-dependent boundary conditions: the
+    sign changes of the left solution phi at the nodes (one per zero while
+    every cell has |mu| h < pi), one more where the angle of (phi^{[1]}, phi)
+    at X exceeds that of (r2, -r1) (pi for a Dirichlet end, r1 = 0), and
+    lifts through the real roots of p1 and r1.  The angles are compared by
+    a cross product in the upper half-plane, so none rounds from pi to 0."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    mu2 = np.max(lam) - np.min(np.diff(sigma.samples.real)) / sigma.dx
+    if mu2 * sigma.dx**2 >= np.pi**2:
+        raise RootLoss(f"cells too coarse to count the oscillations at lambda = {np.max(lam):.6g}")
+    y, yq = node_values(sigma, lam, left.p1(lam).real, -left.p2(lam).real)
+    changes = np.count_nonzero(np.signbit(y[1:]) != np.signbit(y[:-1]), axis=0)
+    r1, r2 = right.p1(lam).real, right.p2(lam).real
+    turn = _upper(yq[-1], y[-1]) * _upper(r2, -r1) * (y[-1] * r2 + yq[-1] * r1)
+    end = (turn > 0) & bool(np.any(right.a))
+    return changes + end + _root_lifts(left, lam, -1.0) + _root_lifts(right, lam, 1.0)
+
+
+def index_search(sigma: SigmaFunction, left: BoundaryPolyPair, right: BoundaryPolyPair,
+                 count: int):
+    """`find_eigenvalues`' index (count_below, ends) for the first `count`
+    eigenvalues of `count_below`'s problem; None for complex sigma or a pair
+    that is not Herglotz (its count can fall).  The ends lie halfway between
+    rho_k = (pi/X)(k + 1 - (p + r)/2), with r = 0 for a Dirichlet right end."""
+    if not (sigma.is_real() and _herglotz(left, -1.0) and _herglotz(right, 1.0)):
+        return None
+    r = right.p if np.any(right.a) else 0
+    ends = (np.pi / sigma.interval_length) * (np.arange(count + 1) + 0.5 - 0.5 * (left.p + r))
+    return (lambda lam: count_below(sigma, left, right, lam)), ends
 
 
 # ----------------------------------------------------------------------------

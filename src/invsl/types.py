@@ -251,9 +251,9 @@ class Subspectrum:
     eigenvalue, and simplicity is judged within each row, so rows may repeat
     one another.
 
-    `fallback` and `dropped` record how the eigenvalue search went (the
-    dense scan stood in for an index count; roots the duplicate and residual
-    screen removed); they are not part of the value and are not serialized.
+    `fallback` (no index certifies the roots) and `dropped` (roots the
+    window's duplicate and residual screen removed) record the eigenvalue
+    search; they are not part of the value and are not serialized.
     """
 
     lambdas: np.ndarray

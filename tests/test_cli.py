@@ -12,7 +12,7 @@ from invsl.cli import main
 from invsl.errors import NonUniqueWarning
 from invsl.forward import find_eigenvalues, make_delta
 from invsl.halfinverse import TwoSidedProblem, hl_entire_pair
-from invsl.problems import sigma_bump
+from invsl.problems import forward_corpus, sigma_bump
 from invsl.serialize import (
     canonical_dumps,
     complex_array,
@@ -102,6 +102,31 @@ class TestForward:
         cauchy = json.load(open(out / "cauchy.json"))
         assert np.max(np.abs(complex_array(cauchy["j"]))) <= 1e-6
 
+    def test_eigenvalue_below_the_old_scan_window(self, tmp_path, capsys):
+        # y^[1](0) = -5 y(0) puts index 0 at -24.703, below the -9 at which
+        # the scan of forward's default window starts; the index path finds it
+        sig = SigmaFunction.from_callable(lambda x: 0.3 * np.sin(x), np.pi, 512)
+        obj = problem_to_json(sig, BoundaryPolyPair([1.0], [5.0]), {"kind": "dirichlet_right"})
+        out = tmp_path / "out"
+        argv = ["forward", write(tmp_path / "p.json", obj), "--eigs", "5", "--out", str(out)]
+        assert main(argv) == 0
+        lam = complex_array(json.load(open(out / "spectrum.json"))["lambdas"]).real
+        assert np.max(np.abs(lam - [-24.70297, 1.10741, 4.51288, 10.10088, 17.82472])) <= 1e-5
+        assert capsys.readouterr().err == ""
+
+    def test_scan_without_index_is_reported(self, free_problem, tmp_path, capsys):
+        # p3_quadratic's left pair is not Herglotz, so its count could fall:
+        # the scan stands in, and says so on stderr
+        _, sig, pair, f = forward_corpus(128)[4]
+        p3 = write(tmp_path / "p3.json", problem_to_json(sig, pair, f))
+        assert main(["forward", p3, "--eigs", "12", "--out", str(tmp_path / "a")]) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "(a boundary pair is not Herglotz)" in err
+        assert "[-9.0, 196.0]" in err and "; 0 root(s) dropped" in err
+        argv = ["forward", free_problem, "--eigs", "4", "--window=-1,50", "--out", str(tmp_path / "b")]
+        assert main(argv) == 0
+        assert "[-1.0, 50.0] without an index certificate (--window given)" in capsys.readouterr().err
+
     def test_step_matches_golden(self, tmp_path):
         out = tmp_path / "g"
         rc = main(["forward", str(GOLDEN / "step_problem.json"),
@@ -188,9 +213,11 @@ def test_unsupported_input_exit2(case, tmp_path, capsys):
     (["hl", "{golden}", "--tol", "1", "--seed", "1"], "unrecognized arguments: --tol 1 --seed 1"),
     (["forward", "{golden}", "--strict", "--reg", "0.1", "--seed", "1"],
      "unrecognized arguments: --strict --reg 0.1 --seed 1"),
+    (["forward", "{golden}", "--tol", "1e-8"], "unrecognized arguments: --tol 1e-8"),
+    (["stability", "{golden}", "--tol", "1e-8"], "unrecognized arguments: --tol 1e-8"),
 ], ids=["diagnose-array", "window-one", "window-three", "window-reversed", "window-nan",
         "window-inf", "diagnose-flags", "diagnose-grid-flags", "reconstruct-flags",
-        "hl-flags", "forward-flags"])
+        "hl-flags", "forward-flags", "forward-tol", "stability-tol"])
 def test_bad_input_exit2_without_traceback(argv, reason, tmp_path, capsys):
     # a JSON array for diagnose, a malformed --window and a flag the verb
     # does not read are input errors
@@ -308,16 +335,6 @@ class TestStability:
             assert (out / "stability.csv").exists()
         err = capsys.readouterr().err
         assert err.startswith("non-unique reconstruction: ") and "singular-value ratio" in err
-
-    def test_tol_reaches_the_eigenvalue_search(self, free_problem, tmp_path, capsys):
-        # a simplicity tolerance wider than the eigenvalue gaps merges roots,
-        # so fewer than --eigs remain: RootLoss, as in forward
-        out = tmp_path / "out"
-        assert main(["stability", free_problem, "--eigs", "12", "--trials", "2",
-                     "--out", str(out)]) == 0
-        assert main(["stability", free_problem, "--eigs", "12", "--trials", "2",
-                     "--tol", "1e3", "--out", str(out)]) == 3
-        assert "RootLoss" in capsys.readouterr().err
 
 
 class TestStabilityInput:

@@ -6,8 +6,10 @@ from invsl.errors import IllConditioned, PoleProximity
 from invsl.forward import (
     char_delta,
     char_pair,
+    count_below,
     extract_cauchy,
     find_eigenvalues,
+    index_search,
     make_delta,
     resample_cauchy,
     weyl,
@@ -16,7 +18,7 @@ from invsl.forward import (
     _solve_family,
 )
 from invsl.halfinverse import hl_entire_pair
-from invsl.problems import sigma_bump, sigma_step
+from invsl.problems import forward_corpus, sigma_bump, sigma_step
 from invsl.reconstruct import deltas_from_cauchy
 from invsl.types import BoundaryPolyPair, EntirePair, SigmaFunction
 
@@ -24,6 +26,8 @@ SIG0 = SigmaFunction.zero(np.pi, 512)
 PAIR_FREE = BoundaryPolyPair([1.0], [0.0])
 F_DIR = EntirePair.constant(0.0, 1.0)
 F_NEU = EntirePair.constant(1.0, 0.0)
+RIGHT_DIR = BoundaryPolyPair([0.0], [1.0])   # the right pair (f1, f2) of F_DIR
+RIGHT_NEU = BoundaryPolyPair([1.0], [0.0])   # and of F_NEU
 
 
 def brute_scan_roots(fn, rho_grid):
@@ -161,6 +165,59 @@ class TestFindEigenvalues:
 
         assert winding_count(delta, ((0.0, 4.0), (-2.0, 2.0))) == 3
         assert winding_count(delta, ((0.0, 4.0), (-0.5, 0.5))) == 2
+
+
+def _indexed(sigma, pair, f, right, count):
+    delta, _ = make_delta(sigma, pair, f)
+    return find_eigenvalues(delta, (-9.0, (count + 2.0) ** 2), count=count,
+                            index=index_search(sigma, pair, right, count))
+
+
+class TestIndexSearch:
+    def test_neumann_ends_round_no_angle_to_zero(self):
+        # at rho = k + 1/2 phi(pi) is a rounding above 0 on some k (1.9e-15
+        # at k = 6, with phi^[1](pi) = -6.5), where arctan2(phi, phi^[1]) mod pi
+        # rounded the end angle pi - 3e-16 to 0 and lost one count
+        rho = np.arange(40) + 0.5
+        assert np.array_equal(count_below(SIG0, PAIR_FREE, RIGHT_NEU, rho**2), np.arange(1, 41))
+        spec = _indexed(SIG0, PAIR_FREE, F_NEU, RIGHT_NEU, 40)
+        exact = np.arange(40.0) ** 2
+        assert not spec.fallback
+        assert np.max(np.abs(spec.lambdas.real - exact) / (1.0 + exact)) <= 1e-12
+
+    def test_dirichlet_right_end_counts_nothing_far_below(self):
+        # beta = pi for r1 = 0; with beta = 0 the count stays at 1 as lambda
+        # goes to -infinity and the bracket extension never stops
+        lam = np.array([-1e4, -100.0, 0.0, 0.3, 2.3])
+        assert np.array_equal(count_below(SIG0, PAIR_FREE, RIGHT_DIR, lam), [0, 0, 0, 1, 2])
+        spec = _indexed(SIG0, PAIR_FREE, F_DIR, RIGHT_DIR, 40)
+        exact = (np.arange(40) + 0.5) ** 2
+        assert np.max(np.abs(spec.lambdas.real - exact) / (1.0 + exact)) <= 1e-12
+
+    def test_deep_index_zero_gets_a_narrow_bracket(self):
+        # y^[1](0) = -120 y(0) puts index 0 near -120^2, far below the ends;
+        # the extension leaves it in s = [-127.5, -63.5], across which delta
+        # grows by about 1e87, and false position from there stopped at the
+        # upper end, -4032.25, until the bracket was narrowed on the count
+        sig = SigmaFunction.from_callable(lambda x: 0.3 * np.sin(x), np.pi, 512)
+        pair = BoundaryPolyPair([1.0], [120.0])
+        spec = _indexed(sig, pair, F_DIR, RIGHT_DIR, 3)
+        delta, _ = make_delta(sig, pair, F_DIR)
+        deep = find_eigenvalues(delta, (-14500.0, -14300.0)).lambdas
+        assert deep.size == 1 and abs(spec.lambdas[0] - deep[0]) <= 1e-12 * abs(deep[0])
+
+    def test_corpus_and_closed_forms_match_the_scan(self):
+        cases = [(name, sig, pair, f) for name, sig, pair, f in forward_corpus()]
+        cases += [("zero_dirichlet", SIG0, PAIR_FREE, F_DIR), ("zero_neumann", SIG0, PAIR_FREE, F_NEU)]
+        for name, sig, pair, f in cases:
+            f1, f2 = (complex(v[0]) for v in f(np.array([0.0])))
+            right = BoundaryPolyPair([f1], [f2])
+            spec = _indexed(sig, pair, f, right, 40)
+            assert spec.fallback == (name == "p3_quadratic"), name
+            assert (index_search(sig, pair, right, 40) is None) == spec.fallback, name
+            delta, _ = make_delta(sig, pair, f)
+            scan = find_eigenvalues(delta, (-9.0, 42.0**2), count=40).lambdas
+            assert np.max(np.abs(spec.lambdas - scan) / (1.0 + np.abs(scan))) <= 1e-12, name
 
 
 class TestWeyl:
