@@ -32,11 +32,13 @@ from .serialize import (
     encode_array,
     jsonable,
     meta_block,
+    pair_from_json,
     problem_from_json,
+    sigma_from_json,
     subspectrum_from_json,
     two_sided_from_json,
 )
-from .types import BoundaryPolyPair
+from .types import BoundaryPolyPair, SigmaFunction
 EXIT_SCHEMA = 2
 EXIT_SOLVER = 3
 EXIT_NON_UNIQUE = 4
@@ -87,19 +89,39 @@ def _write(out_dir: str, name: str, payload: dict) -> Path:
     return target
 
 
+def _join(sigma: SigmaFunction, half: SigmaFunction):
+    """sigma on [0, X] followed by `half` (its own [0, X'] moved to [X, X + X']),
+    as one sigma on [0, X + X']; None unless the two share the cell size and
+    the sample at X."""
+    if not (np.isclose(half.dx, sigma.dx, rtol=1e-12, atol=0.0)
+            and half.samples[0] == sigma.samples[-1]):
+        return None
+    return SigmaFunction(np.concatenate((sigma.samples, half.samples[1:])),
+                         sigma.interval_length + half.interval_length)
+
+
 def _eigenvalues(sigma, pair, f, count: int, window=None):
     """The first `count` eigenvalues of a problem file's problem: by index
     where `index_search` certifies them, else by a scan of `window` (by
-    default one sized for the count and f) with a note on stderr."""
+    default one sized for the count and f) with a note on stderr.  An
+    hl_right_half f is indexed on sigma joined to its right half, as
+    `hl_spectrum` indexes the two-sided problem."""
     delta, _ = make_delta(sigma, pair, f)
     desc, index, why = f.descriptor, None, "--window given"
-    if window is None and desc["kind"] == "hl_right_half":
-        why, window = "f is hl_right_half", hl_window(count, pair.p, len(desc["r1"]) * 2 - 1)
-    elif window is None:
-        right = BoundaryPolyPair([complex(*desc["f1"])], [complex(*desc["f2"])])
-        index = index_search(sigma, pair, right, count)
-        why = "complex sigma" if not sigma.is_real() else "a boundary pair is not Herglotz"
-        window = (-9.0, float((count + 2) ** 2))
+    if window is None:
+        if desc["kind"] == "hl_right_half":
+            right = pair_from_json(desc["r1"], desc["r2"])
+            whole = _join(sigma, sigma_from_json(desc["sigma"]))
+            window = hl_window(count, pair.p, right.p)
+        else:
+            right = BoundaryPolyPair([complex(*desc["f1"])], [complex(*desc["f2"])])
+            whole = sigma
+            window = (-9.0, float((count + 2) ** 2))
+        if whole is None:
+            why = "f is hl_right_half, and its sigma does not join the problem's"
+        else:
+            index = index_search(whole, pair, right, count)
+            why = "complex sigma" if not whole.is_real() else "a boundary pair is not Herglotz"
     spec = find_eigenvalues(delta, window, count=count, index=index)
     if spec.fallback:
         print(f"note: eigenvalues by a scan of lambda in {list(window)} without an index "

@@ -96,8 +96,10 @@ def refine_brackets(delta, a, b, fa, fb, iters=100):
     delta(a) = fa and delta(b) = fb differ in sign (or one is zero).  Each
     step is an Illinois false-position step (Dowell and Jarratt, 1971): the
     secant point of the bracket ends, with the value at an end halved when
-    the other end has moved twice in a row.  A step that leaves the bracket
-    is replaced by its midpoint, and every value shrinks the bracket on its
+    the other end has moved twice in a row.  A step that leaves the bracket,
+    or whose end values lie more than 16 orders of magnitude apart (its
+    secant point would round onto an end, which then never moves), is
+    replaced by the midpoint, and every value shrinks the bracket on its
     side of the root.  A root is done when the step or its bracket falls
     below 1e-14 (1 + |lambda|), or delta vanishes; delta is evaluated only
     at the roots still open.
@@ -129,10 +131,11 @@ def refine_brackets(delta, a, b, fa, fb, iters=100):
 
 
 def _false_position(a, b, fa, fb):
-    """Secant point of (a, fa) and (b, fb); the midpoint where fa = fb."""
-    denom = fb - fa
-    safe = denom != 0
-    return np.where(safe, b - fb * (b - a) / np.where(safe, denom, 1.0), 0.5 * (a + b))
+    """Secant point of (a, fa) and (b, fb); the midpoint where fa = fb, or
+    where the smaller of two nonzero |f| is below eps times the larger."""
+    small, big = np.minimum(np.abs(fa), np.abs(fb)), np.maximum(np.abs(fa), np.abs(fb))
+    safe = (fb != fa) & ~((small > 0) & (small < np.finfo(float).eps * big))
+    return np.where(safe, b - fb * (b - a) / np.where(safe, fb - fa, 1.0), 0.5 * (a + b))
 
 
 def winding_count(delta, rect, samples_per_edge=600, max_refine=6):

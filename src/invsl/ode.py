@@ -3,15 +3,17 @@
 The stored antiderivative is piecewise linear, so the potential q = sigma' is
 constant on every grid cell and y'' = (s_k - lambda) y holds exactly inside
 cell k, with a closed-form constant-coefficient 2x2 transfer matrix (the
-Pruess piecewise-constant-coefficient method).  Endpoint values come from the
-monodromy matrix, the ordered product of all cell matrices, reduced pairwise
-in log2(m) vectorized steps over the whole lambda batch; node-by-node
-trajectories, forward from x = 0, come from a down-sweep over the levels of
-that same tree.  Cost is independent of |lambda| and the Lagrange identity
-(det of the monodromy = 1) holds to rounding.  On the real axis (real sigma,
-every lambda of the batch real) the cell matrices and their product are
-computed in float64, elsewhere in complex128; endpoint values are returned
-as complex128 in both cases.
+Pruess piecewise-constant-coefficient method).  Its entries cos(w) and
+sin(w)/w at w^2 = (lambda - s_k) h^2 are entire in w^2, so no branch of the
+square root enters (`cos_sinc_sqrt`: a Taylor polynomial in w^2 on small
+cells).  Endpoint values come from the monodromy matrix, the ordered product
+of all cell matrices, reduced pairwise in log2(m) vectorized steps over the
+whole lambda batch; node-by-node trajectories, forward from x = 0, come from
+a down-sweep over the levels of that same tree.  Cost is independent of
+|lambda| and the Lagrange identity (det of the monodromy = 1) holds to
+rounding.  On the real axis (real sigma, every lambda of the batch real) the
+cell matrices and their product are computed in float64, elsewhere in
+complex128; endpoint values are returned as complex128 in both cases.
 
 A classical RK4 path over the same piecewise-linear sigma is kept as an
 independent cross-check (`rk4_node_values`); it converges at order 4 to the
@@ -43,9 +45,12 @@ def _cell_matrices(sigma: SigmaFunction, lam):
 
 
 # Lambdas per reduction block: the working set is (cells x block) per matrix
-# entry, so memory stays bounded on dense scans of thousands of lambdas.  64
-# timed fastest of 32-1400 at 256-1024 cells and 1400 lambdas (Xeon, 2 MB L2
-# per core); at 512 cells a block of 256 makes one entry's array 2 MB.
+# entry, so memory stays bounded on dense scans of thousands of lambdas.
+# Timed with the Taylor kernel of `cos_sinc_sqrt` at 512 cells (`monodromy`,
+# best of 8-10, three runs, 2-vCPU Xeon, 2 MB L2 per core) over blocks of
+# 32-256: 40 lambdas are one block for any block >= 40; at 1640 complex
+# lambdas 48 and 64 led (55-64 ms each, 128: 62-68 ms), at 1640 real ones 128
+# did (26-28 ms, 64: 28-35 ms).  No block won both, so 64 stays.
 _BLOCK = 64
 
 
@@ -114,8 +119,9 @@ def monodromy(sigma: SigmaFunction, lams):
     blocks of lambdas.
 
     When sigma is real and no lambda has a nonzero imaginary part, the cell
-    matrices and the tree are float64 (cos/cosh and sin/sinh by the sign of
-    mu^2), otherwise complex128; both run the same code and M is complex128.
+    matrices and the tree are float64, otherwise complex128; both run the
+    same code (`cos_sinc_sqrt` is entire in mu^2 h^2, whatever its sign) and
+    M is complex128.
     """
     lam = np.atleast_1d(np.asarray(lams))
     real = _real_axis(sigma, lam)

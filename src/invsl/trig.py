@@ -8,6 +8,8 @@ the branch of ``rho = sqrt(lambda)`` or about removable singularities at
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _SMALL = 1e-4
@@ -26,34 +28,50 @@ def sinc(z):
     return out
 
 
-def cos_sinc_sqrt(z2):
-    """cos(w) and sin(w)/w at w = sqrt(z2).
+# cos(w) and sin(w)/w at w = sqrt(z2) are the entire series sum (-z2)^k/(2k)!
+# and sum (-z2)^k/(2k+1)!.  On |z2| <= _TAYLOR_RADIUS they are summed through
+# k = _TAYLOR_DEGREE: the first omitted term, 16^-7/14! ~ 4e-20, is below eps/8.
+_TAYLOR_RADIUS = 1.0 / 16.0
+_TAYLOR_DEGREE = 6
+_COS = [(-1) ** k / math.factorial(2 * k) for k in range(_TAYLOR_DEGREE + 1)]
+_SINC = [(-1) ** k / math.factorial(2 * k + 1) for k in range(_TAYLOR_DEGREE + 1)]
 
-    Both are single-valued (even in w) functions of z2, in the dtype of the
-    input.  Complex z2: cos and sin share one evaluation of the real trig
-    and hyperbolic parts of w.  Real z2 stays real: with w = sqrt(|z2|), cos w
-    and sin w where z2 >= 0, cosh w and sinh w (w imaginary) where z2 < 0.
+
+def cos_sinc_sqrt(z2):
+    """cos(w) and sin(w)/w at w = sqrt(z2), in the dtype of the input.
+
+    Both are entire in z2, so one code path serves float64 and complex128:
+    where |z2| <= _TAYLOR_RADIUS, one Horner evaluation of the Taylor
+    polynomials in z2 (no sqrt, no sign and no division).  Only the elements
+    beyond that radius take the direct formula, in complex arithmetic (cos and
+    sin of w from the real trig and hyperbolic parts of w), cast back to the
+    input's dtype.  Every element's value depends on that element alone.
     """
     z2 = np.asarray(z2)
-    if np.iscomplexobj(z2):
-        w = np.sqrt(z2)
+    if not np.iscomplexobj(z2):
+        z2 = z2.astype(float, copy=False)
+    cos_w, sinc_w = np.full_like(z2, _COS[-1]), np.full_like(z2, _SINC[-1])
+    # Products are formed in place, except for a one-element input: numpy
+    # rounds an in-place complex product of one element in its scalar loop,
+    # without the fused multiply-add of its vector loop, apart from the same
+    # element in a batch.
+    prod = (np.empty_like(z2),) * 2 if z2.size == 1 else (cos_w, sinc_w)
+    for a, b in zip(_COS[-2::-1], _SINC[-2::-1]):
+        np.add(np.multiply(cos_w, z2, out=prod[0]), a, out=cos_w)
+        np.add(np.multiply(sinc_w, z2, out=prod[1]), b, out=sinc_w)
+    far = np.abs(z2) > _TAYLOR_RADIUS
+    if np.any(far):
+        w = np.sqrt(z2[far].astype(complex))
         cx, sx = np.cos(w.real), np.sin(w.real)
         chy, shy = np.cosh(w.imag), np.sinh(w.imag)
-        cos_w = np.empty_like(w)
-        cos_w.real = cx * chy
-        cos_w.imag = -sx * shy
-        sin_w = np.empty_like(w)
-        sin_w.real = sx * chy
-        sin_w.imag = cx * shy
-    else:
-        z2 = z2.astype(float, copy=False)
-        w = np.sqrt(np.abs(z2))
-        osc = z2 >= 0
-        cos_w = np.cos(w, out=np.empty_like(w), where=osc)
-        np.cosh(w, out=cos_w, where=~osc)
-        sin_w = np.sin(w, out=np.empty_like(w), where=osc)
-        np.sinh(w, out=sin_w, where=~osc)
-    return cos_w, np.divide(sin_w, w, out=np.ones_like(w), where=w != 0)
+        cos_far, sin_far = np.empty((2,) + w.shape, dtype=complex)
+        cos_far.real, cos_far.imag = cx * chy, -sx * shy
+        sin_far.real, sin_far.imag = sx * chy, cx * shy
+        sinc_far = sin_far / w
+        if not np.iscomplexobj(z2):
+            cos_far, sinc_far = cos_far.real, sinc_far.real
+        cos_w[far], sinc_w[far] = cos_far, sinc_far
+    return cos_w, sinc_w
 
 
 def overlap_sin_sin(mu, rho, length=np.pi):

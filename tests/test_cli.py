@@ -11,7 +11,7 @@ from invsl import cli, schemas, serialize
 from invsl.cli import main
 from invsl.errors import NonUniqueWarning
 from invsl.forward import find_eigenvalues, make_delta
-from invsl.halfinverse import TwoSidedProblem, hl_entire_pair
+from invsl.halfinverse import TwoSidedProblem, hl_entire_pair, hl_spectrum
 from invsl.problems import forward_corpus, sigma_bump
 from invsl.serialize import (
     canonical_dumps,
@@ -113,6 +113,29 @@ class TestForward:
         lam = complex_array(json.load(open(out / "spectrum.json"))["lambdas"]).real
         assert np.max(np.abs(lam - [-24.70297, 1.10741, 4.51288, 10.10088, 17.82472])) <= 1e-5
         assert capsys.readouterr().err == ""
+
+    def test_hl_right_half_file_takes_the_index_path(self, tmp_path, capsys):
+        # the left-half problem file of a two-sided problem: its f's right
+        # half joins sigma, so the index path finds index 0 at -900, below
+        # the -4 at which hl_window's scan starts
+        full = SigmaFunction.zero(2 * np.pi, 1024)
+        prob = TwoSidedProblem(full, BoundaryPolyPair([1.0], [0.0]), BoundaryPolyPair([1.0], [-30.0]))
+        left, right = full.halves()
+        expected = hl_spectrum(prob, 3).lambdas.real
+        assert np.max(np.abs(expected - [-900.0, 0.0632, 0.5685])) <= 1e-4
+        obj = problem_to_json(left, prob.left_pair, hl_f_descriptor(right, prob.right_pair))
+        argv = ["forward", write(tmp_path / "p.json", obj), "--eigs", "3", "--out", str(tmp_path / "a")]
+        assert main(argv) == 0
+        lam = complex_array(json.load(open(tmp_path / "a" / "spectrum.json"))["lambdas"]).real
+        assert np.max(np.abs(lam - expected) / (1.0 + np.abs(expected))) <= 1e-12
+        assert capsys.readouterr().err == ""
+        # a right half that starts at another sample does not join: the scan
+        # stands in, without index 0, and says why
+        shifted = SigmaFunction(right.samples + 0.1, right.interval_length)
+        obj = problem_to_json(left, prob.left_pair, hl_f_descriptor(shifted, prob.right_pair))
+        argv = ["forward", write(tmp_path / "q.json", obj), "--eigs", "3", "--out", str(tmp_path / "b")]
+        assert main(argv) == 0
+        assert "(f is hl_right_half, and its sigma does not join the problem's)" in capsys.readouterr().err
 
     def test_scan_without_index_is_reported(self, free_problem, tmp_path, capsys):
         # p3_quadratic's left pair is not Herglotz, so its count could fall:

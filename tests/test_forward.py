@@ -135,6 +135,21 @@ class TestFindEigenvalues:
         assert all(later <= earlier for earlier, later in zip(sizes, sizes[1:]))
         assert np.max(np.abs(roots - exact) / (1.0 + exact)) <= 1e-12
 
+    def test_refine_through_a_stalled_secant(self):
+        # delta falls from 2.7e172 to -1.9e86 across this bracket, so its
+        # secant point rounds onto the upper end, where the bracket does not
+        # move; bisection steps stand in until the two ends are within 16
+        # orders of magnitude, and Illinois then reaches index 0 (without
+        # them refinement returned the upper end, -4032.25)
+        sig = SigmaFunction.from_callable(lambda x: 0.3 * np.sin(x), np.pi, 512)
+        delta, _ = make_delta(sig, BoundaryPolyPair([1.0], [120.0]), F_DIR)
+        ends = np.array([-127.5**2, -63.5**2])
+        fa, fb = np.real(delta(ends))
+        root = refine_brackets(delta, ends[:1], ends[1:], [fa], [fb])[0]
+        deep = find_eigenvalues(delta, (-14500.0, -14300.0)).lambdas
+        assert deep.size == 1 and abs(root - deep[0]) <= 1e-12 * abs(deep[0])
+        assert abs(root + 14399.70) <= 1e-2
+
     def test_step_sigma_vs_dense_scan(self):
         sig = sigma_step(512, height=1.0)
         delta, _ = make_delta(sig, PAIR_FREE, F_DIR)

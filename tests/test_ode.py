@@ -13,7 +13,7 @@ from invsl.ode import (
     rk4_node_values,
 )
 from invsl.problems import sigma_random_smooth, sigma_step
-from invsl.trig import cos_sinc_sqrt
+from invsl.trig import _TAYLOR_RADIUS, cos_sinc_sqrt
 from invsl.types import SigmaFunction
 
 
@@ -220,6 +220,27 @@ class TestMonodromy:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(StepFailure):
                 endpoint_data(sig, [1.0, -1e8])
+
+    def test_cells_straddling_the_taylor_radius(self):
+        # lambdas at which some cells take the Taylor polynomial of
+        # cos_sinc_sqrt (|z2| <= R) and the others its direct formula: det M
+        # = 1 and the RK4 cross-check, on the real axis (both signs) and off it
+        sig = sigma_random_smooth(64, scale=0.8, seed=4)
+        h = sig.dx
+        slopes = np.diff(sig.samples.real) / h
+        ring = _TAYLOR_RADIUS / h**2 * np.array([1.0, -1.0, np.exp(0.5j), np.exp(2.5j)])
+        lam = np.median(slopes) + ring
+        far = np.abs((lam[None] - slopes[:, None]) * h * h) > _TAYLOR_RADIUS
+        assert np.all(np.any(far, axis=0)) and np.all(np.any(~far, axis=0))
+        for batch in (lam[:2].real, lam[2:]):
+            m = monodromy(sig, batch)
+            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+            scale = np.max(np.abs(m.reshape(4, -1)), axis=0) ** 2
+            assert np.max(np.abs(det - 1.0) / scale) <= DET_RTOL
+            for k, lv in enumerate(batch):
+                ends = m[:, 0, k] * 0.3 + m[:, 1, k] * -0.8
+                rk = [v[-1] for v in rk4_node_values(sig, lv, 0.3, -0.8, refine=8)]
+                assert np.max(np.abs(ends - rk)) <= 2e-9 * max(1.0, np.max(np.abs(rk)))
 
 
 def _nodewise_dev(got, ref):

@@ -28,6 +28,8 @@ from invsl.serialize import (
     subspectrum_to_json,
 )
 from invsl.trig import (
+    _TAYLOR_DEGREE,
+    _TAYLOR_RADIUS,
     cos_sinc_sqrt,
     overlap_cos_cos,
     overlap_sin_sin,
@@ -58,6 +60,11 @@ def test_synth_series_rows_equal_single_series():
     for row, c in zip(stacked, coeffs):
         assert np.array_equal(row, _series_loop(tags, c, t))
         assert np.array_equal(row, synth_series(tags, list(c), t))
+
+
+# |z2| just inside and just outside the disc on which cos_sinc_sqrt sums its
+# Taylor polynomial
+AT_TAYLOR_RADIUS = _TAYLOR_RADIUS * np.array([1.0 - 1e-3, 1.0 + 1e-3])
 
 
 class TestTrigClosedForms:
@@ -95,11 +102,13 @@ class TestTrigClosedForms:
         assert np.max(np.abs(sinc(z) - direct)) <= 1e-15
 
     def test_cos_sinc_sqrt_against_mpmath(self):
-        # zero, small and moderate |z2|, both signs, complex arguments and
-        # the exponential range of negative z2
+        # zero, small and moderate |z2|, both signs, complex arguments, the
+        # exponential range of negative z2, and four rays across the Taylor
+        # radius (the polynomial just inside, the direct formula just outside)
         mpmath = pytest.importorskip("mpmath")
         z2 = np.array([0.0, 1e-12, 9.9e-5, -1.01e-4, 1e-4j, 9.9e-3, -9.9e-3, 1.01e-2,
                        -1.01e-2, 1.01e-2j, 0.3 - 0.2j, 2.5, -40.0, -7.0 + 3.0j, 60.0 + 0.5j])
+        z2 = np.concatenate([z2] + [AT_TAYLOR_RADIUS * np.exp(1j * t) for t in (0.3, 1.6, 2.0, -2.8)])
         got = cos_sinc_sqrt(z2)
         with mpmath.workdps(40):
             for i, z in enumerate(z2):
@@ -108,11 +117,13 @@ class TestTrigClosedForms:
                     assert abs(complex(val[i]) - complex(r)) <= 1e-14 * max(1.0, abs(complex(r)))
 
     def test_cos_sinc_sqrt_real_against_mpmath(self):
-        # real input stays float64 (cos/sin for z2 >= 0, cosh/sinh below),
-        # from zero through small |z2| and deep into the cosh branch
+        # real input stays float64, from zero through small |z2|, across the
+        # Taylor radius on both sides of 0 and deep into the exponential range
+        # of negative z2
         mpmath = pytest.importorskip("mpmath")
         z2 = np.array([0.0, 1e-12, -1e-12, 9.9e-5, -9.9e-5, 1.01e-4, -1.01e-4, 9.9e-3, -9.9e-3,
                        1.01e-2, -1.01e-2, 0.3, -0.3, 2.5, -2.5, 60.0, -40.0, -700.0, -3e3])
+        z2 = np.concatenate((z2, AT_TAYLOR_RADIUS, -AT_TAYLOR_RADIUS))
         got = cos_sinc_sqrt(z2)
         assert all(g.dtype == np.float64 for g in got)
         with mpmath.workdps(40):
@@ -121,6 +132,27 @@ class TestTrigClosedForms:
                 for val, r in zip(got, (mpmath.cos(w), mpmath.sinc(w))):
                     r = float(mpmath.re(r))
                     assert abs(val[i] - r) <= 1e-13 * max(1.0, abs(r))
+
+    def test_taylor_degree_is_exact_on_its_disc(self):
+        # the first omitted term of either series is below eps/8 on |z2| <= R
+        first_omitted = _TAYLOR_RADIUS ** (_TAYLOR_DEGREE + 1) / math.factorial(2 * _TAYLOR_DEGREE + 2)
+        assert first_omitted < np.finfo(float).eps / 8
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_cos_sinc_sqrt_elementwise(self, dtype):
+        # every element of a (512, 64) batch on both sides of the Taylor
+        # radius equals that element evaluated alone, bit for bit
+        rng = np.random.default_rng(17)
+        z2 = rng.uniform(-0.1, 0.1, (512, 64)).astype(dtype)
+        if dtype is np.complex128:
+            z2 += 1j * rng.uniform(-0.1, 0.1, z2.shape)
+        far = np.abs(z2) > _TAYLOR_RADIUS
+        assert 0.1 < np.mean(far) < 0.9
+        batch = cos_sinc_sqrt(z2)
+        alone = np.empty((2,) + z2.shape, dtype=dtype)
+        for i, j in np.ndindex(z2.shape):
+            alone[:, i, j] = [x[0] for x in cos_sinc_sqrt(z2[i, j:j + 1])]
+        assert np.array_equal(batch[0], alone[0]) and np.array_equal(batch[1], alone[1])
 
 
 class TestRootLoss:
