@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 malformed or unsupported input, 3 solver failure,
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import sys
 import warnings
@@ -42,23 +41,6 @@ from .types import BoundaryPolyPair, SigmaFunction
 EXIT_SCHEMA = 2
 EXIT_SOLVER = 3
 EXIT_NON_UNIQUE = 4
-
-
-def _keep_freed_heap():
-    """Fix glibc's heap thresholds (Linux): keep up to 16 MB of freed memory.
-
-    The propagator frees a few MB of temporaries per block of 64 lambdas.
-    Under the default, adaptive thresholds a fresh process returns them to
-    the system and faults them in again block after block (about 25,000
-    page faults in one `stability` run) until a larger buffer is freed.
-    """
-    if sys.platform.startswith("linux"):
-        try:
-            libc = ctypes.CDLL(None)
-            libc.mallopt(-3, 8 << 20)   # M_MMAP_THRESHOLD
-            libc.mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD
-        except (OSError, AttributeError):
-            pass
 
 
 def _read(path: str):
@@ -176,6 +158,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_hl(args) -> int:
+    if not 0 <= args.drop < args.eigs:
+        raise SchemaError(f"--drop {args.drop}: expected 0 <= K < --eigs {args.eigs}")
     obj = _load(args.two_sided, "two_sided-v1")
     problem = two_sided_from_json(obj)
     spec = hl_spectrum(problem, args.eigs)
@@ -280,6 +264,13 @@ def _window(text: str) -> tuple:
     return lo, hi
 
 
+def _positive(text: str) -> int:
+    """A --grid or --eigs value: an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="invsl", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -287,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     # every verb declares only the flags it reads, so argparse rejects the rest
     flags = {
-        "--grid": dict(type=int, default=128, metavar="M",
+        "--grid": dict(type=_positive, default=128, metavar="M",
                        help="reconstruction grid cells (default %(default)s)"),
-        "--eigs": dict(type=int, default=40, metavar="N",
+        "--eigs": dict(type=_positive, default=40, metavar="N",
                        help="eigenvalue count (default %(default)s)"),
         "--seed": dict(type=int, default=0),
         "--out": dict(default=".", metavar="DIR"),
@@ -340,7 +331,6 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    _keep_freed_heap()
     args = _PARSER.parse_args(argv)
     try:
         # the reports record non-uniqueness; --strict reads it from there

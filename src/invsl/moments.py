@@ -140,6 +140,8 @@ def svd_solve(u, s, vh, rhs, reg: float = 0.0):
     `reg` (Tikhonov damping), else 1/s with singular values at or below
     `_RANK_TOL` times the largest dropped (the minimum-norm solution).
     """
+    if not (np.isfinite(reg) and reg >= 0):
+        raise ValueError(f"reg must be finite and >= 0, got {reg!r}")
     if reg > 0:
         gains = s / (s**2 + reg)
     else:

@@ -9,11 +9,12 @@ square root enters (`cos_sinc_sqrt`: a Taylor polynomial in w^2 on small
 cells).  Endpoint values come from the monodromy matrix, the ordered product
 of all cell matrices, reduced pairwise in log2(m) vectorized steps over the
 whole lambda batch; node-by-node trajectories, forward from x = 0, come from
-a down-sweep over the levels of that same tree.  Cost is independent of
-|lambda| and the Lagrange identity (det of the monodromy = 1) holds to
-rounding.  On the real axis (real sigma, every lambda of the batch real) the
-cell matrices and their product are computed in float64, elsewhere in
-complex128; endpoint values are returned as complex128 in both cases.
+a down-sweep over the levels of that same tree, which all blocks of lambdas
+write in place into one workspace per call.  Cost is independent of |lambda|
+and the Lagrange identity (det of the monodromy = 1) holds to rounding.  On
+the real axis (real sigma, every lambda of the batch real) the cell matrices
+and their product are computed in float64, elsewhere in complex128; endpoint
+values are returned as complex128 in both cases.
 
 A classical RK4 path over the same piecewise-linear sigma is kept as an
 independent cross-check (`rk4_node_values`); it converges at order 4 to the
@@ -54,30 +55,44 @@ def _cell_matrices(sigma: SigmaFunction, lam):
 _BLOCK = 64
 
 
-def _matmul(a, b):
-    """Entry-wise 2x2 products a @ b over stacked (m00, m01, m10, m11) arrays."""
-    a00, a01, a10, a11 = a
-    b00, b01, b10, b11 = b
-    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+def _tree(work, n):
+    """Levels of the ordered product T[n-1] ... T[1] T[0] of the n factors in work[:, :n].
 
-
-def _tree(mats):
-    """Levels of the ordered product T[n-1] ... T[1] T[0] along axis 0, leaves first.
-
-    Every level but the last is padded with the identity to even length and
-    its pairs multiply into the next level; the last level is the product.
+    Each level but the last (the product) is padded with the identity to even
+    length and its pairs multiply into the next level, right after it in
+    `work`, whose last rows are scratch.  Returns views (4, rows, lambdas).
     """
-    levels = []
-    while mats[0].shape[0] > 1:
-        if mats[0].shape[0] % 2:
-            one = np.ones_like(mats[0][:1])
-            zero = np.zeros_like(one)
-            mats = tuple(np.concatenate((x, e)) for x, e in zip(mats, (one, zero, zero, one)))
-        levels.append(mats)
-        mats = _matmul(tuple(x[1::2] for x in mats), tuple(x[0::2] for x in mats))
-    levels.append(mats)
+    levels, lo = [], 0
+    while n > 1:
+        if n % 2:
+            work[:, lo + n] = [[1], [0], [0], [1]]
+            n += 1
+        levels.append(work[:, lo:lo + n])
+        lo, n = lo + n, n // 2
+        a, b, scratch = levels[-1][:, 1::2], levels[-1][:, 0::2], work[0, -n:]
+        for (i, j), dst in zip(((0, 0), (0, 1), (2, 0), (2, 1)), work[:, lo:lo + n]):
+            # entry (i / 2, j) of the 2x2 product a b is a[i] b[j] + a[i + 1] b[j + 2]
+            np.multiply(a[i], b[j], dst)
+            dst += np.multiply(a[i + 1], b[j + 2], scratch)
+    levels.append(work[:, lo:lo + 1])
     return levels
+
+
+def _blocks(sigma: SigmaFunction, lam, out):
+    """(slice, tree levels) of every block of the 1-D `lam`, in one workspace that
+    the next block overwrites; StepFailure at the end unless `out` is finite."""
+    rows, k = 1, sigma.m
+    while k > 1:   # every level, padding included, then a scratch slice
+        k += k % 2
+        rows, k = rows + k, k // 2
+    work = np.empty((4, rows + (sigma.m + 1) // 2, min(_BLOCK, lam.size)), lam.dtype)
+    for start in range(0, lam.size, _BLOCK):
+        chunk = lam[start:start + _BLOCK]
+        for dst, src in zip(work[..., :chunk.size], _cell_matrices(sigma, chunk)):
+            dst[:sigma.m] = src
+        yield slice(start, start + _BLOCK), _tree(work[..., :chunk.size], sigma.m)
+    if not np.all(np.isfinite(out)):
+        raise StepFailure("propagation produced non-finite values; lambda or sigma out of range")
 
 
 def _apply(mats, vec):
@@ -95,13 +110,11 @@ def _sweep(levels, vec):
     vectors at the start of every leaf, padding included, and the one at the
     end of the product, as (y, y') with a leading node axis.
     """
-    vals = tuple(x[None] for x in vec)
+    vals = np.stack(vec)[:, None]
     last = _apply(levels[-1], vals)
     for mats in reversed(levels[:-1]):
-        vals = tuple(x[:mats[0].shape[0] // 2] for x in vals)
-        moved = _apply(tuple(x[0::2] for x in mats), vals)
-        vals = tuple(np.stack(pair, axis=1).reshape((-1,) + pair[0].shape[1:])
-                     for pair in zip(vals, moved))
+        vals = vals[:, :mats.shape[1] // 2]
+        vals = np.stack((vals, _apply(mats[:, 0::2], vals)), axis=2).reshape(2, mats.shape[1], -1)
     return vals, last
 
 
@@ -126,13 +139,9 @@ def monodromy(sigma: SigmaFunction, lams):
     lam = np.atleast_1d(np.asarray(lams))
     real = _real_axis(sigma, lam)
     lam = lam.real.astype(float, copy=False) if real else lam.astype(complex, copy=False)
-    flat = lam.ravel()
-    out = np.empty((4, flat.size), dtype=lam.dtype)
-    for start in range(0, flat.size, _BLOCK):
-        mats = _tree(_cell_matrices(sigma, flat[start:start + _BLOCK]))[-1]
-        out[:, start:start + _BLOCK] = [x[0] for x in mats]
-    if not np.all(np.isfinite(out)):
-        raise StepFailure("propagation produced non-finite values; lambda or sigma out of range")
+    out = np.empty((4, lam.size), dtype=lam.dtype)
+    for block, levels in _blocks(sigma, lam.ravel(), out):
+        out[:, block] = levels[-1][:, 0]
     return _to_quasi(out.reshape((4,) + lam.shape), sigma.samples[0], sigma.samples[-1])
 
 
@@ -150,22 +159,16 @@ def node_values(sigma: SigmaFunction, lams, y0, yq0):
     lam = np.atleast_1d(np.asarray(lams))
     y0, yq0 = (np.broadcast_to(np.asarray(x), lam.shape) for x in (y0, yq0))
     real = _real_axis(sigma, lam, y0, yq0)
-    dtype = float if real else complex
     lam, y0, yq0 = (x.real.astype(float) if real else x.astype(complex) for x in (lam, y0, yq0))
     sig = sigma.samples.real if real else sigma.samples
     # y' = y^[1] + sigma y at x = 0
-    flat = lam.ravel()
     start_y = y0.ravel()
     start_v = yq0.ravel() + sig[0] * start_y
-    out = np.empty((2, sigma.m + 1, flat.size), dtype=dtype)
-    for start in range(0, flat.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        levels = _tree(_cell_matrices(sigma, flat[block]))
+    out = np.empty((2, sigma.m + 1, lam.size), dtype=lam.dtype)
+    for block, levels in _blocks(sigma, lam.ravel(), out):
         leaves, last = _sweep(levels, (start_y[block], start_v[block]))
-        out[:, :-1, block] = [x[:sigma.m] for x in leaves]
+        out[:, :-1, block] = leaves[:, :sigma.m]
         out[:, -1, block] = [x[0] for x in last]
-    if not np.all(np.isfinite(out)):
-        raise StepFailure("propagation produced non-finite values; lambda or sigma out of range")
     out = out.reshape(out.shape[:2] + lam.shape)
     sig = sig.reshape((-1,) + (1,) * lam.ndim)
     return out[0], out[1] - sig * out[0]

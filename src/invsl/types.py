@@ -273,9 +273,13 @@ class Subspectrum:
         return self.lambdas.size
 
     def drop_first(self, k: int) -> "Subspectrum":
+        if k < 0:
+            raise ValueError(f"cannot drop a negative count ({k}) of eigenvalues")
         return replace(self, lambdas=self.lambdas[k:].copy())
 
     def take(self, n: int) -> "Subspectrum":
+        if n < 0:
+            raise ValueError(f"cannot take a negative count ({n}) of eigenvalues")
         return replace(self, lambdas=self.lambdas[:n].copy())
 
     def diagnostics(self, simple_tol: float = 1e-8) -> SubspectrumDiagnostics:

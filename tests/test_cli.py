@@ -238,14 +238,34 @@ def test_unsupported_input_exit2(case, tmp_path, capsys):
      "unrecognized arguments: --strict --reg 0.1 --seed 1"),
     (["forward", "{golden}", "--tol", "1e-8"], "unrecognized arguments: --tol 1e-8"),
     (["stability", "{golden}", "--tol", "1e-8"], "unrecognized arguments: --tol 1e-8"),
+    (["stability", "{golden}", "--grid", "0"], "argument --grid: expected an integer >= 1"),
+    (["reconstruct", "{golden}", "{sub}", "--grid", "0"],
+     "argument --grid: expected an integer >= 1"),
+    (["forward", "{golden}", "--grid=-4"], "argument --grid: expected an integer >= 1"),
+    (["forward", "{golden}", "--eigs=-3"], "argument --eigs: expected an integer >= 1"),
+    (["hl", "{two}", "--eigs", "0"], "argument --eigs: expected an integer >= 1"),
+    (["forward", "{golden}", "--eigs", "2.5"], "argument --eigs: expected an integer >= 1"),
+    (["hl", "{two}", "--drop=-2"], "--drop -2: expected 0 <= K < --eigs 48"),
+    (["hl", "{two}", "--drop", "48"], "--drop 48: expected 0 <= K < --eigs 48"),
+    (["hl", "{two}", "--eigs", "8", "--drop", "9"], "--drop 9: expected 0 <= K < --eigs 8"),
+    (["reconstruct", "{golden}", "{sub}", "--reg=-1"], "reg must be finite and >= 0, got -1.0"),
+    (["reconstruct", "{golden}", "{sub}", "--reg", "nan"], "reg must be finite and >= 0, got nan"),
 ], ids=["diagnose-array", "window-one", "window-three", "window-reversed", "window-nan",
         "window-inf", "diagnose-flags", "diagnose-grid-flags", "reconstruct-flags",
-        "hl-flags", "forward-flags", "forward-tol", "stability-tol"])
+        "hl-flags", "forward-flags", "forward-tol", "stability-tol", "stability-grid-zero",
+        "reconstruct-grid-zero", "forward-grid-negative", "forward-eigs-negative",
+        "hl-eigs-zero", "forward-eigs-fraction", "hl-drop-negative", "hl-drop-all",
+        "hl-drop-past-eigs", "reconstruct-reg-negative", "reconstruct-reg-nan"])
 def test_bad_input_exit2_without_traceback(argv, reason, tmp_path, capsys):
-    # a JSON array for diagnose, a malformed --window and a flag the verb
-    # does not read are input errors
+    # a JSON array for diagnose, a malformed --window, a count below 1, a
+    # --drop outside [0, --eigs), a --reg below 0 or not finite and a flag
+    # the verb does not read are input errors
+    free = BoundaryPolyPair([1.0], [0.0])
+    two = two_sided_to_json(TwoSidedProblem(SigmaFunction.zero(2 * np.pi, 64), free, free))
+    sub = subspectrum_to_json(Subspectrum(np.arange(1, 13, dtype=complex) ** 2))
     paths = {"array": write(tmp_path / "a.json", [1.0, 2.0]),
-             "golden": str(GOLDEN / "step_problem.json")}
+             "golden": str(GOLDEN / "step_problem.json"),
+             "two": write(tmp_path / "two.json", two), "sub": write(tmp_path / "s.json", sub)}
     out = tmp_path / "out"
     try:
         code = main([a.format(**paths) for a in argv] + ["--out", str(out)])

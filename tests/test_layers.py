@@ -1,6 +1,7 @@
 """The package's modules form layers: each imports only from earlier ones."""
 
 import ast
+import sys
 from pathlib import Path
 
 import invsl
@@ -23,6 +24,15 @@ def _relative_imports(tree):
                             if alias.name != "__version__")
 
 
+def _absolute_imports(node):
+    """The modules an import node names, unless it is relative."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return [node.module]
+    return []
+
+
 def _trees():
     return {name: ast.parse((SRC / f"{name}.py").read_text()) for name in ORDER}
 
@@ -43,3 +53,14 @@ def test_no_import_inside_a_function():
               if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
               for imported, node in _relative_imports(func)]
     assert not inside, "relative imports inside functions: " + "; ".join(inside)
+
+
+def test_runtime_dependencies_are_numpy_and_jsonschema():
+    # tests may use scipy, mpmath and hypothesis; the package may not
+    allowed = {"numpy", "jsonschema"} | set(sys.stdlib_module_names)
+    wrong = [f"{name}.py line {node.lineno} imports {module}"
+             for name, tree in _trees().items()
+             for node in ast.walk(tree)
+             for module in _absolute_imports(node)
+             if module.partition(".")[0] not in allowed]
+    assert not wrong, "imports outside numpy, jsonschema and the standard library: " + "; ".join(wrong)

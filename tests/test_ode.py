@@ -1,7 +1,15 @@
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import fundamental_nodes, sequential_cells
+import invsl
 from invsl import ode
 from invsl.errors import StepFailure
 from invsl.ode import (
@@ -165,7 +173,9 @@ class TestMonodromy:
         # the tree on 1-3 factors (one is a no-op, three pads with the identity)
         rng = np.random.default_rng(n)
         mats = rng.standard_normal((n, 2, 2, 5)) + 1j * rng.standard_normal((n, 2, 2, 5))
-        prod = _tree(tuple(mats[:, i, j] for i in (0, 1) for j in (0, 1)))[-1]
+        work = np.empty((4, 4 * n, 5), complex)   # room for every level and the scratch
+        work[:, :n] = mats.transpose(1, 2, 0, 3).reshape(4, n, 5)
+        prod = _tree(work, n)[-1]
         for col in range(5):
             ref = np.eye(2)
             for k in range(n):
@@ -275,3 +285,42 @@ class TestNodeValues:
         for k, lv in enumerate(lam):
             yk, yqk = node_values(sig, [lv], np.cos(lv), np.sin(lv))
             assert np.array_equal(yk[:, 0], y[:, k]) and np.array_equal(yqk[:, 0], yq[:, k])
+
+
+# Four stability experiments (2 x 20 trials, N = 40) of a library caller in a
+# fresh process; prints the minor page faults of each, own process only.
+_FAULT_SCRIPT = """
+import json, resource, sys
+from invsl.halfinverse import hl_entire_pair
+from invsl.problems import roundtrip_corpus
+from invsl.reconstruct import stability_experiment
+from invsl.types import Subspectrum
+name, pairs = json.load(sys.stdin)
+problem = dict(roundtrip_corpus())[name]
+f = hl_entire_pair(problem.halves()[1], problem.right_pair)
+sub = Subspectrum([complex(*z) for z in pairs])
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    stability_experiment(1, f, sub, 128, omegas=[1e-3, 1e-2], trials=20, seed=0)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts glibc's page faults")
+def test_repeated_propagation_does_not_fault_memory_in_again(rt_free):
+    # the product tree of every block lives in one workspace per call, so under
+    # glibc's default allocator thresholds repeated calls stop paging after the
+    # first ones (a tree allocated level by level took 12,000-15,000 faults on
+    # each of calls 2-4); the spectrum comes from the parent process, because
+    # computing it first would raise the thresholds and hide the faults
+    src = str(Path(invsl.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    stdin = json.dumps([rt_free.name, [[z.real, z.imag] for z in rt_free.spectrum.lambdas]])
+    run = subprocess.run([sys.executable, "-c", _FAULT_SCRIPT], input=stdin, env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    faults = json.loads(run.stdout)
+    assert max(faults[1:]) <= 2000, faults

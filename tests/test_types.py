@@ -153,6 +153,13 @@ class TestSubspectrum:
         assert d.max_im_rho == 0
         assert d.sum_inv_rho_sq == pytest.approx(np.sum(1 / lam))
 
+    @pytest.mark.parametrize("method", ["drop_first", "take"])
+    def test_negative_count_rejected(self, method):
+        # a negative slice bound would keep the last eigenvalues instead
+        sub = Subspectrum(np.arange(1, 6, dtype=complex) ** 2)
+        with pytest.raises(ValueError, match="negative count"):
+            getattr(sub, method)(-2)
+
 
 class TestSigmaFunction:
     def test_grid_minimum(self):
