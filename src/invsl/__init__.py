@@ -51,6 +51,7 @@ from .halfinverse import (  # noqa: F401
     hl_entire_pair,
     hl_reconstruct,
     hl_spectrum,
+    problem_spectrum,
     psi_mid,
 )
 from .moments import (  # noqa: F401

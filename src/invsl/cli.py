@@ -21,8 +21,9 @@ import numpy as np
 
 from . import schemas
 from .errors import InvslError, NonUniqueWarning, SchemaError
-from .forward import extract_cauchy, find_eigenvalues, index_search, make_delta, weyl
-from .halfinverse import hl_reconstruct, hl_spectrum, hl_window
+from .forward import extract_cauchy, weyl
+from .forward import find_eigenvalues, make_delta  # noqa: F401  (lookup site wrapped by bench/spans.py)
+from .halfinverse import hl_reconstruct, hl_spectrum, problem_spectrum
 from .moments import basis_diagnostics, xi_identity_residual
 from .reconstruct import noise_plan, reconstruct, stability_experiment
 from .serialize import (
@@ -31,13 +32,11 @@ from .serialize import (
     encode_array,
     jsonable,
     meta_block,
-    pair_from_json,
     problem_from_json,
-    sigma_from_json,
     subspectrum_from_json,
     two_sided_from_json,
 )
-from .types import BoundaryPolyPair, SigmaFunction
+
 EXIT_SCHEMA = 2
 EXIT_SOLVER = 3
 EXIT_NON_UNIQUE = 4
@@ -71,43 +70,14 @@ def _write(out_dir: str, name: str, payload: dict) -> Path:
     return target
 
 
-def _join(sigma: SigmaFunction, half: SigmaFunction):
-    """sigma on [0, X] followed by `half` (its own [0, X'] moved to [X, X + X']),
-    as one sigma on [0, X + X']; None unless the two share the cell size and
-    the sample at X."""
-    if not (np.isclose(half.dx, sigma.dx, rtol=1e-12, atol=0.0)
-            and half.samples[0] == sigma.samples[-1]):
-        return None
-    return SigmaFunction(np.concatenate((sigma.samples, half.samples[1:])),
-                         sigma.interval_length + half.interval_length)
-
-
 def _eigenvalues(sigma, pair, f, count: int, window=None):
-    """The first `count` eigenvalues of a problem file's problem: by index
-    where `index_search` certifies them, else by a scan of `window` (by
-    default one sized for the count and f) with a note on stderr.  An
-    hl_right_half f is indexed on sigma joined to its right half, as
-    `hl_spectrum` indexes the two-sided problem."""
-    delta, _ = make_delta(sigma, pair, f)
-    desc, index, why = f.descriptor, None, "--window given"
-    if window is None:
-        if desc["kind"] == "hl_right_half":
-            right = pair_from_json(desc["r1"], desc["r2"])
-            whole = _join(sigma, sigma_from_json(desc["sigma"]))
-            window = hl_window(count, pair.p, right.p)
-        else:
-            right = BoundaryPolyPair([complex(*desc["f1"])], [complex(*desc["f2"])])
-            whole = sigma
-            window = (-9.0, float((count + 2) ** 2))
-        if whole is None:
-            why = "f is hl_right_half, and its sigma does not join the problem's"
-        else:
-            index = index_search(whole, pair, right, count)
-            why = "complex sigma" if not whole.is_real() else "a boundary pair is not Herglotz"
-    spec = find_eigenvalues(delta, window, count=count, index=index)
+    """`problem_spectrum`'s eigenvalues, with a note on stderr where a scan
+    stood in for the index."""
+    spec, why = problem_spectrum(sigma, pair, f, count, window)
     if spec.fallback:
-        print(f"note: eigenvalues by a scan of lambda in {list(window)} without an index "
-              f"certificate ({why}); {spec.dropped} root(s) dropped", file=sys.stderr)
+        print(f"note: eigenvalues by a scan of lambda in {list(spec.window)} without an index "
+              f"certificate ({why or '--window given'}); {spec.dropped} root(s) dropped",
+              file=sys.stderr)
     return spec
 
 
@@ -264,11 +234,13 @@ def _window(text: str) -> tuple:
     return lo, hi
 
 
-def _positive(text: str) -> int:
-    """A --grid or --eigs value: an integer >= 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def _at_least(low: int):
+    """The argparse type of an integer flag that must be >= `low`."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,11 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     # every verb declares only the flags it reads, so argparse rejects the rest
     flags = {
-        "--grid": dict(type=_positive, default=128, metavar="M",
+        "--grid": dict(type=_at_least(1), default=128, metavar="M",
                        help="reconstruction grid cells (default %(default)s)"),
-        "--eigs": dict(type=_positive, default=40, metavar="N",
+        "--eigs": dict(type=_at_least(1), default=40, metavar="N",
                        help="eigenvalue count (default %(default)s)"),
-        "--seed": dict(type=int, default=0),
+        "--seed": dict(type=_at_least(0), default=0),
         "--out": dict(default=".", metavar="DIR"),
         "--strict": dict(action="store_true",
                          help="exit 4 when the reconstruction is not unique"),

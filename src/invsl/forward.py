@@ -234,9 +234,9 @@ def find_eigenvalues(delta: Callable, window, count: Optional[int] = None,
     for sign changes, or for `imag_band` > 0 subdivided into rectangles by
     the argument principle, with a Muller polish.  Illinois false position
     (`refine_brackets`) refines real brackets.  The window's roots pass
-    `_screen` (drops counted in `dropped`) and have `fallback` set; `verify`
+    `_screen` (drops counted in `dropped`) and record the `window`; `verify`
     checks their number against the window's winding count.  Fewer than
-    `count` roots raise RootLoss.
+    `count` roots raise RootLoss.  `problem_spectrum` picks either for a problem.
     """
     if index is not None:
         lo, hi = (np.sign(s) * s * s for s in _index_brackets(*index, count))
@@ -277,7 +277,7 @@ def find_eigenvalues(delta: Callable, window, count: Optional[int] = None,
             raise RootLoss(f"argument principle counts {total} zeros, refined {lam.size}")
     if count is not None and lam.size < count:
         raise RootLoss(f"found {lam.size} eigenvalues in {window}, need {count}")
-    return Subspectrum(lam[:count], fallback=True, dropped=dropped)
+    return Subspectrum(lam[:count], window=(lam_lo, lam_hi), dropped=dropped)
 
 
 def _screen(delta, lam):
@@ -409,8 +409,9 @@ def index_search(sigma: SigmaFunction, left: BoundaryPolyPair, right: BoundaryPo
                  count: int):
     """`find_eigenvalues`' index (count_below, ends) for the first `count`
     eigenvalues of `count_below`'s problem; None for complex sigma or a pair
-    that is not Herglotz (its count can fall).  The ends lie halfway between
-    rho_k = (pi/X)(k + 1 - (p + r)/2), with r = 0 for a Dirichlet right end."""
+    that is not Herglotz (its count can fall; `problem_spectrum` then scans).
+    The ends lie halfway between rho_k = (pi/X)(k + 1 - (p + r)/2), with
+    r = 0 for a Dirichlet right end."""
     if not (sigma.is_real() and _herglotz(left, -1.0) and _herglotz(right, 1.0)):
         return None
     r = right.p if np.any(right.a) else 0

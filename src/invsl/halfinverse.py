@@ -35,6 +35,11 @@ from .types import (
 )
 
 
+def _require_odd(p: int, r: int):
+    if p % 2 == 0 or r % 2 == 0:
+        raise ParityMismatch("the half-inverse driver ships for odd boundary degrees only")
+
+
 @dataclass(frozen=True)
 class TwoSidedProblem:
     """Problem on (0, 2pi): polynomial pairs at both ends, full antiderivative."""
@@ -62,11 +67,6 @@ class TwoSidedProblem:
     def halves(self):
         return self.sigma_full.halves()
 
-    def require_odd(self):
-        if self.p % 2 == 0 or self.r % 2 == 0:
-            raise ParityMismatch("the half-inverse driver ships for odd boundary degrees only")
-        return self
-
 
 def psi_mid(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair, lam):
     """Backward solution at the midpoint.
@@ -87,7 +87,8 @@ def psi_mid(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair, lam):
 def hl_entire_pair(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair) -> EntirePair:
     """Entire pair encoding the known right half: f1 = -psi(mid), f2 = psi^{[1]}(mid).
 
-    Its descriptor is the problem file's `f` object for this pair.
+    Its descriptor is the problem file's `f` object for this pair, and its
+    right end is (sigma_right, right_pair).
     """
 
     def joint(lam):
@@ -96,28 +97,50 @@ def hl_entire_pair(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair) -> 
 
     return EntirePair(joint=joint, descriptor={
         "kind": "hl_right_half", "sigma": sigma_to_json(sigma_right),
-        "r1": encode_array(right_pair.a), "r2": encode_array(right_pair.b)})
+        "r1": encode_array(right_pair.a), "r2": encode_array(right_pair.b)},
+        right_end=(sigma_right, right_pair))
 
 
-def hl_window(count: int, p: int, r: int):
-    """The scan's window for the first `count` eigenvalues where no index
-    certifies them, with a margin of 2 in sqrt(lambda) above them."""
-    top = (0.5 * count - 0.25 * (p + r) + 2.0) ** 2
-    return (-4.0, float(top))
+def _join(sigma: SigmaFunction, half: SigmaFunction):
+    """sigma on [0, X] and `half` moved to [X, X + X'] as one sigma on [0, X + X'];
+    None unless the two share the cell size and the sample at X."""
+    if not (np.isclose(half.dx, sigma.dx, rtol=1e-12, atol=0.0)
+            and half.samples[0] == sigma.samples[-1]):
+        return None
+    return SigmaFunction(np.concatenate((sigma.samples, half.samples[1:])),
+                         sigma.interval_length + half.interval_length)
+
+
+def problem_spectrum(sigma: SigmaFunction, pair: BoundaryPolyPair, f: EntirePair,
+                     count: int, window=None) -> tuple[Subspectrum, str | None]:
+    """The first `count` eigenvalues of the problem with potential `sigma`,
+    left pair `pair` and f's right end (`EntirePair.right_end`, which
+    `EntirePair.constant` and `hl_entire_pair` set), as (Subspectrum, reason).
+    `index_search` runs on sigma joined to f's right half, if any; where it
+    certifies nothing, a scan of (-9, ((pi/X) count + 2)^2), X the joined
+    length, stands in and `reason` says why.  A given `window` is scanned
+    without an index; `reason` is then None, as on the index path."""
+    delta, _ = make_delta(sigma, pair, f)
+    index = reason = None
+    if window is None:
+        half, right = f.right_end
+        whole = sigma if half is None else _join(sigma, half)
+        length = sigma.interval_length + (0.0 if half is None else half.interval_length)
+        window = (-9.0, float((np.pi / length * count + 2.0) ** 2))
+        if whole is None:
+            reason = "f is hl_right_half, and its sigma does not join the problem's"
+        elif (index := index_search(whole, pair, right, count)) is None:
+            reason = "a boundary pair is not Herglotz" if whole.is_real() else "complex sigma"
+    return find_eigenvalues(delta, window, count=count, index=index), reason
 
 
 def hl_spectrum(problem: TwoSidedProblem, count: int) -> Subspectrum:
-    """First `count` eigenvalues of the two-sided problem, by index where
-    `index_search` certifies them; elsewhere (complex data, a pair that is
-    not Herglotz) a dense scan of `hl_window` stands in, with `fallback` set.
-    """
-    problem.require_odd()
+    """First `count` eigenvalues of the two-sided problem: `problem_spectrum`
+    of its left half with the right half folded into f."""
+    _require_odd(problem.p, problem.r)
     sigma_left, sigma_right = problem.halves()
     f = hl_entire_pair(sigma_right, problem.right_pair)
-    delta, _ = make_delta(sigma_left, problem.left_pair, f)
-    index = index_search(problem.sigma_full, problem.left_pair, problem.right_pair, count)
-    return find_eigenvalues(delta, hl_window(count, problem.p, problem.r), count=count,
-                            index=index)
+    return problem_spectrum(sigma_left, problem.left_pair, f, count)[0]
 
 
 def hl_reconstruct(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair,
@@ -130,9 +153,8 @@ def hl_reconstruct(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair,
     report's `warnings`, sets `non_unique` and emits NonUniqueWarning, as
     `reconstruct` does for its own findings.
     """
-    if p % 2 == 0 or right_pair.p % 2 == 0:
-        raise ParityMismatch("the half-inverse driver ships for odd boundary degrees only")
     r = right_pair.p
+    _require_odd(p, r)
     allowed = (r - p) // 2
     f = hl_entire_pair(sigma_right, right_pair)
     used = spectrum.drop_first(drop)

@@ -76,16 +76,10 @@ def forward_corpus(m=512):
 
 
 def two_sided_from_left(left: SigmaFunction, left_pair: BoundaryPolyPair,
-                        right_pair: BoundaryPolyPair,
-                        sigma_right=None) -> TwoSidedProblem:
-    """Assemble a problem on (0, 2pi) from its halves (right defaults to the
-    constant continuation of the left endpoint value, i.e. zero potential)."""
-    m_half = left.m
-    if sigma_right is None:
-        right = np.full(m_half, left.samples[-1])
-    else:
-        right = np.asarray(sigma_right.samples[1:], dtype=complex)
-    full = np.concatenate([left.samples, right])
+                        right_pair: BoundaryPolyPair) -> TwoSidedProblem:
+    """Assemble a problem on (0, 2pi) from its left half, continued by the
+    constant left endpoint value (zero potential on the right half)."""
+    full = np.concatenate([left.samples, np.full(left.m, left.samples[-1])])
     return TwoSidedProblem(SigmaFunction(full, 2 * np.pi), left_pair, right_pair)
 
 

@@ -211,11 +211,14 @@ class EntirePair:
     """Evaluable pair (f1, f2) of entire functions of lambda.
 
     `joint(lam)` gives (f1, f2) from one evaluation; `descriptor` is a
-    serializable description of how the pair was built.
+    serializable description of how the pair was built, and `right_end` the
+    (sigma_right, right_pair) of the problem's right end: a known right half,
+    or None and BoundaryPolyPair([f1], [f2]) for a constant pair.
     """
 
     joint: Callable
     descriptor: Optional[dict] = None
+    right_end: Optional[tuple] = None
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)
@@ -230,7 +233,8 @@ class EntirePair:
             return np.full_like(lam, c1), np.full_like(lam, c2)
 
         return cls(joint=joint, descriptor={"kind": "constant", "f1": [c1.real, c1.imag],
-                                            "f2": [c2.real, c2.imag]})
+                                            "f2": [c2.real, c2.imag]},
+                   right_end=(None, BoundaryPolyPair([c1], [c2])))
 
 
 @dataclass(frozen=True)
@@ -251,19 +255,24 @@ class Subspectrum:
     eigenvalue, and simplicity is judged within each row, so rows may repeat
     one another.
 
-    `fallback` (no index certifies the roots) and `dropped` (roots the
-    window's duplicate and residual screen removed) record the eigenvalue
+    `window` (the lambda window scanned where no index certifies the roots,
+    None for indexed roots; `fallback` says which) and `dropped` (roots the
+    scan's duplicate and residual screen removed) record the eigenvalue
     search; they are not part of the value and are not serialized.
     """
 
     lambdas: np.ndarray
-    fallback: bool = field(default=False, compare=False)
+    window: Optional[tuple] = field(default=None, compare=False)
     dropped: int = field(default=0, compare=False)
 
     def __post_init__(self):
         lam = np.atleast_1d(np.array(self.lambdas, dtype=complex))
         lam.setflags(write=False)
         object.__setattr__(self, "lambdas", lam)
+
+    @property
+    def fallback(self) -> bool:
+        return self.window is not None
 
     @property
     def rhos(self) -> np.ndarray:

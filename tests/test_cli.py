@@ -117,7 +117,7 @@ class TestForward:
     def test_hl_right_half_file_takes_the_index_path(self, tmp_path, capsys):
         # the left-half problem file of a two-sided problem: its f's right
         # half joins sigma, so the index path finds index 0 at -900, below
-        # the -4 at which hl_window's scan starts
+        # the -9 at which the scan window starts
         full = SigmaFunction.zero(2 * np.pi, 1024)
         prob = TwoSidedProblem(full, BoundaryPolyPair([1.0], [0.0]), BoundaryPolyPair([1.0], [-30.0]))
         left, right = full.halves()
@@ -245,6 +245,7 @@ def test_unsupported_input_exit2(case, tmp_path, capsys):
     (["forward", "{golden}", "--eigs=-3"], "argument --eigs: expected an integer >= 1"),
     (["hl", "{two}", "--eigs", "0"], "argument --eigs: expected an integer >= 1"),
     (["forward", "{golden}", "--eigs", "2.5"], "argument --eigs: expected an integer >= 1"),
+    (["stability", "{golden}", "--seed", "-1"], "argument --seed: expected an integer >= 0, got '-1'"),
     (["hl", "{two}", "--drop=-2"], "--drop -2: expected 0 <= K < --eigs 48"),
     (["hl", "{two}", "--drop", "48"], "--drop 48: expected 0 <= K < --eigs 48"),
     (["hl", "{two}", "--eigs", "8", "--drop", "9"], "--drop 9: expected 0 <= K < --eigs 8"),
@@ -254,12 +255,12 @@ def test_unsupported_input_exit2(case, tmp_path, capsys):
         "window-inf", "diagnose-flags", "diagnose-grid-flags", "reconstruct-flags",
         "hl-flags", "forward-flags", "forward-tol", "stability-tol", "stability-grid-zero",
         "reconstruct-grid-zero", "forward-grid-negative", "forward-eigs-negative",
-        "hl-eigs-zero", "forward-eigs-fraction", "hl-drop-negative", "hl-drop-all",
-        "hl-drop-past-eigs", "reconstruct-reg-negative", "reconstruct-reg-nan"])
+        "hl-eigs-zero", "forward-eigs-fraction", "stability-seed-negative", "hl-drop-negative",
+        "hl-drop-all", "hl-drop-past-eigs", "reconstruct-reg-negative", "reconstruct-reg-nan"])
 def test_bad_input_exit2_without_traceback(argv, reason, tmp_path, capsys):
     # a JSON array for diagnose, a malformed --window, a count below 1, a
-    # --drop outside [0, --eigs), a --reg below 0 or not finite and a flag
-    # the verb does not read are input errors
+    # negative --seed, a --drop outside [0, --eigs), a --reg below 0 or not
+    # finite and a flag the verb does not read are input errors
     free = BoundaryPolyPair([1.0], [0.0])
     two = two_sided_to_json(TwoSidedProblem(SigmaFunction.zero(2 * np.pi, 64), free, free))
     sub = subspectrum_to_json(Subspectrum(np.arange(1, 13, dtype=complex) ** 2))

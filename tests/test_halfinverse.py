@@ -12,7 +12,6 @@ from invsl.halfinverse import (
     hl_entire_pair,
     hl_reconstruct,
     hl_spectrum,
-    hl_window,
     psi_mid,
 )
 from invsl.moments import build_moment_system
@@ -181,10 +180,11 @@ def _count(prob, lam):
 
 
 def _scan_spectrum(prob, count):
-    """The first `count` roots of delta by the dense scan, which needs no count."""
+    """The first `count` roots of delta by the dense scan, which needs no
+    count, of the window (-9, ((pi/X) count + 2)^2) with X = 2 pi."""
     sigma_left, sigma_right = prob.halves()
     delta, _ = make_delta(sigma_left, prob.left_pair, hl_entire_pair(sigma_right, prob.right_pair))
-    return find_eigenvalues(delta, hl_window(count, prob.p, prob.r)).take(count)
+    return find_eigenvalues(delta, (-9.0, (0.5 * count + 2.0) ** 2)).take(count)
 
 
 @pytest.fixture(scope="module")

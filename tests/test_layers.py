@@ -1,6 +1,7 @@
 """The package's modules form layers: each imports only from earlier ones."""
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -64,3 +65,25 @@ def test_runtime_dependencies_are_numpy_and_jsonschema():
              for module in _absolute_imports(node)
              if module.partition(".")[0] not in allowed]
     assert not wrong, "imports outside numpy, jsonschema and the standard library: " + "; ".join(wrong)
+
+
+def test_unused_imports_are_the_benchmarks_lookup_sites():
+    # an import kept only for bench/spans.py to wrap names one of its SITES,
+    # so that retiring those sites finds every such import
+    spans_path = SRC.parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", spans_path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    sites = {(module, attribute) for module, attribute, _ in spans.SITES}
+    wrong = []
+    for name, tree in _trees().items():
+        if name == "__init__":
+            continue
+        lines = (SRC / f"{name}.py").read_text().splitlines()
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and "# noqa: F401" in lines[node.lineno - 1]):
+                wrong += [f"{name}.py line {node.lineno} imports {alias.name}"
+                          for alias in node.names
+                          if (f"invsl.{name}", alias.asname or alias.name) not in sites]
+    assert not wrong, "unused imports that bench/spans.py does not wrap: " + "; ".join(wrong)

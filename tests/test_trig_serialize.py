@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complex_array_loop, encode_array_loop, gauss_panels, jsonable_loop
-from invsl import schemas
+from invsl import schemas, trig
 from invsl.errors import RootLoss, SchemaError
 from invsl.cli import main
 from invsl.forward import find_eigenvalues
@@ -137,6 +137,33 @@ class TestTrigClosedForms:
         # the first omitted term of either series is below eps/8 on |z2| <= R
         first_omitted = _TAYLOR_RADIUS ** (_TAYLOR_DEGREE + 1) / math.factorial(2 * _TAYLOR_DEGREE + 2)
         assert first_omitted < np.finfo(float).eps / 8
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_cos_sinc_sqrt_leaves_the_polynomial_at_its_radius(self, dtype, monkeypatch):
+        # the direct formula, the only square root the kernel takes, gets
+        # exactly the elements with |z2| > _TAYLOR_RADIUS: on points a few
+        # ulps either side of the radius, on both signs of the real axis and,
+        # for complex input, on two rays
+        taken = []
+
+        class SqrtSpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def sqrt(x):
+                taken.append(np.array(x))
+                return np.sqrt(x)
+
+        r = _TAYLOR_RADIUS * (1.0 + np.finfo(float).eps * np.arange(-3, 4))
+        z2 = np.concatenate((r, -r)).astype(dtype)
+        if dtype is np.complex128:
+            z2 = np.concatenate((z2, r * np.exp(0.7j), r * np.exp(-2.2j)))
+        far = np.abs(z2) > _TAYLOR_RADIUS
+        assert np.count_nonzero(far[:14]) == 6
+        monkeypatch.setattr(trig, "np", SqrtSpy())
+        cos_sinc_sqrt(z2)
+        assert len(taken) == 1 and np.array_equal(taken[0], z2[far].astype(complex))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_cos_sinc_sqrt_elementwise(self, dtype):
