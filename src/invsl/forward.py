@@ -18,6 +18,7 @@ from .moments import _component_columns, _gram_block, _tags_for, slot_layout, sv
 from .ode import endpoint_data, node_values
 from .trig import sinc, synth_series
 from .types import (
+    SIMPLE_TOL,
     BoundaryPolyPair,
     CauchyData,
     EntirePair,
@@ -219,7 +220,6 @@ def _muller_polish(delta, z0, h, iters=40):
 
 
 _SCAN_STEP = 0.02    # the dense scan's step in sqrt(lambda)
-_SIMPLE_TOL = 1e-8   # the distance at which two of its roots are one
 
 
 def find_eigenvalues(delta: Callable, window, count: Optional[int] = None,
@@ -281,14 +281,14 @@ def find_eigenvalues(delta: Callable, window, count: Optional[int] = None,
 
 
 def _screen(delta, lam):
-    """The sorted roots without duplicates (within `_SIMPLE_TOL`) and without
+    """The sorted roots without duplicates (within `SIMPLE_TOL`) and without
     roots whose residual is large against the local scale of delta, and the
     number dropped."""
     if lam.size == 0:
         return lam, 0
     keep = [0]
     for i in range(1, lam.size):
-        if abs(lam[i] - lam[keep[-1]]) > _SIMPLE_TOL:
+        if abs(lam[i] - lam[keep[-1]]) > SIMPLE_TOL:
             keep.append(i)
     kept = lam[keep]
     vals = np.abs(np.asarray(delta(kept)))

@@ -5,7 +5,9 @@ folded into an entire pair (f1, f2): the solution pinned at the right end,
 carried back to the midpoint by the inverse of the right half's monodromy;
 the remaining task is the standard subspectrum reconstruction of the left-half
 Cauchy data.  The exclusion rule says the first (r - p)/2 eigenvalues are
-redundant; dropping more loses uniqueness, which the rank evidence reports.
+redundant; dropping more loses uniqueness.  `hl_reconstruct` applies that
+rule on top of `reconstruct`'s uniqueness verdict (its completeness evidence),
+which it does not repeat.
 """
 
 from __future__ import annotations
@@ -19,20 +21,9 @@ from .errors import NonUniqueWarning, ParityMismatch
 from .forward import find_eigenvalues, index_search, make_delta
 from .moments import build_moment_system  # noqa: F401  (lookup site wrapped by bench/spans.py)
 from .ode import monodromy
-from .reconstruct import (
-    ReconstructionResult,
-    completeness_ratio,
-    reconstruct,
-)
-from .types import (
-    BoundaryPolyPair,
-    EntirePair,
-    SigmaFunction,
-    Subspectrum,
-    encode_array,
-    sigma_to_json,
-    validate_rp,
-)
+from .reconstruct import ReconstructionResult, reconstruct
+from .reconstruct import completeness_ratio  # noqa: F401  (lookup site wrapped by bench/spans.py)
+from .types import BoundaryPolyPair, EntirePair, SigmaFunction, Subspectrum, validate_rp
 
 
 def _require_odd(p: int, r: int):
@@ -87,18 +78,15 @@ def psi_mid(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair, lam):
 def hl_entire_pair(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair) -> EntirePair:
     """Entire pair encoding the known right half: f1 = -psi(mid), f2 = psi^{[1]}(mid).
 
-    Its descriptor is the problem file's `f` object for this pair, and its
-    right end is (sigma_right, right_pair).
+    Its right end is (sigma_right, right_pair), from which its descriptor
+    (the problem file's `hl_right_half` object) is derived.
     """
 
     def joint(lam):
         psi, psi_q = psi_mid(sigma_right, right_pair, lam)
         return -psi, psi_q
 
-    return EntirePair(joint=joint, descriptor={
-        "kind": "hl_right_half", "sigma": sigma_to_json(sigma_right),
-        "r1": encode_array(right_pair.a), "r2": encode_array(right_pair.b)},
-        right_end=(sigma_right, right_pair))
+    return EntirePair(joint=joint, right_end=(sigma_right, right_pair))
 
 
 def _join(sigma: SigmaFunction, half: SigmaFunction):
@@ -148,28 +136,21 @@ def hl_reconstruct(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair,
                    reg: float = 0.0) -> ReconstructionResult:
     """Left-half Cauchy data from the spectrum with the first `drop` values excluded.
 
-    `drop` up to (r - p)/2 keeps uniqueness; beyond that the completeness
-    evidence collapses.  A collapse or a drop beyond the rule is added to the
-    report's `warnings`, sets `non_unique` and emits NonUniqueWarning, as
-    `reconstruct` does for its own findings.
+    The report is `reconstruct`'s, with its uniqueness verdict, plus `drop`
+    and `drop_allowed` = (r - p)/2.  The paper's exclusion rule is added on
+    top: a drop beyond (r - p)/2 loses uniqueness, so it sets `non_unique`,
+    adds its message to `warnings` and emits NonUniqueWarning.
     """
     r = right_pair.p
     _require_odd(p, r)
     allowed = (r - p) // 2
     f = hl_entire_pair(sigma_right, right_pair)
-    used = spectrum.drop_first(drop)
-    result = reconstruct(p, f, used, grid, reg=reg)
+    result = reconstruct(p, f, spectrum.drop_first(drop), grid, reg=reg)
     report = result.report
     report["drop"] = drop
     report["drop_allowed"] = allowed
-    report["completeness"] = comp = completeness_ratio(result.system)
-    msgs = []
-    if comp["gram_ratio"] <= 1e-8:
-        msgs.append(f"completeness evidence collapsed (gram ratio {comp['gram_ratio']:.2e}); "
-                    "the subspectrum no longer determines the data")
     if drop > allowed:
-        msgs.append(f"dropping {drop} > (r-p)/2 = {allowed} eigenvalues loses uniqueness")
-    for msg in msgs:
+        msg = f"dropping {drop} > (r-p)/2 = {allowed} eigenvalues loses uniqueness"
         report["non_unique"] = True
         report["warnings"].append(msg)
         warnings.warn(msg, category=NonUniqueWarning, stacklevel=2)

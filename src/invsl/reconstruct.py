@@ -10,6 +10,7 @@ synthesized on the working grid.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -46,8 +47,8 @@ from .types import (
 
 # Monomial columns per kernel component of the default probe basis.
 _N_POLY = 3
-# A smaller singular-value ratio marks a reconstruction as non-unique.
-_RANK_WARN = 1e-8
+# A completeness gram ratio at or below this marks a reconstruction as non-unique.
+_GRAM_TOL = 1e-8
 
 
 # ----------------------------------------------------------------------------
@@ -58,8 +59,8 @@ _RANK_WARN = 1e-8
 class ProbeBasis:
     """Orthonormalized representation space for the two kernel components."""
 
-    h1_tags: list
-    h2_tags: list
+    h1_tags: tuple
+    h2_tags: tuple
     p: int
     b1: np.ndarray          # whitening transforms (raw -> orthonormal)
     b2: np.ndarray
@@ -75,6 +76,7 @@ def _whiten(gram: np.ndarray, tol: float = 1e-11) -> np.ndarray:
     return vecs[:, keep] / np.sqrt(vals[keep])[None, :]
 
 
+@functools.lru_cache(maxsize=256)
 def make_probe_basis(p: int, n_modes, n_poly: int = _N_POLY,
                      freq_step: float = 1.0) -> ProbeBasis:
     """Probe family per kernel component, orthonormalized by eigen-whitening.
@@ -82,17 +84,22 @@ def make_probe_basis(p: int, n_modes, n_poly: int = _N_POLY,
     Odd p pairs a sine family with H1 and a cosine family with H2; even p is
     the mirror image.  Monomial columns capture the polynomial content of the
     kernels that a finite trigonometric family resolves slowly.  `n_modes`
-    may be a single count or a per-component pair (sine side, cosine side);
+    may be a single count or a per-component tuple (sine side, cosine side);
     the cosine-type kernel usually needs the larger share.
+
+    The basis is a pure function of the arguments, so each one is built once
+    per process and shared: its tags are tuples and its whitening transforms
+    are read-only.
     """
     if np.isscalar(n_modes):
         n_sin = n_cos = int(n_modes)
     else:
         n_sin, n_cos = (int(v) for v in n_modes)
-    h1_tags, h2_tags = slot_layout(p).kernels(_tags_for("sin", n_sin, n_poly, freq_step),
-                                              _tags_for("cos", n_cos, n_poly, freq_step))
-    b1 = _whiten(_gram_block(h1_tags))
-    b2 = _whiten(_gram_block(h2_tags))
+    h1_tags, h2_tags = (tuple(tags) for tags in slot_layout(p).kernels(
+        _tags_for("sin", n_sin, n_poly, freq_step), _tags_for("cos", n_cos, n_poly, freq_step)))
+    b1, b2 = (_whiten(_gram_block(tags)) for tags in (h1_tags, h2_tags))
+    b1.setflags(write=False)
+    b2.setflags(write=False)
     return ProbeBasis(h1_tags=h1_tags, h2_tags=h2_tags, p=p, b1=b1, b2=b2)
 
 
@@ -121,7 +128,7 @@ def moment_design(system: MomentSystem, basis: ProbeBasis):
 
 
 def default_basis(subspectrum: Subspectrum, p: int) -> ProbeBasis:
-    """The probe basis of a reconstruction from `subspectrum`, rows >= columns.
+    """The probe basis of a reconstruction from `subspectrum`.
 
     The trig budget is what the rows leave after the p scalar slots, the
     monomial columns and a margin of two.  The sine-type component leans on
@@ -129,7 +136,8 @@ def default_basis(subspectrum: Subspectrum, p: int) -> ProbeBasis:
     cosine-type component gets the larger share of the modes.  Frequencies
     are capped two units below the subspectrum bandwidth: probe modes beyond
     the highest data frequency are invisible to the rows and would poison the
-    conditioning.
+    conditioning.  Each component keeps at least four modes, so a short
+    subspectrum gets more columns than rows, which `reconstruct` flags.
     """
     budget = len(subspectrum) - p - (2 * _N_POLY - 1) - 2
     n_cos = max(4, budget * 3 // 5)
@@ -241,16 +249,12 @@ def moment_identity_check(u: HpVector, lam, f: EntirePair,
 
 @dataclass
 class ReconstructionResult:
-    """Recovered unknown vector, unpacked Cauchy data, and solve evidence.
-
-    `system` is the moment system the solve used, kept for rank evidence.
-    """
+    """Recovered unknown vector, unpacked Cauchy data, and solve evidence."""
 
     u: HpVector
     cauchy: CauchyData
     p: int
     report: dict = field(default_factory=dict)
-    system: Optional[MomentSystem] = field(default=None, repr=False)
 
     def deltas(self, lam):
         return deltas_from_cauchy(self.cauchy, self.p, lam)
@@ -262,51 +266,48 @@ class ReconstructionResult:
         return out
 
 
-def natural_dimension(subspectrum: Subspectrum, p: int) -> int:
-    """Representation dimension suggested by the subspectrum bandwidth."""
-    band = int(np.ceil(np.max(np.abs(subspectrum.rhos.real)))) + 1
-    return 2 * band + p
-
-
 def reconstruct(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
                 reg: float = 0.0, basis: Optional[ProbeBasis] = None) -> ReconstructionResult:
     """Recover generalized Cauchy data from a subspectrum.
 
     Composes the moment-system assembly, the normalized least-squares solve
     over `basis` (by default `default_basis`), the unpacking of the unknown
-    vector, and the characteristic-function rebuild.  Emits NonUniqueWarning
-    (and flags the report) when the equation count falls short of the data's
-    own bandwidth or the design collapses.
+    vector, and the characteristic-function rebuild.
+
+    The uniqueness verdict is one rule: the report's `completeness` block is
+    `completeness_ratio` of the solved system, whose gram ratio counts as 0
+    when the solve design or the completeness design has fewer rows than
+    columns, and a gram ratio at or below 1e-8 sets `non_unique`, adds one
+    message to `warnings` and emits it as NonUniqueWarning.  The solve's
+    `cond`, `smin_ratio` and `deficient` stay in the report as evidence only.
     """
     t = _as_grid(grid)
     system = build_moment_system(subspectrum, f, p, t)
-    n = len(system)
-    d_nat = natural_dimension(subspectrum, p)
     if basis is None:
         basis = default_basis(subspectrum, p)
     u = solve_moment(system, basis, reg=reg)
-    ratio = u.meta["smin_ratio"]
+    comp = completeness_ratio(system)
+    # a design with fewer rows than columns leaves a direction unseen,
+    # whatever its singular values say
+    if len(system) < max(basis.dim, comp["design_shape"][1]):
+        comp["gram_ratio"] = 0.0
     warn_msgs = []
-    if n < d_nat - 5:
-        warn_msgs.append(f"only {n} equations for natural dimension {d_nat}")
-    if u.meta["deficient"]:
-        warn_msgs.append(f"normalized moment design has singular-value ratio {ratio:.3e}")
-    if ratio < _RANK_WARN:
-        warn_msgs.append(f"moment design singular-value ratio {ratio:.3e} below {_RANK_WARN:.0e}")
-    for msg in warn_msgs:
-        warnings.warn(msg, NonUniqueWarning, stacklevel=2)
-    cauchy = unpack_u(u)
+    if comp["gram_ratio"] <= _GRAM_TOL:
+        warn_msgs.append(f"completeness evidence collapsed (gram ratio {comp['gram_ratio']:.2e}); "
+                         "the subspectrum does not determine the data")
+        warnings.warn(warn_msgs[0], NonUniqueWarning, stacklevel=2)
     diag = subspectrum.diagnostics()
     kinds = [kind for kind, _ in basis.h1_tags + basis.h2_tags]
     report = {
-        "n_rows": n,
-        "natural_dimension": d_nat,
+        "n_rows": len(system),
         "probe_modes": (kinds.count("sin"), kinds.count("cos")),
         "probe_dim": basis.dim,
         "residual": u.meta["residual"],
         "cond": u.meta["cond"],
         "smin_ratio": u.meta["smin_ratio"],
+        "deficient": u.meta["deficient"],
         "reg": reg,
+        "completeness": comp,
         "non_unique": bool(warn_msgs),
         "warnings": warn_msgs,
         "subspectrum": {
@@ -317,7 +318,7 @@ def reconstruct(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
             "sum_inv_rho_sq": diag.sum_inv_rho_sq,
         },
     }
-    return ReconstructionResult(u=u, cauchy=cauchy, p=p, report=report, system=system)
+    return ReconstructionResult(u=u, cauchy=unpack_u(u), p=p, report=report)
 
 
 def completeness_ratio(system: MomentSystem) -> dict:
@@ -326,7 +327,8 @@ def completeness_ratio(system: MomentSystem) -> dict:
 
     A healthy (complete) moment system keeps the ratio at O(1); losing a
     required eigenvalue leaves a probe direction nearly unseen by every row
-    and the ratio collapses as the row count grows.
+    and the ratio collapses as the row count grows.  `gram_ratio`, the
+    squared ratio, is what `reconstruct`'s uniqueness verdict judges.
     """
     n_modes = max(4, (len(system) - system.p - 3) // 2)
     basis = make_probe_basis(system.p, n_modes, n_poly=2, freq_step=0.5)

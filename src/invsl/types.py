@@ -22,6 +22,8 @@ from .errors import (
 )
 
 MIN_GRID = 16
+# The distance at which two eigenvalues count as one.
+SIMPLE_TOL = 1e-8
 
 
 def branch_sqrt(lam):
@@ -210,15 +212,26 @@ def _true_degree(coeffs: np.ndarray) -> int:
 class EntirePair:
     """Evaluable pair (f1, f2) of entire functions of lambda.
 
-    `joint(lam)` gives (f1, f2) from one evaluation; `descriptor` is a
-    serializable description of how the pair was built, and `right_end` the
+    `joint(lam)` gives (f1, f2) from one evaluation, and `right_end` the
     (sigma_right, right_pair) of the problem's right end: a known right half,
     or None and BoundaryPolyPair([f1], [f2]) for a constant pair.
     """
 
     joint: Callable
-    descriptor: Optional[dict] = None
     right_end: Optional[tuple] = None
+
+    @property
+    def descriptor(self) -> Optional[dict]:
+        """The problem file's `f` object, derived from `right_end`: `constant`
+        without a right half, `hl_right_half` with one, None without a right end."""
+        if self.right_end is None:
+            return None
+        half, pair = self.right_end
+        if half is None:
+            return {"kind": "constant",
+                    "f1": encode_array(pair.a)[0], "f2": encode_array(pair.b)[0]}
+        return {"kind": "hl_right_half", "sigma": sigma_to_json(half),
+                "r1": encode_array(pair.a), "r2": encode_array(pair.b)}
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)
@@ -232,9 +245,7 @@ class EntirePair:
             lam = np.asarray(lam, complex)
             return np.full_like(lam, c1), np.full_like(lam, c2)
 
-        return cls(joint=joint, descriptor={"kind": "constant", "f1": [c1.real, c1.imag],
-                                            "f2": [c2.real, c2.imag]},
-                   right_end=(None, BoundaryPolyPair([c1], [c2])))
+        return cls(joint=joint, right_end=(None, BoundaryPolyPair([c1], [c2])))
 
 
 @dataclass(frozen=True)
@@ -291,7 +302,7 @@ class Subspectrum:
             raise ValueError(f"cannot take a negative count ({n}) of eigenvalues")
         return replace(self, lambdas=self.lambdas[:n].copy())
 
-    def diagnostics(self, simple_tol: float = 1e-8) -> SubspectrumDiagnostics:
+    def diagnostics(self) -> SubspectrumDiagnostics:
         lam = self.lambdas
         if lam.shape[-1] >= 2:
             diff = np.abs(lam[..., :, None] - lam[..., None, :])
@@ -303,15 +314,15 @@ class Subspectrum:
         rho = self.rhos
         nz = np.abs(rho) > 0
         return SubspectrumDiagnostics(
-            simple=bool(min_gap > simple_tol),
+            simple=bool(min_gap > SIMPLE_TOL),
             min_gap=min_gap,
             min_abs_lambda=float(np.abs(lam).min()) if lam.size else np.inf,
             max_im_rho=float(np.abs(rho.imag).max()) if lam.size else 0.0,
             sum_inv_rho_sq=float(np.sum(1.0 / np.abs(rho[nz]) ** 2)),
         )
 
-    def require_simple(self, tol: float = 1e-8) -> "Subspectrum":
-        if not self.diagnostics(tol).simple:
+    def require_simple(self) -> "Subspectrum":
+        if not self.diagnostics().simple:
             raise DuplicateEigenvalue("subspectrum contains coinciding eigenvalues")
         return self
 

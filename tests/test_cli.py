@@ -308,6 +308,19 @@ class TestReconstruct:
         assert not [w for w in caught if w.category is NonUniqueWarning]
         assert capsys.readouterr().err == strict_message(out)
 
+    def test_strict_two_missing_eigenvalues_exit4(self, exclusion_case, tmp_path, capsys):
+        # the (p, r) = (1, 3) instance without its first two eigenvalues:
+        # the moment design looks well conditioned, but the completeness
+        # evidence of the same system collapses
+        prob_file = write(tmp_path / "p.json", problem_to_json(
+            exclusion_case.sigma_left, exclusion_case.left_pair,
+            hl_f_descriptor(exclusion_case.sigma_right, exclusion_case.problem.right_pair)))
+        used = exclusion_case.spectrum.take(50).drop_first(2)
+        sub_file = write(tmp_path / "s.json", subspectrum_to_json(used))
+        out = tmp_path / "out"
+        assert main(["reconstruct", prob_file, sub_file, "--strict", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == strict_message(out)
+
     def test_empty_subspectrum_exit2(self, free_problem, tmp_path):
         sub_file = tmp_path / "s.json"
         sub_file.write_text('{"schema": "invsl/subspectrum-v1", "lambdas": []}')
@@ -332,6 +345,50 @@ class TestHalfInverse:
         report2 = json.load(open(out2 / "report.json"))["report"]
         assert report2["completeness"]["gram_ratio"] <= 1e-8
         assert capsys.readouterr().err == strict_message(out2)
+
+    @pytest.mark.parametrize("eigs, code", [(1, 4), (6, 4), (12, 4), (20, 0)])
+    def test_strict_exit_follows_the_row_count(self, rt_free, tmp_path, eigs, code):
+        # a solve design with fewer rows (eigs) than its 14 columns cannot
+        # determine the data, however well conditioned its rows are
+        ts_file = write(tmp_path / "two.json", two_sided_to_json(rt_free.problem))
+        out = tmp_path / "out"
+        assert main(["hl", ts_file, "--eigs", str(eigs), "--strict", "--out", str(out)]) == code
+        assert json.load(open(out / "report.json"))["report"]["n_rows"] == eigs
+
+
+COLLAPSED = ("completeness evidence collapsed (gram ratio 0.00e+00); "
+             "the subspectrum does not determine the data")
+
+
+@pytest.mark.parametrize("eigs, verdict", [(40, []), (12, [COLLAPSED])], ids=["unique", "wide"])
+@pytest.mark.parametrize("verb", ["reconstruct", "hl", "stability"])
+def test_one_verdict_in_every_report(verb, eigs, verdict, rt_free, tmp_path):
+    # the three verbs that reconstruct report non-uniqueness by one rule: 12
+    # eigenvalues leave the design with fewer rows than columns, 40 do not
+    spec = rt_free.spectrum.take(eigs)
+    f_desc = hl_f_descriptor(rt_free.sigma_right, rt_free.problem.right_pair)
+    out = tmp_path / "out"
+    if verb == "hl":
+        argv = ["hl", write(tmp_path / "two.json", two_sided_to_json(rt_free.problem)),
+                "--eigs", str(eigs)]
+    elif verb == "reconstruct":
+        argv = ["reconstruct",
+                write(tmp_path / "p.json", problem_to_json(rt_free.sigma_left, rt_free.left_pair,
+                                                           f_desc)),
+                write(tmp_path / "s.json", subspectrum_to_json(spec))]
+    else:
+        argv = ["stability",
+                write(tmp_path / "p.json", problem_to_json(rt_free.sigma_left, rt_free.left_pair,
+                                                           f_desc, subspectrum=spec)),
+                "--omega", "1e-3", "--trials", "2"]
+    assert main(argv + ["--out", str(out)]) == 0
+    name = "stability_summary.json" if verb == "stability" else "report.json"
+    report = json.load(open(out / name))["report"]
+    assert report["non_unique"] is bool(verdict)
+    assert report["warnings"] == verdict
+    if verb != "stability":
+        assert "natural_dimension" not in report
+        assert (report["completeness"]["gram_ratio"] > 1e-8) == (not verdict)
 
 
 class TestStability:
@@ -375,10 +432,10 @@ class TestStability:
             assert main(argv) == code
             report = json.load(open(out / "stability_summary.json"))["report"]
             assert report["non_unique"] is True
-            assert any("singular-value ratio" in w for w in report["warnings"])
+            assert any("completeness evidence collapsed" in w for w in report["warnings"])
             assert (out / "stability.csv").exists()
         err = capsys.readouterr().err
-        assert err.startswith("non-unique reconstruction: ") and "singular-value ratio" in err
+        assert err.startswith("non-unique reconstruction: ") and "completeness evidence collapsed" in err
 
 
 class TestStabilityInput:

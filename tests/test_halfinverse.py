@@ -298,7 +298,7 @@ class TestReconstructDriver:
             res = hl_reconstruct(sigma_right, exclusion_case.problem.right_pair,
                                  1, exclusion_case.spectrum.take(41), 1, 128)
         rebuilt = build_moment_system(used, exclusion_case.f, 1, 128)
-        assert len(res.system) == len(used)
+        assert res.report["n_rows"] == len(used)
         assert res.report["completeness"] == completeness_ratio(rebuilt)
 
     def test_drop_two_collapses(self, exclusion_case):

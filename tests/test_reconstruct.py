@@ -109,6 +109,15 @@ class TestComponentColumns:
 
 
 class TestProbeGram:
+    def test_shared_basis_is_immutable(self):
+        # one basis per shape and process, so no caller may change it
+        basis = make_probe_basis(1, (4, 5))
+        assert make_probe_basis(1, (4, 5)) is basis
+        assert isinstance(basis.h1_tags, tuple) and isinstance(basis.h2_tags, tuple)
+        for b in (basis.b1, basis.b2):
+            with pytest.raises(ValueError):
+                b[0, 0] = 0.0
+
     @pytest.mark.parametrize("kind", ["sin", "cos"])
     @pytest.mark.parametrize("freq_step", [1.0, 0.5])
     def test_gram_block_matches_quadrature(self, kind, freq_step):
@@ -249,8 +258,8 @@ class TestReconstruct:
         assert np.max(np.abs(res.cauchy.a)) <= 1e-5
 
     def test_deficient_design_solved_once(self, monkeypatch):
-        # the truncating solve's own report flags the collapse: one solve, and
-        # the warnings name the equation shortfall and the singular-value ratio
+        # one solve, and the one uniqueness rule gives one message: the
+        # completeness evidence of the solved system collapsed
         calls = []
         solve = reconstruct_module.solve_moment
 
@@ -264,10 +273,9 @@ class TestReconstruct:
             warnings.simplefilter("always")
             res = reconstruct(1, F01, sub, 128)
         assert len(calls) == 1
-        ratio = res.report["smin_ratio"]
-        texts = ["only 40 equations for natural dimension 83",
-                 f"normalized moment design has singular-value ratio {ratio:.3e}",
-                 f"moment design singular-value ratio {ratio:.3e} below 1e-08"]
+        gram = res.report["completeness"]["gram_ratio"]
+        texts = [f"completeness evidence collapsed (gram ratio {gram:.2e}); "
+                 "the subspectrum does not determine the data"]
         assert [str(w.message) for w in caught if w.category is NonUniqueWarning] == texts
         assert res.report["warnings"] == texts and res.report["non_unique"]
 
@@ -485,8 +493,8 @@ class TestStackedStability:
 
     @pytest.mark.parametrize("trials", [1, 6])
     def test_work_is_independent_of_trials(self, rt_free, trials, monkeypatch):
-        # one f-evaluation and one SVD for the base solve, one of each for
-        # the stack of all trials
+        # one f-evaluation and two SVDs for the base solve (its design and
+        # its completeness evidence), one of each for the stack of all trials
         f_sizes, svd_shapes = [], []
 
         def joint(lam):
@@ -505,5 +513,5 @@ class TestStackedStability:
         stability_experiment(1, f, rt_free.spectrum, 128, omegas=[0.0, 1e-3],
                              trials=trials, seed=2)
         assert f_sizes == [n, 2 * trials * n]
-        assert len(svd_shapes) == 2
-        assert svd_shapes[1][:2] == (2 * trials, n)
+        assert len(svd_shapes) == 3
+        assert svd_shapes[2][:2] == (2 * trials, n)
