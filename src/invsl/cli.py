@@ -20,7 +20,14 @@ import jsonschema
 import numpy as np
 
 from . import schemas
-from .errors import InvslError, NonUniqueWarning, SchemaError
+from .errors import (
+    CommonRoot,
+    InvslError,
+    NonUniqueWarning,
+    NormalizationViolation,
+    ParityMismatch,
+    SchemaError,
+)
 from .forward import extract_cauchy, weyl
 from .forward import find_eigenvalues, make_delta  # noqa: F401  (lookup site wrapped by bench/spans.py)
 from .halfinverse import hl_reconstruct, hl_spectrum, problem_spectrum
@@ -309,9 +316,10 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonUniqueWarning)
             return args.fn(args)
-    except (SchemaError, ValueError) as exc:
+    except (SchemaError, ValueError, NormalizationViolation, CommonRoot, ParityMismatch) as exc:
         # a file the schema admits can still ask for what the solvers do not
-        # support (complex sigma in a real scan, an odd cell count, ...)
+        # support (complex sigma in a real scan, an odd cell count, a boundary
+        # pair that is not normalized or coprime, an even p for hl, ...)
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except InvslError as exc:

@@ -1,6 +1,7 @@
 """Characteristic functions, eigenvalue location (by index wherever a Pruefer-
-angle count certifies it, `index_search`), Weyl function, and the forward
-extraction of generalized Cauchy data (the oracle for inverse tests).
+angle count certifies it, `index_search`, and in circles it seeds for complex
+sigma, `circle_zeros`), Weyl function, and the forward extraction of
+generalized Cauchy data (the oracle for inverse tests).
 
 The extraction fits the samples of Delta0 and Delta1 over the representation
 the inverse solve uses (`moments`): the slot layout, the probe tags with
@@ -91,7 +92,7 @@ def weyl(sigma: SigmaFunction, pair: BoundaryPolyPair, lam, on_pole="raise"):
 # eigenvalue location
 # ----------------------------------------------------------------------------
 
-def refine_brackets(delta, a, b, fa, fb, iters=100):
+def refine_brackets(delta, a, b, fa, fb):
     """Roots of a real delta in brackets [a, b] of lambda, all at once.
 
     delta(a) = fa and delta(b) = fb differ in sign (or one is zero).  Each
@@ -102,15 +103,15 @@ def refine_brackets(delta, a, b, fa, fb, iters=100):
     secant point would round onto an end, which then never moves), is
     replaced by the midpoint, and every value shrinks the bracket on its
     side of the root.  A root is done when the step or its bracket falls
-    below 1e-14 (1 + |lambda|), or delta vanishes; delta is evaluated only
-    at the roots still open.
+    below 1e-14 (1 + |lambda|), or delta vanishes, or after 100 steps; delta
+    is evaluated only at the roots still open.
     """
     a, b, fa, fb = (np.array(x, dtype=float) for x in (a, b, fa, fb))
     x = _false_position(a, b, fa, fb)
     f = np.zeros_like(x)
     side = np.zeros(x.shape, dtype=int)
     live = np.ones(x.shape, dtype=bool)
-    for _ in range(iters):
+    for _ in range(100):
         f[live] = np.real(np.asarray(delta(x[live])))
         low = live & (f != 0) & (np.signbit(f) == np.signbit(fa))   # the root lies above x
         high = live & (f != 0) & ~low
@@ -139,104 +140,100 @@ def _false_position(a, b, fa, fb):
     return np.where(safe, b - fb * (b - a) / np.where(safe, fb - fa, 1.0), 0.5 * (a + b))
 
 
-def winding_count(delta, rect, samples_per_edge=600, max_refine=6):
-    """Zero count inside a rectangle via the winding number of delta.
+_EDGE_SAMPLES = 600     # argument-principle samples per rectangle edge
+_CIRCLE_SAMPLES = 64    # and per circle, doubled by each refinement
+_REFINEMENTS = 6
 
-    The boundary is sampled densely and refined until consecutive phase steps
-    stay below pi/2, then the total phase increment is accumulated.
+
+def winding_count(delta, rect=None, circles=None):
+    """Zeros of delta inside the rectangle `rect` = ((re_lo, re_hi), (im_lo,
+    im_hi)), an int, or inside each circle of `circles` = (centers, radii),
+    an int array: one delta call per refinement samples every boundary, until
+    delta is finite and nonzero and no phase step reaches pi/2 on them.
     """
-    (re_lo, re_hi), (im_lo, im_hi) = rect
-    corners = [re_lo + 1j * im_lo, re_hi + 1j * im_lo, re_hi + 1j * im_hi, re_lo + 1j * im_hi]
-    n = samples_per_edge
-    for attempt in range(max_refine):
-        pts = []
-        for i in range(4):
-            z0, z1 = corners[i], corners[(i + 1) % 4]
-            pts.append(z0 + (z1 - z0) * np.arange(n) / n)
-        z = np.concatenate(pts)
-        vals = np.asarray(delta(z))
-        if np.any(vals == 0) or not np.all(np.isfinite(vals)):
-            n *= 2
-            continue
-        ph = np.angle(vals)
-        steps = np.diff(np.concatenate([ph, ph[:1]]))
-        steps = (steps + np.pi) % (2 * np.pi) - np.pi
-        if np.max(np.abs(steps)) < 0.5 * np.pi:
-            total = steps.sum() / (2 * np.pi)
-            return int(np.rint(total))
-        n *= 2
+    for k in range(_REFINEMENTS):
+        if rect is not None:
+            (re_lo, re_hi), (im_lo, im_hi) = rect
+            corners = np.array([[re_lo + 1j * im_lo], [re_hi + 1j * im_lo],
+                                [re_hi + 1j * im_hi], [re_lo + 1j * im_hi]])
+            t = np.arange(_EDGE_SAMPLES << k) / (_EDGE_SAMPLES << k)
+            z = (corners + (np.roll(corners, -1, axis=0) - corners) * t).reshape(1, -1)
+        else:
+            turn = np.exp(2j * np.pi * np.arange(_CIRCLE_SAMPLES << k) / (_CIRCLE_SAMPLES << k))
+            z = np.asarray(circles[0])[:, None] + np.outer(circles[1], turn)
+        vals = np.asarray(delta(z.ravel())).reshape(z.shape)
+        if np.all(vals != 0) and np.all(np.isfinite(vals)):
+            ph = np.angle(vals)
+            steps = (np.diff(ph, axis=1, append=ph[:, :1]) + np.pi) % (2 * np.pi) - np.pi
+            if np.max(np.abs(steps)) < 0.5 * np.pi:
+                counts = np.rint(steps.sum(axis=1) / (2 * np.pi)).astype(int)
+                return int(counts[0]) if rect is not None else counts
     raise RootLoss("winding number did not stabilize on the contour")
 
 
-def _complex_zeros(delta, rect, depth=0, max_depth=24, min_size=1e-9):
-    count = winding_count(delta, rect)
-    if count == 0:
-        return []
-    (re_lo, re_hi), (im_lo, im_hi) = rect
-    width, height = re_hi - re_lo, im_hi - im_lo
-    center = 0.5 * (re_lo + re_hi) + 0.5j * (im_lo + im_hi)
-    if count == 1 and (max(width, height) < 0.05 or depth >= max_depth):
-        return [_muller_polish(delta, center, 0.25 * max(width, height, min_size))]
-    if max(width, height) < min_size or depth >= max_depth:
-        return [center] * count
-    # a split line may pass through a zero; retry with shifted fractions
-    for frac in (0.5, 0.53, 0.47, 0.41, 0.61):
-        if width >= height:
-            mid = re_lo + frac * width
-            rects = [((re_lo, mid), (im_lo, im_hi)), ((mid, re_hi), (im_lo, im_hi))]
-        else:
-            mid = im_lo + frac * height
-            rects = [((re_lo, re_hi), (im_lo, mid)), ((re_lo, re_hi), (mid, im_hi))]
-        try:
-            out = []
-            for r in rects:
-                out.extend(_complex_zeros(delta, r, depth + 1, max_depth, min_size))
-            return out
-        except RootLoss:
-            continue
-    raise RootLoss("could not isolate zeros by rectangle subdivision")
+def circle_zeros(delta, seeds) -> np.ndarray:
+    """The zero of delta next to each of two or more ascending real `seeds`.
+
+    Each seed's circle, of radius half the distance to its nearest neighbour,
+    must hold exactly one zero, and the rectangle around all circles one per
+    seed (none lies between them).  `_muller_polish`, started from the seed,
+    finds the zero, which must lie inside its circle.  Else RootLoss.
+    """
+    seeds = np.asarray(seeds, dtype=float)
+    gaps = np.diff(seeds)
+    if seeds.size < 2 or np.any(gaps <= 0):
+        raise ValueError("circle_zeros needs two or more ascending seeds")
+    radii = 0.5 * np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+    counts = winding_count(delta, circles=(seeds, radii))
+    if np.any(counts != 1):
+        raise RootLoss(f"the circles around the seeds hold {counts.tolist()} zeros, not one each")
+    band = radii.max()
+    total = winding_count(delta, ((seeds[0] - radii[0], seeds[-1] + radii[-1]), (-band, band)))
+    if total != seeds.size:
+        raise RootLoss(f"the rectangle around {seeds.size} circles holds {total} zeros")
+    zeros = np.array([_muller_polish(delta, s, 0.25 * r) for s, r in zip(seeds, radii)])
+    if np.any(np.abs(zeros - seeds) >= radii):
+        raise RootLoss("the Muller polish left the circle of its seed")
+    return zeros
 
 
-def _muller_polish(delta, z0, h, iters=40):
-    zs = [z0 - h, z0 + h, z0]
-    fs = [complex(np.asarray(delta(np.array([z]))).ravel()[0]) for z in zs]
-    for _ in range(iters):
-        z0_, z1, z2 = zs[-3:]
-        f0, f1, f2 = fs[-3:]
-        q = (z2 - z1) / (z1 - z0_) if z1 != z0_ else 1.0
-        a = q * f2 - q * (1 + q) * f1 + q * q * f0
-        b = (2 * q + 1) * f2 - (1 + q) ** 2 * f1 + q * q * f0
-        c = (1 + q) * f2
+def _muller_polish(delta, z0, h):
+    """A zero of delta by Muller's method from z0 - h, z0 + h and z0."""
+    z = [z0 - h, z0 + h, z0]
+    f = [complex(np.asarray(delta(np.array([x]))).ravel()[0]) for x in z]
+    for _ in range(40):
+        q = (z[-1] - z[-2]) / (z[-2] - z[-3]) if z[-2] != z[-3] else 1.0
+        a = q * f[-1] - q * (1 + q) * f[-2] + q * q * f[-3]
+        b = (2 * q + 1) * f[-1] - (1 + q) ** 2 * f[-2] + q * q * f[-3]
+        c = (1 + q) * f[-1]
         disc = np.sqrt(b * b - 4 * a * c + 0j)
         den = b + disc if abs(b + disc) > abs(b - disc) else b - disc
         if den == 0:
             break
-        z3 = z2 - (z2 - z1) * 2 * c / den
-        zs.append(z3)
-        fs.append(complex(np.asarray(delta(np.array([z3]))).ravel()[0]))
-        if abs(zs[-1] - zs[-2]) < 1e-14 * (1 + abs(zs[-1])):
+        z.append(z[-1] - (z[-1] - z[-2]) * 2 * c / den)
+        f.append(complex(np.asarray(delta(np.array([z[-1]]))).ravel()[0]))
+        if abs(z[-1] - z[-2]) < 1e-14 * (1 + abs(z[-1])):
             break
-    return zs[-1]
+    return z[-1]
 
 
 _SCAN_STEP = 0.02    # the dense scan's step in sqrt(lambda)
 
 
 def find_eigenvalues(delta: Callable, window, count: Optional[int] = None,
-                     imag_band: float = 0.0, verify: bool = False,
-                     index: Optional[tuple] = None) -> Subspectrum:
-    """Locate zeros of an entire characteristic function.
+                     verify: bool = False, index: Optional[tuple] = None) -> Subspectrum:
+    """Locate zeros of an entire characteristic function, real on the real axis.
 
     With `index` from `index_search` they are the eigenvalues 0..count-1,
     each in a bracket that `_index_brackets` certifies to hold its index
     alone and across which delta changes sign.  Otherwise a real `window` is
     scanned on the signed-sqrt axis (lambda = sign(s) s^2, step `_SCAN_STEP`)
-    for sign changes, or for `imag_band` > 0 subdivided into rectangles by
-    the argument principle, with a Muller polish.  Illinois false position
-    (`refine_brackets`) refines real brackets.  The window's roots pass
-    `_screen` (drops counted in `dropped`) and record the `window`; `verify`
-    checks their number against the window's winding count.  Fewer than
-    `count` roots raise RootLoss.  `problem_spectrum` picks either for a problem.
+    for sign changes (a delta that is not real there raises ValueError).
+    Illinois false position (`refine_brackets`) refines the brackets.  The
+    window's roots pass `_screen` (drops counted in `dropped`) and record the
+    `window`; `verify` checks their number against the window's winding
+    count.  Fewer than `count` roots raise RootLoss.  `problem_spectrum` picks
+    either for a problem, or `circle_zeros` for a complex one.
     """
     if index is not None:
         lo, hi = (np.sign(s) * s * s for s in _index_brackets(*index, count))
@@ -250,29 +247,21 @@ def find_eigenvalues(delta: Callable, window, count: Optional[int] = None,
         return Subspectrum(refine_brackets(delta, lo, hi, f_lo, f_hi))
 
     lam_lo, lam_hi = float(window[0]), float(window[1])
-    if imag_band > 0:
-        rect = ((lam_lo, lam_hi), (-imag_band, imag_band))
-        roots = _complex_zeros(delta, rect)
-        roots.sort(key=lambda z: (z.real, z.imag))
-        lam = np.array(roots, dtype=complex)
-    else:
-        s_lo = np.sign(lam_lo) * np.sqrt(abs(lam_lo))
-        s_hi = np.sign(lam_hi) * np.sqrt(abs(lam_hi))
-        n_pts = int(np.ceil((s_hi - s_lo) / _SCAN_STEP)) + 1
-        s = np.linspace(s_lo, s_hi, n_pts)
-        lam_scan = np.sign(s) * s * s
-        vals = np.asarray(delta(lam_scan))
-        if np.max(np.abs(vals.imag)) > 1e-8 * np.max(np.abs(vals)):
-            raise ValueError("delta is not real on the real axis; use imag_band > 0")
-        fv = vals.real
-        idx = np.nonzero(np.signbit(fv[:-1]) != np.signbit(fv[1:]))[0]
-        lam = np.sort(refine_brackets(delta, lam_scan[idx], lam_scan[idx + 1],
-                                      fv[idx], fv[idx + 1]))
+    s_lo = np.sign(lam_lo) * np.sqrt(abs(lam_lo))
+    s_hi = np.sign(lam_hi) * np.sqrt(abs(lam_hi))
+    n_pts = int(np.ceil((s_hi - s_lo) / _SCAN_STEP)) + 1
+    s = np.linspace(s_lo, s_hi, n_pts)
+    lam_scan = np.sign(s) * s * s
+    vals = np.asarray(delta(lam_scan))
+    if np.max(np.abs(vals.imag)) > 1e-8 * np.max(np.abs(vals)):
+        raise ValueError("delta is not real on the real axis; a complex sigma takes no window")
+    fv = vals.real
+    idx = np.nonzero(np.signbit(fv[:-1]) != np.signbit(fv[1:]))[0]
+    lam = np.sort(refine_brackets(delta, lam_scan[idx], lam_scan[idx + 1],
+                                  fv[idx], fv[idx + 1]))
     lam, dropped = _screen(delta, lam)
     if verify:
-        band = imag_band if imag_band > 0 else 1.0
-        total = winding_count(lambda z: np.asarray(delta(z)),
-                              ((lam_lo, lam_hi), (-band, band)))
+        total = winding_count(delta, ((lam_lo, lam_hi), (-1.0, 1.0)))
         if total != lam.size:
             raise RootLoss(f"argument principle counts {total} zeros, refined {lam.size}")
     if count is not None and lam.size < count:
@@ -423,17 +412,17 @@ def index_search(sigma: SigmaFunction, left: BoundaryPolyPair, right: BoundaryPo
 # generalized Cauchy data extraction (forward oracle)
 # ----------------------------------------------------------------------------
 
-def _solve_family(design, rhs, transform, cond_limit=1e10):
+def _solve_family(design, rhs, transform):
     """Coefficients of the raw columns, condition number and relative residual
     of the fit over the unit-norm columns of `design @ transform`; a
-    condition above `cond_limit` raises IllConditioned before `svd_solve`."""
+    condition above 1e10 raises IllConditioned before `svd_solve`."""
     design = design @ transform
     norms = np.linalg.norm(design, axis=0)
     norms[norms == 0] = 1.0
     a = design / norms
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     cond = s[0] / s[-1] if s[-1] > 0 else np.inf
-    if cond > cond_limit:
+    if cond > 1e10:
         raise IllConditioned(f"extraction design matrix condition {cond:.3e}")
     x = svd_solve(u, s, vh, rhs)
     resid = np.linalg.norm(a @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)

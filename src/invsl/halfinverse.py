@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonUniqueWarning, ParityMismatch
-from .forward import find_eigenvalues, index_search, make_delta
+from .forward import circle_zeros, find_eigenvalues, index_search, make_delta
 from .moments import build_moment_system  # noqa: F401  (lookup site wrapped by bench/spans.py)
 from .ode import monodromy
 from .reconstruct import ReconstructionResult, reconstruct
@@ -99,15 +99,20 @@ def _join(sigma: SigmaFunction, half: SigmaFunction):
                          sigma.interval_length + half.interval_length)
 
 
+def _real_part(sigma: SigmaFunction) -> SigmaFunction:
+    return SigmaFunction(sigma.samples.real, sigma.interval_length)
+
+
 def problem_spectrum(sigma: SigmaFunction, pair: BoundaryPolyPair, f: EntirePair,
                      count: int, window=None) -> tuple[Subspectrum, str | None]:
     """The first `count` eigenvalues of the problem with potential `sigma`,
     left pair `pair` and f's right end (`EntirePair.right_end`, which
     `EntirePair.constant` and `hl_entire_pair` set), as (Subspectrum, reason).
-    `index_search` runs on sigma joined to f's right half, if any; where it
-    certifies nothing, a scan of (-9, ((pi/X) count + 2)^2), X the joined
+    `index_search` runs on sigma joined to f's right half, if any (on its real
+    part for complex sigma, whose eigenvalues then seed `circle_zeros`); where
+    it certifies nothing, a scan of (-9, ((pi/X) count + 2)^2), X the joined
     length, stands in and `reason` says why.  A given `window` is scanned
-    without an index; `reason` is then None, as on the index path."""
+    without an index; `reason` is then None, as on the other paths."""
     delta, _ = make_delta(sigma, pair, f)
     index = reason = None
     if window is None:
@@ -119,6 +124,10 @@ def problem_spectrum(sigma: SigmaFunction, pair: BoundaryPolyPair, f: EntirePair
             reason = "f is hl_right_half, and its sigma does not join the problem's"
         elif (index := index_search(whole, pair, right, count)) is None:
             reason = "a boundary pair is not Herglotz" if whole.is_real() else "complex sigma"
+            if not whole.is_real() and index_search(_real_part(whole), pair, right, count):
+                f_real = f if half is None else hl_entire_pair(_real_part(half), right)
+                seeds = problem_spectrum(_real_part(sigma), pair, f_real, max(count, 2))[0]
+                return Subspectrum(circle_zeros(delta, seeds.lambdas.real)[:count]), None
     return find_eigenvalues(delta, window, count=count, index=index), reason
 
 

@@ -13,7 +13,7 @@ and Riesz-basis condition estimates for sine families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -243,18 +243,16 @@ def build_moment_system(subspectrum: Subspectrum, f: EntirePair, p: int, grid) -
                         p=p, grid_size=_as_grid(grid).size)
 
 
-def xi_identity_residual(rhos: Sequence[complex], order: int = 12,
-                         panels: Optional[int] = None) -> float:
+def xi_identity_residual(rhos: Sequence[complex]) -> float:
     """Max residual of the folding identity between sine products on (0, 2pi)
     and two-component products on (0, pi).
 
-    Both sides are evaluated by composite Gauss-Legendre quadrature (panel
-    count follows the largest frequency), independently of the closed-form
-    overlaps used elsewhere.
+    Both sides are evaluated by composite 12-point Gauss-Legendre quadrature
+    (panel count follows the largest frequency), independently of the
+    closed-form overlaps used elsewhere.
     """
     rho = np.atleast_1d(np.asarray(rhos, dtype=complex))
-    if panels is None:
-        panels = int(max(24, 4 * np.ceil(np.max(np.abs(rho)))))
+    panels = int(max(24, 4 * np.ceil(np.max(np.abs(rho)))))
 
     def sines_2pi(tvals):
         return np.sin(rho[:, None] * tvals[None, :])
@@ -264,11 +262,11 @@ def xi_identity_residual(rhos: Sequence[complex], order: int = 12,
         c = np.cos(rho[:, None] * tvals[None, :])
         return s * np.cos(rho[:, None] * np.pi), -c * np.sin(rho[:, None] * np.pi)
 
-    x2, w2 = gauss_nodes(0.0, 2 * np.pi, panels, order)
+    x2, w2 = gauss_nodes(0.0, 2 * np.pi, panels, 12)
     f2 = sines_2pi(x2)
     lhs = (np.conj(f2) * w2[None, :]) @ f2.T
 
-    x1, w1 = gauss_nodes(0.0, np.pi, max(panels // 2, 12), order)
+    x1, w1 = gauss_nodes(0.0, np.pi, max(panels // 2, 12), 12)
     a_part, b_part = xi_parts(x1)
     rhs = (np.conj(a_part) * w1[None, :]) @ a_part.T + (np.conj(b_part) * w1[None, :]) @ b_part.T
 
@@ -285,13 +283,12 @@ class BasisDiagnostics:
     growth_ratio: float
 
 
-def basis_diagnostics(rhos, length: float = 2 * np.pi,
-                      cond_threshold: float = 1e3) -> BasisDiagnostics:
+def basis_diagnostics(rhos, length: float = 2 * np.pi) -> BasisDiagnostics:
     """Condition estimates for the normalized Gram matrix under truncation.
 
     The family is the sine family sin(rho_n t) on (0, length) of the given rho
     values.  Flags it "basis-like" when the full condition number stays below
-    the threshold and grows by no more than 20% from the half truncation.
+    1e3 and grows by no more than 20% from the half truncation.
     """
     rhos = np.atleast_1d(np.asarray(rhos, dtype=complex))
     gram = np.asarray(overlap_sin_sin(np.conj(rhos[:, None]), rhos[None, :], length))
@@ -310,6 +307,6 @@ def basis_diagnostics(rhos, length: float = 2 * np.pi,
         if size == n:
             smin, smax = float(s[-1]), float(s[0])
     growth = conds[-1] / conds[-2] if len(conds) >= 2 and conds[-2] > 0 else np.inf
-    basis_like = bool(conds[-1] <= cond_threshold and growth <= 1.2)
+    basis_like = bool(conds[-1] <= 1e3 and growth <= 1.2)
     return BasisDiagnostics(sizes=sizes, conds=tuple(conds), smin=smin, smax=smax,
                             basis_like=basis_like, growth_ratio=float(growth))

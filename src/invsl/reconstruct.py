@@ -70,9 +70,9 @@ class ProbeBasis:
         return self.b1.shape[1] + self.b2.shape[1] + self.p
 
 
-def _whiten(gram: np.ndarray, tol: float = 1e-11) -> np.ndarray:
+def _whiten(gram: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(gram)
-    keep = vals > tol * vals.max()
+    keep = vals > 1e-11 * vals.max()
     return vecs[:, keep] / np.sqrt(vals[keep])[None, :]
 
 

@@ -45,6 +45,12 @@ ENTIRE_PAIR = {
         "r1": COEFF_LIST,
         "r2": COEFF_LIST,
     },
+    # the keys each kind reads
+    "allOf": [
+        {"if": {"properties": {"kind": {"const": kind}}, "required": ["kind"]},
+         "then": {"required": keys}}
+        for kind, keys in (("constant", ["f1", "f2"]), ("hl_right_half", ["sigma", "r1", "r2"]))
+    ],
 }
 
 PROBLEM_V1 = {

@@ -29,6 +29,7 @@ from .types import (
     Subspectrum,
     encode_array,
     sigma_to_json,
+    validate_rp,
 )
 
 
@@ -78,6 +79,7 @@ def entire_pair_from_json(obj) -> EntirePair:
     if kind == "hl_right_half":
         sigma_right = sigma_from_json(obj["sigma"])
         right_pair = pair_from_json(obj["r1"], obj["r2"])
+        validate_rp(right_pair)
         return hl_entire_pair(sigma_right, right_pair)
     raise SchemaError(f"unknown entire-pair kind {kind!r}")
 
@@ -87,8 +89,11 @@ def subspectrum_from_json(values) -> Subspectrum:
 
 
 def problem_from_json(obj):
+    """(sigma, pair, f, subspectrum or None) of a problem-v1 object; a boundary
+    pair that `validate_rp` rejects raises here, before any search."""
     sigma = sigma_from_json(obj["sigma"])
     pair = pair_from_json(obj["p1"], obj["p2"])
+    validate_rp(pair)
     f = entire_pair_from_json(obj["f"])
     sub = subspectrum_from_json(obj["subspectrum"]) if obj.get("subspectrum") else None
     return sigma, pair, f, sub

@@ -80,8 +80,8 @@ class SigmaFunction:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.interval_length, self.m + 1)
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.samples.imag) <= tol))
+    def is_real(self) -> bool:
+        return not np.any(self.samples.imag)
 
     @classmethod
     def zero(cls, interval_length: float = np.pi, m: int = 128) -> "SigmaFunction":

@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from invsl.errors import NonUniqueWarning
-from invsl.forward import extract_cauchy, resample_cauchy
+from invsl.errors import NonUniqueWarning, RootLoss
+from invsl.forward import _muller_polish, extract_cauchy, resample_cauchy, winding_count
 from invsl.halfinverse import hl_entire_pair, hl_spectrum
 from invsl.moments import _as_grid
 from invsl.ode import _cell_matrices, node_values
@@ -52,6 +52,38 @@ def rt_robin(rt_problems):
 def exclusion_case():
     prob = hl_exclusion_instance()
     return RoundTrip("hl_exclusion", prob, count=52)
+
+
+def rectangle_zeros(delta, rect, depth=0):
+    """Zeros of delta in a rectangle ((re_lo, re_hi), (im_lo, im_hi)), in no
+    set order: the argument principle on halves of the rectangle, split
+    across its longer side until each holds one zero and is under 0.05
+    wide, then a Muller polish from its center.  The oracle of
+    `circle_zeros` on small windows; it costs about 10^5 delta points per
+    zero."""
+    count = winding_count(delta, rect)
+    if count == 0:
+        return []
+    (re_lo, re_hi), (im_lo, im_hi) = rect
+    width, height = re_hi - re_lo, im_hi - im_lo
+    center = 0.5 * (re_lo + re_hi) + 0.5j * (im_lo + im_hi)
+    if count == 1 and (max(width, height) < 0.05 or depth >= 24):
+        return [_muller_polish(delta, center, 0.25 * max(width, height, 1e-9))]
+    if max(width, height) < 1e-9 or depth >= 24:
+        return [center] * count
+    # a split line may pass through a zero; retry with shifted fractions
+    for frac in (0.5, 0.53, 0.47, 0.41, 0.61):
+        if width >= height:
+            mid = re_lo + frac * width
+            rects = [((re_lo, mid), (im_lo, im_hi)), ((mid, re_hi), (im_lo, im_hi))]
+        else:
+            mid = im_lo + frac * height
+            rects = [((re_lo, re_hi), (im_lo, mid)), ((re_lo, re_hi), (mid, im_hi))]
+        try:
+            return [z for r in rects for z in rectangle_zeros(delta, r, depth + 1)]
+        except RootLoss:
+            continue
+    raise RootLoss("could not isolate zeros by rectangle subdivision")
 
 
 def reflected(sigma):

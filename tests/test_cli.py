@@ -181,10 +181,39 @@ class TestForward:
         assert main(["forward", str(notjson)]) == 2
 
 
-def _complex_sigma(tmp_path):
+def _complex_sigma_file(tmp_path):
     sig = SigmaFunction(0.1j * np.sin(np.linspace(0.0, np.pi, 65)), np.pi)
     obj = problem_to_json(sig, BoundaryPolyPair([1.0], [0.0]), {"kind": "dirichlet_right"})
-    return ["forward", write(tmp_path / "p.json", obj), "--eigs", "4"], "delta is not real"
+    return write(tmp_path / "p.json", obj)
+
+
+def _complex_sigma(tmp_path):
+    # a window asks for the real scan, which a complex delta does not admit
+    return (["forward", _complex_sigma_file(tmp_path), "--eigs", "4", "--window=-9,30"],
+            "delta is not real")
+
+
+def _problem_file(tmp_path, p1, p2):
+    obj = problem_to_json(SigmaFunction.zero(np.pi, 64), BoundaryPolyPair(p1, p2),
+                          {"kind": "dirichlet_right"})
+    return write(tmp_path / "p.json", obj)
+
+
+def _pair_lengths_1_3(tmp_path):
+    return (["forward", _problem_file(tmp_path, [1.0], [0.0, 0.0, 1.0]), "--eigs", "4"],
+            "coefficient lengths 1/3")
+
+
+def _common_root(tmp_path):
+    # p1 = p2 = lambda - 1
+    return (["forward", _problem_file(tmp_path, [-1.0, 1.0], [-1.0, 1.0]), "--eigs", "4"],
+            "p2 vanishes at a root of p1")
+
+
+def _hl_even_p(tmp_path):
+    even = BoundaryPolyPair([1.0], [0.0, 1.0])    # p = 2
+    obj = two_sided_to_json(TwoSidedProblem(SigmaFunction.zero(2 * np.pi, 64), even, even))
+    return ["hl", write(tmp_path / "two.json", obj), "--eigs", "8"], "odd boundary degrees only"
 
 
 def _interval_not_pi(tmp_path):
@@ -209,14 +238,54 @@ def _zero_eigenvalue(tmp_path):
 
 
 @pytest.mark.parametrize("case", [_complex_sigma, _interval_not_pi, _odd_cell_count,
-                                  _zero_eigenvalue], ids=lambda case: case.__name__[1:])
+                                  _zero_eigenvalue, _pair_lengths_1_3, _common_root, _hl_even_p],
+                         ids=lambda case: case.__name__[1:])
 def test_unsupported_input_exit2(case, tmp_path, capsys):
-    # files the schema admits but the solvers do not support are input errors
+    # files the schema admits but the solvers do not support are input
+    # errors, found before any search
     argv, reason = case(tmp_path)
     out = tmp_path / "out"
-    assert main(argv + ["--out", str(out)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and reason in err
+    assert err.count("\n") == 1    # no note of a scan before it
+    assert not out.exists()
+
+
+def _complex_two_sided_file(tmp_path):
+    free = BoundaryPolyPair([1.0], [0.0])
+    sig = SigmaFunction(0.1j * np.sin(np.linspace(0.0, 2 * np.pi, 129)), 2 * np.pi)
+    return write(tmp_path / "two.json", two_sided_to_json(TwoSidedProblem(sig, free, free)))
+
+
+@pytest.mark.parametrize("verb, make, flags", [
+    ("forward", _complex_sigma_file, ["--eigs", "4"]),
+    ("stability", _complex_sigma_file, ["--eigs", "12", "--trials", "2"]),
+    ("hl", _complex_two_sided_file, ["--eigs", "12"]),
+], ids=["forward", "stability", "hl"])
+def test_complex_sigma_without_window(verb, make, flags, tmp_path, capsys):
+    # seeded by the real part's indexed eigenvalues, with no scan note
+    out = tmp_path / "out"
+    assert main([verb, make(tmp_path), "--out", str(out)] + flags) == 0
+    assert capsys.readouterr().err == ""
+    if verb == "forward":
+        # the real part's (zero potential's) eigenvalues are (k + 1/2)^2
+        lam = complex_array(json.load(open(out / "spectrum.json"))["lambdas"])
+        assert lam.size == 4 and np.all(np.abs(lam - (np.arange(4) + 0.5) ** 2) < 0.1)
+        assert np.all(lam.imag != 0)
+
+
+@pytest.mark.parametrize("f", [{"kind": "constant"}, {"kind": "hl_right_half", "r1": [1.0]}],
+                         ids=["constant", "hl_right_half"])
+def test_entire_pair_without_its_keys_exit2(f, tmp_path, capsys):
+    # each kind requires the keys it reads; without them the file is malformed
+    obj = problem_to_json(SigmaFunction.zero(np.pi, 64), BoundaryPolyPair([1.0], [0.0]), f)
+    out = tmp_path / "out"
+    assert main(["forward", write(tmp_path / "p.json", obj), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "is a required property" in err
     assert not out.exists()
 
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import fundamental_nodes
-from invsl.errors import IllConditioned, PoleProximity
+from conftest import fundamental_nodes, rectangle_zeros
+from invsl import halfinverse
+from invsl.errors import IllConditioned, PoleProximity, RootLoss
 from invsl.forward import (
     char_delta,
     char_pair,
+    circle_zeros,
     count_below,
     extract_cauchy,
     find_eigenvalues,
@@ -17,7 +19,7 @@ from invsl.forward import (
     winding_count,
     _solve_family,
 )
-from invsl.halfinverse import hl_entire_pair
+from invsl.halfinverse import hl_entire_pair, problem_spectrum
 from invsl.problems import forward_corpus, sigma_bump, sigma_step
 from invsl.reconstruct import deltas_from_cauchy
 from invsl.types import BoundaryPolyPair, EntirePair, SigmaFunction
@@ -160,26 +162,96 @@ class TestFindEigenvalues:
 
     def test_complex_window_synthetic(self):
         zeros = np.array([2 + 1j, 5.0 + 0j, 8 - 0.5j])
+        found = circle_zeros(_with_zeros(zeros), [2.0, 5.0, 8.0])
+        assert np.max(np.abs(found - zeros)) <= 1e-8
 
-        def delta(lam):
-            lam = np.asarray(lam, dtype=complex)
-            out = np.ones_like(lam)
-            for z in zeros:
-                out = out * (lam - z)
-            return out * np.exp(0.01 * lam)
+    def test_two_zeros_in_one_circle_raise(self):
+        # the circle around seed 5 (radius 1.5) holds 5 and 5.3
+        with pytest.raises(RootLoss, match=r"hold \[1, 2\] zeros"):
+            circle_zeros(_with_zeros([2.0, 5.0, 5.3]), [2.0, 5.0])
 
-        spec = find_eigenvalues(delta, (0.0, 10.0), imag_band=2.0)
-        assert len(spec) == 3
-        found = np.sort_complex(spec.lambdas)
-        assert np.max(np.abs(found - np.sort_complex(zeros))) <= 1e-8
+    def test_zero_between_circles_raises(self):
+        # each circle (radius 1.5) holds one zero; the rectangle around them
+        # also holds 3.5 + 1.4i
+        with pytest.raises(RootLoss, match="holds 3 zeros"):
+            circle_zeros(_with_zeros([2.0, 5.0, 3.5 + 1.4j]), [2.0, 5.0])
 
     def test_winding_count(self):
-        def delta(lam):
-            lam = np.asarray(lam, dtype=complex)
-            return (lam - 1.0) * (lam - 3.0) * (lam - 2 - 1j)
-
+        delta = _with_zeros([1.0, 3.0, 2 + 1j], growth=0.0)
         assert winding_count(delta, ((0.0, 4.0), (-2.0, 2.0))) == 3
         assert winding_count(delta, ((0.0, 4.0), (-0.5, 0.5))) == 2
+        counts = winding_count(delta, circles=([1.0, 2.0, 2.0], [0.5, 1.2, 0.5]))
+        assert counts.tolist() == [1, 3, 0]
+
+
+def _with_zeros(zeros, growth=0.01):
+    """An entire function with exactly the given simple zeros."""
+    def delta(lam):
+        lam = np.asarray(lam, dtype=complex)
+        out = np.ones_like(lam)
+        for z in zeros:
+            out = out * (lam - z)
+        return out * np.exp(growth * lam)
+    return delta
+
+
+def complex_sine(x, amp=0.2):
+    """sigma of the complex-spectrum tests: (0.3 + amp i) sin x."""
+    return (0.3 + amp * 1j) * np.sin(x)
+
+
+PAIR_ROBIN = BoundaryPolyPair([1.0], [0.3])
+
+
+class TestComplexSpectrum:
+    def test_circles_match_the_rectangle_oracle(self):
+        sig = SigmaFunction.from_callable(complex_sine, np.pi, 64)
+        spec, reason = problem_spectrum(sig, PAIR_ROBIN, F_DIR, 4)
+        assert reason is None and not spec.fallback
+        delta, _ = make_delta(sig, PAIR_ROBIN, F_DIR)
+        oracle = np.array(sorted(rectangle_zeros(delta, ((-9.0, 14.0), (-1.5, 1.5))),
+                                 key=lambda z: z.real))
+        assert oracle.size == 4 and np.max(np.abs(oracle.imag)) > 0.1
+        assert np.all(np.abs(spec.lambdas - oracle) <= 1e-10 * (1.0 + np.abs(oracle)))
+
+    def test_work_at_512_cells(self, monkeypatch):
+        # 12 zeros take 3,251 lambda points of the complex delta: 12 circles
+        # of 64, one rectangle of 4 x 600 and the polish
+        points = []
+
+        def counting(sigma, pair, f=None):
+            delta, _ = make_delta(sigma, pair, f)
+            if sigma.is_real():
+                return delta, None
+            return (lambda lam: points.append(np.size(lam)) or delta(lam)), None
+
+        monkeypatch.setattr(halfinverse, "make_delta", counting)
+        sig = SigmaFunction.from_callable(complex_sine, np.pi, 512)
+        spec, reason = problem_spectrum(sig, PAIR_ROBIN, F_DIR, 12)
+        assert reason is None and len(spec) == 12
+        assert np.all(np.diff(spec.lambdas.real) > 0) and np.any(spec.lambdas.imag != 0)
+        assert sum(points) <= 10_000
+
+    def test_hl_right_half_seeds_from_the_real_part(self):
+        # a complex sigma whose right half is folded into f: the seeds come
+        # from the real part of both halves, joined; the zeros are eigenvalues
+        # of the whole problem on (0, 2 pi), where its Robin right end's
+        # characteristic function Delta1 + 0.3 Delta0 vanishes
+        whole = SigmaFunction.from_callable(complex_sine, 2 * np.pi, 128)
+        left, right = whole.halves()
+        spec, reason = problem_spectrum(left, PAIR_ROBIN, hl_entire_pair(right, PAIR_ROBIN), 6)
+        assert reason is None and np.any(spec.lambdas.imag != 0)
+        d0, d1 = char_pair(whole, PAIR_ROBIN, spec.lambdas)
+        scale = np.abs(char_pair(whole, PAIR_ROBIN, spec.lambdas + 0.1)[1])
+        assert np.all(np.abs(d1 + 0.3 * d0) <= 1e-8 * np.maximum(scale, 1.0))
+
+    def test_a_zero_outside_its_circle_raises(self):
+        # Im sigma = 0.5 sin x on (0, 2 pi) moves the lowest eigenvalue from
+        # the seed -0.074 to 0.076 - 0.147i, outside its circle of radius 0.20
+        whole = SigmaFunction.from_callable(lambda x: complex_sine(x, 0.5), 2 * np.pi, 128)
+        left, right = whole.halves()
+        with pytest.raises(RootLoss, match="zeros, not one each"):
+            problem_spectrum(left, PAIR_ROBIN, hl_entire_pair(right, PAIR_ROBIN), 6)
 
 
 def _indexed(sigma, pair, f, right, count):
