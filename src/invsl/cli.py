@@ -49,11 +49,15 @@ EXIT_SOLVER = 3
 EXIT_NON_UNIQUE = 4
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _read(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh, parse_constant=_no_constant)
+    except (OSError, ValueError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
@@ -69,12 +73,13 @@ def _load(path: str, schema_name: str) -> dict:
     return _check(_read(path), path, schema_name)
 
 
-def _write(out_dir: str, name: str, payload: dict) -> Path:
+def _write(out_dir: str, name: str, kind: str, meta: dict, **fields) -> None:
+    """Write `name` in `out_dir` as the envelope {"schema": "invsl/<kind>-v1",
+    "meta": meta} followed by `fields`."""
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
-    target = path / name
-    target.write_text(canonical_dumps(jsonable(payload)))
-    return target
+    payload = {"schema": f"invsl/{kind}-v1", "meta": meta, **fields}
+    (path / name).write_text(canonical_dumps(jsonable(payload)))
 
 
 def _eigenvalues(sigma, pair, f, count: int, window=None):
@@ -95,18 +100,13 @@ def cmd_forward(args) -> int:
     data = extract_cauchy(sigma, pair, grid_m=args.grid)
 
     meta = meta_block(obj, grid_m=args.grid, eigs=args.eigs)
-    _write(args.out, "spectrum.json", {
-        "schema": "invsl/spectrum-v1", "meta": meta,
-        "lambdas": encode_array(spec.lambdas),
-    })
+    _write(args.out, "spectrum.json", "spectrum", meta, lambdas=encode_array(spec.lambdas))
     lam_mid = 0.5 * (spec.lambdas[:-1] + spec.lambdas[1:])
     weyl_vals = weyl(sigma, pair, lam_mid, on_pole="nan")
     ok = np.isfinite(weyl_vals)
-    payload = {"schema": "invsl/cauchy-v1", "meta": meta}
-    payload.update(cauchy_to_json(data))
-    payload["fit"] = {"cond": list(data.meta["cond"]), "residual": list(data.meta["residual"])}
-    payload["weyl_samples"] = {"lambda": encode_array(lam_mid[ok]), "m": encode_array(weyl_vals[ok])}
-    _write(args.out, "cauchy.json", payload)
+    _write(args.out, "cauchy.json", "cauchy", meta, **cauchy_to_json(data),
+           fit={"cond": list(data.meta["cond"]), "residual": list(data.meta["residual"])},
+           weyl_samples={"lambda": encode_array(lam_mid[ok]), "m": encode_array(weyl_vals[ok])})
     return 0
 
 
@@ -126,11 +126,8 @@ def cmd_reconstruct(args) -> int:
     sub = subspectrum_from_json(sub_obj["lambdas"])
     result = reconstruct(pair.p, f, sub, args.grid, reg=args.reg)
     meta = meta_block({"problem": obj, "subspectrum": sub_obj}, grid_m=args.grid, reg=args.reg)
-    payload = {"schema": "invsl/cauchy-v1", "meta": meta}
-    payload.update(cauchy_to_json(result.cauchy))
-    _write(args.out, "cauchy_recovered.json", payload)
-    _write(args.out, args.report,
-           {"schema": "invsl/report-v1", "meta": meta, "report": result.report})
+    _write(args.out, "cauchy_recovered.json", "cauchy", meta, **cauchy_to_json(result.cauchy))
+    _write(args.out, "report.json", "report", meta, report=result.report)
     return _strict_exit(result.report, args)
 
 
@@ -145,15 +142,9 @@ def cmd_hl(args) -> int:
                             spec, args.drop, args.grid, reg=args.reg)
 
     meta = meta_block(obj, grid_m=args.grid, eigs=args.eigs, drop=args.drop)
-    _write(args.out, "spectrum.json", {
-        "schema": "invsl/spectrum-v1", "meta": meta,
-        "lambdas": encode_array(spec.lambdas),
-    })
-    payload = {"schema": "invsl/cauchy-v1", "meta": meta}
-    payload.update(cauchy_to_json(result.cauchy))
-    _write(args.out, "cauchy_recovered.json", payload)
-    _write(args.out, "report.json",
-           {"schema": "invsl/report-v1", "meta": meta, "report": result.report})
+    _write(args.out, "spectrum.json", "spectrum", meta, lambdas=encode_array(spec.lambdas))
+    _write(args.out, "cauchy_recovered.json", "cauchy", meta, **cauchy_to_json(result.cauchy))
+    _write(args.out, "report.json", "report", meta, report=result.report)
     return _strict_exit(result.report, args)
 
 
@@ -181,12 +172,10 @@ def cmd_stability(args) -> int:
     path.mkdir(parents=True, exist_ok=True)
     (path / "stability.csv").write_text("\n".join(lines) + "\n")
     meta = meta_block(obj, grid_m=args.grid, seed=args.seed, trials=args.trials)
-    _write(args.out, "stability_summary.json", {
-        "schema": "invsl/report-v1", "meta": meta,
-        "report": {"summary": out["summary"], "fitted_c": out["fitted_c"],
+    _write(args.out, "stability_summary.json", "report", meta,
+           report={"summary": out["summary"], "fitted_c": out["fitted_c"],
                    "non_unique": out["base"]["non_unique"],
-                   "warnings": out["base"]["warnings"]},
-    })
+                   "warnings": out["base"]["warnings"]})
     return _strict_exit(out["base"], args)
 
 
@@ -207,26 +196,16 @@ def cmd_diagnose(args) -> int:
     diag = sub.diagnostics()
     rhos = sub.rhos
     gram = basis_diagnostics(rhos, length=2 * np.pi) if len(sub) >= 2 else None
-    xi_res = xi_identity_residual(rhos)
-    meta = meta_block(obj)
-    payload = {
-        "schema": "invsl/diagnostics-v1",
-        "meta": meta,
-        "class_s": {"simple": diag.simple, "min_gap": diag.min_gap},
-        "class_a": {
-            "nonzero": diag.min_abs_lambda > 0,
-            "min_abs_lambda": diag.min_abs_lambda,
-            "max_im_rho": diag.max_im_rho,
-            "sum_inv_rho_sq": diag.sum_inv_rho_sq,
-        },
-        "gram": None if gram is None else {
-            "sizes": list(gram.sizes), "conds": list(gram.conds),
-            "smin": gram.smin, "smax": gram.smax,
-            "basis_like": gram.basis_like, "growth_ratio": gram.growth_ratio,
-        },
-        "xi_identity_residual": xi_res,
-    }
-    _write(args.out, "diagnostics.json", payload)
+    _write(args.out, "diagnostics.json", "diagnostics", meta_block(obj),
+           class_s={"simple": diag.simple, "min_gap": diag.min_gap},
+           class_a={"nonzero": diag.min_abs_lambda > 0, "min_abs_lambda": diag.min_abs_lambda,
+                    "max_im_rho": diag.max_im_rho, "sum_inv_rho_sq": diag.sum_inv_rho_sq},
+           gram=None if gram is None else {
+               "sizes": list(gram.sizes), "conds": list(gram.conds),
+               "smin": gram.smin, "smax": gram.smax,
+               "basis_like": gram.basis_like, "growth_ratio": gram.growth_ratio,
+           },
+           xi_identity_residual=xi_identity_residual(rhos))
     return 0
 
 
@@ -281,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="Cauchy data from a subspectrum file")
     p.add_argument("problem")
     p.add_argument("subspectrum")
-    p.add_argument("--report", default="report.json")
     shared(p, "--grid", "--out", "--strict", "--reg")
     p.set_defaults(fn=cmd_reconstruct)
 

@@ -49,19 +49,16 @@ def char_delta(sigma: SigmaFunction, pair: BoundaryPolyPair, f: EntirePair, lam)
     return f1 * d1 + f2 * d0
 
 
-def make_delta(sigma: SigmaFunction, pair: BoundaryPolyPair, f: Optional[EntirePair] = None):
-    """The characteristic function delta(lam) for root finding, as (delta, None).
+def make_delta(sigma: SigmaFunction, pair: BoundaryPolyPair, f: EntirePair):
+    """The characteristic function delta = `char_delta` for root finding, as
+    (delta, None).  `EntirePair.constant(1, 0)` gives the pair's own Delta1,
+    whose zeros are the poles of the Weyl function.
 
-    Without `f`, the pair's own Delta1 is used (poles of the Weyl function).
     The second slot is always None; it is kept because the benchmark's
     instrumentation (bench/spans.py) unpacks two closures from this call.
     """
-    if f is None:
-        def delta(lam):
-            return char_pair(sigma, pair, lam)[1]
-    else:
-        def delta(lam):
-            return char_delta(sigma, pair, f, lam)
+    def delta(lam):
+        return char_delta(sigma, pair, f, lam)
     return delta, None
 
 
@@ -232,8 +229,10 @@ def find_eigenvalues(delta: Callable, window, count: Optional[int] = None,
     Illinois false position (`refine_brackets`) refines the brackets.  The
     window's roots pass `_screen` (drops counted in `dropped`) and record the
     `window`; `verify` checks their number against the window's winding
-    count.  Fewer than `count` roots raise RootLoss.  `problem_spectrum` picks
-    either for a problem, or `circle_zeros` for a complex one.
+    count.  Fewer than `count` roots raise RootLoss.  A scan sees real zeros
+    only: without `verify`, the complex zeros of a delta whose pair is not
+    Herglotz go unreported.  `problem_spectrum` picks either for a problem,
+    or `circle_zeros` for a complex one.
     """
     if index is not None:
         lo, hi = (np.sign(s) * s * s for s in _index_brackets(*index, count))

@@ -112,7 +112,10 @@ def problem_spectrum(sigma: SigmaFunction, pair: BoundaryPolyPair, f: EntirePair
     part for complex sigma, whose eigenvalues then seed `circle_zeros`); where
     it certifies nothing, a scan of (-9, ((pi/X) count + 2)^2), X the joined
     length, stands in and `reason` says why.  A given `window` is scanned
-    without an index; `reason` is then None, as on the other paths."""
+    without an index; `reason` is then None, as on the other paths.  A scan
+    finds real zeros only: where a pair is not Herglotz, complex eigenvalues
+    are missed, so its roots need not be the first `count` eigenvalues."""
+    validate_rp(pair)
     delta, _ = make_delta(sigma, pair, f)
     index = reason = None
     if window is None:

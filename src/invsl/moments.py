@@ -150,7 +150,7 @@ def svd_solve(u, s, vh, rhs, reg: float = 0.0):
     return vh.conj().T @ (gains * (u.conj().T @ rhs))
 
 
-def _layout_at(lam, f: EntirePair, p: int, f_values):
+def _layout_at(lam, f: EntirePair, p: int, f_values=None):
     lam = np.asarray(lam, dtype=complex)
     if f_values is None:
         f_values = f(lam.reshape(-1))
@@ -165,12 +165,9 @@ def _grid_row(lam, layout: SlotLayout, grid) -> HpVector:
     return HpVector(layout.k1 * h1, layout.k2 * h2, layout.slots)
 
 
-def build_v(lam, f: EntirePair, p: int, grid, f_values=None) -> HpVector:
-    """Moment row v(., lambda) in L2+L2+C^p on the grid, laid out by `slot_layout`.
-
-    `f_values` short-circuits the evaluation of `f` at `lam`.
-    """
-    lam, layout = _layout_at(complex(lam), f, p, f_values)
+def build_v(lam, f: EntirePair, p: int, grid) -> HpVector:
+    """Moment row v(., lambda) in L2+L2+C^p on the grid, laid out by `slot_layout`."""
+    lam, layout = _layout_at(complex(lam), f, p)
     return _grid_row(lam, layout, grid)
 
 

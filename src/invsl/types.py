@@ -165,8 +165,6 @@ class BoundaryPolyPair:
 class RpDiagnostics:
     p: int
     parity: str
-    normalized: bool
-    coprime: bool
     min_p2_at_roots: Optional[float]
 
 
@@ -199,8 +197,7 @@ def validate_rp(pair: BoundaryPolyPair) -> RpDiagnostics:
         if np.any(vals <= tol):
             raise CommonRoot(f"p2 vanishes at a root of p1 (min |p2(root)| = {vals.min():.3e})")
         min_val = float(vals.min())
-    return RpDiagnostics(p=pair.p, parity=parity, normalized=True, coprime=True,
-                         min_p2_at_roots=min_val)
+    return RpDiagnostics(p=pair.p, parity=parity, min_p2_at_roots=min_val)
 
 
 def _true_degree(coeffs: np.ndarray) -> int:

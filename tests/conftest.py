@@ -16,6 +16,15 @@ from invsl.serialize import complex_array, complex_to_pair, pair_to_complex
 from invsl.trig import gauss_nodes
 from invsl.types import HpVector, SigmaFunction, Subspectrum
 
+try:
+    from hypothesis import settings
+except ImportError:    # test_schemas.py skips itself without hypothesis
+    pass
+else:
+    # every run draws the same examples, and none are stored between runs
+    settings.register_profile("deterministic", derandomize=True, database=None)
+    settings.load_profile("deterministic")
+
 
 class RoundTrip:
     """One two-sided corpus problem with everything the inverse tests need."""

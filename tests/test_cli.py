@@ -307,6 +307,7 @@ def test_entire_pair_without_its_keys_exit2(f, tmp_path, capsys):
      "unrecognized arguments: --strict --reg 0.1 --seed 1"),
     (["forward", "{golden}", "--tol", "1e-8"], "unrecognized arguments: --tol 1e-8"),
     (["stability", "{golden}", "--tol", "1e-8"], "unrecognized arguments: --tol 1e-8"),
+    (["reconstruct", "{golden}", "{sub}", "--report", "x"], "unrecognized arguments: --report x"),
     (["stability", "{golden}", "--grid", "0"], "argument --grid: expected an integer >= 1"),
     (["reconstruct", "{golden}", "{sub}", "--grid", "0"],
      "argument --grid: expected an integer >= 1"),
@@ -320,22 +321,34 @@ def test_entire_pair_without_its_keys_exit2(f, tmp_path, capsys):
     (["hl", "{two}", "--eigs", "8", "--drop", "9"], "--drop 9: expected 0 <= K < --eigs 8"),
     (["reconstruct", "{golden}", "{sub}", "--reg=-1"], "reg must be finite and >= 0, got -1.0"),
     (["reconstruct", "{golden}", "{sub}", "--reg", "nan"], "reg must be finite and >= 0, got nan"),
+    (["forward", "{nan_p2}", "--eigs", "3"], "NaN is not a JSON number"),
+    (["stability", "{nan_sub}"], "NaN is not a JSON number"),
+    (["diagnose", "{inf_sub}"], "-Infinity is not a JSON number"),
 ], ids=["diagnose-array", "window-one", "window-three", "window-reversed", "window-nan",
         "window-inf", "diagnose-flags", "diagnose-grid-flags", "reconstruct-flags",
-        "hl-flags", "forward-flags", "forward-tol", "stability-tol", "stability-grid-zero",
+        "hl-flags", "forward-flags", "forward-tol", "stability-tol", "reconstruct-report",
+        "stability-grid-zero",
         "reconstruct-grid-zero", "forward-grid-negative", "forward-eigs-negative",
         "hl-eigs-zero", "forward-eigs-fraction", "stability-seed-negative", "hl-drop-negative",
-        "hl-drop-all", "hl-drop-past-eigs", "reconstruct-reg-negative", "reconstruct-reg-nan"])
+        "hl-drop-all", "hl-drop-past-eigs", "reconstruct-reg-negative", "reconstruct-reg-nan",
+        "forward-nan", "stability-nan", "diagnose-infinity"])
 def test_bad_input_exit2_without_traceback(argv, reason, tmp_path, capsys):
     # a JSON array for diagnose, a malformed --window, a count below 1, a
     # negative --seed, a --drop outside [0, --eigs), a --reg below 0 or not
-    # finite and a flag the verb does not read are input errors
+    # finite, a flag the verb does not read and a NaN or +-Infinity in a
+    # file (json reads them as numbers, which the schemas admit) are input errors
     free = BoundaryPolyPair([1.0], [0.0])
     two = two_sided_to_json(TwoSidedProblem(SigmaFunction.zero(2 * np.pi, 64), free, free))
     sub = subspectrum_to_json(Subspectrum(np.arange(1, 13, dtype=complex) ** 2))
     paths = {"array": write(tmp_path / "a.json", [1.0, 2.0]),
              "golden": str(GOLDEN / "step_problem.json"),
              "two": write(tmp_path / "two.json", two), "sub": write(tmp_path / "s.json", sub)}
+    golden = load_golden("step_problem.json")
+    for name, key, value in [("nan_p2", "p2", [np.nan]),
+                             ("nan_sub", "subspectrum", [1.0, np.nan, 9.0]),
+                             ("inf_sub", "subspectrum", [1.0, 4.0, -np.inf, 16.0])]:
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps({**golden, key: value}))
     out = tmp_path / "out"
     try:
         code = main([a.format(**paths) for a in argv] + ["--out", str(out)])

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import fundamental_nodes, rectangle_zeros
 from invsl import halfinverse
-from invsl.errors import IllConditioned, PoleProximity, RootLoss
+from invsl.errors import CommonRoot, IllConditioned, PoleProximity, RootLoss
 from invsl.forward import (
     char_delta,
     char_pair,
@@ -219,7 +221,7 @@ class TestComplexSpectrum:
         # of 64, one rectangle of 4 x 600 and the polish
         points = []
 
-        def counting(sigma, pair, f=None):
+        def counting(sigma, pair, f):
             delta, _ = make_delta(sigma, pair, f)
             if sigma.is_real():
                 return delta, None
@@ -252,6 +254,15 @@ class TestComplexSpectrum:
         left, right = whole.halves()
         with pytest.raises(RootLoss, match="zeros, not one each"):
             problem_spectrum(left, PAIR_ROBIN, hl_entire_pair(right, PAIR_ROBIN), 6)
+
+
+def test_problem_spectrum_rejects_a_common_root():
+    # p1 = p2 = lambda - 1: the pair is checked before any search divides by it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(CommonRoot):
+            problem_spectrum(SigmaFunction.zero(np.pi, 64), BoundaryPolyPair([-1, 1], [-1, 1]),
+                             EntirePair.constant(0, 1), 4)
 
 
 def _indexed(sigma, pair, f, right, count):
@@ -330,7 +341,7 @@ class TestWeyl:
     def test_poles_are_delta1_zeros(self):
         sig = sigma_bump(256, amp=0.4)
         pair = BoundaryPolyPair([1.0], [0.3])
-        delta1, _ = make_delta(sig, pair, None)
+        delta1, _ = make_delta(sig, pair, F_NEU)
         zeros = find_eigenvalues(delta1, (-2.0, 60.0))
 
         def recip(lam):
@@ -352,7 +363,7 @@ class TestNoCommonZeros:
     def test_on_computed_subspectra(self):
         sig = sigma_bump(256, amp=0.5)
         pair = BoundaryPolyPair([1.0], [0.4])
-        d1fn, _ = make_delta(sig, pair, None)
+        d1fn, _ = make_delta(sig, pair, F_NEU)
         theta = find_eigenvalues(d1fn, (-2.0, 80.0))
         d0, d1 = char_pair(sig, pair, theta.lambdas)
         scale = np.abs(d0) + np.abs(d1)
@@ -366,7 +377,7 @@ class TestNoCommonZeros:
         # sqrt(theta_n) - (n - N1 - 1), N1 = p // 2, should look square-summable
         pair = BoundaryPolyPair([1.0], [0.4])
         sig = sigma_bump(256, amp=0.5)
-        d1fn, _ = make_delta(sig, pair, None)
+        d1fn, _ = make_delta(sig, pair, F_NEU)
         theta = find_eigenvalues(d1fn, (-2.0, 1700.0)).take(40)
         n = np.arange(1, 41)
         kappa = np.abs(theta.rhos - (n - pair.p // 2 - 1))

@@ -138,7 +138,7 @@ class TestCompanionCollinearity:
         d0, d1 = char_pair(sig, pair, spec.lambdas)
         t = np.linspace(0, np.pi, 257)
         for i, lam in enumerate(spec.lambdas):
-            g = build_v(lam, None, pair.p, t, f_values=(d0[i], -d1[i]))
+            g = build_v(lam, EntirePair.constant(d0[i], -d1[i]), pair.p, t)
             v = build_v(lam, f, pair.p, t)
             rows = np.stack([
                 np.concatenate([g.h1, g.h2, g.scalars]),

@@ -18,7 +18,7 @@ class TestValidateRp:
     def test_constant_pair(self):
         diag = validate_rp(BoundaryPolyPair([1.0], [0.0]))
         assert diag.p == 1 and diag.parity == "odd"
-        assert diag.normalized and diag.coprime
+        assert diag.min_p2_at_roots is None
 
     def test_normalization_violation(self):
         with pytest.raises(NormalizationViolation):
