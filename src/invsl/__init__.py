@@ -69,12 +69,10 @@ from .ode import (  # noqa: F401
     rk4_node_values,
 )
 from .reconstruct import (  # noqa: F401
-    ReconstructionResult,
     completeness_ratio,
     deltas_from_cauchy,
     moment_identity_check,
     reconstruct,
     solve_moment,
     stability_experiment,
-    unpack_u,
 )

@@ -93,6 +93,13 @@ def _eigenvalues(sigma, pair, f, count: int, window=None):
     return spec
 
 
+def _stored(sub, path: str):
+    """`sub` as read from `path`, where coinciding eigenvalues make the file malformed."""
+    if not sub.diagnostics().simple:
+        raise SchemaError(f"{path}: subspectrum contains coinciding eigenvalues")
+    return sub
+
+
 def cmd_forward(args) -> int:
     obj = _load(args.problem, "problem-v1")
     sigma, pair, f, _ = problem_from_json(obj)
@@ -123,12 +130,12 @@ def cmd_reconstruct(args) -> int:
     obj = _load(args.problem, "problem-v1")
     sub_obj = _load(args.subspectrum, "subspectrum-v1")
     _, pair, f, _ = problem_from_json(obj)
-    sub = subspectrum_from_json(sub_obj["lambdas"])
+    sub = _stored(subspectrum_from_json(sub_obj["lambdas"]), args.subspectrum)
     result = reconstruct(pair.p, f, sub, args.grid, reg=args.reg)
     meta = meta_block({"problem": obj, "subspectrum": sub_obj}, grid_m=args.grid, reg=args.reg)
-    _write(args.out, "cauchy_recovered.json", "cauchy", meta, **cauchy_to_json(result.cauchy))
-    _write(args.out, "report.json", "report", meta, report=result.report)
-    return _strict_exit(result.report, args)
+    _write(args.out, "cauchy_recovered.json", "cauchy", meta, **cauchy_to_json(result))
+    _write(args.out, "report.json", "report", meta, report=result.meta)
+    return _strict_exit(result.meta, args)
 
 
 def cmd_hl(args) -> int:
@@ -143,9 +150,9 @@ def cmd_hl(args) -> int:
 
     meta = meta_block(obj, grid_m=args.grid, eigs=args.eigs, drop=args.drop)
     _write(args.out, "spectrum.json", "spectrum", meta, lambdas=encode_array(spec.lambdas))
-    _write(args.out, "cauchy_recovered.json", "cauchy", meta, **cauchy_to_json(result.cauchy))
-    _write(args.out, "report.json", "report", meta, report=result.report)
-    return _strict_exit(result.report, args)
+    _write(args.out, "cauchy_recovered.json", "cauchy", meta, **cauchy_to_json(result))
+    _write(args.out, "report.json", "report", meta, report=result.meta)
+    return _strict_exit(result.meta, args)
 
 
 def _fmt(x: float) -> str:
@@ -159,8 +166,10 @@ def cmd_stability(args) -> int:
         raise SchemaError(f"--omega {args.omega} --trials {args.trials}: {exc}") from exc
     obj = _load(args.problem, "problem-v1")
     sigma, pair, f, sub = problem_from_json(obj)
-    if sub is None:
-        sub = _eigenvalues(sigma, pair, f, args.eigs)
+    if sub is not None and args.eigs is not None:
+        raise SchemaError(f"--eigs {args.eigs}: {args.problem} carries its own subspectrum")
+    sub = (_eigenvalues(sigma, pair, f, args.eigs or 40) if sub is None
+           else _stored(sub, args.problem))
     out = stability_experiment(pair.p, f, sub, args.grid, omegas,
                                trials=args.trials, seed=args.seed, reg=args.reg)
     lines = ["omega,trial,err_u,err_j,err_g,err_a"]
@@ -274,7 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("--omega", default="1e-3,1e-2", help="comma list of noise sizes")
     p.add_argument("--trials", type=int, default=20)
-    shared(p, *flags)
+    p.add_argument("--eigs", type=_at_least(1), metavar="N",
+                   help="eigenvalue count for a file without a subspectrum (default 40)")
+    shared(p, "--grid", "--seed", "--out", "--strict", "--reg")
     p.set_defaults(fn=cmd_stability)
 
     p = sub.add_parser("diagnose", help="subspectrum class flags and basis condition")

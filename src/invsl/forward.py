@@ -482,7 +482,8 @@ def extract_cauchy(sigma: SigmaFunction, pair: BoundaryPolyPair,
     """
     if abs(sigma.interval_length - np.pi) > 1e-12:
         raise ValueError("Cauchy-data extraction expects a problem on [0, pi]")
-    p = validate_rp(pair).p
+    validate_rp(pair)
+    p = pair.p
     rho = 0.5 * np.arange(1, 2 * (n_modes + _EXTRACT_OVERSAMPLE) + 1)
     lam = rho.astype(complex) ** 2
     d0, d1 = char_pair(sigma, pair, lam)

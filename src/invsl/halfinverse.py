@@ -21,9 +21,10 @@ from .errors import NonUniqueWarning, ParityMismatch
 from .forward import circle_zeros, find_eigenvalues, index_search, make_delta
 from .moments import build_moment_system  # noqa: F401  (lookup site wrapped by bench/spans.py)
 from .ode import monodromy
-from .reconstruct import ReconstructionResult, reconstruct
+from .reconstruct import reconstruct
 from .reconstruct import completeness_ratio  # noqa: F401  (lookup site wrapped by bench/spans.py)
-from .types import BoundaryPolyPair, EntirePair, SigmaFunction, Subspectrum, validate_rp
+from .types import (BoundaryPolyPair, CauchyData, EntirePair, SigmaFunction, Subspectrum,
+                    validate_rp)
 
 
 def _require_odd(p: int, r: int):
@@ -145,20 +146,21 @@ def hl_spectrum(problem: TwoSidedProblem, count: int) -> Subspectrum:
 
 def hl_reconstruct(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair,
                    p: int, spectrum: Subspectrum, drop: int, grid,
-                   reg: float = 0.0) -> ReconstructionResult:
+                   reg: float = 0.0) -> CauchyData:
     """Left-half Cauchy data from the spectrum with the first `drop` values excluded.
 
-    The report is `reconstruct`'s, with its uniqueness verdict, plus `drop`
-    and `drop_allowed` = (r - p)/2.  The paper's exclusion rule is added on
-    top: a drop beyond (r - p)/2 loses uniqueness, so it sets `non_unique`,
-    adds its message to `warnings` and emits NonUniqueWarning.
+    The result is `reconstruct`'s `CauchyData`; its `meta` report, with the
+    uniqueness verdict, gains `drop` and `drop_allowed` = (r - p)/2.  The
+    paper's exclusion rule is added on top: a drop beyond (r - p)/2 loses
+    uniqueness, so it sets `non_unique`, adds its message to `warnings` and
+    emits NonUniqueWarning.
     """
     r = right_pair.p
     _require_odd(p, r)
     allowed = (r - p) // 2
     f = hl_entire_pair(sigma_right, right_pair)
     result = reconstruct(p, f, spectrum.drop_first(drop), grid, reg=reg)
-    report = result.report
+    report = result.meta
     report["drop"] = drop
     report["drop_allowed"] = allowed
     if drop > allowed:

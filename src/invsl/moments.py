@@ -181,7 +181,7 @@ def build_w(lam, f: EntirePair, p: int, f_values=None):
 
 
 def u_from_cauchy(data: CauchyData) -> HpVector:
-    """Pack Cauchy data into the unknown vector (entry-wise conjugation)."""
+    """The moment relation's element u = conj([J, G, A]) of Cauchy data {J, G, A}."""
     return HpVector(np.conj(data.j), np.conj(data.g), np.conj(data.a))
 
 

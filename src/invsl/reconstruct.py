@@ -2,23 +2,23 @@
 
 The infinite biorthogonal expansion is realized as a least-squares solve over
 a finite trigonometric-plus-monomial representation space: rows are the moment
-vectors v_n (normalized), the unknown is expanded in orthonormalized probe
-functions, and all inner products are assembled from closed-form integrals so
-the system is free of grid-quadrature defects.  The recovered element is then
-synthesized on the working grid.
+vectors v_n (normalized), the Cauchy data {J, G, A} are expanded in
+orthonormalized probe functions, and all inner products are assembled from
+closed-form integrals so the system is free of grid-quadrature defects.  The
+recovered kernels are then synthesized on the working grid.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import NonUniqueWarning
-from .forward import char_delta, weyl_ratio
+from .forward import char_delta
 from .moments import (
     _RANK_TOL,
     MomentSystem,
@@ -38,7 +38,6 @@ from .types import (
     BoundaryPolyPair,
     CauchyData,
     EntirePair,
-    HpVector,
     SigmaFunction,
     Subspectrum,
     branch_sqrt,
@@ -103,10 +102,10 @@ def make_probe_basis(p: int, n_modes: tuple, n_poly: int = _N_POLY,
 def moment_design(system: MomentSystem, basis: ProbeBasis):
     """Normalized design matrix over the orthonormal probe space, plus targets.
 
-    Row n is conj((phi_i, v_n))/||v_n||; the right-hand side is
-    conj(w_n)/||v_n||.  Solving D x = b in this basis minimizes the true
-    product-space norm of the reconstructed element.  The rows of a stacked
-    system come trial by trial, so the design is always (rows, columns).
+    Row n is (phi_i, v_n)/||v_n|| and the right-hand side w_n/||v_n||, so the
+    solution of D x = b holds the Cauchy data's own coefficients, of least
+    true product-space norm.  The rows of a stacked system come trial by
+    trial, so the design is always (rows, columns).
     """
     lams = system.lambdas.lambdas.reshape(-1)
     rho = branch_sqrt(lams)
@@ -116,11 +115,11 @@ def moment_design(system: MomentSystem, basis: ProbeBasis):
     m2 = layout.k2[:, None] * _component_columns(basis.h2_tags, rho, against2)
     raw = np.concatenate([m1, m2, layout.slots], axis=1)
     inv_norm = 1.0 / np.maximum(system.norms.reshape(-1), 1e-300)
-    rows = np.conj(raw) * inv_norm[:, None]
+    rows = raw * inv_norm[:, None]
     d1 = rows[:, : len(basis.h1_tags)] @ basis.b1
     d2 = rows[:, len(basis.h1_tags): len(basis.h1_tags) + len(basis.h2_tags)] @ basis.b2
     design = np.concatenate([d1, d2, rows[:, len(basis.h1_tags) + len(basis.h2_tags):]], axis=1)
-    rhs = np.conj(system.ws.reshape(-1)) * inv_norm
+    rhs = system.ws.reshape(-1) * inv_norm
     return design, rhs
 
 
@@ -145,17 +144,17 @@ def default_basis(subspectrum: Subspectrum, p: int) -> ProbeBasis:
 
 
 def solve_moment(system: MomentSystem, basis: ProbeBasis, reg: float = 0.0):
-    """Solve (u, v_n) = w_n in the least-squares sense over the probe space.
+    """Least-squares solve of the moment system for the Cauchy data over the probe space.
 
     Rows are normalized by ||v_n||; `reg` adds Tikhonov damping in the true
     product-space norm.  Without damping, singular values at or below
     `_RANK_TOL` times the largest are truncated, so an underdetermined or
     rank-deficient system gives the minimum-norm solution, and the report
-    sets `deficient` when the smallest one is among them.  The solve report
-    is attached as `meta` on the returned element.
+    sets `deficient` when the smallest one is among them.  The `CauchyData`
+    returned carries its probe series and, as `meta`, the solve report.
 
     A stacked system is solved with one SVD over its (trials, N, K) design
-    stack and gives a list of elements, one per trial, each by the rules
+    stack and gives a list of `CauchyData`, one per trial, each by the rules
     above; all trials share one probe basis.
     """
     design, rhs = moment_design(system, basis)
@@ -165,16 +164,16 @@ def solve_moment(system: MomentSystem, basis: ProbeBasis, reg: float = 0.0):
     parts = [_solve_one(design[k], rhs[k], u_mat[k], svals[k], vh[k], basis, reg)
              for k in np.ndindex(system.ws.shape[:-1])]
     t = np.linspace(0.0, np.pi, system.grid_size)
-    h1 = synth_series(basis.h1_tags, np.array([x1 for x1, _, _, _ in parts]), t)
-    h2 = synth_series(basis.h2_tags, np.array([x2 for _, x2, _, _ in parts]), t)
-    out = [HpVector(a, b, scalars, meta=meta)
-           for a, b, (_, _, scalars, meta) in zip(h1, h2, parts)]
+    j = synth_series(basis.h1_tags, np.array([x1 for x1, *_ in parts]), t)
+    g = synth_series(basis.h2_tags, np.array([x2 for _, x2, *_ in parts]), t)
+    out = [CauchyData(jk, gk, a, series=series, meta=meta)
+           for jk, gk, (_, _, a, series, meta) in zip(j, g, parts)]
     return out if system.ws.ndim > 1 else out[0]
 
 
 def _solve_one(design, rhs, u_mat, svals, vh, basis: ProbeBasis, reg):
     """One trial of `solve_moment` from the SVD of its design: the probe-series
-    coefficients of both components, the scalars and the solve report."""
+    coefficients of both kernels, the constants and the solve report."""
     smax = float(svals[0]) if svals.size else 0.0
     smin = float(svals[-1]) if svals.size else 0.0
     ratio = smin / smax if smax > 0 else 0.0
@@ -185,6 +184,8 @@ def _solve_one(design, rhs, u_mat, svals, vh, basis: ProbeBasis, reg):
     d2 = basis.b2.shape[1]
     x1 = basis.b1 @ z[:d1]
     x2 = basis.b2 @ z[d1: d1 + d2]
+    series = {"j": list(zip(basis.h1_tags, x1.tolist())),
+              "g": list(zip(basis.h2_tags, x2.tolist()))}
     meta = {
         "residual": residual,
         "cond": smax / smin if smin > 0 else np.inf,
@@ -192,36 +193,23 @@ def _solve_one(design, rhs, u_mat, svals, vh, basis: ProbeBasis, reg):
         "design_shape": design.shape,
         "deficient": ratio <= _RANK_TOL,
         "reg": reg,
-        "series": {"h1": list(zip(basis.h1_tags, x1.tolist())),
-                   "h2": list(zip(basis.h2_tags, x2.tolist()))},
     }
-    return x1, x2, z[d1 + d2:], meta
+    return x1, x2, z[d1 + d2:], series, meta
 
 
-def unpack_u(u: HpVector) -> CauchyData:
-    """Invert the entry-wise conjugation packing of the unknown vector; the
-    series of its components become the kernels' "j" and "g" series."""
-    series = None
-    if u.meta and u.meta.get("series"):
-        series = {k: [(tag, complex(c).conjugate()) for tag, c in u.meta["series"][h]]
-                  for k, h in (("j", "h1"), ("g", "h2"))}
-    return CauchyData(j=np.conj(u.h1), g=np.conj(u.h2), a=np.conj(u.scalars),
-                      series=series, meta=u.meta)
-
-
-def deltas_from_cauchy(data: CauchyData, p: int, lam):
+def deltas_from_cauchy(data: CauchyData, lam):
     """Rebuild (Delta0, Delta1) from Cauchy data by grid quadrature.
 
     Delta1 is the moment row's pattern at (f1, f2) = (1, 0) and Delta0 at
-    (0, 1): kernel weights and slots come from `slot_layout`.
+    (0, 1): kernel weights and slots come from `slot_layout` at p = data.p.
     """
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
     rho = branch_sqrt(lam_arr)
     t = np.linspace(0.0, np.pi, data.j.size)
-    w = u_from_cauchy(data).weights()
+    w = data.weights()
     one, zero = np.ones_like(lam_arr), np.zeros_like(lam_arr)
-    lay1 = slot_layout(p, lam_arr, one, zero)
-    lay0 = slot_layout(p, lam_arr, zero, one)
+    lay1 = slot_layout(data.p, lam_arr, one, zero)
+    lay0 = slot_layout(data.p, lam_arr, zero, one)
     k1, k2 = lay1.kernels(t[None, :] * np.asarray(sinc(rho[:, None] * t[None, :])),
                           np.cos(rho[:, None] * t[None, :]))
     e1, e0 = lay1.free_terms(np.pi * np.asarray(sinc(rho * np.pi)), np.cos(rho * np.pi))
@@ -232,44 +220,25 @@ def deltas_from_cauchy(data: CauchyData, p: int, lam):
     return d0, d1
 
 
-def moment_identity_check(u: HpVector, lam, f: EntirePair,
+def moment_identity_check(data: CauchyData, lam, f: EntirePair,
                           pair: BoundaryPolyPair, sigma: SigmaFunction) -> float:
-    """Relative residual of (u, v(., lambda)) = Delta(lambda) + w(lambda)."""
+    """Relative residual of (u, v(., lambda)) = Delta(lambda) + w(lambda), with
+    u = `u_from_cauchy(data)` the moment relation's element of the Cauchy data."""
     p = pair.p
-    v = build_v(lam, f, p, u.grid_size - 1)
-    lhs = hp_inner(u, v)
+    lhs = hp_inner(u_from_cauchy(data), build_v(lam, f, p, data.j.size - 1))
     delta = complex(np.asarray(char_delta(sigma, pair, f, np.array([lam]))).ravel()[0])
     w = build_w(lam, f, p)
     scale = max(abs(delta), abs(w), abs(lhs), 1.0)
     return abs(lhs - delta - w) / scale
 
 
-@dataclass
-class ReconstructionResult:
-    """Recovered unknown vector, unpacked Cauchy data, and solve evidence."""
-
-    u: HpVector
-    cauchy: CauchyData
-    p: int
-    report: dict = field(default_factory=dict)
-
-    def deltas(self, lam):
-        return deltas_from_cauchy(self.cauchy, self.p, lam)
-
-    def weyl(self, lam, on_pole="raise"):
-        out = weyl_ratio(*self.deltas(lam), on_pole=on_pole)
-        if np.isscalar(lam) or np.asarray(lam).ndim == 0:
-            return complex(out[0])
-        return out
-
-
 def reconstruct(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
-                reg: float = 0.0, basis: Optional[ProbeBasis] = None) -> ReconstructionResult:
+                reg: float = 0.0, basis: Optional[ProbeBasis] = None) -> CauchyData:
     """Recover generalized Cauchy data from a subspectrum.
 
-    Composes the moment-system assembly, the normalized least-squares solve
-    over `basis` (by default `default_basis`), the unpacking of the unknown
-    vector, and the characteristic-function rebuild.
+    Composes the moment-system assembly and the normalized least-squares
+    solve over `basis` (by default `default_basis`); the returned
+    `CauchyData` carries the reconstruction report as `meta`.
 
     The uniqueness verdict is one rule: the report's `completeness` block is
     `completeness_ratio` of the solved system, whose gram ratio counts as 0
@@ -282,7 +251,7 @@ def reconstruct(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
     system = build_moment_system(subspectrum, f, p, t)
     if basis is None:
         basis = default_basis(subspectrum, p)
-    u = solve_moment(system, basis, reg=reg)
+    data = solve_moment(system, basis, reg=reg)
     comp = completeness_ratio(system)
     # a design with fewer rows than columns leaves a direction unseen,
     # whatever its singular values say
@@ -299,10 +268,10 @@ def reconstruct(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
         "n_rows": len(system),
         "probe_modes": (kinds.count("sin"), kinds.count("cos")),
         "probe_dim": basis.dim,
-        "residual": u.meta["residual"],
-        "cond": u.meta["cond"],
-        "smin_ratio": u.meta["smin_ratio"],
-        "deficient": u.meta["deficient"],
+        "residual": data.meta["residual"],
+        "cond": data.meta["cond"],
+        "smin_ratio": data.meta["smin_ratio"],
+        "deficient": data.meta["deficient"],
         "reg": reg,
         "completeness": comp,
         "non_unique": bool(warn_msgs),
@@ -315,7 +284,7 @@ def reconstruct(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
             "sum_inv_rho_sq": diag.sum_inv_rho_sq,
         },
     }
-    return ReconstructionResult(u=u, cauchy=unpack_u(u), p=p, report=report)
+    return replace(data, meta=report)
 
 
 def completeness_ratio(system: MomentSystem) -> dict:
@@ -370,7 +339,7 @@ def stability_experiment(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
     t = _as_grid(grid)
     basis = default_basis(subspectrum, p)
     base = reconstruct(p, f, subspectrum, t, reg=reg, basis=basis)
-    w = base.u.weights()
+    w = base.weights()
 
     def l2(vec):
         return float(np.sqrt(np.sum(w * np.abs(vec) ** 2).real))
@@ -386,18 +355,16 @@ def stability_experiment(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
     solved = solve_moment(system, basis, reg=reg)
 
     rows = []
-    for i, u in enumerate(solved):
-        # the Cauchy data are u's entries conjugated, exactly, so |du| is their error too
-        du = u - base.u
+    for i, data in enumerate(solved):
+        dj, dg, da = data.j - base.j, data.g - base.g, data.a - base.a
         rows.append({
             "omega": omegas[i // trials],
             "trial": i % trials,
             "err_u": float(np.sqrt(abs(
-                np.sum(w * (np.abs(du.h1) ** 2 + np.abs(du.h2) ** 2))
-                + np.sum(np.abs(du.scalars) ** 2)))),
-            "err_j": l2(du.h1),
-            "err_g": l2(du.h2),
-            "err_a": float(np.max(np.abs(du.scalars))) if du.scalars.size else 0.0,
+                np.sum(w * (np.abs(dj) ** 2 + np.abs(dg) ** 2)) + np.sum(np.abs(da) ** 2)))),
+            "err_j": l2(dj),
+            "err_g": l2(dg),
+            "err_a": float(np.max(np.abs(da))) if da.size else 0.0,
         })
     summary = {}
     for k, omega in enumerate(omegas):
@@ -409,4 +376,4 @@ def stability_experiment(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
     pos = [summary[o]["ratio_vs_omega"] for o in omegas if o > 0]
     fitted_c = float(max(pos)) if pos else 0.0
     return {"rows": rows, "summary": summary, "fitted_c": fitted_c, "seed": seed,
-            "base": base.report}
+            "base": base.meta}

@@ -161,18 +161,10 @@ class BoundaryPolyPair:
         return _polyval(self.a[1:] * n, lam)
 
 
-@dataclass(frozen=True)
-class RpDiagnostics:
-    p: int
-    parity: str
-    min_p2_at_roots: Optional[float]
-
-
-def validate_rp(pair: BoundaryPolyPair) -> RpDiagnostics:
+def validate_rp(pair: BoundaryPolyPair) -> None:
     """Check the normalization and coprimality of a boundary pair.
 
-    Raises NormalizationViolation or CommonRoot on failure; returns the
-    diagnostics record on success.  The input is never mutated.
+    Raises NormalizationViolation or CommonRoot on failure; never mutates the pair.
     """
     parity = pair.parity  # raises NormalizationViolation for impossible shapes
     if parity == "odd":
@@ -184,7 +176,6 @@ def validate_rp(pair: BoundaryPolyPair) -> RpDiagnostics:
             f"leading coefficient must be 1 for {parity} p={pair.p}, got {lead}"
         )
 
-    min_val: Optional[float] = None
     a, b = pair.a, pair.b
     deg_a = _true_degree(a)
     deg_b = _true_degree(b)
@@ -196,8 +187,6 @@ def validate_rp(pair: BoundaryPolyPair) -> RpDiagnostics:
         tol = 1e-8 * (1.0 + np.abs(roots) ** max(deg_b, 0))
         if np.any(vals <= tol):
             raise CommonRoot(f"p2 vanishes at a root of p1 (min |p2(root)| = {vals.min():.3e})")
-        min_val = float(vals.min())
-    return RpDiagnostics(p=pair.p, parity=parity, min_p2_at_roots=min_val)
 
 
 def _true_degree(coeffs: np.ndarray) -> int:
@@ -331,7 +320,6 @@ class HpVector:
     h1: np.ndarray
     h2: np.ndarray
     scalars: np.ndarray
-    meta: Optional[dict] = field(default=None, compare=False)
 
     def __post_init__(self):
         h1 = np.atleast_1d(np.array(self.h1, dtype=complex))
@@ -354,10 +342,7 @@ class HpVector:
         return self.scalars.size
 
     def weights(self) -> np.ndarray:
-        m = self.grid_size - 1
-        w = np.full(self.grid_size, np.pi / m)
-        w[0] = w[-1] = 0.5 * np.pi / m
-        return w
+        return _trapezoid(self.grid_size)
 
     def norm(self) -> float:
         return float(np.sqrt(hp_inner(self, self).real))
@@ -373,6 +358,13 @@ class HpVector:
     @classmethod
     def zero(cls, grid_size: int, p: int) -> "HpVector":
         return cls(np.zeros(grid_size, complex), np.zeros(grid_size, complex), np.zeros(p, complex))
+
+
+def _trapezoid(n: int) -> np.ndarray:
+    """Trapezoid weights of the uniform n-point grid over [0, pi]."""
+    w = np.full(n, np.pi / (n - 1))
+    w[0] = w[-1] = 0.5 * np.pi / (n - 1)
+    return w
 
 
 def _check_compatible(g: HpVector, h: HpVector):
@@ -396,7 +388,9 @@ def hp_inner(g: HpVector, h: HpVector) -> complex:
 
 @dataclass(frozen=True)
 class CauchyData:
-    """Generalized Cauchy data: two L2(0, pi) kernels plus p complex constants."""
+    """Generalized Cauchy data: two L2(0, pi) kernels j, g plus p complex constants a.
+    `series` holds the kernels' probe series (keys "j", "g") and `meta` the report
+    of the fit (`extract_cauchy`) or the reconstruction (`reconstruct`) that made them."""
 
     j: np.ndarray
     g: np.ndarray
@@ -419,3 +413,6 @@ class CauchyData:
     @property
     def p(self) -> int:
         return self.a.size
+
+    def weights(self) -> np.ndarray:
+        return _trapezoid(self.j.size)

@@ -15,7 +15,7 @@ from conftest import fundamental_nodes, rel_l2
 from invsl.cli import main
 from invsl.forward import char_pair, extract_cauchy, find_eigenvalues, make_delta, resample_cauchy
 from invsl.halfinverse import hl_reconstruct, hl_spectrum
-from invsl.moments import u_from_cauchy, xi_identity_residual
+from invsl.moments import xi_identity_residual
 from invsl.problems import (
     forward_corpus,
     hl_step_instance,
@@ -75,7 +75,7 @@ def test_criterion_03_representation_closure():
     for name, sig, pair, _ in corpus:
         data = extract_cauchy(sig, pair, grid_m=4096)
         lam = rng.uniform(0.15, 5.8, 50) ** 2 + 0j
-        d0r, d1r = deltas_from_cauchy(data, pair.p, lam)
+        d0r, d1r = deltas_from_cauchy(data, lam)
         d0, d1 = char_pair(sig, pair, lam)
         scale = np.maximum(np.abs(d0), np.abs(d1))
         err = max(np.max(np.abs(d1r - d1) / scale), np.max(np.abs(d0r - d0) / scale))
@@ -90,9 +90,9 @@ def test_criterion_04_moment_identity():
     parities = set()
     for name, sig, pair, f in forward_corpus():
         parities.add(pair.p % 2)
-        u = u_from_cauchy(extract_cauchy(sig, pair, grid_m=16384))
+        data = extract_cauchy(sig, pair, grid_m=16384)
         for lam in rng.uniform(0.2, 30, 30):
-            res = moment_identity_check(u, lam, f, pair, sig)
+            res = moment_identity_check(data, lam, f, pair, sig)
             assert res <= 1e-6, f"{name} at {lam}: {res:.2e}"
             worst = max(worst, res)
     assert parities == {0, 1}
@@ -116,9 +116,9 @@ def test_criterion_06_inverse_round_trip(rt_problems):
         res = reconstruct(1, rt.f, rt.spectrum.take(40), 128)
         elapsed = time.time() - start
         oracle = rt.oracle_on(128)
-        ej = rel_l2(res.cauchy.j, oracle.j)
-        eg = rel_l2(res.cauchy.g, oracle.g)
-        ea = float(np.max(np.abs(res.cauchy.a - oracle.a)))
+        ej = rel_l2(res.j, oracle.j)
+        eg = rel_l2(res.g, oracle.g)
+        ea = float(np.max(np.abs(res.a - oracle.a)))
         assert ej <= 1e-3 and eg <= 1e-3, f"{rt.name}: J {ej:.2e} G {eg:.2e}"
         assert ea <= 1e-3, f"{rt.name}: A {ea:.2e}"
         assert elapsed <= 300
@@ -154,20 +154,20 @@ def test_criterion_08_exclusion_rule(exclusion_case):
             warnings.simplefilter("ignore")
             res = hl_reconstruct(sigma_right, prob.right_pair, 1,
                                  exclusion_case.spectrum.take(40 + drop), drop, 128)
-        ej = rel_l2(res.cauchy.j, oracle.j)
-        eg = rel_l2(res.cauchy.g, oracle.g)
-        ea = float(np.max(np.abs(res.cauchy.a - oracle.a)))
+        ej = rel_l2(res.j, oracle.j)
+        eg = rel_l2(res.g, oracle.g)
+        ea = float(np.max(np.abs(res.a - oracle.a)))
         assert max(ej, eg, ea) <= 1e-3, f"drop {drop}: {ej:.2e}/{eg:.2e}/{ea:.2e}"
-        assert res.report["completeness"]["gram_ratio"] > 1e-8
+        assert res.meta["completeness"]["gram_ratio"] > 1e-8
         msgs.append(f"drop {drop} ok ({max(ej, eg):.1e})")
     for n in (32, 48):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = hl_reconstruct(sigma_right, prob.right_pair, 1,
                                  exclusion_case.spectrum.take(n + 2), 2, 128)
-        ratio = res.report["completeness"]["gram_ratio"]
+        ratio = res.meta["completeness"]["gram_ratio"]
         assert ratio <= 1e-8, f"N {n}: gram ratio {ratio:.2e}"
-        assert res.report["non_unique"]
+        assert res.meta["non_unique"]
         msgs.append(f"drop 2 @N={n} gram ratio {ratio:.1e} < 1e-8")
     report(8, "exclusion rule (p,r)=(1,3): " + "; ".join(msgs))
 

@@ -27,7 +27,11 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def load_golden(name):
-    return json.loads((GOLDEN / name).read_text())
+    return read_json(GOLDEN / name)
+
+
+def read_json(path):
+    return json.loads(Path(path).read_text())
 
 
 # The Cauchy data come from one SVD least-squares fit per family, whose
@@ -78,7 +82,7 @@ def write(path, obj):
 
 def strict_message(out):
     """The --strict stderr built from the non-unique report.json in `out`."""
-    report = json.load(open(out / "report.json"))["report"]
+    report = read_json(out / "report.json")["report"]
     assert report["non_unique"]
     return "non-unique reconstruction: " + "; ".join(report["warnings"]) + "\n"
 
@@ -94,12 +98,12 @@ class TestForward:
     def test_free_dirichlet_spectrum(self, free_problem, tmp_path):
         out = tmp_path / "out"
         assert main(["forward", free_problem, "--eigs", "12", "--out", str(out)]) == 0
-        spec = json.load(open(out / "spectrum.json"))
+        spec = read_json(out / "spectrum.json")
         lam = complex_array(spec["lambdas"])
         assert np.max(np.abs(lam.real - (np.arange(1, 13) - 0.5) ** 2)) <= 1e-8
         assert spec["meta"]["tool"].startswith("invsl ")
         assert len(spec["meta"]["input_sha256"]) == 64
-        cauchy = json.load(open(out / "cauchy.json"))
+        cauchy = read_json(out / "cauchy.json")
         assert np.max(np.abs(complex_array(cauchy["j"]))) <= 1e-6
 
     def test_eigenvalue_below_the_old_scan_window(self, tmp_path, capsys):
@@ -110,7 +114,7 @@ class TestForward:
         out = tmp_path / "out"
         argv = ["forward", write(tmp_path / "p.json", obj), "--eigs", "5", "--out", str(out)]
         assert main(argv) == 0
-        lam = complex_array(json.load(open(out / "spectrum.json"))["lambdas"]).real
+        lam = complex_array(read_json(out / "spectrum.json")["lambdas"]).real
         assert np.max(np.abs(lam - [-24.70297, 1.10741, 4.51288, 10.10088, 17.82472])) <= 1e-5
         assert capsys.readouterr().err == ""
 
@@ -126,7 +130,7 @@ class TestForward:
         obj = problem_to_json(left, prob.left_pair, hl_f_descriptor(right, prob.right_pair))
         argv = ["forward", write(tmp_path / "p.json", obj), "--eigs", "3", "--out", str(tmp_path / "a")]
         assert main(argv) == 0
-        lam = complex_array(json.load(open(tmp_path / "a" / "spectrum.json"))["lambdas"]).real
+        lam = complex_array(read_json(tmp_path / "a" / "spectrum.json")["lambdas"]).real
         assert np.max(np.abs(lam - expected) / (1.0 + np.abs(expected))) <= 1e-12
         assert capsys.readouterr().err == ""
         # a right half that starts at another sample does not join: the scan
@@ -156,7 +160,7 @@ class TestForward:
                    "--eigs", "10", "--grid", "256", "--out", str(out)])
         assert rc == 0
         for name, bounds in GOLDEN_BOUNDS.items():
-            fresh = json.loads((out / name).read_text())
+            fresh = read_json(out / name)
             assert_json_close(fresh, load_golden(name), bounds)
 
     @pytest.mark.parametrize("name, alter, field", [
@@ -272,7 +276,7 @@ def test_complex_sigma_without_window(verb, make, flags, tmp_path, capsys):
     assert capsys.readouterr().err == ""
     if verb == "forward":
         # the real part's (zero potential's) eigenvalues are (k + 1/2)^2
-        lam = complex_array(json.load(open(out / "spectrum.json"))["lambdas"])
+        lam = complex_array(read_json(out / "spectrum.json")["lambdas"])
         assert lam.size == 4 and np.all(np.abs(lam - (np.arange(4) + 0.5) ** 2) < 0.1)
         assert np.all(lam.imag != 0)
 
@@ -324,6 +328,9 @@ def test_entire_pair_without_its_keys_exit2(f, tmp_path, capsys):
     (["forward", "{nan_p2}", "--eigs", "3"], "NaN is not a JSON number"),
     (["stability", "{nan_sub}"], "NaN is not a JSON number"),
     (["diagnose", "{inf_sub}"], "-Infinity is not a JSON number"),
+    (["reconstruct", "{golden}", "{dup_sub}"], "s_dup.json: subspectrum contains coinciding"),
+    (["stability", "{dup_stored}"], "dup_stored.json: subspectrum contains coinciding"),
+    (["stability", "{stored}", "--eigs", "12"], "--eigs 12: {stored} carries its own subspectrum"),
 ], ids=["diagnose-array", "window-one", "window-three", "window-reversed", "window-nan",
         "window-inf", "diagnose-flags", "diagnose-grid-flags", "reconstruct-flags",
         "hl-flags", "forward-flags", "forward-tol", "stability-tol", "reconstruct-report",
@@ -331,22 +338,31 @@ def test_entire_pair_without_its_keys_exit2(f, tmp_path, capsys):
         "reconstruct-grid-zero", "forward-grid-negative", "forward-eigs-negative",
         "hl-eigs-zero", "forward-eigs-fraction", "stability-seed-negative", "hl-drop-negative",
         "hl-drop-all", "hl-drop-past-eigs", "reconstruct-reg-negative", "reconstruct-reg-nan",
-        "forward-nan", "stability-nan", "diagnose-infinity"])
+        "forward-nan", "stability-nan", "diagnose-infinity", "reconstruct-coinciding",
+        "stability-coinciding", "stability-eigs-with-subspectrum"])
 def test_bad_input_exit2_without_traceback(argv, reason, tmp_path, capsys):
     # a JSON array for diagnose, a malformed --window, a count below 1, a
     # negative --seed, a --drop outside [0, --eigs), a --reg below 0 or not
-    # finite, a flag the verb does not read and a NaN or +-Infinity in a
-    # file (json reads them as numbers, which the schemas admit) are input errors
+    # finite, a flag the verb does not read, a NaN or +-Infinity in a file
+    # (json reads them as numbers, which the schemas admit), a stored
+    # subspectrum with coinciding eigenvalues and --eigs for stability on a
+    # file that carries its subspectrum are input errors
     free = BoundaryPolyPair([1.0], [0.0])
     two = two_sided_to_json(TwoSidedProblem(SigmaFunction.zero(2 * np.pi, 64), free, free))
-    sub = subspectrum_to_json(Subspectrum(np.arange(1, 13, dtype=complex) ** 2))
+    lambdas = np.arange(1, 13, dtype=complex) ** 2
+    dup = lambdas.copy()
+    dup[5] = dup[4]
     paths = {"array": write(tmp_path / "a.json", [1.0, 2.0]),
              "golden": str(GOLDEN / "step_problem.json"),
-             "two": write(tmp_path / "two.json", two), "sub": write(tmp_path / "s.json", sub)}
+             "two": write(tmp_path / "two.json", two),
+             "sub": write(tmp_path / "s.json", subspectrum_to_json(Subspectrum(lambdas))),
+             "dup_sub": write(tmp_path / "s_dup.json", subspectrum_to_json(Subspectrum(dup)))}
     golden = load_golden("step_problem.json")
     for name, key, value in [("nan_p2", "p2", [np.nan]),
                              ("nan_sub", "subspectrum", [1.0, np.nan, 9.0]),
-                             ("inf_sub", "subspectrum", [1.0, 4.0, -np.inf, 16.0])]:
+                             ("inf_sub", "subspectrum", [1.0, 4.0, -np.inf, 16.0]),
+                             ("dup_stored", "subspectrum", [1.0, 4.0, 4.0, 9.0]),
+                             ("stored", "subspectrum", lambdas.real.tolist())]:
         paths[name] = str(tmp_path / f"{name}.json")
         Path(paths[name]).write_text(json.dumps({**golden, key: value}))
     out = tmp_path / "out"
@@ -356,7 +372,7 @@ def test_bad_input_exit2_without_traceback(argv, reason, tmp_path, capsys):
         code = exc.code
     assert code == 2
     err = capsys.readouterr().err
-    assert reason in err and "Traceback" not in err
+    assert reason.format(**paths) in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -368,11 +384,11 @@ class TestReconstruct:
         sub_file = write(tmp_path / "s.json", subspectrum_to_json(rt_free.spectrum))
         out = tmp_path / "out"
         assert main(["reconstruct", prob_file, sub_file, "--out", str(out)]) == 0
-        rec = json.load(open(out / "cauchy_recovered.json"))
+        rec = read_json(out / "cauchy_recovered.json")
         oracle = rt_free.oracle_on(rec["grid_m"])
         assert rel_l2(complex_array(rec["j"]), oracle.j) <= 1e-3
         assert rel_l2(complex_array(rec["g"]), oracle.g) <= 1e-3
-        report = json.load(open(out / "report.json"))["report"]
+        report = read_json(out / "report.json")["report"]
         assert report["residual"] <= 1e-3
         assert not report["non_unique"]
 
@@ -415,16 +431,16 @@ class TestHalfInverse:
         out0 = tmp_path / "d0"
         assert main(["hl", ts_file, "--eigs", "40", "--drop", "0",
                      "--strict", "--out", str(out0)]) == 0
-        report = json.load(open(out0 / "report.json"))["report"]
+        report = read_json(out0 / "report.json")["report"]
         assert report["completeness"]["gram_ratio"] > 1e-8
-        rec = json.load(open(out0 / "cauchy_recovered.json"))
+        rec = read_json(out0 / "cauchy_recovered.json")
         oracle = exclusion_case.oracle_on(rec["grid_m"])
         assert rel_l2(complex_array(rec["j"]), oracle.j) <= 1e-3
 
         out2 = tmp_path / "d2"
         assert main(["hl", ts_file, "--eigs", "50", "--drop", "2",
                      "--strict", "--out", str(out2)]) == 4
-        report2 = json.load(open(out2 / "report.json"))["report"]
+        report2 = read_json(out2 / "report.json")["report"]
         assert report2["completeness"]["gram_ratio"] <= 1e-8
         assert capsys.readouterr().err == strict_message(out2)
 
@@ -435,7 +451,7 @@ class TestHalfInverse:
         ts_file = write(tmp_path / "two.json", two_sided_to_json(rt_free.problem))
         out = tmp_path / "out"
         assert main(["hl", ts_file, "--eigs", str(eigs), "--strict", "--out", str(out)]) == code
-        assert json.load(open(out / "report.json"))["report"]["n_rows"] == eigs
+        assert read_json(out / "report.json")["report"]["n_rows"] == eigs
 
 
 COLLAPSED = ("completeness evidence collapsed (gram ratio 0.00e+00); "
@@ -465,7 +481,7 @@ def test_one_verdict_in_every_report(verb, eigs, verdict, rt_free, tmp_path):
                 "--omega", "1e-3", "--trials", "2"]
     assert main(argv + ["--out", str(out)]) == 0
     name = "stability_summary.json" if verb == "stability" else "report.json"
-    report = json.load(open(out / name))["report"]
+    report = read_json(out / name)["report"]
     assert report["non_unique"] is bool(verdict)
     assert report["warnings"] == verdict
     if verb != "stability":
@@ -494,7 +510,7 @@ class TestStability:
         assert all(float(l.split(",")[2]) <= 1e-10 for l in zero_rows)
         noisy = [float(l.split(",")[2]) for l in lines[1:] if not l.startswith("0.0,")]
         assert all(v > 0 for v in noisy)
-        report = json.load(open(tmp_path / "a" / "stability_summary.json"))["report"]
+        report = read_json(tmp_path / "a" / "stability_summary.json")["report"]
         assert report["non_unique"] is False and report["warnings"] == []
 
     def test_strict_non_unique_base_exit4(self, tmp_path, capsys):
@@ -512,7 +528,7 @@ class TestStability:
             out = tmp_path / str(strict)
             argv = ["stability", prob_file, *flags, "--out", str(out)] + ["--strict"] * strict
             assert main(argv) == code
-            report = json.load(open(out / "stability_summary.json"))["report"]
+            report = read_json(out / "stability_summary.json")["report"]
             assert report["non_unique"] is True
             assert any("completeness evidence collapsed" in w for w in report["warnings"])
             assert (out / "stability.csv").exists()
@@ -541,7 +557,7 @@ class TestDiagnose:
         f = write(tmp_path / "s.json", subspectrum_to_json(sub))
         out = tmp_path / "out"
         assert main(["diagnose", f, "--out", str(out)]) == 0
-        d = json.load(open(out / "diagnostics.json"))
+        d = read_json(out / "diagnostics.json")
         assert d["class_s"]["simple"] is True
         assert d["gram"]["conds"][-1] == pytest.approx(1.0, abs=1e-8)
         assert d["xi_identity_residual"] <= 1e-8
@@ -551,7 +567,7 @@ class TestDiagnose:
         f = write(tmp_path / "s.json", subspectrum_to_json(sub))
         out = tmp_path / "out"
         assert main(["diagnose", f, "--out", str(out)]) == 0
-        d = json.load(open(out / "diagnostics.json"))
+        d = read_json(out / "diagnostics.json")
         assert d["class_s"]["simple"] is False
 
     def test_corpus_subspectrum_curve_bounded(self, rt_free, tmp_path):
@@ -561,7 +577,7 @@ class TestDiagnose:
         f = write(tmp_path / "s.json", subspectrum_to_json(tail))
         out = tmp_path / "out"
         assert main(["diagnose", f, "--out", str(out)]) == 0
-        d = json.load(open(out / "diagnostics.json"))
+        d = read_json(out / "diagnostics.json")
         conds = d["gram"]["conds"]
         assert all(np.isfinite(c) for c in conds)
         assert conds[-1] < 10
@@ -570,7 +586,7 @@ class TestDiagnose:
         full = write(tmp_path / "full.json", subspectrum_to_json(rt_free.spectrum))
         out2 = tmp_path / "out2"
         assert main(["diagnose", full, "--out", str(out2)]) == 0
-        d2 = json.load(open(out2 / "diagnostics.json"))
+        d2 = read_json(out2 / "diagnostics.json")
         assert d2["gram"]["conds"][-1] > conds[-1]
 
 

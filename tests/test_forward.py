@@ -406,7 +406,7 @@ class TestExtractCauchy:
         cd = extract_cauchy(SIG0, pair, n_modes=48)
         rng = np.random.default_rng(5)
         lam = rng.uniform(0.2, 30, 50) + 0j
-        d0r, d1r = deltas_from_cauchy(resample_cauchy(cd, 16384), pair.p, lam)
+        d0r, d1r = deltas_from_cauchy(resample_cauchy(cd, 16384), lam)
         d0, d1 = char_pair(SIG0, pair, lam)
         scale = np.maximum(np.abs(d0), np.abs(d1))
         assert np.max(np.abs(d1r - d1) / scale) <= 1e-6
@@ -418,7 +418,7 @@ class TestExtractCauchy:
         cd = extract_cauchy(sig, PAIR_FREE, n_modes=64)
         rng = np.random.default_rng(6)
         lam = rng.uniform(0.2, 30, 50) + 0j
-        d0r, d1r = deltas_from_cauchy(resample_cauchy(cd, 4096), 1, lam)
+        d0r, d1r = deltas_from_cauchy(resample_cauchy(cd, 4096), lam)
         d0, d1 = char_pair(sig, pair=PAIR_FREE, lam=lam)
         scale = np.maximum(np.abs(d0), np.abs(d1))
         assert np.max(np.abs(d1r - d1) / scale) <= 5e-3

@@ -283,10 +283,10 @@ class TestReconstructDriver:
                 warnings.simplefilter("ignore")
                 res = hl_reconstruct(sigma_right, exclusion_case.problem.right_pair,
                                      1, exclusion_case.spectrum.take(40 + drop), drop, 128)
-            assert rel_l2(res.cauchy.j, oracle.j) <= 1e-3
-            assert rel_l2(res.cauchy.g, oracle.g) <= 1e-3
-            assert np.max(np.abs(res.cauchy.a - oracle.a)) <= 1e-3
-            assert res.report["completeness"]["gram_ratio"] > 1e-8
+            assert rel_l2(res.j, oracle.j) <= 1e-3
+            assert rel_l2(res.g, oracle.g) <= 1e-3
+            assert np.max(np.abs(res.a - oracle.a)) <= 1e-3
+            assert res.meta["completeness"]["gram_ratio"] > 1e-8
 
     def test_rank_evidence_from_the_solved_system(self, exclusion_case):
         # the completeness block reads the moment system the solve built; it
@@ -298,16 +298,16 @@ class TestReconstructDriver:
             res = hl_reconstruct(sigma_right, exclusion_case.problem.right_pair,
                                  1, exclusion_case.spectrum.take(41), 1, 128)
         rebuilt = build_moment_system(used, exclusion_case.f, 1, 128)
-        assert res.report["n_rows"] == len(used)
-        assert res.report["completeness"] == completeness_ratio(rebuilt)
+        assert res.meta["n_rows"] == len(used)
+        assert res.meta["completeness"] == completeness_ratio(rebuilt)
 
     def test_drop_two_collapses(self, exclusion_case):
         _, sigma_right = exclusion_case.problem.halves()
         with pytest.warns(Warning):
             res = hl_reconstruct(sigma_right, exclusion_case.problem.right_pair,
                                  1, exclusion_case.spectrum.take(50), 2, 128)
-        assert res.report["completeness"]["gram_ratio"] <= 1e-8
-        assert res.report["drop_allowed"] == 1
+        assert res.meta["completeness"]["gram_ratio"] <= 1e-8
+        assert res.meta["drop_allowed"] == 1
 
     def test_step_instance_qualitative(self):
         # kink-bearing kernels: the round trip saturates at percent level
@@ -318,9 +318,9 @@ class TestReconstructDriver:
         from invsl.forward import extract_cauchy, resample_cauchy
         oracle = resample_cauchy(extract_cauchy(sigma_left, prob.left_pair, n_modes=128), 128)
         res = hl_reconstruct(sigma_right, prob.right_pair, 1, spec, 0, 128)
-        assert rel_l2(res.cauchy.j, oracle.j) <= 5e-2
-        assert rel_l2(res.cauchy.g, oracle.g) <= 2.5e-1
-        assert np.max(np.abs(res.cauchy.a - oracle.a)) <= 1e-3
+        assert rel_l2(res.j, oracle.j) <= 5e-2
+        assert rel_l2(res.g, oracle.g) <= 2.5e-1
+        assert np.max(np.abs(res.a - oracle.a)) <= 1e-3
 
 
 class TestTwoSidedValidation:

@@ -64,31 +64,32 @@ class TestBuildW:
 
 
 @pytest.fixture(scope="module")
-def trivial_u():
-    return u_from_cauchy(extract_cauchy(SIG0, BoundaryPolyPair([1.0], [0.0])))
+def trivial_data():
+    return extract_cauchy(SIG0, BoundaryPolyPair([1.0], [0.0]))
 
 
 class TestMomentIdentity:
 
-    def test_at_generic_lambda(self, trivial_u):
+    def test_at_generic_lambda(self, trivial_data):
         pair = BoundaryPolyPair([1.0], [0.0])
-        assert moment_identity_check(trivial_u, 2.0, F01, pair, SIG0) <= 1e-6
+        assert moment_identity_check(trivial_data, 2.0, F01, pair, SIG0) <= 1e-6
 
-    def test_at_eigenvalue_reduces_to_w(self, trivial_u):
+    def test_at_eigenvalue_reduces_to_w(self, trivial_data):
         # Delta vanishes there, so (u, v_n) - w_n itself must be small
         pair = BoundaryPolyPair([1.0], [0.0])
         lam = (3 - 0.5) ** 2
-        v = build_v(lam, F01, 1, trivial_u.grid_size - 1)
+        u = u_from_cauchy(trivial_data)
+        v = build_v(lam, F01, 1, u.grid_size - 1)
         from invsl.types import hp_inner
         w = build_w(lam, F01, 1)
         scale = max(abs(w), 1.0)
-        assert abs(hp_inner(trivial_u, v) - w) / scale <= 1e-6
+        assert abs(hp_inner(u, v) - w) / scale <= 1e-6
 
     def test_zero_data_zero_f(self):
-        from invsl.types import HpVector
-        u = HpVector.zero(129, 1)
+        from invsl.types import CauchyData
+        data = CauchyData(np.zeros(129), np.zeros(129), [0.0])
         f0 = EntirePair.constant(0.0, 0.0)
-        assert moment_identity_check(u, 3.0, f0, BoundaryPolyPair([1.0], [0.0]), SIG0) == 0
+        assert moment_identity_check(data, 3.0, f0, BoundaryPolyPair([1.0], [0.0]), SIG0) == 0
 
 
 class TestMomentSystem:

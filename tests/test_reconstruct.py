@@ -7,7 +7,7 @@ import pytest
 
 from conftest import gauss_panels, rel_l2, sequential_stability
 from invsl.errors import DuplicateEigenvalue, NonUniqueWarning, PoleProximity
-from invsl.forward import char_pair, extract_cauchy, resample_cauchy
+from invsl.forward import char_pair, extract_cauchy, resample_cauchy, weyl_ratio
 from invsl.moments import (
     _component_columns,
     _gram_block,
@@ -18,7 +18,6 @@ from invsl.moments import (
 )
 from invsl.reconstruct import (
     ProbeBasis,
-    ReconstructionResult,
     completeness_ratio,
     default_basis,
     deltas_from_cauchy,
@@ -27,7 +26,6 @@ from invsl.reconstruct import (
     reconstruct,
     solve_moment,
     stability_experiment,
-    unpack_u,
 )
 from invsl.trig import (
     overlap_cos_cos,
@@ -40,7 +38,6 @@ from invsl.types import (
     BoundaryPolyPair,
     CauchyData,
     EntirePair,
-    HpVector,
     SigmaFunction,
     Subspectrum,
     hp_inner,
@@ -56,7 +53,7 @@ F01 = EntirePair.constant(0.0, 1.0)
 
 class TestMomentDesign:
     def test_raw_rows_match_grid_quadrature(self):
-        # with identity whitening the design is conj((phi_i, v_n))/||v_n||;
+        # with identity whitening the design is (phi_i, v_n)/||v_n||;
         # the closed-form integrals must match trapezoid quadrature of the
         # probe functions against build_v's grid rows, for both parities
         f = EntirePair.constant(0.7, -1.3)
@@ -71,7 +68,7 @@ class TestMomentDesign:
             basis = ProbeBasis(probe.h1_tags, probe.h2_tags, p, np.eye(n1), np.eye(n2))
             system = build_moment_system(sub, f, p, m)
             design, _ = moment_design(system, basis)
-            raw = np.conj(design) * system.norms[:, None]
+            raw = design * system.norms[:, None]
             for n, lam in enumerate(sub.lambdas):
                 v = build_v(lam, f, p, t)
                 quad = np.concatenate([
@@ -138,18 +135,19 @@ class TestSolveMoment:
     def test_blank_h1_block_rank_deficient(self):
         # f1 == 0 zeroes the H1 block of every row: the solve reports it
         sub = Subspectrum((np.arange(1, 41) - 0.5) ** 2 + 0j)
-        u = solve_moment(build_moment_system(sub, F01, 1, 128), default_basis(sub, 1))
-        assert u.meta["deficient"]
+        data = solve_moment(build_moment_system(sub, F01, 1, 128), default_basis(sub, 1))
+        assert data.meta["deficient"]
 
     def test_roundtrip_matches_oracle_u(self, rt_free):
-        # forward-generated problem: rebuilt element matches the packed oracle
-        u = solve_moment(build_moment_system(rt_free.spectrum, rt_free.f, 1, 128),
-                         default_basis(rt_free.spectrum, 1))
+        # forward-generated problem: the solved data match the oracle in the
+        # product-space norm of their moment-relation elements
+        data = solve_moment(build_moment_system(rt_free.spectrum, rt_free.f, 1, 128),
+                            default_basis(rt_free.spectrum, 1))
         u_oracle = u_from_cauchy(rt_free.oracle_on(128))
-        err = (u - u_oracle).norm() / u_oracle.norm()
+        err = (u_from_cauchy(data) - u_oracle).norm() / u_oracle.norm()
         assert err <= 1e-3
-        assert u.meta["residual"] <= 1e-8 + 1e-6 * np.linalg.norm(
-            np.abs(np.asarray(u.meta["design_shape"])))  # residual is tiny
+        assert data.meta["residual"] <= 1e-8 + 1e-6 * np.linalg.norm(
+            np.abs(np.asarray(data.meta["design_shape"])))  # residual is tiny
 
     def test_moment_residual_invariant_trivial(self):
         # exact-representation case: every equation is satisfied to rounding.
@@ -157,7 +155,7 @@ class TestSolveMoment:
         # structurally invisible directions.
         sub = Subspectrum((np.arange(1, 41) - 0.5) ** 2 + 0j)
         system = build_moment_system(sub, F01, 1, 128)
-        u = solve_moment(system, default_basis(sub, 1))
+        u = u_from_cauchy(solve_moment(system, default_basis(sub, 1)))
         worst = 0.0
         for lam, w, n in zip(sub.lambdas, system.ws, system.norms):
             worst = max(worst, abs(hp_inner(u, build_v(lam, F01, 1, 128)) - w) / n)
@@ -167,37 +165,12 @@ class TestSolveMoment:
         # on a truncated representation the residual equals the information
         # tail beyond the probe space; see the decisions ledger
         system = build_moment_system(rt_free.spectrum, rt_free.f, 1, 128)
-        u = solve_moment(system, default_basis(rt_free.spectrum, 1))
-        assert u.meta["residual"] <= 1e-5
-
-
-class TestUnpack:
-    def test_real_vector(self):
-        u = HpVector(np.ones(17), 2 * np.ones(17), [3.0])
-        cd = unpack_u(u)
-        assert np.allclose(cd.j, 1.0) and np.allclose(cd.g, 2.0)
-        assert cd.a[0] == 3.0
-
-    def test_imaginary_vector(self):
-        u = HpVector(1j * np.ones(17), np.zeros(17), [2j])
-        cd = unpack_u(u)
-        assert np.allclose(cd.j, -1j)
-        assert cd.a[0] == -2j
-
-    def test_round_trip_involution(self):
-        rng = np.random.default_rng(0)
-        u = HpVector(rng.standard_normal(17) + 1j * rng.standard_normal(17),
-                     rng.standard_normal(17) + 1j * rng.standard_normal(17),
-                     rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        cd = unpack_u(u)
-        u2 = u_from_cauchy(cd)
-        assert np.allclose(u2.h1, u.h1) and np.allclose(u2.scalars, u.scalars)
-        cd2 = unpack_u(u2)
-        assert np.allclose(cd2.j, cd.j) and np.allclose(cd2.a, cd.a)
+        data = solve_moment(system, default_basis(rt_free.spectrum, 1))
+        assert data.meta["residual"] <= 1e-5
 
     @pytest.mark.parametrize("case", ["roundtrip", "complex"])
     def test_series_resamples_like_reconstruct(self, case, rt_free):
-        # the unpacked series is the kernels' own, in extract_cauchy's format
+        # the solve's series is the kernels' own, in extract_cauchy's format
         if case == "roundtrip":
             f, sub = rt_free.f, rt_free.spectrum
         else:
@@ -205,7 +178,7 @@ class TestUnpack:
             sub = Subspectrum((np.arange(1, 31) - 0.25 + 0.05j) ** 2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonUniqueWarning)
-            fine, coarse = (reconstruct(1, f, sub, m).cauchy for m in (128, 64))
+            fine, coarse = (reconstruct(1, f, sub, m) for m in (128, 64))
         assert set(fine.series) == {"j", "g"}
         again = resample_cauchy(fine, 64)
         for got, want in ((again.j, coarse.j), (again.g, coarse.g)):
@@ -217,14 +190,14 @@ class TestDeltasFromCauchy:
         m = 256
         cd = CauchyData(np.zeros(m + 1), np.zeros(m + 1), [0.0])
         lam = np.array([2.0, 5.5, 0.3], complex)
-        d0, d1 = deltas_from_cauchy(cd, 1, lam)
+        d0, d1 = deltas_from_cauchy(cd, lam)
         rho = np.sqrt(lam)
         assert np.allclose(d1, -lam * np.sin(rho * np.pi) / rho, atol=1e-12)
         assert np.allclose(d0, np.cos(rho * np.pi), atol=1e-12)
 
     def test_matches_direct_after_extraction(self):
         cd = extract_cauchy(SIG0, PAIR_FREE, grid_m=4096)
-        d0r, d1r = deltas_from_cauchy(cd, 1, 2.0)
+        d0r, d1r = deltas_from_cauchy(cd, 2.0)
         d0, d1 = char_pair(SIG0, PAIR_FREE, np.array([2.0 + 0j]))
         assert abs(d1r - d1[0]) <= 1e-6 * max(1, abs(d1[0]))
         assert abs(d0r - d0[0]) <= 1e-6 * max(1, abs(d0[0]))
@@ -232,17 +205,20 @@ class TestDeltasFromCauchy:
     def test_weyl_pole_guard(self):
         # zero data with p = 1: Delta1 = -lambda sin(rho pi)/rho vanishes at 1
         cd = CauchyData(np.zeros(257), np.zeros(257), [0.0])
-        res = ReconstructionResult(u=u_from_cauchy(cd), cauchy=cd, p=1)
+
+        def weyl(lam, on_pole="raise"):
+            return weyl_ratio(*deltas_from_cauchy(cd, lam), on_pole=on_pole)
+
         with pytest.raises(PoleProximity):
-            res.weyl(1.0)
-        assert np.isnan(res.weyl(1.0, on_pole="nan"))
-        assert np.isnan(res.weyl(np.array([1.0, 2.0]), on_pole="nan")[0])
-        assert res.weyl(2.25) == pytest.approx(0.0, abs=1e-12)
+            weyl(1.0)
+        assert np.isnan(weyl(1.0, on_pole="nan")[0])
+        assert np.isnan(weyl(np.array([1.0, 2.0]), on_pole="nan")[0])
+        assert weyl(2.25)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_finite_at_lambda_zero(self):
         m = 64
         cd = CauchyData(np.ones(m + 1), np.ones(m + 1), [0.3])
-        d0, d1 = deltas_from_cauchy(cd, 1, 0.0)
+        d0, d1 = deltas_from_cauchy(cd, 0.0)
         assert np.isfinite(d0) and np.isfinite(d1)
 
 
@@ -253,9 +229,9 @@ class TestReconstruct:
         sub = Subspectrum((np.arange(1, 41) - 0.5) ** 2 + 0j)
         with pytest.warns(NonUniqueWarning):
             res = reconstruct(1, F01, sub, 128)
-        assert np.max(np.abs(res.cauchy.j)) <= 1e-5
-        assert np.max(np.abs(res.cauchy.g)) <= 1e-5
-        assert np.max(np.abs(res.cauchy.a)) <= 1e-5
+        assert np.max(np.abs(res.j)) <= 1e-5
+        assert np.max(np.abs(res.g)) <= 1e-5
+        assert np.max(np.abs(res.a)) <= 1e-5
 
     def test_deficient_design_solved_once(self, monkeypatch):
         # one solve, and the one uniqueness rule gives one message: the
@@ -273,23 +249,24 @@ class TestReconstruct:
             warnings.simplefilter("always")
             res = reconstruct(1, F01, sub, 128)
         assert len(calls) == 1
-        gram = res.report["completeness"]["gram_ratio"]
+        gram = res.meta["completeness"]["gram_ratio"]
         texts = [f"completeness evidence collapsed (gram ratio {gram:.2e}); "
                  "the subspectrum does not determine the data"]
         assert [str(w.message) for w in caught if w.category is NonUniqueWarning] == texts
-        assert res.report["warnings"] == texts and res.report["non_unique"]
+        assert res.meta["warnings"] == texts and res.meta["non_unique"]
 
     def test_full_pipeline_on_corpus(self, rt_robin):
         res = reconstruct(1, rt_robin.f, rt_robin.spectrum, 128)
         oracle = rt_robin.oracle_on(128)
-        assert rel_l2(res.cauchy.j, oracle.j) <= 1e-3
-        assert rel_l2(res.cauchy.g, oracle.g) <= 1e-3
-        assert np.max(np.abs(res.cauchy.a - oracle.a)) <= 1e-3
-        assert not res.report["non_unique"]
+        assert rel_l2(res.j, oracle.j) <= 1e-3
+        assert rel_l2(res.g, oracle.g) <= 1e-3
+        assert np.max(np.abs(res.a - oracle.a)) <= 1e-3
+        assert not res.meta["non_unique"]
         # Weyl handle agrees with the direct ratio away from poles
         lam = 0.5 * (rt_robin.spectrum.lambdas[3] + rt_robin.spectrum.lambdas[4])
         d0, d1 = char_pair(rt_robin.sigma_left, rt_robin.left_pair, np.array([lam]))
-        assert res.weyl(lam) == pytest.approx(d0[0] / d1[0], rel=2e-2)
+        assert weyl_ratio(*deltas_from_cauchy(res, lam))[0] == pytest.approx(d0[0] / d1[0],
+                                                                            rel=2e-2)
 
     def test_starved_subspectrum_warns(self, rt_free):
         # keeping every other eigenvalue halves the density but not the
@@ -304,7 +281,7 @@ class TestReconstruct:
         oracle = exclusion_case.oracle_on(128)
         for n in (40, 48):
             res = reconstruct(1, exclusion_case.f, exclusion_case.spectrum.take(n), 128)
-            errs.append(rel_l2(res.cauchy.j, oracle.j) + rel_l2(res.cauchy.g, oracle.g))
+            errs.append(rel_l2(res.j, oracle.j) + rel_l2(res.g, oracle.g))
         assert errs[1] <= 1.1 * errs[0]
 
 
@@ -343,10 +320,10 @@ class TestEvenParity:
                                  BoundaryPolyPair([0.5, 1.0], [0.8, 0.1]))
         res = reconstruct(2, f, spec, 128)
         oracle = resample_cauchy(extract_cauchy(sigma_left, left_pair), 128)
-        assert rel_l2(res.cauchy.j, oracle.j) <= 1e-3
-        assert rel_l2(res.cauchy.g, oracle.g) <= 1e-3
-        assert np.max(np.abs(res.cauchy.a - oracle.a)) <= 1e-3
-        assert not res.report["non_unique"]
+        assert rel_l2(res.j, oracle.j) <= 1e-3
+        assert rel_l2(res.g, oracle.g) <= 1e-3
+        assert np.max(np.abs(res.a - oracle.a)) <= 1e-3
+        assert not res.meta["non_unique"]
 
     def test_density_deficit_detected(self, even_left):
         # with a linear right pair the same construction misses one element of
@@ -357,7 +334,7 @@ class TestEvenParity:
                                  BoundaryPolyPair([1.0], [0.4]))
         with pytest.warns(NonUniqueWarning):
             res = reconstruct(2, f, spec, 128)
-        assert res.report["smin_ratio"] <= 1e-10
+        assert res.meta["smin_ratio"] <= 1e-10
         comp = completeness_ratio(build_moment_system(spec, f, 2, 128))
         assert comp["gram_ratio"] <= 1e-8
 
@@ -386,7 +363,7 @@ class TestStability:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 res = reconstruct(1, rt_free.f, Subspectrum(rho * rho), 128)
-            responses.append((res.u - base.u).norm() / delta)
+            responses.append((u_from_cauchy(res) - u_from_cauchy(base)).norm() / delta)
         assert max(responses) / min(responses) <= 3
 
 
@@ -406,9 +383,9 @@ class TestProbeModes:
         f, spec = (data.f, data.spectrum) if p == 1 else data
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonUniqueWarning)
-            default = reconstruct(p, f, spec, 128).report["probe_modes"]
+            default = reconstruct(p, f, spec, 128).meta["probe_modes"]
             passed = reconstruct(p, f, spec, 128, basis=default_basis(spec, p))
-        assert passed.report["probe_modes"] == default
+        assert passed.meta["probe_modes"] == default
 
 
 def _assert_matches_oracle(out, ref):
@@ -464,7 +441,7 @@ class TestStackedStability:
             warnings.simplefilter("ignore", NonUniqueWarning)
             out = stability_experiment(*args, trials=3, seed=7)
             ref = sequential_stability(*args, trials=3, seed=7)
-        assert len(stacked) == 6 and all(u.meta["deficient"] for u in stacked)
+        assert len(stacked) == 6 and all(data.meta["deficient"] for data in stacked)
         _assert_matches_oracle(out, ref)
 
     def test_zero_omega_trials_pass_the_simplicity_check(self, rt_free):
