@@ -93,11 +93,12 @@ def refine_brackets(delta, a, b, fa, fb):
     """Roots of a real delta in brackets [a, b] of lambda, all at once.
 
     delta(a) = fa and delta(b) = fb differ in sign (or one is zero).  Each
-    step is an Illinois false-position step (Dowell and Jarratt, 1971): the
-    secant point of the bracket ends, with the value at an end halved when
-    the other end has moved twice in a row.  A step that leaves the bracket,
-    or whose end values lie more than 16 orders of magnitude apart (its
-    secant point would round onto an end, which then never moves), is
+    step is an Anderson-Bjoerck false-position step (Anderson and Bjoerck,
+    1973): the secant point of the bracket ends, with the value at an end
+    kept twice in a row scaled by 1 - f(x)/f(e), e the end that x replaces,
+    or halved where that factor is not positive.  A step that leaves the
+    bracket, or whose end values lie more than 16 orders of magnitude apart
+    (its secant point would round onto an end, which then never moves), is
     replaced by the midpoint, and every value shrinks the bracket on its
     side of the root.  A root is done when the step or its bracket falls
     below 1e-14 (1 + |lambda|), or delta vanishes, or after 100 steps; delta
@@ -112,8 +113,8 @@ def refine_brackets(delta, a, b, fa, fb):
         f[live] = np.real(np.asarray(delta(x[live])))
         low = live & (f != 0) & (np.signbit(f) == np.signbit(fa))   # the root lies above x
         high = live & (f != 0) & ~low
-        fb = np.where(low & (side == -1), 0.5 * fb, fb)
-        fa = np.where(high & (side == 1), 0.5 * fa, fa)
+        fb = np.where(low & (side == -1), _end_scale(f, fa) * fb, fb)
+        fa = np.where(high & (side == 1), _end_scale(f, fb) * fa, fa)
         side = np.where(low, -1, np.where(high, 1, side))
         a, fa = np.where(low, x, a), np.where(low, f, fa)
         b, fb = np.where(high, x, b), np.where(high, f, fb)
@@ -127,6 +128,13 @@ def refine_brackets(delta, a, b, fa, fb):
         if not np.any(live):
             break
     return x
+
+
+def _end_scale(f, fe):
+    """Anderson-Bjoerck's factor 1 - f/fe for the kept end, where f and fe
+    share a sign; 1/2 where it is not positive (|f| >= |fe|)."""
+    shrinks = np.abs(f) < np.abs(fe)
+    return np.where(shrinks, 1.0 - f / np.where(shrinks, fe, 1.0), 0.5)
 
 
 def _false_position(a, b, fa, fb):
@@ -226,13 +234,13 @@ def find_eigenvalues(delta: Callable, window, count: Optional[int] = None,
     alone and across which delta changes sign.  Otherwise a real `window` is
     scanned on the signed-sqrt axis (lambda = sign(s) s^2, step `_SCAN_STEP`)
     for sign changes (a delta that is not real there raises ValueError).
-    Illinois false position (`refine_brackets`) refines the brackets.  The
-    window's roots pass `_screen` (drops counted in `dropped`) and record the
-    `window`; `verify` checks their number against the window's winding
-    count.  Fewer than `count` roots raise RootLoss.  A scan sees real zeros
-    only: without `verify`, the complex zeros of a delta whose pair is not
-    Herglotz go unreported.  `problem_spectrum` picks either for a problem,
-    or `circle_zeros` for a complex one.
+    Anderson-Bjoerck false position (`refine_brackets`) refines the
+    brackets.  The window's roots pass `_screen` (drops counted in
+    `dropped`) and record the `window`; `verify` checks their number against
+    the window's winding count.  Fewer than `count` roots raise RootLoss.  A
+    scan sees real zeros only: without `verify`, the complex zeros of a
+    delta whose pair is not Herglotz go unreported.  `problem_spectrum`
+    picks either for a problem, or `circle_zeros` for a complex one.
     """
     if index is not None:
         lo, hi = (np.sign(s) * s * s for s in _index_brackets(*index, count))
@@ -352,17 +360,17 @@ def _root_lifts(pair: BoundaryPolyPair, lam, sign: float):
 def _herglotz(pair: BoundaryPolyPair, sign: float) -> bool:
     """Whether the boundary angle never moves the eigenvalue count down.
 
-    That holds when sign (p1' p2 - p1 p2') >= 0 on the real line (sign -1
-    at the left end, +1 at the right) and the coefficients are real; the
-    polynomial is checked between and beyond its real roots.
+    By the Hermite-Biehler theorem that holds when the coefficients are real
+    and every root of p2 + i sign p1 (sign -1 at the left end, +1 at the
+    right) lies strictly in the upper half-plane; a constant pair has none.
     """
     if np.any(pair.a.imag) or np.any(pair.b.imag):
         return False
-    p1, p2 = np.polynomial.Polynomial(pair.a.real), np.polynomial.Polynomial(pair.b.real)
-    w = sign * (p1.deriv() * p2 - p1 * p2.deriv())
-    x = np.sort(w.roots().real) if w.degree() > 0 else np.zeros(1)
-    pts = np.concatenate((x[:1] - 1.0, 0.5 * (x[1:] + x[:-1]), x[-1:] + 1.0))
-    return bool(np.all(w(pts) >= -1e-12 * np.max(np.abs(w.coef))))
+    n = max(pair.a.size, pair.b.size)
+    coeffs = np.zeros(n, dtype=complex)
+    coeffs[:pair.b.size] += pair.b.real
+    coeffs[:pair.a.size] += 1j * sign * pair.a.real
+    return bool(np.all(np.roots(coeffs[::-1]).imag > 0))
 
 
 def _upper(x, y):
@@ -397,7 +405,8 @@ def index_search(sigma: SigmaFunction, left: BoundaryPolyPair, right: BoundaryPo
                  count: int):
     """`find_eigenvalues`' index (count_below, ends) for the first `count`
     eigenvalues of `count_below`'s problem; None for complex sigma or a pair
-    that is not Herglotz (its count can fall; `problem_spectrum` then scans).
+    that is not Herglotz (its count can fall, and complex eigenvalues escape
+    it; `problem_spectrum` then scans).
     The ends lie halfway between rho_k = (pi/X)(k + 1 - (p + r)/2), with
     r = 0 for a Dirichlet right end."""
     if not (sigma.is_real() and _herglotz(left, -1.0) and _herglotz(right, 1.0)):

@@ -109,19 +109,27 @@ def problem_spectrum(sigma: SigmaFunction, pair: BoundaryPolyPair, f: EntirePair
     """The first `count` eigenvalues of the problem with potential `sigma`,
     left pair `pair` and f's right end (`EntirePair.right_end`, which
     `EntirePair.constant` and `hl_entire_pair` set), as (Subspectrum, reason).
-    `index_search` runs on sigma joined to f's right half, if any (on its real
-    part for complex sigma, whose eigenvalues then seed `circle_zeros`); where
-    it certifies nothing, a scan of (-9, ((pi/X) count + 2)^2), X the joined
+    Where f's right half joins sigma, delta is that of the joined problem
+    with the right pair as its f, r1 phi^[1] + r2 phi at the right end: one
+    propagation per lambda, and minus f1 Delta1 + f2 Delta0, the Wronskian
+    of phi and psi at the midpoint.  A half that does not join keeps that
+    split form.  `index_search` runs on the joined problem (on its real part
+    for complex sigma, whose eigenvalues then seed `circle_zeros`); where it
+    certifies nothing, a scan of (-9, ((pi/X) count + 2)^2), X the joined
     length, stands in and `reason` says why.  A given `window` is scanned
     without an index; `reason` is then None, as on the other paths.  A scan
     finds real zeros only: where a pair is not Herglotz, complex eigenvalues
     are missed, so its roots need not be the first `count` eigenvalues."""
     validate_rp(pair)
-    delta, _ = make_delta(sigma, pair, f)
+    half, right = f.right_end or (None, None)
+    whole = sigma if half is None else _join(sigma, half)
+    if half is None or whole is None:
+        delta, _ = make_delta(sigma, pair, f)
+    else:
+        end = EntirePair(joint=lambda lam: (right.p1(lam), right.p2(lam)))
+        delta, _ = make_delta(whole, pair, end)
     index = reason = None
     if window is None:
-        half, right = f.right_end
-        whole = sigma if half is None else _join(sigma, half)
         length = sigma.interval_length + (0.0 if half is None else half.interval_length)
         window = (-9.0, float((np.pi / length * count + 2.0) ** 2))
         if whole is None:

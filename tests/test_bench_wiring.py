@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 from invsl import cli, halfinverse, schemas
-from invsl.errors import SchemaError
+from invsl.errors import NonUniqueWarning, SchemaError
 from invsl.problems import hl_zero_instance
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,12 +35,18 @@ def test_hl_spectrum_reaches_the_traced_sites(spans):
     # forward.points_per_root counts the delta points of hl_spectrum only if
     # they pass through halfinverse.make_delta's closures and its roots
     # through halfinverse.find_eigenvalues, and the propagator time only
-    # through forward.endpoint_data and halfinverse.psi_mid
+    # through forward.endpoint_data (the delta of the joined problem) and
+    # halfinverse.psi_mid (the f-values of hl_reconstruct's moment rows)
     tracer = spans.Tracer()
     instrumentation = spans.Instrumentation(tracer)
     instrumentation.install()
     try:
-        halfinverse.hl_spectrum(hl_zero_instance(64), 8)
+        problem = hl_zero_instance(64)
+        spectrum = halfinverse.hl_spectrum(problem, 8)
+        # eight rows do not determine the data, which the verdict says
+        with pytest.warns(NonUniqueWarning):
+            halfinverse.hl_reconstruct(problem.halves()[1], problem.right_pair, problem.p,
+                                       spectrum, 0, 64)
     finally:
         instrumentation.remove()
     counts = tracer.counters[None]

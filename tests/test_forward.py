@@ -143,8 +143,8 @@ class TestFindEigenvalues:
         # delta falls from 2.7e172 to -1.9e86 across this bracket, so its
         # secant point rounds onto the upper end, where the bracket does not
         # move; bisection steps stand in until the two ends are within 16
-        # orders of magnitude, and Illinois then reaches index 0 (without
-        # them refinement returned the upper end, -4032.25)
+        # orders of magnitude, and Anderson-Bjoerck then reaches index 0
+        # (without them refinement returned the upper end, -4032.25)
         sig = SigmaFunction.from_callable(lambda x: 0.3 * np.sin(x), np.pi, 512)
         delta, _ = make_delta(sig, BoundaryPolyPair([1.0], [120.0]), F_DIR)
         ends = np.array([-127.5**2, -63.5**2])

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import reflected, rel_l2, sequential_cells
-from invsl import forward
+from invsl import forward, halfinverse
 from invsl.errors import ParityMismatch, RootLoss, StepFailure
-from invsl.forward import count_below, find_eigenvalues, make_delta
+from invsl.forward import char_pair, count_below, find_eigenvalues, make_delta
 from invsl.halfinverse import (
     TwoSidedProblem,
     hl_entire_pair,
     hl_reconstruct,
     hl_spectrum,
+    problem_spectrum,
     psi_mid,
 )
 from invsl.moments import build_moment_system
@@ -26,7 +27,7 @@ from invsl.problems import (
     two_sided_from_left,
 )
 from invsl.reconstruct import completeness_ratio
-from invsl.types import BoundaryPolyPair, SigmaFunction
+from invsl.types import BoundaryPolyPair, EntirePair, SigmaFunction
 
 SIGR0 = SigmaFunction.zero(np.pi, 128)
 # adjugate of the monodromy against the reflected sequential run: both reorder
@@ -187,6 +188,14 @@ def _scan_spectrum(prob, count):
     return find_eigenvalues(delta, (-9.0, (0.5 * count + 2.0) ** 2)).take(count)
 
 
+def _joined_delta(prob):
+    """delta of the problem on (0, 2pi) with the right pair as its f, as
+    `problem_spectrum` builds it: r1 phi^[1](2pi) + r2 phi(2pi)."""
+    right = prob.right_pair
+    end = EntirePair(joint=lambda lam: (right.p1(lam), right.p2(lam)))
+    return make_delta(prob.sigma_full, prob.left_pair, end)[0]
+
+
 @pytest.fixture(scope="module")
 def scanned():
     """The two-sided problems of the round trips and the asymptotics, 48 roots each."""
@@ -265,13 +274,63 @@ class TestIndexedSpectrum:
         assert np.any(np.diff(counts) < 0)
         spec = hl_spectrum(prob, 8)
         assert spec.fallback
-        assert np.array_equal(spec.lambdas, _scan_spectrum(prob, 8).lambdas)
+        scan = find_eigenvalues(_joined_delta(prob), (-9.0, (0.5 * 8 + 2.0) ** 2)).take(8)
+        assert np.array_equal(spec.lambdas, scan.lambdas)
         assert not hl_spectrum(hl_exclusion_instance(256), 8).fallback
         # the left end is checked on its own: p1 p2' - p1' p2 = -0.75 < 0
         left = two_sided_from_left(sigma_bump(256, amp=0.15),
                                    BoundaryPolyPair([0.5, 1.0], [0.8, 0.1]),
                                    BoundaryPolyPair([1.0], [0.2]))
         assert hl_spectrum(left, 8).fallback
+
+    def test_a_pair_with_complex_roots_is_not_herglotz(self):
+        # r = 7: p1 and p2 have the non-real roots 0.638 +- 0.950i and
+        # -0.157 +- 1.322i, yet the Wronskian r1' r2 - r1 r2' keeps its sign on
+        # the real line; an index would certify 8 real roots and miss the
+        # eigenvalues 0.5929 +- 1.1362i
+        right = BoundaryPolyPair([0.82, 0.51, -0.65, 1.0], [0.64, -0.40, 0.27, -0.29])
+        prob = two_sided_from_left(sigma_bump(256, amp=0.15), BoundaryPolyPair([1.0], [0.03]),
+                                   right)
+        assert not forward._herglotz(right, 1.0)
+        sigma_left, sigma_right = prob.halves()
+        spec, reason = problem_spectrum(sigma_left, prob.left_pair,
+                                        hl_entire_pair(sigma_right, right), 8)
+        assert spec.fallback and reason == "a boundary pair is not Herglotz"
+        assert forward.winding_count(_joined_delta(prob), ((0.5, 0.7), (1.0, 1.3))) == 1
+        assert np.all(spec.lambdas.imag == 0)
+
+
+class TestJoinedDelta:
+    def test_joined_delta_is_the_midpoint_wronskian(self):
+        # r1 phi^[1](2pi) + r2 phi(2pi) = -(phi psi^[1] - phi^[1] psi)(pi) with
+        # psi pinned at 2pi by (r1, -r2): the split form f1 Delta1 + f2 Delta0
+        # with its sign flipped, checked against the size of its two terms
+        for name, prob in roundtrip_corpus() + [("hl_exclusion", hl_exclusion_instance())]:
+            lam = hl_spectrum(prob, 12).lambdas.real
+            mids = 0.5 * (lam[1:] + lam[:-1])
+            pts = np.concatenate((mids, mids + 0.5j, [3 + 2j, -2 - 1j, 40 + 5j, 100 - 20j]))
+            sigma_left, sigma_right = prob.halves()
+            d0, d1 = char_pair(sigma_left, prob.left_pair, pts)
+            f1, f2 = hl_entire_pair(sigma_right, prob.right_pair)(pts)
+            scale = np.abs(f1 * d1) + np.abs(f2 * d0)
+            joined = _joined_delta(prob)(pts)
+            assert np.max(np.abs(joined + f1 * d1 + f2 * d0) / scale) <= 1e-12, name
+
+    def test_delta_call_budget(self, monkeypatch):
+        # one call at the bracket ends, then at most 6 refinement calls on the
+        # round-trip problems and 11 on the exclusion instance
+        calls = []
+
+        def counting(sigma, pair, f):
+            delta, _ = make_delta(sigma, pair, f)
+            return (lambda lam: calls.append(np.size(lam)) or delta(lam)), None
+
+        monkeypatch.setattr(halfinverse, "make_delta", counting)
+        cases = [(prob, 7) for _, prob in roundtrip_corpus()] + [(hl_exclusion_instance(), 12)]
+        for prob, budget in cases:
+            calls.clear()
+            assert len(hl_spectrum(prob, 48)) == 48
+            assert 0 < len(calls) <= budget
 
 
 class TestReconstructDriver:
