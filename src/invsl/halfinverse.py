@@ -117,7 +117,8 @@ def problem_spectrum(sigma: SigmaFunction, pair: BoundaryPolyPair, f: EntirePair
     for complex sigma, whose eigenvalues then seed `circle_zeros`); where it
     certifies nothing, a scan of (-9, ((pi/X) count + 2)^2), X the joined
     length, stands in and `reason` says why.  A given `window` is scanned
-    without an index; `reason` is then None, as on the other paths.  A scan
+    without an index; `reason` is then None, as on the other paths, and f
+    needs no right end (without both, ValueError).  A scan
     finds real zeros only: where a pair is not Herglotz, complex eigenvalues
     are missed, so its roots need not be the first `count` eigenvalues."""
     validate_rp(pair)
@@ -130,6 +131,9 @@ def problem_spectrum(sigma: SigmaFunction, pair: BoundaryPolyPair, f: EntirePair
         delta, _ = make_delta(whole, pair, end)
     index = reason = None
     if window is None:
+        if right is None:
+            raise ValueError("f has no right end (EntirePair.right_end) to index the "
+                             "eigenvalues by; a window is scanned without one")
         length = sigma.interval_length + (0.0 if half is None else half.interval_length)
         window = (-9.0, float((np.pi / length * count + 2.0) ** 2))
         if whole is None:

@@ -10,11 +10,17 @@ cells).  Endpoint values come from the monodromy matrix, the ordered product
 of all cell matrices, reduced pairwise in log2(m) vectorized steps over the
 whole lambda batch; node-by-node trajectories, forward from x = 0, come from
 a down-sweep over the levels of that same tree, which all blocks of lambdas
-write in place into one workspace per call.  Cost is independent of |lambda|
-and the Lagrange identity (det of the monodromy = 1) holds to rounding.  On
-the real axis (real sigma, every lambda of the batch real) the cell matrices
-and their product are computed in float64, elsewhere in complex128; endpoint
-values are returned as complex128 in both cases.
+write in place into one workspace per call.  The cells are stored in the
+tree's leaf order (`_leaf_order`, bit reversal for m a power of two): every
+level's pairs are its first half and its second half, contiguous rows, and
+an odd level carries its last factor up unchanged, as an FFT stores its
+input for contiguous butterflies.  The pairs and their association are
+those of adjacent cells, so the order changes no result.  Cost is
+independent of |lambda| and the Lagrange identity (det of the monodromy = 1)
+holds to rounding.  On the real axis (real sigma, every lambda of the batch
+real) the cell matrices and their product are computed in float64,
+elsewhere in complex128; endpoint values are returned as complex128 in both
+cases.
 
 A classical RK4 path over the same piecewise-linear sigma is kept as an
 independent cross-check (`rk4_node_values`); it converges at order 4 to the
@@ -23,6 +29,8 @@ exact propagator as the per-cell substep count grows.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import StepFailure
@@ -30,92 +38,128 @@ from .trig import cos_sinc_sqrt
 from .types import SigmaFunction
 
 
-def _cell_matrices(sigma: SigmaFunction, lam):
-    """Every cell's transfer matrix [[c, sn], [msn, c]] for (y, y'), as entries.
-
-    Returns (c, sn, msn, c): arrays of shape (m,) + lam.shape in the (m00,
-    m01, m10, m11) order.  A real `lam` gives real entries from the real part
-    of sigma (the caller checks that sigma is real).
-    """
-    h = sigma.dx
-    slopes = np.diff(sigma.samples if np.iscomplexobj(lam) else sigma.samples.real) / h
+def _write_cells(slopes, h, lam, out):
+    """Write the transfer matrix [[c, sn], [msn, c]] of (y, y') over every cell
+    of these slopes into `out`, shape (4, cells) + lam.shape, as its (m00, m01,
+    m10, m11) entries."""
     mu2 = lam[None] - slopes.reshape((-1,) + (1,) * lam.ndim)
     c, sinc = cos_sinc_sqrt(mu2 * (h * h))
-    sn = h * sinc
-    return c, sn, -mu2 * sn, c
+    out[0], out[3] = c, c
+    np.multiply(sinc, h, out=out[1])
+    np.negative(np.multiply(mu2, out[1], out=out[2]), out=out[2])
+
+
+def _slopes(sigma: SigmaFunction, lam):
+    """sigma' on every cell: from the real part of sigma for a real `lam` (the
+    caller checks that sigma is real)."""
+    return np.diff(sigma.samples if np.iscomplexobj(lam) else sigma.samples.real) / sigma.dx
+
+
+def _cell_matrices(sigma: SigmaFunction, lam):
+    """Every cell's transfer matrix, in cell order: array (4, m) + lam.shape of
+    the entries (m00, m01, m10, m11) = (c, sn, msn, c)."""
+    out = np.empty((4, sigma.m) + lam.shape, lam.dtype)
+    _write_cells(_slopes(sigma, lam), sigma.dx, lam, out)
+    return out
+
+
+@functools.cache
+def _leaf_order(m):
+    """The cell held by every leaf slot of the product tree of m cells (read-only).
+
+    At every level the earlier factor of each pair sits in the first half,
+    the later one in the second half at the same offset, and an odd level's
+    unpaired last factor in the last slot; the products keep that order one
+    level up.  For m a power of two this is bit reversal.
+    """
+    if m == 1:
+        order = np.zeros(1, dtype=np.intp)
+    else:
+        pairs = 2 * _leaf_order((m + 1) // 2)[:m // 2]
+        order = np.concatenate((pairs, pairs + 1, [m - 1] * (m % 2))).astype(np.intp)
+    order.setflags(write=False)
+    return order
 
 
 # Lambdas per reduction block: the working set is (cells x block) per matrix
 # entry, so memory stays bounded on dense scans of thousands of lambdas.
-# Timed with the Taylor kernel of `cos_sinc_sqrt` at 512 cells (`monodromy`,
-# best of 8-10, three runs, 2-vCPU Xeon, 2 MB L2 per core) over blocks of
-# 32-256: 40 lambdas are one block for any block >= 40; at 1640 complex
-# lambdas 48 and 64 led (55-64 ms each, 128: 62-68 ms), at 1640 real ones 128
-# did (26-28 ms, 64: 28-35 ms).  No block won both, so 64 stays.
+# Timed on the leaf-order tree over 1640 lambdas at 512 and 1024 cells
+# (`monodromy`, two runs of best-of-4 timings, 2-vCPU Xeon, 2 MB L2 per
+# core): no block of 32-256 was faster than 64 on both the real and the
+# complex batches, so 64 stays.
 _BLOCK = 64
 
 
 def _tree(work, n):
-    """Levels of the ordered product T[n-1] ... T[1] T[0] of the n factors in work[:, :n].
+    """Levels of the ordered product T[n-1] ... T[1] T[0] of the n factors that
+    work[:, :n] holds in leaf order (slot i holds T[_leaf_order(n)[i]]).
 
-    Each level but the last (the product) is padded with the identity to even
-    length and its pairs multiply into the next level, right after it in
-    `work`, whose last rows are scratch.  Returns views (4, rows, lambdas).
+    A level's second half times its first half, row by row, is the first
+    half of the next level, right after it in `work`; an odd level's last
+    factor is carried up unchanged into the next level's last slot.  The last
+    rows of `work` are scratch.  Returns views (4, rows, lambdas), the
+    product last.
     """
     levels, lo = [], 0
     while n > 1:
-        if n % 2:
-            work[:, lo + n] = [[1], [0], [0], [1]]
-            n += 1
+        half = n // 2
         levels.append(work[:, lo:lo + n])
-        lo, n = lo + n, n // 2
-        a, b, scratch = levels[-1][:, 1::2], levels[-1][:, 0::2], work[0, -n:]
-        for (i, j), dst in zip(((0, 0), (0, 1), (2, 0), (2, 1)), work[:, lo:lo + n]):
+        a, b, scratch = levels[-1][:, half:2 * half], levels[-1][:, :half], work[0, -half:]
+        lo += n
+        for (i, j), dst in zip(((0, 0), (0, 1), (2, 0), (2, 1)), work[:, lo:lo + half]):
             # entry (i / 2, j) of the 2x2 product a b is a[i] b[j] + a[i + 1] b[j + 2]
             np.multiply(a[i], b[j], dst)
             dst += np.multiply(a[i + 1], b[j + 2], scratch)
+        if n % 2:
+            work[:, lo + half] = levels[-1][:, n - 1]
+        n -= half
     levels.append(work[:, lo:lo + 1])
     return levels
 
 
 def _blocks(sigma: SigmaFunction, lam, out):
     """(slice, tree levels) of every block of the 1-D `lam`, in one workspace that
-    the next block overwrites; StepFailure at the end unless `out` is finite."""
-    rows, k = 1, sigma.m
-    while k > 1:   # every level, padding included, then a scratch slice
-        k += k % 2
-        rows, k = rows + k, k // 2
-    work = np.empty((4, rows + (sigma.m + 1) // 2, min(_BLOCK, lam.size)), lam.dtype)
+    the next block overwrites, its cells written there in leaf order;
+    StepFailure at the end unless `out` is finite."""
+    m, n, rows = sigma.m, sigma.m, 1 + sigma.m // 2   # the product, the scratch
+    while n > 1:   # and every other level
+        rows, n = rows + n, (n + 1) // 2
+    slopes = _slopes(sigma, lam)[_leaf_order(m)]
+    buf = np.empty(4 * rows * min(_BLOCK, lam.size), lam.dtype)
     for start in range(0, lam.size, _BLOCK):
         chunk = lam[start:start + _BLOCK]
-        for dst, src in zip(work[..., :chunk.size], _cell_matrices(sigma, chunk)):
-            dst[:sigma.m] = src
-        yield slice(start, start + _BLOCK), _tree(work[..., :chunk.size], sigma.m)
+        # contiguous for a short last block too, so that every half is
+        work = buf[:4 * rows * chunk.size].reshape(4, rows, chunk.size)
+        _write_cells(slopes, sigma.dx, chunk, work[:, :m])
+        yield slice(start, start + _BLOCK), _tree(work, m)
     if not np.all(np.isfinite(out)):
         raise StepFailure("propagation produced non-finite values; lambda or sigma out of range")
 
 
-def _apply(mats, vec):
-    """Entry-wise 2x2 matrix-vector products over stacked arrays."""
-    m00, m01, m10, m11 = mats
-    y, v = vec
-    return m00 * y + m01 * v, m10 * y + m11 * v
+def _sweep(levels, vals):
+    """Vectors at every node of the product that the tree levels hold, in place.
 
-
-def _sweep(levels, vec):
-    """Vectors at every node of the product that the tree levels hold.
-
-    `vec` is the vector at the first node, and the later child of every pair
-    starts where its earlier child takes the pair's start.  Returns the
-    vectors at the start of every leaf, padding included, and the one at the
-    end of the product, as (y, y') with a leading node axis.
+    vals[:, 0] holds the vector (y, y') at the first node, and vals, shape
+    (2, leaves, lambdas), receives the vector at the start of every leaf, in
+    leaf order.  Going down a level, the earlier factor of every pair starts
+    where the pair starts, the later one where the earlier one ends, and an
+    odd level's carried last factor where it started one level up: the
+    starts of a level are (starts, earlier factors times starts, carry).
+    Returns the vector at the end of the product, (y, y') of shape (1,
+    lambdas) each.
     """
-    vals = np.stack(vec)[:, None]
-    last = _apply(levels[-1], vals)
+    (m00, m01, m10, m11), (y, v) = levels[-1], vals[:, :1]
+    last = m00 * y + m01 * v, m10 * y + m11 * v
     for mats in reversed(levels[:-1]):
-        vals = vals[:, :mats.shape[1] // 2]
-        vals = np.stack((vals, _apply(mats[:, 0::2], vals)), axis=2).reshape(2, mats.shape[1], -1)
-    return vals, last
+        n = mats.shape[1]
+        half = n // 2
+        if n % 2:
+            vals[:, n - 1] = vals[:, half]
+        (m00, m01, m10, m11), (y, v) = mats[:, :half], vals[:, :half]
+        for dst, a, b in zip(vals[:, half:2 * half], (m00, m10), (m01, m11)):
+            np.multiply(a, y, out=dst)
+            dst += b * v
+    return last
 
 
 def _real_axis(sigma: SigmaFunction, *arrays) -> bool:
@@ -152,7 +196,8 @@ def node_values(sigma: SigmaFunction, lams, y0, yq0):
     the lambdas and may depend on them.  The same cell matrices as in
     `monodromy` are reduced by the same tree, whose levels a down-sweep then
     applies to the start vector: 2 log2(m) vectorized steps per block of
-    lambdas.  Returns (y, yq), each of shape (m + 1,) + lam.shape: float64
+    lambdas, whose node values come out in leaf order and are put back in
+    cell order once per block.  Returns (y, yq), each of shape (m + 1,) + lam.shape: float64
     when sigma, the lambdas and the start values are real, complex128
     otherwise.
     """
@@ -165,9 +210,12 @@ def node_values(sigma: SigmaFunction, lams, y0, yq0):
     start_y = y0.ravel()
     start_v = yq0.ravel() + sig[0] * start_y
     out = np.empty((2, sigma.m + 1, lam.size), dtype=lam.dtype)
+    leaves = np.empty((2, sigma.m, min(_BLOCK, lam.size)), dtype=lam.dtype)
     for block, levels in _blocks(sigma, lam.ravel(), out):
-        leaves, last = _sweep(levels, (start_y[block], start_v[block]))
-        out[:, :-1, block] = leaves[:, :sigma.m]
+        vals = leaves[..., :levels[0].shape[-1]]
+        vals[:, 0] = start_y[block], start_v[block]
+        last = _sweep(levels, vals)
+        out[:, _leaf_order(sigma.m), block] = vals
         out[:, -1, block] = [x[0] for x in last]
     out = out.reshape(out.shape[:2] + lam.shape)
     sig = sig.reshape((-1,) + (1,) * lam.ndim)

@@ -50,13 +50,16 @@ def cos_sinc_sqrt(z2):
     z2 = np.asarray(z2)
     if not np.iscomplexobj(z2):
         z2 = z2.astype(float, copy=False)
-    cos_w, sinc_w = np.full_like(z2, _COS[-1]), np.full_like(z2, _SINC[-1])
+    # the first Horner step, z2 c6 + c5, into arrays even for a 0-d z2
+    cos_w, sinc_w = (np.multiply(z2, c[-1], out=np.empty_like(z2)) for c in (_COS, _SINC))
+    cos_w += _COS[-2]
+    sinc_w += _SINC[-2]
     # Products are formed in place, except for a one-element input: numpy
     # rounds an in-place complex product of one element in its scalar loop,
     # without the fused multiply-add of its vector loop, apart from the same
     # element in a batch.
     prod = (np.empty_like(z2),) * 2 if z2.size == 1 else (cos_w, sinc_w)
-    for a, b in zip(_COS[-2::-1], _SINC[-2::-1]):
+    for a, b in zip(_COS[-3::-1], _SINC[-3::-1]):
         np.add(np.multiply(cos_w, z2, out=prod[0]), a, out=cos_w)
         np.add(np.multiply(sinc_w, z2, out=prod[1]), b, out=sinc_w)
     far = np.abs(z2) > _TAYLOR_RADIUS

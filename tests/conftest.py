@@ -9,7 +9,7 @@ from invsl.errors import NonUniqueWarning, RootLoss
 from invsl.forward import _muller_polish, extract_cauchy, resample_cauchy, winding_count
 from invsl.halfinverse import hl_entire_pair, hl_spectrum
 from invsl.moments import _as_grid
-from invsl.ode import _cell_matrices, node_values
+from invsl.ode import _BLOCK, _cell_matrices, _real_axis, _to_quasi, node_values
 from invsl.problems import hl_exclusion_instance, roundtrip_corpus
 from invsl.reconstruct import default_basis, reconstruct
 from invsl.serialize import complex_array, complex_to_pair, pair_to_complex
@@ -144,6 +144,79 @@ def sequential_cells(sigma, lams, y0, v0):
         ys[k + 1] = c[k] * y + sn[k] * v
         vs[k + 1] = msn[k] * y + c[k] * v
     return {"y": ys, "v": vs}
+
+
+def _interleaved_tree(work, n):
+    """Reference product tree: the pairs of every level are adjacent rows (2j,
+    2j + 1), and an odd level is padded with the identity."""
+    levels, lo = [], 0
+    while n > 1:
+        if n % 2:
+            work[:, lo + n] = [[1], [0], [0], [1]]
+            n += 1
+        levels.append(work[:, lo:lo + n])
+        lo, n = lo + n, n // 2
+        a, b, scratch = levels[-1][:, 1::2], levels[-1][:, 0::2], work[0, -n:]
+        for (i, j), dst in zip(((0, 0), (0, 1), (2, 0), (2, 1)), work[:, lo:lo + n]):
+            np.multiply(a[i], b[j], dst)
+            dst += np.multiply(a[i + 1], b[j + 2], scratch)
+    levels.append(work[:, lo:lo + 1])
+    return levels
+
+
+def _interleaved_sweep(levels, vec):
+    """Reference down-sweep over `_interleaved_tree`'s levels: every pair's
+    start and its earlier child's end, interleaved; leaves in cell order."""
+    def apply(mats, y, v):
+        return mats[0] * y + mats[1] * v, mats[2] * y + mats[3] * v
+
+    vals = np.stack(vec)[:, None]
+    last = apply(levels[-1], *vals)
+    for mats in reversed(levels[:-1]):
+        vals = vals[:, :mats.shape[1] // 2]
+        vals = np.stack((vals, np.stack(apply(mats[:, 0::2], *vals))), axis=2)
+        vals = vals.reshape(2, mats.shape[1], -1)
+    return vals, last
+
+
+def _interleaved_blocks(sigma, lam):
+    """(slice, levels of `_interleaved_tree`) per block of `_BLOCK` lambdas,
+    from the cell matrices in cell order."""
+    rows, k = 1, sigma.m
+    while k > 1:
+        k += k % 2
+        rows, k = rows + k, k // 2
+    work = np.empty((4, rows + (sigma.m + 1) // 2, min(_BLOCK, lam.size)), lam.dtype)
+    for start in range(0, lam.size, _BLOCK):
+        chunk = lam[start:start + _BLOCK]
+        work[:, :sigma.m, :chunk.size] = _cell_matrices(sigma, chunk)
+        yield slice(start, start + _BLOCK), _interleaved_tree(work[..., :chunk.size], sigma.m)
+
+
+def interleaved_monodromy(sigma, lam):
+    """Reference `invsl.ode.monodromy` for a 1-D batch, by the interleaved tree."""
+    real = _real_axis(sigma, lam)
+    lam = lam.real.astype(float) if real else lam.astype(complex)
+    out = np.empty((4, lam.size), dtype=lam.dtype)
+    for block, levels in _interleaved_blocks(sigma, lam):
+        out[:, block] = levels[-1][:, 0]
+    return _to_quasi(out, sigma.samples[0], sigma.samples[-1])
+
+
+def interleaved_node_values(sigma, lam, y0, yq0):
+    """Reference `invsl.ode.node_values` for a 1-D batch and scalar start
+    values, by the interleaved tree and sweep."""
+    real = _real_axis(sigma, lam, y0, yq0)
+    dtype = float if real else complex
+    lam = lam.real.astype(dtype) if real else lam.astype(dtype)
+    sig = sigma.samples.real if real else sigma.samples
+    start = np.full(lam.size, y0, dtype), np.full(lam.size, yq0 + sig[0] * y0, dtype)
+    out = np.empty((2, sigma.m + 1, lam.size), dtype=dtype)
+    for block, levels in _interleaved_blocks(sigma, lam):
+        leaves, last = _interleaved_sweep(levels, (start[0][block], start[1][block]))
+        out[:, :-1, block] = leaves[:, :sigma.m]
+        out[:, -1, block] = [x[0] for x in last]
+    return out[0], out[1] - sig[:, None] * out[0]
 
 
 def sequential_stability(p, f, subspectrum, grid, omegas, trials=20, seed=0, reg=0.0):

@@ -141,6 +141,17 @@ class TestSpectrum:
         exact = ((np.arange(1, 13) - 1) / 2.0) ** 2
         assert np.max(np.abs(spec.lambdas.real - exact)) <= 1e-8
 
+    def test_a_pair_without_right_end_scans_only_a_window(self):
+        # nothing indexes the eigenvalues of an f without a right end; its
+        # Delta1 = -rho sin(rho pi) is scanned in a given window
+        f = EntirePair(joint=lambda lam: (np.ones_like(lam), np.zeros_like(lam)))
+        args = (SigmaFunction.zero(np.pi, 64), BoundaryPolyPair([1.0], [0.0]), f, 3)
+        with pytest.raises(ValueError, match="right end"):
+            problem_spectrum(*args)
+        spec, reason = problem_spectrum(*args, window=(-9, 30))
+        assert reason is None
+        assert np.max(np.abs(spec.lambdas - [0.0, 1.0, 4.0])) <= 1e-12
+
     def test_asymptotic_drift(self):
         prob = hl_zero_instance()
         spec = hl_spectrum(prob, 30)

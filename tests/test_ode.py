@@ -8,12 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fundamental_nodes, sequential_cells
+from conftest import (
+    fundamental_nodes,
+    interleaved_monodromy,
+    interleaved_node_values,
+    sequential_cells,
+)
 import invsl
 from invsl import ode
 from invsl.errors import StepFailure
 from invsl.ode import (
     _BLOCK,
+    _leaf_order,
     _tree,
     endpoint_data,
     monodromy,
@@ -168,13 +174,15 @@ class TestMonodromy:
             assert tree["S"].shape == lam.shape
             assert np.max(_normwise_dev(tree, loop, ["S", "S1", "C", "C1"])) <= TREE_RTOL
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_short_products(self, n):
-        # the tree on 1-3 factors (one is a no-op, three pads with the identity)
+        # the tree on 1-9 factors placed in leaf order (one is a no-op, odd
+        # levels carry their last factor; beyond three the leaf order is no
+        # longer the cell order)
         rng = np.random.default_rng(n)
         mats = rng.standard_normal((n, 2, 2, 5)) + 1j * rng.standard_normal((n, 2, 2, 5))
         work = np.empty((4, 4 * n, 5), complex)   # room for every level and the scratch
-        work[:, :n] = mats.transpose(1, 2, 0, 3).reshape(4, n, 5)
+        work[:, :n] = mats.transpose(1, 2, 0, 3).reshape(4, n, 5)[:, _leaf_order(n)]
         prod = _tree(work, n)[-1]
         for col in range(5):
             ref = np.eye(2)
@@ -182,6 +190,20 @@ class TestMonodromy:
                 ref = mats[k, :, :, col] @ ref
             got = np.array([x[0, col] for x in prod]).reshape(2, 2)
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("m", [16, 17, 33, 100, 257, 512, 1024])
+    @pytest.mark.parametrize("batch", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_bit_identical_to_the_interleaved_tree(self, m, batch):
+        # contiguous halves in leaf order multiply the same pairs in the same
+        # association as adjacent rows in cell order, so the propagator's
+        # results equal the interleaved reference to the last bit
+        sig = sigma_random_smooth(m, scale=0.8, seed=m)
+        rng = np.random.default_rng(batch)
+        real = rng.uniform(-20.0, 1000.0, batch)
+        for lam in (real, real + 1j * rng.uniform(-3.0, 3.0, batch)):
+            assert np.array_equal(monodromy(sig, lam), interleaved_monodromy(sig, lam))
+            got, ref = node_values(sig, lam, 0.3, -0.8), interleaved_node_values(sig, lam, 0.3, -0.8)
+            assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
     @pytest.mark.parametrize("m", [16, 17, 257, 512])
     @pytest.mark.parametrize("batch", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1400])
@@ -251,6 +273,19 @@ class TestMonodromy:
                 ends = m[:, 0, k] * 0.3 + m[:, 1, k] * -0.8
                 rk = [v[-1] for v in rk4_node_values(sig, lv, 0.3, -0.8, refine=8)]
                 assert np.max(np.abs(ends - rk)) <= 2e-9 * max(1.0, np.max(np.abs(rk)))
+
+
+class TestLeafOrder:
+    def test_permutation_ending_with_the_last_cell(self):
+        for m in [*range(1, 40), 100, 257, 512, 1024, 1025]:
+            order = _leaf_order(m)
+            assert np.array_equal(np.sort(order), np.arange(m)) and order[-1] == m - 1
+            assert not order.flags.writeable
+
+    def test_bit_reversal_at_powers_of_two(self):
+        for k in range(11):
+            reversed_bits = [int(format(i, f"0{k}b")[::-1] or "0", 2) for i in range(2**k)]
+            assert np.array_equal(_leaf_order(2**k), reversed_bits)
 
 
 def _nodewise_dev(got, ref):
