@@ -28,7 +28,6 @@ from .types import (  # noqa: F401
     BoundaryPolyPair,
     CauchyData,
     EntirePair,
-    HpVector,
     SigmaFunction,
     Subspectrum,
     branch_sqrt,
@@ -60,7 +59,6 @@ from .moments import (  # noqa: F401
     build_moment_system,
     build_v,
     build_w,
-    u_from_cauchy,
     xi_identity_residual,
 )
 from .ode import (  # noqa: F401

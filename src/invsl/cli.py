@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import jsonschema
@@ -209,11 +210,7 @@ def cmd_diagnose(args) -> int:
            class_s={"simple": diag.simple, "min_gap": diag.min_gap},
            class_a={"nonzero": diag.min_abs_lambda > 0, "min_abs_lambda": diag.min_abs_lambda,
                     "max_im_rho": diag.max_im_rho, "sum_inv_rho_sq": diag.sum_inv_rho_sq},
-           gram=None if gram is None else {
-               "sizes": list(gram.sizes), "conds": list(gram.conds),
-               "smin": gram.smin, "smax": gram.smax,
-               "basis_like": gram.basis_like, "growth_ratio": gram.growth_ratio,
-           },
+           gram=None if gram is None else asdict(gram),
            xi_identity_residual=xi_identity_residual(rhos))
     return 0
 

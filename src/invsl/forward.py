@@ -340,21 +340,15 @@ def _index_brackets(count_below: Callable, ends, n_roots: int):
     raise RootLoss("bisection on the eigenvalue count did not isolate every index")
 
 
-def _root_lifts(pair: BoundaryPolyPair, lam, sign: float):
-    """Index lift of a boundary angle through the real roots of p1 passed below lam.
+def _root_lifts(pair: BoundaryPolyPair, lam):
+    """Index lift of a boundary angle: the number of roots of p1 below lam.
 
-    At a real root of p1 the angle of (p1, -p2) (left end) or of (-p1, p2)
-    (right end) crosses a multiple of pi, where its value mod pi jumps.  The
-    lift undoes the jump: +1 per root where the angle moves the count up
-    (sign * p1'/p2 > 0), -1 where it moves it down (a non-Herglotz pair).
+    At a root of p1 the angle of (p1, -p2) (left end) or of (-p1, p2) (right
+    end) crosses a multiple of pi, where its value mod pi jumps; the lift
+    undoes the jump.  For a Herglotz pair (`_herglotz`) p1 has only real,
+    simple roots, and the angle moves the count up by one at each.
     """
-    lift = np.zeros(lam.shape, dtype=int)
-    if pair.a.size > 1:
-        roots = np.roots(pair.a[::-1])
-        for xi in roots[np.abs(roots.imag) <= 1e-12 * (1.0 + np.abs(roots))].real:
-            up = sign * pair.dp1(xi).real / pair.p2(xi).real > 0
-            lift += np.where(lam > xi, 1 if up else -1, 0)
-    return lift
+    return np.searchsorted(np.sort(np.roots(pair.a[::-1]).real), lam)
 
 
 def _herglotz(pair: BoundaryPolyPair, sign: float) -> bool:
@@ -388,7 +382,10 @@ def count_below(sigma: SigmaFunction, left: BoundaryPolyPair, right: BoundaryPol
     every cell has |mu| h < pi), one more where the angle of (phi^{[1]}, phi)
     at X exceeds that of (r2, -r1) (pi for a Dirichlet end, r1 = 0), and
     lifts through the real roots of p1 and r1.  The angles are compared by
-    a cross product in the upper half-plane, so none rounds from pi to 0."""
+    a cross product in the upper half-plane, so none rounds from pi to 0.
+
+    Both pairs must be Herglotz (`_herglotz`), as `index_search` checks: the
+    lifts count every root of p1 and r1 as real and moving the count up."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     mu2 = np.max(lam) - np.min(np.diff(sigma.samples.real)) / sigma.dx
     if mu2 * sigma.dx**2 >= np.pi**2:
@@ -398,7 +395,7 @@ def count_below(sigma: SigmaFunction, left: BoundaryPolyPair, right: BoundaryPol
     r1, r2 = right.p1(lam).real, right.p2(lam).real
     turn = _upper(yq[-1], y[-1]) * _upper(r2, -r1) * (y[-1] * r2 + yq[-1] * r1)
     end = (turn > 0) & bool(np.any(right.a))
-    return changes + end + _root_lifts(left, lam, -1.0) + _root_lifts(right, lam, 1.0)
+    return changes + end + _root_lifts(left, lam) + _root_lifts(right, lam)
 
 
 def index_search(sigma: SigmaFunction, left: BoundaryPolyPair, right: BoundaryPolyPair,

@@ -157,7 +157,7 @@ def hl_spectrum(problem: TwoSidedProblem, count: int) -> Subspectrum:
 
 
 def hl_reconstruct(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair,
-                   p: int, spectrum: Subspectrum, drop: int, grid,
+                   p: int, spectrum: Subspectrum, drop: int, grid: int,
                    reg: float = 0.0) -> CauchyData:
     """Left-half Cauchy data from the spectrum with the first `drop` values excluded.
 

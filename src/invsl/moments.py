@@ -5,9 +5,12 @@ system built on it.
 `slot_layout` is the one place that knows how the boundary degree p arranges
 the moment row v(t, lambda).  `_tags_for` names the probe functions, with
 their closed-form columns (`_component_columns`) and Gram matrix
-(`_gram_block`); `svd_solve` is the one least-squares step.  Also here: v on
-a grid, the scalar w(lambda), the moment system of a subspectrum as arrays,
-and Riesz-basis condition estimates for sine families.
+(`_gram_block`); `svd_solve` is the one least-squares step.
+`build_moment_system` lays the rows of a subspectrum out once and keeps the
+layout; the targets w (`build_w`) and the row norms (`row_norm_exact`) are
+read from it.  Also here: one row v(., lambda) on a grid as an element of H
+(`build_v`, the grid-quadrature oracle of the closed-form rows) and
+Riesz-basis condition estimates for sine families.
 """
 
 from __future__ import annotations
@@ -19,16 +22,10 @@ import numpy as np
 
 from .errors import ParityMismatch
 from .trig import gauss_nodes, overlap_cos_cos, overlap_sin_sin, poly_cos, poly_poly, poly_sin, sinc
-from .types import CauchyData, EntirePair, HpVector, Subspectrum, branch_sqrt
+from .types import CauchyData, EntirePair, Subspectrum, branch_sqrt
 
 # Singular values at or below this fraction of the largest are truncated.
 _RANK_TOL = 1e-12
-
-
-def _as_grid(grid) -> np.ndarray:
-    if np.isscalar(grid):
-        return np.linspace(0.0, np.pi, int(grid) + 1)
-    return np.asarray(grid, dtype=float)
 
 
 class SlotLayout(NamedTuple):
@@ -150,46 +147,29 @@ def svd_solve(u, s, vh, rhs, reg: float = 0.0):
     return vh.conj().T @ (gains * (u.conj().T @ rhs))
 
 
-def _layout_at(lam, f: EntirePair, p: int, f_values=None):
-    lam = np.asarray(lam, dtype=complex)
-    if f_values is None:
-        f_values = f(lam.reshape(-1))
-    f1, f2 = (np.asarray(v, dtype=complex).reshape(lam.shape) for v in f_values)
-    return lam, slot_layout(p, lam, f1, f2)
-
-
-def _grid_row(lam, layout: SlotLayout, grid) -> HpVector:
-    t = _as_grid(grid)
+def build_v(lam, f: EntirePair, p: int, grid: int) -> CauchyData:
+    """Moment row v(., lambda) as an element of H on the uniform grid of `grid`
+    cells over [0, pi], laid out by `slot_layout`."""
+    lam = complex(lam)
+    (f1,), (f2,) = f(np.array([lam]))
+    layout = slot_layout(p, lam, f1, f2)
     rho = branch_sqrt(lam)
-    h1, h2 = layout.kernels(t * sinc(rho * t), np.cos(rho * t))
-    return HpVector(layout.k1 * h1, layout.k2 * h2, layout.slots)
+    t = np.linspace(0.0, np.pi, grid + 1)
+    j, g = layout.kernels(t * sinc(rho * t), np.cos(rho * t))
+    return CauchyData(layout.k1 * j, layout.k2 * g, layout.slots)
 
 
-def build_v(lam, f: EntirePair, p: int, grid) -> HpVector:
-    """Moment row v(., lambda) in L2+L2+C^p on the grid, laid out by `slot_layout`."""
-    lam, layout = _layout_at(complex(lam), f, p)
-    return _grid_row(lam, layout, grid)
-
-
-def build_w(lam, f: EntirePair, p: int, f_values=None):
-    """Right-hand side w(lambda) of the moment relation, elementwise over lambda."""
-    lam, layout = _layout_at(lam, f, p, f_values)
-    rho = branch_sqrt(lam)
+def build_w(rho, layout: SlotLayout):
+    """Right-hand side w(lambda) of the moment relation at lambda = rho^2,
+    elementwise over `layout` (the rows' `slot_layout`)."""
     e1, e0 = layout.free_terms(np.pi * sinc(rho * np.pi), np.cos(rho * np.pi))
     w = -(layout.k1 * e1 + layout.k2 * e0)
     return complex(w) if w.ndim == 0 else w
 
 
-def u_from_cauchy(data: CauchyData) -> HpVector:
-    """The moment relation's element u = conj([J, G, A]) of Cauchy data {J, G, A}."""
-    return HpVector(np.conj(data.j), np.conj(data.g), np.conj(data.a))
-
-
-def row_norm_exact(lam, f: EntirePair, p: int, f_values=None):
-    """Continuum norm of v(., lambda) from closed-form trig integrals,
-    elementwise over lambda."""
-    lam, layout = _layout_at(lam, f, p, f_values)
-    rho = branch_sqrt(lam)
+def row_norm_exact(rho, layout: SlotLayout):
+    """Continuum norm of v(., lambda) at lambda = rho^2 from closed-form trig
+    integrals, elementwise over `layout` (the rows' `slot_layout`)."""
     tiny = np.abs(rho) <= 1e-6
     safe = np.where(tiny, 1.0, rho)
     int_sin = np.where(tiny, np.pi**3 / 3.0,
@@ -206,38 +186,47 @@ def row_norm_exact(lam, f: EntirePair, p: int, f_values=None):
 class MomentSystem:
     """The moment relation (u, v_n) = w_n at every eigenvalue of a subspectrum.
 
-    Arrays over the eigenvalues: `f_values` holds (f1, f2), `ws` the targets
-    w_n and `norms` the continuum norms ||v_n||.  The rows v_n themselves are
-    not stored: the solve integrates them against its probe functions in
-    closed form (`reconstruct.moment_design`), and `build_v` gives one on a
-    grid.  `grid_size` is the size of the grid the solution is synthesized on.
+    Arrays over the eigenvalues: `layout` is the rows' `slot_layout`, `rho`
+    holds rho_n = sqrt(lambda_n), `ws` the targets w_n and `norms` the
+    continuum norms ||v_n||.  The rows v_n themselves are not stored: the
+    solve integrates the layout against its probe functions in closed form
+    (`reconstruct.moment_design`), and `build_v` gives one on a grid.
+    `grid_m` is the cell count of the grid the solution is synthesized on.
     A stacked subspectrum gives a stacked system: every array has its
     (trials, N) shape.
     """
 
     lambdas: Subspectrum
-    f_values: tuple
+    layout: SlotLayout
+    rho: np.ndarray
     ws: np.ndarray
     norms: np.ndarray
-    p: int
-    grid_size: int
+    grid_m: int
+
+    @property
+    def p(self) -> int:
+        return self.layout.slots.shape[-1]
 
     def __len__(self):
         return self.ws.size
 
 
-def build_moment_system(subspectrum: Subspectrum, f: EntirePair, p: int, grid) -> MomentSystem:
-    """Targets and row norms for every eigenvalue of a simple subspectrum.
+def build_moment_system(subspectrum: Subspectrum, f: EntirePair, p: int, grid: int) -> MomentSystem:
+    """Layout, targets and row norms for every eigenvalue of a simple subspectrum,
+    with `grid` cells for the synthesis grid (ValueError unless an integer >= 1).
 
-    `f` is evaluated once over all eigenvalues, also those of a stack.
+    `f`, `slot_layout` and `branch_sqrt` are evaluated once over all
+    eigenvalues, also those of a stack.
     """
+    if not isinstance(grid, (int, np.integer)) or grid < 1:
+        raise ValueError(f"grid must be a cell count, an integer >= 1, got {grid!r}")
     subspectrum.require_simple()
     lams = subspectrum.lambdas
-    f_values = tuple(v.reshape(lams.shape) for v in f(lams.reshape(-1)))
-    return MomentSystem(lambdas=subspectrum, f_values=f_values,
-                        ws=build_w(lams, f, p, f_values),
-                        norms=row_norm_exact(lams, f, p, f_values),
-                        p=p, grid_size=_as_grid(grid).size)
+    f1, f2 = (v.reshape(lams.shape) for v in f(lams.reshape(-1)))
+    layout = slot_layout(p, lams, f1, f2)
+    rho = branch_sqrt(lams)
+    return MomentSystem(lambdas=subspectrum, layout=layout, rho=rho, ws=build_w(rho, layout),
+                        norms=row_norm_exact(rho, layout), grid_m=int(grid))
 
 
 def xi_identity_residual(rhos: Sequence[complex]) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -22,16 +22,13 @@ from .forward import char_delta
 from .moments import (
     _RANK_TOL,
     MomentSystem,
-    _as_grid,
     _component_columns,
     _gram_block,
     _tags_for,
     build_moment_system,
     build_v,
-    build_w,
     slot_layout,
     svd_solve,
-    u_from_cauchy,
 )
 from .trig import sinc, synth_series
 from .types import (
@@ -41,7 +38,6 @@ from .types import (
     SigmaFunction,
     Subspectrum,
     branch_sqrt,
-    hp_inner,
 )
 
 # Monomial columns per kernel component of the default probe basis.
@@ -107,13 +103,12 @@ def moment_design(system: MomentSystem, basis: ProbeBasis):
     true product-space norm.  The rows of a stacked system come trial by
     trial, so the design is always (rows, columns).
     """
-    lams = system.lambdas.lambdas.reshape(-1)
-    rho = branch_sqrt(lams)
-    layout = slot_layout(system.p, lams, *(v.reshape(-1) for v in system.f_values))
+    rho = system.rho.reshape(-1)
+    layout = system.layout
     against1, against2 = layout.kernels("sin_over_rho", "cos")
-    m1 = layout.k1[:, None] * _component_columns(basis.h1_tags, rho, against1)
-    m2 = layout.k2[:, None] * _component_columns(basis.h2_tags, rho, against2)
-    raw = np.concatenate([m1, m2, layout.slots], axis=1)
+    m1 = layout.k1.reshape(-1, 1) * _component_columns(basis.h1_tags, rho, against1)
+    m2 = layout.k2.reshape(-1, 1) * _component_columns(basis.h2_tags, rho, against2)
+    raw = np.concatenate([m1, m2, layout.slots.reshape(rho.size, -1)], axis=1)
     inv_norm = 1.0 / np.maximum(system.norms.reshape(-1), 1e-300)
     rows = raw * inv_norm[:, None]
     d1 = rows[:, : len(basis.h1_tags)] @ basis.b1
@@ -163,7 +158,7 @@ def solve_moment(system: MomentSystem, basis: ProbeBasis, reg: float = 0.0):
     u_mat, svals, vh = np.linalg.svd(design, full_matrices=False)
     parts = [_solve_one(design[k], rhs[k], u_mat[k], svals[k], vh[k], basis, reg)
              for k in np.ndindex(system.ws.shape[:-1])]
-    t = np.linspace(0.0, np.pi, system.grid_size)
+    t = np.linspace(0.0, np.pi, system.grid_m + 1)
     j = synth_series(basis.h1_tags, np.array([x1 for x1, *_ in parts]), t)
     g = synth_series(basis.h2_tags, np.array([x2 for _, x2, *_ in parts]), t)
     out = [CauchyData(jk, gk, a, series=series, meta=meta)
@@ -222,23 +217,24 @@ def deltas_from_cauchy(data: CauchyData, lam):
 
 def moment_identity_check(data: CauchyData, lam, f: EntirePair,
                           pair: BoundaryPolyPair, sigma: SigmaFunction) -> float:
-    """Relative residual of (u, v(., lambda)) = Delta(lambda) + w(lambda), with
-    u = `u_from_cauchy(data)` the moment relation's element of the Cauchy data."""
-    p = pair.p
-    lhs = hp_inner(u_from_cauchy(data), build_v(lam, f, p, data.j.size - 1))
+    """Relative residual of (u, v(., lambda)) = Delta(lambda) + w(lambda), where
+    u = conj([J, G, A]), so that (u, v) pairs the data with v without conjugation."""
+    v = build_v(lam, f, pair.p, data.j.size - 1)
+    lhs = complex(np.sum(data.weights() * (data.j * v.j + data.g * v.g)) + np.sum(data.a * v.a))
     delta = complex(np.asarray(char_delta(sigma, pair, f, np.array([lam]))).ravel()[0])
-    w = build_w(lam, f, p)
+    w = build_moment_system(Subspectrum([lam]), f, pair.p, data.j.size - 1).ws[0]
     scale = max(abs(delta), abs(w), abs(lhs), 1.0)
     return abs(lhs - delta - w) / scale
 
 
-def reconstruct(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
+def reconstruct(p: int, f: EntirePair, subspectrum: Subspectrum, grid: int,
                 reg: float = 0.0, basis: Optional[ProbeBasis] = None) -> CauchyData:
     """Recover generalized Cauchy data from a subspectrum.
 
     Composes the moment-system assembly and the normalized least-squares
     solve over `basis` (by default `default_basis`); the returned
-    `CauchyData` carries the reconstruction report as `meta`.
+    `CauchyData`, on the uniform grid of `grid` cells, carries the
+    reconstruction report as `meta`.
 
     The uniqueness verdict is one rule: the report's `completeness` block is
     `completeness_ratio` of the solved system, whose gram ratio counts as 0
@@ -247,8 +243,7 @@ def reconstruct(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
     message to `warnings` and emits it as NonUniqueWarning.  The solve's
     `cond`, `smin_ratio` and `deficient` stay in the report as evidence only.
     """
-    t = _as_grid(grid)
-    system = build_moment_system(subspectrum, f, p, t)
+    system = build_moment_system(subspectrum, f, p, grid)
     if basis is None:
         basis = default_basis(subspectrum, p)
     data = solve_moment(system, basis, reg=reg)
@@ -262,7 +257,6 @@ def reconstruct(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
         warn_msgs.append(f"completeness evidence collapsed (gram ratio {comp['gram_ratio']:.2e}); "
                          "the subspectrum does not determine the data")
         warnings.warn(warn_msgs[0], NonUniqueWarning, stacklevel=2)
-    diag = subspectrum.diagnostics()
     kinds = [kind for kind, _ in basis.h1_tags + basis.h2_tags]
     report = {
         "n_rows": len(system),
@@ -276,13 +270,7 @@ def reconstruct(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
         "completeness": comp,
         "non_unique": bool(warn_msgs),
         "warnings": warn_msgs,
-        "subspectrum": {
-            "simple": diag.simple,
-            "min_gap": diag.min_gap,
-            "min_abs_lambda": diag.min_abs_lambda,
-            "max_im_rho": diag.max_im_rho,
-            "sum_inv_rho_sq": diag.sum_inv_rho_sq,
-        },
+        "subspectrum": asdict(subspectrum.diagnostics()),
     }
     return replace(data, meta=report)
 
@@ -320,7 +308,7 @@ def noise_plan(omegas, trials: int) -> list:
     return omegas
 
 
-def stability_experiment(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
+def stability_experiment(p: int, f: EntirePair, subspectrum: Subspectrum, grid: int,
                          omegas, trials: int = 20, seed: int = 0,
                          reg: float = 0.0) -> dict:
     """Perturb the subspectrum roots at fixed l2 size and measure the response.
@@ -336,9 +324,8 @@ def stability_experiment(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
     """
     omegas = noise_plan(omegas, trials)
     rng = np.random.default_rng(seed)
-    t = _as_grid(grid)
     basis = default_basis(subspectrum, p)
-    base = reconstruct(p, f, subspectrum, t, reg=reg, basis=basis)
+    base = reconstruct(p, f, subspectrum, grid, reg=reg, basis=basis)
     w = base.weights()
 
     def l2(vec):
@@ -351,7 +338,7 @@ def stability_experiment(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
         if omega > 0:
             noise[i] = draw * (omega / np.linalg.norm(draw))
     rho = subspectrum.rhos + noise
-    system = build_moment_system(Subspectrum(rho * rho), f, p, t)
+    system = build_moment_system(Subspectrum(rho * rho), f, p, grid)
     solved = solve_moment(system, basis, reg=reg)
 
     rows = []
@@ -360,8 +347,7 @@ def stability_experiment(p: int, f: EntirePair, subspectrum: Subspectrum, grid,
         rows.append({
             "omega": omegas[i // trials],
             "trial": i % trials,
-            "err_u": float(np.sqrt(abs(
-                np.sum(w * (np.abs(dj) ** 2 + np.abs(dg) ** 2)) + np.sum(np.abs(da) ** 2)))),
+            "err_u": CauchyData(dj, dg, da).norm(),
             "err_j": l2(dj),
             "err_g": l2(dg),
             "err_a": float(np.max(np.abs(da))) if da.size else 0.0,

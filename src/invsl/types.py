@@ -1,5 +1,7 @@
-"""Domain data model: potentials, boundary pairs, subspectra, product-space vectors.
+"""Domain data model: potentials, boundary pairs, subspectra and Cauchy data.
 
+`CauchyData` is the one element type of H = L2(0, pi) + L2(0, pi) + C^p,
+with `hp_inner` its scalar product and `CauchyData.norm` its norm.
 All types are immutable value objects; construction validates the invariants
 that are cheap to check, while `validate_rp` performs the full boundary-pair
 diagnostics (normalization and coprimality).  The JSON form of a complex
@@ -156,10 +158,6 @@ class BoundaryPolyPair:
     def p2(self, lam):
         return _polyval(self.b, lam)
 
-    def dp1(self, lam):
-        n = np.arange(1, self.a.size)
-        return _polyval(self.a[1:] * n, lam)
-
 
 def validate_rp(pair: BoundaryPolyPair) -> None:
     """Check the normalization and coprimality of a boundary pair.
@@ -313,53 +311,6 @@ class Subspectrum:
         return self
 
 
-@dataclass(frozen=True)
-class HpVector:
-    """Element [H1, H2, h1..hp] of L2(0,pi) + L2(0,pi) + C^p on a uniform grid."""
-
-    h1: np.ndarray
-    h2: np.ndarray
-    scalars: np.ndarray
-
-    def __post_init__(self):
-        h1 = np.atleast_1d(np.array(self.h1, dtype=complex))
-        h2 = np.atleast_1d(np.array(self.h2, dtype=complex))
-        sc = np.atleast_1d(np.array(self.scalars, dtype=complex))
-        if h1.shape != h2.shape:
-            raise DimensionMismatch("H1 and H2 must share a grid")
-        for arr in (h1, h2, sc):
-            arr.setflags(write=False)
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "h2", h2)
-        object.__setattr__(self, "scalars", sc)
-
-    @property
-    def grid_size(self) -> int:
-        return self.h1.size
-
-    @property
-    def p(self) -> int:
-        return self.scalars.size
-
-    def weights(self) -> np.ndarray:
-        return _trapezoid(self.grid_size)
-
-    def norm(self) -> float:
-        return float(np.sqrt(hp_inner(self, self).real))
-
-    def __add__(self, other: "HpVector") -> "HpVector":
-        _check_compatible(self, other)
-        return HpVector(self.h1 + other.h1, self.h2 + other.h2, self.scalars + other.scalars)
-
-    def __sub__(self, other: "HpVector") -> "HpVector":
-        _check_compatible(self, other)
-        return HpVector(self.h1 - other.h1, self.h2 - other.h2, self.scalars - other.scalars)
-
-    @classmethod
-    def zero(cls, grid_size: int, p: int) -> "HpVector":
-        return cls(np.zeros(grid_size, complex), np.zeros(grid_size, complex), np.zeros(p, complex))
-
-
 def _trapezoid(n: int) -> np.ndarray:
     """Trapezoid weights of the uniform n-point grid over [0, pi]."""
     w = np.full(n, np.pi / (n - 1))
@@ -367,30 +318,28 @@ def _trapezoid(n: int) -> np.ndarray:
     return w
 
 
-def _check_compatible(g: HpVector, h: HpVector):
-    if g.grid_size != h.grid_size or g.p != h.p:
+def hp_inner(g: CauchyData, h: CauchyData) -> complex:
+    """Scalar product of H = L2(0, pi) + L2(0, pi) + C^p, conjugate-linear in
+    the first argument: trapezoid weights on the shared uniform grid over
+    [0, pi] for the kernels, the plain sum for the constants.  Elements on
+    different grids or with different p raise DimensionMismatch."""
+    if g.j.size != h.j.size or g.p != h.p:
         raise DimensionMismatch(
-            f"incompatible elements: grids {g.grid_size}/{h.grid_size}, p {g.p}/{h.p}"
+            f"incompatible elements: grids {g.j.size}/{h.j.size}, p {g.p}/{h.p}"
         )
-
-
-def hp_inner(g: HpVector, h: HpVector) -> complex:
-    """Scalar product on L2+L2+C^p, conjugate-linear in the first argument.
-
-    Trapezoid weights on the shared uniform grid over [0, pi].
-    """
-    _check_compatible(g, h)
-    w = g.weights()
-    integral = np.sum(w * (np.conj(g.h1) * h.h1 + np.conj(g.h2) * h.h2))
-    finite = np.sum(np.conj(g.scalars) * h.scalars)
+    integral = np.sum(g.weights() * (np.conj(g.j) * h.j + np.conj(g.g) * h.g))
+    finite = np.sum(np.conj(g.a) * h.a)
     return complex(integral + finite)
 
 
 @dataclass(frozen=True)
 class CauchyData:
-    """Generalized Cauchy data: two L2(0, pi) kernels j, g plus p complex constants a.
-    `series` holds the kernels' probe series (keys "j", "g") and `meta` the report
-    of the fit (`extract_cauchy`) or the reconstruction (`reconstruct`) that made them."""
+    """An element [J, G, A] of H: Cauchy data, or a moment row v(., lambda).
+
+    Two L2(0, pi) kernels j, g on a uniform grid over [0, pi] plus p complex
+    constants a.  `series` holds the kernels' probe series (keys "j", "g") and
+    `meta` the report of the fit (`extract_cauchy`) or the reconstruction
+    (`reconstruct`) that made them."""
 
     j: np.ndarray
     g: np.ndarray
@@ -416,3 +365,8 @@ class CauchyData:
 
     def weights(self) -> np.ndarray:
         return _trapezoid(self.j.size)
+
+    def norm(self) -> float:
+        """The norm of H: sqrt(||j||^2 + ||g||^2 + |a|^2), kernels by `weights`."""
+        kernels = np.sum(self.weights() * (np.abs(self.j) ** 2 + np.abs(self.g) ** 2))
+        return float(np.sqrt(abs(kernels + np.sum(np.abs(self.a) ** 2))))

@@ -8,13 +8,12 @@ import pytest
 from invsl.errors import NonUniqueWarning, RootLoss
 from invsl.forward import _muller_polish, extract_cauchy, resample_cauchy, winding_count
 from invsl.halfinverse import hl_entire_pair, hl_spectrum
-from invsl.moments import _as_grid
 from invsl.ode import _BLOCK, _cell_matrices, _real_axis, _to_quasi, node_values
 from invsl.problems import hl_exclusion_instance, roundtrip_corpus
 from invsl.reconstruct import default_basis, reconstruct
 from invsl.serialize import complex_array, complex_to_pair, pair_to_complex
 from invsl.trig import gauss_nodes
-from invsl.types import HpVector, SigmaFunction, Subspectrum
+from invsl.types import CauchyData, SigmaFunction, Subspectrum
 
 try:
     from hypothesis import settings
@@ -109,7 +108,12 @@ def no_common_zero(f, lams, tol=1e-9):
 
 def scaled(h, c):
     """The product-space element c h."""
-    return HpVector(c * h.h1, c * h.h2, c * h.scalars)
+    return CauchyData(c * h.j, c * h.g, c * h.a)
+
+
+def conjugate(data):
+    """The moment relation's element u = conj([J, G, A]) of Cauchy data."""
+    return CauchyData(np.conj(data.j), np.conj(data.g), np.conj(data.a))
 
 
 def gauss_panels(f, a, b, panels, order=12):
@@ -228,9 +232,8 @@ def sequential_stability(p, f, subspectrum, grid, omegas, trials=20, seed=0, reg
     so tests compare the stacked solve with it.
     """
     rng = np.random.default_rng(seed)
-    t = _as_grid(grid)
     basis = default_basis(subspectrum, p)
-    base = reconstruct(p, f, subspectrum, t, reg=reg, basis=basis)
+    base = reconstruct(p, f, subspectrum, grid, reg=reg, basis=basis)
     rho0 = subspectrum.rhos
     w = base.weights()
 
@@ -249,7 +252,7 @@ def sequential_stability(p, f, subspectrum, grid, omegas, trials=20, seed=0, reg
             pert = Subspectrum(rho * rho)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", NonUniqueWarning)
-                res = reconstruct(p, f, pert, t, reg=reg, basis=basis)
+                res = reconstruct(p, f, pert, grid, reg=reg, basis=basis)
             dj, dg, da = res.j - base.j, res.g - base.g, res.a - base.a
             rows.append({
                 "omega": float(omega),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import conjugate
 from invsl.errors import DuplicateEigenvalue, ParityMismatch
 from invsl.forward import char_pair, extract_cauchy, find_eigenvalues, make_delta
 from invsl.moments import (
@@ -9,12 +10,20 @@ from invsl.moments import (
     build_v,
     build_w,
     row_norm_exact,
-    u_from_cauchy,
+    slot_layout,
     xi_identity_residual,
 )
 from invsl.problems import sigma_bump
 from invsl.reconstruct import moment_identity_check
-from invsl.types import BoundaryPolyPair, EntirePair, SigmaFunction, Subspectrum
+from invsl.types import (
+    BoundaryPolyPair,
+    CauchyData,
+    EntirePair,
+    SigmaFunction,
+    Subspectrum,
+    branch_sqrt,
+    hp_inner,
+)
 
 F10 = EntirePair.constant(1.0, 0.0)
 F01 = EntirePair.constant(0.0, 1.0)
@@ -22,24 +31,30 @@ F11 = EntirePair.constant(1.0, 1.0)
 SIG0 = SigmaFunction.zero(np.pi, 512)
 
 
+def _at(lam, f, p):
+    """(rho, slot layout) of the moment row of f at one lambda."""
+    (f1,), (f2,) = f(np.array([lam], dtype=complex))
+    return branch_sqrt(lam), slot_layout(p, lam, f1, f2)
+
+
 class TestBuildV:
     def test_p1_example(self):
         v = build_v(1.0, F10, 1, 256)
         t = np.linspace(0, np.pi, 257)
-        assert np.max(np.abs(v.h1 - np.sin(t))) <= 1e-14
-        assert np.max(np.abs(v.h2)) == 0
-        assert np.allclose(v.scalars, [1.0])
+        assert np.max(np.abs(v.j - np.sin(t))) <= 1e-14
+        assert np.max(np.abs(v.g)) == 0
+        assert np.allclose(v.a, [1.0])
 
     def test_p3_scalar_slots(self):
         v = build_v(4.0, F11, 3, 128)
-        assert np.allclose(v.scalars, [1.0, 1.0, 4.0])
+        assert np.allclose(v.a, [1.0, 1.0, 4.0])
 
     def test_p2_even_example(self):
         v = build_v(1.0, F01, 2, 128)
         t = np.linspace(0, np.pi, 129)
-        assert np.max(np.abs(v.h1)) == 0
-        assert np.max(np.abs(v.h2 - np.sin(t))) <= 1e-14
-        assert np.allclose(v.scalars, [0.0, 1.0])
+        assert np.max(np.abs(v.j)) == 0
+        assert np.max(np.abs(v.g - np.sin(t))) <= 1e-14
+        assert np.allclose(v.a, [0.0, 1.0])
 
     def test_slot_count_matches_p(self):
         for p in range(1, 7):
@@ -48,8 +63,8 @@ class TestBuildV:
     def test_real_for_real_inputs(self):
         for p in (1, 2, 3, 4):
             v = build_v(7.1, F11, p, 64)
-            assert np.max(np.abs(v.h1.imag)) <= 1e-14
-            assert np.max(np.abs(v.h2.imag)) <= 1e-14
+            assert np.max(np.abs(v.j.imag)) <= 1e-14
+            assert np.max(np.abs(v.g.imag)) <= 1e-14
 
     def test_parity_guard(self):
         with pytest.raises(ParityMismatch):
@@ -58,9 +73,9 @@ class TestBuildV:
 
 class TestBuildW:
     def test_examples(self):
-        assert build_w(0.25, F10, 1) == pytest.approx(0.5)
-        assert build_w(1.0, F01, 1) == pytest.approx(1.0)
-        assert build_w(1.0, F10, 2) == pytest.approx(-1.0)
+        assert build_w(*_at(0.25, F10, 1)) == pytest.approx(0.5)
+        assert build_w(*_at(1.0, F01, 1)) == pytest.approx(1.0)
+        assert build_w(*_at(1.0, F10, 2)) == pytest.approx(-1.0)
 
 
 @pytest.fixture(scope="module")
@@ -78,15 +93,13 @@ class TestMomentIdentity:
         # Delta vanishes there, so (u, v_n) - w_n itself must be small
         pair = BoundaryPolyPair([1.0], [0.0])
         lam = (3 - 0.5) ** 2
-        u = u_from_cauchy(trivial_data)
-        v = build_v(lam, F01, 1, u.grid_size - 1)
-        from invsl.types import hp_inner
-        w = build_w(lam, F01, 1)
+        u = conjugate(trivial_data)
+        v = build_v(lam, F01, 1, u.j.size - 1)
+        w = build_w(*_at(lam, F01, 1))
         scale = max(abs(w), 1.0)
         assert abs(hp_inner(u, v) - w) / scale <= 1e-6
 
     def test_zero_data_zero_f(self):
-        from invsl.types import CauchyData
         data = CauchyData(np.zeros(129), np.zeros(129), [0.0])
         f0 = EntirePair.constant(0.0, 0.0)
         assert moment_identity_check(data, 3.0, f0, BoundaryPolyPair([1.0], [0.0]), SIG0) == 0
@@ -102,7 +115,7 @@ class TestMomentSystem:
             # closed-form norms agree with the grid quadrature at grid accuracy
             for lam, w, n in zip(sub.lambdas, sys_.ws, sys_.norms):
                 assert build_v(lam, F01, p, 128).norm() == pytest.approx(n, rel=1e-4)
-                assert build_w(lam, F01, p) == pytest.approx(w, rel=1e-14)
+                assert build_w(*_at(lam, F01, p)) == pytest.approx(w, rel=1e-14)
 
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateEigenvalue):
@@ -137,13 +150,12 @@ class TestCompanionCollinearity:
         delta, _ = make_delta(sig, pair, f)
         spec = find_eigenvalues(delta, (-4.0, 90.0)).take(8)
         d0, d1 = char_pair(sig, pair, spec.lambdas)
-        t = np.linspace(0, np.pi, 257)
         for i, lam in enumerate(spec.lambdas):
-            g = build_v(lam, EntirePair.constant(d0[i], -d1[i]), pair.p, t)
-            v = build_v(lam, f, pair.p, t)
+            comp = build_v(lam, EntirePair.constant(d0[i], -d1[i]), pair.p, 256)
+            v = build_v(lam, f, pair.p, 256)
             rows = np.stack([
-                np.concatenate([g.h1, g.h2, g.scalars]),
-                np.concatenate([v.h1, v.h2, v.scalars]),
+                np.concatenate([comp.j, comp.g, comp.a]),
+                np.concatenate([v.j, v.g, v.a]),
             ])
             s = np.linalg.svd(rows, compute_uv=False)
             assert s[1] <= 1e-8 * s[0]
@@ -169,4 +181,4 @@ class TestBasisDiagnostics:
 
 def test_row_norm_exact_positive():
     for p in (1, 2, 3):
-        assert row_norm_exact(3.7, F11, p) > 0
+        assert row_norm_exact(*_at(3.7, F11, p)) > 0

@@ -5,16 +5,16 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import gauss_panels, rel_l2, sequential_stability
+from conftest import conjugate, gauss_panels, rel_l2, sequential_stability
 from invsl.errors import DuplicateEigenvalue, NonUniqueWarning, PoleProximity
 from invsl.forward import char_pair, extract_cauchy, resample_cauchy, weyl_ratio
+from invsl.halfinverse import hl_reconstruct
 from invsl.moments import (
     _component_columns,
     _gram_block,
     _tags_for,
     build_moment_system,
     build_v,
-    u_from_cauchy,
 )
 from invsl.reconstruct import (
     ProbeBasis,
@@ -45,10 +45,16 @@ from invsl.types import (
 
 # the package exports a function of the same name, which hides the module
 reconstruct_module = importlib.import_module("invsl.reconstruct")
+moments_module = importlib.import_module("invsl.moments")
 
 SIG0 = SigmaFunction.zero(np.pi, 512)
 PAIR_FREE = BoundaryPolyPair([1.0], [0.0])
 F01 = EntirePair.constant(0.0, 1.0)
+
+
+def _difference(x, y):
+    """The product-space element x - y."""
+    return CauchyData(x.j - y.j, x.g - y.g, x.a - y.a)
 
 
 class TestMomentDesign:
@@ -70,11 +76,11 @@ class TestMomentDesign:
             design, _ = moment_design(system, basis)
             raw = design * system.norms[:, None]
             for n, lam in enumerate(sub.lambdas):
-                v = build_v(lam, f, p, t)
+                v = build_v(lam, f, p, m)
                 quad = np.concatenate([
-                    [np.sum(wts * synth_series([tag], [1.0], t) * v.h1) for tag in probe.h1_tags],
-                    [np.sum(wts * synth_series([tag], [1.0], t) * v.h2) for tag in probe.h2_tags],
-                    v.scalars])
+                    [np.sum(wts * synth_series([tag], [1.0], t) * v.j) for tag in probe.h1_tags],
+                    [np.sum(wts * synth_series([tag], [1.0], t) * v.g) for tag in probe.h2_tags],
+                    v.a])
                 assert np.max(np.abs(raw[n] - quad)) <= 1e-4 * system.norms[n]
 
 
@@ -140,11 +146,11 @@ class TestSolveMoment:
 
     def test_roundtrip_matches_oracle_u(self, rt_free):
         # forward-generated problem: the solved data match the oracle in the
-        # product-space norm of their moment-relation elements
+        # product-space norm
         data = solve_moment(build_moment_system(rt_free.spectrum, rt_free.f, 1, 128),
                             default_basis(rt_free.spectrum, 1))
-        u_oracle = u_from_cauchy(rt_free.oracle_on(128))
-        err = (u_from_cauchy(data) - u_oracle).norm() / u_oracle.norm()
+        oracle = rt_free.oracle_on(128)
+        err = _difference(data, oracle).norm() / oracle.norm()
         assert err <= 1e-3
         assert data.meta["residual"] <= 1e-8 + 1e-6 * np.linalg.norm(
             np.abs(np.asarray(data.meta["design_shape"])))  # residual is tiny
@@ -155,7 +161,7 @@ class TestSolveMoment:
         # structurally invisible directions.
         sub = Subspectrum((np.arange(1, 41) - 0.5) ** 2 + 0j)
         system = build_moment_system(sub, F01, 1, 128)
-        u = u_from_cauchy(solve_moment(system, default_basis(sub, 1)))
+        u = conjugate(solve_moment(system, default_basis(sub, 1)))
         worst = 0.0
         for lam, w, n in zip(sub.lambdas, system.ws, system.norms):
             worst = max(worst, abs(hp_inner(u, build_v(lam, F01, 1, 128)) - w) / n)
@@ -275,6 +281,46 @@ class TestReconstruct:
         with pytest.warns(NonUniqueWarning):
             reconstruct(1, rt_free.f, sparse, 128)
 
+    @pytest.mark.parametrize("grid", [
+        np.linspace(0.0, 1.0, 129),
+        np.sort(np.random.default_rng(0).uniform(0.0, np.pi, 129)),
+        12.7,
+        0,
+    ], ids=["unit-interval-array", "random-array", "fraction", "zero"])
+    def test_grid_is_a_cell_count(self, grid, rt_free):
+        # the grid is a cell count: neither an array of nodes nor a fraction,
+        # and at least one cell
+        f, spec, right_pair = rt_free.f, rt_free.spectrum, rt_free.problem.right_pair
+        calls = [
+            lambda: build_moment_system(spec, f, 1, grid),
+            lambda: reconstruct(1, f, spec, grid),
+            lambda: hl_reconstruct(rt_free.sigma_right, right_pair, 1, spec, 0, grid),
+            lambda: stability_experiment(1, f, spec, grid, omegas=[0.0], trials=1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="cell count"):
+                call()
+
+    def test_rows_laid_out_once(self, rt_free, monkeypatch):
+        # the moment system keeps its layout: the solve and the completeness
+        # evidence read it, so with a warm probe-basis cache a reconstruction
+        # lays its rows out once, and a stability run once more for its stack
+        args = (1, rt_free.f, rt_free.spectrum, 128)
+        reconstruct(*args)
+        layouts = []
+        slot_layout = moments_module.slot_layout
+
+        def counting_layout(*a, **kwargs):
+            layouts.append(a[0])
+            return slot_layout(*a, **kwargs)
+
+        monkeypatch.setattr(moments_module, "slot_layout", counting_layout)
+        monkeypatch.setattr(reconstruct_module, "slot_layout", counting_layout)
+        reconstruct(*args)
+        assert len(layouts) == 1
+        stability_experiment(*args, omegas=[0.0, 1e-3], trials=2)
+        assert len(layouts) == 3
+
     def test_monotone_in_row_count(self, exclusion_case):
         # more eigenvalues never hurt by more than 10%
         errs = []
@@ -363,7 +409,7 @@ class TestStability:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 res = reconstruct(1, rt_free.f, Subspectrum(rho * rho), 128)
-            responses.append((u_from_cauchy(res) - u_from_cauchy(base)).norm() / delta)
+            responses.append(_difference(res, base).norm() / delta)
         assert max(responses) / min(responses) <= 3
 
 

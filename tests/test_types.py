@@ -5,7 +5,7 @@ from conftest import no_common_zero, reflected, scaled
 from invsl.errors import CommonRoot, DimensionMismatch, DuplicateEigenvalue, NormalizationViolation
 from invsl.types import (
     BoundaryPolyPair,
-    HpVector,
+    CauchyData,
     SigmaFunction,
     Subspectrum,
     branch_sqrt,
@@ -64,30 +64,34 @@ class TestValidateRp:
             validate_rp(BoundaryPolyPair([0.0], [0.3, 1.0]))
 
 
+def _zero(grid_size, p):
+    return CauchyData(np.zeros(grid_size), np.zeros(grid_size), np.zeros(p))
+
+
 class TestHpInner:
     def test_zero(self):
-        z = HpVector.zero(65, 2)
+        z = _zero(65, 2)
         assert hp_inner(z, z) == 0
 
     def test_unit_scalar_slot(self):
-        g = HpVector(np.zeros(65), np.zeros(65), [1.0, 0.0])
+        g = CauchyData(np.zeros(65), np.zeros(65), [1.0, 0.0])
         assert hp_inner(g, g) == pytest.approx(1.0)
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
-            g = HpVector(rng.standard_normal(65) + 1j * rng.standard_normal(65),
-                         rng.standard_normal(65) + 1j * rng.standard_normal(65),
-                         rng.standard_normal(3) + 1j * rng.standard_normal(3))
-            h = HpVector(rng.standard_normal(65) + 1j * rng.standard_normal(65),
-                         rng.standard_normal(65) + 1j * rng.standard_normal(65),
-                         rng.standard_normal(3) + 1j * rng.standard_normal(3))
+            g = CauchyData(rng.standard_normal(65) + 1j * rng.standard_normal(65),
+                           rng.standard_normal(65) + 1j * rng.standard_normal(65),
+                           rng.standard_normal(3) + 1j * rng.standard_normal(3))
+            h = CauchyData(rng.standard_normal(65) + 1j * rng.standard_normal(65),
+                           rng.standard_normal(65) + 1j * rng.standard_normal(65),
+                           rng.standard_normal(3) + 1j * rng.standard_normal(3))
             assert hp_inner(g, h) == pytest.approx(np.conj(hp_inner(h, g)), abs=1e-12)
 
     def test_sesquilinearity(self):
         rng = np.random.default_rng(1)
-        g = HpVector(rng.standard_normal(33) + 0j, rng.standard_normal(33) + 0j, [0.5])
-        h = HpVector(rng.standard_normal(33) + 0j, rng.standard_normal(33) + 0j, [0.2])
+        g = CauchyData(rng.standard_normal(33) + 0j, rng.standard_normal(33) + 0j, [0.5])
+        h = CauchyData(rng.standard_normal(33) + 0j, rng.standard_normal(33) + 0j, [0.2])
         c = 0.7 - 1.3j
         assert hp_inner(scaled(g, c), h) == pytest.approx(np.conj(c) * hp_inner(g, h))
         assert hp_inner(g, scaled(h, c)) == pytest.approx(c * hp_inner(g, h))
@@ -96,27 +100,27 @@ class TestHpInner:
         rng = np.random.default_rng(2)
         for _ in range(200):
             p = rng.integers(1, 5)
-            g = HpVector(rng.standard_normal(65) + 1j * rng.standard_normal(65),
-                         rng.standard_normal(65) + 1j * rng.standard_normal(65),
-                         rng.standard_normal(p) + 1j * rng.standard_normal(p))
-            h = HpVector(rng.standard_normal(65) + 1j * rng.standard_normal(65),
-                         rng.standard_normal(65) + 1j * rng.standard_normal(65),
-                         rng.standard_normal(p) + 1j * rng.standard_normal(p))
+            g = CauchyData(rng.standard_normal(65) + 1j * rng.standard_normal(65),
+                           rng.standard_normal(65) + 1j * rng.standard_normal(65),
+                           rng.standard_normal(p) + 1j * rng.standard_normal(p))
+            h = CauchyData(rng.standard_normal(65) + 1j * rng.standard_normal(65),
+                           rng.standard_normal(65) + 1j * rng.standard_normal(65),
+                           rng.standard_normal(p) + 1j * rng.standard_normal(p))
             lhs = abs(hp_inner(g, h)) ** 2
             rhs = hp_inner(g, g).real * hp_inner(h, h).real
             assert lhs <= rhs * (1 + 1e-10)
 
     def test_dimension_mismatch(self):
-        g = HpVector.zero(65, 1)
+        g = _zero(65, 1)
         with pytest.raises(DimensionMismatch):
-            hp_inner(g, HpVector.zero(64, 1))
+            hp_inner(g, _zero(64, 1))
         with pytest.raises(DimensionMismatch):
-            hp_inner(g, HpVector.zero(65, 2))
+            hp_inner(g, _zero(65, 2))
 
     def test_norm_zero_only_for_zero(self):
-        g = HpVector(np.zeros(65), np.zeros(65), [1e-9])
+        g = CauchyData(np.zeros(65), np.zeros(65), [1e-9])
         assert g.norm() > 0
-        assert HpVector.zero(65, 1).norm() == 0
+        assert _zero(65, 1).norm() == 0
 
 
 class TestSubspectrum:
@@ -198,9 +202,9 @@ def test_value_objects_are_frozen():
     sig = SigmaFunction.zero(np.pi, 32)
     with pytest.raises(ValueError):
         sig.samples[0] = 1.0
-    h = HpVector.zero(33, 1)
+    h = _zero(33, 1)
     with pytest.raises(ValueError):
-        h.h1[0] = 1.0
+        h.j[0] = 1.0
     sub = Subspectrum([1.0, 2.0])
     with pytest.raises(ValueError):
         sub.lambdas[0] = 5.0
