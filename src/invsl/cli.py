@@ -145,7 +145,7 @@ def cmd_hl(args) -> int:
     obj = _load(args.two_sided, "two_sided-v1")
     problem = two_sided_from_json(obj)
     spec = hl_spectrum(problem, args.eigs)
-    sigma_left, sigma_right = problem.halves()
+    _, sigma_right = problem.halves()
     result = hl_reconstruct(sigma_right, problem.right_pair, problem.p,
                             spec, args.drop, args.grid, reg=args.reg)
 

@@ -226,7 +226,7 @@ _SCAN_STEP = 0.02    # the dense scan's step in sqrt(lambda)
 
 
 def find_eigenvalues(delta: Callable, window, count: Optional[int] = None,
-                     verify: bool = False, index: Optional[tuple] = None) -> Subspectrum:
+                     index: Optional[tuple] = None) -> Subspectrum:
     """Locate zeros of an entire characteristic function, real on the real axis.
 
     With `index` from `index_search` they are the eigenvalues 0..count-1,
@@ -236,11 +236,11 @@ def find_eigenvalues(delta: Callable, window, count: Optional[int] = None,
     for sign changes (a delta that is not real there raises ValueError).
     Anderson-Bjoerck false position (`refine_brackets`) refines the
     brackets.  The window's roots pass `_screen` (drops counted in
-    `dropped`) and record the `window`; `verify` checks their number against
-    the window's winding count.  Fewer than `count` roots raise RootLoss.  A
-    scan sees real zeros only: without `verify`, the complex zeros of a
-    delta whose pair is not Herglotz go unreported.  `problem_spectrum`
-    picks either for a problem, or `circle_zeros` for a complex one.
+    `dropped`) and record the `window`.  Fewer than `count` roots raise
+    RootLoss.  A scan sees real zeros only: the complex zeros of a delta
+    whose pair is not Herglotz, and two zeros within one step, go unreported
+    (`winding_count` counts them).  `problem_spectrum` picks either for a
+    problem, or `circle_zeros` for a complex one.
     """
     if index is not None:
         lo, hi = (np.sign(s) * s * s for s in _index_brackets(*index, count))
@@ -267,10 +267,6 @@ def find_eigenvalues(delta: Callable, window, count: Optional[int] = None,
     lam = np.sort(refine_brackets(delta, lam_scan[idx], lam_scan[idx + 1],
                                   fv[idx], fv[idx + 1]))
     lam, dropped = _screen(delta, lam)
-    if verify:
-        total = winding_count(delta, ((lam_lo, lam_hi), (-1.0, 1.0)))
-        if total != lam.size:
-            raise RootLoss(f"argument principle counts {total} zeros, refined {lam.size}")
     if count is not None and lam.size < count:
         raise RootLoss(f"found {lam.size} eigenvalues in {window}, need {count}")
     return Subspectrum(lam[:count], window=(lam_lo, lam_hi), dropped=dropped)
@@ -340,33 +336,6 @@ def _index_brackets(count_below: Callable, ends, n_roots: int):
     raise RootLoss("bisection on the eigenvalue count did not isolate every index")
 
 
-def _root_lifts(pair: BoundaryPolyPair, lam):
-    """Index lift of a boundary angle: the number of roots of p1 below lam.
-
-    At a root of p1 the angle of (p1, -p2) (left end) or of (-p1, p2) (right
-    end) crosses a multiple of pi, where its value mod pi jumps; the lift
-    undoes the jump.  For a Herglotz pair (`_herglotz`) p1 has only real,
-    simple roots, and the angle moves the count up by one at each.
-    """
-    return np.searchsorted(np.sort(np.roots(pair.a[::-1]).real), lam)
-
-
-def _herglotz(pair: BoundaryPolyPair, sign: float) -> bool:
-    """Whether the boundary angle never moves the eigenvalue count down.
-
-    By the Hermite-Biehler theorem that holds when the coefficients are real
-    and every root of p2 + i sign p1 (sign -1 at the left end, +1 at the
-    right) lies strictly in the upper half-plane; a constant pair has none.
-    """
-    if np.any(pair.a.imag) or np.any(pair.b.imag):
-        return False
-    n = max(pair.a.size, pair.b.size)
-    coeffs = np.zeros(n, dtype=complex)
-    coeffs[:pair.b.size] += pair.b.real
-    coeffs[:pair.a.size] += 1j * sign * pair.a.real
-    return bool(np.all(np.roots(coeffs[::-1]).imag > 0))
-
-
 def _upper(x, y):
     """The sign that turns the vector (x, y) to an angle in [0, pi)."""
     return np.where((y > 0) | ((y == 0) & (x > 0)), 1, -1)
@@ -384,18 +353,22 @@ def count_below(sigma: SigmaFunction, left: BoundaryPolyPair, right: BoundaryPol
     lifts through the real roots of p1 and r1.  The angles are compared by
     a cross product in the upper half-plane, so none rounds from pi to 0.
 
-    Both pairs must be Herglotz (`_herglotz`), as `index_search` checks: the
-    lifts count every root of p1 and r1 as real and moving the count up."""
+    Both pairs must be Herglotz (`BoundaryPolyPair.herglotz`), as
+    `index_search` checks: the lifts (`BoundaryPolyPair.roots_below`) count
+    every root of p1 and r1 as real and moving the count up."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     mu2 = np.max(lam) - np.min(np.diff(sigma.samples.real)) / sigma.dx
     if mu2 * sigma.dx**2 >= np.pi**2:
         raise RootLoss(f"cells too coarse to count the oscillations at lambda = {np.max(lam):.6g}")
+    lifts = left.roots_below(lam), right.roots_below(lam)
     y, yq = node_values(sigma, lam, left.p1(lam).real, -left.p2(lam).real)
-    changes = np.count_nonzero(np.signbit(y[1:]) != np.signbit(y[:-1]), axis=0)
+    # the signs of p1 and r1 are read off the roots the lifts count, so that
+    # a lambda within rounding of a root is on the same side for both
+    start = left.p1_sign(lifts[0]) < 0
+    changes = np.count_nonzero(np.signbit(y[2:]) != np.signbit(y[1:-1]), axis=0)
     r1, r2 = right.p1(lam).real, right.p2(lam).real
-    turn = _upper(yq[-1], y[-1]) * _upper(r2, -r1) * (y[-1] * r2 + yq[-1] * r1)
-    end = (turn > 0) & bool(np.any(right.a))
-    return changes + end + _root_lifts(left, lam) + _root_lifts(right, lam)
+    turn = _upper(yq[-1], y[-1]) * -right.p1_sign(lifts[1]) * (y[-1] * r2 + yq[-1] * r1)
+    return changes + (np.signbit(y[1]) != start) + (turn > 0) + lifts[0] + lifts[1]
 
 
 def index_search(sigma: SigmaFunction, left: BoundaryPolyPair, right: BoundaryPolyPair,
@@ -406,7 +379,7 @@ def index_search(sigma: SigmaFunction, left: BoundaryPolyPair, right: BoundaryPo
     it; `problem_spectrum` then scans).
     The ends lie halfway between rho_k = (pi/X)(k + 1 - (p + r)/2), with
     r = 0 for a Dirichlet right end."""
-    if not (sigma.is_real() and _herglotz(left, -1.0) and _herglotz(right, 1.0)):
+    if not (sigma.is_real() and left.herglotz(-1.0) and right.herglotz(1.0)):
         return None
     r = right.p if np.any(right.a) else 0
     ends = (np.pi / sigma.interval_length) * (np.arange(count + 1) + 0.5 - 0.5 * (left.p + r))
@@ -439,11 +412,8 @@ def resample_cauchy(data: CauchyData, grid_m: int) -> CauchyData:
     if data.series is None:
         raise ValueError("no series representation attached to this Cauchy data")
     t = np.linspace(0.0, np.pi, grid_m + 1)
-    j = synth_series([tag for tag, _ in data.series["j"]],
-                     np.array([c for _, c in data.series["j"]]), t)
-    g = synth_series([tag for tag, _ in data.series["g"]],
-                     np.array([c for _, c in data.series["g"]]), t)
-    return CauchyData(j=j, g=g, a=data.a.copy(), series=data.series, meta=data.meta)
+    return CauchyData(j=synth_series(*data.series["j"], t), g=synth_series(*data.series["g"], t),
+                      a=data.a.copy(), series=data.series, meta=data.meta)
 
 
 # The extraction fit: monomial degrees below _EXTRACT_POLY per family (the
@@ -506,7 +476,7 @@ def extract_cauchy(sigma: SigmaFunction, pair: BoundaryPolyPair,
     a_vec = np.zeros(p, dtype=complex)
     a_vec[0::2] = a_odd
     a_vec[1::2] = a_even
-    series = {"j": list(zip(tags1, x1.tolist())), "g": list(zip(tags0, x0.tolist()))}
+    series = {"j": (tags1, x1), "g": (tags0, x0)}
     meta = {"cond": (cond1, cond0), "residual": (res1, res0),
             "n_modes": n_modes, "n_poly": _EXTRACT_POLY}
     return CauchyData(j=synth_series(tags1, x1, t), g=synth_series(tags0, x0, t), a=a_vec,

@@ -1,13 +1,15 @@
 """Half-inverse driver: one full spectrum on (0, 2pi), the right half known.
 
-The known right half (potential antiderivative plus its boundary pair) is
-folded into an entire pair (f1, f2): the solution pinned at the right end,
-carried back to the midpoint by the inverse of the right half's monodromy;
-the remaining task is the standard subspectrum reconstruction of the left-half
-Cauchy data.  The exclusion rule says the first (r - p)/2 eigenvalues are
+The spectrum is that of the whole problem, whose right pair is a polynomial
+right end (`EntirePair.of_pair`).  For the reconstruction the known right
+half (potential antiderivative plus its boundary pair) is folded into an
+entire pair (f1, f2): the solution pinned at the right end, carried back to
+the midpoint by the inverse of the right half's monodromy; the remaining
+task is the standard subspectrum reconstruction of the left-half Cauchy
+data.  The exclusion rule says the first (r - p)/2 eigenvalues are
 redundant; dropping more loses uniqueness.  `hl_reconstruct` applies that
-rule on top of `reconstruct`'s uniqueness verdict (its completeness evidence),
-which it does not repeat.
+rule on top of `reconstruct`'s uniqueness verdict (its completeness
+evidence), which it does not repeat.
 """
 
 from __future__ import annotations
@@ -100,15 +102,11 @@ def _join(sigma: SigmaFunction, half: SigmaFunction):
                          sigma.interval_length + half.interval_length)
 
 
-def _real_part(sigma: SigmaFunction) -> SigmaFunction:
-    return SigmaFunction(sigma.samples.real, sigma.interval_length)
-
-
 def problem_spectrum(sigma: SigmaFunction, pair: BoundaryPolyPair, f: EntirePair,
                      count: int, window=None) -> tuple[Subspectrum, str | None]:
     """The first `count` eigenvalues of the problem with potential `sigma`,
     left pair `pair` and f's right end (`EntirePair.right_end`, which
-    `EntirePair.constant` and `hl_entire_pair` set), as (Subspectrum, reason).
+    `EntirePair.of_pair` and `hl_entire_pair` set), as (Subspectrum, reason).
     Where f's right half joins sigma, delta is that of the joined problem
     with the right pair as its f, r1 phi^[1] + r2 phi at the right end: one
     propagation per lambda, and minus f1 Delta1 + f2 Delta0, the Wronskian
@@ -124,11 +122,9 @@ def problem_spectrum(sigma: SigmaFunction, pair: BoundaryPolyPair, f: EntirePair
     validate_rp(pair)
     half, right = f.right_end or (None, None)
     whole = sigma if half is None else _join(sigma, half)
-    if half is None or whole is None:
-        delta, _ = make_delta(sigma, pair, f)
-    else:
-        end = EntirePair(joint=lambda lam: (right.p1(lam), right.p2(lam)))
-        delta, _ = make_delta(whole, pair, end)
+    if half is not None and whole is not None:
+        f = EntirePair.of_pair(right)
+    delta, _ = make_delta(sigma if whole is None else whole, pair, f)
     index = reason = None
     if window is None:
         if right is None:
@@ -138,22 +134,23 @@ def problem_spectrum(sigma: SigmaFunction, pair: BoundaryPolyPair, f: EntirePair
         window = (-9.0, float((np.pi / length * count + 2.0) ** 2))
         if whole is None:
             reason = "f is hl_right_half, and its sigma does not join the problem's"
-        elif (index := index_search(whole, pair, right, count)) is None:
-            reason = "a boundary pair is not Herglotz" if whole.is_real() else "complex sigma"
-            if not whole.is_real() and index_search(_real_part(whole), pair, right, count):
-                f_real = f if half is None else hl_entire_pair(_real_part(half), right)
-                seeds = problem_spectrum(_real_part(sigma), pair, f_real, max(count, 2))[0]
+        else:
+            real = SigmaFunction(whole.samples.real, whole.interval_length)
+            n = count if whole.is_real() else max(count, 2)
+            if (index := index_search(real, pair, right, n)) is None:
+                reason = "a boundary pair is not Herglotz"
+            elif not whole.is_real():
+                seeds = find_eigenvalues(make_delta(real, pair, f)[0], window, n, index=index)
                 return Subspectrum(circle_zeros(delta, seeds.lambdas.real)[:count]), None
     return find_eigenvalues(delta, window, count=count, index=index), reason
 
 
 def hl_spectrum(problem: TwoSidedProblem, count: int) -> Subspectrum:
     """First `count` eigenvalues of the two-sided problem: `problem_spectrum`
-    of its left half with the right half folded into f."""
+    of the whole problem with its right pair as a polynomial right end."""
     _require_odd(problem.p, problem.r)
-    sigma_left, sigma_right = problem.halves()
-    f = hl_entire_pair(sigma_right, problem.right_pair)
-    return problem_spectrum(sigma_left, problem.left_pair, f, count)[0]
+    f = EntirePair.of_pair(problem.right_pair)
+    return problem_spectrum(problem.sigma_full, problem.left_pair, f, count)[0]
 
 
 def hl_reconstruct(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair,

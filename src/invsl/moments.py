@@ -196,7 +196,6 @@ class MomentSystem:
     (trials, N) shape.
     """
 
-    lambdas: Subspectrum
     layout: SlotLayout
     rho: np.ndarray
     ws: np.ndarray
@@ -225,7 +224,7 @@ def build_moment_system(subspectrum: Subspectrum, f: EntirePair, p: int, grid: i
     f1, f2 = (v.reshape(lams.shape) for v in f(lams.reshape(-1)))
     layout = slot_layout(p, lams, f1, f2)
     rho = branch_sqrt(lams)
-    return MomentSystem(lambdas=subspectrum, layout=layout, rho=rho, ws=build_w(rho, layout),
+    return MomentSystem(layout=layout, rho=rho, ws=build_w(rho, layout),
                         norms=row_norm_exact(rho, layout), grid_m=int(grid))
 
 

@@ -179,8 +179,7 @@ def _solve_one(design, rhs, u_mat, svals, vh, basis: ProbeBasis, reg):
     d2 = basis.b2.shape[1]
     x1 = basis.b1 @ z[:d1]
     x2 = basis.b2 @ z[d1: d1 + d2]
-    series = {"j": list(zip(basis.h1_tags, x1.tolist())),
-              "g": list(zip(basis.h2_tags, x2.tolist()))}
+    series = {"j": (basis.h1_tags, x1), "g": (basis.h2_tags, x2)}
     meta = {
         "residual": residual,
         "cond": smax / smin if smin > 0 else np.inf,

@@ -4,7 +4,8 @@
 with `hp_inner` its scalar product and `CauchyData.norm` its norm.
 All types are immutable value objects; construction validates the invariants
 that are cheap to check, while `validate_rp` performs the full boundary-pair
-diagnostics (normalization and coprimality).  The JSON form of a complex
+diagnostics (normalization and coprimality) beside the pair's Herglotz test,
+which an eigenvalue index needs.  The JSON form of a complex
 array ([re, im] pairs) and of an antiderivative lives here too, because an
 entire pair carries it in its descriptor.
 """
@@ -158,38 +159,65 @@ class BoundaryPolyPair:
     def p2(self, lam):
         return _polyval(self.b, lam)
 
+    def p1_roots(self) -> np.ndarray:
+        return np.roots(self.a[::-1])
+
+    def roots_below(self, lam):
+        """Index lift of the boundary angle: the number of roots of p1 below lam.
+
+        At a root of p1 the angle of (p1, -p2) (left end) or of (-p1, p2)
+        (right end) crosses a multiple of pi, where its value mod pi jumps;
+        the lift undoes the jump.  For a Herglotz pair (`herglotz`) p1 has
+        only real, simple roots, and the angle moves the count up by one at
+        each.
+        """
+        return np.searchsorted(np.sort(self.p1_roots().real), lam)
+
+    def p1_sign(self, below):
+        """The sign of p1 where `below` of its roots, all real, lie below
+        lambda: that of its leading coefficient, times -1 per root above;
+        0 where p1 = 0."""
+        degree = np.flatnonzero(self.a)
+        if degree.size == 0:
+            return np.zeros(np.shape(below))
+        return np.sign(self.a[degree[-1]].real) * (-1.0) ** (degree[-1] - np.asarray(below))
+
+    def herglotz(self, sign: float) -> bool:
+        """Whether the boundary angle never moves the eigenvalue count down.
+
+        By the Hermite-Biehler theorem (B. Ja. Levin, Distribution of Zeros of
+        Entire Functions, AMS 1964) that holds when the coefficients are real
+        and every root of p2 + i sign p1 (sign -1 at the left end, +1 at the
+        right) lies strictly in the upper half-plane; a constant pair has none.
+        """
+        if np.any(self.a.imag) or np.any(self.b.imag):
+            return False
+        coeffs = np.zeros(max(self.a.size, self.b.size), dtype=complex)
+        coeffs[:self.b.size] += self.b.real
+        coeffs[:self.a.size] += 1j * sign * self.a.real
+        return bool(np.all(np.roots(coeffs[::-1]).imag > 0))
+
 
 def validate_rp(pair: BoundaryPolyPair) -> None:
     """Check the normalization and coprimality of a boundary pair.
 
-    Raises NormalizationViolation or CommonRoot on failure; never mutates the pair.
+    Raises NormalizationViolation or CommonRoot on failure; never mutates the
+    pair.  Whether the pair is Herglotz, which an index of the eigenvalues
+    needs, is `BoundaryPolyPair.herglotz`.
     """
     parity = pair.parity  # raises NormalizationViolation for impossible shapes
-    if parity == "odd":
-        lead = pair.a[-1]
-    else:
-        lead = pair.b[-1]
+    lead = pair.a[-1] if parity == "odd" else pair.b[-1]
     if abs(lead - 1.0) > 1e-12:
         raise NormalizationViolation(
             f"leading coefficient must be 1 for {parity} p={pair.p}, got {lead}"
         )
-
-    a, b = pair.a, pair.b
-    deg_a = _true_degree(a)
-    deg_b = _true_degree(b)
-    if deg_a < 0:
+    if not np.any(pair.a):
         raise CommonRoot("p1 is identically zero")
-    if deg_a >= 1:
-        roots = np.roots(a[: deg_a + 1][::-1])
-        vals = np.abs(_polyval(b, roots))
-        tol = 1e-8 * (1.0 + np.abs(roots) ** max(deg_b, 0))
-        if np.any(vals <= tol):
-            raise CommonRoot(f"p2 vanishes at a root of p1 (min |p2(root)| = {vals.min():.3e})")
-
-
-def _true_degree(coeffs: np.ndarray) -> int:
-    nz = np.nonzero(np.abs(coeffs) > 0)[0]
-    return int(nz[-1]) if nz.size else -1
+    roots = pair.p1_roots()
+    vals = np.abs(pair.p2(roots))
+    tol = 1e-8 * (1.0 + np.abs(roots) ** max(np.flatnonzero(pair.b), default=0))
+    if np.any(vals <= tol):
+        raise CommonRoot(f"p2 vanishes at a root of p1 (min |p2(root)| = {vals.min():.3e})")
 
 
 @dataclass(frozen=True)
@@ -198,7 +226,7 @@ class EntirePair:
 
     `joint(lam)` gives (f1, f2) from one evaluation, and `right_end` the
     (sigma_right, right_pair) of the problem's right end: a known right half,
-    or None and BoundaryPolyPair([f1], [f2]) for a constant pair.
+    or None and the pair itself for a polynomial right end (`of_pair`).
     """
 
     joint: Callable
@@ -207,29 +235,28 @@ class EntirePair:
     @property
     def descriptor(self) -> Optional[dict]:
         """The problem file's `f` object, derived from `right_end`: `constant`
-        without a right half, `hl_right_half` with one, None without a right end."""
-        if self.right_end is None:
-            return None
-        half, pair = self.right_end
-        if half is None:
+        for a degree-0 pair, `hl_right_half` for a right half, else None."""
+        half, pair = self.right_end or (None, None)
+        if half is not None:
+            return {"kind": "hl_right_half", "sigma": sigma_to_json(half),
+                    "r1": encode_array(pair.a), "r2": encode_array(pair.b)}
+        if pair is not None and pair.a.size == pair.b.size == 1:
             return {"kind": "constant",
                     "f1": encode_array(pair.a)[0], "f2": encode_array(pair.b)[0]}
-        return {"kind": "hl_right_half", "sigma": sigma_to_json(half),
-                "r1": encode_array(pair.a), "r2": encode_array(pair.b)}
+        return None
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)
         return tuple(np.asarray(v, dtype=complex) + np.zeros_like(lam) for v in self.joint(lam))
 
     @classmethod
+    def of_pair(cls, pair: BoundaryPolyPair) -> "EntirePair":
+        """(p1, p2) of `pair`, the right end r1 y^[1](X) + r2 y(X) = 0."""
+        return cls(joint=lambda lam: (pair.p1(lam), pair.p2(lam)), right_end=(None, pair))
+
+    @classmethod
     def constant(cls, c1, c2) -> "EntirePair":
-        c1, c2 = complex(c1), complex(c2)
-
-        def joint(lam):
-            lam = np.asarray(lam, complex)
-            return np.full_like(lam, c1), np.full_like(lam, c2)
-
-        return cls(joint=joint, right_end=(None, BoundaryPolyPair([c1], [c2])))
+        return cls.of_pair(BoundaryPolyPair([complex(c1)], [complex(c2)]))
 
 
 @dataclass(frozen=True)
@@ -337,7 +364,8 @@ class CauchyData:
     """An element [J, G, A] of H: Cauchy data, or a moment row v(., lambda).
 
     Two L2(0, pi) kernels j, g on a uniform grid over [0, pi] plus p complex
-    constants a.  `series` holds the kernels' probe series (keys "j", "g") and
+    constants a.  `series` holds the kernels' probe series (keys "j", "g"),
+    each as the (tags, coefficients) that `trig.synth_series` takes, and
     `meta` the report of the fit (`extract_cauchy`) or the reconstruction
     (`reconstruct`) that made them."""
 

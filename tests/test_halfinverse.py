@@ -202,9 +202,7 @@ def _scan_spectrum(prob, count):
 def _joined_delta(prob):
     """delta of the problem on (0, 2pi) with the right pair as its f, as
     `problem_spectrum` builds it: r1 phi^[1](2pi) + r2 phi(2pi)."""
-    right = prob.right_pair
-    end = EntirePair(joint=lambda lam: (right.p1(lam), right.p2(lam)))
-    return make_delta(prob.sigma_full, prob.left_pair, end)[0]
+    return make_delta(prob.sigma_full, prob.left_pair, EntirePair.of_pair(prob.right_pair))[0]
 
 
 @pytest.fixture(scope="module")
@@ -302,7 +300,7 @@ class TestIndexedSpectrum:
         right = BoundaryPolyPair([0.82, 0.51, -0.65, 1.0], [0.64, -0.40, 0.27, -0.29])
         prob = two_sided_from_left(sigma_bump(256, amp=0.15), BoundaryPolyPair([1.0], [0.03]),
                                    right)
-        assert not forward._herglotz(right, 1.0)
+        assert not right.herglotz(1.0)
         sigma_left, sigma_right = prob.halves()
         spec, reason = problem_spectrum(sigma_left, prob.left_pair,
                                         hl_entire_pair(sigma_right, right), 8)
