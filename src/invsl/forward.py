@@ -365,7 +365,11 @@ def count_below(sigma: SigmaFunction, left: BoundaryPolyPair, right: BoundaryPol
     # the signs of p1 and r1 are read off the roots the lifts count, so that
     # a lambda within rounding of a root is on the same side for both
     start = left.p1_sign(lifts[0]) < 0
-    changes = np.count_nonzero(np.signbit(y[2:]) != np.signbit(y[1:-1]), axis=0)
+    # a zero at X, of either sign, ends a half-turn: it changes sign against
+    # the node before it, and `_upper` turns its end vector to angle 0
+    signs = np.signbit(y[1:])
+    signs[-1] = np.where(y[-1] == 0, ~signs[-2], signs[-1])
+    changes = np.count_nonzero(signs[1:] != signs[:-1], axis=0)
     r1, r2 = right.p1(lam).real, right.p2(lam).real
     turn = _upper(yq[-1], y[-1]) * -right.p1_sign(lifts[1]) * (y[-1] * r2 + yq[-1] * r1)
     return changes + (np.signbit(y[1]) != start) + (turn > 0) + lifts[0] + lifts[1]

@@ -5,8 +5,10 @@ constant on every grid cell and y'' = (s_k - lambda) y holds exactly inside
 cell k, with a closed-form constant-coefficient 2x2 transfer matrix (the
 Pruess piecewise-constant-coefficient method).  Its entries cos(w) and
 sin(w)/w at w^2 = (lambda - s_k) h^2 are entire in w^2, so no branch of the
-square root enters (`cos_sinc_sqrt`: a Taylor polynomial in w^2 on small
-cells).  Endpoint values come from the monodromy matrix, the ordered product
+square root enters: where every cell of a lambda is small, their Taylor
+polynomials in w^2, expanded in powers of lambda h^2, so that the cells of a
+block of lambdas are one matrix product (`_cell_writer`); elsewhere
+`cos_sinc_sqrt` cell by cell.  Endpoint values come from the monodromy matrix, the ordered product
 of all cell matrices, reduced pairwise in log2(m) vectorized steps over the
 whole lambda batch; node-by-node trajectories, forward from x = 0, come from
 a down-sweep over the levels of that same tree, which all blocks of lambdas
@@ -30,36 +32,120 @@ exact propagator as the per-cell substep count grows.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from .errors import StepFailure
-from .trig import cos_sinc_sqrt
+from .trig import _COS, _SINC, _TAYLOR_DEGREE, _TAYLOR_RADIUS, cos_sinc_sqrt
 from .types import SigmaFunction
 
 
-def _write_cells(slopes, h, lam, out):
-    """Write the transfer matrix [[c, sn], [msn, c]] of (y, y') over every cell
-    of these slopes into `out`, shape (4, cells) + lam.shape, as its (m00, m01,
-    m10, m11) entries."""
-    mu2 = lam[None] - slopes.reshape((-1,) + (1,) * lam.ndim)
-    c, sinc = cos_sinc_sqrt(mu2 * (h * h))
-    out[0], out[3] = c, c
-    np.multiply(sinc, h, out=out[1])
-    np.negative(np.multiply(mu2, out[1], out=out[2]), out=out[2])
+# Inside cos_sinc_sqrt's Taylor radius the entries c = cos(w), sn = h sin(w)/w
+# and msn = -(z2 / h) sin(w)/w of a cell matrix are polynomials in z2 =
+# (lambda - s) h^2 = x - t, x = lambda h^2 and t = s h^2, of degree D, D and
+# D + 1 (D = _TAYLOR_DEGREE, the truncation of cos_sinc_sqrt).  Expanded,
+# each is sum_ij (-t)^i _SHIFT[entry, i, j] x^j at h = 1: _SHIFT[:, i, j]
+# holds the coefficients of z2^(i + j) times binomial(i + j, j).  Where |x| +
+# |t| <= _TAYLOR_RADIUS the moduli of the expanded terms sum to at most
+# cosh(1/2) times the entry's scale (1, h and (|x| + |t|) / h), so the
+# expanded sums are as accurate as the polynomials in z2, to a few roundings
+# of that scale.
+_POWERS = _TAYLOR_DEGREE + 2
+_SHIFT = np.array([[[math.comb(i + j, j) * a[i + j] if i + j < _POWERS else 0.0
+                     for j in range(_POWERS)] for i in range(_POWERS)]
+                   for a in (_COS + [0.0], _SINC + [0.0], [0.0] + [-b for b in _SINC])])
+
+
+@functools.cache
+def _scaled_shift(h):
+    """_SHIFT with the entries sn and msn scaled to the cell width h, as one
+    matrix (3 _POWERS, _POWERS)."""
+    return (_SHIFT * np.array([1.0, h, 1.0 / h])[:, None, None]).reshape(-1, _POWERS)
+
+
+def _real_view(a):
+    """The float64 view of a complex128 array (real and imaginary parts side
+    by side in its last axis), or the float64 array itself."""
+    return a.view(float) if np.iscomplexobj(a) else a
+
+
+def _cell_writer(slopes, h):
+    """write(lam, out): the transfer matrix [[c, sn], [msn, c]] of (y, y') over
+    every cell of these slopes, for a 1-D `lam`, into `out`, shape (4, cells,
+    lambdas), as its (m00, m01, m10, m11) entries.
+
+    A lambda with |lambda| h^2 + max |s| h^2 <= _TAYLOR_RADIUS puts every cell
+    inside the radius of cos_sinc_sqrt and takes the expanded polynomials
+    (`taylor`): _SHIFT times the powers of x gives the polynomials in -t of
+    every lambda, and one matrix product with the powers of -t, computed once
+    here, their values at every cell.  Both products are real: complex
+    powers of x enter as their float64 view, and complex slopes as the real
+    and the imaginary parts of the powers of -t, the latter times i times the
+    polynomials.  The other lambdas take cos_sinc_sqrt on every cell
+    (`direct`).  Either way the cells of a lambda depend on that lambda and
+    the slopes alone; a single lambda is padded to two columns for that,
+    since BLAS rounds a matrix-vector product otherwise than the matrix
+    product whose column it would be.
+    """
+    t = slopes * (h * h)
+    near_limit = (_TAYLOR_RADIUS - np.max(np.abs(t))) / (h * h)
+    neg_t = np.empty((_POWERS, t.size), t.dtype)
+    neg_t[0], neg_t[1] = 1.0, -t
+    k = 1
+    while k < _POWERS - 1:   # powers k + 1 ... k + n as powers 1 ... n times power k
+        n = min(k, _POWERS - 1 - k)
+        np.multiply(neg_t[1:n + 1], neg_t[k], out=neg_t[k + 1:k + n + 1])
+        k += n
+    parts = (neg_t.T,) if not np.iscomplexobj(t) else tuple(
+        np.ascontiguousarray(p.T) for p in (neg_t.real, neg_t.imag))
+    shift = _scaled_shift(h)
+
+    def taylor(lam, dst):
+        x = np.empty((_POWERS, max(lam.size, 2)), lam.dtype)
+        x[0], x[1:] = 1.0, lam * (h * h)
+        np.multiply.accumulate(x[1:], out=x[1:])
+        poly = (shift @ x).reshape(3, _POWERS, -1)
+        cells = dst if lam.size > 1 else np.empty(dst.shape[:-1] + (2,), dst.dtype)
+        np.matmul(parts[0], _real_view(poly), out=_real_view(cells))
+        if len(parts) == 2:
+            _real_view(cells)[...] += parts[1] @ _real_view(1j * poly)
+        if cells is not dst:
+            dst[...] = cells[..., :1]
+
+    def direct(lam, dst):
+        mu2 = lam[None] - slopes[:, None]
+        c, sinc = cos_sinc_sqrt(mu2 * (h * h))
+        dst[0] = c
+        np.multiply(sinc, h, out=dst[1])
+        np.negative(np.multiply(mu2, dst[1], out=dst[2]), out=dst[2])
+
+    def write(lam, out):
+        near = np.abs(lam) <= near_limit
+        if np.count_nonzero(near) in (0, lam.size):
+            (taylor if near[0] else direct)(lam, out[:3])
+        else:
+            for cols, part in ((near, taylor), (~near, direct)):
+                dst = np.empty((3, slopes.size, np.count_nonzero(cols)), lam.dtype)
+                part(lam[cols], dst)
+                out[:3, :, cols] = dst
+        out[3] = out[0]
+
+    return write
 
 
 def _slopes(sigma: SigmaFunction, lam):
-    """sigma' on every cell: from the real part of sigma for a real `lam` (the
-    caller checks that sigma is real)."""
-    return np.diff(sigma.samples if np.iscomplexobj(lam) else sigma.samples.real) / sigma.dx
+    """sigma' on every cell: float64 for a real sigma (which a real `lam`
+    implies), complex128 otherwise."""
+    real = not np.iscomplexobj(lam) or sigma.is_real()
+    return np.diff(sigma.samples.real if real else sigma.samples) / sigma.dx
 
 
 def _cell_matrices(sigma: SigmaFunction, lam):
-    """Every cell's transfer matrix, in cell order: array (4, m) + lam.shape of
-    the entries (m00, m01, m10, m11) = (c, sn, msn, c)."""
-    out = np.empty((4, sigma.m) + lam.shape, lam.dtype)
-    _write_cells(_slopes(sigma, lam), sigma.dx, lam, out)
+    """Every cell's transfer matrix, in cell order, for a 1-D `lam`: array (4,
+    m, lambdas) of the entries (m00, m01, m10, m11) = (c, sn, msn, c)."""
+    out = np.empty((4, sigma.m, lam.size), lam.dtype)
+    _cell_writer(_slopes(sigma, lam), sigma.dx)(lam, out)
     return out
 
 
@@ -124,13 +210,13 @@ def _blocks(sigma: SigmaFunction, lam, out):
     m, n, rows = sigma.m, sigma.m, 1 + sigma.m // 2   # the product, the scratch
     while n > 1:   # and every other level
         rows, n = rows + n, (n + 1) // 2
-    slopes = _slopes(sigma, lam)[_leaf_order(m)]
+    write = _cell_writer(_slopes(sigma, lam)[_leaf_order(m)], sigma.dx)
     buf = np.empty(4 * rows * min(_BLOCK, lam.size), lam.dtype)
     for start in range(0, lam.size, _BLOCK):
         chunk = lam[start:start + _BLOCK]
         # contiguous for a short last block too, so that every half is
         work = buf[:4 * rows * chunk.size].reshape(4, rows, chunk.size)
-        _write_cells(slopes, sigma.dx, chunk, work[:, :m])
+        write(chunk, work[:, :m])
         yield slice(start, start + _BLOCK), _tree(work, m)
     if not np.all(np.isfinite(out)):
         raise StepFailure("propagation produced non-finite values; lambda or sigma out of range")

@@ -30,9 +30,10 @@ def sinc(z):
 
 # cos(w) and sin(w)/w at w = sqrt(z2) are the entire series sum (-z2)^k/(2k)!
 # and sum (-z2)^k/(2k+1)!.  On |z2| <= _TAYLOR_RADIUS they are summed through
-# k = _TAYLOR_DEGREE: the first omitted term, 16^-7/14! ~ 4e-20, is below eps/8.
-_TAYLOR_RADIUS = 1.0 / 16.0
-_TAYLOR_DEGREE = 6
+# k = _TAYLOR_DEGREE: the first omitted term, 4^-8/16! ~ 7e-19, is below eps/8,
+# and the sum of the kept terms' moduli is at most cosh(1/2) ~ 1.13.
+_TAYLOR_RADIUS = 1.0 / 4.0
+_TAYLOR_DEGREE = 7
 _COS = [(-1) ** k / math.factorial(2 * k) for k in range(_TAYLOR_DEGREE + 1)]
 _SINC = [(-1) ** k / math.factorial(2 * k + 1) for k in range(_TAYLOR_DEGREE + 1)]
 
@@ -50,7 +51,7 @@ def cos_sinc_sqrt(z2):
     z2 = np.asarray(z2)
     if not np.iscomplexobj(z2):
         z2 = z2.astype(float, copy=False)
-    # the first Horner step, z2 c6 + c5, into arrays even for a 0-d z2
+    # the first Horner step, z2 c7 + c6, into arrays even for a 0-d z2
     cos_w, sinc_w = (np.multiply(z2, c[-1], out=np.empty_like(z2)) for c in (_COS, _SINC))
     cos_w += _COS[-2]
     sinc_w += _SINC[-2]

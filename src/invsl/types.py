@@ -213,11 +213,18 @@ def validate_rp(pair: BoundaryPolyPair) -> None:
         )
     if not np.any(pair.a):
         raise CommonRoot("p1 is identically zero")
+    # |p2(root)| <= 1e-8 (1 + |root|^deg p2), both sides divided by
+    # max(1, |root|)^deg: beyond the unit circle p2(root) / root^deg is the
+    # reversed p2 at u = 1 / root, so that no power of a large root overflows
     roots = pair.p1_roots()
-    vals = np.abs(pair.p2(roots))
-    tol = 1e-8 * (1.0 + np.abs(roots) ** max(np.flatnonzero(pair.b), default=0))
-    if np.any(vals <= tol):
-        raise CommonRoot(f"p2 vanishes at a root of p1 (min |p2(root)| = {vals.min():.3e})")
+    b = pair.b[:max(np.flatnonzero(pair.b), default=0) + 1]
+    big = np.abs(roots) > 1.0
+    u = roots.copy()
+    u[big] = 1.0 / u[big]
+    vals = np.abs(np.where(big, _polyval(b[::-1], u), _polyval(b, u)))
+    if np.any(vals <= 1e-8 * (1.0 + np.abs(u) ** (b.size - 1))):
+        raise CommonRoot("p2 vanishes at a root of p1 "
+                         f"(min |p2(root)| / max(1, |root|)^deg p2 = {vals.min():.3e})")
 
 
 @dataclass(frozen=True)

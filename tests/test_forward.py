@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import fundamental_nodes, rectangle_zeros
-from invsl import halfinverse
+from invsl import forward, halfinverse
 from invsl.errors import CommonRoot, IllConditioned, PoleProximity, RootLoss
 from invsl.forward import (
     char_delta,
@@ -282,6 +282,24 @@ class TestIndexSearch:
         exact = np.arange(40.0) ** 2
         assert not spec.fallback
         assert np.max(np.abs(spec.lambdas.real - exact) / (1.0 + exact)) <= 1e-12
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_a_zero_at_the_right_end_is_a_sign_change(self, monkeypatch, zero):
+        # phi(pi) = cos(22.5 pi) = 0 at lambda = 22.5^2, between phi > 0 at
+        # the node before and phi^[1](pi) = -22.5 < 0: a y(X) that rounds to
+        # +0.0 or to -0.0 counts as the sign change it is, as on either side
+        lam = 22.5**2
+        sides = count_below(SIG0, PAIR_FREE, RIGHT_NEU, [lam - 1e-6, lam + 1e-6])
+        propagate = forward.node_values
+
+        def rounded_to_zero(*args):
+            y, yq = propagate(*args)
+            assert y[-2, 0] > 0 > yq[-1, 0]
+            y[-1] = zero
+            return y, yq
+
+        monkeypatch.setattr(forward, "node_values", rounded_to_zero)
+        assert sides[0] == sides[1] == count_below(SIG0, PAIR_FREE, RIGHT_NEU, [lam])[0]
 
     def test_dirichlet_right_end_counts_nothing_far_below(self):
         # beta = pi for r1 = 0; with beta = 0 the count stays at 1 as lambda

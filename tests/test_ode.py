@@ -19,6 +19,7 @@ from invsl import ode
 from invsl.errors import StepFailure
 from invsl.ode import (
     _BLOCK,
+    _cell_matrices,
     _leaf_order,
     _tree,
     endpoint_data,
@@ -218,13 +219,15 @@ class TestMonodromy:
         assert np.max(_normwise_dev(real, cplx, ["S", "S1", "C", "C1"])) <= TREE_RTOL
 
     def test_arithmetic_follows_inputs(self, monkeypatch):
+        # the dtype of the cell workspace that the product tree reduces
         seen = []
+        tree = ode._tree
 
-        def record(z2):
-            seen.append(z2.dtype)
-            return cos_sinc_sqrt(z2)
+        def record(work, n):
+            seen.append(work.dtype)
+            return tree(work, n)
 
-        monkeypatch.setattr(ode, "cos_sinc_sqrt", record)
+        monkeypatch.setattr(ode, "_tree", record)
         sig = sigma_random_smooth(64, scale=0.8, seed=3)
         sig_c = SigmaFunction(sig.samples + 0.1j * np.sin(sig.nodes), sig.interval_length)
         cases = [(sig, [1.0, 2.0 + 0j], np.float64), (sig, [1.0, 2.0 + 1e-200j], np.complex128),
@@ -273,6 +276,121 @@ class TestMonodromy:
                 ends = m[:, 0, k] * 0.3 + m[:, 1, k] * -0.8
                 rk = [v[-1] for v in rk4_node_values(sig, lv, 0.3, -0.8, refine=8)]
                 assert np.max(np.abs(ends - rk)) <= 2e-9 * max(1.0, np.max(np.abs(rk)))
+
+
+EPS = np.finfo(float).eps
+# a smooth sigma, a step whose one steep cell has |s| h^2 = 0.8 R (R =
+# _TAYLOR_RADIUS), so that only |lambda| h^2 <= 0.2 R takes the product, and
+# a complex sigma
+_SMOOTH = sigma_random_smooth(512, scale=0.8, seed=2)
+TAYLOR_SIGMAS = {
+    "smooth": _SMOOTH,
+    "step": sigma_step(512, height=0.8 * _TAYLOR_RADIUS * 512 / np.pi),
+    "complex": SigmaFunction(_SMOOTH.samples + 0.3j * np.sin(2.0 * _SMOOTH.nodes), np.pi),
+}
+
+
+def _cell_slopes(sig):
+    return np.diff(sig.samples.real if sig.is_real() else sig.samples) / sig.dx
+
+
+def _taylor_edge(sig):
+    """The |lambda| at which |lambda| h^2 + max |s| h^2 = _TAYLOR_RADIUS."""
+    return _TAYLOR_RADIUS / sig.dx**2 - np.max(np.abs(_cell_slopes(sig)))
+
+
+class TestTaylorCells:
+    """The cells of a lambda with |lambda| h^2 + max |s| h^2 <= R, from the
+    Taylor polynomials of cos_sinc_sqrt expanded in powers of lambda h^2 (one
+    matrix product per block of lambdas)."""
+
+    @pytest.mark.parametrize("name", list(TAYLOR_SIGMAS))
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_match_cos_sinc_sqrt(self, name, kind, monkeypatch):
+        # every entry within 8 eps of its scale (1, h and (|lambda| + |s|) h)
+        # of cos_sinc_sqrt's cells, out to the edge
+        sig = TAYLOR_SIGMAS[name]
+        h, slopes, edge = sig.dx, _cell_slopes(sig), _taylor_edge(sig) * (1.0 - 1e-12)
+        rng = np.random.default_rng(5)
+        lam = edge * rng.uniform(-1.0, 1.0, 64)
+        if kind == "complex":
+            lam = edge * rng.uniform(0.0, 1.0, 64) * np.exp(1j * rng.uniform(-np.pi, np.pi, 64))
+        lam[:2] = edge, -edge
+        if not sig.is_real():
+            lam = lam.astype(complex)
+        calls = []
+        monkeypatch.setattr(ode, "cos_sinc_sqrt", calls.append)
+        got = _cell_matrices(sig, lam)
+        assert not calls
+        mu2 = lam[None] - slopes[:, None]
+        c, sinc = cos_sinc_sqrt(mu2 * h * h)
+        ref = c, sinc * h, -mu2 * sinc * h, c
+        scales = 1.0, h, (np.abs(lam)[None] + np.abs(slopes)[:, None]) * h, 1.0
+        for g, r, scale in zip(got, ref, scales):
+            assert np.max(np.abs(g - r) / scale) <= 8 * EPS
+
+    @pytest.mark.parametrize("name", list(TAYLOR_SIGMAS))
+    def test_against_mpmath_on_the_edge(self, name):
+        # |lambda| h^2 + max |s| h^2 = R on four rays, at the steepest cell and
+        # three others, against 30 digits (measured at most 2 eps of the scale)
+        mpmath = pytest.importorskip("mpmath")
+        sig = TAYLOR_SIGMAS[name]
+        h, slopes, edge = sig.dx, _cell_slopes(sig), _taylor_edge(sig) * (1.0 - 1e-12)
+        rays = edge * np.exp(1j * np.array([0.7, -2.0]))
+        batches = [np.array([edge, -edge]).astype(slopes.dtype), rays]
+        cells = [int(np.argmax(np.abs(slopes))), 0, 100, 300]
+        with mpmath.workdps(30):
+            for lam in batches:
+                got = _cell_matrices(sig, lam)
+                for k in cells:
+                    for j, lv in enumerate(lam):
+                        z2 = (mpmath.mpc(complex(lv)) - mpmath.mpc(complex(slopes[k]))) * mpmath.mpf(h) ** 2
+                        w = mpmath.sqrt(z2)
+                        ref = mpmath.cos(w), mpmath.sinc(w) * h, -z2 / h * mpmath.sinc(w)
+                        scales = 1.0, h, (abs(lv) + abs(slopes[k])) * h
+                        for g, r, scale in zip(got[:3, k, j], ref, scales):
+                            assert abs(complex(g) - complex(r)) <= 4 * EPS * scale
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_the_edge_splits_the_paths(self, dtype, monkeypatch):
+        # lambdas a relative 1e-12 inside the edge take the product, those as
+        # far outside take cos_sinc_sqrt, on every cell and only they
+        sig = sigma_random_smooth(64, scale=0.8, seed=3)
+        edge = _taylor_edge(sig)
+        lam = (edge * np.array([1 - 1e-12, -(1 - 1e-12), 1 + 1e-12, -(1 + 1e-12)])).astype(dtype)
+        calls = []
+
+        def record(z2):
+            calls.append(z2)
+            return cos_sinc_sqrt(z2)
+
+        monkeypatch.setattr(ode, "cos_sinc_sqrt", record)
+        _cell_matrices(sig, lam)
+        mu2 = lam[None, 2:] - _cell_slopes(sig)[:, None]
+        assert len(calls) == 1 and np.array_equal(calls[0], mu2 * (sig.dx * sig.dx))
+
+    @pytest.mark.parametrize("batch", [1, 2, 63, 64, 65, 129])
+    @pytest.mark.parametrize("kind", ["real", "complex lambda", "complex sigma"])
+    def test_batch_equals_single_lambdas(self, batch, kind):
+        # lambdas on both sides of the edge, so that blocks mix the product
+        # and cos_sinc_sqrt: every column equals its lambda run alone, bit
+        # for bit (BLAS rounds no column by the width of the product)
+        sig = sigma_random_smooth(257, scale=0.8, seed=6)
+        if kind == "complex sigma":
+            sig = SigmaFunction(sig.samples + 0.2j * np.sin(sig.nodes), np.pi)
+        rng = np.random.default_rng(batch)
+        lam = _taylor_edge(sig) * rng.uniform(-1.3, 1.3, batch)
+        if kind == "complex lambda":
+            lam = lam + 1j * rng.uniform(-3.0, 3.0, batch)
+        if batch > 60:
+            near = np.abs(lam) <= _taylor_edge(sig)
+            assert np.any(near[:64]) and not np.all(near[:64])
+        mono = monodromy(sig, lam)
+        y, yq = node_values(sig, lam, 0.3, -0.8)
+        for k, lv in enumerate(lam):
+            assert np.array_equal(monodromy(sig, [lv])[..., 0], mono[..., k])
+            yk, yqk = node_values(sig, [lv], 0.3, -0.8)
+            assert np.array_equal(yk[:, 0], y[:, k]) and np.array_equal(yqk[:, 0], yq[:, k])
 
 
 class TestLeafOrder:

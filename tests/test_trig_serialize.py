@@ -170,9 +170,10 @@ class TestTrigClosedForms:
         # every element of a (512, 64) batch on both sides of the Taylor
         # radius equals that element evaluated alone, bit for bit
         rng = np.random.default_rng(17)
-        z2 = rng.uniform(-0.1, 0.1, (512, 64)).astype(dtype)
+        wide = 1.6 * _TAYLOR_RADIUS
+        z2 = rng.uniform(-wide, wide, (512, 64)).astype(dtype)
         if dtype is np.complex128:
-            z2 += 1j * rng.uniform(-0.1, 0.1, z2.shape)
+            z2 += 1j * rng.uniform(-wide, wide, z2.shape)
         far = np.abs(z2) > _TAYLOR_RADIUS
         assert 0.1 < np.mean(far) < 0.9
         batch = cos_sinc_sqrt(z2)

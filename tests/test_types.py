@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,17 @@ class TestValidateRp:
         # even branch permits a trivial p1 in shape only; it shares every root
         with pytest.raises(CommonRoot):
             validate_rp(BoundaryPolyPair([0.0], [0.3, 1.0]))
+
+    def test_large_roots_are_compared_without_overflow(self):
+        # p1 = 1 + 1e-200 lambda has its root at -1e200, where p2(root) and
+        # the tolerance's power of the root overflow; the pair is coprime and
+        # passes with every warning an error, while the common root 1e100 of
+        # p1 = 1 - 1e-100 lambda and p2 = (lambda - 1e100)(lambda - 1) is found
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            validate_rp(BoundaryPolyPair([1.0, 1e-200], [0.5, 0.2, 1.0]))
+            with pytest.raises(CommonRoot):
+                validate_rp(BoundaryPolyPair([1.0, -1e-100], [1e100, -1e100, 1.0]))
 
 
 def _zero(grid_size, p):
