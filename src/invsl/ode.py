@@ -169,10 +169,12 @@ def _leaf_order(m):
 
 # Lambdas per reduction block: the working set is (cells x block) per matrix
 # entry, so memory stays bounded on dense scans of thousands of lambdas.
-# Timed on the leaf-order tree over 1640 lambdas at 512 and 1024 cells
-# (`monodromy`, two runs of best-of-4 timings, 2-vCPU Xeon, 2 MB L2 per
-# core): no block of 32-256 was faster than 64 on both the real and the
-# complex batches, so 64 stays.
+# Timed with the cells of one matrix product per block over 1640 lambdas
+# with |lambda| <= 1600 at 512 and 1024 cells (`monodromy`, two runs of
+# best-of-4 timings, 2-vCPU Xeon, 2 MB L2 per core, one BLAS thread): 96
+# was 4-6% faster on the real batch at 512 cells and 48 9% faster on the
+# complex one at 1024, but each was slower on two other batches; no block of
+# 32-256 beat 64 on all four, so 64 stays.
 _BLOCK = 64
 
 
