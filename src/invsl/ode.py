@@ -5,12 +5,12 @@ constant on every grid cell and y'' = (s_k - lambda) y holds exactly inside
 cell k, with a closed-form constant-coefficient 2x2 transfer matrix (the
 Pruess piecewise-constant-coefficient method).  Its entries cos(w) and
 sin(w)/w at w^2 = (lambda - s_k) h^2 are entire in w^2, so no branch of the
-square root enters: where every cell of a lambda is small, their Taylor
+square root enters.  Where every cell of a lambda is small they are Taylor
 polynomials in w^2, expanded in powers of lambda h^2, so that the cells of a
-block of lambdas are one matrix product (`_cell_writer`); elsewhere
-`cos_sinc_sqrt` cell by cell.  Endpoint values come from the monodromy matrix, the ordered product
-of all cell matrices, reduced pairwise in log2(m) vectorized steps over the
-whole lambda batch; node-by-node trajectories, forward from x = 0, come from
+block of lambdas are one matrix product (`_cell_writer`); elsewhere they are
+`cos_sinc_sqrt` cell by cell.  Endpoint values come from the monodromy
+matrix, the ordered product of all cell matrices, reduced pairwise in
+log2(m) vectorized steps over the whole lambda batch; node-by-node trajectories, forward from x = 0, come from
 a down-sweep over the levels of that same tree, which all blocks of lambdas
 write in place into one workspace per call.  The cells are stored in the
 tree's leaf order (`_leaf_order`, bit reversal for m a power of two): every
@@ -57,13 +57,6 @@ _SHIFT = np.array([[[math.comb(i + j, j) * a[i + j] if i + j < _POWERS else 0.0
                    for a in (_COS + [0.0], _SINC + [0.0], [0.0] + [-b for b in _SINC])])
 
 
-@functools.cache
-def _scaled_shift(h):
-    """_SHIFT with the entries sn and msn scaled to the cell width h, as one
-    matrix (3 _POWERS, _POWERS)."""
-    return (_SHIFT * np.array([1.0, h, 1.0 / h])[:, None, None]).reshape(-1, _POWERS)
-
-
 def _real_view(a):
     """The float64 view of a complex128 array (real and imaginary parts side
     by side in its last axis), or the float64 array itself."""
@@ -99,7 +92,7 @@ def _cell_writer(slopes, h):
         k += n
     parts = (neg_t.T,) if not np.iscomplexobj(t) else tuple(
         np.ascontiguousarray(p.T) for p in (neg_t.real, neg_t.imag))
-    shift = _scaled_shift(h)
+    shift = (_SHIFT * np.array([1.0, h, 1.0 / h])[:, None, None]).reshape(-1, _POWERS)
 
     def taylor(lam, dst):
         x = np.empty((_POWERS, max(lam.size, 2)), lam.dtype)
