@@ -73,13 +73,13 @@ def _cell_writer(slopes, h):
     (`taylor`): _SHIFT times the powers of x gives the polynomials in -t of
     every lambda, and one matrix product with the powers of -t, computed once
     here, their values at every cell.  Both products are real: complex
-    powers of x enter as their float64 view, and complex slopes as the real
-    and the imaginary parts of the powers of -t, the latter times i times the
-    polynomials.  The other lambdas take cos_sinc_sqrt on every cell
-    (`direct`).  Either way the cells of a lambda depend on that lambda and
-    the slopes alone; a single lambda is padded to two columns for that,
-    since BLAS rounds a matrix-vector product otherwise than the matrix
-    product whose column it would be.
+    powers of x and polynomials enter as their float64 views, complex slopes
+    as the real and the imaginary parts of the powers of -t, the latter
+    times i times the polynomials.  The other lambdas take cos_sinc_sqrt on
+    every cell (`direct`).  Either way the cells of a lambda depend on that
+    lambda and the slopes alone; a single lambda is padded to two columns
+    for that, since BLAS rounds a matrix-vector product otherwise than the
+    matrix product whose column it would be.
     """
     t = slopes * (h * h)
     near_limit = (_TAYLOR_RADIUS - np.max(np.abs(t))) / (h * h)
@@ -98,7 +98,7 @@ def _cell_writer(slopes, h):
         x = np.empty((_POWERS, max(lam.size, 2)), lam.dtype)
         x[0], x[1:] = 1.0, lam * (h * h)
         np.multiply.accumulate(x[1:], out=x[1:])
-        poly = (shift @ x).reshape(3, _POWERS, -1)
+        poly = (shift @ _real_view(x)).view(x.dtype).reshape(3, _POWERS, -1)
         cells = dst if lam.size > 1 else np.empty(dst.shape[:-1] + (2,), dst.dtype)
         np.matmul(parts[0], _real_view(poly), out=_real_view(cells))
         if len(parts) == 2:
