@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import IllConditioned, PoleProximity, RootLoss
-from .moments import _component_columns, _gram_block, _tags_for, slot_layout, svd_solve
+from .moments import _component_columns, _gram_block, _tags_for, slot_layout, svd_solve, trig_rows
 from .ode import endpoint_data, node_values
 from .trig import sinc, synth_series
 from .types import (
@@ -435,7 +435,7 @@ def _fit_family(kind, n_modes, rho, rhs, const):
     tags = sorted(_tags_for(kind, n_modes, _EXTRACT_POLY), key=lambda tag: tag[0] == "poly")
     n_trig = sum(tag[0] != "poly" for tag in tags)
     against = "sin_over_rho" if kind == "sin" else "cos"
-    design = np.concatenate([_component_columns(tags, rho, against), const], axis=1)
+    design = np.concatenate([_component_columns(tags, trig_rows(rho), against), const], axis=1)
     gram = _gram_block(tags)
     transform = np.eye(design.shape[1])
     transform[:n_trig, n_trig:len(tags)] = -gram[:n_trig, n_trig:] / np.diag(gram)[:n_trig, None]

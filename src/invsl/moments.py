@@ -4,8 +4,9 @@ system built on it.
 
 `slot_layout` is the one place that knows how the boundary degree p arranges
 the moment row v(t, lambda).  `_tags_for` names the probe functions, with
-their closed-form columns (`_component_columns`) and Gram matrix
-(`_gram_block`); `svd_solve` is the one least-squares step.
+their closed-form columns (`_component_columns`, from the per-row values of
+`trig_rows`) and Gram matrix (`_gram_block`); `svd_solve` is the one
+least-squares step, also over a stack of systems.
 `build_moment_system` lays the rows of a subspectrum out once and keeps the
 layout; the targets w (`build_w`) and the row norms (`row_norm_exact`) are
 read from it.  Also here: one row v(., lambda) on a grid as an element of H
@@ -15,13 +16,14 @@ Riesz-basis condition estimates for sine families.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ParityMismatch
-from .trig import gauss_nodes, overlap_cos_cos, overlap_sin_sin, poly_cos, poly_poly, poly_sin, sinc
+from .trig import gauss_nodes, overlap, poly_cos, poly_poly, poly_sin, poly_trig, sinc
 from .types import CauchyData, EntirePair, Subspectrum, branch_sqrt
 
 # Singular values at or below this fraction of the largest are truncated.
@@ -98,36 +100,136 @@ def _gram_block(tags) -> np.ndarray:
     vals = np.array([v for _, v in tags], dtype=float)
     degs, mu = vals[poly].astype(int), vals[~poly] + 0j
     trig_kind = next((kind for kind, _ in tags if kind != "poly"), "sin")
-    overlap, poly_trig = ((overlap_sin_sin, poly_sin) if trig_kind == "sin"
-                          else (overlap_cos_cos, poly_cos))
+    sign, poly_int = (-1, poly_sin) if trig_kind == "sin" else (1, poly_cos)
     g = np.empty((len(tags), len(tags)))
-    g[np.ix_(~poly, ~poly)] = overlap(mu[:, None], mu[None, :]).real
+    g[np.ix_(~poly, ~poly)] = overlap(mu[:, None], mu[None, :], sign).real
     g[np.ix_(poly, poly)] = poly_poly(degs[:, None], degs[None, :])
-    cross = np.array([poly_trig(d, mu).real for d in degs]).reshape(degs.size, mu.size)
+    cross = np.array([poly_int(d, mu).real for d in degs]).reshape(degs.size, mu.size)
     g[np.ix_(poly, ~poly)] = cross
     g[np.ix_(~poly, poly)] = cross.T
     return g
 
 
-def _component_columns(tags, rho, against: str):
-    """(phi_i, component) integrals against sin(rho t)/rho or cos(rho t).
+class _ProbeTerms(NamedTuple):
+    """What `_component_columns` needs of one tag sequence and kind."""
 
-    One closed-form call per monomial degree and one over rows x trig modes,
-    placed in tag order.
-    """
-    if against == "sin_over_rho" and np.any(np.abs(rho) < 1e-8):
-        raise ValueError("moment rows require nonzero rho")
-    overlap, poly_trig = ((overlap_sin_sin, poly_sin) if against == "sin_over_rho"
-                          else (overlap_cos_cos, poly_cos))
-    poly = np.array([kind == "poly" for kind, _ in tags], dtype=bool)
+    trig: slice            # the trig tags, one contiguous run
+    poly: np.ndarray       # positions of the monomial tags
+    degrees: tuple         # their degrees
+    mu: np.ndarray         # the trig frequencies
+    coefs: np.ndarray      # (2, modes): the modes' factors of the rank-2 numerator
+    col_of: np.ndarray     # col_of[2 h] is the trig column of mu = h, or -1
+
+
+_QUARTER_SIN = np.array([0.0, 1.0, 0.0, -1.0])     # sin(k pi/2) at k mod 4
+
+
+@functools.lru_cache(maxsize=256)
+def _probe_terms(tags: tuple, sin_form: bool) -> _ProbeTerms:
+    is_poly = np.array([kind == "poly" for kind, _ in tags], dtype=bool)
+    trig = np.flatnonzero(~is_poly)
+    if trig.size and trig[-1] - trig[0] + 1 != trig.size:
+        raise ValueError("the trig tags of a family must be one contiguous run")
     mu = np.array([v for kind, v in tags if kind != "poly"], dtype=float)
-    cols = np.empty((rho.size, len(tags)), dtype=complex)
-    cols[:, ~poly] = overlap(mu[None, :], rho[:, None])
-    for k in np.flatnonzero(poly):
-        cols[:, k] = poly_trig(tags[k][1], rho)
-    if against == "sin_over_rho":
-        cols /= rho[:, None]
-    return cols
+    two_mu = np.rint(2.0 * mu).astype(np.int64)
+    sin_mu, cos_mu = _QUARTER_SIN[two_mu % 4], _QUARTER_SIN[(two_mu + 1) % 4]
+    # sine: (rho sin mu pi cos rho pi - mu cos mu pi sin rho pi) / rho,
+    # cosine: mu sin mu pi cos rho pi - rho cos mu pi sin rho pi
+    coefs = np.stack([sin_mu, -mu * cos_mu] if sin_form else [mu * sin_mu, -cos_mu])
+    col_of = np.full(two_mu.max(initial=-1) + 2, -1)
+    col_of[two_mu] = np.arange(mu.size)
+    for a in (mu, coefs, col_of):
+        a.setflags(write=False)
+    return _ProbeTerms(trig=slice(trig[0], trig[-1] + 1) if trig.size else slice(0, 0),
+                       poly=np.flatnonzero(is_poly),
+                       degrees=tuple(v for kind, v in tags if kind == "poly"),
+                       mu=mu, coefs=coefs.astype(complex), col_of=col_of)
+
+
+class TrigRows(NamedTuple):
+    """Per-row values of the probe columns at an array of rho (`trig_rows`),
+    shared by every column block of one design."""
+
+    rho: np.ndarray        # rho, with Re rho >= 0
+    two_h: np.ndarray      # 2 h, h the half-integer nearest to rho
+    d: np.ndarray          # rho - h, |Re d| <= 1/4
+    sin_pi: np.ndarray     # sin(rho pi)
+    cos_pi: np.ndarray     # cos(rho pi)
+
+
+def trig_rows(rho) -> TrigRows:
+    """sin(rho pi) and cos(rho pi) from one sin(pi d) and cos(pi d) per row.
+
+    Every probe column is even in rho, so rho is taken with Re rho >= 0 and
+    written h + d, h its nearest half-integer: sin(rho pi) and cos(rho pi)
+    are then +-sin(pi d) and +-cos(pi d), with no rounding of their own,
+    which keeps their relative accuracy near a mode.
+    """
+    rho = np.asarray(rho, dtype=complex).reshape(-1)
+    rho = np.where(rho.real < 0, -rho, rho)
+    two_h = np.rint(2.0 * rho.real).astype(np.int64)
+    d = rho - 0.5 * two_h
+    quarter = np.stack([np.sin(np.pi * d), np.cos(np.pi * d)])
+    quarter = np.concatenate([quarter, -quarter])      # sin, cos, -sin, -cos of pi d
+    rows = np.arange(rho.size)
+    return TrigRows(rho, two_h, d, quarter[two_h % 4, rows], quarter[(two_h + 1) % 4, rows])
+
+
+def _component_columns(tags, rows: TrigRows, against: str):
+    """(phi_i, component) integrals against sin(rho t)/rho or cos(rho t),
+    one row per rho of `rows` (`trig_rows`) and one column per tag.
+
+    Every probe frequency mu is a multiple of 1/2, so sin(mu pi) and
+    cos(mu pi) are 0 or +-1, and the trig columns are a rank-2 numerator over
+    (mu - rho)(mu + rho) from the rows' sin(rho pi) and cos(rho pi):
+
+        int_0^pi sin(mu t) sin(rho t) dt = (rho sin mu pi cos rho pi - mu cos mu pi sin rho pi) / (mu^2 - rho^2),
+        int_0^pi cos(mu t) cos(rho t) dt = (mu sin mu pi cos rho pi - rho cos mu pi sin rho pi) / (mu^2 - rho^2).
+
+    The column mu = h of a row rho = h + d (`trig_rows`), whose numerator
+    and denominator both vanish with d, takes its limit form pi sinc(pi d)
+    times mu/(mu + rho) (sine, integer mu; cosine, half-odd mu) or
+    rho/(mu + rho) (the other two), which is exact at rho = mu and at
+    rho = mu = 0.  The monomial columns come from one recurrence over the
+    same sin(rho pi) and cos(rho pi) (`trig.poly_trig`), or its power series
+    where |rho| pi < 0.5.  The trig tags must be one contiguous run.
+    """
+    rho, two_h, d, sin_r, cos_r = rows
+    sin_form = against == "sin_over_rho"
+    if sin_form and np.any(np.abs(rho) < 1e-8):
+        raise ValueError("moment rows require nonzero rho")
+    terms = _probe_terms(tuple(tags), sin_form)
+    # built tag by row, so that every elementwise pass runs along the rows
+    cols = np.empty((len(tags), rho.size), dtype=complex)
+    factors = np.stack([cos_r, sin_r / rho if sin_form else rho * sin_r])
+    # mu^2 - rho^2 by parts, so that a real or an imaginary rho gives a real
+    # denominator and the real part keeps its accuracy near rho = mu
+    mu, re, im = terms.mu[:, None], rho.real, rho.imag
+    den = np.empty((mu.size, rho.size), dtype=complex)
+    den_re = den.real
+    np.subtract(mu, re, out=den_re)
+    den_re *= mu + re
+    den_re += im * im
+    den.imag = -2.0 * re * im
+    col = terms.col_of[np.minimum(two_h, terms.col_of.size - 1)]
+    hit = np.flatnonzero(col >= 0)           # rows with a column mu = h
+    den[col[hit], hit] = 1.0
+    trig = cols[terms.trig]
+    np.matmul(terms.coefs.T, factors, out=trig)
+    trig /= den
+    h, r = 0.5 * two_h[hit], rho[hit]
+    odd = two_h[hit] % 2 == 1
+    mu_share = np.divide(h, h + r, out=np.zeros_like(r), where=h != 0)
+    if sin_form:
+        limit = np.where(odd, 1.0 / (h + r), mu_share / r)
+    else:
+        limit = np.where(odd, mu_share, 1.0 - mu_share)
+    trig[col[hit], hit] = np.pi * sinc(np.pi * d[hit]) * limit
+
+    if terms.degrees:
+        mono = poly_trig(terms.degrees, rho, int(sin_form), sin_r, cos_r)
+        cols[terms.poly] = mono / rho if sin_form else mono
+    return cols.T
 
 
 def svd_solve(u, s, vh, rhs, reg: float = 0.0):
@@ -135,16 +237,19 @@ def svd_solve(u, s, vh, rhs, reg: float = 0.0):
 
     The gains on the singular directions are s/(s^2 + reg) for a positive
     `reg` (Tikhonov damping), else 1/s with singular values at or below
-    `_RANK_TOL` times the largest dropped (the minimum-norm solution).
+    `_RANK_TOL` times the largest dropped (the minimum-norm solution).  A
+    stack of systems (leading axes on every argument) is solved system by
+    system, each truncated against its own largest singular value.
     """
     if not (np.isfinite(reg) and reg >= 0):
         raise ValueError(f"reg must be finite and >= 0, got {reg!r}")
     if reg > 0:
         gains = s / (s**2 + reg)
     else:
-        keep = s > _RANK_TOL * s.max(initial=0.0)
+        keep = s > _RANK_TOL * s.max(axis=-1, keepdims=True, initial=0.0)
         gains = np.where(keep, 1.0 / np.maximum(s, 1e-300), 0.0)
-    return vh.conj().T @ (gains * (u.conj().T @ rhs))
+    coef = (np.swapaxes(u, -1, -2).conj() @ rhs[..., None])[..., 0]
+    return (np.swapaxes(vh, -1, -2).conj() @ (gains * coef)[..., None])[..., 0]
 
 
 def build_v(lam, f: EntirePair, p: int, grid: int) -> CauchyData:
@@ -173,8 +278,8 @@ def row_norm_exact(rho, layout: SlotLayout):
     tiny = np.abs(rho) <= 1e-6
     safe = np.where(tiny, 1.0, rho)
     int_sin = np.where(tiny, np.pi**3 / 3.0,
-                       (overlap_sin_sin(safe, np.conj(safe)) / (safe * np.conj(safe))).real)
-    int_cos = np.where(tiny, np.pi, overlap_cos_cos(safe, np.conj(safe)).real)
+                       (overlap(safe, np.conj(safe), -1) / (safe * np.conj(safe))).real)
+    int_cos = np.where(tiny, np.pi, overlap(safe, np.conj(safe), 1).real)
     int1, int2 = layout.kernels(int_sin, int_cos)
     total = (np.abs(layout.k1) ** 2 * int1 + np.abs(layout.k2) ** 2 * int2
              + np.sum(np.abs(layout.slots) ** 2, axis=-1))
@@ -276,7 +381,7 @@ def basis_diagnostics(rhos, length: float = 2 * np.pi) -> BasisDiagnostics:
     1e3 and grows by no more than 20% from the half truncation.
     """
     rhos = np.atleast_1d(np.asarray(rhos, dtype=complex))
-    gram = np.asarray(overlap_sin_sin(np.conj(rhos[:, None]), rhos[None, :], length))
+    gram = np.asarray(overlap(np.conj(rhos[:, None]), rhos[None, :], -1, length))
     norms = np.sqrt(np.abs(np.diag(gram)))
     gram = gram / np.maximum(np.outer(norms, norms), 1e-300)
 

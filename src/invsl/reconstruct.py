@@ -29,6 +29,7 @@ from .moments import (
     build_v,
     slot_layout,
     svd_solve,
+    trig_rows,
 )
 from .trig import sinc, synth_series
 from .types import (
@@ -103,17 +104,16 @@ def moment_design(system: MomentSystem, basis: ProbeBasis):
     true product-space norm.  The rows of a stacked system come trial by
     trial, so the design is always (rows, columns).
     """
-    rho = system.rho.reshape(-1)
+    rows = trig_rows(system.rho)
     layout = system.layout
     against1, against2 = layout.kernels("sin_over_rho", "cos")
-    m1 = layout.k1.reshape(-1, 1) * _component_columns(basis.h1_tags, rho, against1)
-    m2 = layout.k2.reshape(-1, 1) * _component_columns(basis.h2_tags, rho, against2)
-    raw = np.concatenate([m1, m2, layout.slots.reshape(rho.size, -1)], axis=1)
     inv_norm = 1.0 / np.maximum(system.norms.reshape(-1), 1e-300)
-    rows = raw * inv_norm[:, None]
-    d1 = rows[:, : len(basis.h1_tags)] @ basis.b1
-    d2 = rows[:, len(basis.h1_tags): len(basis.h1_tags) + len(basis.h2_tags)] @ basis.b2
-    design = np.concatenate([d1, d2, rows[:, len(basis.h1_tags) + len(basis.h2_tags):]], axis=1)
+    d1 = _component_columns(basis.h1_tags, rows, against1) @ basis.b1
+    d2 = _component_columns(basis.h2_tags, rows, against2) @ basis.b2
+    d1 *= (layout.k1.reshape(-1) * inv_norm)[:, None]
+    d2 *= (layout.k2.reshape(-1) * inv_norm)[:, None]
+    slots = layout.slots.reshape(inv_norm.size, -1) * inv_norm[:, None]
+    design = np.concatenate([d1, d2, slots], axis=1)
     rhs = system.ws.reshape(-1) * inv_norm
     return design, rhs
 
@@ -148,47 +148,37 @@ def solve_moment(system: MomentSystem, basis: ProbeBasis, reg: float = 0.0):
     sets `deficient` when the smallest one is among them.  The `CauchyData`
     returned carries its probe series and, as `meta`, the solve report.
 
-    A stacked system is solved with one SVD over its (trials, N, K) design
-    stack and gives a list of `CauchyData`, one per trial, each by the rules
-    above; all trials share one probe basis.
+    A stacked system is solved with one SVD and one `svd_solve` over its
+    (trials, N, K) design stack and gives a list of `CauchyData`, one per
+    trial, each by the rules above; all trials share one probe basis.
     """
     design, rhs = moment_design(system, basis)
     design = design.reshape(system.ws.shape + design.shape[-1:])
     rhs = rhs.reshape(system.ws.shape)
     u_mat, svals, vh = np.linalg.svd(design, full_matrices=False)
-    parts = [_solve_one(design[k], rhs[k], u_mat[k], svals[k], vh[k], basis, reg)
-             for k in np.ndindex(system.ws.shape[:-1])]
-    t = np.linspace(0.0, np.pi, system.grid_m + 1)
-    j = synth_series(basis.h1_tags, np.array([x1 for x1, *_ in parts]), t)
-    g = synth_series(basis.h2_tags, np.array([x2 for _, x2, *_ in parts]), t)
-    out = [CauchyData(jk, gk, a, series=series, meta=meta)
-           for jk, gk, (_, _, a, series, meta) in zip(j, g, parts)]
-    return out if system.ws.ndim > 1 else out[0]
-
-
-def _solve_one(design, rhs, u_mat, svals, vh, basis: ProbeBasis, reg):
-    """One trial of `solve_moment` from the SVD of its design: the probe-series
-    coefficients of both kernels, the constants and the solve report."""
-    smax = float(svals[0]) if svals.size else 0.0
-    smin = float(svals[-1]) if svals.size else 0.0
-    ratio = smin / smax if smax > 0 else 0.0
     z = svd_solve(u_mat, svals, vh, rhs, reg)
-    residual = float(np.linalg.norm(design @ z - rhs))
-
-    d1 = basis.b1.shape[1]
-    d2 = basis.b2.shape[1]
-    x1 = basis.b1 @ z[:d1]
-    x2 = basis.b2 @ z[d1: d1 + d2]
-    series = {"j": (basis.h1_tags, x1), "g": (basis.h2_tags, x2)}
-    meta = {
-        "residual": residual,
-        "cond": smax / smin if smin > 0 else np.inf,
-        "smin_ratio": ratio,
-        "design_shape": design.shape,
-        "deficient": ratio <= _RANK_TOL,
-        "reg": reg,
-    }
-    return x1, x2, z[d1 + d2:], series, meta
+    residual = np.linalg.norm((design @ z[..., None])[..., 0] - rhs, axis=-1)
+    smax, smin = svals[..., 0], svals[..., -1]
+    ratio = np.divide(smin, smax, out=np.zeros_like(smax), where=smax > 0)
+    d1, d2 = basis.b1.shape[1], basis.b2.shape[1]
+    x1 = z[..., :d1] @ basis.b1.T
+    x2 = z[..., d1: d1 + d2] @ basis.b2.T
+    t = np.linspace(0.0, np.pi, system.grid_m + 1)
+    j = synth_series(basis.h1_tags, x1, t)
+    g = synth_series(basis.h2_tags, x2, t)
+    out = []
+    for k in np.ndindex(system.ws.shape[:-1]):
+        meta = {
+            "residual": float(residual[k]),
+            "cond": float(smax[k] / smin[k]) if smin[k] > 0 else np.inf,
+            "smin_ratio": float(ratio[k]),
+            "design_shape": design.shape[-2:],
+            "deficient": bool(ratio[k] <= _RANK_TOL),
+            "reg": reg,
+        }
+        series = {"j": (basis.h1_tags, x1[k]), "g": (basis.h2_tags, x2[k])}
+        out.append(CauchyData(j[k], g[k], z[k][d1 + d2:], series=series, meta=meta))
+    return out if system.ws.ndim > 1 else out[0]
 
 
 def deltas_from_cauchy(data: CauchyData, lam):
@@ -318,17 +308,14 @@ def stability_experiment(p: int, f: EntirePair, subspectrum: Subspectrum, grid: 
     perturbed subspectra form one stack, solved by one `solve_moment` call
     with the rules of `reconstruct` (one f-evaluation, one design, one SVD).
     Each row records the product-space and component-wise errors against the
-    unperturbed solve, which runs on its own; its report is `base`.
+    unperturbed solve, which runs on its own; its report is `base`.  The
+    errors are normed over the stack of the trials' kernels at once.
     `noise_plan` checks `omegas` and `trials`.
     """
     omegas = noise_plan(omegas, trials)
     rng = np.random.default_rng(seed)
     basis = default_basis(subspectrum, p)
     base = reconstruct(p, f, subspectrum, grid, reg=reg, basis=basis)
-    w = base.weights()
-
-    def l2(vec):
-        return float(np.sqrt(np.sum(w * np.abs(vec) ** 2).real))
 
     n = len(subspectrum)
     noise = np.zeros((len(omegas) * trials, n), dtype=complex)
@@ -340,17 +327,18 @@ def stability_experiment(p: int, f: EntirePair, subspectrum: Subspectrum, grid: 
     system = build_moment_system(Subspectrum(rho * rho), f, p, grid)
     solved = solve_moment(system, basis, reg=reg)
 
-    rows = []
-    for i, data in enumerate(solved):
-        dj, dg, da = data.j - base.j, data.g - base.g, data.a - base.a
-        rows.append({
-            "omega": omegas[i // trials],
-            "trial": i % trials,
-            "err_u": CauchyData(dj, dg, da).norm(),
-            "err_j": l2(dj),
-            "err_g": l2(dg),
-            "err_a": float(np.max(np.abs(da))) if da.size else 0.0,
-        })
+    # the trials' differences from the base as (trials, .) stacks, normed as
+    # `CauchyData.norm` and its parts
+    w = base.weights()
+    dj = np.array([data.j for data in solved]) - base.j
+    dg = np.array([data.g for data in solved]) - base.g
+    da = np.array([data.a for data in solved]) - base.a
+    sq_j, sq_g = (np.sum(w * np.abs(x) ** 2, axis=-1) for x in (dj, dg))
+    err_u = np.sqrt(sq_j + sq_g + np.sum(np.abs(da) ** 2, axis=-1))
+    err_a = np.max(np.abs(da), axis=-1, initial=0.0)
+    rows = [{"omega": omegas[i // trials], "trial": i % trials, "err_u": float(err_u[i]),
+             "err_j": float(np.sqrt(sq_j[i])), "err_g": float(np.sqrt(sq_g[i])),
+             "err_a": float(err_a[i])} for i in range(len(solved))]
     summary = {}
     for k, omega in enumerate(omegas):
         median = float(np.median([r["err_u"] for r in rows[k * trials: (k + 1) * trials]]))

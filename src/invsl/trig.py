@@ -78,62 +78,64 @@ def cos_sinc_sqrt(z2):
     return cos_w, sinc_w
 
 
-def overlap_sin_sin(mu, rho, length=np.pi):
-    """Integral of sin(mu t) sin(rho t) over [0, length]."""
+def overlap(mu, rho, sign, length=np.pi):
+    """Integral over [0, length] of cos(mu t) cos(rho t) (sign = +1) or of
+    sin(mu t) sin(rho t) (sign = -1): half the integral of
+    cos((mu - rho) t) + sign cos((mu + rho) t), in sinc form."""
     mu = np.asarray(mu, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     d, s = (mu - rho) * length, (mu + rho) * length
-    return 0.5 * length * (sinc(d) - sinc(s))
-
-
-def overlap_cos_cos(mu, rho, length=np.pi):
-    """Integral of cos(mu t) cos(rho t) over [0, length]."""
-    mu = np.asarray(mu, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    d, s = (mu - rho) * length, (mu + rho) * length
-    return 0.5 * length * (sinc(d) + sinc(s))
+    combine = np.add if sign > 0 else np.subtract
+    return 0.5 * length * combine(sinc(d), sinc(s))
 
 
 def poly_sin(m, rho, length=np.pi):
     """Integral of t^m sin(rho t) over [0, length] (entire in lambda = rho^2 for odd use sites)."""
-    return _poly_trig(m, rho, length, 1)
+    rho = np.asarray(rho, dtype=complex)
+    return poly_trig([m], rho, 1, np.sin(rho * length), np.cos(rho * length), length)[0]
 
 
 def poly_cos(m, rho, length=np.pi):
     """Integral of t^m cos(rho t) over [0, length]."""
-    return _poly_trig(m, rho, length, 0)
-
-
-def _poly_trig(m, rho, length, s):
-    """Integral of t^m sin(rho t) (s = 1) or t^m cos(rho t) (s = 0): the power
-    series where |rho| length < 0.5, the recurrence elsewhere."""
     rho = np.asarray(rho, dtype=complex)
-    out = np.empty_like(rho)
+    return poly_trig([m], rho, 0, np.sin(rho * length), np.cos(rho * length), length)[0]
+
+
+def poly_trig(degrees, rho, s, sin_l, cos_l, length=np.pi):
+    """Integrals of t^m sin(rho t) (s = 1) or t^m cos(rho t) (s = 0) over
+    [0, length], one row per degree m of `degrees`, given sin_l =
+    sin(rho length) and cos_l = cos(rho length) in the shape of rho: the power
+    series where |rho| length < 0.5, one recurrence elsewhere."""
+    out = np.empty((len(degrees),) + rho.shape, dtype=complex)
     small = np.abs(rho) * length < 0.5
     if np.any(small):
-        out[small] = _poly_series(m, rho[small], length, s)
+        out[:, small] = _poly_series(np.array(degrees)[:, None], rho[small], length, s)
     if np.any(~small):
-        out[~small] = _poly_trig_recur(m, rho[~small], length)[1 - s]
+        big = ~small
+        table = _poly_trig_recur(max(degrees), rho[big], length, sin_l[big], cos_l[big])[1 - s]
+        for row, m in zip(out, degrees):
+            row[big] = table[m]
     return out
 
 
-def _poly_trig_recur(m, rho, length):
-    # S_m = (-L^m cos(rho L) + m C_{m-1})/rho ;  C_m = (L^m sin(rho L) - m S_{m-1})/rho
-    s_prev = (1.0 - np.cos(rho * length)) / rho
-    c_prev = np.sin(rho * length) / rho
-    if m == 0:
-        return s_prev, c_prev
+def _poly_trig_recur(m, rho, length, sin_l, cos_l):
+    """The integrals S_k of t^k sin(rho t) and C_k of t^k cos(rho t) over
+    [0, length], as two lists over k = 0..m, by the upward recurrence from
+    sin_l = sin(rho length) and cos_l = cos(rho length).  It divides by rho,
+    so it loses accuracy where |rho| length is small."""
+    # S_k = (-L^k cos(rho L) + k C_{k-1})/rho ;  C_k = (L^k sin(rho L) - k S_{k-1})/rho
+    s_k, c_k = [(1.0 - cos_l) / rho], [sin_l / rho]
     for k in range(1, m + 1):
         lk = length**k
-        s_k = (-lk * np.cos(rho * length) + k * c_prev) / rho
-        c_k = (lk * np.sin(rho * length) - k * s_prev) / rho
-        s_prev, c_prev = s_k, c_k
-    return s_prev, c_prev
+        s_k.append((-lk * cos_l + k * c_k[-1]) / rho)
+        c_k.append((lk * sin_l - k * s_k[-2]) / rho)
+    return s_k, c_k
 
 
 def _poly_series(m, rho, length, s, tol=1e-18):
-    # sum_k (-1)^k rho^(2k+s) L^(m+2k+s+1) / ((2k+s)! (m+2k+s+1))
-    out = np.zeros_like(rho)
+    # sum_k (-1)^k rho^(2k+s) L^(m+2k+s+1) / ((2k+s)! (m+2k+s+1)), in the
+    # shape of m and rho broadcast together
+    out = np.zeros(np.broadcast_shapes(np.shape(m), rho.shape), dtype=rho.dtype)
     term_pow = (rho if s else np.ones_like(rho)) * length ** (m + s + 1)
     k = 0
     fact = 1.0
@@ -141,7 +143,7 @@ def _poly_series(m, rho, length, s, tol=1e-18):
         denom = fact * (m + 2 * k + s + 1)
         contrib = (-1.0) ** k * term_pow / denom
         out = out + contrib
-        if np.all(np.abs(contrib) < tol * (1.0 + np.abs(out))):
+        if (np.abs(contrib) < tol * (1.0 + np.abs(out))).all():
             break
         k += 1
         fact *= (2 * k + s - 1) * (2 * k + s)

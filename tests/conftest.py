@@ -25,6 +25,11 @@ else:
     settings.load_profile("deterministic")
 
 
+# |det M - 1| relative to (max |M_ij|)^2, the scale of the rounding in
+# m00 m11 - m01 m10; measured max 3.0e-14 over |lambda| <= 1e3 (33x headroom).
+DET_RTOL = 1e-12
+
+
 class RoundTrip:
     """One two-sided corpus problem with everything the inverse tests need."""
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    DET_RTOL,
     fundamental_nodes,
     interleaved_monodromy,
     interleaved_node_values,
@@ -141,9 +142,6 @@ class TestProperties:
 # the two agree to a few hundred eps of the largest entry per lambda, growing
 # with the cell count (measured max 7.0e-14 over these cases, 14x headroom).
 TREE_RTOL = 1e-12
-# |det M - 1| relative to (max |M_ij|)^2, the scale of the rounding in
-# m00 m11 - m01 m10; measured max 3.0e-14 over |lambda| <= 1e3 (33x headroom).
-DET_RTOL = 1e-12
 
 
 def _sequential_endpoints(sig, lam):

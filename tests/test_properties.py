@@ -1,6 +1,7 @@
 """Drawn problems against an independent oracle: wherever the eigenvalue index
 certifies a problem, its eigenvalues are the reference's, index by index, and
-the argument principle finds no other zero among them or below them.
+the argument principle finds no other zero among them or below them.  Drawn
+lambda batches against an identity: every monodromy matrix has determinant 1.
 
 The oracle is `bench/reference.py`, which shares no code with the package:
 its own propagator and plain bisection, here in a bracket of a quarter of
@@ -18,9 +19,11 @@ import numpy as np
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import DET_RTOL
 from invsl.errors import CommonRoot
 from invsl.forward import make_delta, winding_count
 from invsl.halfinverse import problem_spectrum
+from invsl.ode import _BLOCK, monodromy
 from invsl.problems import sigma_bump, two_sided_from_left
 from invsl.types import BoundaryPolyPair, EntirePair, SigmaFunction, validate_rp
 
@@ -160,3 +163,33 @@ def test_interlacing_pairs_are_herglotz(drawn):
     sign, pair = drawn
     validate_rp(pair)
     assert pair.herglotz(sign)
+
+
+@st.composite
+def lambda_batches(draw):
+    """A batch of lambdas of one kind: real (the float64 tree), complex, or
+    (rho + i eps)^2 with |eps| <= 0.05 about rho in [0.5, 31], the perturbed
+    subspectra of the stability experiment.  Sizes straddle a block of the
+    propagator; |lambda| stays below about 1e3."""
+    kind = draw(st.sampled_from(["real", "complex", "near_real"]))
+    size = draw(st.one_of(st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1]),
+                          st.integers(2, 2 * _BLOCK + 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "near_real":
+        return (rng.uniform(0.5, 31.0, size) + 1j * rng.uniform(-0.05, 0.05, size)) ** 2
+    lam = rng.uniform(-200.0, 1000.0, size)
+    return lam + 1j * rng.uniform(-50.0, 50.0, size) if kind == "complex" else lam
+
+
+_SIGMA = SigmaFunction.from_callable(lambda x: 0.4 * np.sin(x) - 0.2 * np.sin(3 * x), np.pi, 100)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sigmas(), lambda_batches())
+@example(_SIGMA, np.array([537.25]))
+@example(_SIGMA, (np.arange(1, _BLOCK + 2) + 0.01j) ** 2 / 4)
+def test_monodromy_has_unit_determinant(sigma, lam):
+    m = monodromy(sigma, lam)
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    scale = np.max(np.abs(m.reshape(4, -1)), axis=0) ** 2
+    assert np.max(np.abs(det - 1.0) / scale) <= DET_RTOL

@@ -15,6 +15,7 @@ from invsl.moments import (
     _tags_for,
     build_moment_system,
     build_v,
+    trig_rows,
 )
 from invsl.reconstruct import (
     ProbeBasis,
@@ -27,19 +28,14 @@ from invsl.reconstruct import (
     solve_moment,
     stability_experiment,
 )
-from invsl.trig import (
-    overlap_cos_cos,
-    overlap_sin_sin,
-    poly_cos,
-    poly_sin,
-    synth_series,
-)
+from invsl.trig import synth_series
 from invsl.types import (
     BoundaryPolyPair,
     CauchyData,
     EntirePair,
     SigmaFunction,
     Subspectrum,
+    branch_sqrt,
     hp_inner,
 )
 
@@ -84,31 +80,86 @@ class TestMomentDesign:
                 assert np.max(np.abs(raw[n] - quad)) <= 1e-4 * system.norms[n]
 
 
-def _columns_per_tag(tags, rho, against):
-    """The probe columns one closed-form call per tag, in tag order."""
-    cols = []
-    for kind, v in tags:
-        if against == "sin_over_rho":
-            cols.append((poly_sin(v, rho) if kind == "poly" else overlap_sin_sin(v, rho)) / rho)
-        else:
-            cols.append(poly_cos(v, rho) if kind == "poly" else overlap_cos_cos(v, rho))
-    return np.stack(cols, axis=1)
+def _mp_columns(tags, rho, against, mpmath):
+    """The probe columns at 40 digits: the trig ones in sinc form, the
+    monomial ones from the antiderivative of t^m e^(i r t) at r = +-rho
+    (at 80 digits, which covers its cancellation for small rho)."""
+    pi = mpmath.pi
+
+    def t_pow_exp(m, r):
+        # int_0^pi t^m e^(irt) dt = [e^(irt) sum_k (-1)^k m!/(m-k)! t^(m-k) / (ir)^(k+1)]_0^pi
+        def anti(t):
+            return mpmath.exp(1j * r * t) * mpmath.fsum(
+                (-1) ** k * mpmath.factorial(m) / mpmath.factorial(m - k) * t ** (m - k)
+                / (1j * r) ** (k + 1) for k in range(m + 1))
+        return anti(pi) - anti(0)
+
+    out = np.empty((rho.size, len(tags)), dtype=complex)
+    for i, r in enumerate(rho):
+        r = mpmath.mpc(complex(r))
+        for k, (kind, v) in enumerate(tags):
+            if kind == "poly" and r == 0:
+                val = pi ** (v + 1) / (v + 1)     # only the cosine kind meets rho = 0
+            elif kind == "poly":
+                with mpmath.workdps(80):
+                    plus, minus = t_pow_exp(v, r), t_pow_exp(v, -r)
+                    val = (plus - minus) / 2j if against == "sin_over_rho" else (plus + minus) / 2
+            else:
+                sign = -1 if against == "sin_over_rho" else 1
+                val = pi / 2 * (mpmath.sinc((v - r) * pi) + sign * mpmath.sinc((v + r) * pi))
+            out[i, k] = complex(val / r if against == "sin_over_rho" else val)
+    return out
+
+
+# |column - 40-digit reference| within this many eps of the block's largest
+# entry, the trig block and the monomial block each
+COLUMNS_EPS = 8
 
 
 class TestComponentColumns:
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("freq_step", [1.0, 0.5])
-    def test_matches_per_tag_loop_bitwise(self, p, freq_step):
-        # real and complex rho, both sides of the series switch of poly_*
-        rng = np.random.default_rng(p)
-        rho = np.concatenate([np.arange(1, 30) - 0.25, [0.05, 0.1j, 0.3 - 0.2j],
-                              np.arange(1, 12) + 1e-3 * rng.standard_normal(11)
-                              + 1e-3j * rng.standard_normal(11)]).astype(complex)
+    def test_matches_mpmath(self, p, freq_step):
+        mpmath = pytest.importorskip("mpmath")
+        rho = np.array([
+            3.0, 3.0 + 1e-12, 2.5, 2.5 - 1e-12,      # on and within 1e-12 of a mode
+            2.25, 6.75,                              # halfway between modes at step 1/2
+            4.3 + 0.2j, 1.1 - 0.05j, 7.9 - 0.3j,     # complex
+            0.1, 0.05 + 0.02j,                       # |rho| pi < 0.5: the series branch
+            -1.3j, -0.1j,                            # lambda < 0
+            11.0 + 1e-12 - 1e-12j,
+        ])
         basis = make_probe_basis(p, (9, 14), freq_step=freq_step)
-        for tags in (basis.h1_tags, basis.h2_tags):
-            for against in ("sin_over_rho", "cos"):
-                assert np.array_equal(_component_columns(tags, rho, against),
-                                      _columns_per_tag(tags, rho, against))
+        with mpmath.workdps(40):
+            for tags in (basis.h1_tags, basis.h2_tags):
+                poly = np.array([kind == "poly" for kind, _ in tags])
+                # rho = 0 rides along where the column of mu = 0 is exact
+                for against, rows in (("sin_over_rho", rho), ("cos", np.append(rho, 0.0))):
+                    got = _component_columns(tags, trig_rows(rows), against)
+                    ref = _mp_columns(tags, rows, against, mpmath)
+                    for block in (poly, ~poly):
+                        scale = np.max(np.abs(ref[:, block]))
+                        dev = np.max(np.abs(got[:, block] - ref[:, block]))
+                        assert dev <= COLUMNS_EPS * np.finfo(float).eps * scale
+
+    def test_real_lambda_gives_real_columns(self):
+        # every column is entire in lambda = rho^2, so a real lambda of either
+        # sign (rho real or imaginary) gives real columns to the last bit
+        rows = trig_rows(branch_sqrt(np.array([-7.3, -0.01, 0.04, 1.0, 2.25, 6.1, 17.3])))
+        for freq_step in (1.0, 0.5):
+            basis = make_probe_basis(1, (9, 14), freq_step=freq_step)
+            for tags in (basis.h1_tags, basis.h2_tags):
+                for against in ("sin_over_rho", "cos"):
+                    assert not np.any(_component_columns(tags, rows, against).imag)
+
+    def test_limit_columns_are_exact(self):
+        # zero-potential Dirichlet rows rho = n and the column mu = 0 at rho = 0
+        cos_tags = _tags_for("cos", 6, 0)
+        cols = _component_columns(cos_tags, trig_rows([0.0, 1.0, 2.0, 5.0]), "cos")
+        assert cols[0, 0] == np.pi and cols[1, 1] == cols[2, 2] == cols[3, 5] == np.pi / 2
+        sin_tags = _tags_for("sin", 6, 0)
+        cols = _component_columns(sin_tags, trig_rows([1.0, 4.0]), "sin_over_rho")
+        assert cols[0, 0] == np.pi / 2 and cols[1, 3] == np.pi / 8
 
 
 class TestProbeGram:

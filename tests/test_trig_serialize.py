@@ -31,8 +31,7 @@ from invsl.trig import (
     _TAYLOR_DEGREE,
     _TAYLOR_RADIUS,
     cos_sinc_sqrt,
-    overlap_cos_cos,
-    overlap_sin_sin,
+    overlap,
     poly_cos,
     poly_sin,
     sinc,
@@ -81,8 +80,10 @@ class TestTrigClosedForms:
         for _ in range(20):
             mu = self.rng.uniform(0, 12) + 1j * self.rng.uniform(-0.2, 0.2)
             rho = self.rng.uniform(0, 12) + 1j * self.rng.uniform(-0.2, 0.2)
-            self._check(overlap_sin_sin, lambda m, r, t: np.sin(m * t) * np.sin(r * t), mu, rho)
-            self._check(overlap_cos_cos, lambda m, r, t: np.cos(m * t) * np.cos(r * t), mu, rho)
+            self._check(lambda m, r: overlap(m, r, -1),
+                        lambda m, r, t: np.sin(m * t) * np.sin(r * t), mu, rho)
+            self._check(lambda m, r: overlap(m, r, 1),
+                        lambda m, r, t: np.cos(m * t) * np.cos(r * t), mu, rho)
 
     def test_poly_trig(self):
         for m in range(5):
