@@ -17,7 +17,7 @@ import numpy as np
 from .errors import IllConditioned, PoleProximity, RootLoss
 from .moments import _component_columns, _gram_block, _tags_for, slot_layout, svd_solve, trig_rows
 from .ode import endpoint_data, node_values
-from .trig import sinc, synth_series
+from .trig import synth_series
 from .types import (
     SIMPLE_TOL,
     BoundaryPolyPair,
@@ -427,15 +427,16 @@ _EXTRACT_POLY = 3
 _EXTRACT_OVERSAMPLE = 10
 
 
-def _fit_family(kind, n_modes, rho, rhs, const):
-    """One family of the extraction fit: its kernel's series over the `kind`
-    tags (trig modes, then monomials, these orthogonalized against the modes
-    in function space), the coefficients of the `const` columns, the
-    condition number and the relative residual."""
+def _fit_family(kind, n_modes, rows, rhs, const):
+    """One family of the extraction fit at the samples of `rows` (`trig_rows`):
+    its kernel's series over the `kind` tags (trig modes, then monomials,
+    these orthogonalized against the modes in function space), the
+    coefficients of the `const` columns, the condition number and the
+    relative residual."""
     tags = sorted(_tags_for(kind, n_modes, _EXTRACT_POLY), key=lambda tag: tag[0] == "poly")
     n_trig = sum(tag[0] != "poly" for tag in tags)
     against = "sin_over_rho" if kind == "sin" else "cos"
-    design = np.concatenate([_component_columns(tags, trig_rows(rho), against), const], axis=1)
+    design = np.concatenate([_component_columns(tags, rows, against), const], axis=1)
     gram = _gram_block(tags)
     transform = np.eye(design.shape[1])
     transform[:n_trig, n_trig:len(tags)] = -gram[:n_trig, n_trig:] / np.diag(gram)[:n_trig, None]
@@ -469,12 +470,13 @@ def extract_cauchy(sigma: SigmaFunction, pair: BoundaryPolyPair,
     d0, d1 = char_pair(sigma, pair, lam)
     lay1 = slot_layout(p, lam, 1.0, 0.0)
     lay0 = slot_layout(p, lam, 0.0, 1.0)
-    e1, e0 = lay1.free_terms(np.pi * sinc(rho * np.pi), np.cos(rho * np.pi))
+    rows = trig_rows(rho)
+    e1, e0 = lay1.free_terms(rows.sin_pi / rho, rows.cos_pi)
     kind1, kind0 = lay1.kernels("sin", "cos")
     tags1, x1, a_odd, cond1, res1 = _fit_family(
-        kind1, n_modes, rho, d1 / lay1.k1 - e1, lay1.slots[:, 0::2] / lay1.k1[:, None])
+        kind1, n_modes, rows, d1 / lay1.k1 - e1, lay1.slots[:, 0::2] / lay1.k1[:, None])
     tags0, x0, a_even, cond0, res0 = _fit_family(
-        kind0, n_modes, rho, d0 / lay0.k2 - e0, lay0.slots[:, 1::2] / lay0.k2[:, None])
+        kind0, n_modes, rows, d0 / lay0.k2 - e0, lay0.slots[:, 1::2] / lay0.k2[:, None])
 
     t = sigma.nodes if grid_m is None else np.linspace(0.0, np.pi, grid_m + 1)
     a_vec = np.zeros(p, dtype=complex)

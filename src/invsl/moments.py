@@ -5,8 +5,8 @@ system built on it.
 `slot_layout` is the one place that knows how the boundary degree p arranges
 the moment row v(t, lambda).  `_tags_for` names the probe functions, with
 their closed-form columns (`_component_columns`, from the per-row values of
-`trig_rows`) and Gram matrix (`_gram_block`); `svd_solve` is the one
-least-squares step, also over a stack of systems.
+`trig_rows`) and the Gram matrix read from those columns (`_gram_block`);
+`svd_solve` is the one least-squares step, also over a stack of systems.
 `build_moment_system` lays the rows of a subspectrum out once and keeps the
 layout; the targets w (`build_w`) and the row norms (`row_norm_exact`) are
 read from it.  Also here: one row v(., lambda) on a grid as an element of H
@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParityMismatch
-from .trig import gauss_nodes, overlap, poly_cos, poly_poly, poly_sin, poly_trig, sinc
+from .trig import gauss_nodes, overlap, poly_poly, poly_trig, sinc
 from .types import CauchyData, EntirePair, Subspectrum, branch_sqrt
 
 # Singular values at or below this fraction of the largest are truncated.
@@ -95,18 +95,24 @@ def _tags_for(kind: str, n_modes: int, n_poly: int, freq_step: float = 1.0):
 
 
 def _gram_block(tags) -> np.ndarray:
-    """Gram matrix over [0, pi] of one family's monomial and trig tags."""
+    """Gram matrix over [0, pi] of one family's monomial and trig tags.
+
+    The rows of the trig tags are the family's own columns
+    (`_component_columns`) at its trig frequencies mu, times mu for the sine
+    family; the monomial pairs come from `poly_poly`.  The lower triangle is
+    mirrored into the upper one, so the matrix is exactly symmetric.
+    """
     poly = np.array([kind == "poly" for kind, _ in tags])
-    vals = np.array([v for _, v in tags], dtype=float)
-    degs, mu = vals[poly].astype(int), vals[~poly] + 0j
-    trig_kind = next((kind for kind, _ in tags if kind != "poly"), "sin")
-    sign, poly_int = (-1, poly_sin) if trig_kind == "sin" else (1, poly_cos)
+    mu = np.array([v for kind, v in tags if kind != "poly"], dtype=float)
+    degs = np.array([v for kind, v in tags if kind == "poly"], dtype=int)
+    sin_form = next((kind for kind, _ in tags if kind != "poly"), "sin") == "sin"
+    trig = _component_columns(tags, trig_rows(mu), "sin_over_rho" if sin_form else "cos").real
     g = np.empty((len(tags), len(tags)))
-    g[np.ix_(~poly, ~poly)] = overlap(mu[:, None], mu[None, :], sign).real
+    g[~poly] = trig * mu[:, None] if sin_form else trig
     g[np.ix_(poly, poly)] = poly_poly(degs[:, None], degs[None, :])
-    cross = np.array([poly_int(d, mu).real for d in degs]).reshape(degs.size, mu.size)
-    g[np.ix_(poly, ~poly)] = cross
-    g[np.ix_(~poly, poly)] = cross.T
+    g[np.ix_(poly, ~poly)] = g[np.ix_(~poly, poly)].T
+    upper = np.triu_indices(len(tags), 1)
+    g[upper] = g.T[upper]
     return g
 
 

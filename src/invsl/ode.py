@@ -5,11 +5,12 @@ constant on every grid cell and y'' = (s_k - lambda) y holds exactly inside
 cell k, with a closed-form constant-coefficient 2x2 transfer matrix (the
 Pruess piecewise-constant-coefficient method).  Its entries cos(w) and
 sin(w)/w at w^2 = (lambda - s_k) h^2 are entire in w^2, so no branch of the
-square root enters.  Where every cell of a lambda is small they are Taylor
-polynomials in w^2, expanded in powers of lambda h^2, so that the cells of a
-block of lambdas are one matrix product (`_cell_writer`); elsewhere they are
-`cos_sinc_sqrt` cell by cell.  Endpoint values come from the monodromy
-matrix, the ordered product of all cell matrices, reduced pairwise in
+square root enters.  Where every cell of a lambda lies within
+_TAYLOR_RADIUS in w^2 they are its Taylor polynomials in w^2, defined here
+and expanded in powers of lambda h^2, so that the cells of a block of
+lambdas are one matrix product (`_cell_writer`); elsewhere they are the
+closed forms of `trig.cos_sinc_sqrt`, cell by cell.  Endpoint values come
+from the monodromy matrix, the ordered product of all cell matrices, reduced pairwise in
 log2(m) vectorized steps over the whole lambda batch; node-by-node trajectories, forward from x = 0, come from
 a down-sweep over the levels of that same tree, which all blocks of lambdas
 write in place into one workspace per call.  The cells are stored in the
@@ -37,20 +38,28 @@ import math
 import numpy as np
 
 from .errors import StepFailure
-from .trig import _COS, _SINC, _TAYLOR_DEGREE, _TAYLOR_RADIUS, cos_sinc_sqrt
+from .trig import cos_sinc_sqrt
 from .types import SigmaFunction
 
 
-# Inside cos_sinc_sqrt's Taylor radius the entries c = cos(w), sn = h sin(w)/w
-# and msn = -(z2 / h) sin(w)/w of a cell matrix are polynomials in z2 =
-# (lambda - s) h^2 = x - t, x = lambda h^2 and t = s h^2, of degree D, D and
-# D + 1 (D = _TAYLOR_DEGREE, the truncation of cos_sinc_sqrt).  Expanded,
-# each is sum_ij (-t)^i _SHIFT[entry, i, j] x^j at h = 1: _SHIFT[:, i, j]
-# holds the coefficients of z2^(i + j) times binomial(i + j, j).  Where |x| +
-# |t| <= _TAYLOR_RADIUS the moduli of the expanded terms sum to at most
-# cosh(1/2) times the entry's scale (1, h and (|x| + |t|) / h), so the
-# expanded sums are as accurate as the polynomials in z2, to a few roundings
-# of that scale.
+# cos(w) and sin(w)/w at w = sqrt(z2) are the entire series sum (-z2)^k/(2k)!
+# and sum (-z2)^k/(2k+1)!.  On |z2| <= _TAYLOR_RADIUS they are summed through
+# k = _TAYLOR_DEGREE: the first omitted term, 4^-8/16! ~ 7e-19, is below eps/8,
+# and the sum of the kept terms' moduli is at most cosh(1/2) ~ 1.13.
+_TAYLOR_RADIUS = 1.0 / 4.0
+_TAYLOR_DEGREE = 7
+_COS = [(-1) ** k / math.factorial(2 * k) for k in range(_TAYLOR_DEGREE + 1)]
+_SINC = [(-1) ** k / math.factorial(2 * k + 1) for k in range(_TAYLOR_DEGREE + 1)]
+
+# Inside that radius the entries c = cos(w), sn = h sin(w)/w and msn =
+# -(z2 / h) sin(w)/w of a cell matrix are polynomials in z2 = (lambda - s) h^2
+# = x - t, x = lambda h^2 and t = s h^2, of degree D, D and D + 1 (D =
+# _TAYLOR_DEGREE).  Expanded, each is sum_ij (-t)^i _SHIFT[entry, i, j] x^j
+# at h = 1: _SHIFT[:, i, j] holds the coefficients of z2^(i + j) times
+# binomial(i + j, j).  Where |x| + |t| <= _TAYLOR_RADIUS the moduli of the
+# expanded terms sum to at most cosh(1/2) times the entry's scale (1, h and
+# (|x| + |t|) / h), so the expanded sums are as accurate as the polynomials
+# in z2, to a few roundings of that scale.
 _POWERS = _TAYLOR_DEGREE + 2
 _SHIFT = np.array([[[math.comb(i + j, j) * a[i + j] if i + j < _POWERS else 0.0
                      for j in range(_POWERS)] for i in range(_POWERS)]
@@ -69,7 +78,7 @@ def _cell_writer(slopes, h):
     lambdas), as its (m00, m01, m10, m11) entries.
 
     A lambda with |lambda| h^2 + max |s| h^2 <= _TAYLOR_RADIUS puts every cell
-    inside the radius of cos_sinc_sqrt and takes the expanded polynomials
+    inside the Taylor radius and takes the expanded polynomials
     (`taylor`): _SHIFT times the powers of x gives the polynomials in -t of
     every lambda, and one matrix product with the powers of -t, computed once
     here, their values at every cell.  Both products are real: complex

@@ -3,7 +3,9 @@
 Everything here is written in terms of quantities that are even in rho
 (``cos(rho*t)`` and ``sin(rho*t)/rho``), so callers never have to worry about
 the branch of ``rho = sqrt(lambda)`` or about removable singularities at
-``rho = 0``.
+``rho = 0``.  Each function has one evaluation: `sinc` and `cos_sinc_sqrt`
+their closed forms (the cell propagator's Taylor polynomials live in `ode`),
+`poly_trig` a power series below |rho| length = 0.5 and a recurrence above.
 """
 
 from __future__ import annotations
@@ -12,69 +14,25 @@ import math
 
 import numpy as np
 
-_SMALL = 1e-4
-
 
 def sinc(z):
-    """sin(z)/z, analytic continuation at z = 0, complex-safe."""
+    """sin(z)/z, with its limit 1 at z = 0, complex-safe."""
     z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
-    small = np.abs(z) < _SMALL
-    zs = z[small]
-    z2 = zs * zs
-    out[small] = 1.0 - z2 / 6.0 + z2 * z2 / 120.0
-    zb = z[~small]
-    out[~small] = np.sin(zb) / zb
-    return out
-
-
-# cos(w) and sin(w)/w at w = sqrt(z2) are the entire series sum (-z2)^k/(2k)!
-# and sum (-z2)^k/(2k+1)!.  On |z2| <= _TAYLOR_RADIUS they are summed through
-# k = _TAYLOR_DEGREE: the first omitted term, 4^-8/16! ~ 7e-19, is below eps/8,
-# and the sum of the kept terms' moduli is at most cosh(1/2) ~ 1.13.
-_TAYLOR_RADIUS = 1.0 / 4.0
-_TAYLOR_DEGREE = 7
-_COS = [(-1) ** k / math.factorial(2 * k) for k in range(_TAYLOR_DEGREE + 1)]
-_SINC = [(-1) ** k / math.factorial(2 * k + 1) for k in range(_TAYLOR_DEGREE + 1)]
+    return np.divide(np.sin(z), z, out=np.ones_like(z), where=z != 0)
 
 
 def cos_sinc_sqrt(z2):
     """cos(w) and sin(w)/w at w = sqrt(z2), in the dtype of the input.
 
-    Both are entire in z2, so one code path serves float64 and complex128:
-    where |z2| <= _TAYLOR_RADIUS, one Horner evaluation of the Taylor
-    polynomials in z2 (no sqrt, no sign and no division).  Only the elements
-    beyond that radius take the direct formula, in complex arithmetic (cos and
-    sin of w from the real trig and hyperbolic parts of w), cast back to the
-    input's dtype.  Every element's value depends on that element alone.
+    Both are even in w, so the branch of the root does not matter: they are
+    taken in complex arithmetic and cast back to a real input's dtype.  Every
+    element's value depends on that element alone.
     """
     z2 = np.asarray(z2)
+    w = np.sqrt(z2.astype(complex))
+    cos_w, sinc_w = np.cos(w), sinc(w)
     if not np.iscomplexobj(z2):
-        z2 = z2.astype(float, copy=False)
-    # the first Horner step, z2 c7 + c6, into arrays even for a 0-d z2
-    cos_w, sinc_w = (np.multiply(z2, c[-1], out=np.empty_like(z2)) for c in (_COS, _SINC))
-    cos_w += _COS[-2]
-    sinc_w += _SINC[-2]
-    # Products are formed in place, except for a one-element input: numpy
-    # rounds an in-place complex product of one element in its scalar loop,
-    # without the fused multiply-add of its vector loop, apart from the same
-    # element in a batch.
-    prod = (np.empty_like(z2),) * 2 if z2.size == 1 else (cos_w, sinc_w)
-    for a, b in zip(_COS[-3::-1], _SINC[-3::-1]):
-        np.add(np.multiply(cos_w, z2, out=prod[0]), a, out=cos_w)
-        np.add(np.multiply(sinc_w, z2, out=prod[1]), b, out=sinc_w)
-    far = np.abs(z2) > _TAYLOR_RADIUS
-    if np.any(far):
-        w = np.sqrt(z2[far].astype(complex))
-        cx, sx = np.cos(w.real), np.sin(w.real)
-        chy, shy = np.cosh(w.imag), np.sinh(w.imag)
-        cos_far, sin_far = np.empty((2,) + w.shape, dtype=complex)
-        cos_far.real, cos_far.imag = cx * chy, -sx * shy
-        sin_far.real, sin_far.imag = sx * chy, cx * shy
-        sinc_far = sin_far / w
-        if not np.iscomplexobj(z2):
-            cos_far, sinc_far = cos_far.real, sinc_far.real
-        cos_w[far], sinc_w[far] = cos_far, sinc_far
+        cos_w, sinc_w = cos_w.real, sinc_w.real
     return cos_w, sinc_w
 
 
@@ -87,18 +45,6 @@ def overlap(mu, rho, sign, length=np.pi):
     d, s = (mu - rho) * length, (mu + rho) * length
     combine = np.add if sign > 0 else np.subtract
     return 0.5 * length * combine(sinc(d), sinc(s))
-
-
-def poly_sin(m, rho, length=np.pi):
-    """Integral of t^m sin(rho t) over [0, length] (entire in lambda = rho^2 for odd use sites)."""
-    rho = np.asarray(rho, dtype=complex)
-    return poly_trig([m], rho, 1, np.sin(rho * length), np.cos(rho * length), length)[0]
-
-
-def poly_cos(m, rho, length=np.pi):
-    """Integral of t^m cos(rho t) over [0, length]."""
-    rho = np.asarray(rho, dtype=complex)
-    return poly_trig([m], rho, 0, np.sin(rho * length), np.cos(rho * length), length)[0]
 
 
 def poly_trig(degrees, rho, s, sin_l, cos_l, length=np.pi):
@@ -132,25 +78,20 @@ def _poly_trig_recur(m, rho, length, sin_l, cos_l):
     return s_k, c_k
 
 
-def _poly_series(m, rho, length, s, tol=1e-18):
+# _poly_series sums its terms k = 0 .. _SERIES_TERMS - 1: on |rho| length <
+# 0.5 the first omitted term is at most 4^-8/16! ~ 7e-19 of the first, below
+# eps/8.
+_SERIES_TERMS = 8
+
+
+def _poly_series(m, rho, length, s):
     # sum_k (-1)^k rho^(2k+s) L^(m+2k+s+1) / ((2k+s)! (m+2k+s+1)), in the
-    # shape of m and rho broadcast together
-    out = np.zeros(np.broadcast_shapes(np.shape(m), rho.shape), dtype=rho.dtype)
-    term_pow = (rho if s else np.ones_like(rho)) * length ** (m + s + 1)
-    k = 0
-    fact = 1.0
-    while True:
-        denom = fact * (m + 2 * k + s + 1)
-        contrib = (-1.0) ** k * term_pow / denom
-        out = out + contrib
-        if (np.abs(contrib) < tol * (1.0 + np.abs(out))).all():
-            break
-        k += 1
-        fact *= (2 * k + s - 1) * (2 * k + s)
-        term_pow = term_pow * (rho * length) ** 2
-        if k > 60:
-            break
-    return out
+    # shape of m and rho broadcast together: one Horner pass in -(rho L)^2
+    y = -(rho * length) ** 2
+    out = 0.0
+    for k in range(_SERIES_TERMS - 1, -1, -1):
+        out = out * y + 1.0 / (math.factorial(2 * k + s) * (m + 2 * k + s + 1))
+    return out * rho**s * length ** (m + s + 1)
 
 
 def poly_poly(m, n, length=np.pi):

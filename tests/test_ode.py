@@ -20,6 +20,7 @@ from invsl import ode
 from invsl.errors import StepFailure
 from invsl.ode import (
     _BLOCK,
+    _TAYLOR_RADIUS,
     _cell_matrices,
     _leaf_order,
     _tree,
@@ -29,7 +30,7 @@ from invsl.ode import (
     rk4_node_values,
 )
 from invsl.problems import sigma_random_smooth, sigma_step
-from invsl.trig import _TAYLOR_RADIUS, cos_sinc_sqrt
+from invsl.trig import cos_sinc_sqrt
 from invsl.types import SigmaFunction
 
 
@@ -255,8 +256,8 @@ class TestMonodromy:
                 endpoint_data(sig, [1.0, -1e8])
 
     def test_cells_straddling_the_taylor_radius(self):
-        # lambdas at which some cells take the Taylor polynomial of
-        # cos_sinc_sqrt (|z2| <= R) and the others its direct formula: det M
+        # lambdas with some cells inside the Taylor radius (|z2| <= R) and
+        # the others outside, which take cos_sinc_sqrt on every cell: det M
         # = 1 and the RK4 cross-check, on the real axis (both signs) and off it
         sig = sigma_random_smooth(64, scale=0.8, seed=4)
         h = sig.dx
@@ -299,8 +300,8 @@ def _taylor_edge(sig):
 
 class TestTaylorCells:
     """The cells of a lambda with |lambda| h^2 + max |s| h^2 <= R, from the
-    Taylor polynomials of cos_sinc_sqrt expanded in powers of lambda h^2 (one
-    matrix product per block of lambdas)."""
+    Taylor polynomials of cos(w) and sin(w)/w expanded in powers of lambda
+    h^2 (one matrix product per block of lambdas)."""
 
     @pytest.mark.parametrize("name", list(TAYLOR_SIGMAS))
     @pytest.mark.parametrize("kind", ["real", "complex"])

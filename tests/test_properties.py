@@ -1,6 +1,7 @@
 """Drawn problems against an independent oracle: wherever the eigenvalue index
-certifies a problem, its eigenvalues are the reference's, index by index, and
-the argument principle finds no other zero among them or below them.  Drawn
+certifies a problem, its eigenvalues are the reference's, index by index,
+the argument principle finds no other zero among them or below them, and
+`count_below` counts exactly those below every probe between them.  Drawn
 lambda batches against an identity: every monodromy matrix has determinant 1.
 
 The oracle is `bench/reference.py`, which shares no code with the package:
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import DET_RTOL
 from invsl.errors import CommonRoot
-from invsl.forward import make_delta, winding_count
+from invsl.forward import count_below, make_delta, winding_count
 from invsl.halfinverse import problem_spectrum
 from invsl.ode import _BLOCK, monodromy
 from invsl.problems import sigma_bump, two_sided_from_left
@@ -130,18 +131,16 @@ _NEAR_A_ROOT = (_ZERO, BoundaryPolyPair([-11.25, 18.25, -8.0, 1.0], [-14.4375, 1
                 BoundaryPolyPair([2.5, -1.0, -2.5, 1.0], [0.0, -7.0, 5.5, -1.0]), 1)
 
 
-@settings(max_examples=40, deadline=None)
-@given(problems())
-@example((_PINNED.sigma_full, _PINNED.left_pair, _PINNED.right_pair, 8))
-@example(_ON_A_ROOT)
-@example(_NEAR_A_ROOT)
-def test_indexed_eigenvalues_are_the_reference_roots(problem):
+def _verified_spectrum(problem):
+    """The first n + 1 indexed eigenvalues of a drawn problem, with the first n
+    checked against the reference and the box below them counted; None where
+    the index certifies nothing and a scan stands in."""
     sigma, left, right, n = problem
     f = EntirePair.of_pair(right)
     spec, _ = problem_spectrum(sigma, left, f, n + 1)
     event("scanned" if spec.fallback else f"indexed, degrees {left.p} and {right.p}")
     if spec.fallback:
-        return
+        return None
     assert np.all(spec.lambdas.imag == 0)
     lam = spec.lambdas.real
     s = np.sign(lam) * np.sqrt(np.abs(lam))
@@ -155,6 +154,36 @@ def test_indexed_eigenvalues_are_the_reference_roots(problem):
     box = ((min(lam[0] - 1.0, BOX_LOW), 0.5 * (lam[n - 1] + lam[n])),
            (-BOX_HALF_HEIGHT, BOX_HALF_HEIGHT))
     assert winding_count(delta, box) == n
+    return lam
+
+
+@settings(max_examples=40, deadline=None)
+@given(problems())
+@example((_PINNED.sigma_full, _PINNED.left_pair, _PINNED.right_pair, 8))
+@example(_ON_A_ROOT)
+@example(_NEAR_A_ROOT)
+def test_indexed_eigenvalues_are_the_reference_roots(problem):
+    _verified_spectrum(problem)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problems())
+@example(_ON_A_ROOT)
+@example(_NEAR_A_ROOT)
+def test_count_below_counts_the_verified_roots(problem):
+    # below the first root and at a quarter, half and three quarters of the
+    # gap after each of the first n roots, sorted: count_below never falls
+    # and equals the number of verified eigenvalues below each probe
+    lam = _verified_spectrum(problem)
+    if lam is None:
+        return
+    sigma, left, right, n = problem
+    gaps = lam[1:n + 1] - lam[:n]
+    probes = np.concatenate([[lam[0] - 1.0],
+                             (lam[:n, None] + np.array([0.25, 0.5, 0.75]) * gaps[:, None]).ravel()])
+    counts = count_below(sigma, left, right, probes)
+    assert np.all(np.diff(probes) > 0) and np.all(np.diff(counts) >= 0)
+    assert np.array_equal(counts, np.concatenate([[0], np.repeat(np.arange(1, n + 1), 3)]))
 
 
 @settings(max_examples=40, deadline=None)
