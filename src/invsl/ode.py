@@ -13,7 +13,13 @@ closed forms of `trig.cos_sinc_sqrt`, cell by cell.  Endpoint values come
 from the monodromy matrix, the ordered product of all cell matrices, reduced pairwise in
 log2(m) vectorized steps over the whole lambda batch; node-by-node trajectories, forward from x = 0, come from
 a down-sweep over the levels of that same tree, which all blocks of lambdas
-write in place into one workspace per call.  The cells are stored in the
+write in place into one workspace per call.  Where 16 (|lambda| h^2 + max
+|s| h^2) <= 1 the monodromy starts two levels up: the product of four
+adjacent cells is a polynomial in lambda h^2 too, whose coefficients
+(`_group_coefficients`) are built once per SigmaFunction object, so the
+tree's level-2 factors of a block are one matrix product (`_group_writer`)
+and the tree reduces ceil(m/4) of them.  Each lambda takes one path, chosen
+by |lambda| and sigma alone.  The cells are stored in the
 tree's leaf order (`_leaf_order`, bit reversal for m a power of two): every
 level's pairs are its first half and its second half, contiguous rows, and
 an odd level carries its last factor up unchanged, as an FFT stores its
@@ -136,6 +142,127 @@ def _cell_writer(slopes, h):
     return write
 
 
+# Four adjacent cells make one factor of the group path.  Their product is a
+# polynomial in x = lambda h^2 as well, with coefficients that depend on the
+# t = s h^2 of its cells alone, so they are built once per SigmaFunction
+# (`_group_coefficients`).  Where 16 (|x| + max |t|) <= 1 the group's own w^2
+# = 16 (x - t) is at most 1 in modulus on every cell: the transfer matrix of
+# y'' = y over the four cells at |x| + max |t| = 1/16 majorizes the product
+# term by term, so the terms of total degree n in x and the t sum to at most
+# 1/(2n)! of the entry's scale (1, 4h and 4 (|x| + max |t|) / h; the sum of
+# all terms' moduli is at most cosh(1) ~ 1.54 times it), and keeping x^0 ...
+# x^10 leaves out at most 1/20! ~ 4e-19 of the scale, below eps/8.  (Degree
+# 9 would do for the entries other than m10, which carries z2 / h.)
+_GROUP = 4
+_GROUP_RADIUS = 1.0 / _GROUP**2
+_GROUP_POWERS = 11
+
+
+def _polynomial_product(a, b):
+    """Coefficients of the 2x2 product a b of matrix polynomials in x, arrays
+    (_GROUP_POWERS, 4, n) of the coefficients of x^0, x^1, ... of (m00, m01,
+    m10, m11), truncated after x^(_GROUP_POWERS - 1)."""
+    n = b.shape[2]
+    right = np.zeros((2 * _GROUP_POWERS - 1, 4, n), b.dtype)
+    right[_GROUP_POWERS - 1:] = b
+    # shifted[k, :, :, l] = b[k - l], and 0 where l > k
+    shifted = np.lib.stride_tricks.sliding_window_view(right, _GROUP_POWERS, axis=0)[..., ::-1]
+    # entry (r, c) of coefficient k of a b: the sum over s and l of a[l, r, s] b[k - l, s, c]
+    return np.einsum("lrsn,kscnl->krcn", np.ascontiguousarray(a).reshape(_GROUP_POWERS, 2, 2, n),
+                     shifted.reshape(_GROUP_POWERS, 2, 2, n, _GROUP_POWERS)).reshape(_GROUP_POWERS, 4, n)
+
+
+# _UNIT[:, :, i] is the cell polynomial, (_GROUP_POWERS, 4) at h = 1, that
+# (-t)^i multiplies, and _PAIR[i _POWERS + j] the product of the later cell's
+# _UNIT[..., i] by the earlier one's _UNIT[..., j], flattened: so the product
+# of two cells is the powers of their -t, multiplied out, times _PAIR.
+_UNIT = np.zeros((_GROUP_POWERS, 4, _POWERS))
+_UNIT[:_POWERS] = _SHIFT[[0, 1, 2, 0]].transpose(2, 0, 1)
+_PAIR = _polynomial_product(np.repeat(_UNIT, _POWERS, axis=2),
+                            np.tile(_UNIT, _POWERS)).reshape(4 * _GROUP_POWERS, -1).T
+
+
+def _group_coefficients(sigma: SigmaFunction):
+    """The coefficients of every group's matrix polynomial in x, in the leaf
+    order of the tree over ceil(m / 4) factors: real arrays (4, groups,
+    _GROUP_POWERS) of the (m00, m01, m10, m11) entries, one for a real sigma
+    and the real and the imaginary parts for a complex one.
+
+    Built once per SigmaFunction object and kept in its __dict__ (its
+    samples are read-only, so they cannot go stale).  A group is the
+    product of its cells in the tree's own association, (T3 T2)(T1 T0): the
+    pairs are the powers of their -t times _PAIR, an odd m carries its last
+    cell up alone, and the pairs' products are truncated polynomial
+    products, an odd count of pairs padded with the identity, which
+    multiplies exactly; so the last group of an m that 4 does not divide is
+    the tree's carried factor.
+    """
+    memo = vars(sigma)
+    if "_group_coefficients" not in memo:
+        h = sigma.dx
+        t = _slopes(sigma, 1j) * (h * h)   # complex unless sigma is real
+        neg_t = np.empty((t.size, _POWERS), t.dtype)
+        neg_t[:, 0], neg_t[:, 1:] = 1.0, -t[:, None]
+        np.multiply.accumulate(neg_t[:, 1:], axis=1, out=neg_t[:, 1:])
+        pairs = t.size // 2
+        later, earlier = neg_t[1:2 * pairs:2], neg_t[0:2 * pairs:2]
+        poly = (later[:, :, None] * earlier[:, None, :]).reshape(pairs, -1) @ _PAIR
+        poly = poly.reshape(pairs, _GROUP_POWERS, 4).transpose(1, 2, 0)
+        if t.size % 2:
+            poly = np.concatenate((poly, (_UNIT @ neg_t[-1])[..., None]), axis=2)
+        if poly.shape[2] % 2:
+            poly = np.concatenate((poly, np.zeros((_GROUP_POWERS, 4, 1))), axis=2)
+            poly[0, [0, 3], -1] = 1.0
+        poly = _polynomial_product(poly[..., 1::2], poly[..., 0::2])
+        poly *= np.array([1.0, h, 1.0 / h, 1.0])[:, None]
+        poly = poly[..., _leaf_order(poly.shape[2])].transpose(1, 2, 0)
+        memo["_group_coefficients"] = tuple(
+            np.ascontiguousarray(p) for p in ((poly,) if sigma.is_real() else (poly.real, poly.imag)))
+    return memo["_group_coefficients"]
+
+
+def _group_writer(coefficients, h):
+    """write(lam, out): the group matrices whose polynomial coefficients
+    `_group_coefficients` holds, for a 1-D `lam`, into `out`, shape (4,
+    groups, lambdas), as their (m00, m01, m10, m11) entries.
+
+    One real matrix product of the coefficient rows by the powers of x per
+    entry, as in `_cell_writer`: complex powers enter as their float64 view,
+    the imaginary part of complex coefficients times i times the powers; a
+    single lambda is padded to two columns.
+    """
+    def write(lam, out):
+        x = np.empty((_GROUP_POWERS, max(lam.size, 2)), lam.dtype)
+        x[0], x[1:] = 1.0, lam * (h * h)
+        np.multiply.accumulate(x[1:], out=x[1:])
+        vals = out if lam.size > 1 else np.empty(out.shape[:-1] + (2,), out.dtype)
+        np.matmul(coefficients[0], _real_view(x), out=_real_view(vals))
+        if len(coefficients) == 2:
+            _real_view(vals)[...] += coefficients[1] @ _real_view(1j * x)
+        if vals is not out:
+            out[...] = vals[..., :1]
+
+    return write
+
+
+def _in_group_radius(sigma: SigmaFunction, lam):
+    """The lambdas of the 1-D `lam` with 16 (|lambda| h^2 + max |s| h^2) <= 1,
+    which take the group path of `monodromy`."""
+    h2 = sigma.dx * sigma.dx
+    return np.abs(lam) <= (_GROUP_RADIUS - np.max(np.abs(_slopes(sigma, lam))) * h2) / h2
+
+
+def _group_matrices(sigma: SigmaFunction, lam):
+    """Every group's transfer matrix, in cell order, for a 1-D `lam` inside
+    the group radius: array (4, ceil(m / 4), lambdas) of its entries."""
+    groups = -(-sigma.m // _GROUP)
+    vals = np.empty((4, groups, lam.size), lam.dtype)
+    _group_writer(_group_coefficients(sigma), sigma.dx)(lam, vals)
+    out = np.empty_like(vals)
+    out[:, _leaf_order(groups)] = vals
+    return out
+
+
 def _slopes(sigma: SigmaFunction, lam):
     """sigma' on every cell: float64 for a real sigma (which a real `lam`
     implies), complex128 otherwise."""
@@ -207,23 +334,36 @@ def _tree(work, n):
     return levels
 
 
-def _blocks(sigma: SigmaFunction, lam, out):
-    """(slice, tree levels) of every block of the 1-D `lam`, in one workspace that
-    the next block overwrites, its cells written there in leaf order;
-    StepFailure at the end unless `out` is finite."""
-    m, n, rows = sigma.m, sigma.m, 1 + sigma.m // 2   # the product, the scratch
-    while n > 1:   # and every other level
-        rows, n = rows + n, (n + 1) // 2
-    write = _cell_writer(_slopes(sigma, lam)[_leaf_order(m)], sigma.dx)
+def _leaves(sigma: SigmaFunction, lam, groups):
+    """(write, n): the writer of the n factors of the product of sigma's cells
+    in the tree's leaf order, for lambdas of the dtype of `lam`: the cells,
+    or their groups of four where `groups`."""
+    if groups:
+        return _group_writer(_group_coefficients(sigma), sigma.dx), -(-sigma.m // _GROUP)
+    return _cell_writer(_slopes(sigma, lam)[_leaf_order(sigma.m)], sigma.dx), sigma.m
+
+
+def _blocks(write, n, lam):
+    """(slice, tree levels) of every block of the 1-D `lam`, in one workspace
+    that the next block overwrites, the n factors that write(chunk, dst)
+    puts there in leaf order."""
+    k, rows = n, 1 + n // 2   # the product, the scratch
+    while k > 1:   # and every other level
+        rows, k = rows + k, (k + 1) // 2
     buf = np.empty(4 * rows * min(_BLOCK, lam.size), lam.dtype)
     for start in range(0, lam.size, _BLOCK):
         chunk = lam[start:start + _BLOCK]
         # contiguous for a short last block too, so that every half is
         work = buf[:4 * rows * chunk.size].reshape(4, rows, chunk.size)
-        write(chunk, work[:, :m])
-        yield slice(start, start + _BLOCK), _tree(work, m)
+        write(chunk, work[:, :n])
+        yield slice(start, start + _BLOCK), _tree(work, n)
+
+
+def _finite(out):
+    """`out`, or StepFailure unless it is finite."""
     if not np.all(np.isfinite(out)):
         raise StepFailure("propagation produced non-finite values; lambda or sigma out of range")
+    return out
 
 
 def _sweep(levels, vals):
@@ -263,7 +403,9 @@ def monodromy(sigma: SigmaFunction, lams):
     Returns M of shape (2, 2) + lam.shape: the solution with (y, y^{[1]})(0)
     = (a, b) ends at M @ (a, b), so the columns are C and S and det M = 1.
     The cell matrices are reduced pairwise in log2(m) vectorized steps, over
-    blocks of lambdas.
+    blocks of lambdas; the lambdas inside the group radius
+    (`_in_group_radius`) start from the groups of four cells instead, the
+    tree's level-2 factors, and reduce ceil(m/4) of them.
 
     When sigma is real and no lambda has a nonzero imaginary part, the cell
     matrices and the tree are float64, otherwise complex128; both run the
@@ -273,9 +415,15 @@ def monodromy(sigma: SigmaFunction, lams):
     lam = np.atleast_1d(np.asarray(lams))
     real = _real_axis(sigma, lam)
     lam = lam.real.astype(float, copy=False) if real else lam.astype(complex, copy=False)
-    out = np.empty((4, lam.size), dtype=lam.dtype)
-    for block, levels in _blocks(sigma, lam.ravel(), out):
-        out[:, block] = levels[-1][:, 0]
+    flat = lam.ravel()
+    out = np.empty((4, flat.size), dtype=lam.dtype)
+    groups = _in_group_radius(sigma, flat)
+    for path in (True, False):
+        cols = np.flatnonzero(groups == path)
+        if cols.size:
+            for block, levels in _blocks(*_leaves(sigma, flat, path), flat[cols]):
+                out[:, cols[block]] = levels[-1][:, 0]
+    _finite(out)
     return _to_quasi(out.reshape((4,) + lam.shape), sigma.samples[0], sigma.samples[-1])
 
 
@@ -301,13 +449,13 @@ def node_values(sigma: SigmaFunction, lams, y0, yq0):
     start_v = yq0.ravel() + sig[0] * start_y
     out = np.empty((2, sigma.m + 1, lam.size), dtype=lam.dtype)
     leaves = np.empty((2, sigma.m, min(_BLOCK, lam.size)), dtype=lam.dtype)
-    for block, levels in _blocks(sigma, lam.ravel(), out):
+    for block, levels in _blocks(*_leaves(sigma, lam, False), lam.ravel()):
         vals = leaves[..., :levels[0].shape[-1]]
         vals[:, 0] = start_y[block], start_v[block]
         last = _sweep(levels, vals)
         out[:, _leaf_order(sigma.m), block] = vals
         out[:, -1, block] = [x[0] for x in last]
-    out = out.reshape(out.shape[:2] + lam.shape)
+    out = _finite(out).reshape(out.shape[:2] + lam.shape)
     sig = sig.reshape((-1,) + (1,) * lam.ndim)
     return out[0], out[1] - sig * out[0]
 

@@ -8,7 +8,15 @@ import pytest
 from invsl.errors import NonUniqueWarning, RootLoss
 from invsl.forward import _muller_polish, extract_cauchy, resample_cauchy, winding_count
 from invsl.halfinverse import hl_entire_pair, hl_spectrum
-from invsl.ode import _BLOCK, _cell_matrices, _real_axis, _to_quasi, node_values
+from invsl.ode import (
+    _BLOCK,
+    _cell_matrices,
+    _group_matrices,
+    _in_group_radius,
+    _real_axis,
+    _to_quasi,
+    node_values,
+)
 from invsl.problems import hl_exclusion_instance, roundtrip_corpus
 from invsl.reconstruct import default_basis, reconstruct
 from invsl.serialize import complex_array, complex_to_pair, pair_to_complex
@@ -188,27 +196,33 @@ def _interleaved_sweep(levels, vec):
     return vals, last
 
 
-def _interleaved_blocks(sigma, lam):
+def _interleaved_blocks(factors, lam):
     """(slice, levels of `_interleaved_tree`) per block of `_BLOCK` lambdas,
-    from the cell matrices in cell order."""
-    rows, k = 1, sigma.m
-    while k > 1:
-        k += k % 2
-        rows, k = rows + k, k // 2
-    work = np.empty((4, rows + (sigma.m + 1) // 2, min(_BLOCK, lam.size)), lam.dtype)
+    from factors(chunk), the block's factors in cell order, shape (4, n,
+    chunk size)."""
     for start in range(0, lam.size, _BLOCK):
-        chunk = lam[start:start + _BLOCK]
-        work[:, :sigma.m, :chunk.size] = _cell_matrices(sigma, chunk)
-        yield slice(start, start + _BLOCK), _interleaved_tree(work[..., :chunk.size], sigma.m)
+        mats = factors(lam[start:start + _BLOCK])
+        rows, k = 1, mats.shape[1]
+        while k > 1:
+            k += k % 2
+            rows, k = rows + k, k // 2
+        work = np.empty((4, rows + (mats.shape[1] + 1) // 2, mats.shape[2]), lam.dtype)
+        work[:, :mats.shape[1]] = mats
+        yield slice(start, start + _BLOCK), _interleaved_tree(work, mats.shape[1])
 
 
 def interleaved_monodromy(sigma, lam):
-    """Reference `invsl.ode.monodromy` for a 1-D batch, by the interleaved tree."""
+    """Reference `invsl.ode.monodromy` for a 1-D batch, by the interleaved tree
+    over the same factors: the groups of four cells for the lambdas inside
+    the group radius, the cells for the others."""
     real = _real_axis(sigma, lam)
     lam = lam.real.astype(float) if real else lam.astype(complex)
     out = np.empty((4, lam.size), dtype=lam.dtype)
-    for block, levels in _interleaved_blocks(sigma, lam):
-        out[:, block] = levels[-1][:, 0]
+    groups = _in_group_radius(sigma, lam)
+    for path, factors in ((True, _group_matrices), (False, _cell_matrices)):
+        cols = np.flatnonzero(groups == path)
+        for block, levels in _interleaved_blocks(lambda chunk: factors(sigma, chunk), lam[cols]):
+            out[:, cols[block]] = levels[-1][:, 0]
     return _to_quasi(out, sigma.samples[0], sigma.samples[-1])
 
 
@@ -221,7 +235,7 @@ def interleaved_node_values(sigma, lam, y0, yq0):
     sig = sigma.samples.real if real else sigma.samples
     start = np.full(lam.size, y0, dtype), np.full(lam.size, yq0 + sig[0] * y0, dtype)
     out = np.empty((2, sigma.m + 1, lam.size), dtype=dtype)
-    for block, levels in _interleaved_blocks(sigma, lam):
+    for block, levels in _interleaved_blocks(lambda chunk: _cell_matrices(sigma, chunk), lam):
         leaves, last = _interleaved_sweep(levels, (start[0][block], start[1][block]))
         out[:, :-1, block] = leaves[:, :sigma.m]
         out[:, -1, block] = [x[0] for x in last]

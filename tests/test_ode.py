@@ -20,8 +20,11 @@ from invsl import ode
 from invsl.errors import StepFailure
 from invsl.ode import (
     _BLOCK,
+    _GROUP,
     _TAYLOR_RADIUS,
     _cell_matrices,
+    _group_matrices,
+    _in_group_radius,
     _leaf_order,
     _tree,
     endpoint_data,
@@ -141,7 +144,12 @@ class TestProperties:
 
 # Tree against loop: the pairwise product reorders the same cell products, so
 # the two agree to a few hundred eps of the largest entry per lambda, growing
-# with the cell count (measured max 7.0e-14 over these cases, 14x headroom).
+# with the cell count (measured max 7.0e-14 over these cases).  Lambdas inside
+# the group radius start from groups of four cells, which are not the
+# products of the loop's cells to the bit, so there the two differ by the
+# loop's own rounding: measured max 6.4e-13, at m = 512 and lambda = 784 -
+# 0.48i, where against 30-digit products the loop is off by 5.1e-13 and the
+# tree by 9.4e-14.
 TREE_RTOL = 1e-12
 
 
@@ -371,25 +379,157 @@ class TestTaylorCells:
     @pytest.mark.parametrize("batch", [1, 2, 63, 64, 65, 129])
     @pytest.mark.parametrize("kind", ["real", "complex lambda", "complex sigma"])
     def test_batch_equals_single_lambdas(self, batch, kind):
-        # lambdas on both sides of the edge, so that blocks mix the product
-        # and cos_sinc_sqrt: every column equals its lambda run alone, bit
-        # for bit (BLAS rounds no column by the width of the product)
+        # lambdas on both sides of the Taylor edge and of the group edge, so
+        # that a batch mixes the group path with the cell path and blocks of
+        # the cell path mix the product and cos_sinc_sqrt: every column
+        # equals its lambda run alone, bit for bit (BLAS rounds no column by
+        # the width of the product)
         sig = sigma_random_smooth(257, scale=0.8, seed=6)
         if kind == "complex sigma":
             sig = SigmaFunction(sig.samples + 0.2j * np.sin(sig.nodes), np.pi)
         rng = np.random.default_rng(batch)
-        lam = _taylor_edge(sig) * rng.uniform(-1.3, 1.3, batch)
+        edges = np.where(np.arange(batch) % 2, _taylor_edge(sig), _group_edge(sig))
+        lam = edges * rng.uniform(-1.3, 1.3, batch)
         if kind == "complex lambda":
             lam = lam + 1j * rng.uniform(-3.0, 3.0, batch)
         if batch > 60:
-            near = np.abs(lam) <= _taylor_edge(sig)
-            assert np.any(near[:64]) and not np.all(near[:64])
+            near, groups = np.abs(lam) <= _taylor_edge(sig), _in_group_radius(sig, lam)
+            assert np.any(groups) and np.any(near[~groups]) and not np.all(near[~groups][:64])
         mono = monodromy(sig, lam)
         y, yq = node_values(sig, lam, 0.3, -0.8)
         for k, lv in enumerate(lam):
             assert np.array_equal(monodromy(sig, [lv])[..., 0], mono[..., k])
             yk, yqk = node_values(sig, [lv], 0.3, -0.8)
             assert np.array_equal(yk[:, 0], y[:, k]) and np.array_equal(yqk[:, 0], yq[:, k])
+
+
+def _group_edge(sig):
+    """The |lambda| at which 16 (|lambda| h^2 + max |s| h^2) = 1."""
+    return 1.0 / (16 * sig.dx**2) - np.max(np.abs(_cell_slopes(sig)))
+
+
+def _group_lambdas(sig, kind, size, seed):
+    """Lambdas out to a relative 1e-12 inside the group edge, both ends of the
+    real segment first: real, or complex of every argument."""
+    edge = _group_edge(sig) * (1.0 - 1e-12)
+    rng = np.random.default_rng(seed)
+    lam = edge * rng.uniform(-1.0, 1.0, size)
+    if kind == "complex lambda":
+        lam = edge * rng.uniform(0.0, 1.0, size) * np.exp(1j * rng.uniform(-np.pi, np.pi, size))
+    lam[:2] = edge, -edge
+    return lam if sig.is_real() else lam.astype(complex)
+
+
+def _group_sigma(m, kind):
+    sig = sigma_random_smooth(m, scale=0.8, seed=m)
+    if kind == "complex sigma":
+        sig = SigmaFunction(sig.samples + 0.3j * np.sin(2.0 * sig.nodes), np.pi)
+    return sig
+
+
+class TestGroups:
+    """The factors of four adjacent cells that `monodromy` reduces for the
+    lambdas with 16 (|lambda| h^2 + max |s| h^2) <= 1: polynomials in lambda
+    h^2 whose coefficients are built once per SigmaFunction."""
+
+    KINDS = ["real", "complex lambda", "complex sigma"]
+
+    @pytest.mark.parametrize("m", [16, 17, 18, 19, 512])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_match_the_product_of_their_cells(self, m, kind):
+        # every entry within 32 eps of its majorant scale (1, 4h, 4 (|lambda|
+        # + max |s|) h and 1) of the ordered product of its cells' matrices,
+        # out to the edge; the last group holds m mod 4 cells where 4 does
+        # not divide m (measured at most 15 eps, most of it the rounding of
+        # the cell product: the groups are within 4 eps of 30 digits)
+        sig = _group_sigma(m, kind)
+        lam = _group_lambdas(sig, kind, 64, seed=m)
+        assert np.all(_in_group_radius(sig, lam))
+        got, cells = _group_matrices(sig, lam), _cell_matrices(sig, lam)
+        assert got.shape == (4, -(-m // _GROUP), lam.size)
+        h = sig.dx
+        scales = 1.0, 4 * h, 4 * h * (np.abs(lam) + np.max(np.abs(_cell_slopes(sig)))), 1.0
+        for k in range(got.shape[1]):
+            ref = np.zeros_like(cells[:, 0])
+            ref[0] = ref[3] = 1.0
+            for a in cells[:, _GROUP * k:_GROUP * (k + 1)].transpose(1, 0, 2):
+                ref = [a[0] * ref[0] + a[1] * ref[2], a[0] * ref[1] + a[1] * ref[3],
+                       a[2] * ref[0] + a[3] * ref[2], a[2] * ref[1] + a[3] * ref[3]]
+            for g, r, scale in zip(got[:, k], ref, scales):
+                assert np.max(np.abs(g - r) / scale) <= 32 * EPS
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_against_mpmath_on_the_edge(self, kind):
+        # four lambdas on the edge and inside it, six groups, against the
+        # product of their closed-form cells at 30 digits, within 16 eps of
+        # the scale (measured at most 4 eps here, 7 eps on other lambdas of
+        # the edge)
+        mpmath = pytest.importorskip("mpmath")
+        sig = _group_sigma(512, kind)
+        h, slopes = sig.dx, _cell_slopes(sig)
+        lam = _group_lambdas(sig, kind, 4, seed=1)
+        got = _group_matrices(sig, lam)
+        with mpmath.workdps(30):
+            for k in (0, 1, 5, 40, 77, 127):
+                for j, lv in enumerate(lam):
+                    ref = mpmath.eye(2)
+                    for s in slopes[_GROUP * k:_GROUP * (k + 1)]:
+                        z2 = (mpmath.mpc(complex(lv)) - mpmath.mpc(complex(s))) * mpmath.mpf(h) ** 2
+                        c, sinc = mpmath.cos(mpmath.sqrt(z2)), mpmath.sinc(mpmath.sqrt(z2))
+                        ref = mpmath.matrix([[c, h * sinc], [-z2 / h * sinc, c]]) * ref
+                    scales = 1.0, 4 * h, 4 * h * (abs(lv) + np.max(np.abs(slopes))), 1.0
+                    for e, scale in enumerate(scales):
+                        assert abs(complex(got[e, k, j]) - complex(ref[e // 2, e % 2])) <= 16 * EPS * scale
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_the_edge_splits_the_paths(self, dtype, monkeypatch):
+        # lambdas a relative 1e-12 inside the group edge take the groups,
+        # those as far outside take the cells, and only they
+        sig = sigma_random_smooth(64, scale=0.8, seed=3)
+        edge = _group_edge(sig)
+        lam = (edge * np.array([1 - 1e-12, -(1 - 1e-12), 1 + 1e-12, -(1 + 1e-12)])).astype(dtype)
+        seen = {}
+
+        def spy(name):
+            writer = getattr(ode, name)
+
+            def make(*args):
+                write = writer(*args)
+
+                def record(chunk, out):
+                    seen.setdefault(name, []).append(chunk.copy())
+                    write(chunk, out)
+                return record
+            monkeypatch.setattr(ode, name, make)
+
+        spy("_group_writer")
+        spy("_cell_writer")
+        monodromy(sig, lam)
+        assert np.array_equal(_in_group_radius(sig, lam), [True, True, False, False])
+        assert np.array_equal(np.concatenate(seen["_group_writer"]), lam[:2])
+        assert np.array_equal(np.concatenate(seen["_cell_writer"]), lam[2:])
+
+    def test_built_once_per_sigma_object(self, monkeypatch):
+        # the coefficients are built on the first call that takes the group
+        # path and kept on that object; an equal new object builds its own,
+        # and lambdas outside the radius build none
+        built = []
+        product = ode._polynomial_product
+
+        def count(a, b):
+            built.append(a.shape[-1])
+            return product(a, b)
+
+        monkeypatch.setattr(ode, "_polynomial_product", count)
+        sig = sigma_random_smooth(64, scale=0.8, seed=3)
+        far = np.array([2.0 * _group_edge(sig)])
+        monodromy(sig, far)
+        assert built == []
+        for lam in ([1.0], [1.0, 2.0 + 1j], [3.0]):
+            monodromy(sig, np.array(lam))
+        assert built == [16]
+        monodromy(SigmaFunction(sig.samples, sig.interval_length), np.array([1.0]))
+        assert built == [16, 16]
 
 
 class TestLeafOrder:

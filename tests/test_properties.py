@@ -1,8 +1,9 @@
 """Drawn problems against an independent oracle: wherever the eigenvalue index
 certifies a problem, its eigenvalues are the reference's, index by index,
-the argument principle finds no other zero among them or below them, and
-`count_below` counts exactly those below every probe between them.  Drawn
-lambda batches against an identity: every monodromy matrix has determinant 1.
+the argument principle finds no other zero among them or below them,
+`count_below` counts exactly those below every probe between them, and a
+scan of an explicit window finds none but them.  Drawn lambda batches
+against an identity: every monodromy matrix has determinant 1.
 
 The oracle is `bench/reference.py`, which shares no code with the package:
 its own propagator and plain bisection, here in a bracket of a quarter of
@@ -103,9 +104,9 @@ def end_pairs(sign):
 
 
 @st.composite
-def problems(draw):
+def problems(draw, pairs=end_pairs):
     sigma = draw(sigmas())
-    left, right = draw(end_pairs(-1.0)), draw(end_pairs(1.0))
+    left, right = draw(pairs(-1.0)), draw(pairs(1.0))
     try:
         validate_rp(left)
         validate_rp(right)
@@ -184,6 +185,35 @@ def test_count_below_counts_the_verified_roots(problem):
     counts = count_below(sigma, left, right, probes)
     assert np.all(np.diff(probes) > 0) and np.all(np.diff(counts) >= 0)
     assert np.array_equal(counts, np.concatenate([[0], np.repeat(np.arange(1, n + 1), 3)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(problems(interlacing_pairs))
+@example((_PINNED.sigma_full, _PINNED.left_pair, _PINNED.right_pair, 8))
+@example(_ON_A_ROOT)
+@example(_NEAR_A_ROOT)
+def test_window_scan_finds_a_subset_of_the_indexed_roots(problem):
+    # on Herglotz pairs, which the index certifies, a window from below the
+    # first indexed root to halfway between roots n and n + 1, scanned
+    # without an index: every root the scan returns is one of the first n
+    # indexed roots, each a different one, within 1e-12 (1 + |lambda|)
+    # (measured at most 1.0e-15 over three sets of draws); a scan may miss
+    # roots (two within one step)
+    sigma, left, right, n = problem
+    f = EntirePair.of_pair(right)
+    spec, _ = problem_spectrum(sigma, left, f, n + 1)
+    event("scanned" if spec.fallback else "indexed")
+    if spec.fallback:
+        return
+    lam = spec.lambdas.real
+    window = (lam[0] - 1.0, 0.5 * (lam[n - 1] + lam[n]))
+    scan, reason = problem_spectrum(sigma, left, f, None, window=window)
+    assert reason is None and np.all(scan.lambdas.imag == 0)
+    found = scan.lambdas.real
+    event(f"the scan found {found.size} of {n}")
+    nearest = np.argmin(np.abs(found[:, None] - lam[None, :n]), axis=1)
+    assert np.unique(nearest).size == found.size
+    assert np.all(np.abs(found - lam[nearest]) <= 1e-12 * (1.0 + np.abs(found)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -94,13 +94,16 @@ class TestTrigClosedForms:
         self._poly_trig_against_quadrature([0.01, 0.3, 2.7, 9.4, 1.2 + 0.3j], abs=1e-12)
 
     def test_poly_trig_where_series_meets_recurrence(self):
-        # |rho| pi = 0.5 (1 -+ 1e-9) takes the power series below and the
-        # recurrence above, real and complex.  Dividing by rho at every step,
-        # the recurrence there keeps 13 digits of the degree-4 integrals
-        # (measured 5.8e-13 relative, 3e-11 absolute; the series 4e-16)
-        edge = 0.5 / np.pi * np.array([1.0 - 1e-9, 1.0 + 1e-9])
-        rho = np.concatenate([edge, edge * np.exp(0.4j), edge * 1j])
-        self._poly_trig_against_quadrature(rho, abs=1e-12, rel=1e-12)
+        # |rho| pi = 0.5 and 1 (1 -+ 1e-9), real, on a ray and imaginary,
+        # degrees 0-4, relative to each integral alone: the power series
+        # serves |rho| pi < 1, across the old switch at 0.5 too, to 1e-14
+        # (measured 5.8e-16).  Dividing by rho at every step, the recurrence
+        # just above 1 keeps 14 digits of the degree-4 integrals (measured
+        # 1.7e-14; above 0.5 it kept 13, 5.8e-13)
+        for edge, rel in ((0.5 * (1 - 1e-9), 1e-14), (0.5 * (1 + 1e-9), 1e-14),
+                          (1 - 1e-9, 1e-14), (1 + 1e-9, 1e-13)):
+            rho = edge / np.pi * np.array([1.0, np.exp(0.4j), 1j])
+            self._poly_trig_against_quadrature(rho, abs=0.0, rel=rel)
 
     def test_sinc_series_matches_direct(self):
         z = np.array([1e-5, 5e-5 + 1e-5j, 9e-5])

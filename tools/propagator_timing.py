@@ -1,0 +1,100 @@
+"""Timings of the cell propagator, in microseconds per cell x lambda.
+
+    python3 tools/propagator_timing.py [--repeat N] [CHECKOUT]
+
+Times `invsl.ode.monodromy` and `invsl.ode.node_values` of CHECKOUT (default:
+the checkout this script lives in) at batches of 1, 48 and 1640 lambdas, on
+512 and 1024 cells over [0, pi], for three kinds of input:
+
+- real: a real smooth sigma and real lambda = rho^2, rho uniform in [0, 30];
+- complex lambda: the same sigma and lambda = (rho + i eps)^2, |eps| <= 0.05,
+  as the stability experiment perturbs its roots;
+- complex sigma: sigma + 0.2 i sin(x) and real lambda.
+
+Each entry is the best of N repeats (default 5) of the mean time of a run of
+calls long enough to take about 20 ms, divided by cells x lambdas.  The
+calls reuse one SigmaFunction, as the calls of an eigenvalue search or of a
+stability experiment do; the `monodromy, new sigma` rows build a new
+SigmaFunction from the same samples for every call instead.  OpenBLAS is
+held to one thread, as `bench/run.py` holds it.
+"""
+
+from __future__ import annotations
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+BATCHES = (1, 48, 1640)
+CELLS = (512, 1024)
+
+
+def best_time(call, repeat):
+    """Best over `repeat` runs of the mean seconds per call, each run taking
+    about 20 ms."""
+    call()
+    start = time.perf_counter()
+    call()
+    number = max(1, int(0.02 / max(time.perf_counter() - start, 1e-7)))
+    best = np.inf
+    for _ in range(repeat):
+        start = time.perf_counter()
+        for _ in range(number):
+            call()
+        best = min(best, (time.perf_counter() - start) / number)
+    return best
+
+
+def inputs(m, batch):
+    """(kind, sigma, lambdas) of the three input kinds."""
+    from invsl.problems import sigma_random_smooth
+    from invsl.types import SigmaFunction
+
+    rng = np.random.default_rng(batch)
+    rho = rng.uniform(0.0, 30.0, batch)
+    eps = rng.uniform(-0.05, 0.05, batch)
+    sig = sigma_random_smooth(m, scale=0.8, seed=1)
+    sig_c = SigmaFunction(sig.samples + 0.2j * np.sin(sig.nodes), sig.interval_length)
+    return [("real", sig, rho**2), ("complex lambda", sig, (rho + 1j * eps) ** 2),
+            ("complex sigma", sig_c, rho**2)]
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    repeat = 5
+    if argv[:1] == ["--repeat"]:
+        repeat, argv = int(argv[1]), argv[2:]
+    checkout = Path(argv[0]) if argv else Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str((checkout / "src").resolve()))
+    from invsl.ode import monodromy, node_values
+    from invsl.types import SigmaFunction
+
+    def fresh(sig, lam):
+        return monodromy(SigmaFunction(sig.samples, sig.interval_length), lam)
+
+    calls = [("monodromy", monodromy), ("monodromy, new sigma", fresh),
+             ("node_values", lambda sig, lam: node_values(sig, lam, 0.3, -0.8))]
+    print(f"us per cell x lambda, best of {repeat}, one BLAS thread ({checkout.resolve().name})")
+    print()
+    print("| function | input | cells | " + " | ".join(f"batch {b}" for b in BATCHES) + " |")
+    print("|---|---|---|" + "---|" * len(BATCHES))
+    for name, call in calls:
+        for m in CELLS:
+            rows = {}
+            for batch in BATCHES:
+                for kind, sig, lam in inputs(m, batch):
+                    us = best_time(lambda: call(sig, lam), repeat) * 1e6 / (m * batch)
+                    rows.setdefault(kind, []).append(f"{us:.4f}")
+            for kind, cols in rows.items():
+                print(f"| {name} | {kind} | {m} | " + " | ".join(cols) + " |")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
