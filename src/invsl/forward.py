@@ -3,6 +3,13 @@ angle count certifies it, `index_search`, and in circles it seeds for complex
 sigma, `circle_zeros`), Weyl function, and the forward extraction of
 generalized Cauchy data (the oracle for inverse tests).
 
+The count reads the left solution at the starts of the product tree's
+factors (`ode.factor_values`): the groups of four cells inside the group
+radius, which by the Sturm comparison theorem hold at most one zero each,
+and the cells elsewhere.  It forms the characteristic function at X as
+well, and the index hands those values at the bracket ends to the
+refinement, which then evaluates delta inside the brackets only.
+
 The extraction fits the samples of Delta0 and Delta1 over the representation
 the inverse solve uses (`moments`): the slot layout, the probe tags with
 their closed-form columns and Gram matrix, and the SVD least-squares step.
@@ -16,7 +23,7 @@ import numpy as np
 
 from .errors import IllConditioned, PoleProximity, RootLoss
 from .moments import _component_columns, _gram_block, _tags_for, slot_layout, svd_solve, trig_rows
-from .ode import endpoint_data, node_values
+from .ode import _in_group_radius, endpoint_data, factor_values
 from .trig import synth_series
 from .types import (
     SIMPLE_TOL,
@@ -231,7 +238,10 @@ def find_eigenvalues(delta: Callable, window, count: Optional[int] = None,
 
     With `index` from `index_search` they are the eigenvalues 0..count-1,
     each in a bracket that `_index_brackets` certifies to hold its index
-    alone and across which delta changes sign.  Otherwise a real `window` is
+    alone and across which delta changes sign.  The index and `delta`
+    describe one problem: the values of delta at the bracket ends are those
+    the count formed there, so delta is called inside the brackets only (a
+    bracket whose ends share a sign raises RootLoss).  Otherwise a real `window` is
     scanned on the signed-sqrt axis (lambda = sign(s) s^2, step `_SCAN_STEP`)
     for sign changes (a delta that is not real there raises ValueError).
     Anderson-Bjoerck false position (`refine_brackets`) refines the
@@ -243,10 +253,8 @@ def find_eigenvalues(delta: Callable, window, count: Optional[int] = None,
     problem, or `circle_zeros` for a complex one.
     """
     if index is not None:
-        lo, hi = (np.sign(s) * s * s for s in _index_brackets(*index, count))
-        pts, where = np.unique(np.concatenate((lo, hi)), return_inverse=True)
-        vals = np.real(np.asarray(delta(pts)))[where]
-        f_lo, f_hi = vals[:count], vals[count:]
+        s_lo, s_hi, f_lo, f_hi = _index_brackets(*index, count)
+        lo, hi = (np.sign(s) * s * s for s in (s_lo, s_hi))
         same = np.sign(f_lo) * np.sign(f_hi) > 0
         if np.any(same):
             raise RootLoss(f"delta keeps its sign across the count bracket of eigenvalue(s) "
@@ -289,50 +297,54 @@ def _screen(delta, lam):
     return kept, lam.size - kept.size
 
 
-def _index_brackets(count_below: Callable, ends, n_roots: int):
-    """Brackets on the signed-sqrt axis that hold eigenvalue k alone, k < n_roots.
+def _index_brackets(index_values: Callable, ends, n_roots: int):
+    """Brackets on the signed-sqrt axis that hold eigenvalue k alone, k < n_roots,
+    and delta at their ends, as (lo, hi, delta(lo), delta(hi)).
 
-    `count_below(lam)` gives the number of eigenvalues below each real
-    lambda; `ends` are ascending points s of the signed-sqrt axis (lambda =
-    sign(s) s^2).  The count is taken at all ends in one batch, the ends are
-    extended outwards until they enclose indices 0..n_roots-1, and a bracket
-    is bisected on the count until it holds one eigenvalue and spans at most
-    twice the spacing of `ends` (delta, growing like exp(|s| X), then changes
-    by a bounded factor across it).  A count that falls raises RootLoss."""
-    def count(s):
-        return np.asarray(count_below(np.sign(s) * s * s))
+    `index_values(lam)` gives the number of eigenvalues below each real
+    lambda and delta there (`index_search`); `ends` are ascending points s
+    of the signed-sqrt axis (lambda = sign(s) s^2).  The count is taken at
+    all ends in one batch, the ends are extended outwards until they enclose
+    indices 0..n_roots-1, and a bracket is bisected on the count until it
+    holds one eigenvalue and spans at most twice the spacing of `ends`
+    (delta, growing like exp(|s| X), then changes by a bounded factor across
+    it); delta comes with every count.  A count that falls raises
+    RootLoss."""
+    def values(s):
+        return index_values(np.sign(s) * s * s)
 
     s = np.asarray(ends, dtype=float)
     gap = 2.0 * np.min(np.diff(s), initial=np.inf)
-    c = count(s)
+    c, d = values(s)
     width = 0.5
     while c[0] > 0 or c[-1] < n_roots:
         if width > 4096.0:
             raise RootLoss(f"the eigenvalue count does not reach indices 0..{n_roots - 1}")
         lower = s[:1] - width if c[0] > 0 else s[:0]
         upper = s[-1:] + width if c[-1] < n_roots else s[:0]
-        c_new = count(np.concatenate((lower, upper)))
+        c_new, d_new = values(np.concatenate((lower, upper)))
         s = np.concatenate((lower, s, upper))
         c = np.concatenate((c_new[:lower.size], c, c_new[lower.size:]))
+        d = np.concatenate((d_new[:lower.size], d, d_new[lower.size:]))
         width *= 2.0
     if np.any(np.diff(c) < 0):
         raise RootLoss("the eigenvalue count falls as lambda grows, so it certifies no index")
     k = np.arange(n_roots)
     lo_at = np.searchsorted(c, k, side="right") - 1
     hi_at = np.searchsorted(c, k + 1, side="left")
-    lo, hi, c_lo, c_hi = s[lo_at], s[hi_at], c[lo_at], c[hi_at]
+    lo, hi, c_lo, c_hi, d_lo, d_hi = s[lo_at], s[hi_at], c[lo_at], c[hi_at], d[lo_at], d[hi_at]
     for _ in range(60):
         wide = np.nonzero((c_lo != k) | (c_hi != k + 1) | (hi - lo > gap))[0]
         if wide.size == 0:
-            return lo, hi
+            return lo, hi, d_lo, d_hi
         mid = 0.5 * (lo[wide] + hi[wide])
         points, where = np.unique(mid, return_inverse=True)
-        c_mid = count(points)[where]
+        c_mid, d_mid = (x[where] for x in values(points))
         if np.any(c_mid < c_lo[wide]) or np.any(c_mid > c_hi[wide]):
             raise RootLoss("the eigenvalue count falls as lambda grows, so it certifies no index")
         up = c_mid <= k[wide]
-        lo[wide[up]], c_lo[wide[up]] = mid[up], c_mid[up]
-        hi[wide[~up]], c_hi[wide[~up]] = mid[~up], c_mid[~up]
+        lo[wide[up]], c_lo[wide[up]], d_lo[wide[up]] = mid[up], c_mid[up], d_mid[up]
+        hi[wide[~up]], c_hi[wide[~up]], d_hi[wide[~up]] = mid[~up], c_mid[~up], d_mid[~up]
     raise RootLoss("bisection on the eigenvalue count did not isolate every index")
 
 
@@ -347,47 +359,80 @@ def count_below(sigma: SigmaFunction, left: BoundaryPolyPair, right: BoundaryPol
     with (y, y^{[1]})(0) = (p1, -p2) and r1 y^{[1]}(X) + r2 y(X) = 0.
 
     Pruefer-angle indexing with lambda-dependent boundary conditions: the
-    sign changes of the left solution phi at the nodes (one per zero while
-    every cell has |mu| h < pi), one more where the angle of (phi^{[1]}, phi)
-    at X exceeds that of (r2, -r1) (pi for a Dirichlet end, r1 = 0), and
-    lifts through the real roots of p1 and r1.  The angles are compared by
-    a cross product in the upper half-plane, so none rounds from pi to 0.
+    sign changes of the left solution phi at the starts of the product
+    tree's factors and at X, one more where the angle of (phi^{[1]}, phi) at
+    X exceeds that of (r2, -r1) (pi for a Dirichlet end, r1 = 0), and lifts
+    through the real roots of p1 and r1.  The angles are compared by a cross
+    product in the upper half-plane, so none rounds from pi to 0.
+
+    The sign changes at those nodes count the zeros of phi in (0, X] when
+    no factor can hold two.  By the Sturm comparison theorem (Coddington
+    and Levinson, Theory of Ordinary Differential Equations, 1955, ch. 8) a
+    solution of y'' = (s - lambda) y has at most one zero on an interval of
+    length L where (lambda - s) L^2 < pi^2.  A lambda inside the group radius
+    (`ode._in_group_radius`: 16 (|lambda| + max |s|) h^2 <= 1) takes the
+    groups of four cells, over which (lambda - s) (4h)^2 <= 1, so the nodes
+    0, 4, 8, ..., m count as every node would; the other lambdas take the
+    cells, and raise RootLoss where a cell has (lambda - s) h^2 >= pi^2.
+    Each lambda takes one path, chosen by |lambda| and sigma alone, as in
+    `ode.monodromy`.
 
     Both pairs must be Herglotz (`BoundaryPolyPair.herglotz`), as
     `index_search` checks: the lifts (`BoundaryPolyPair.roots_below`) count
     every root of p1 and r1 as real and moving the count up."""
+    return _count_and_delta(sigma, left, right, lam)[0]
+
+
+def _count_and_delta(sigma: SigmaFunction, left: BoundaryPolyPair, right: BoundaryPolyPair,
+                     lam):
+    """(`count_below`, delta) at each real lambda: delta = r1 phi^{[1]}(X) +
+    r2 phi(X) is the characteristic function of the count's problem, the
+    factor of the end-angle term."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    mu2 = np.max(lam) - np.min(np.diff(sigma.samples.real)) / sigma.dx
-    if mu2 * sigma.dx**2 >= np.pi**2:
-        raise RootLoss(f"cells too coarse to count the oscillations at lambda = {np.max(lam):.6g}")
     lifts = left.roots_below(lam), right.roots_below(lam)
-    y, yq = node_values(sigma, lam, left.p1(lam).real, -left.p2(lam).real)
     # the signs of p1 and r1 are read off the roots the lifts count, so that
     # a lambda within rounding of a root is on the same side for both
     start = left.p1_sign(lifts[0]) < 0
-    # a zero at X, of either sign, ends a half-turn: it changes sign against
-    # the node before it, and `_upper` turns its end vector to angle 0
-    signs = np.signbit(y[1:])
-    signs[-1] = np.where(y[-1] == 0, ~signs[-2], signs[-1])
-    changes = np.count_nonzero(signs[1:] != signs[:-1], axis=0)
+    y0, yq0 = left.p1(lam).real, -left.p2(lam).real
+    changes = np.empty(lam.size, dtype=int)
+    y, yq = np.empty(lam.size), np.empty(lam.size)
+    groups = _in_group_radius(sigma, lam)
+    for path in (True, False):
+        cols = np.flatnonzero(groups == path)
+        if cols.size == 0:
+            continue
+        if not path:
+            mu2 = np.max(lam[cols]) - np.min(np.diff(sigma.samples.real)) / sigma.dx
+            if mu2 * sigma.dx**2 >= np.pi**2:
+                raise RootLoss(f"cells too coarse to count the oscillations at lambda = "
+                               f"{np.max(lam[cols]):.6g}")
+        starts, y[cols], yq[cols] = factor_values(sigma, lam[cols], y0[cols], yq0[cols], path)
+        # the start's sign, then phi's at every factor's end; a zero at X, of
+        # either sign, ends a half-turn: it changes sign against the node
+        # before it, and `_upper` turns its end vector to angle 0
+        signs = np.vstack((start[cols], np.signbit(starts[1:]), np.signbit(y[cols])))
+        signs[-1] = np.where(y[cols] == 0, ~signs[-2], signs[-1])
+        changes[cols] = np.count_nonzero(signs[1:] != signs[:-1], axis=0)
     r1, r2 = right.p1(lam).real, right.p2(lam).real
-    turn = _upper(yq[-1], y[-1]) * -right.p1_sign(lifts[1]) * (y[-1] * r2 + yq[-1] * r1)
-    return changes + (np.signbit(y[1]) != start) + (turn > 0) + lifts[0] + lifts[1]
+    delta = y * r2 + yq * r1
+    turn = _upper(yq, y) * -right.p1_sign(lifts[1]) * delta
+    return changes + (turn > 0) + lifts[0] + lifts[1], delta
 
 
 def index_search(sigma: SigmaFunction, left: BoundaryPolyPair, right: BoundaryPolyPair,
                  count: int):
-    """`find_eigenvalues`' index (count_below, ends) for the first `count`
-    eigenvalues of `count_below`'s problem; None for complex sigma or a pair
-    that is not Herglotz (its count can fall, and complex eigenvalues escape
-    it; `problem_spectrum` then scans).
-    The ends lie halfway between rho_k = (pi/X)(k + 1 - (p + r)/2), with
-    r = 0 for a Dirichlet right end."""
+    """`find_eigenvalues`' index (index_values, ends) for the first `count`
+    eigenvalues of `count_below`'s problem: index_values(lam) gives the
+    count and that problem's delta, r1 phi^{[1]}(X) + r2 phi(X), at each
+    lambda (`_count_and_delta`).  None for complex sigma or a pair that is
+    not Herglotz (its count can fall, and complex eigenvalues escape it;
+    `problem_spectrum` then scans).  The ends lie halfway between rho_k =
+    (pi/X)(k + 1 - (p + r)/2), with r = 0 for a Dirichlet right end."""
     if not (sigma.is_real() and left.herglotz(-1.0) and right.herglotz(1.0)):
         return None
     r = right.p if np.any(right.a) else 0
     ends = (np.pi / sigma.interval_length) * (np.arange(count + 1) + 0.5 - 0.5 * (left.p + r))
-    return (lambda lam: count_below(sigma, left, right, lam)), ends
+    return (lambda lam: _count_and_delta(sigma, left, right, lam)), ends
 
 
 # ----------------------------------------------------------------------------

@@ -19,7 +19,11 @@ adjacent cells is a polynomial in lambda h^2 too, whose coefficients
 (`_group_coefficients`) are built once per SigmaFunction object, so the
 tree's level-2 factors of a block are one matrix product (`_group_writer`)
 and the tree reduces ceil(m/4) of them.  Each lambda takes one path, chosen
-by |lambda| and sigma alone.  The cells are stored in the
+by |lambda| and sigma alone.  One down-sweep loop (`_down_sweep`) serves
+both trajectory entries: `node_values` runs it over the cells and returns
+every node, `factor_values` over the factors of either path, for the
+Pruefer-angle count, and returns the starts of the factors and the end
+alone.  The cells are stored in the
 tree's leaf order (`_leaf_order`, bit reversal for m a power of two): every
 level's pairs are its first half and its second half, contiguous rows, and
 an odd level carries its last factor up unchanged, as an FFT stores its
@@ -427,6 +431,33 @@ def monodromy(sigma: SigmaFunction, lams):
     return _to_quasi(out.reshape((4,) + lam.shape), sigma.samples[0], sigma.samples[-1])
 
 
+def _start(sigma: SigmaFunction, lam, y0, yq0):
+    """(lam, y, y', sig) of a down-sweep from (y, y^{[1]})(0) = (y0, yq0), which
+    broadcast against `lam`: the lambdas, the start vectors (y, y')(0), both
+    flat, and sigma's samples; float64 when sigma, the lambdas and the start
+    values are real, complex128 otherwise."""
+    y0, yq0 = (np.broadcast_to(np.asarray(x), lam.shape) for x in (y0, yq0))
+    real = _real_axis(sigma, lam, y0, yq0)
+    lam, y0, yq0 = (x.real.astype(float) if real else x.astype(complex) for x in (lam, y0, yq0))
+    sig = sigma.samples.real if real else sigma.samples
+    # y' = y^[1] + sigma y at x = 0
+    start_y = y0.ravel()
+    return lam, start_y, yq0.ravel() + sig[0] * start_y, sig
+
+
+def _down_sweep(write, n, lam, start_y, start_v):
+    """(slice, vectors, end) of every block of the 1-D `lam`: (y, y') at the
+    start of each of the n factors that write(chunk, dst) puts in leaf order,
+    in leaf order, shape (2, n, block size), in one workspace that the next
+    block overwrites, and (y, y') at the end of their product, from (start_y,
+    start_v) at the start of the first."""
+    leaves = np.empty((2, n, min(_BLOCK, lam.size)), dtype=lam.dtype)
+    for block, levels in _blocks(write, n, lam):
+        vals = leaves[..., :levels[0].shape[-1]]
+        vals[:, 0] = start_y[block], start_v[block]
+        yield block, vals, _sweep(levels, vals)
+
+
 def node_values(sigma: SigmaFunction, lams, y0, yq0):
     """(y, y^{[1]}) at every node for a batch of lambdas, forward from x = 0.
 
@@ -440,24 +471,39 @@ def node_values(sigma: SigmaFunction, lams, y0, yq0):
     otherwise.
     """
     lam = np.atleast_1d(np.asarray(lams))
-    y0, yq0 = (np.broadcast_to(np.asarray(x), lam.shape) for x in (y0, yq0))
-    real = _real_axis(sigma, lam, y0, yq0)
-    lam, y0, yq0 = (x.real.astype(float) if real else x.astype(complex) for x in (lam, y0, yq0))
-    sig = sigma.samples.real if real else sigma.samples
-    # y' = y^[1] + sigma y at x = 0
-    start_y = y0.ravel()
-    start_v = yq0.ravel() + sig[0] * start_y
+    lam, start_y, start_v, sig = _start(sigma, lam, y0, yq0)
     out = np.empty((2, sigma.m + 1, lam.size), dtype=lam.dtype)
-    leaves = np.empty((2, sigma.m, min(_BLOCK, lam.size)), dtype=lam.dtype)
-    for block, levels in _blocks(*_leaves(sigma, lam, False), lam.ravel()):
-        vals = leaves[..., :levels[0].shape[-1]]
-        vals[:, 0] = start_y[block], start_v[block]
-        last = _sweep(levels, vals)
+    for block, vals, last in _down_sweep(*_leaves(sigma, lam, False), lam.ravel(), start_y, start_v):
         out[:, _leaf_order(sigma.m), block] = vals
         out[:, -1, block] = [x[0] for x in last]
     out = _finite(out).reshape(out.shape[:2] + lam.shape)
     sig = sig.reshape((-1,) + (1,) * lam.ndim)
     return out[0], out[1] - sig * out[0]
+
+
+def factor_values(sigma: SigmaFunction, lams, y0, yq0, groups):
+    """y at the start of every factor of the product tree, and (y, y^{[1]}) at
+    X, for a 1-D batch of lambdas, forward from (y0, yq0) at x = 0.
+
+    The factors are those of `_leaves(sigma, lam, groups)`: the cells, whose
+    starts are the nodes 0, 1, ..., m - 1, or, for lambdas inside the group
+    radius (`_in_group_radius`), the groups of four cells, whose starts are
+    the nodes 0, 4, ..., 4 (ceil(m / 4) - 1); a last group of fewer cells is
+    the tree's carried factor.  The down-sweep is `node_values`', but y' turns
+    into y^{[1]} at X alone.  Returns y, shape (factors, lambdas), in cell
+    order, and y(X), y^{[1]}(X), shape (lambdas,) each; dtypes as in
+    `node_values`.
+    """
+    lam, start_y, start_v, sig = _start(sigma, np.atleast_1d(np.asarray(lams)), y0, yq0)
+    write, n = _leaves(sigma, lam, groups)
+    starts = np.empty((n, lam.size), dtype=lam.dtype)
+    end = np.empty((2, lam.size), dtype=lam.dtype)
+    for block, vals, last in _down_sweep(write, n, lam, start_y, start_v):
+        starts[_leaf_order(n), block] = vals[0]
+        end[:, block] = [x[0] for x in last]
+    _finite(starts)
+    _finite(end)
+    return starts, end[0], end[1] - sig[-1] * end[0]
 
 
 def _to_quasi(t, sig0, sig1):

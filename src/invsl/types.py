@@ -12,7 +12,7 @@ entire pair carries it in its descriptor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,13 +48,17 @@ def encode_array(values) -> list:
     return np.column_stack((a.real, a.imag)).tolist()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SigmaFunction:
     """Antiderivative of the potential, sampled on a uniform grid over [0, X].
 
     The stored object *is* the piecewise-linear interpolant of the samples, so
     the potential q = sigma' is piecewise constant and the Cauchy problems can
     be propagated exactly cell by cell.
+
+    Equality and hashing are by identity, as for every array-valued type of
+    this module: two objects with equal samples are different objects, and
+    each keeps its own memo of `ode`'s group coefficients.
     """
 
     samples: np.ndarray
@@ -118,12 +122,13 @@ def _polyval(coeffs: np.ndarray, lam):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryPolyPair:
     """Coefficient pair (p1, p2), ascending order, stored in normalized shape.
 
     Odd p: len(a) == len(b) == N1+1 with a[-1] == 1 and p = 2*N1 + 1.
     Even p: len(b) == len(a) + 1 with b[-1] == 1 and p = 2*N2.
+    Equality and hashing are by identity (see `SigmaFunction`).
     """
 
     a: np.ndarray
@@ -275,7 +280,7 @@ class SubspectrumDiagnostics:
     sum_inv_rho_sq: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspectrum:
     """Finite ordered list of distinct eigenvalues with derived rho values.
 
@@ -287,12 +292,13 @@ class Subspectrum:
     `window` (the lambda window scanned where no index certifies the roots,
     None for indexed roots; `fallback` says which) and `dropped` (roots the
     scan's duplicate and residual screen removed) record the eigenvalue
-    search; they are not part of the value and are not serialized.
+    search; they are not serialized.  Equality and hashing are by identity
+    (see `SigmaFunction`).
     """
 
     lambdas: np.ndarray
-    window: Optional[tuple] = field(default=None, compare=False)
-    dropped: int = field(default=0, compare=False)
+    window: Optional[tuple] = None
+    dropped: int = 0
 
     def __post_init__(self):
         lam = np.atleast_1d(np.array(self.lambdas, dtype=complex))
@@ -366,7 +372,7 @@ def hp_inner(g: CauchyData, h: CauchyData) -> complex:
     return complex(integral + finite)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CauchyData:
     """An element [J, G, A] of H: Cauchy data, or a moment row v(., lambda).
 
@@ -374,13 +380,14 @@ class CauchyData:
     constants a.  `series` holds the kernels' probe series (keys "j", "g"),
     each as the (tags, coefficients) that `trig.synth_series` takes, and
     `meta` the report of the fit (`extract_cauchy`) or the reconstruction
-    (`reconstruct`) that made them."""
+    (`reconstruct`) that made them.  Equality and hashing are by identity
+    (see `SigmaFunction`)."""
 
     j: np.ndarray
     g: np.ndarray
     a: np.ndarray
-    series: Optional[dict] = field(default=None, compare=False)
-    meta: Optional[dict] = field(default=None, compare=False)
+    series: Optional[dict] = None
+    meta: Optional[dict] = None
 
     def __post_init__(self):
         j = np.atleast_1d(np.array(self.j, dtype=complex))

@@ -142,17 +142,54 @@ def fundamental_nodes(sigma, lam):
     return y[:, 0], yq[:, 0], y[:, 1], yq[:, 1]
 
 
+def every_node_count(sigma, left, right, lam):
+    """Reference `invsl.forward.count_below`: the sign changes of the left
+    solution at every node (`node_values`), its end angle against the right
+    condition's and the lifts, for lambdas whose cells have (lambda - s) h^2
+    < pi^2, none of which holds two zeros.  The count of `forward` reads the
+    nodes of the groups of four cells where it can, so tests compare it with
+    this one."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    assert (np.max(lam) - np.min(np.diff(sigma.samples.real)) / sigma.dx) * sigma.dx**2 < np.pi**2
+    lifts = left.roots_below(lam), right.roots_below(lam)
+    y, yq = node_values(sigma, lam, left.p1(lam).real, -left.p2(lam).real)
+    signs = np.vstack((left.p1_sign(lifts[0]) < 0, np.signbit(y[1:])))
+    # a zero at X changes sign against the node before it
+    signs[-1] = np.where(y[-1] == 0, ~signs[-2], signs[-1])
+    changes = np.count_nonzero(signs[1:] != signs[:-1], axis=0)
+    r1, r2 = right.p1(lam).real, right.p2(lam).real
+    up = np.where((y[-1] > 0) | ((y[-1] == 0) & (yq[-1] > 0)), 1, -1)
+    turn = up * -right.p1_sign(lifts[1]) * (y[-1] * r2 + yq[-1] * r1)
+    return changes + (turn > 0) + lifts[0] + lifts[1]
+
+
 def sequential_cells(sigma, lams, y0, v0):
     """Reference propagator: the cell matrices applied one at a time, recorded at every node.
 
-    `v0` is y'(0) = y^{[1]}(0) + sigma(0) y(0), and the result holds y and y'
-    (keys "y", "v"), shape (m + 1,) + lam.shape; the initial values do not
-    depend on lambda.  The product tree of `invsl.ode` reorders the same cell
-    products, so tests compare it with this loop.
+    `v0` is y'(0) = y^{[1]}(0) + sigma(0) y(0); the start values do not
+    depend on lambda, but `y0` and `v0` may hold several start vectors in a
+    leading axis (shape (k, 1)) that broadcast against the lambdas.  The
+    result holds y and y' (keys "y", "v"), shape (m + 1,) + the broadcast
+    shape, in np.clongdouble.  The cells (their closed forms cos w, h
+    sin(w)/w and -(w^2/h) sin(w)/w at w^2 = (lambda - s) h^2) and their
+    products are formed in long double, so the loop adds next to no rounding
+    of its own, and tests compare the product tree of `invsl.ode` with it.
+    cos and sin of w = a + ib come from the real long-double functions of a
+    and b (cosh b and sinh b from one exp(b), to a long-double rounding of
+    cosh b), which numpy evaluates several times faster than the complex
+    ones.
     """
     lam = np.atleast_1d(np.asarray(lams, dtype=complex))
-    c, sn, msn, _ = _cell_matrices(sigma, lam)
-    ys = np.empty((sigma.m + 1,) + lam.shape, dtype=complex)
+    h = np.longdouble(sigma.dx)
+    mu2 = lam.astype(np.clongdouble)[None] - (np.diff(sigma.samples.astype(np.clongdouble)) / h)[:, None]
+    w = np.sqrt(mu2 * h * h)
+    a, e = w.real, np.exp(w.imag)
+    cos_a, sin_a, cosh_b, sinh_b = np.cos(a), np.sin(a), 0.5 * (e + 1 / e), 0.5 * (e - 1 / e)
+    c = cos_a * cosh_b - 1j * (sin_a * sinh_b)
+    sinc = (sin_a * cosh_b + 1j * (cos_a * sinh_b)) / np.where(w == 0, 1, w) + (w == 0)
+    sn, msn = h * sinc, -mu2 * h * sinc
+    ys = np.empty((sigma.m + 1,) + np.broadcast_shapes(np.shape(y0), np.shape(v0), lam.shape),
+                  dtype=np.clongdouble)
     vs = np.empty_like(ys)
     ys[0] = y0
     vs[0] = v0

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import fundamental_nodes, rectangle_zeros
+from conftest import every_node_count, fundamental_nodes, rectangle_zeros
 from invsl import forward, halfinverse
 from invsl.errors import CommonRoot, IllConditioned, PoleProximity, RootLoss
 from invsl.forward import (
@@ -22,7 +22,8 @@ from invsl.forward import (
     _solve_family,
 )
 from invsl.halfinverse import hl_entire_pair, problem_spectrum
-from invsl.problems import forward_corpus, sigma_bump, sigma_step
+from invsl.ode import _in_group_radius
+from invsl.problems import forward_corpus, hl_exclusion_instance, roundtrip_corpus, sigma_bump, sigma_step
 from invsl.reconstruct import deltas_from_cauchy
 from invsl.types import BoundaryPolyPair, EntirePair, SigmaFunction
 
@@ -290,16 +291,18 @@ class TestIndexSearch:
         # +0.0 or to -0.0 counts as the sign change it is, as on either side
         lam = 22.5**2
         sides = count_below(SIG0, PAIR_FREE, RIGHT_NEU, [lam - 1e-6, lam + 1e-6])
-        propagate = forward.node_values
+        propagate = forward.factor_values
+        hits = []
 
         def rounded_to_zero(*args):
-            y, yq = propagate(*args)
-            assert y[-2, 0] > 0 > yq[-1, 0]
-            y[-1] = zero
-            return y, yq
+            starts, y, yq = propagate(*args)
+            assert starts[-1, 0] > 0 > yq[0]
+            hits.append(args[-1])
+            return starts, np.full_like(y, zero), yq
 
-        monkeypatch.setattr(forward, "node_values", rounded_to_zero)
+        monkeypatch.setattr(forward, "factor_values", rounded_to_zero)
         assert sides[0] == sides[1] == count_below(SIG0, PAIR_FREE, RIGHT_NEU, [lam])[0]
+        assert hits == [True]   # the group path: 16 lambda h^2 = 0.31 <= 1
 
     def test_dirichlet_right_end_counts_nothing_far_below(self):
         # beta = pi for r1 = 0; with beta = 0 the count stays at 1 as lambda
@@ -334,6 +337,90 @@ class TestIndexSearch:
             delta, _ = make_delta(sig, pair, f)
             scan = find_eigenvalues(delta, (-9.0, 42.0**2), count=40).lambdas
             assert np.max(np.abs(spec.lambdas - scan) / (1.0 + np.abs(scan))) <= 1e-12, name
+
+
+def _count_cases(m=None):
+    """(name, sigma, left pair, right pair) of the two-sided problems of the
+    round trips and of the forward corpus, with its constant f as a right
+    pair; sigma resampled to m cells where m is given."""
+    cases = [(name, prob.sigma_full, prob.left_pair, prob.right_pair)
+             for name, prob in roundtrip_corpus() + [("hl_exclusion", hl_exclusion_instance())]]
+    for name, sig, pair, f in forward_corpus():
+        f1, f2 = (v[0].real for v in f(np.array([0.0])))
+        cases.append((name, sig, pair, BoundaryPolyPair([f1], [f2])))
+    if m is not None:
+        cases = [(name, SigmaFunction(np.interp(np.linspace(0.0, sig.interval_length, m + 1),
+                                                sig.nodes, sig.samples.real), sig.interval_length),
+                  left, right) for name, sig, left, right in cases]
+    return cases
+
+
+def _group_edge(sigma):
+    """The largest |lambda| of the group radius, from 16 (|lambda| + max |s|) h^2 = 1."""
+    h2 = sigma.dx**2
+    return (1.0 / 16.0 - np.max(np.abs(np.diff(sigma.samples.real))) / sigma.dx * h2) / h2
+
+
+class TestGroupCount:
+    # the count reads the nodes 0, 4, 8, ..., m where every lambda of a batch
+    # lies inside the group radius; the every-node count is the reference
+    def test_corpora_match_the_every_node_count(self):
+        lam = np.linspace(-9.0, 900.0, 301)
+        for name, sig, left, right in _count_cases():
+            assert np.all(_in_group_radius(sig, lam)), name
+            assert np.array_equal(count_below(sig, left, right, lam),
+                                  every_node_count(sig, left, right, lam)), name
+
+    @pytest.mark.parametrize("m", [16, 17, 18, 19, 1023])
+    def test_partial_groups_match_the_every_node_count(self, m):
+        # a last group of 1, 2 or 3 cells; at m = 16-19 the group radius ends
+        # below |lambda| = 2 on [0, pi] and 0.4 on [0, 2 pi], and the cells
+        # take the rest, at m = 1023 near 6600 and 1650
+        for name, sig, left, right in _count_cases(m):
+            lam = np.linspace(-9.0, min(0.9 * np.pi**2 / sig.dx**2 - 3.0, 900.0), 201)
+            lam = np.concatenate((lam, np.linspace(-1.0, 1.0, 101) * max(_group_edge(sig), 0.0)))
+            assert np.array_equal(count_below(sig, left, right, lam),
+                                  every_node_count(sig, left, right, lam)), name
+
+    def test_either_side_of_the_group_edge(self, monkeypatch):
+        # the lambdas a relative 1e-12 inside the edge take the groups, those
+        # outside the cells, as in monodromy
+        propagate, paths = forward.factor_values, []
+
+        def recorded(sig, lam, y0, yq0, groups):
+            paths.append((lam.tolist(), groups))
+            return propagate(sig, lam, y0, yq0, groups)
+
+        monkeypatch.setattr(forward, "factor_values", recorded)
+        for name, sig, left, right in _count_cases():
+            edge = _group_edge(sig) * np.array([1.0 - 1e-12, 1.0 + 1e-12])
+            lam = np.concatenate((edge, -edge))
+            paths.clear()
+            assert np.array_equal(count_below(sig, left, right, lam),
+                                  every_node_count(sig, left, right, lam)), name
+            assert paths == [(lam[0::2].tolist(), True), (lam[1::2].tolist(), False)], name
+
+    def test_batch_equals_single_lambdas(self):
+        name, sig, left, right = _count_cases(64)[4]
+        lam = np.linspace(-9.0, 600.0, 41)
+        assert 0 < np.count_nonzero(_in_group_radius(sig, lam)) < lam.size
+        single = [count_below(sig, left, right, [x])[0] for x in lam]
+        assert np.array_equal(count_below(sig, left, right, lam), single)
+
+    def test_the_index_hands_delta_at_the_bracket_ends(self, monkeypatch):
+        # find_eigenvalues refines from the delta the count formed at the
+        # bracket ends, which is the problem's delta there, and calls delta
+        # only inside the brackets
+        for name, sig, left, right in _count_cases()[:4] + _count_cases(64)[:1]:
+            index = index_search(sig, left, right, 48)
+            s_lo, s_hi, d_lo, d_hi = forward._index_brackets(*index, 48)
+            ends = np.sign(np.concatenate((s_lo, s_hi))) * np.concatenate((s_lo, s_hi)) ** 2
+            delta, _ = make_delta(sig, left, EntirePair.of_pair(right))
+            ref = np.real(delta(ends))
+            assert np.max(np.abs(np.concatenate((d_lo, d_hi)) - ref) / np.abs(ref)) <= 1e-12, name
+            seen = []
+            spec = find_eigenvalues(lambda x: seen.append(x) or delta(x), None, 48, index=index)
+            assert len(spec) == 48 and not np.any(np.isin(np.concatenate(seen), ends)), name
 
 
 class TestWeyl:

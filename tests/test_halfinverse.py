@@ -30,8 +30,8 @@ from invsl.reconstruct import completeness_ratio
 from invsl.types import BoundaryPolyPair, EntirePair, SigmaFunction
 
 SIGR0 = SigmaFunction.zero(np.pi, 128)
-# adjugate of the monodromy against the reflected sequential run: both reorder
-# the same cell products (measured max 1.6e-13 of |M| |b|, 6x headroom)
+# adjugate of the monodromy against the reflected sequential run in long
+# double (measured max 6.6e-14 of |M| |b|, 15x headroom)
 PSI_RTOL = 1e-12
 
 
@@ -259,11 +259,18 @@ class TestIndexedSpectrum:
         prob = hl_zero_instance(128)
         lam = hl_spectrum(prob, 8).lambdas.real
         cut = 0.5 * (lam[3] + lam[4])
-        true_count = forward.count_below
-        monkeypatch.setattr(forward, "count_below",
-                            lambda *args: true_count(*args) + (np.asarray(args[-1]) > cut))
+        true_values = forward._count_and_delta
+        hits = []
+
+        def one_too_high(*args):
+            counts, delta = true_values(*args)
+            hits.append(np.any(np.asarray(args[-1]) > cut))
+            return counts + (np.asarray(args[-1]) > cut), delta
+
+        monkeypatch.setattr(forward, "_count_and_delta", one_too_high)
         with pytest.raises(RootLoss):
             hl_spectrum(prob, 8)
+        assert any(hits)
 
     def test_count_refuses_unresolved_cells(self):
         # 32 cells on (0, 2pi): a cell can hold two zeros once lambda h^2 >= pi^2

@@ -142,25 +142,24 @@ class TestProperties:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
-# Tree against loop: the pairwise product reorders the same cell products, so
-# the two agree to a few hundred eps of the largest entry per lambda, growing
-# with the cell count (measured max 7.0e-14 over these cases).  Lambdas inside
-# the group radius start from groups of four cells, which are not the
-# products of the loop's cells to the bit, so there the two differ by the
-# loop's own rounding: measured max 6.4e-13, at m = 512 and lambda = 784 -
-# 0.48i, where against 30-digit products the loop is off by 5.1e-13 and the
-# tree by 9.4e-14.
+# Tree against loop: the loop forms the closed-form cells and their products
+# in long double, so the deviation is the tree's own error, that of its
+# double cells or groups and of their products, relative to the largest
+# entry per lambda.  Measured max 9.2e-13, at m = 257 and lambda = 783.6 +
+# 0.63i, outside the group radius: there the Taylor cells are off by up to
+# 1.7 eps, with a bias (a mean of -1.0 eps in c) that adds up over the
+# cells; against 30-digit products of the same cells the loop agrees to the
+# last double bit.  The double loop of the same cells measured 6.4e-13.
 TREE_RTOL = 1e-12
 
 
 def _sequential_endpoints(sig, lam):
-    """endpoint_data's quantities from the last node of the recorded cell loop."""
-    out = {}
-    for name, (y0, yq0) in (("S", (0.0, 1.0)), ("C", (1.0, 0.0))):
-        rec = sequential_cells(sig, lam, y0, yq0 + sig.samples[0] * y0)
-        y = rec["y"][-1]
-        out[name], out[name + "1"] = y, rec["v"][-1] - sig.samples[-1] * y
-    return out
+    """endpoint_data's quantities from the last node of the recorded cell loop,
+    run for S and C at once."""
+    y0, yq0 = np.array([[0.0], [1.0]]), np.array([[1.0], [0.0]])
+    rec = sequential_cells(sig, lam, y0, yq0 + sig.samples[0] * y0)
+    y, yq = rec["y"][-1], rec["v"][-1] - sig.samples[-1] * rec["y"][-1]
+    return {"S": y[0], "S1": yq[0], "C": y[1], "C1": yq[1]}
 
 
 def _normwise_dev(a, b, keys):
@@ -553,9 +552,9 @@ def _nodewise_dev(got, ref):
 
 
 class TestNodeValues:
-    # the down-sweep over the tree levels against the sequential cell loop:
-    # both apply the same cell matrices, in another order (measured max
-    # 1.4e-14 over these cases)
+    # the down-sweep over the tree levels against the long-double cell loop
+    # (measured max 9.9e-14 over these cases, 1.4e-14 against the double
+    # loop of the same cells)
     @pytest.mark.parametrize("m", [16, 17, 257, 512])
     def test_matches_sequential_loop(self, m):
         sig = sigma_random_smooth(m, scale=0.8, seed=m)

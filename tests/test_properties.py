@@ -1,8 +1,9 @@
 """Drawn problems against an independent oracle: wherever the eigenvalue index
 certifies a problem, its eigenvalues are the reference's, index by index,
 the argument principle finds no other zero among them or below them,
-`count_below` counts exactly those below every probe between them, and a
-scan of an explicit window finds none but them.  Drawn lambda batches
+`count_below` counts exactly those below every probe between them, as
+its every-node reference does, and a scan of an explicit window finds none
+but them.  Drawn lambda batches
 against an identity: every monodromy matrix has determinant 1.
 
 The oracle is `bench/reference.py`, which shares no code with the package:
@@ -21,7 +22,7 @@ import numpy as np
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DET_RTOL
+from conftest import DET_RTOL, every_node_count
 from invsl.errors import CommonRoot
 from invsl.forward import count_below, make_delta, winding_count
 from invsl.halfinverse import problem_spectrum
@@ -214,6 +215,20 @@ def test_window_scan_finds_a_subset_of_the_indexed_roots(problem):
     nearest = np.argmin(np.abs(found[:, None] - lam[None, :n]), axis=1)
     assert np.unique(nearest).size == found.size
     assert np.all(np.abs(found - lam[nearest]) <= 1e-12 * (1.0 + np.abs(found)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(problems(interlacing_pairs))
+@example(_ON_A_ROOT)
+@example(_NEAR_A_ROOT)
+def test_group_count_is_the_every_node_count(problem):
+    # on Herglotz pairs, lambdas inside the group radius (below about 25 to
+    # 100 at 64 to 128 cells) and beyond it: the count at the nodes of the
+    # groups of four cells is the count at every node
+    sigma, left, right, _ = problem
+    lam = np.linspace(-30.0, 300.0, 221)
+    assert np.array_equal(count_below(sigma, left, right, lam),
+                          every_node_count(sigma, left, right, lam))
 
 
 @settings(max_examples=40, deadline=None)

@@ -221,3 +221,18 @@ def test_value_objects_are_frozen():
     sub = Subspectrum([1.0, 2.0])
     with pytest.raises(ValueError):
         sub.lambdas[0] = 5.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SigmaFunction.zero(np.pi, 32),
+    lambda: BoundaryPolyPair([1.0], [0.3]),
+    lambda: Subspectrum([1.0, 2.0]),
+    lambda: _zero(33, 1),
+], ids=["SigmaFunction", "BoundaryPolyPair", "Subspectrum", "CauchyData"])
+def test_array_valued_objects_compare_and_hash_by_identity(make):
+    # the generated value equality compared the array fields, which raised
+    # ValueError, and hashed them, which raised TypeError
+    a, b = make(), make()
+    assert a == a and a != b
+    assert a in [b, a] and b not in [a]
+    assert hash(a) == hash(a) and len({a, b, a}) == 2

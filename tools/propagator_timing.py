@@ -4,7 +4,10 @@
 
 Times `invsl.ode.monodromy` and `invsl.ode.node_values` of CHECKOUT (default:
 the checkout this script lives in) at batches of 1, 48 and 1640 lambdas, on
-512 and 1024 cells over [0, pi], for three kinds of input:
+512 and 1024 cells over [0, pi], for three kinds of input, and
+`invsl.forward.count_below` for the real one, with the Herglotz pairs ([1],
+[0.2]) on the left and ([0.5, 1], [0.8, 0.1]) on the right (those of
+`hl_exclusion_instance`):
 
 - real: a real smooth sigma and real lambda = rho^2, rho uniform in [0, 30];
 - complex lambda: the same sigma and lambda = (rho + i eps)^2, |eps| <= 0.05,
@@ -72,23 +75,29 @@ def main(argv=None) -> int:
         repeat, argv = int(argv[1]), argv[2:]
     checkout = Path(argv[0]) if argv else Path(__file__).resolve().parents[1]
     sys.path.insert(0, str((checkout / "src").resolve()))
+    from invsl.forward import count_below
     from invsl.ode import monodromy, node_values
-    from invsl.types import SigmaFunction
+    from invsl.types import BoundaryPolyPair, SigmaFunction
 
     def fresh(sig, lam):
         return monodromy(SigmaFunction(sig.samples, sig.interval_length), lam)
 
-    calls = [("monodromy", monodromy), ("monodromy, new sigma", fresh),
-             ("node_values", lambda sig, lam: node_values(sig, lam, 0.3, -0.8))]
+    left, right = BoundaryPolyPair([1.0], [0.2]), BoundaryPolyPair([0.5, 1.0], [0.8, 0.1])
+    every = ("real", "complex lambda", "complex sigma")
+    calls = [("monodromy", monodromy, every), ("monodromy, new sigma", fresh, every),
+             ("node_values", lambda sig, lam: node_values(sig, lam, 0.3, -0.8), every),
+             ("count_below", lambda sig, lam: count_below(sig, left, right, lam), ("real",))]
     print(f"us per cell x lambda, best of {repeat}, one BLAS thread ({checkout.resolve().name})")
     print()
     print("| function | input | cells | " + " | ".join(f"batch {b}" for b in BATCHES) + " |")
     print("|---|---|---|" + "---|" * len(BATCHES))
-    for name, call in calls:
+    for name, call, kinds in calls:
         for m in CELLS:
             rows = {}
             for batch in BATCHES:
                 for kind, sig, lam in inputs(m, batch):
+                    if kind not in kinds:
+                        continue
                     us = best_time(lambda: call(sig, lam), repeat) * 1e6 / (m * batch)
                     rows.setdefault(kind, []).append(f"{us:.4f}")
             for kind, cols in rows.items():
