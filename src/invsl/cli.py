@@ -2,7 +2,8 @@
 
 Verbs: forward | reconstruct | hl | stability | diagnose.  All outputs are
 deterministic given the input files, flags, and seed; every file embeds the
-tool version, the input hash, and the grid parameters.
+tool version, the sha256 of the input file's bytes (of the two digests'
+hex text for reconstruct), and the grid parameters.
 
 Exit codes: 0 success, 2 malformed or unsupported input, 3 solver failure,
 4 non-unique reconstruction under --strict.
@@ -11,6 +12,7 @@ Exit codes: 0 success, 2 malformed or unsupported input, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import warnings
@@ -55,9 +57,11 @@ def _no_constant(name: str):
 
 
 def _read(path: str):
+    """The JSON object in the file at `path` and the sha256 hex digest of the
+    file's bytes, hashed as read."""
     try:
-        with open(path) as fh:
-            return json.load(fh, parse_constant=_no_constant)
+        data = Path(path).read_bytes()
+        return json.loads(data, parse_constant=_no_constant), hashlib.sha256(data).hexdigest()
     except (OSError, ValueError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
@@ -70,8 +74,10 @@ def _check(obj, path: str, schema_name: str) -> dict:
     return obj
 
 
-def _load(path: str, schema_name: str) -> dict:
-    return _check(_read(path), path, schema_name)
+def _load(path: str, schema_name: str):
+    """`_read(path)`, its object checked against the schema `schema_name`."""
+    obj, digest = _read(path)
+    return _check(obj, path, schema_name), digest
 
 
 def _write(out_dir: str, name: str, kind: str, meta: dict, **fields) -> None:
@@ -102,12 +108,12 @@ def _stored(sub, path: str):
 
 
 def cmd_forward(args) -> int:
-    obj = _load(args.problem, "problem-v1")
+    obj, digest = _load(args.problem, "problem-v1")
     sigma, pair, f, _ = problem_from_json(obj)
     spec = _eigenvalues(sigma, pair, f, args.eigs, args.window)
     data = extract_cauchy(sigma, pair, grid_m=args.grid)
 
-    meta = meta_block(obj, grid_m=args.grid, eigs=args.eigs)
+    meta = meta_block(digest, grid_m=args.grid, eigs=args.eigs)
     _write(args.out, "spectrum.json", "spectrum", meta, lambdas=encode_array(spec.lambdas))
     lam_mid = 0.5 * (spec.lambdas[:-1] + spec.lambdas[1:])
     weyl_vals = weyl(sigma, pair, lam_mid, on_pole="nan")
@@ -128,12 +134,14 @@ def _strict_exit(report: dict, args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    obj = _load(args.problem, "problem-v1")
-    sub_obj = _load(args.subspectrum, "subspectrum-v1")
+    obj, problem_digest = _load(args.problem, "problem-v1")
+    sub_obj, sub_digest = _load(args.subspectrum, "subspectrum-v1")
     _, pair, f, _ = problem_from_json(obj)
     sub = _stored(subspectrum_from_json(sub_obj["lambdas"]), args.subspectrum)
     result = reconstruct(pair.p, f, sub, args.grid, reg=args.reg)
-    meta = meta_block({"problem": obj, "subspectrum": sub_obj}, grid_m=args.grid, reg=args.reg)
+    # one digest for two files: the sha256 of their digests' hex text, in argument order
+    digest = hashlib.sha256((problem_digest + sub_digest).encode()).hexdigest()
+    meta = meta_block(digest, grid_m=args.grid, reg=args.reg)
     _write(args.out, "cauchy_recovered.json", "cauchy", meta, **cauchy_to_json(result))
     _write(args.out, "report.json", "report", meta, report=result.meta)
     return _strict_exit(result.meta, args)
@@ -142,14 +150,14 @@ def cmd_reconstruct(args) -> int:
 def cmd_hl(args) -> int:
     if not 0 <= args.drop < args.eigs:
         raise SchemaError(f"--drop {args.drop}: expected 0 <= K < --eigs {args.eigs}")
-    obj = _load(args.two_sided, "two_sided-v1")
+    obj, digest = _load(args.two_sided, "two_sided-v1")
     problem = two_sided_from_json(obj)
     spec = hl_spectrum(problem, args.eigs)
     _, sigma_right = problem.halves()
     result = hl_reconstruct(sigma_right, problem.right_pair, problem.p,
                             spec, args.drop, args.grid, reg=args.reg)
 
-    meta = meta_block(obj, grid_m=args.grid, eigs=args.eigs, drop=args.drop)
+    meta = meta_block(digest, grid_m=args.grid, eigs=args.eigs, drop=args.drop)
     _write(args.out, "spectrum.json", "spectrum", meta, lambdas=encode_array(spec.lambdas))
     _write(args.out, "cauchy_recovered.json", "cauchy", meta, **cauchy_to_json(result))
     _write(args.out, "report.json", "report", meta, report=result.meta)
@@ -165,7 +173,7 @@ def cmd_stability(args) -> int:
         omegas = noise_plan(args.omega.split(","), args.trials)
     except ValueError as exc:
         raise SchemaError(f"--omega {args.omega} --trials {args.trials}: {exc}") from exc
-    obj = _load(args.problem, "problem-v1")
+    obj, digest = _load(args.problem, "problem-v1")
     sigma, pair, f, sub = problem_from_json(obj)
     if sub is not None and args.eigs is not None:
         raise SchemaError(f"--eigs {args.eigs}: {args.problem} carries its own subspectrum")
@@ -181,7 +189,7 @@ def cmd_stability(args) -> int:
     path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     (path / "stability.csv").write_text("\n".join(lines) + "\n")
-    meta = meta_block(obj, grid_m=args.grid, seed=args.seed, trials=args.trials)
+    meta = meta_block(digest, grid_m=args.grid, seed=args.seed, trials=args.trials)
     _write(args.out, "stability_summary.json", "report", meta,
            report={"summary": out["summary"], "fitted_c": out["fitted_c"],
                    "non_unique": out["base"]["non_unique"],
@@ -190,7 +198,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    obj = _read(args.input)
+    obj, digest = _read(args.input)
     schema = obj.get("schema") if isinstance(obj, dict) else None
     if schema == "invsl/subspectrum-v1":
         _check(obj, args.input, "subspectrum-v1")
@@ -206,7 +214,7 @@ def cmd_diagnose(args) -> int:
     diag = sub.diagnostics()
     rhos = sub.rhos
     gram = basis_diagnostics(rhos, length=2 * np.pi) if len(sub) >= 2 else None
-    _write(args.out, "diagnostics.json", "diagnostics", meta_block(obj),
+    _write(args.out, "diagnostics.json", "diagnostics", meta_block(digest),
            class_s={"simple": diag.simple, "min_gap": diag.min_gap},
            class_a={"nonzero": diag.min_abs_lambda > 0, "min_abs_lambda": diag.min_abs_lambda,
                     "max_im_rho": diag.max_im_rho, "sum_inv_rho_sq": diag.sum_inv_rho_sq},

@@ -293,7 +293,7 @@ def row_norm_exact(rho, layout: SlotLayout):
     return float(norm) if norm.ndim == 0 else norm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentSystem:
     """The moment relation (u, v_n) = w_n at every eigenvalue of a subspectrum.
 
@@ -304,7 +304,8 @@ class MomentSystem:
     (`reconstruct.moment_design`), and `build_v` gives one on a grid.
     `grid_m` is the cell count of the grid the solution is synthesized on.
     A stacked subspectrum gives a stacked system: every array has its
-    (trials, N) shape.
+    (trials, N) shape.  Equality and hashing are by identity (see
+    `types.SigmaFunction`).
     """
 
     layout: SlotLayout
@@ -345,25 +346,20 @@ def xi_identity_residual(rhos: Sequence[complex]) -> float:
 
     Both sides are evaluated by composite 12-point Gauss-Legendre quadrature
     (panel count follows the largest frequency), independently of the
-    closed-form overlaps used elsewhere.
+    closed-form overlaps used elsewhere.  The panel count is even, and the
+    (0, pi) rule is the first half of the (0, 2pi) rule, so its sines are the
+    first half of the (0, 2pi) sines' columns.
     """
     rho = np.atleast_1d(np.asarray(rhos, dtype=complex))
     panels = int(max(24, 4 * np.ceil(np.max(np.abs(rho)))))
-
-    def sines_2pi(tvals):
-        return np.sin(rho[:, None] * tvals[None, :])
-
-    def xi_parts(tvals):
-        s = np.sin(rho[:, None] * tvals[None, :])
-        c = np.cos(rho[:, None] * tvals[None, :])
-        return s * np.cos(rho[:, None] * np.pi), -c * np.sin(rho[:, None] * np.pi)
-
     x2, w2 = gauss_nodes(0.0, 2 * np.pi, panels, 12)
-    f2 = sines_2pi(x2)
+    f2 = np.sin(rho[:, None] * x2[None, :])
     lhs = (np.conj(f2) * w2[None, :]) @ f2.T
 
-    x1, w1 = gauss_nodes(0.0, np.pi, max(panels // 2, 12), 12)
-    a_part, b_part = xi_parts(x1)
+    n = x2.size // 2
+    x1, w1 = x2[:n], w2[:n]
+    a_part = f2[:, :n] * np.cos(rho[:, None] * np.pi)
+    b_part = -np.cos(rho[:, None] * x1[None, :]) * np.sin(rho[:, None] * np.pi)
     rhs = (np.conj(a_part) * w1[None, :]) @ a_part.T + (np.conj(b_part) * w1[None, :]) @ b_part.T
 
     return float(np.max(np.abs(lhs - 2.0 * rhs)))

@@ -51,9 +51,12 @@ _GRAM_TOL = 1e-8
 # probe families
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeBasis:
-    """Orthonormalized representation space for the two kernel components."""
+    """Orthonormalized representation space for the two kernel components.
+
+    Equality and hashing are by identity (see `types.SigmaFunction`).
+    """
 
     h1_tags: tuple
     h2_tags: tuple

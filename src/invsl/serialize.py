@@ -5,13 +5,14 @@ bytes of `json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)` plus a
 newline, without going through json's pure-Python indent encoder: a direct
 emitter for the shapes the schemas allow, with every list of [re, im] float
 pairs (the bulk of every file) filled into one template.  Reruns produce
-byte-identical files, and `input_hash` is the sha256 of the same bytes.  All
-actual file I/O lives in the CLI.
+byte-identical files.  `meta_block` records the sha256 of an input file's
+bytes as the CLI read them (`sha256sum` gives the same digest), so a
+reformatted copy of an input has another hash.  All actual file I/O lives in
+the CLI.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from itertools import chain
@@ -238,12 +239,10 @@ def canonical_dumps(obj) -> str:
     return "".join(out)
 
 
-def input_hash(obj) -> str:
-    return hashlib.sha256(canonical_dumps(obj).encode()).hexdigest()
-
-
-def meta_block(input_obj, **params) -> dict:
-    meta = {"tool": f"invsl {__version__}", "input_sha256": input_hash(input_obj)}
+def meta_block(input_sha256: str, **params) -> dict:
+    """The "meta" object of an output file: the tool version, the hex digest
+    of the input and the parameters that are not None."""
+    meta = {"tool": f"invsl {__version__}", "input_sha256": input_sha256}
     meta.update({k: v for k, v in params.items() if v is not None})
     return meta
 

@@ -10,6 +10,7 @@ their closed forms (the cell propagator's Taylor polynomials live in `ode`),
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -100,9 +101,20 @@ def poly_poly(m, n, length=np.pi):
     return length ** (m + n + 1) / (m + n + 1)
 
 
+@functools.cache
+def _legendre_rule(order):
+    """Nodes and weights of the `order`-point Gauss-Legendre rule on [-1, 1],
+    computed once per order (each `leggauss` is an eigenvalue solve) and
+    returned read-only, so no caller can change the shared arrays."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def gauss_nodes(a, b, panels, order=12):
     """Nodes and weights of composite Gauss-Legendre quadrature on [a, b]."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _legendre_rule(order)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])

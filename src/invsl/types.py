@@ -327,6 +327,12 @@ class Subspectrum:
         return replace(self, lambdas=self.lambdas[:n].copy())
 
     def diagnostics(self) -> SubspectrumDiagnostics:
+        """The class flags of the eigenvalues, computed once per object and
+        kept in its __dict__ (`lambdas` is read-only, so they cannot go
+        stale)."""
+        memo = vars(self)
+        if "_diagnostics" in memo:
+            return memo["_diagnostics"]
         lam = self.lambdas
         if lam.shape[-1] >= 2:
             diff = np.abs(lam[..., :, None] - lam[..., None, :])
@@ -337,13 +343,14 @@ class Subspectrum:
             min_gap = np.inf
         rho = self.rhos
         nz = np.abs(rho) > 0
-        return SubspectrumDiagnostics(
+        memo["_diagnostics"] = SubspectrumDiagnostics(
             simple=bool(min_gap > SIMPLE_TOL),
             min_gap=min_gap,
             min_abs_lambda=float(np.abs(lam).min()) if lam.size else np.inf,
             max_im_rho=float(np.abs(rho.imag).max()) if lam.size else 0.0,
             sum_inv_rho_sq=float(np.sum(1.0 / np.abs(rho[nz]) ** 2)),
         )
+        return memo["_diagnostics"]
 
     def require_simple(self) -> "Subspectrum":
         if not self.diagnostics().simple:

@@ -67,7 +67,7 @@ def test_load_validates_through_the_traced_proxy(spans, monkeypatch, tmp_path):
 
     monkeypatch.setattr(jsonschema, "validate", recording_validate)
     monkeypatch.setattr(cli, "jsonschema", spans._schemas_proxy(tracer, jsonschema))
-    obj = cli._load(str(ROOT / "tests" / "golden" / "step_problem.json"), "problem-v1")
+    obj, _ = cli._load(str(ROOT / "tests" / "golden" / "step_problem.json"), "problem-v1")
     assert obj["schema"] == "invsl/problem-v1"
     assert calls == [schemas.Validator]
     assert [s["name"] for s in tracer.spans] == ["schemas.validate"]

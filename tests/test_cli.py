@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import warnings
 from pathlib import Path
@@ -591,8 +592,8 @@ class TestDiagnose:
 
 
 def test_outputs_are_json_dumps_bytes(rt_free, tmp_path, monkeypatch):
-    # every file reconstruct, hl and diagnose write, and every input hash,
-    # is the text json.dumps gives for the same payload
+    # every file reconstruct, hl and diagnose write is the text json.dumps
+    # gives for the same payload, and the input hash emits no text
     texts = []
 
     def spy(dumps):
@@ -616,11 +617,108 @@ def test_outputs_are_json_dumps_bytes(rt_free, tmp_path, monkeypatch):
                  ["diagnose", prob_file]):
         assert main(argv + ["--out", str(out / argv[0])]) == 0
     files = sorted(out.rglob("*.json"))
-    assert len(files) == 6 and len(texts) == 6 + 3   # one input hash per verb
+    assert len(files) == 6 and len(texts) == 6   # the inputs are hashed as read
     for obj, text in texts:
         assert text == json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     written = {text for _, text in texts}
     assert all(path.read_text() in written for path in files)
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _compact(path, dest) -> str:
+    """A copy of the JSON file at `path` in json.dumps' default formatting."""
+    dest.write_text(json.dumps(json.loads(Path(path).read_text())))
+    return str(dest)
+
+
+class TestInputHash:
+    # input_sha256 is the sha256 of the input file's bytes, which sha256sum
+    # reproduces; reconstruct's is the sha256 of its two files' digests as
+    # hex text, in argument order
+    VERBS = {
+        "forward": (["problem"], ["--eigs", "4", "--grid", "64"]),
+        "reconstruct": (["problem", "subspectrum"], []),
+        "hl": (["two_sided"], ["--drop", "2"]),
+        "stability": (["problem"], ["--omega", "0,1e-3", "--trials", "2"]),
+        "diagnose-problem": (["problem"], []),
+        "diagnose-subspectrum": (["subspectrum"], []),
+    }
+
+    @pytest.fixture()
+    def inputs(self, rt_free, tmp_path):
+        canon = tmp_path / "canonical"
+        canon.mkdir()
+        return {
+            "problem": write(canon / "p.json", problem_to_json(
+                rt_free.sigma_left, rt_free.left_pair,
+                hl_entire_pair(rt_free.sigma_right, rt_free.problem.right_pair),
+                subspectrum=rt_free.spectrum)),
+            "subspectrum": write(canon / "s.json", subspectrum_to_json(rt_free.spectrum)),
+            "two_sided": write(canon / "t.json", two_sided_to_json(rt_free.problem)),
+        }
+
+    @staticmethod
+    def _run(verb, files, flags, out):
+        assert main([verb.split("-")[0], *files, *flags, "--out", str(out)]) == 0
+        hashes = {read_json(path)["meta"]["input_sha256"] for path in out.glob("*.json")}
+        assert len(hashes) == 1
+        return hashes.pop()
+
+    @staticmethod
+    def _expected(files) -> str:
+        digests = [_sha256(path) for path in files]
+        if len(digests) == 1:
+            return digests[0]
+        return hashlib.sha256("".join(digests).encode()).hexdigest()
+
+    @pytest.mark.parametrize("verb", list(VERBS))
+    def test_hash_of_the_bytes_read(self, verb, inputs, tmp_path):
+        names, flags = self.VERBS[verb]
+        files = [inputs[name] for name in names]
+        assert self._run(verb, files, flags, tmp_path / "out") == self._expected(files)
+
+    def test_reconstruct_hashes_the_digests_in_argument_order(self, inputs, tmp_path):
+        problem, sub = _sha256(inputs["problem"]), _sha256(inputs["subspectrum"])
+        got = self._run("reconstruct", [inputs["problem"], inputs["subspectrum"]], [],
+                        tmp_path / "out")
+        assert got == hashlib.sha256(f"{problem}{sub}".encode()).hexdigest()
+        assert got != hashlib.sha256(f"{sub}{problem}".encode()).hexdigest()
+        assert got not in (problem, sub)
+
+    @pytest.mark.parametrize("verb", list(VERBS))
+    def test_reformatted_input_changes_the_hash_alone(self, verb, inputs, tmp_path):
+        names, flags = self.VERBS[verb]
+        files = [inputs[name] for name in names]
+        compact = tmp_path / "compact"
+        compact.mkdir()
+        copies = [_compact(path, compact / Path(path).name) for path in files]
+        old = self._run(verb, files, flags, tmp_path / "a")
+        new = self._run(verb, copies, flags, tmp_path / "b")
+        assert new != old and new == self._expected(copies)
+        names_a = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names_a == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names_a:
+            before = (tmp_path / "a" / name).read_bytes()
+            after = (tmp_path / "b" / name).read_bytes()
+            assert before.replace(old.encode(), new.encode()) == after
+
+    @pytest.mark.parametrize("content, reason", [
+        (b'{"schema": "invsl/subspectrum-v1", "lambdas": [1.0, "\xff\xfe"]}', "can't decode byte 0xff"),
+        (b'{"schema": "invsl/subspectrum-v1", "lambdas": [1.0, 4.0', "Expecting"),
+        (b'{"schema": "invsl/subspectrum-v1", "lambdas": [1.0, NaN, 9.0]}',
+         "NaN is not a JSON number"),
+    ], ids=["invalid-utf8", "truncated", "nan-literal"])
+    def test_unreadable_input_exit2(self, content, reason, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        assert main(["diagnose", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read {path}: " in err and reason in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_schema_snapshots_match_package():

@@ -140,6 +140,24 @@ class TestXiIdentity:
             worst = max(worst, xi_identity_residual(r))
         assert worst <= 1e-8
 
+    @pytest.mark.parametrize("top, panels", [(19.5, 80), (24.5, 100), (40.5, 164)])
+    def test_drawn_sets_with_imaginary_rho(self, top, panels):
+        # the (0, pi) rule is the first half of the (0, 2pi) rule; a (0, pi)
+        # grid of its own has the same edges at 80 panels but not at 100 or
+        # 164, where its last edge is pi (at 164 a node moves by an ulp).  The
+        # residual is absolute and the entries grow as sinh(2 pi Im rho)^2,
+        # so the imaginary rho (lambda < 0) are drawn with |Im rho| < 0.5
+        rng = np.random.default_rng(int(top))
+        worst = 0.0
+        for _ in range(20):
+            lam = np.concatenate([[top**2], rng.uniform(-0.25, 0.0, 2),
+                                  rng.uniform(0.5, top**2, 6),
+                                  rng.uniform(0.5, top**2, 2) + 1j * rng.uniform(-5, 5, 2)])
+            rho = branch_sqrt(lam)
+            assert int(max(24, 4 * np.ceil(np.max(np.abs(rho))))) == panels
+            worst = max(worst, xi_identity_residual(rho))
+        assert worst <= 1e-12
+
 
 class TestCompanionCollinearity:
     def test_rank_one_against_v(self):

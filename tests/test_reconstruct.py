@@ -589,3 +589,22 @@ class TestStackedStability:
         assert f_sizes == [n, 2 * trials * n]
         assert len(svd_shapes) == 3
         assert svd_shapes[2][:2] == (2 * trials, n)
+
+
+def _other_basis():
+    # make_probe_basis is cached, so a second object is a copy
+    basis = make_probe_basis(1, (8, 8))
+    return dataclasses.replace(basis, b1=basis.b1.copy())
+
+
+@pytest.mark.parametrize("make", [
+    _other_basis,
+    lambda: build_moment_system(Subspectrum([1.0, 4.0, 9.0]), F01, 1, 64),
+], ids=["ProbeBasis", "MomentSystem"])
+def test_array_valued_objects_compare_and_hash_by_identity(make):
+    # the generated value equality compared the array fields, which raised
+    # ValueError, and hashed them, which raised TypeError
+    a, b = make(), make()
+    assert a == a and a != b
+    assert a in [b, a] and b not in [a]
+    assert hash(a) == hash(a) and len({a, b, a}) == 2

@@ -87,7 +87,7 @@ def test_each_schema_checked_once(monkeypatch, tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         for _ in range(3):
-            assert cli._load(str(path), name) == doc
+            assert cli._load(str(path), name)[0] == doc
     assert sorted(checked) == sorted(schema["$id"] for schema in schemas.ALL.values())
 
     # an invalid schema is never remembered, so it raises every time

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -18,7 +19,6 @@ from invsl.serialize import (
     complex_array,
     encode_array,
     entire_pair_from_json,
-    input_hash,
     jsonable,
     pair_from_json,
     problem_from_json,
@@ -28,7 +28,15 @@ from invsl.serialize import (
     subspectrum_to_json,
 )
 from invsl.ode import _TAYLOR_DEGREE, _TAYLOR_RADIUS
-from invsl.trig import cos_sinc_sqrt, overlap, poly_trig, sinc, synth_series
+from invsl.trig import (
+    _legendre_rule,
+    cos_sinc_sqrt,
+    gauss_nodes,
+    overlap,
+    poly_trig,
+    sinc,
+    synth_series,
+)
 from invsl.types import BoundaryPolyPair, SigmaFunction, Subspectrum
 
 
@@ -165,6 +173,27 @@ class TestTrigClosedForms:
         assert np.array_equal(batch[0], alone[0]) and np.array_equal(batch[1], alone[1])
 
 
+class TestGaussNodes:
+    def test_legendre_rule_cached_read_only(self):
+        nodes, weights = _legendre_rule(12)
+        assert _legendre_rule(12)[0] is nodes and _legendre_rule(12)[1] is weights
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(12)
+        assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        x, w = gauss_nodes(0.0, np.pi, 4)
+        x[0] = w[0] = -1.0     # the composite rule's arrays are the caller's own
+        assert np.array_equal(_legendre_rule(12)[0], ref_nodes)
+
+    @pytest.mark.parametrize("panels", [24, 80, 100, 164])
+    def test_half_of_the_2pi_rule_is_a_pi_rule(self, panels):
+        x2, w2 = gauss_nodes(0.0, 2 * np.pi, panels)
+        x1, w1 = gauss_nodes(0.0, np.pi, panels // 2)
+        n = x1.size
+        assert np.allclose(x2[:n], x1, rtol=4e-16, atol=0) and np.array_equal(w2[:n], w1)
+
+
 class TestRootLoss:
     def test_verify_detects_missed_pair(self):
         # two zeros 1e-5 apart fall inside one scan cell, cancel their sign
@@ -216,10 +245,10 @@ class TestSerialize:
         with pytest.raises(SchemaError):
             entire_pair_from_json({"kind": "mystery"})
 
-    def test_input_hash_stable_and_sensitive(self):
+    def test_canonical_dumps_stable_and_sensitive(self):
         a = {"x": 1.0, "y": [1, 2]}
-        assert input_hash(a) == input_hash({"y": [1, 2], "x": 1.0})
-        assert input_hash(a) != input_hash({"x": 1.0 + 1e-12, "y": [1, 2]})
+        assert canonical_dumps(a) == canonical_dumps({"y": [1, 2], "x": 1.0})
+        assert canonical_dumps(a) != canonical_dumps({"x": 1.0 + 1e-12, "y": [1, 2]})
 
     def test_pair_accepts_bare_reals_and_pairs(self):
         pair = pair_from_json([1.0], [[0.3, -0.1]])
@@ -315,7 +344,7 @@ class TestCanonicalDumps:
             "text": {"\u03bb\u2192\u221e": "tab\there \"quoted\" \\ \x00\x1f ", "": [],
                      "z": {}, "A": ("x", 1.5)},
         }
-        assert input_hash(obj) == \
+        assert hashlib.sha256(canonical_dumps(obj).encode()).hexdigest() == \
             "c9207c8c9ffefa9b0a3142bdb88c98de17f91aa1d35306ab341aa0e61962cd81"
 
 

@@ -171,6 +171,26 @@ class TestSubspectrum:
         assert d.max_im_rho == 0
         assert d.sum_inv_rho_sq == pytest.approx(np.sum(1 / lam))
 
+    @pytest.mark.parametrize("lambdas", [
+        (np.arange(1, 9) - 0.5) ** 2,
+        np.array([[1.0, 4.0, 9.0], [1.0, 4.5, 9.0 + 2j]]),
+    ], ids=["row", "stack"])
+    def test_diagnostics_computed_once(self, lambdas):
+        sub = Subspectrum(lambdas)
+        first = sub.diagnostics()
+        assert sub.require_simple().diagnostics() is first
+        assert first == Subspectrum(lambdas).diagnostics()
+
+    @pytest.mark.parametrize("method", ["drop_first", "take"])
+    def test_each_slice_has_its_own_diagnostics(self, method):
+        # the slices keep neither the close pair nor the gap of the whole
+        sub = Subspectrum([1.0, 4.0, 4.0 + 1e-9, 9.0, 25.0])
+        whole = sub.diagnostics()
+        part = getattr(sub, method)(2)
+        assert part.diagnostics() == Subspectrum(part.lambdas.copy()).diagnostics()
+        assert part.diagnostics().simple and not whole.simple
+        assert sub.diagnostics() is whole
+
     @pytest.mark.parametrize("method", ["drop_first", "take"])
     def test_negative_count_rejected(self, method):
         # a negative slice bound would keep the last eigenvalues instead
