@@ -4,11 +4,12 @@ sigma, `circle_zeros`), Weyl function, and the forward extraction of
 generalized Cauchy data (the oracle for inverse tests).
 
 The count reads the left solution at the starts of the product tree's
-factors (`ode.factor_values`): the groups of four cells inside the group
-radius, which by the Sturm comparison theorem hold at most one zero each,
-and the cells elsewhere.  It forms the characteristic function at X as
-well, and the index hands those values at the bracket ends to the
-refinement, which then evaluates delta inside the brackets only.
+factors (`ode.factor_values`) on the level that `ode` takes for each lambda:
+the groups of four cells or the pairs, which by the Sturm comparison
+theorem hold at most one zero each, or the cells.  It forms the
+characteristic function at X as well, and the index hands those values at
+the bracket ends to the refinement, which then evaluates delta inside the
+brackets only.
 
 The extraction fits the samples of Delta0 and Delta1 over the representation
 the inverse solve uses (`moments`): the slot layout, the probe tags with
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import IllConditioned, PoleProximity, RootLoss
 from .moments import _component_columns, _gram_block, _tags_for, slot_layout, svd_solve, trig_rows
-from .ode import _in_group_radius, endpoint_data, factor_values
+from .ode import _cells_per_factor, endpoint_data, factor_values
 from .trig import synth_series
 from .types import (
     SIMPLE_TOL,
@@ -369,13 +370,13 @@ def count_below(sigma: SigmaFunction, left: BoundaryPolyPair, right: BoundaryPol
     no factor can hold two.  By the Sturm comparison theorem (Coddington
     and Levinson, Theory of Ordinary Differential Equations, 1955, ch. 8) a
     solution of y'' = (s - lambda) y has at most one zero on an interval of
-    length L where (lambda - s) L^2 < pi^2.  A lambda inside the group radius
-    (`ode._in_group_radius`: 16 (|lambda| + max |s|) h^2 <= 1) takes the
-    groups of four cells, over which (lambda - s) (4h)^2 <= 1, so the nodes
-    0, 4, 8, ..., m count as every node would; the other lambdas take the
-    cells, and raise RootLoss where a cell has (lambda - s) h^2 >= pi^2.
-    Each lambda takes one path, chosen by |lambda| and sigma alone, as in
-    `ode.monodromy`.
+    length L where (lambda - s) L^2 < pi^2.  Each lambda takes the level of
+    `ode.monodromy` (`ode._cells_per_factor`, with r = (|lambda| + max |s|)
+    h^2): where 16 r <= 1 the groups of four cells, over which (lambda - s)
+    (4h)^2 <= 16 r <= 1, so the nodes 0, 4, 8, ..., m count as every node
+    would; where 4 r <= 1 the pairs, over which (lambda - s) (2h)^2 <= 4 r <=
+    1, and the nodes 0, 2, 4, ..., m; elsewhere the cells, which raise
+    RootLoss where a cell has (lambda - s) h^2 >= pi^2.
 
     Both pairs must be Herglotz (`BoundaryPolyPair.herglotz`), as
     `index_search` checks: the lifts (`BoundaryPolyPair.roots_below`) count
@@ -396,17 +397,15 @@ def _count_and_delta(sigma: SigmaFunction, left: BoundaryPolyPair, right: Bounda
     y0, yq0 = left.p1(lam).real, -left.p2(lam).real
     changes = np.empty(lam.size, dtype=int)
     y, yq = np.empty(lam.size), np.empty(lam.size)
-    groups = _in_group_radius(sigma, lam)
-    for path in (True, False):
-        cols = np.flatnonzero(groups == path)
-        if cols.size == 0:
-            continue
-        if not path:
+    levels = _cells_per_factor(sigma, lam)
+    for cells in np.unique(levels)[::-1].tolist():
+        cols = np.flatnonzero(levels == cells)
+        if cells == 1:
             mu2 = np.max(lam[cols]) - np.min(np.diff(sigma.samples.real)) / sigma.dx
             if mu2 * sigma.dx**2 >= np.pi**2:
                 raise RootLoss(f"cells too coarse to count the oscillations at lambda = "
                                f"{np.max(lam[cols]):.6g}")
-        starts, y[cols], yq[cols] = factor_values(sigma, lam[cols], y0[cols], yq0[cols], path)
+        starts, y[cols], yq[cols] = factor_values(sigma, lam[cols], y0[cols], yq0[cols], cells)
         # the start's sign, then phi's at every factor's end; a zero at X, of
         # either sign, ends a half-turn: it changes sign against the node
         # before it, and `_upper` turns its end vector to angle 0
@@ -440,9 +439,9 @@ def index_search(sigma: SigmaFunction, left: BoundaryPolyPair, right: BoundaryPo
 # ----------------------------------------------------------------------------
 
 def _solve_family(design, rhs, transform):
-    """Coefficients of the raw columns, condition number and relative residual
-    of the fit over the unit-norm columns of `design @ transform`; a
-    condition above 1e10 raises IllConditioned before `svd_solve`."""
+    """Coefficients of the raw columns, condition number and residual norm of
+    the fit over the unit-norm columns of `design @ transform`; a condition
+    above 1e10 raises IllConditioned before `svd_solve`."""
     design = design @ transform
     norms = np.linalg.norm(design, axis=0)
     norms[norms == 0] = 1.0
@@ -452,8 +451,7 @@ def _solve_family(design, rhs, transform):
     if cond > 1e10:
         raise IllConditioned(f"extraction design matrix condition {cond:.3e}")
     x = svd_solve(u, s, vh, rhs)
-    resid = np.linalg.norm(a @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
-    return transform @ (x / norms), cond, resid
+    return transform @ (x / norms), cond, np.linalg.norm(a @ x - rhs)
 
 
 def resample_cauchy(data: CauchyData, grid_m: int) -> CauchyData:
@@ -472,12 +470,14 @@ _EXTRACT_POLY = 3
 _EXTRACT_OVERSAMPLE = 10
 
 
-def _fit_family(kind, n_modes, rows, rhs, const):
-    """One family of the extraction fit at the samples of `rows` (`trig_rows`):
-    its kernel's series over the `kind` tags (trig modes, then monomials,
-    these orthogonalized against the modes in function space), the
-    coefficients of the `const` columns, the condition number and the
-    relative residual."""
+def _fit_family(kind, n_modes, rows, samples, free, const):
+    """One family of the extraction fit of `samples` - `free` at the samples
+    of `rows` (`trig_rows`): its kernel's series over the `kind` tags (trig
+    modes, then monomials, these orthogonalized against the modes in
+    function space), the coefficients of the `const` columns, the condition
+    number and the residual relative to the samples.  (For a zero potential
+    the targets are rounding noise, so a residual relative to them would
+    divide noise by noise.)"""
     tags = sorted(_tags_for(kind, n_modes, _EXTRACT_POLY), key=lambda tag: tag[0] == "poly")
     n_trig = sum(tag[0] != "poly" for tag in tags)
     against = "sin_over_rho" if kind == "sin" else "cos"
@@ -485,8 +485,8 @@ def _fit_family(kind, n_modes, rows, rhs, const):
     gram = _gram_block(tags)
     transform = np.eye(design.shape[1])
     transform[:n_trig, n_trig:len(tags)] = -gram[:n_trig, n_trig:] / np.diag(gram)[:n_trig, None]
-    x, cond, res = _solve_family(design, rhs, transform)
-    return tags, x[:len(tags)], x[len(tags):], cond, res
+    x, cond, res = _solve_family(design, samples - free, transform)
+    return tags, x[:len(tags)], x[len(tags):], cond, res / max(np.linalg.norm(samples), 1e-300)
 
 
 def extract_cauchy(sigma: SigmaFunction, pair: BoundaryPolyPair,
@@ -519,9 +519,9 @@ def extract_cauchy(sigma: SigmaFunction, pair: BoundaryPolyPair,
     e1, e0 = lay1.free_terms(rows.sin_pi / rho, rows.cos_pi)
     kind1, kind0 = lay1.kernels("sin", "cos")
     tags1, x1, a_odd, cond1, res1 = _fit_family(
-        kind1, n_modes, rows, d1 / lay1.k1 - e1, lay1.slots[:, 0::2] / lay1.k1[:, None])
+        kind1, n_modes, rows, d1 / lay1.k1, e1, lay1.slots[:, 0::2] / lay1.k1[:, None])
     tags0, x0, a_even, cond0, res0 = _fit_family(
-        kind0, n_modes, rows, d0 / lay0.k2 - e0, lay0.slots[:, 1::2] / lay0.k2[:, None])
+        kind0, n_modes, rows, d0 / lay0.k2, e0, lay0.slots[:, 1::2] / lay0.k2[:, None])
 
     t = sigma.nodes if grid_m is None else np.linspace(0.0, np.pi, grid_m + 1)
     a_vec = np.zeros(p, dtype=complex)

@@ -136,7 +136,7 @@ def problem_spectrum(sigma: SigmaFunction, pair: BoundaryPolyPair, f: EntirePair
             reason = "f is hl_right_half, and its sigma does not join the problem's"
         else:
             # a real sigma is its own real part: the count and delta share
-            # its group coefficients (`ode._group_coefficients`)
+            # its polynomial coefficients (`ode._coefficients`)
             real = whole if whole.is_real() else SigmaFunction(whole.samples.real, whole.interval_length)
             n = count if whole.is_real() else max(count, 2)
             if (index := index_search(real, pair, right, n)) is None:

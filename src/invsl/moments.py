@@ -342,7 +342,10 @@ def build_moment_system(subspectrum: Subspectrum, f: EntirePair, p: int, grid: i
 
 def xi_identity_residual(rhos: Sequence[complex]) -> float:
     """Max residual of the folding identity between sine products on (0, 2pi)
-    and two-component products on (0, pi).
+    and two-component products on (0, pi), relative to the size of the
+    products: entry (i, j) of |lhs - 2 rhs| over sqrt(|lhs_ii lhs_jj|), which
+    bounds |lhs_ij| (the Gram entries of an imaginary rho grow as sinh(2 pi
+    |rho|)^2, so an absolute residual grows with them).
 
     Both sides are evaluated by composite 12-point Gauss-Legendre quadrature
     (panel count follows the largest frequency), independently of the
@@ -362,7 +365,8 @@ def xi_identity_residual(rhos: Sequence[complex]) -> float:
     b_part = -np.cos(rho[:, None] * x1[None, :]) * np.sin(rho[:, None] * np.pi)
     rhs = (np.conj(a_part) * w1[None, :]) @ a_part.T + (np.conj(b_part) * w1[None, :]) @ b_part.T
 
-    return float(np.max(np.abs(lhs - 2.0 * rhs)))
+    norms = np.sqrt(np.abs(np.diag(lhs)))
+    return float(np.max(np.abs(lhs - 2.0 * rhs) / np.maximum(np.outer(norms, norms), 1e-300)))
 
 
 @dataclass(frozen=True)

@@ -5,35 +5,34 @@ constant on every grid cell and y'' = (s_k - lambda) y holds exactly inside
 cell k, with a closed-form constant-coefficient 2x2 transfer matrix (the
 Pruess piecewise-constant-coefficient method).  Its entries cos(w) and
 sin(w)/w at w^2 = (lambda - s_k) h^2 are entire in w^2, so no branch of the
-square root enters.  Where every cell of a lambda lies within
-_TAYLOR_RADIUS in w^2 they are its Taylor polynomials in w^2, defined here
-and expanded in powers of lambda h^2, so that the cells of a block of
-lambdas are one matrix product (`_cell_writer`); elsewhere they are the
-closed forms of `trig.cos_sinc_sqrt`, cell by cell.  Endpoint values come
-from the monodromy matrix, the ordered product of all cell matrices, reduced pairwise in
-log2(m) vectorized steps over the whole lambda batch; node-by-node trajectories, forward from x = 0, come from
-a down-sweep over the levels of that same tree, which all blocks of lambdas
-write in place into one workspace per call.  Where 16 (|lambda| h^2 + max
-|s| h^2) <= 1 the monodromy starts two levels up: the product of four
-adjacent cells is a polynomial in lambda h^2 too, whose coefficients
-(`_group_coefficients`) are built once per SigmaFunction object, so the
-tree's level-2 factors of a block are one matrix product (`_group_writer`)
-and the tree reduces ceil(m/4) of them.  Each lambda takes one path, chosen
-by |lambda| and sigma alone.  One down-sweep loop (`_down_sweep`) serves
-both trajectory entries: `node_values` runs it over the cells and returns
-every node, `factor_values` over the factors of either path, for the
-Pruefer-angle count, and returns the starts of the factors and the end
-alone.  The cells are stored in the
-tree's leaf order (`_leaf_order`, bit reversal for m a power of two): every
-level's pairs are its first half and its second half, contiguous rows, and
-an odd level carries its last factor up unchanged, as an FFT stores its
-input for contiguous butterflies.  The pairs and their association are
-those of adjacent cells, so the order changes no result.  Cost is
-independent of |lambda| and the Lagrange identity (det of the monodromy = 1)
-holds to rounding.  On the real axis (real sigma, every lambda of the batch
-real) the cell matrices and their product are computed in float64,
-elsewhere in complex128; endpoint values are returned as complex128 in both
-cases.
+square root enters.  Endpoint values come from the monodromy matrix, the
+ordered product of all cell matrices, reduced pairwise in log2(m) vectorized
+steps over the whole lambda batch; node-by-node trajectories, forward from x
+= 0, come from a down-sweep over the levels of that same tree, which all
+blocks of lambdas write in place into one workspace per call.
+
+With r = |lambda| h^2 + max |s| h^2, the tree of a lambda starts from one of
+three levels (`_cells_per_factor`): the groups of four adjacent cells where
+16 r <= 1, the pairs where 4 r <= 1, and the closed-form cells of
+`trig.cos_sinc_sqrt` elsewhere.  Where 4 r <= 1 the matrix of a cell, of a
+pair and of a group is a polynomial in lambda h^2, whose coefficients are
+built once per SigmaFunction object and level (`_coefficients`), so the
+factors of a block of lambdas are one matrix product (`_polynomial_writer`).
+One down-sweep loop (`_down_sweep`) serves both trajectory entries:
+`node_values` runs it over the cells, the polynomial ones where 4 r <= 1,
+and returns every node, `factor_values` over the factors of one level, for
+the Pruefer-angle count, and returns their starts and the end alone.  Each
+lambda takes one path, chosen by |lambda| and sigma alone.  Every level is
+stored in the tree's leaf order (`_leaf_order`, bit reversal for a power of
+two): every level's pairs are its first half and its second half, contiguous
+rows, and an odd level carries its last factor up unchanged, as an FFT
+stores its input for contiguous butterflies.  The pairs and their
+association are those of adjacent cells, so the order changes no result.
+Cost is independent of |lambda| and the Lagrange identity (det of the
+monodromy = 1) holds to rounding.  On the real axis (real sigma, every
+lambda of the batch real) the factors and their product are computed in
+float64, elsewhere in complex128; endpoint values are returned as complex128
+in both cases.
 
 A classical RK4 path over the same piecewise-linear sigma is kept as an
 independent cross-check (`rk4_node_values`); it converges at order 4 to the
@@ -64,16 +63,29 @@ _SINC = [(-1) ** k / math.factorial(2 * k + 1) for k in range(_TAYLOR_DEGREE + 1
 # Inside that radius the entries c = cos(w), sn = h sin(w)/w and msn =
 # -(z2 / h) sin(w)/w of a cell matrix are polynomials in z2 = (lambda - s) h^2
 # = x - t, x = lambda h^2 and t = s h^2, of degree D, D and D + 1 (D =
-# _TAYLOR_DEGREE).  Expanded, each is sum_ij (-t)^i _SHIFT[entry, i, j] x^j
-# at h = 1: _SHIFT[:, i, j] holds the coefficients of z2^(i + j) times
-# binomial(i + j, j).  Where |x| + |t| <= _TAYLOR_RADIUS the moduli of the
-# expanded terms sum to at most cosh(1/2) times the entry's scale (1, h and
-# (|x| + |t|) / h), so the expanded sums are as accurate as the polynomials
-# in z2, to a few roundings of that scale.
+# _TAYLOR_DEGREE).  Expanded, each is sum_ij (-t)^i _UNIT[j, entry, i] x^j at
+# h = 1, in the entry order (m00, m01, m10, m11) = (c, sn, msn, c):
+# _UNIT[j, :, i] holds the coefficients of z2^(i + j) times binomial(i + j,
+# j).  Where |x| + |t| <= _TAYLOR_RADIUS the moduli of the expanded terms sum
+# to at most cosh(1/2) times the entry's scale (1, h and (|x| + |t|) / h), so
+# the expanded sums are as accurate as the polynomials in z2, to a few
+# roundings of that scale.
 _POWERS = _TAYLOR_DEGREE + 2
-_SHIFT = np.array([[[math.comb(i + j, j) * a[i + j] if i + j < _POWERS else 0.0
-                     for j in range(_POWERS)] for i in range(_POWERS)]
-                   for a in (_COS + [0.0], _SINC + [0.0], [0.0] + [-b for b in _SINC])])
+_SERIES = _COS + [0.0], _SINC + [0.0], [0.0] + [-b for b in _SINC], _COS + [0.0]
+
+# k = 2 or 4 adjacent cells make one factor of the pair or the group level.
+# Their product is a polynomial in x as well, with coefficients that depend
+# on the t of its cells alone.  Where k^2 (|x| + max |t|) <= 1 the factor's
+# own w^2 = k^2 (x - t) is at most 1 in modulus on every cell: the transfer
+# matrix of y'' = y over the k cells at |x| + max |t| = 1/k^2 majorizes the
+# product term by term, so the terms of total degree n in x and the t sum to
+# at most 1/(2n)! of the entry's scale (1, kh and k (|x| + max |t|) / h; the
+# sum of all terms' moduli is at most cosh(1) ~ 1.54 times it), and keeping
+# x^0 ... x^10 leaves out at most 1/20! ~ 4e-19 of the scale, below eps/8.
+# (Degree 9 would do for the entries other than m10, which carries z2 / h.)
+# Where 4 (|x| + max |t|) <= 1 every cell lies inside the Taylor radius.
+_GROUP = 4
+_FACTOR_POWERS = 11
 
 
 def _real_view(a):
@@ -84,159 +96,112 @@ def _real_view(a):
 
 def _cell_writer(slopes, h):
     """write(lam, out): the transfer matrix [[c, sn], [msn, c]] of (y, y') over
-    every cell of these slopes, for a 1-D `lam`, into `out`, shape (4, cells,
-    lambdas), as its (m00, m01, m10, m11) entries.
-
-    A lambda with |lambda| h^2 + max |s| h^2 <= _TAYLOR_RADIUS puts every cell
-    inside the Taylor radius and takes the expanded polynomials
-    (`taylor`): _SHIFT times the powers of x gives the polynomials in -t of
-    every lambda, and one matrix product with the powers of -t, computed once
-    here, their values at every cell.  Both products are real: complex
-    powers of x and polynomials enter as their float64 views, complex slopes
-    as the real and the imaginary parts of the powers of -t, the latter
-    times i times the polynomials.  The other lambdas take cos_sinc_sqrt on
-    every cell (`direct`).  Either way the cells of a lambda depend on that
-    lambda and the slopes alone; a single lambda is padded to two columns
-    for that, since BLAS rounds a matrix-vector product otherwise than the
-    matrix product whose column it would be.
-    """
-    t = slopes * (h * h)
-    near_limit = (_TAYLOR_RADIUS - np.max(np.abs(t))) / (h * h)
-    neg_t = np.empty((_POWERS, t.size), t.dtype)
-    neg_t[0], neg_t[1] = 1.0, -t
-    k = 1
-    while k < _POWERS - 1:   # powers k + 1 ... k + n as powers 1 ... n times power k
-        n = min(k, _POWERS - 1 - k)
-        np.multiply(neg_t[1:n + 1], neg_t[k], out=neg_t[k + 1:k + n + 1])
-        k += n
-    parts = (neg_t.T,) if not np.iscomplexobj(t) else tuple(
-        np.ascontiguousarray(p.T) for p in (neg_t.real, neg_t.imag))
-    shift = (_SHIFT * np.array([1.0, h, 1.0 / h])[:, None, None]).reshape(-1, _POWERS)
-
-    def taylor(lam, dst):
-        x = np.empty((_POWERS, max(lam.size, 2)), lam.dtype)
-        x[0], x[1:] = 1.0, lam * (h * h)
-        np.multiply.accumulate(x[1:], out=x[1:])
-        poly = (shift @ _real_view(x)).view(x.dtype).reshape(3, _POWERS, -1)
-        cells = dst if lam.size > 1 else np.empty(dst.shape[:-1] + (2,), dst.dtype)
-        np.matmul(parts[0], _real_view(poly), out=_real_view(cells))
-        if len(parts) == 2:
-            _real_view(cells)[...] += parts[1] @ _real_view(1j * poly)
-        if cells is not dst:
-            dst[...] = cells[..., :1]
-
-    def direct(lam, dst):
+    every cell of these slopes in closed form (`trig.cos_sinc_sqrt`), for a
+    1-D `lam`, into `out`, shape (4, cells, lambdas), as its (m00, m01, m10,
+    m11) entries."""
+    def write(lam, out):
         mu2 = lam[None] - slopes[:, None]
         c, sinc = cos_sinc_sqrt(mu2 * (h * h))
-        dst[0] = c
-        np.multiply(sinc, h, out=dst[1])
-        np.negative(np.multiply(mu2, dst[1], out=dst[2]), out=dst[2])
-
-    def write(lam, out):
-        near = np.abs(lam) <= near_limit
-        if np.count_nonzero(near) in (0, lam.size):
-            (taylor if near[0] else direct)(lam, out[:3])
-        else:
-            for cols, part in ((near, taylor), (~near, direct)):
-                dst = np.empty((3, slopes.size, np.count_nonzero(cols)), lam.dtype)
-                part(lam[cols], dst)
-                out[:3, :, cols] = dst
+        out[0] = c
+        np.multiply(sinc, h, out=out[1])
+        np.negative(np.multiply(mu2, out[1], out=out[2]), out=out[2])
         out[3] = out[0]
 
     return write
 
 
-# Four adjacent cells make one factor of the group path.  Their product is a
-# polynomial in x = lambda h^2 as well, with coefficients that depend on the
-# t = s h^2 of its cells alone, so they are built once per SigmaFunction
-# (`_group_coefficients`).  Where 16 (|x| + max |t|) <= 1 the group's own w^2
-# = 16 (x - t) is at most 1 in modulus on every cell: the transfer matrix of
-# y'' = y over the four cells at |x| + max |t| = 1/16 majorizes the product
-# term by term, so the terms of total degree n in x and the t sum to at most
-# 1/(2n)! of the entry's scale (1, 4h and 4 (|x| + max |t|) / h; the sum of
-# all terms' moduli is at most cosh(1) ~ 1.54 times it), and keeping x^0 ...
-# x^10 leaves out at most 1/20! ~ 4e-19 of the scale, below eps/8.  (Degree
-# 9 would do for the entries other than m10, which carries z2 / h.)
-_GROUP = 4
-_GROUP_RADIUS = 1.0 / _GROUP**2
-_GROUP_POWERS = 11
-
-
 def _polynomial_product(a, b):
     """Coefficients of the 2x2 product a b of matrix polynomials in x, arrays
-    (_GROUP_POWERS, 4, n) of the coefficients of x^0, x^1, ... of (m00, m01,
-    m10, m11), truncated after x^(_GROUP_POWERS - 1)."""
+    (_FACTOR_POWERS, 4, n) of the coefficients of x^0, x^1, ... of (m00, m01,
+    m10, m11), truncated after x^(_FACTOR_POWERS - 1)."""
     n = b.shape[2]
-    right = np.zeros((2 * _GROUP_POWERS - 1, 4, n), b.dtype)
-    right[_GROUP_POWERS - 1:] = b
+    right = np.zeros((2 * _FACTOR_POWERS - 1, 4, n), b.dtype)
+    right[_FACTOR_POWERS - 1:] = b
     # shifted[k, :, :, l] = b[k - l], and 0 where l > k
-    shifted = np.lib.stride_tricks.sliding_window_view(right, _GROUP_POWERS, axis=0)[..., ::-1]
+    shifted = np.lib.stride_tricks.sliding_window_view(right, _FACTOR_POWERS, axis=0)[..., ::-1]
     # entry (r, c) of coefficient k of a b: the sum over s and l of a[l, r, s] b[k - l, s, c]
-    return np.einsum("lrsn,kscnl->krcn", np.ascontiguousarray(a).reshape(_GROUP_POWERS, 2, 2, n),
-                     shifted.reshape(_GROUP_POWERS, 2, 2, n, _GROUP_POWERS)).reshape(_GROUP_POWERS, 4, n)
+    return np.einsum("lrsn,kscnl->krcn", np.ascontiguousarray(a).reshape(_FACTOR_POWERS, 2, 2, n),
+                     shifted.reshape(_FACTOR_POWERS, 2, 2, n, _FACTOR_POWERS)).reshape(_FACTOR_POWERS, 4, n)
 
 
-# _UNIT[:, :, i] is the cell polynomial, (_GROUP_POWERS, 4) at h = 1, that
+# _UNIT[:, :, i] is the cell polynomial, (_FACTOR_POWERS, 4) at h = 1, that
 # (-t)^i multiplies, and _PAIR[i _POWERS + j] the product of the later cell's
 # _UNIT[..., i] by the earlier one's _UNIT[..., j], flattened: so the product
 # of two cells is the powers of their -t, multiplied out, times _PAIR.
-_UNIT = np.zeros((_GROUP_POWERS, 4, _POWERS))
-_UNIT[:_POWERS] = _SHIFT[[0, 1, 2, 0]].transpose(2, 0, 1)
+_UNIT = np.array([[[math.comb(i + j, j) * a[i + j] if i + j < _POWERS else 0.0
+                    for i in range(_POWERS)] for a in _SERIES] for j in range(_FACTOR_POWERS)])
 _PAIR = _polynomial_product(np.repeat(_UNIT, _POWERS, axis=2),
-                            np.tile(_UNIT, _POWERS)).reshape(4 * _GROUP_POWERS, -1).T
+                            np.tile(_UNIT, _POWERS)).reshape(4 * _FACTOR_POWERS, -1).T
 
 
-def _group_coefficients(sigma: SigmaFunction):
-    """The coefficients of every group's matrix polynomial in x, in the leaf
-    order of the tree over ceil(m / 4) factors: real arrays (4, groups,
-    _GROUP_POWERS) of the (m00, m01, m10, m11) entries, one for a real sigma
-    and the real and the imaginary parts for a complex one.
+def _polynomials(t, cells):
+    """The matrix polynomials in x at h = 1 of the factors of `cells` = 1, 2
+    or 4 adjacent cells with these t, in cell order: array (powers, 4,
+    factors) of the coefficients of x^0, x^1, ... of (m00, m01, m10, m11).
 
-    Built once per SigmaFunction object and kept in its __dict__ (its
-    samples are read-only, so they cannot go stale).  A group is the
-    product of its cells in the tree's own association, (T3 T2)(T1 T0): the
-    pairs are the powers of their -t times _PAIR, an odd m carries its last
-    cell up alone, and the pairs' products are truncated polynomial
-    products, an odd count of pairs padded with the identity, which
-    multiplies exactly; so the last group of an m that 4 does not divide is
-    the tree's carried factor.
+    A cell's is _UNIT times the powers of its -t.  The factors are the
+    products of the tree's own association, (T3 T2)(T1 T0): a pair is the
+    powers of its cells' -t, multiplied out, times _PAIR, an odd m carries
+    its last cell up alone, and the groups are truncated polynomial products
+    of the pairs, an odd count of pairs padded with the identity, which
+    multiplies exactly; so the last factor of an m that `cells` does not
+    divide is the tree's carried factor.
     """
-    memo = vars(sigma)
-    if "_group_coefficients" not in memo:
+    neg_t = np.empty((t.size, _POWERS), t.dtype)
+    neg_t[:, 0], neg_t[:, 1:] = 1.0, -t[:, None]
+    np.multiply.accumulate(neg_t[:, 1:], axis=1, out=neg_t[:, 1:])
+    if cells == 1:
+        return _UNIT[:_POWERS] @ neg_t.T
+    pairs = t.size // 2
+    later, earlier = neg_t[1:2 * pairs:2], neg_t[0:2 * pairs:2]
+    poly = (later[:, :, None] * earlier[:, None, :]).reshape(pairs, -1) @ _PAIR
+    poly = poly.reshape(pairs, _FACTOR_POWERS, 4).transpose(1, 2, 0)
+    if t.size % 2:
+        poly = np.concatenate((poly, (_UNIT @ neg_t[-1])[..., None]), axis=2)
+    if cells == 2:
+        return poly
+    if poly.shape[2] % 2:
+        poly = np.concatenate((poly, np.zeros((_FACTOR_POWERS, 4, 1))), axis=2)
+        poly[0, [0, 3], -1] = 1.0
+    return _polynomial_product(poly[..., 1::2], poly[..., 0::2])
+
+
+def _coefficients(sigma: SigmaFunction, cells):
+    """The coefficients of `_polynomials` for the factors of `cells` adjacent
+    cells of sigma, at its h, in the leaf order of the tree over them: real
+    arrays (4, factors, powers) of the (m00, m01, m10, m11) entries, one for
+    a real sigma and the real and the imaginary parts for a complex one.
+
+    Each level is built on its first use and kept (`_memo`).
+    """
+    memo = _memo(sigma)
+    if cells not in memo:
         h = sigma.dx
-        t = _slopes(sigma, 1j) * (h * h)   # complex unless sigma is real
-        neg_t = np.empty((t.size, _POWERS), t.dtype)
-        neg_t[:, 0], neg_t[:, 1:] = 1.0, -t[:, None]
-        np.multiply.accumulate(neg_t[:, 1:], axis=1, out=neg_t[:, 1:])
-        pairs = t.size // 2
-        later, earlier = neg_t[1:2 * pairs:2], neg_t[0:2 * pairs:2]
-        poly = (later[:, :, None] * earlier[:, None, :]).reshape(pairs, -1) @ _PAIR
-        poly = poly.reshape(pairs, _GROUP_POWERS, 4).transpose(1, 2, 0)
-        if t.size % 2:
-            poly = np.concatenate((poly, (_UNIT @ neg_t[-1])[..., None]), axis=2)
-        if poly.shape[2] % 2:
-            poly = np.concatenate((poly, np.zeros((_GROUP_POWERS, 4, 1))), axis=2)
-            poly[0, [0, 3], -1] = 1.0
-        poly = _polynomial_product(poly[..., 1::2], poly[..., 0::2])
+        poly = _polynomials(_slopes(sigma, 1j) * (h * h), cells)   # complex unless sigma is real
         poly *= np.array([1.0, h, 1.0 / h, 1.0])[:, None]
         poly = poly[..., _leaf_order(poly.shape[2])].transpose(1, 2, 0)
-        memo["_group_coefficients"] = tuple(
+        memo[cells] = tuple(
             np.ascontiguousarray(p) for p in ((poly,) if sigma.is_real() else (poly.real, poly.imag)))
-    return memo["_group_coefficients"]
+    return memo[cells]
 
 
-def _group_writer(coefficients, h):
-    """write(lam, out): the group matrices whose polynomial coefficients
-    `_group_coefficients` holds, for a 1-D `lam`, into `out`, shape (4,
-    groups, lambdas), as their (m00, m01, m10, m11) entries.
+def _polynomial_writer(coefficients, h):
+    """write(lam, out): the factor matrices whose polynomial coefficients
+    `_coefficients` holds, for a 1-D `lam`, into `out`, shape (4, factors,
+    lambdas), as their (m00, m01, m10, m11) entries.
 
-    One real matrix product of the coefficient rows by the powers of x per
-    entry, as in `_cell_writer`: complex powers enter as their float64 view,
-    the imaginary part of complex coefficients times i times the powers; a
-    single lambda is padded to two columns.
+    One real matrix product of the coefficient rows by the powers of x =
+    lambda h^2 per entry: complex powers enter as their float64 view, the
+    imaginary part of complex coefficients times i times the powers.  The
+    factors of a lambda depend on that lambda and the coefficients alone; a
+    single lambda is padded to two columns for that, since BLAS rounds a
+    matrix-vector product otherwise than the matrix product whose column it
+    would be.
     """
+    powers = coefficients[0].shape[-1]
+
     def write(lam, out):
-        x = np.empty((_GROUP_POWERS, max(lam.size, 2)), lam.dtype)
+        x = np.empty((powers, max(lam.size, 2)), lam.dtype)
         x[0], x[1:] = 1.0, lam * (h * h)
         np.multiply.accumulate(x[1:], out=x[1:])
         vals = out if lam.size > 1 else np.empty(out.shape[:-1] + (2,), out.dtype)
@@ -249,21 +214,37 @@ def _group_writer(coefficients, h):
     return write
 
 
-def _in_group_radius(sigma: SigmaFunction, lam):
-    """The lambdas of the 1-D `lam` with 16 (|lambda| h^2 + max |s| h^2) <= 1,
-    which take the group path of `monodromy`."""
-    h2 = sigma.dx * sigma.dx
-    return np.abs(lam) <= (_GROUP_RADIUS - np.max(np.abs(_slopes(sigma, lam))) * h2) / h2
+def _cells_per_factor(sigma: SigmaFunction, lam):
+    """The level of the tree's factors for every lambda of the 1-D `lam`: 4
+    (the groups) where 16 r <= 1, 2 (the pairs) where 4 r <= 1 and 1 (the
+    closed-form cells) elsewhere, with r = |lambda| h^2 + max |s| h^2 over
+    every cell's complex slope s.  `node_values` takes the polynomial cells
+    where it is 2 or 4."""
+    memo = _memo(sigma)
+    if "edges" not in memo:   # the largest |lambda| of the groups and of the pairs
+        h2 = sigma.dx * sigma.dx
+        t = np.max(np.abs(np.diff(sigma.samples) / sigma.dx)) * h2
+        memo["edges"] = (1.0 / _GROUP**2 - t) / h2, (_TAYLOR_RADIUS - t) / h2
+    groups, pairs = memo["edges"]
+    size = np.abs(lam)
+    return np.where(size <= groups, _GROUP, np.where(size <= pairs, 2, 1))
 
 
-def _group_matrices(sigma: SigmaFunction, lam):
-    """Every group's transfer matrix, in cell order, for a 1-D `lam` inside
-    the group radius: array (4, ceil(m / 4), lambdas) of its entries."""
-    groups = -(-sigma.m // _GROUP)
-    vals = np.empty((4, groups, lam.size), lam.dtype)
-    _group_writer(_group_coefficients(sigma), sigma.dx)(lam, vals)
+def _memo(sigma: SigmaFunction):
+    """The propagator's constants of sigma, kept in its __dict__ (its samples
+    are read-only, so they cannot go stale)."""
+    return vars(sigma).setdefault("_ode", {})
+
+
+def _factor_matrices(sigma: SigmaFunction, lam, cells, polynomial=True):
+    """Every factor's transfer matrix of the level `_leaves(sigma, lam, cells,
+    polynomial)`, in cell order, for a 1-D `lam`: array (4, factors,
+    lambdas) of its entries (m00, m01, m10, m11)."""
+    write, n, _ = _leaves(sigma, lam, cells, polynomial)
+    vals = np.empty((4, n, lam.size), lam.dtype)
+    write(lam, vals)
     out = np.empty_like(vals)
-    out[:, _leaf_order(groups)] = vals
+    out[:, _leaf_order(n)] = vals
     return out
 
 
@@ -272,14 +253,6 @@ def _slopes(sigma: SigmaFunction, lam):
     implies), complex128 otherwise."""
     real = not np.iscomplexobj(lam) or sigma.is_real()
     return np.diff(sigma.samples.real if real else sigma.samples) / sigma.dx
-
-
-def _cell_matrices(sigma: SigmaFunction, lam):
-    """Every cell's transfer matrix, in cell order, for a 1-D `lam`: array (4,
-    m, lambdas) of the entries (m00, m01, m10, m11) = (c, sn, msn, c)."""
-    out = np.empty((4, sigma.m, lam.size), lam.dtype)
-    _cell_writer(_slopes(sigma, lam), sigma.dx)(lam, out)
-    return out
 
 
 @functools.cache
@@ -300,14 +273,17 @@ def _leaf_order(m):
     return order
 
 
-# Lambdas per reduction block: the working set is (cells x block) per matrix
-# entry, so memory stays bounded on dense scans of thousands of lambdas.
-# Timed with the cells of one matrix product per block over 1640 lambdas
-# with |lambda| <= 1600 at 512 and 1024 cells (`monodromy`, two runs of
-# best-of-4 timings, 2-vCPU Xeon, 2 MB L2 per core, one BLAS thread): 96
-# was 4-6% faster on the real batch at 512 cells and 48 9% faster on the
-# complex one at 1024, but each was slower on two other batches; no block of
-# 32-256 beat 64 on all four, so 64 stays.
+# Lambdas per reduction block of the cells: the working set is (factors x
+# block) per matrix entry, so memory stays bounded on dense scans of
+# thousands of lambdas.  Timed with the cells of one matrix product per block
+# over 1640 lambdas with |lambda| <= 1600 at 512 and 1024 cells (`monodromy`,
+# two runs of best-of-4 timings, 2-vCPU Xeon, 2 MB L2 per core, one BLAS
+# thread): 96 was 4-6% faster on the real batch at 512 cells and 48 9% faster
+# on the complex one at 1024, but each was slower on two other batches; no
+# block of 32-256 beat 64 on all four, so 64 stays.  A level of k cells per
+# factor takes k x _BLOCK lambdas per block, the same working set: over 1640
+# real lambdas that made the groups 28-41% and the pairs 14-20% faster than
+# blocks of 64, at 512 and 1024 cells.
 _BLOCK = 64
 
 
@@ -338,29 +314,34 @@ def _tree(work, n):
     return levels
 
 
-def _leaves(sigma: SigmaFunction, lam, groups):
-    """(write, n): the writer of the n factors of the product of sigma's cells
-    in the tree's leaf order, for lambdas of the dtype of `lam`: the cells,
-    or their groups of four where `groups`."""
-    if groups:
-        return _group_writer(_group_coefficients(sigma), sigma.dx), -(-sigma.m // _GROUP)
-    return _cell_writer(_slopes(sigma, lam)[_leaf_order(sigma.m)], sigma.dx), sigma.m
+def _leaves(sigma: SigmaFunction, lam, cells, polynomial):
+    """(write, n, width): the writer of the n factors of `cells` adjacent
+    cells each (the last of fewer where `cells` does not divide m), in the
+    tree's leaf order, for lambdas of the dtype of `lam`, from that level's
+    polynomial coefficients where `polynomial`, else the closed-form cells
+    (cells = 1), and the lambdas per block of that level."""
+    if polynomial:
+        coefficients = _coefficients(sigma, cells)
+        write, n = _polynomial_writer(coefficients, sigma.dx), coefficients[0].shape[1]
+    else:
+        write, n = _cell_writer(_slopes(sigma, lam)[_leaf_order(sigma.m)], sigma.dx), sigma.m
+    return write, n, _BLOCK * cells
 
 
-def _blocks(write, n, lam):
-    """(slice, tree levels) of every block of the 1-D `lam`, in one workspace
-    that the next block overwrites, the n factors that write(chunk, dst)
-    puts there in leaf order."""
+def _blocks(write, n, width, lam):
+    """(slice, tree levels) of every block of `width` lambdas of the 1-D
+    `lam`, in one workspace that the next block overwrites, the n factors
+    that write(chunk, dst) puts there in leaf order."""
     k, rows = n, 1 + n // 2   # the product, the scratch
     while k > 1:   # and every other level
         rows, k = rows + k, (k + 1) // 2
-    buf = np.empty(4 * rows * min(_BLOCK, lam.size), lam.dtype)
-    for start in range(0, lam.size, _BLOCK):
-        chunk = lam[start:start + _BLOCK]
+    buf = np.empty(4 * rows * min(width, lam.size), lam.dtype)
+    for start in range(0, lam.size, width):
+        chunk = lam[start:start + width]
         # contiguous for a short last block too, so that every half is
         work = buf[:4 * rows * chunk.size].reshape(4, rows, chunk.size)
         write(chunk, work[:, :n])
-        yield slice(start, start + _BLOCK), _tree(work, n)
+        yield slice(start, start + width), _tree(work, n)
 
 
 def _finite(out):
@@ -406,10 +387,9 @@ def monodromy(sigma: SigmaFunction, lams):
 
     Returns M of shape (2, 2) + lam.shape: the solution with (y, y^{[1]})(0)
     = (a, b) ends at M @ (a, b), so the columns are C and S and det M = 1.
-    The cell matrices are reduced pairwise in log2(m) vectorized steps, over
-    blocks of lambdas; the lambdas inside the group radius
-    (`_in_group_radius`) start from the groups of four cells instead, the
-    tree's level-2 factors, and reduce ceil(m/4) of them.
+    The factors of each lambda's level (`_cells_per_factor`: groups of four
+    cells, pairs, or closed-form cells) are reduced pairwise in vectorized
+    steps, over blocks of lambdas.
 
     When sigma is real and no lambda has a nonzero imaginary part, the cell
     matrices and the tree are float64, otherwise complex128; both run the
@@ -421,12 +401,11 @@ def monodromy(sigma: SigmaFunction, lams):
     lam = lam.real.astype(float, copy=False) if real else lam.astype(complex, copy=False)
     flat = lam.ravel()
     out = np.empty((4, flat.size), dtype=lam.dtype)
-    groups = _in_group_radius(sigma, flat)
-    for path in (True, False):
-        cols = np.flatnonzero(groups == path)
-        if cols.size:
-            for block, levels in _blocks(*_leaves(sigma, flat, path), flat[cols]):
-                out[:, cols[block]] = levels[-1][:, 0]
+    levels = _cells_per_factor(sigma, flat)
+    for cells in np.unique(levels)[::-1].tolist():
+        cols = np.flatnonzero(levels == cells)
+        for block, tree in _blocks(*_leaves(sigma, flat, cells, cells > 1), flat[cols]):
+            out[:, cols[block]] = tree[-1][:, 0]
     _finite(out)
     return _to_quasi(out.reshape((4,) + lam.shape), sigma.samples[0], sigma.samples[-1])
 
@@ -445,14 +424,14 @@ def _start(sigma: SigmaFunction, lam, y0, yq0):
     return lam, start_y, yq0.ravel() + sig[0] * start_y, sig
 
 
-def _down_sweep(write, n, lam, start_y, start_v):
-    """(slice, vectors, end) of every block of the 1-D `lam`: (y, y') at the
-    start of each of the n factors that write(chunk, dst) puts in leaf order,
-    in leaf order, shape (2, n, block size), in one workspace that the next
-    block overwrites, and (y, y') at the end of their product, from (start_y,
-    start_v) at the start of the first."""
-    leaves = np.empty((2, n, min(_BLOCK, lam.size)), dtype=lam.dtype)
-    for block, levels in _blocks(write, n, lam):
+def _down_sweep(write, n, width, lam, start_y, start_v):
+    """(slice, vectors, end) of every block of `width` lambdas of the 1-D
+    `lam`: (y, y') at the start of each of the n factors that write(chunk,
+    dst) puts in leaf order, in leaf order, shape (2, n, block size), in one
+    workspace that the next block overwrites, and (y, y') at the end of their
+    product, from (start_y, start_v) at the start of the first."""
+    leaves = np.empty((2, n, min(width, lam.size)), dtype=lam.dtype)
+    for block, levels in _blocks(write, n, width, lam):
         vals = leaves[..., :levels[0].shape[-1]]
         vals[:, 0] = start_y[block], start_v[block]
         yield block, vals, _sweep(levels, vals)
@@ -462,43 +441,54 @@ def node_values(sigma: SigmaFunction, lams, y0, yq0):
     """(y, y^{[1]}) at every node for a batch of lambdas, forward from x = 0.
 
     The solution takes the values (y0, yq0) at x = 0; they broadcast against
-    the lambdas and may depend on them.  The same cell matrices as in
-    `monodromy` are reduced by the same tree, whose levels a down-sweep then
-    applies to the start vector: 2 log2(m) vectorized steps per block of
-    lambdas, whose node values come out in leaf order and are put back in
-    cell order once per block.  Returns (y, yq), each of shape (m + 1,) + lam.shape: float64
-    when sigma, the lambdas and the start values are real, complex128
-    otherwise.
+    the lambdas and may depend on them.  The cell matrices, polynomial for
+    the lambdas that `monodromy` takes in pairs or groups and closed-form
+    for the others, are reduced by the same tree, whose levels a down-sweep
+    then applies to the start vector: 2 log2(m) vectorized steps per block
+    of lambdas, whose node values come out in leaf order and are put back in
+    cell order once per block.  Returns (y, yq), each of shape (m + 1,) +
+    lam.shape: float64 when sigma, the lambdas and the start values are
+    real, complex128 otherwise.
     """
     lam = np.atleast_1d(np.asarray(lams))
     lam, start_y, start_v, sig = _start(sigma, lam, y0, yq0)
-    out = np.empty((2, sigma.m + 1, lam.size), dtype=lam.dtype)
-    for block, vals, last in _down_sweep(*_leaves(sigma, lam, False), lam.ravel(), start_y, start_v):
-        out[:, _leaf_order(sigma.m), block] = vals
-        out[:, -1, block] = [x[0] for x in last]
+    flat = lam.ravel()
+    out = np.empty((2, sigma.m + 1, flat.size), dtype=lam.dtype)
+    polynomial = _cells_per_factor(sigma, flat) > 1
+    for path in (True, False):
+        cols = np.flatnonzero(polynomial == path)
+        if cols.size:
+            # the lambdas of a mixed batch go through a copy
+            part = out if cols.size == flat.size else np.empty(out.shape[:2] + cols.shape, out.dtype)
+            for block, vals, last in _down_sweep(*_leaves(sigma, flat, 1, path), flat[cols],
+                                                 start_y[cols], start_v[cols]):
+                part[:, _leaf_order(sigma.m), block] = vals
+                part[:, -1, block] = [x[0] for x in last]
+            if part is not out:
+                out[..., cols] = part
     out = _finite(out).reshape(out.shape[:2] + lam.shape)
     sig = sig.reshape((-1,) + (1,) * lam.ndim)
     return out[0], out[1] - sig * out[0]
 
 
-def factor_values(sigma: SigmaFunction, lams, y0, yq0, groups):
+def factor_values(sigma: SigmaFunction, lams, y0, yq0, cells):
     """y at the start of every factor of the product tree, and (y, y^{[1]}) at
     X, for a 1-D batch of lambdas, forward from (y0, yq0) at x = 0.
 
-    The factors are those of `_leaves(sigma, lam, groups)`: the cells, whose
-    starts are the nodes 0, 1, ..., m - 1, or, for lambdas inside the group
-    radius (`_in_group_radius`), the groups of four cells, whose starts are
-    the nodes 0, 4, ..., 4 (ceil(m / 4) - 1); a last group of fewer cells is
-    the tree's carried factor.  The down-sweep is `node_values`', but y' turns
-    into y^{[1]} at X alone.  Returns y, shape (factors, lambdas), in cell
-    order, and y(X), y^{[1]}(X), shape (lambdas,) each; dtypes as in
-    `node_values`.
+    The factors are the level of `cells` cells that `_cells_per_factor`
+    gives these lambdas: the groups of four, whose starts are the nodes 0,
+    4, ..., 4 (ceil(m / 4) - 1), the pairs, whose starts are the nodes 0, 2,
+    ..., 2 (ceil(m / 2) - 1), or the closed-form cells, whose starts are the
+    nodes 0, 1, ..., m - 1; a last factor of fewer cells is the tree's
+    carried factor.  The down-sweep is `node_values`', but y' turns into
+    y^{[1]} at X alone.  Returns y, shape (factors, lambdas), in cell order,
+    and y(X), y^{[1]}(X), shape (lambdas,) each; dtypes as in `node_values`.
     """
     lam, start_y, start_v, sig = _start(sigma, np.atleast_1d(np.asarray(lams)), y0, yq0)
-    write, n = _leaves(sigma, lam, groups)
+    write, n, width = _leaves(sigma, lam, cells, cells > 1)
     starts = np.empty((n, lam.size), dtype=lam.dtype)
     end = np.empty((2, lam.size), dtype=lam.dtype)
-    for block, vals, last in _down_sweep(write, n, lam, start_y, start_v):
+    for block, vals, last in _down_sweep(write, n, width, lam, start_y, start_v):
         starts[_leaf_order(n), block] = vals[0]
         end[:, block] = [x[0] for x in last]
     _finite(starts)

@@ -58,7 +58,7 @@ class SigmaFunction:
 
     Equality and hashing are by identity, as for every array-valued type of
     this module: two objects with equal samples are different objects, and
-    each keeps its own memo of `ode`'s group coefficients.
+    each keeps its own memo of `ode`'s polynomial coefficients.
     """
 
     samples: np.ndarray

@@ -10,9 +10,8 @@ from invsl.forward import _muller_polish, extract_cauchy, resample_cauchy, windi
 from invsl.halfinverse import hl_entire_pair, hl_spectrum
 from invsl.ode import (
     _BLOCK,
-    _cell_matrices,
-    _group_matrices,
-    _in_group_radius,
+    _TAYLOR_RADIUS,
+    _factor_matrices,
     _real_axis,
     _to_quasi,
     node_values,
@@ -163,22 +162,14 @@ def every_node_count(sigma, left, right, lam):
     return changes + (turn > 0) + lifts[0] + lifts[1]
 
 
-def sequential_cells(sigma, lams, y0, v0):
-    """Reference propagator: the cell matrices applied one at a time, recorded at every node.
-
-    `v0` is y'(0) = y^{[1]}(0) + sigma(0) y(0); the start values do not
-    depend on lambda, but `y0` and `v0` may hold several start vectors in a
-    leading axis (shape (k, 1)) that broadcast against the lambdas.  The
-    result holds y and y' (keys "y", "v"), shape (m + 1,) + the broadcast
-    shape, in np.clongdouble.  The cells (their closed forms cos w, h
-    sin(w)/w and -(w^2/h) sin(w)/w at w^2 = (lambda - s) h^2) and their
-    products are formed in long double, so the loop adds next to no rounding
-    of its own, and tests compare the product tree of `invsl.ode` with it.
-    cos and sin of w = a + ib come from the real long-double functions of a
-    and b (cosh b and sinh b from one exp(b), to a long-double rounding of
-    cosh b), which numpy evaluates several times faster than the complex
-    ones.
-    """
+def long_double_cells(sigma, lams):
+    """The entries (c, sn, msn) of every cell's closed-form matrix [[c, sn],
+    [msn, c]] at a 1-D batch of lambdas, shape (m, lambdas) each, in
+    np.clongdouble: cos w, h sin(w)/w and -(w^2/h) sin(w)/w at w^2 = (lambda
+    - s) h^2.  cos and sin of w = a + ib come from the real long-double
+    functions of a and b (cosh b and sinh b from one exp(b), to a
+    long-double rounding of cosh b), which numpy evaluates several times
+    faster than the complex ones."""
     lam = np.atleast_1d(np.asarray(lams, dtype=complex))
     h = np.longdouble(sigma.dx)
     mu2 = lam.astype(np.clongdouble)[None] - (np.diff(sigma.samples.astype(np.clongdouble)) / h)[:, None]
@@ -187,7 +178,22 @@ def sequential_cells(sigma, lams, y0, v0):
     cos_a, sin_a, cosh_b, sinh_b = np.cos(a), np.sin(a), 0.5 * (e + 1 / e), 0.5 * (e - 1 / e)
     c = cos_a * cosh_b - 1j * (sin_a * sinh_b)
     sinc = (sin_a * cosh_b + 1j * (cos_a * sinh_b)) / np.where(w == 0, 1, w) + (w == 0)
-    sn, msn = h * sinc, -mu2 * h * sinc
+    return c, h * sinc, -mu2 * h * sinc
+
+
+def sequential_cells(sigma, lams, y0, v0):
+    """Reference propagator: the cell matrices applied one at a time, recorded at every node.
+
+    `v0` is y'(0) = y^{[1]}(0) + sigma(0) y(0); the start values do not
+    depend on lambda, but `y0` and `v0` may hold several start vectors in a
+    leading axis (shape (k, 1)) that broadcast against the lambdas.  The
+    result holds y and y' (keys "y", "v"), shape (m + 1,) + the broadcast
+    shape, in np.clongdouble.  The cells (`long_double_cells`) and their
+    products are formed in long double, so the loop adds next to no rounding
+    of its own, and tests compare the product tree of `invsl.ode` with it.
+    """
+    lam = np.atleast_1d(np.asarray(lams, dtype=complex))
+    c, sn, msn = long_double_cells(sigma, lam)
     ys = np.empty((sigma.m + 1,) + np.broadcast_shapes(np.shape(y0), np.shape(v0), lam.shape),
                   dtype=np.clongdouble)
     vs = np.empty_like(ys)
@@ -248,34 +254,51 @@ def _interleaved_blocks(factors, lam):
         yield slice(start, start + _BLOCK), _interleaved_tree(work, mats.shape[1])
 
 
+def reference_levels(sigma, lam):
+    """Cells per factor of every lambda, as `invsl.ode` chooses its levels:
+    4 where 16 r <= 1, 2 where 4 r <= 1, 1 elsewhere, with r = |lambda| h^2
+    + max |s| h^2."""
+    h2 = sigma.dx * sigma.dx
+    t = np.max(np.abs(np.diff(sigma.samples) / sigma.dx)) * h2
+    return np.select([np.abs(lam) <= (1 / 16 - t) / h2, np.abs(lam) <= (_TAYLOR_RADIUS - t) / h2], [4, 2], 1)
+
+
 def interleaved_monodromy(sigma, lam):
     """Reference `invsl.ode.monodromy` for a 1-D batch, by the interleaved tree
-    over the same factors: the groups of four cells for the lambdas inside
-    the group radius, the cells for the others."""
+    over the same factors (`invsl.ode._factor_matrices`, in cell order): the
+    groups of four cells, the pairs or the closed-form cells, by
+    `reference_levels`."""
     real = _real_axis(sigma, lam)
     lam = lam.real.astype(float) if real else lam.astype(complex)
     out = np.empty((4, lam.size), dtype=lam.dtype)
-    groups = _in_group_radius(sigma, lam)
-    for path, factors in ((True, _group_matrices), (False, _cell_matrices)):
-        cols = np.flatnonzero(groups == path)
-        for block, levels in _interleaved_blocks(lambda chunk: factors(sigma, chunk), lam[cols]):
+    rule = reference_levels(sigma, lam)
+    for cells in (4, 2, 1):
+        cols = np.flatnonzero(rule == cells)
+        for block, levels in _interleaved_blocks(
+                lambda chunk: _factor_matrices(sigma, chunk, cells, cells > 1), lam[cols]):
             out[:, cols[block]] = levels[-1][:, 0]
     return _to_quasi(out, sigma.samples[0], sigma.samples[-1])
 
 
 def interleaved_node_values(sigma, lam, y0, yq0):
     """Reference `invsl.ode.node_values` for a 1-D batch and scalar start
-    values, by the interleaved tree and sweep."""
+    values, by the interleaved tree and sweep over the cells: the polynomial
+    ones where `reference_levels` gives pairs or groups, the closed-form ones
+    elsewhere."""
     real = _real_axis(sigma, lam, y0, yq0)
     dtype = float if real else complex
     lam = lam.real.astype(dtype) if real else lam.astype(dtype)
     sig = sigma.samples.real if real else sigma.samples
     start = np.full(lam.size, y0, dtype), np.full(lam.size, yq0 + sig[0] * y0, dtype)
     out = np.empty((2, sigma.m + 1, lam.size), dtype=dtype)
-    for block, levels in _interleaved_blocks(lambda chunk: _cell_matrices(sigma, chunk), lam):
-        leaves, last = _interleaved_sweep(levels, (start[0][block], start[1][block]))
-        out[:, :-1, block] = leaves[:, :sigma.m]
-        out[:, -1, block] = [x[0] for x in last]
+    polynomial = reference_levels(sigma, lam) > 1
+    for path in (True, False):
+        cols = np.flatnonzero(polynomial == path)
+        for block, levels in _interleaved_blocks(lambda chunk: _factor_matrices(sigma, chunk, 1, path),
+                                                 lam[cols]):
+            leaves, last = _interleaved_sweep(levels, (start[0][cols[block]], start[1][cols[block]]))
+            out[:, :-1, cols[block]] = leaves[:, :sigma.m]
+            out[:, -1, cols[block]] = [x[0] for x in last]
     return out[0], out[1] - sig[:, None] * out[0]
 
 

@@ -107,6 +107,18 @@ class TestForward:
         cauchy = read_json(out / "cauchy.json")
         assert np.max(np.abs(complex_array(cauchy["j"]))) <= 1e-6
 
+    @pytest.mark.parametrize("kind", ["dirichlet_right", "neumann_right"])
+    def test_zero_potential_fit_residual(self, kind, tmp_path):
+        # the fit's targets are rounding noise for a zero potential, so the
+        # residual is relative to the delta samples (relative to the targets
+        # it read 0.30-0.81; measured 2.9e-15 and 1.8e-14 here)
+        sig = SigmaFunction.zero(np.pi, 512)
+        problem = write(tmp_path / "zero.json",
+                        problem_to_json(sig, BoundaryPolyPair([1.0], [0.0]), {"kind": kind}))
+        out = tmp_path / "out"
+        assert main(["forward", problem, "--eigs", "4", "--out", str(out)]) == 0
+        assert max(read_json(out / "cauchy.json")["fit"]["residual"]) <= 1e-12
+
     def test_eigenvalue_below_the_old_scan_window(self, tmp_path, capsys):
         # y^[1](0) = -5 y(0) puts index 0 at -24.703, below the -9 at which
         # the scan of forward's default window starts; the index path finds it

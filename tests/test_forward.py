@@ -22,7 +22,7 @@ from invsl.forward import (
     _solve_family,
 )
 from invsl.halfinverse import hl_entire_pair, problem_spectrum
-from invsl.ode import _in_group_radius
+from invsl.ode import _cells_per_factor
 from invsl.problems import forward_corpus, hl_exclusion_instance, roundtrip_corpus, sigma_bump, sigma_step
 from invsl.reconstruct import deltas_from_cauchy
 from invsl.types import BoundaryPolyPair, EntirePair, SigmaFunction
@@ -302,7 +302,7 @@ class TestIndexSearch:
 
         monkeypatch.setattr(forward, "factor_values", rounded_to_zero)
         assert sides[0] == sides[1] == count_below(SIG0, PAIR_FREE, RIGHT_NEU, [lam])[0]
-        assert hits == [True]   # the group path: 16 lambda h^2 = 0.31 <= 1
+        assert hits == [4]   # the groups: 16 lambda h^2 = 0.31 <= 1
 
     def test_dirichlet_right_end_counts_nothing_far_below(self):
         # beta = pi for r1 = 0; with beta = 0 the count stays at 1 as lambda
@@ -355,10 +355,11 @@ def _count_cases(m=None):
     return cases
 
 
-def _group_edge(sigma):
-    """The largest |lambda| of the group radius, from 16 (|lambda| + max |s|) h^2 = 1."""
+def _group_edge(sigma, cells=4):
+    """The largest |lambda| of the groups of four cells, from 16 (|lambda| +
+    max |s|) h^2 = 1, or of the pairs, from 4 (|lambda| + max |s|) h^2 = 1."""
     h2 = sigma.dx**2
-    return (1.0 / 16.0 - np.max(np.abs(np.diff(sigma.samples.real))) / sigma.dx * h2) / h2
+    return (1.0 / cells**2 - np.max(np.abs(np.diff(sigma.samples.real))) / sigma.dx * h2) / h2
 
 
 class TestGroupCount:
@@ -367,7 +368,7 @@ class TestGroupCount:
     def test_corpora_match_the_every_node_count(self):
         lam = np.linspace(-9.0, 900.0, 301)
         for name, sig, left, right in _count_cases():
-            assert np.all(_in_group_radius(sig, lam)), name
+            assert np.all(_cells_per_factor(sig, lam) == 4), name
             assert np.array_equal(count_below(sig, left, right, lam),
                                   every_node_count(sig, left, right, lam)), name
 
@@ -383,27 +384,41 @@ class TestGroupCount:
                                   every_node_count(sig, left, right, lam)), name
 
     def test_either_side_of_the_group_edge(self, monkeypatch):
-        # the lambdas a relative 1e-12 inside the edge take the groups, those
-        # outside the cells, as in monodromy
+        # the lambdas a relative 1e-12 inside the group edge take the groups,
+        # those outside it and inside the pair edge the pairs, those outside
+        # that the cells, as in monodromy
         propagate, paths = forward.factor_values, []
 
-        def recorded(sig, lam, y0, yq0, groups):
-            paths.append((lam.tolist(), groups))
-            return propagate(sig, lam, y0, yq0, groups)
+        def recorded(sig, lam, y0, yq0, cells):
+            paths.append((lam.tolist(), cells))
+            return propagate(sig, lam, y0, yq0, cells)
 
         monkeypatch.setattr(forward, "factor_values", recorded)
         for name, sig, left, right in _count_cases():
-            edge = _group_edge(sig) * np.array([1.0 - 1e-12, 1.0 + 1e-12])
-            lam = np.concatenate((edge, -edge))
+            edges = np.array([_group_edge(sig), _group_edge(sig, 2)])
+            lam = np.concatenate([e * np.array([1.0 - 1e-12, 1.0 + 1e-12]) for e in edges])
+            lam = np.concatenate((lam, -lam))
             paths.clear()
             assert np.array_equal(count_below(sig, left, right, lam),
                                   every_node_count(sig, left, right, lam)), name
-            assert paths == [(lam[0::2].tolist(), True), (lam[1::2].tolist(), False)], name
+            assert paths == [(lam[0::4].tolist(), 4), (lam[[1, 2, 5, 6]].tolist(), 2),
+                             (lam[3::4].tolist(), 1)], name
+
+    def test_pair_annulus_matches_the_every_node_count(self):
+        # between the group edge and the pair edge the count reads the
+        # nodes 0, 2, 4, ..., m: a pair has (lambda - s) (2h)^2 <= 1 < pi^2
+        for m in (None, 17, 64):
+            for name, sig, left, right in _count_cases(m):
+                rings = np.linspace(_group_edge(sig), _group_edge(sig, 2), 203)[1:-1]
+                lam = np.concatenate((rings, -rings))
+                assert np.all(_cells_per_factor(sig, lam) == 2), name
+                assert np.array_equal(count_below(sig, left, right, lam),
+                                      every_node_count(sig, left, right, lam)), name
 
     def test_batch_equals_single_lambdas(self):
         name, sig, left, right = _count_cases(64)[4]
         lam = np.linspace(-9.0, 600.0, 41)
-        assert 0 < np.count_nonzero(_in_group_radius(sig, lam)) < lam.size
+        assert set(_cells_per_factor(sig, lam).tolist()) == {1, 2, 4}
         single = [count_below(sig, left, right, [x])[0] for x in lam]
         assert np.array_equal(count_below(sig, left, right, lam), single)
 

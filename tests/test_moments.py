@@ -144,9 +144,8 @@ class TestXiIdentity:
     def test_drawn_sets_with_imaginary_rho(self, top, panels):
         # the (0, pi) rule is the first half of the (0, 2pi) rule; a (0, pi)
         # grid of its own has the same edges at 80 panels but not at 100 or
-        # 164, where its last edge is pi (at 164 a node moves by an ulp).  The
-        # residual is absolute and the entries grow as sinh(2 pi Im rho)^2,
-        # so the imaginary rho (lambda < 0) are drawn with |Im rho| < 0.5
+        # 164, where its last edge is pi (at 164 a node moves by an ulp); the
+        # imaginary rho (lambda < 0) are drawn with |Im rho| < 0.5
         rng = np.random.default_rng(int(top))
         worst = 0.0
         for _ in range(20):
@@ -157,6 +156,15 @@ class TestXiIdentity:
             assert int(max(24, 4 * np.ceil(np.max(np.abs(rho))))) == panels
             worst = max(worst, xi_identity_residual(rho))
         assert worst <= 1e-12
+
+
+    @pytest.mark.parametrize("lam0", [-1.0, -4.0, -9.0, -25.0])
+    def test_negative_eigenvalue_is_rounding_level(self, lam0):
+        # the Gram entries of rho = i sqrt(-lam0) grow as sinh(2 pi |rho|)^2,
+        # which the residual is relative to: as an absolute residual it read
+        # 2.9e-11, 1.1e-5, 4.75 and 3.4e11 on these valid sets (measured
+        # 8.1e-16 to 6.9e-15 relative)
+        assert xi_identity_residual(branch_sqrt(np.array([lam0, 1.0, 4.0, 9.0, 16.0]))) <= 1e-12
 
 
 class TestCompanionCollinearity:

@@ -13,6 +13,7 @@ from conftest import (
     fundamental_nodes,
     interleaved_monodromy,
     interleaved_node_values,
+    long_double_cells,
     sequential_cells,
 )
 import invsl
@@ -22,9 +23,8 @@ from invsl.ode import (
     _BLOCK,
     _GROUP,
     _TAYLOR_RADIUS,
-    _cell_matrices,
-    _group_matrices,
-    _in_group_radius,
+    _cells_per_factor,
+    _factor_matrices,
     _leaf_order,
     _tree,
     endpoint_data,
@@ -144,12 +144,12 @@ class TestProperties:
 
 # Tree against loop: the loop forms the closed-form cells and their products
 # in long double, so the deviation is the tree's own error, that of its
-# double cells or groups and of their products, relative to the largest
-# entry per lambda.  Measured max 9.2e-13, at m = 257 and lambda = 783.6 +
-# 0.63i, outside the group radius: there the Taylor cells are off by up to
-# 1.7 eps, with a bias (a mean of -1.0 eps in c) that adds up over the
-# cells; against 30-digit products of the same cells the loop agrees to the
-# last double bit.  The double loop of the same cells measured 6.4e-13.
+# double factors (groups, pairs or cells) and of their products, relative to
+# the largest entry per lambda.  Measured max 2.5e-13, at m = 512 and lambda
+# = 841.2 on the pair level (6.7e-14 at m = 257 and lambda = 783.6 + 0.63i,
+# where the pairs are within 3.1 eps of the long-double products of their
+# cells, with a mean of -0.15 eps in m00).  Against 30-digit products of the
+# same cells the loop agrees to the last double bit.
 TREE_RTOL = 1e-12
 
 
@@ -199,11 +199,13 @@ class TestMonodromy:
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("m", [16, 17, 33, 100, 257, 512, 1024])
-    @pytest.mark.parametrize("batch", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    @pytest.mark.parametrize("batch", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 4 * _BLOCK + 1])
     def test_bit_identical_to_the_interleaved_tree(self, m, batch):
         # contiguous halves in leaf order multiply the same pairs in the same
         # association as adjacent rows in cell order, so the propagator's
-        # results equal the interleaved reference to the last bit
+        # results equal the interleaved reference to the last bit; the
+        # reference reduces blocks of _BLOCK lambdas on every level, the
+        # propagator blocks of 2 _BLOCK pairs and 4 _BLOCK groups
         sig = sigma_random_smooth(m, scale=0.8, seed=m)
         rng = np.random.default_rng(batch)
         real = rng.uniform(-20.0, 1000.0, batch)
@@ -306,9 +308,10 @@ def _taylor_edge(sig):
 
 
 class TestTaylorCells:
-    """The cells of a lambda with |lambda| h^2 + max |s| h^2 <= R, from the
-    Taylor polynomials of cos(w) and sin(w)/w expanded in powers of lambda
-    h^2 (one matrix product per block of lambdas)."""
+    """The polynomial cells of a lambda with |lambda| h^2 + max |s| h^2 <= R,
+    the Taylor polynomials of cos(w) and sin(w)/w expanded in powers of
+    lambda h^2 (the level of one cell of `ode._coefficients`), which
+    `node_values` takes there."""
 
     @pytest.mark.parametrize("name", list(TAYLOR_SIGMAS))
     @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -326,7 +329,7 @@ class TestTaylorCells:
             lam = lam.astype(complex)
         calls = []
         monkeypatch.setattr(ode, "cos_sinc_sqrt", calls.append)
-        got = _cell_matrices(sig, lam)
+        got = _factor_matrices(sig, lam, 1)
         assert not calls
         mu2 = lam[None] - slopes[:, None]
         c, sinc = cos_sinc_sqrt(mu2 * h * h)
@@ -347,7 +350,7 @@ class TestTaylorCells:
         cells = [int(np.argmax(np.abs(slopes))), 0, 100, 300]
         with mpmath.workdps(30):
             for lam in batches:
-                got = _cell_matrices(sig, lam)
+                got = _factor_matrices(sig, lam, 1)
                 for k in cells:
                     for j, lv in enumerate(lam):
                         z2 = (mpmath.mpc(complex(lv)) - mpmath.mpc(complex(slopes[k]))) * mpmath.mpf(h) ** 2
@@ -359,8 +362,9 @@ class TestTaylorCells:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_the_edge_splits_the_paths(self, dtype, monkeypatch):
-        # lambdas a relative 1e-12 inside the edge take the product, those as
-        # far outside take cos_sinc_sqrt, on every cell and only they
+        # in node_values, lambdas a relative 1e-12 inside the edge take the
+        # polynomial cells, those as far outside take cos_sinc_sqrt, on
+        # every cell (in leaf order) and only they
         sig = sigma_random_smooth(64, scale=0.8, seed=3)
         edge = _taylor_edge(sig)
         lam = (edge * np.array([1 - 1e-12, -(1 - 1e-12), 1 + 1e-12, -(1 + 1e-12)])).astype(dtype)
@@ -371,18 +375,18 @@ class TestTaylorCells:
             return cos_sinc_sqrt(z2)
 
         monkeypatch.setattr(ode, "cos_sinc_sqrt", record)
-        _cell_matrices(sig, lam)
-        mu2 = lam[None, 2:] - _cell_slopes(sig)[:, None]
+        node_values(sig, lam, 0.3, -0.8)
+        mu2 = lam[None, 2:] - _cell_slopes(sig)[_leaf_order(sig.m), None]
         assert len(calls) == 1 and np.array_equal(calls[0], mu2 * (sig.dx * sig.dx))
 
     @pytest.mark.parametrize("batch", [1, 2, 63, 64, 65, 129])
     @pytest.mark.parametrize("kind", ["real", "complex lambda", "complex sigma"])
     def test_batch_equals_single_lambdas(self, batch, kind):
-        # lambdas on both sides of the Taylor edge and of the group edge, so
-        # that a batch mixes the group path with the cell path and blocks of
-        # the cell path mix the product and cos_sinc_sqrt: every column
-        # equals its lambda run alone, bit for bit (BLAS rounds no column by
-        # the width of the product)
+        # lambdas on both sides of the Taylor edge (the pair edge) and of the
+        # group edge, so that a batch mixes all three levels of monodromy and
+        # both kinds of cells of node_values: every column equals its lambda
+        # run alone, bit for bit (BLAS rounds no column by the width of the
+        # product)
         sig = sigma_random_smooth(257, scale=0.8, seed=6)
         if kind == "complex sigma":
             sig = SigmaFunction(sig.samples + 0.2j * np.sin(sig.nodes), np.pi)
@@ -392,8 +396,7 @@ class TestTaylorCells:
         if kind == "complex lambda":
             lam = lam + 1j * rng.uniform(-3.0, 3.0, batch)
         if batch > 60:
-            near, groups = np.abs(lam) <= _taylor_edge(sig), _in_group_radius(sig, lam)
-            assert np.any(groups) and np.any(near[~groups]) and not np.all(near[~groups][:64])
+            assert set(_cells_per_factor(sig, lam[:64]).tolist()) == {1, 2, 4}
         mono = monodromy(sig, lam)
         y, yq = node_values(sig, lam, 0.3, -0.8)
         for k, lv in enumerate(lam):
@@ -402,15 +405,17 @@ class TestTaylorCells:
             assert np.array_equal(yk[:, 0], y[:, k]) and np.array_equal(yqk[:, 0], yq[:, k])
 
 
-def _group_edge(sig):
-    """The |lambda| at which 16 (|lambda| h^2 + max |s| h^2) = 1."""
-    return 1.0 / (16 * sig.dx**2) - np.max(np.abs(_cell_slopes(sig)))
+def _group_edge(sig, cells=_GROUP):
+    """The |lambda| at which cells^2 (|lambda| h^2 + max |s| h^2) = 1: the
+    edge of the groups of four cells, or of the pairs."""
+    return 1.0 / (cells**2 * sig.dx**2) - np.max(np.abs(_cell_slopes(sig)))
 
 
-def _group_lambdas(sig, kind, size, seed):
-    """Lambdas out to a relative 1e-12 inside the group edge, both ends of the
-    real segment first: real, or complex of every argument."""
-    edge = _group_edge(sig) * (1.0 - 1e-12)
+def _group_lambdas(sig, kind, size, seed, cells=_GROUP):
+    """Lambdas out to a relative 1e-12 inside the edge of the level of
+    `cells` cells, both ends of the real segment first: real, or complex of
+    every argument."""
+    edge = _group_edge(sig, cells) * (1.0 - 1e-12)
     rng = np.random.default_rng(seed)
     lam = edge * rng.uniform(-1.0, 1.0, size)
     if kind == "complex lambda":
@@ -427,108 +432,126 @@ def _group_sigma(m, kind):
 
 
 class TestGroups:
-    """The factors of four adjacent cells that `monodromy` reduces for the
-    lambdas with 16 (|lambda| h^2 + max |s| h^2) <= 1: polynomials in lambda
-    h^2 whose coefficients are built once per SigmaFunction."""
+    """The factors of two and of four adjacent cells that `monodromy`
+    reduces for the lambdas with 4 (|lambda| h^2 + max |s| h^2) <= 1 and 16
+    (|lambda| h^2 + max |s| h^2) <= 1: polynomials in lambda h^2 whose
+    coefficients are built once per SigmaFunction."""
 
     KINDS = ["real", "complex lambda", "complex sigma"]
 
     @pytest.mark.parametrize("m", [16, 17, 18, 19, 512])
     @pytest.mark.parametrize("kind", KINDS)
     def test_match_the_product_of_their_cells(self, m, kind):
-        # every entry within 32 eps of its majorant scale (1, 4h, 4 (|lambda|
-        # + max |s|) h and 1) of the ordered product of its cells' matrices,
-        # out to the edge; the last group holds m mod 4 cells where 4 does
-        # not divide m (measured at most 15 eps, most of it the rounding of
-        # the cell product: the groups are within 4 eps of 30 digits)
+        # pairs and groups: every entry within 32 eps of its majorant scale
+        # (1, kh, kh (|lambda| + max |s|) and 1, k cells per factor) of the
+        # long-double product of its closed-form cells, out to the edge; the
+        # last factor holds m mod k cells where k does not divide m
+        # (measured at most 6.1 eps for the pairs and 6.7 eps for the groups)
         sig = _group_sigma(m, kind)
-        lam = _group_lambdas(sig, kind, 64, seed=m)
-        assert np.all(_in_group_radius(sig, lam))
-        got, cells = _group_matrices(sig, lam), _cell_matrices(sig, lam)
-        assert got.shape == (4, -(-m // _GROUP), lam.size)
         h = sig.dx
-        scales = 1.0, 4 * h, 4 * h * (np.abs(lam) + np.max(np.abs(_cell_slopes(sig)))), 1.0
-        for k in range(got.shape[1]):
-            ref = np.zeros_like(cells[:, 0])
+        for cells in (2, _GROUP):
+            lam = _group_lambdas(sig, kind, 64, seed=m, cells=cells)
+            assert np.all(_cells_per_factor(sig, lam) >= cells)
+            got = _factor_matrices(sig, lam, cells)
+            n = -(-m // cells)
+            assert got.shape == (4, n, lam.size)
+            c, sn, msn = long_double_cells(sig, lam)
+            mats = np.zeros((4, n * cells, lam.size), np.clongdouble)
+            mats[0] = mats[3] = 1.0   # the identity after the last cell
+            mats[:, :m] = c, sn, msn, c
+            ref = np.zeros((4, n, lam.size), np.clongdouble)
             ref[0] = ref[3] = 1.0
-            for a in cells[:, _GROUP * k:_GROUP * (k + 1)].transpose(1, 0, 2):
+            for j in range(cells):
+                a = mats[:, j::cells]
                 ref = [a[0] * ref[0] + a[1] * ref[2], a[0] * ref[1] + a[1] * ref[3],
                        a[2] * ref[0] + a[3] * ref[2], a[2] * ref[1] + a[3] * ref[3]]
-            for g, r, scale in zip(got[:, k], ref, scales):
-                assert np.max(np.abs(g - r) / scale) <= 32 * EPS
+            scales = 1.0, cells * h, cells * h * (np.abs(lam) + np.max(np.abs(_cell_slopes(sig)))), 1.0
+            for g, r, scale in zip(got, ref, scales):
+                assert np.max(np.abs(g - r) / scale) <= 32 * EPS, cells
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_against_mpmath_on_the_edge(self, kind):
-        # four lambdas on the edge and inside it, six groups, against the
-        # product of their closed-form cells at 30 digits, within 16 eps of
-        # the scale (measured at most 4 eps here, 7 eps on other lambdas of
-        # the edge)
+        # four lambdas on the edge and inside it, six pairs and six groups,
+        # against the product of their closed-form cells at 30 digits,
+        # within 16 eps of the scale (measured at most 3.0 eps for the pairs
+        # and 4.0 eps for the groups here, 7 eps on other lambdas of the
+        # group edge)
         mpmath = pytest.importorskip("mpmath")
         sig = _group_sigma(512, kind)
         h, slopes = sig.dx, _cell_slopes(sig)
-        lam = _group_lambdas(sig, kind, 4, seed=1)
-        got = _group_matrices(sig, lam)
         with mpmath.workdps(30):
-            for k in (0, 1, 5, 40, 77, 127):
-                for j, lv in enumerate(lam):
-                    ref = mpmath.eye(2)
-                    for s in slopes[_GROUP * k:_GROUP * (k + 1)]:
-                        z2 = (mpmath.mpc(complex(lv)) - mpmath.mpc(complex(s))) * mpmath.mpf(h) ** 2
-                        c, sinc = mpmath.cos(mpmath.sqrt(z2)), mpmath.sinc(mpmath.sqrt(z2))
-                        ref = mpmath.matrix([[c, h * sinc], [-z2 / h * sinc, c]]) * ref
-                    scales = 1.0, 4 * h, 4 * h * (abs(lv) + np.max(np.abs(slopes))), 1.0
-                    for e, scale in enumerate(scales):
-                        assert abs(complex(got[e, k, j]) - complex(ref[e // 2, e % 2])) <= 16 * EPS * scale
+            for cells in (2, _GROUP):
+                lam = _group_lambdas(sig, kind, 4, seed=1, cells=cells)
+                got = _factor_matrices(sig, lam, cells)
+                for k in (0, 1, 5, 40, 77, 127):
+                    for j, lv in enumerate(lam):
+                        ref = mpmath.eye(2)
+                        for s in slopes[cells * k:cells * (k + 1)]:
+                            z2 = (mpmath.mpc(complex(lv)) - mpmath.mpc(complex(s))) * mpmath.mpf(h) ** 2
+                            c, sinc = mpmath.cos(mpmath.sqrt(z2)), mpmath.sinc(mpmath.sqrt(z2))
+                            ref = mpmath.matrix([[c, h * sinc], [-z2 / h * sinc, c]]) * ref
+                        scales = 1.0, cells * h, cells * h * (abs(lv) + np.max(np.abs(slopes))), 1.0
+                        for e, scale in enumerate(scales):
+                            dev = abs(complex(got[e, k, j]) - complex(ref[e // 2, e % 2]))
+                            assert dev <= 16 * EPS * scale, cells
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_the_edge_splits_the_paths(self, dtype, monkeypatch):
         # lambdas a relative 1e-12 inside the group edge take the groups,
-        # those as far outside take the cells, and only they
+        # those as far outside and inside the pair edge the pairs, those
+        # outside it the closed-form cells, and only they
         sig = sigma_random_smooth(64, scale=0.8, seed=3)
-        edge = _group_edge(sig)
-        lam = (edge * np.array([1 - 1e-12, -(1 - 1e-12), 1 + 1e-12, -(1 + 1e-12)])).astype(dtype)
+        edges = np.repeat([_group_edge(sig), _group_edge(sig, 2)], 4)
+        lam = (edges * np.tile([1 - 1e-12, -(1 - 1e-12), 1 + 1e-12, -(1 + 1e-12)], 2)).astype(dtype)
         seen = {}
 
-        def spy(name):
+        def spy(name, factors):
             writer = getattr(ode, name)
 
             def make(*args):
                 write = writer(*args)
 
                 def record(chunk, out):
-                    seen.setdefault(name, []).append(chunk.copy())
+                    seen.setdefault(factors(*args), []).append(chunk.copy())
                     write(chunk, out)
                 return record
             monkeypatch.setattr(ode, name, make)
 
-        spy("_group_writer")
-        spy("_cell_writer")
+        spy("_polynomial_writer", lambda coefficients, h: coefficients[0].shape[1])
+        spy("_cell_writer", lambda slopes, h: slopes.size)
         monodromy(sig, lam)
-        assert np.array_equal(_in_group_radius(sig, lam), [True, True, False, False])
-        assert np.array_equal(np.concatenate(seen["_group_writer"]), lam[:2])
-        assert np.array_equal(np.concatenate(seen["_cell_writer"]), lam[2:])
+        assert np.array_equal(_cells_per_factor(sig, lam), [4, 4, 2, 2, 2, 2, 1, 1])
+        assert sorted(seen) == [16, 32, 64]
+        for factors, cols in ((16, lam[:2]), (32, lam[2:6]), (64, lam[6:])):
+            assert np.array_equal(np.concatenate(seen[factors]), cols)
 
     def test_built_once_per_sigma_object(self, monkeypatch):
-        # the coefficients are built on the first call that takes the group
-        # path and kept on that object; an equal new object builds its own,
-        # and lambdas outside the radius build none
+        # each level's coefficients are built on the first call that takes
+        # it and kept on that object; an equal new object builds its own,
+        # and lambdas outside the pair radius build none
         built = []
-        product = ode._polynomial_product
+        polynomials = ode._polynomials
 
-        def count(a, b):
-            built.append(a.shape[-1])
-            return product(a, b)
+        def count(t, cells):
+            built.append(cells)
+            return polynomials(t, cells)
 
-        monkeypatch.setattr(ode, "_polynomial_product", count)
+        monkeypatch.setattr(ode, "_polynomials", count)
         sig = sigma_random_smooth(64, scale=0.8, seed=3)
-        far = np.array([2.0 * _group_edge(sig)])
+        far = np.array([2.0 * _group_edge(sig, 2)])
         monodromy(sig, far)
+        node_values(sig, far, 0.3, -0.8)
         assert built == []
         for lam in ([1.0], [1.0, 2.0 + 1j], [3.0]):
             monodromy(sig, np.array(lam))
-        assert built == [16]
+        assert built == [4]
+        pair = np.array([0.5 * (_group_edge(sig) + _group_edge(sig, 2))])
+        for _ in range(2):
+            monodromy(sig, pair)
+            node_values(sig, np.array([1.0]), 0.3, -0.8)
+        assert built == [4, 2, 1]
         monodromy(SigmaFunction(sig.samples, sig.interval_length), np.array([1.0]))
-        assert built == [16, 16]
+        assert built == [4, 2, 1, 4]
 
 
 class TestLeafOrder:
@@ -553,8 +576,7 @@ def _nodewise_dev(got, ref):
 
 class TestNodeValues:
     # the down-sweep over the tree levels against the long-double cell loop
-    # (measured max 9.9e-14 over these cases, 1.4e-14 against the double
-    # loop of the same cells)
+    # (measured max 5.3e-14 over these cases)
     @pytest.mark.parametrize("m", [16, 17, 257, 512])
     def test_matches_sequential_loop(self, m):
         sig = sigma_random_smooth(m, scale=0.8, seed=m)
