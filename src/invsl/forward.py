@@ -12,8 +12,10 @@ the bracket ends to the refinement, which then evaluates delta inside the
 brackets only.
 
 The extraction fits the samples of Delta0 and Delta1 over the representation
-the inverse solve uses (`moments`): the slot layout, the probe tags with
+the inverse solve uses (`moments`): the slot layout, the probe families with
 their closed-form columns and Gram matrix, and the SVD least-squares step.
+Each direction keeps its own weighting: the extraction scales its columns to
+unit norm, the inverse solve its rows by 1/||v_n||.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import IllConditioned, PoleProximity, RootLoss
-from .moments import _component_columns, _gram_block, _tags_for, slot_layout, svd_solve, trig_rows
+from .moments import _component_columns, _gram_block, probe_family, slot_layout, svd_solve, trig_rows
 from .ode import _cells_per_factor, endpoint_data, factor_values
 from .trig import synth_series
 from .types import (
@@ -441,17 +443,15 @@ def index_search(sigma: SigmaFunction, left: BoundaryPolyPair, right: BoundaryPo
 def _solve_family(design, rhs, transform):
     """Coefficients of the raw columns, condition number and residual norm of
     the fit over the unit-norm columns of `design @ transform`; a condition
-    above 1e10 raises IllConditioned before `svd_solve`."""
+    above 1e10 raises IllConditioned."""
     design = design @ transform
     norms = np.linalg.norm(design, axis=0)
     norms[norms == 0] = 1.0
-    a = design / norms
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    x, s, residual = svd_solve(design / norms, rhs)
     cond = s[0] / s[-1] if s[-1] > 0 else np.inf
     if cond > 1e10:
         raise IllConditioned(f"extraction design matrix condition {cond:.3e}")
-    x = svd_solve(u, s, vh, rhs)
-    return transform @ (x / norms), cond, np.linalg.norm(a @ x - rhs)
+    return transform @ (x / norms), cond, residual
 
 
 def resample_cauchy(data: CauchyData, grid_m: int) -> CauchyData:
@@ -470,23 +470,21 @@ _EXTRACT_POLY = 3
 _EXTRACT_OVERSAMPLE = 10
 
 
-def _fit_family(kind, n_modes, rows, samples, free, const):
+def _fit_family(family, rows, samples, free, const):
     """One family of the extraction fit of `samples` - `free` at the samples
-    of `rows` (`trig_rows`): its kernel's series over the `kind` tags (trig
-    modes, then monomials, these orthogonalized against the modes in
-    function space), the coefficients of the `const` columns, the condition
-    number and the residual relative to the samples.  (For a zero potential
-    the targets are rounding noise, so a residual relative to them would
-    divide noise by noise.)"""
-    tags = sorted(_tags_for(kind, n_modes, _EXTRACT_POLY), key=lambda tag: tag[0] == "poly")
-    n_trig = sum(tag[0] != "poly" for tag in tags)
-    against = "sin_over_rho" if kind == "sin" else "cos"
-    design = np.concatenate([_component_columns(tags, rows, against), const], axis=1)
-    gram = _gram_block(tags)
+    of `rows` (`trig_rows`): its kernel's series over the probe `family`
+    (its monomials orthogonalized against its modes in function space), the
+    coefficients of the `const` columns, the condition number and the
+    residual relative to the samples.  (For a zero potential the targets are
+    rounding noise, so a residual relative to them would divide noise by
+    noise.)"""
+    n_poly, n = len(family.degrees), len(family)
+    design = np.concatenate([_component_columns(family, rows), const], axis=1)
+    gram = _gram_block(family)
     transform = np.eye(design.shape[1])
-    transform[:n_trig, n_trig:len(tags)] = -gram[:n_trig, n_trig:] / np.diag(gram)[:n_trig, None]
+    transform[n_poly:n, :n_poly] = -gram[n_poly:, :n_poly] / np.diag(gram)[n_poly:, None]
     x, cond, res = _solve_family(design, samples - free, transform)
-    return tags, x[:len(tags)], x[len(tags):], cond, res / max(np.linalg.norm(samples), 1e-300)
+    return x[:n], x[n:], cond, res / max(np.linalg.norm(samples), 1e-300)
 
 
 def extract_cauchy(sigma: SigmaFunction, pair: BoundaryPolyPair,
@@ -517,18 +515,19 @@ def extract_cauchy(sigma: SigmaFunction, pair: BoundaryPolyPair,
     lay0 = slot_layout(p, lam, 0.0, 1.0)
     rows = trig_rows(rho)
     e1, e0 = lay1.free_terms(rows.sin_pi / rho, rows.cos_pi)
-    kind1, kind0 = lay1.kernels("sin", "cos")
-    tags1, x1, a_odd, cond1, res1 = _fit_family(
-        kind1, n_modes, rows, d1 / lay1.k1, e1, lay1.slots[:, 0::2] / lay1.k1[:, None])
-    tags0, x0, a_even, cond0, res0 = _fit_family(
-        kind0, n_modes, rows, d0 / lay0.k2, e0, lay0.slots[:, 1::2] / lay0.k2[:, None])
+    fam1, fam0 = lay1.kernels(probe_family("sin", n_modes, _EXTRACT_POLY, 1.0),
+                              probe_family("cos", n_modes, _EXTRACT_POLY, 1.0))
+    x1, a_odd, cond1, res1 = _fit_family(
+        fam1, rows, d1 / lay1.k1, e1, lay1.slots[:, 0::2] / lay1.k1[:, None])
+    x0, a_even, cond0, res0 = _fit_family(
+        fam0, rows, d0 / lay0.k2, e0, lay0.slots[:, 1::2] / lay0.k2[:, None])
 
     t = sigma.nodes if grid_m is None else np.linspace(0.0, np.pi, grid_m + 1)
     a_vec = np.zeros(p, dtype=complex)
     a_vec[0::2] = a_odd
     a_vec[1::2] = a_even
-    series = {"j": (tags1, x1), "g": (tags0, x0)}
+    series = {"j": (fam1, x1), "g": (fam0, x0)}
     meta = {"cond": (cond1, cond0), "residual": (res1, res0),
             "n_modes": n_modes, "n_poly": _EXTRACT_POLY}
-    return CauchyData(j=synth_series(tags1, x1, t), g=synth_series(tags0, x0, t), a=a_vec,
+    return CauchyData(j=synth_series(fam1, x1, t), g=synth_series(fam0, x0, t), a=a_vec,
                       series=series, meta=meta)

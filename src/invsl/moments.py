@@ -3,10 +3,12 @@
 system built on it.
 
 `slot_layout` is the one place that knows how the boundary degree p arranges
-the moment row v(t, lambda).  `_tags_for` names the probe functions, with
-their closed-form columns (`_component_columns`, from the per-row values of
+the moment row v(t, lambda).  A `ProbeFamily` (`probe_family`) holds the
+probe functions of one kernel component, monomials then modes, with their
+closed-form columns (`_component_columns`, from the per-row values of
 `trig_rows`) and the Gram matrix read from those columns (`_gram_block`);
-`svd_solve` is the one least-squares step, also over a stack of systems.
+`svd_solve` is the one least-squares step, SVD and residual included, also
+over a stack of systems.
 `build_moment_system` lays the rows of a subspectrum out once and keeps the
 layout; the targets w (`build_w`) and the row norms (`row_norm_exact`) are
 read from it.  Also here: one row v(., lambda) on a grid as an element of H
@@ -80,76 +82,69 @@ def slot_layout(p: int, lam=0.0, f1=1.0, f2=1.0) -> SlotLayout:
     return SlotLayout(k1=f1 * lam ** (n + odd), k2=f2 * lam**n, h1_sin=bool(odd), slots=slots)
 
 
-def _tags_for(kind: str, n_modes: int, n_poly: int, freq_step: float = 1.0):
-    tags = []
-    if kind == "sin":
-        poly_range = range(0, n_poly)          # constants not in finite sine span
-    else:
-        poly_range = range(1, n_poly)          # cos family already has the constant
-    tags.extend(("poly", m) for m in poly_range)
-    if kind == "sin":
-        tags.extend(("sin", freq_step * j) for j in range(1, n_modes + 1))
-    else:
-        tags.extend(("cos", freq_step * j) for j in range(0, n_modes))
-    return tags
-
-
-def _gram_block(tags) -> np.ndarray:
-    """Gram matrix over [0, pi] of one family's monomial and trig tags.
-
-    The rows of the trig tags are the family's own columns
-    (`_component_columns`) at its trig frequencies mu, times mu for the sine
-    family; the monomial pairs come from `poly_poly`.  The lower triangle is
-    mirrored into the upper one, so the matrix is exactly symmetric.
+@dataclass(frozen=True, eq=False)
+class ProbeFamily:
+    """The probe functions of one kernel component over [0, pi], in column
+    order: t^m over the monomial `degrees`, then sin(mu t) (kind "sin") or
+    cos(mu t) (kind "cos") over the frequencies `mu`.  `coefs` (2, modes)
+    holds the modes' factors of their columns' rank-2 numerator
+    (`_component_columns`), `col_of[2 h]` the mode column of mu = h, or -1.
+    Built once per shape by `probe_family`; its arrays are read-only, and
+    equality and hashing are by identity (see `types.SigmaFunction`).
     """
-    poly = np.array([kind == "poly" for kind, _ in tags])
-    mu = np.array([v for kind, v in tags if kind != "poly"], dtype=float)
-    degs = np.array([v for kind, v in tags if kind == "poly"], dtype=int)
-    sin_form = next((kind for kind, _ in tags if kind != "poly"), "sin") == "sin"
-    trig = _component_columns(tags, trig_rows(mu), "sin_over_rho" if sin_form else "cos").real
-    g = np.empty((len(tags), len(tags)))
-    g[~poly] = trig * mu[:, None] if sin_form else trig
-    g[np.ix_(poly, poly)] = poly_poly(degs[:, None], degs[None, :])
-    g[np.ix_(poly, ~poly)] = g[np.ix_(~poly, poly)].T
-    upper = np.triu_indices(len(tags), 1)
-    g[upper] = g.T[upper]
-    return g
 
+    kind: str
+    degrees: tuple
+    mu: np.ndarray
+    coefs: np.ndarray
+    col_of: np.ndarray
 
-class _ProbeTerms(NamedTuple):
-    """What `_component_columns` needs of one tag sequence and kind."""
-
-    trig: slice            # the trig tags, one contiguous run
-    poly: np.ndarray       # positions of the monomial tags
-    degrees: tuple         # their degrees
-    mu: np.ndarray         # the trig frequencies
-    coefs: np.ndarray      # (2, modes): the modes' factors of the rank-2 numerator
-    col_of: np.ndarray     # col_of[2 h] is the trig column of mu = h, or -1
+    def __len__(self) -> int:
+        return len(self.degrees) + self.mu.size
 
 
 _QUARTER_SIN = np.array([0.0, 1.0, 0.0, -1.0])     # sin(k pi/2) at k mod 4
 
 
 @functools.lru_cache(maxsize=256)
-def _probe_terms(tags: tuple, sin_form: bool) -> _ProbeTerms:
-    is_poly = np.array([kind == "poly" for kind, _ in tags], dtype=bool)
-    trig = np.flatnonzero(~is_poly)
-    if trig.size and trig[-1] - trig[0] + 1 != trig.size:
-        raise ValueError("the trig tags of a family must be one contiguous run")
-    mu = np.array([v for kind, v in tags if kind != "poly"], dtype=float)
+def probe_family(kind: str, n_modes: int, n_poly: int, freq_step: float) -> ProbeFamily:
+    """The sine family (degrees from 0, as constants are not in the sine span;
+    mu = freq_step j for j = 1 .. n_modes) or the cosine family (degrees
+    from 1, as mu = 0 is the constant; j = 0 .. n_modes - 1), degrees below
+    n_poly.  Cached per argument tuple: pass all four positionally."""
+    sin_form = kind == "sin"
+    mu = freq_step * np.arange(int(sin_form), n_modes + int(sin_form), dtype=float)
     two_mu = np.rint(2.0 * mu).astype(np.int64)
     sin_mu, cos_mu = _QUARTER_SIN[two_mu % 4], _QUARTER_SIN[(two_mu + 1) % 4]
     # sine: (rho sin mu pi cos rho pi - mu cos mu pi sin rho pi) / rho,
     # cosine: mu sin mu pi cos rho pi - rho cos mu pi sin rho pi
-    coefs = np.stack([sin_mu, -mu * cos_mu] if sin_form else [mu * sin_mu, -cos_mu])
+    coefs = np.stack([sin_mu, -mu * cos_mu] if sin_form else [mu * sin_mu, -cos_mu]).astype(complex)
     col_of = np.full(two_mu.max(initial=-1) + 2, -1)
     col_of[two_mu] = np.arange(mu.size)
     for a in (mu, coefs, col_of):
         a.setflags(write=False)
-    return _ProbeTerms(trig=slice(trig[0], trig[-1] + 1) if trig.size else slice(0, 0),
-                       poly=np.flatnonzero(is_poly),
-                       degrees=tuple(v for kind, v in tags if kind == "poly"),
-                       mu=mu, coefs=coefs.astype(complex), col_of=col_of)
+    return ProbeFamily(kind=kind, degrees=tuple(range(1 - int(sin_form), n_poly)),
+                       mu=mu, coefs=coefs, col_of=col_of)
+
+
+def _gram_block(family: ProbeFamily) -> np.ndarray:
+    """Gram matrix over [0, pi] of one probe family.
+
+    The rows of the modes are the family's own columns (`_component_columns`)
+    at its frequencies mu, times mu for the sine family; the monomial pairs
+    come from `poly_poly`.  The lower triangle is mirrored into the upper
+    one, so the matrix is exactly symmetric.
+    """
+    n_poly, mu = len(family.degrees), family.mu
+    degs = np.array(family.degrees, dtype=int)
+    trig = _component_columns(family, trig_rows(mu)).real
+    g = np.empty((len(family), len(family)))
+    g[n_poly:] = trig * mu[:, None] if family.kind == "sin" else trig
+    g[:n_poly, :n_poly] = poly_poly(degs[:, None], degs[None, :])
+    g[:n_poly, n_poly:] = g[n_poly:, :n_poly].T
+    upper = np.triu_indices(len(family), 1)
+    g[upper] = g.T[upper]
+    return g
 
 
 class TrigRows(NamedTuple):
@@ -181,12 +176,13 @@ def trig_rows(rho) -> TrigRows:
     return TrigRows(rho, two_h, d, quarter[two_h % 4, rows], quarter[(two_h + 1) % 4, rows])
 
 
-def _component_columns(tags, rows: TrigRows, against: str):
-    """(phi_i, component) integrals against sin(rho t)/rho or cos(rho t),
-    one row per rho of `rows` (`trig_rows`) and one column per tag.
+def _component_columns(family: ProbeFamily, rows: TrigRows):
+    """(phi_i, component) integrals of a probe family against its own kernel,
+    sin(rho t)/rho for the sine family and cos(rho t) for the cosine one, one
+    row per rho of `rows` (`trig_rows`) and one column per probe function.
 
     Every probe frequency mu is a multiple of 1/2, so sin(mu pi) and
-    cos(mu pi) are 0 or +-1, and the trig columns are a rank-2 numerator over
+    cos(mu pi) are 0 or +-1, and the mode columns are a rank-2 numerator over
     (mu - rho)(mu + rho) from the rows' sin(rho pi) and cos(rho pi):
 
         int_0^pi sin(mu t) sin(rho t) dt = (rho sin mu pi cos rho pi - mu cos mu pi sin rho pi) / (mu^2 - rho^2),
@@ -198,30 +194,30 @@ def _component_columns(tags, rows: TrigRows, against: str):
     rho/(mu + rho) (the other two), which is exact at rho = mu and at
     rho = mu = 0.  The monomial columns come from one recurrence over the
     same sin(rho pi) and cos(rho pi) (`trig.poly_trig`), or its power series
-    where |rho| pi < 0.5.  The trig tags must be one contiguous run.
+    where |rho| pi < 0.5.
     """
     rho, two_h, d, sin_r, cos_r = rows
-    sin_form = against == "sin_over_rho"
+    sin_form = family.kind == "sin"
     if sin_form and np.any(np.abs(rho) < 1e-8):
         raise ValueError("moment rows require nonzero rho")
-    terms = _probe_terms(tuple(tags), sin_form)
-    # built tag by row, so that every elementwise pass runs along the rows
-    cols = np.empty((len(tags), rho.size), dtype=complex)
+    n_poly = len(family.degrees)
+    # built column by row, so that every elementwise pass runs along the rows
+    cols = np.empty((len(family), rho.size), dtype=complex)
     factors = np.stack([cos_r, sin_r / rho if sin_form else rho * sin_r])
     # mu^2 - rho^2 by parts, so that a real or an imaginary rho gives a real
     # denominator and the real part keeps its accuracy near rho = mu
-    mu, re, im = terms.mu[:, None], rho.real, rho.imag
+    mu, re, im = family.mu[:, None], rho.real, rho.imag
     den = np.empty((mu.size, rho.size), dtype=complex)
     den_re = den.real
     np.subtract(mu, re, out=den_re)
     den_re *= mu + re
     den_re += im * im
     den.imag = -2.0 * re * im
-    col = terms.col_of[np.minimum(two_h, terms.col_of.size - 1)]
+    col = family.col_of[np.minimum(two_h, family.col_of.size - 1)]
     hit = np.flatnonzero(col >= 0)           # rows with a column mu = h
     den[col[hit], hit] = 1.0
-    trig = cols[terms.trig]
-    np.matmul(terms.coefs.T, factors, out=trig)
+    trig = cols[n_poly:]
+    np.matmul(family.coefs.T, factors, out=trig)
     trig /= den
     h, r = 0.5 * two_h[hit], rho[hit]
     odd = two_h[hit] % 2 == 1
@@ -232,30 +228,33 @@ def _component_columns(tags, rows: TrigRows, against: str):
         limit = np.where(odd, mu_share, 1.0 - mu_share)
     trig[col[hit], hit] = np.pi * sinc(np.pi * d[hit]) * limit
 
-    if terms.degrees:
-        mono = poly_trig(terms.degrees, rho, int(sin_form), sin_r, cos_r)
-        cols[terms.poly] = mono / rho if sin_form else mono
+    if n_poly:
+        mono = poly_trig(family.degrees, rho, int(sin_form), sin_r, cos_r)
+        cols[:n_poly] = mono / rho if sin_form else mono
     return cols.T
 
 
-def svd_solve(u, s, vh, rhs, reg: float = 0.0):
-    """Least-squares solution of A x = rhs from the SVD A = u diag(s) vh.
+def svd_solve(design, rhs, reg: float = 0.0):
+    """Least-squares solution x of design @ x = rhs, with the design's
+    singular values and the residual norm ||design x - rhs||.
 
     The gains on the singular directions are s/(s^2 + reg) for a positive
     `reg` (Tikhonov damping), else 1/s with singular values at or below
     `_RANK_TOL` times the largest dropped (the minimum-norm solution).  A
-    stack of systems (leading axes on every argument) is solved system by
+    stack of systems (leading axes on both arguments) is solved system by
     system, each truncated against its own largest singular value.
     """
     if not (np.isfinite(reg) and reg >= 0):
         raise ValueError(f"reg must be finite and >= 0, got {reg!r}")
+    u, s, vh = np.linalg.svd(design, full_matrices=False)
     if reg > 0:
         gains = s / (s**2 + reg)
     else:
         keep = s > _RANK_TOL * s.max(axis=-1, keepdims=True, initial=0.0)
         gains = np.where(keep, 1.0 / np.maximum(s, 1e-300), 0.0)
     coef = (np.swapaxes(u, -1, -2).conj() @ rhs[..., None])[..., 0]
-    return (np.swapaxes(vh, -1, -2).conj() @ (gains * coef)[..., None])[..., 0]
+    x = (np.swapaxes(vh, -1, -2).conj() @ (gains * coef)[..., None])[..., 0]
+    return x, s, np.linalg.norm((design @ x[..., None])[..., 0] - rhs, axis=-1)
 
 
 def build_v(lam, f: EntirePair, p: int, grid: int) -> CauchyData:

@@ -22,11 +22,12 @@ from .forward import char_delta
 from .moments import (
     _RANK_TOL,
     MomentSystem,
+    ProbeFamily,
     _component_columns,
     _gram_block,
-    _tags_for,
     build_moment_system,
     build_v,
+    probe_family,
     slot_layout,
     svd_solve,
     trig_rows,
@@ -53,13 +54,14 @@ _GRAM_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class ProbeBasis:
-    """Orthonormalized representation space for the two kernel components.
+    """Orthonormalized representation space for the two kernel components:
+    the probe families `h1` and `h2` and their whitening transforms.
 
     Equality and hashing are by identity (see `types.SigmaFunction`).
     """
 
-    h1_tags: tuple
-    h2_tags: tuple
+    h1: ProbeFamily
+    h2: ProbeFamily
     p: int
     b1: np.ndarray          # whitening transforms (raw -> orthonormal)
     b2: np.ndarray
@@ -87,16 +89,16 @@ def make_probe_basis(p: int, n_modes: tuple, n_poly: int = _N_POLY,
     kernel usually needs the larger share.
 
     The basis is a pure function of the arguments, so each one is built once
-    per process and shared: its tags are tuples and its whitening transforms
-    are read-only.
+    per process and shared: its families (`probe_family`) and its whitening
+    transforms are read-only.
     """
     n_sin, n_cos = (int(v) for v in n_modes)
-    h1_tags, h2_tags = (tuple(tags) for tags in slot_layout(p).kernels(
-        _tags_for("sin", n_sin, n_poly, freq_step), _tags_for("cos", n_cos, n_poly, freq_step)))
-    b1, b2 = (_whiten(_gram_block(tags)) for tags in (h1_tags, h2_tags))
+    h1, h2 = slot_layout(p).kernels(probe_family("sin", n_sin, n_poly, freq_step),
+                                    probe_family("cos", n_cos, n_poly, freq_step))
+    b1, b2 = (_whiten(_gram_block(family)) for family in (h1, h2))
     b1.setflags(write=False)
     b2.setflags(write=False)
-    return ProbeBasis(h1_tags=h1_tags, h2_tags=h2_tags, p=p, b1=b1, b2=b2)
+    return ProbeBasis(h1=h1, h2=h2, p=p, b1=b1, b2=b2)
 
 
 def moment_design(system: MomentSystem, basis: ProbeBasis):
@@ -109,10 +111,9 @@ def moment_design(system: MomentSystem, basis: ProbeBasis):
     """
     rows = trig_rows(system.rho)
     layout = system.layout
-    against1, against2 = layout.kernels("sin_over_rho", "cos")
     inv_norm = 1.0 / np.maximum(system.norms.reshape(-1), 1e-300)
-    d1 = _component_columns(basis.h1_tags, rows, against1) @ basis.b1
-    d2 = _component_columns(basis.h2_tags, rows, against2) @ basis.b2
+    d1 = _component_columns(basis.h1, rows) @ basis.b1
+    d2 = _component_columns(basis.h2, rows) @ basis.b2
     d1 *= (layout.k1.reshape(-1) * inv_norm)[:, None]
     d2 *= (layout.k2.reshape(-1) * inv_norm)[:, None]
     slots = layout.slots.reshape(inv_norm.size, -1) * inv_norm[:, None]
@@ -151,24 +152,21 @@ def solve_moment(system: MomentSystem, basis: ProbeBasis, reg: float = 0.0):
     sets `deficient` when the smallest one is among them.  The `CauchyData`
     returned carries its probe series and, as `meta`, the solve report.
 
-    A stacked system is solved with one SVD and one `svd_solve` over its
-    (trials, N, K) design stack and gives a list of `CauchyData`, one per
-    trial, each by the rules above; all trials share one probe basis.
+    A stacked system is solved with one `svd_solve` over its (trials, N, K)
+    design stack and gives a list of `CauchyData`, one per trial, each by
+    the rules above; all trials share one probe basis.
     """
     design, rhs = moment_design(system, basis)
     design = design.reshape(system.ws.shape + design.shape[-1:])
-    rhs = rhs.reshape(system.ws.shape)
-    u_mat, svals, vh = np.linalg.svd(design, full_matrices=False)
-    z = svd_solve(u_mat, svals, vh, rhs, reg)
-    residual = np.linalg.norm((design @ z[..., None])[..., 0] - rhs, axis=-1)
+    z, svals, residual = svd_solve(design, rhs.reshape(system.ws.shape), reg)
     smax, smin = svals[..., 0], svals[..., -1]
     ratio = np.divide(smin, smax, out=np.zeros_like(smax), where=smax > 0)
     d1, d2 = basis.b1.shape[1], basis.b2.shape[1]
     x1 = z[..., :d1] @ basis.b1.T
     x2 = z[..., d1: d1 + d2] @ basis.b2.T
     t = np.linspace(0.0, np.pi, system.grid_m + 1)
-    j = synth_series(basis.h1_tags, x1, t)
-    g = synth_series(basis.h2_tags, x2, t)
+    j = synth_series(basis.h1, x1, t)
+    g = synth_series(basis.h2, x2, t)
     out = []
     for k in np.ndindex(system.ws.shape[:-1]):
         meta = {
@@ -179,7 +177,7 @@ def solve_moment(system: MomentSystem, basis: ProbeBasis, reg: float = 0.0):
             "deficient": bool(ratio[k] <= _RANK_TOL),
             "reg": reg,
         }
-        series = {"j": (basis.h1_tags, x1[k]), "g": (basis.h2_tags, x2[k])}
+        series = {"j": (basis.h1, x1[k]), "g": (basis.h2, x2[k])}
         out.append(CauchyData(j[k], g[k], z[k][d1 + d2:], series=series, meta=meta))
     return out if system.ws.ndim > 1 else out[0]
 
@@ -249,10 +247,10 @@ def reconstruct(p: int, f: EntirePair, subspectrum: Subspectrum, grid: int,
         warn_msgs.append(f"completeness evidence collapsed (gram ratio {comp['gram_ratio']:.2e}); "
                          "the subspectrum does not determine the data")
         warnings.warn(warn_msgs[0], NonUniqueWarning, stacklevel=2)
-    kinds = [kind for kind, _ in basis.h1_tags + basis.h2_tags]
+    modes = {family.kind: family.mu.size for family in (basis.h1, basis.h2)}
     report = {
         "n_rows": len(system),
-        "probe_modes": (kinds.count("sin"), kinds.count("cos")),
+        "probe_modes": (modes["sin"], modes["cos"]),
         "probe_dim": basis.dim,
         "residual": data.meta["residual"],
         "cond": data.meta["cond"],

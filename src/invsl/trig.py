@@ -6,6 +6,7 @@ the branch of ``rho = sqrt(lambda)`` or about removable singularities at
 ``rho = 0``.  Each function has one evaluation: `sinc` and `cos_sinc_sqrt`
 their closed forms (the cell propagator's Taylor polynomials live in `ode`),
 `poly_trig` a power series below |rho| length = 1 and a recurrence above.
+`synth_series` sums a series over a probe family (`moments.ProbeFamily`).
 """
 
 from __future__ import annotations
@@ -123,20 +124,18 @@ def gauss_nodes(a, b, panels, order=12):
     return x, w
 
 
-def synth_series(tags, coeffs, t):
-    """Sum of coeff * basis(t) over ("sin", v), ("cos", v) and ("poly", m) tags.
+def synth_series(family, coeffs, t):
+    """Sum of coeff * phi(t) over the functions phi of a probe family
+    (`moments.ProbeFamily`), in its column order: t^m over its degrees, then
+    sin(mu t) or cos(mu t) over its frequencies.
 
     `coeffs` may carry leading axes (one series per row, say); the last axis
-    runs over the tags, and each series is summed in tag order.
+    runs over the family's functions, and each series is summed in order.
     """
     coeffs = np.asarray(coeffs)
+    wave = np.sin if family.kind == "sin" else np.cos
+    funcs = [t**m for m in family.degrees] + [wave(mu * t) for mu in family.mu]
     out = np.zeros(coeffs.shape[:-1] + np.shape(t), dtype=complex)
-    for (kind, v), c in zip(tags, np.moveaxis(coeffs, -1, 0)):
-        c = c[..., None]
-        if kind == "sin":
-            out += c * np.sin(v * t)
-        elif kind == "cos":
-            out += c * np.cos(v * t)
-        elif kind == "poly":
-            out += c * t**v
+    for phi, c in zip(funcs, np.moveaxis(coeffs, -1, 0)):
+        out += c[..., None] * phi
     return out

@@ -385,7 +385,8 @@ class CauchyData:
 
     Two L2(0, pi) kernels j, g on a uniform grid over [0, pi] plus p complex
     constants a.  `series` holds the kernels' probe series (keys "j", "g"),
-    each as the (tags, coefficients) that `trig.synth_series` takes, and
+    each as the (family, coefficients) that `trig.synth_series` takes, the
+    family a `moments.ProbeFamily`, and
     `meta` the report of the fit (`extract_cauchy`) or the reconstruction
     (`reconstruct`) that made them.  Equality and hashing are by identity
     (see `SigmaFunction`)."""

@@ -12,9 +12,9 @@ from invsl.halfinverse import hl_reconstruct
 from invsl.moments import (
     _component_columns,
     _gram_block,
-    _tags_for,
     build_moment_system,
     build_v,
+    probe_family,
     trig_rows,
 )
 from invsl.reconstruct import (
@@ -66,25 +66,28 @@ class TestMomentDesign:
         wts[0] = wts[-1] = 0.5 * np.pi / m
         for p in (1, 2, 3, 4):
             probe = make_probe_basis(p, (4, 5))
-            n1, n2 = len(probe.h1_tags), len(probe.h2_tags)
-            basis = ProbeBasis(probe.h1_tags, probe.h2_tags, p, np.eye(n1), np.eye(n2))
+            n1, n2 = len(probe.h1), len(probe.h2)
+            basis = ProbeBasis(probe.h1, probe.h2, p, np.eye(n1), np.eye(n2))
             system = build_moment_system(sub, f, p, m)
             design, _ = moment_design(system, basis)
             raw = design * system.norms[:, None]
             for n, lam in enumerate(sub.lambdas):
                 v = build_v(lam, f, p, m)
+                # each probe function alone: the series of a unit coefficient
                 quad = np.concatenate([
-                    [np.sum(wts * synth_series([tag], [1.0], t) * v.j) for tag in probe.h1_tags],
-                    [np.sum(wts * synth_series([tag], [1.0], t) * v.g) for tag in probe.h2_tags],
+                    [np.sum(wts * synth_series(probe.h1, e, t) * v.j) for e in np.eye(n1)],
+                    [np.sum(wts * synth_series(probe.h2, e, t) * v.g) for e in np.eye(n2)],
                     v.a])
                 assert np.max(np.abs(raw[n] - quad)) <= 1e-4 * system.norms[n]
 
 
-def _mp_columns(tags, rho, against, mpmath):
-    """The probe columns at 40 digits: the trig ones in sinc form, the
-    monomial ones from the antiderivative of t^m e^(i r t) at r = +-rho
-    (at 80 digits, which covers its cancellation for small rho)."""
+def _mp_columns(family, rho, mpmath):
+    """The probe columns at 40 digits against the family's own kernel: the
+    mode ones in sinc form, the monomial ones from the antiderivative of
+    t^m e^(i r t) at r = +-rho (at 80 digits, which covers its cancellation
+    for small rho)."""
     pi = mpmath.pi
+    sin_form = family.kind == "sin"
 
     def t_pow_exp(m, r):
         # int_0^pi t^m e^(irt) dt = [e^(irt) sum_k (-1)^k m!/(m-k)! t^(m-k) / (ir)^(k+1)]_0^pi
@@ -94,20 +97,21 @@ def _mp_columns(tags, rho, against, mpmath):
                 / (1j * r) ** (k + 1) for k in range(m + 1))
         return anti(pi) - anti(0)
 
-    out = np.empty((rho.size, len(tags)), dtype=complex)
+    out = np.empty((rho.size, len(family)), dtype=complex)
     for i, r in enumerate(rho):
         r = mpmath.mpc(complex(r))
-        for k, (kind, v) in enumerate(tags):
-            if kind == "poly" and r == 0:
-                val = pi ** (v + 1) / (v + 1)     # only the cosine kind meets rho = 0
-            elif kind == "poly":
-                with mpmath.workdps(80):
-                    plus, minus = t_pow_exp(v, r), t_pow_exp(v, -r)
-                    val = (plus - minus) / 2j if against == "sin_over_rho" else (plus + minus) / 2
-            else:
-                sign = -1 if against == "sin_over_rho" else 1
-                val = pi / 2 * (mpmath.sinc((v - r) * pi) + sign * mpmath.sinc((v + r) * pi))
-            out[i, k] = complex(val / r if against == "sin_over_rho" else val)
+        vals = []
+        for m in family.degrees:
+            if r == 0:
+                vals.append(pi ** (m + 1) / (m + 1))     # only the cosine family meets rho = 0
+                continue
+            with mpmath.workdps(80):
+                plus, minus = t_pow_exp(m, r), t_pow_exp(m, -r)
+                vals.append((plus - minus) / 2j if sin_form else (plus + minus) / 2)
+        sign = -1 if sin_form else 1
+        for mu in map(float, family.mu):
+            vals.append(pi / 2 * (mpmath.sinc((mu - r) * pi) + sign * mpmath.sinc((mu + r) * pi)))
+        out[i] = [complex(val / r if sin_form else val) for val in vals]
     return out
 
 
@@ -131,16 +135,16 @@ class TestComponentColumns:
         ])
         basis = make_probe_basis(p, (9, 14), freq_step=freq_step)
         with mpmath.workdps(40):
-            for tags in (basis.h1_tags, basis.h2_tags):
-                poly = np.array([kind == "poly" for kind, _ in tags])
+            for family in (basis.h1, basis.h2):
+                poly = np.arange(len(family)) < len(family.degrees)
                 # rho = 0 rides along where the column of mu = 0 is exact
-                for against, rows in (("sin_over_rho", rho), ("cos", np.append(rho, 0.0))):
-                    got = _component_columns(tags, trig_rows(rows), against)
-                    ref = _mp_columns(tags, rows, against, mpmath)
-                    for block in (poly, ~poly):
-                        scale = np.max(np.abs(ref[:, block]))
-                        dev = np.max(np.abs(got[:, block] - ref[:, block]))
-                        assert dev <= COLUMNS_EPS * np.finfo(float).eps * scale
+                rows = rho if family.kind == "sin" else np.append(rho, 0.0)
+                got = _component_columns(family, trig_rows(rows))
+                ref = _mp_columns(family, rows, mpmath)
+                for block in (poly, ~poly):
+                    scale = np.max(np.abs(ref[:, block]))
+                    dev = np.max(np.abs(got[:, block] - ref[:, block]))
+                    assert dev <= COLUMNS_EPS * np.finfo(float).eps * scale
 
     def test_real_lambda_gives_real_columns(self):
         # every column is entire in lambda = rho^2, so a real lambda of either
@@ -148,17 +152,14 @@ class TestComponentColumns:
         rows = trig_rows(branch_sqrt(np.array([-7.3, -0.01, 0.04, 1.0, 2.25, 6.1, 17.3])))
         for freq_step in (1.0, 0.5):
             basis = make_probe_basis(1, (9, 14), freq_step=freq_step)
-            for tags in (basis.h1_tags, basis.h2_tags):
-                for against in ("sin_over_rho", "cos"):
-                    assert not np.any(_component_columns(tags, rows, against).imag)
+            for family in (basis.h1, basis.h2):
+                assert not np.any(_component_columns(family, rows).imag)
 
     def test_limit_columns_are_exact(self):
         # zero-potential Dirichlet rows rho = n and the column mu = 0 at rho = 0
-        cos_tags = _tags_for("cos", 6, 0)
-        cols = _component_columns(cos_tags, trig_rows([0.0, 1.0, 2.0, 5.0]), "cos")
+        cols = _component_columns(probe_family("cos", 6, 0, 1.0), trig_rows([0.0, 1.0, 2.0, 5.0]))
         assert cols[0, 0] == np.pi and cols[1, 1] == cols[2, 2] == cols[3, 5] == np.pi / 2
-        sin_tags = _tags_for("sin", 6, 0)
-        cols = _component_columns(sin_tags, trig_rows([1.0, 4.0]), "sin_over_rho")
+        cols = _component_columns(probe_family("sin", 6, 0, 1.0), trig_rows([1.0, 4.0]))
         assert cols[0, 0] == np.pi / 2 and cols[1, 3] == np.pi / 8
 
 
@@ -167,21 +168,37 @@ class TestProbeGram:
         # one basis per shape and process, so no caller may change it
         basis = make_probe_basis(1, (4, 5))
         assert make_probe_basis(1, (4, 5)) is basis
-        assert isinstance(basis.h1_tags, tuple) and isinstance(basis.h2_tags, tuple)
         for b in (basis.b1, basis.b2):
             with pytest.raises(ValueError):
                 b[0, 0] = 0.0
 
+    def test_family_is_shared_by_identity(self):
+        # one family per shape and process, shared by the probe bases and the
+        # extraction fit; it holds arrays, so == and hash go by identity
+        family = probe_family("sin", 64, 3, 1.0)
+        assert probe_family("sin", 64, 3, 1.0) is family
+        assert make_probe_basis(1, (64, 64)).h1 is family
+        assert extract_cauchy(SIG0, PAIR_FREE).series["j"][0] is family
+        assert family.kind == "sin" and family.degrees == (0, 1, 2)
+        assert len(family) == 67 and np.array_equal(family.mu, np.arange(1.0, 65.0))
+        for a in (family.mu, family.coefs, family.col_of):
+            with pytest.raises(ValueError):
+                a[0] = 0
+        cos_family = probe_family("cos", 64, 3, 1.0)
+        assert hash(family) == hash(family) and family == family and family != cos_family
+        assert {family: 1, cos_family: 0}[family] == 1
+
     @pytest.mark.parametrize("kind", ["sin", "cos"])
     @pytest.mark.parametrize("freq_step", [1.0, 0.5])
     def test_gram_block_matches_quadrature(self, kind, freq_step):
-        tags = _tags_for(kind, 22, 3, freq_step)
+        family = probe_family(kind, 22, 3, freq_step)
 
         def funcs(t):
-            return np.array([t**v if k == "poly" else getattr(np, k)(v * t) for k, v in tags])
+            wave = getattr(np, kind)
+            return np.array([t**m for m in family.degrees] + [wave(mu * t) for mu in family.mu])
 
         ref = gauss_panels(lambda t: funcs(t)[:, None] * funcs(t)[None, :], 0.0, np.pi, 64)
-        g = _gram_block(tags)
+        g = _gram_block(family)
         assert np.array_equal(g, g.T)
         # entry-wise, against the Cauchy-Schwarz scale sqrt(g_ii g_kk)
         scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
@@ -483,6 +500,25 @@ class TestProbeModes:
             default = reconstruct(p, f, spec, 128).meta["probe_modes"]
             passed = reconstruct(p, f, spec, 128, basis=default_basis(spec, p))
         assert passed.meta["probe_modes"] == default
+
+    @pytest.mark.parametrize("p, n, modes, dim", [
+        (1, 40, (13, 19), 38),
+        (2, 40, (13, 18), 38),
+        (3, 80, (28, 39), 75),       # the bandwidth caps the cosine modes at 39
+    ])
+    def test_counts_pin_default_basis(self, p, n, modes, dim):
+        # (sine modes, cosine modes) and the probe dimension of the default
+        # basis, on rows rho_n = n/2 + 0.3 spaced like a two-sided spectrum
+        sub = Subspectrum((0.5 * np.arange(1, n + 1) + 0.3) ** 2 + 0j)
+        basis = default_basis(sub, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonUniqueWarning)
+            meta = reconstruct(p, EntirePair.constant(1.0, 0.5), sub, 128).meta
+        assert meta["probe_modes"] == modes
+        assert meta["probe_dim"] == basis.dim == dim
+        sin_family, cos_family = (basis.h1, basis.h2) if p % 2 else (basis.h2, basis.h1)
+        assert (sin_family.kind, cos_family.kind) == ("sin", "cos")
+        assert (sin_family.mu.size, cos_family.mu.size) == modes
 
 
 def _assert_matches_oracle(out, ref):

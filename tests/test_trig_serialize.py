@@ -27,6 +27,7 @@ from invsl.serialize import (
     sigma_to_json,
     subspectrum_to_json,
 )
+from invsl.moments import probe_family
 from invsl.ode import _TAYLOR_DEGREE, _TAYLOR_RADIUS
 from invsl.trig import (
     _legendre_rule,
@@ -40,25 +41,28 @@ from invsl.trig import (
 from invsl.types import BoundaryPolyPair, SigmaFunction, Subspectrum
 
 
-def _series_loop(tags, coeffs, t):
+def _series_loop(family, coeffs, t):
     """One series, one scalar coefficient at a time."""
+    wave = np.sin if family.kind == "sin" else np.cos
     out = np.zeros_like(t, dtype=complex)
-    for (kind, v), c in zip(tags, coeffs):
-        out += c * {"sin": np.sin(v * t), "cos": np.cos(v * t), "poly": t**v}[kind]
+    n_poly = len(family.degrees)
+    for k, c in enumerate(coeffs):
+        out += c * (t ** family.degrees[k] if k < n_poly else wave(family.mu[k - n_poly] * t))
     return out
 
 
 def test_synth_series_rows_equal_single_series():
     # a coefficient stack sums every row as the scalar loop does, bit for bit
     rng = np.random.default_rng(5)
-    tags = [("poly", 0), ("poly", 2), ("sin", 1.0), ("cos", 0.5), ("sin", 3.0)]
-    coeffs = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
     t = np.linspace(0.0, np.pi, 129)
-    stacked = synth_series(tags, coeffs, t)
-    assert stacked.shape == (4, 129)
-    for row, c in zip(stacked, coeffs):
-        assert np.array_equal(row, _series_loop(tags, c, t))
-        assert np.array_equal(row, synth_series(tags, list(c), t))
+    for kind in ("sin", "cos"):
+        family = probe_family(kind, 3, 3, 0.5)
+        coeffs = rng.standard_normal((4, len(family))) + 1j * rng.standard_normal((4, len(family)))
+        stacked = synth_series(family, coeffs, t)
+        assert stacked.shape == (4, 129)
+        for row, c in zip(stacked, coeffs):
+            assert np.array_equal(row, _series_loop(family, c, t))
+            assert np.array_equal(row, synth_series(family, list(c), t))
 
 
 # |z2| just inside and just outside the disc on which the cell propagator
