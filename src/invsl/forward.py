@@ -213,9 +213,10 @@ def circle_zeros(delta, seeds) -> np.ndarray:
 
 
 def _muller_polish(delta, z0, h):
-    """A zero of delta by Muller's method from z0 - h, z0 + h and z0."""
+    """A zero of delta by Muller's method from z0 - h, z0 + h and z0, whose
+    values take one delta call."""
     z = [z0 - h, z0 + h, z0]
-    f = [complex(np.asarray(delta(np.array([x]))).ravel()[0]) for x in z]
+    f = [complex(v) for v in np.asarray(delta(np.array(z))).ravel()]
     for _ in range(40):
         q = (z[-1] - z[-2]) / (z[-2] - z[-3]) if z[-2] != z[-3] else 1.0
         a = q * f[-1] - q * (1 + q) * f[-2] + q * q * f[-3]
@@ -407,11 +408,13 @@ def _count_and_delta(sigma: SigmaFunction, left: BoundaryPolyPair, right: Bounda
             if mu2 * sigma.dx**2 >= np.pi**2:
                 raise RootLoss(f"cells too coarse to count the oscillations at lambda = "
                                f"{np.max(lam[cols]):.6g}")
-        starts, y[cols], yq[cols] = factor_values(sigma, lam[cols], y0[cols], yq0[cols], cells)
+        phi, dphi = factor_values(sigma, lam[cols], y0[cols], yq0[cols], cells)
+        # phi^[1] = phi' - sigma phi at X alone
+        y[cols], yq[cols] = phi[-1], dphi[-1] - sigma.samples[-1].real * phi[-1]
         # the start's sign, then phi's at every factor's end; a zero at X, of
         # either sign, ends a half-turn: it changes sign against the node
         # before it, and `_upper` turns its end vector to angle 0
-        signs = np.vstack((start[cols], np.signbit(starts[1:]), np.signbit(y[cols])))
+        signs = np.vstack((start[cols], np.signbit(phi[1:])))
         signs[-1] = np.where(y[cols] == 0, ~signs[-2], signs[-1])
         changes[cols] = np.count_nonzero(signs[1:] != signs[:-1], axis=0)
     r1, r2 = right.p1(lam).real, right.p2(lam).real

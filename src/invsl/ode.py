@@ -14,14 +14,13 @@ blocks of lambdas write in place into one workspace per call.
 With r = |lambda| h^2 + max |s| h^2, the tree of a lambda starts from one of
 three levels (`_cells_per_factor`): the groups of four adjacent cells where
 16 r <= 1, the pairs where 4 r <= 1, and the closed-form cells of
-`trig.cos_sinc_sqrt` elsewhere.  Where 4 r <= 1 the matrix of a cell, of a
-pair and of a group is a polynomial in lambda h^2, whose coefficients are
-built once per SigmaFunction object and level (`_coefficients`), so the
-factors of a block of lambdas are one matrix product (`_polynomial_writer`).
-One down-sweep loop (`_down_sweep`) serves both trajectory entries:
-`node_values` runs it over the cells, the polynomial ones where 4 r <= 1,
-and returns every node, `factor_values` over the factors of one level, for
-the Pruefer-angle count, and returns their starts and the end alone.  Each
+`trig.cos_sinc_sqrt` elsewhere.  The matrix of a pair and of a group is a
+polynomial in lambda h^2, whose coefficients are built once per
+SigmaFunction object and level (`_coefficients`), so the factors of a block
+of lambdas are one matrix product (`_polynomial_writer`).  One down-sweep
+(`factor_values`) returns the solution at the start of every factor of a
+level and at X: over the factors of `monodromy`'s level for the
+Pruefer-angle count, over the closed-form cells for `node_values`.  Each
 lambda takes one path, chosen by |lambda| and sigma alone.  Every level is
 stored in the tree's leaf order (`_leaf_order`, bit reversal for a power of
 two): every level's pairs are its first half and its second half, contiguous
@@ -135,8 +134,8 @@ _PAIR = _polynomial_product(np.repeat(_UNIT, _POWERS, axis=2),
 
 
 def _polynomials(t, cells):
-    """The matrix polynomials in x at h = 1 of the factors of `cells` = 1, 2
-    or 4 adjacent cells with these t, in cell order: array (powers, 4,
+    """The matrix polynomials in x at h = 1 of the factors of `cells` = 2 or
+    4 adjacent cells with these t, in cell order: array (_FACTOR_POWERS, 4,
     factors) of the coefficients of x^0, x^1, ... of (m00, m01, m10, m11).
 
     A cell's is _UNIT times the powers of its -t.  The factors are the
@@ -150,8 +149,6 @@ def _polynomials(t, cells):
     neg_t = np.empty((t.size, _POWERS), t.dtype)
     neg_t[:, 0], neg_t[:, 1:] = 1.0, -t[:, None]
     np.multiply.accumulate(neg_t[:, 1:], axis=1, out=neg_t[:, 1:])
-    if cells == 1:
-        return _UNIT[:_POWERS] @ neg_t.T
     pairs = t.size // 2
     later, earlier = neg_t[1:2 * pairs:2], neg_t[0:2 * pairs:2]
     poly = (later[:, :, None] * earlier[:, None, :]).reshape(pairs, -1) @ _PAIR
@@ -167,10 +164,11 @@ def _polynomials(t, cells):
 
 
 def _coefficients(sigma: SigmaFunction, cells):
-    """The coefficients of `_polynomials` for the factors of `cells` adjacent
-    cells of sigma, at its h, in the leaf order of the tree over them: real
-    arrays (4, factors, powers) of the (m00, m01, m10, m11) entries, one for
-    a real sigma and the real and the imaginary parts for a complex one.
+    """The coefficients of `_polynomials` for the factors of `cells` = 2 or 4
+    adjacent cells of sigma, at its h, in the leaf order of the tree over
+    them: real arrays (4, factors, powers) of the (m00, m01, m10, m11)
+    entries, one for a real sigma and the real and the imaginary parts for a
+    complex one.
 
     Each level is built on its first use and kept (`_memo`).
     """
@@ -218,8 +216,9 @@ def _cells_per_factor(sigma: SigmaFunction, lam):
     """The level of the tree's factors for every lambda of the 1-D `lam`: 4
     (the groups) where 16 r <= 1, 2 (the pairs) where 4 r <= 1 and 1 (the
     closed-form cells) elsewhere, with r = |lambda| h^2 + max |s| h^2 over
-    every cell's complex slope s.  `node_values` takes the polynomial cells
-    where it is 2 or 4."""
+    every cell's complex slope s.  `monodromy` and the count take the level
+    of each lambda; `node_values` takes the closed-form cells of level 1
+    for every lambda."""
     memo = _memo(sigma)
     if "edges" not in memo:   # the largest |lambda| of the groups and of the pairs
         h2 = sigma.dx * sigma.dx
@@ -236,11 +235,11 @@ def _memo(sigma: SigmaFunction):
     return vars(sigma).setdefault("_ode", {})
 
 
-def _factor_matrices(sigma: SigmaFunction, lam, cells, polynomial=True):
-    """Every factor's transfer matrix of the level `_leaves(sigma, lam, cells,
-    polynomial)`, in cell order, for a 1-D `lam`: array (4, factors,
-    lambdas) of its entries (m00, m01, m10, m11)."""
-    write, n, _ = _leaves(sigma, lam, cells, polynomial)
+def _factor_matrices(sigma: SigmaFunction, lam, cells):
+    """Every factor's transfer matrix of the level of `cells` cells
+    (`_leaves`), in cell order, for a 1-D `lam`: array (4, factors, lambdas)
+    of its entries (m00, m01, m10, m11)."""
+    write, n, _ = _leaves(sigma, lam, cells)
     vals = np.empty((4, n, lam.size), lam.dtype)
     write(lam, vals)
     out = np.empty_like(vals)
@@ -314,17 +313,17 @@ def _tree(work, n):
     return levels
 
 
-def _leaves(sigma: SigmaFunction, lam, cells, polynomial):
+def _leaves(sigma: SigmaFunction, lam, cells):
     """(write, n, width): the writer of the n factors of `cells` adjacent
     cells each (the last of fewer where `cells` does not divide m), in the
-    tree's leaf order, for lambdas of the dtype of `lam`, from that level's
-    polynomial coefficients where `polynomial`, else the closed-form cells
-    (cells = 1), and the lambdas per block of that level."""
-    if polynomial:
+    tree's leaf order, for lambdas of the dtype of `lam`: the closed-form
+    cells for cells = 1, else that level's polynomial coefficients; and the
+    lambdas per block of that level."""
+    if cells == 1:
+        write, n = _cell_writer(_slopes(sigma, lam)[_leaf_order(sigma.m)], sigma.dx), sigma.m
+    else:
         coefficients = _coefficients(sigma, cells)
         write, n = _polynomial_writer(coefficients, sigma.dx), coefficients[0].shape[1]
-    else:
-        write, n = _cell_writer(_slopes(sigma, lam)[_leaf_order(sigma.m)], sigma.dx), sigma.m
     return write, n, _BLOCK * cells
 
 
@@ -404,96 +403,57 @@ def monodromy(sigma: SigmaFunction, lams):
     levels = _cells_per_factor(sigma, flat)
     for cells in np.unique(levels)[::-1].tolist():
         cols = np.flatnonzero(levels == cells)
-        for block, tree in _blocks(*_leaves(sigma, flat, cells, cells > 1), flat[cols]):
+        for block, tree in _blocks(*_leaves(sigma, flat, cells), flat[cols]):
             out[:, cols[block]] = tree[-1][:, 0]
     _finite(out)
     return _to_quasi(out.reshape((4,) + lam.shape), sigma.samples[0], sigma.samples[-1])
 
 
-def _start(sigma: SigmaFunction, lam, y0, yq0):
-    """(lam, y, y', sig) of a down-sweep from (y, y^{[1]})(0) = (y0, yq0), which
-    broadcast against `lam`: the lambdas, the start vectors (y, y')(0), both
-    flat, and sigma's samples; float64 when sigma, the lambdas and the start
-    values are real, complex128 otherwise."""
+def factor_values(sigma: SigmaFunction, lams, y0, yq0, cells):
+    """(y, y') at the start of every factor of the product tree and at X for
+    a batch of lambdas, forward from x = 0.
+
+    The solution takes the values (y0, yq0) of (y, y^{[1]}) at x = 0; they
+    broadcast against the lambdas and may depend on them.  The factors are
+    those of `cells` cells each (`_leaves`): the closed-form cells, whose
+    starts are the nodes 0, 1, ..., m - 1, or, for the lambdas that
+    `_cells_per_factor` gives that level, the pairs, whose starts are the
+    nodes 0, 2, ..., 2 (ceil(m / 2) - 1), or the groups of four, whose
+    starts are the nodes 0, 4, ..., 4 (ceil(m / 4) - 1); a last factor of
+    fewer cells is the tree's carried factor.  The product tree of
+    `monodromy` reduces them, and a down-sweep then applies its levels to
+    the start vector: 2 log2(factors) vectorized steps per block of
+    lambdas, whose values come out in leaf order and are put back in cell
+    order once per block.  Returns (y, y'), with y' = y^{[1]} + sigma y (a
+    caller converts where it reads y^{[1]}), each of shape (factors + 1,) +
+    lam.shape, the value at X last: float64 when sigma, the lambdas and the
+    start values are real, complex128 otherwise.
+    """
+    lam = np.atleast_1d(np.asarray(lams))
     y0, yq0 = (np.broadcast_to(np.asarray(x), lam.shape) for x in (y0, yq0))
     real = _real_axis(sigma, lam, y0, yq0)
     lam, y0, yq0 = (x.real.astype(float) if real else x.astype(complex) for x in (lam, y0, yq0))
-    sig = sigma.samples.real if real else sigma.samples
-    # y' = y^[1] + sigma y at x = 0
-    start_y = y0.ravel()
-    return lam, start_y, yq0.ravel() + sig[0] * start_y, sig
-
-
-def _down_sweep(write, n, width, lam, start_y, start_v):
-    """(slice, vectors, end) of every block of `width` lambdas of the 1-D
-    `lam`: (y, y') at the start of each of the n factors that write(chunk,
-    dst) puts in leaf order, in leaf order, shape (2, n, block size), in one
-    workspace that the next block overwrites, and (y, y') at the end of their
-    product, from (start_y, start_v) at the start of the first."""
-    leaves = np.empty((2, n, min(width, lam.size)), dtype=lam.dtype)
-    for block, levels in _blocks(write, n, width, lam):
+    flat, start_y = lam.ravel(), y0.ravel()
+    start_v = yq0.ravel() + (sigma.samples[0].real if real else sigma.samples[0]) * start_y
+    write, n, width = _leaves(sigma, flat, cells)
+    y, v = np.empty((2, n + 1, flat.size), dtype=lam.dtype)
+    leaves = np.empty((2, n, min(width, flat.size)), dtype=lam.dtype)
+    for block, levels in _blocks(write, n, width, flat):
         vals = leaves[..., :levels[0].shape[-1]]
         vals[:, 0] = start_y[block], start_v[block]
-        yield block, vals, _sweep(levels, vals)
+        # checked and put in cell order while the block is in cache
+        y[-1, block], v[-1, block] = (x[0] for x in _finite(_sweep(levels, vals)))
+        y[_leaf_order(n), block], v[_leaf_order(n), block] = _finite(vals)
+    return y.reshape((n + 1,) + lam.shape), v.reshape((n + 1,) + lam.shape)
 
 
 def node_values(sigma: SigmaFunction, lams, y0, yq0):
-    """(y, y^{[1]}) at every node for a batch of lambdas, forward from x = 0.
-
-    The solution takes the values (y0, yq0) at x = 0; they broadcast against
-    the lambdas and may depend on them.  The cell matrices, polynomial for
-    the lambdas that `monodromy` takes in pairs or groups and closed-form
-    for the others, are reduced by the same tree, whose levels a down-sweep
-    then applies to the start vector: 2 log2(m) vectorized steps per block
-    of lambdas, whose node values come out in leaf order and are put back in
-    cell order once per block.  Returns (y, yq), each of shape (m + 1,) +
-    lam.shape: float64 when sigma, the lambdas and the start values are
-    real, complex128 otherwise.
-    """
-    lam = np.atleast_1d(np.asarray(lams))
-    lam, start_y, start_v, sig = _start(sigma, lam, y0, yq0)
-    flat = lam.ravel()
-    out = np.empty((2, sigma.m + 1, flat.size), dtype=lam.dtype)
-    polynomial = _cells_per_factor(sigma, flat) > 1
-    for path in (True, False):
-        cols = np.flatnonzero(polynomial == path)
-        if cols.size:
-            # the lambdas of a mixed batch go through a copy
-            part = out if cols.size == flat.size else np.empty(out.shape[:2] + cols.shape, out.dtype)
-            for block, vals, last in _down_sweep(*_leaves(sigma, flat, 1, path), flat[cols],
-                                                 start_y[cols], start_v[cols]):
-                part[:, _leaf_order(sigma.m), block] = vals
-                part[:, -1, block] = [x[0] for x in last]
-            if part is not out:
-                out[..., cols] = part
-    out = _finite(out).reshape(out.shape[:2] + lam.shape)
-    sig = sig.reshape((-1,) + (1,) * lam.ndim)
-    return out[0], out[1] - sig * out[0]
-
-
-def factor_values(sigma: SigmaFunction, lams, y0, yq0, cells):
-    """y at the start of every factor of the product tree, and (y, y^{[1]}) at
-    X, for a 1-D batch of lambdas, forward from (y0, yq0) at x = 0.
-
-    The factors are the level of `cells` cells that `_cells_per_factor`
-    gives these lambdas: the groups of four, whose starts are the nodes 0,
-    4, ..., 4 (ceil(m / 4) - 1), the pairs, whose starts are the nodes 0, 2,
-    ..., 2 (ceil(m / 2) - 1), or the closed-form cells, whose starts are the
-    nodes 0, 1, ..., m - 1; a last factor of fewer cells is the tree's
-    carried factor.  The down-sweep is `node_values`', but y' turns into
-    y^{[1]} at X alone.  Returns y, shape (factors, lambdas), in cell order,
-    and y(X), y^{[1]}(X), shape (lambdas,) each; dtypes as in `node_values`.
-    """
-    lam, start_y, start_v, sig = _start(sigma, np.atleast_1d(np.asarray(lams)), y0, yq0)
-    write, n, width = _leaves(sigma, lam, cells, cells > 1)
-    starts = np.empty((n, lam.size), dtype=lam.dtype)
-    end = np.empty((2, lam.size), dtype=lam.dtype)
-    for block, vals, last in _down_sweep(write, n, width, lam, start_y, start_v):
-        starts[_leaf_order(n), block] = vals[0]
-        end[:, block] = [x[0] for x in last]
-    _finite(starts)
-    _finite(end)
-    return starts, end[0], end[1] - sig[-1] * end[0]
+    """(y, y^{[1]}) at every node for a batch of lambdas, forward from x = 0:
+    `factor_values` over the closed-form cells.  Returns (y, yq), each of
+    shape (m + 1,) + lam.shape."""
+    y, v = factor_values(sigma, lams, y0, yq0, 1)
+    sig = sigma.samples if np.iscomplexobj(y) else sigma.samples.real
+    return y, v - sig.reshape((-1,) + (1,) * (y.ndim - 1)) * y
 
 
 def _to_quasi(t, sig0, sig1):

@@ -275,30 +275,24 @@ def interleaved_monodromy(sigma, lam):
     for cells in (4, 2, 1):
         cols = np.flatnonzero(rule == cells)
         for block, levels in _interleaved_blocks(
-                lambda chunk: _factor_matrices(sigma, chunk, cells, cells > 1), lam[cols]):
+                lambda chunk: _factor_matrices(sigma, chunk, cells), lam[cols]):
             out[:, cols[block]] = levels[-1][:, 0]
     return _to_quasi(out, sigma.samples[0], sigma.samples[-1])
 
 
 def interleaved_node_values(sigma, lam, y0, yq0):
     """Reference `invsl.ode.node_values` for a 1-D batch and scalar start
-    values, by the interleaved tree and sweep over the cells: the polynomial
-    ones where `reference_levels` gives pairs or groups, the closed-form ones
-    elsewhere."""
+    values, by the interleaved tree and sweep over the closed-form cells."""
     real = _real_axis(sigma, lam, y0, yq0)
     dtype = float if real else complex
     lam = lam.real.astype(dtype) if real else lam.astype(dtype)
     sig = sigma.samples.real if real else sigma.samples
     start = np.full(lam.size, y0, dtype), np.full(lam.size, yq0 + sig[0] * y0, dtype)
     out = np.empty((2, sigma.m + 1, lam.size), dtype=dtype)
-    polynomial = reference_levels(sigma, lam) > 1
-    for path in (True, False):
-        cols = np.flatnonzero(polynomial == path)
-        for block, levels in _interleaved_blocks(lambda chunk: _factor_matrices(sigma, chunk, 1, path),
-                                                 lam[cols]):
-            leaves, last = _interleaved_sweep(levels, (start[0][cols[block]], start[1][cols[block]]))
-            out[:, :-1, cols[block]] = leaves[:, :sigma.m]
-            out[:, -1, cols[block]] = [x[0] for x in last]
+    for block, levels in _interleaved_blocks(lambda chunk: _factor_matrices(sigma, chunk, 1), lam):
+        leaves, last = _interleaved_sweep(levels, (start[0][block], start[1][block]))
+        out[:, :-1, block] = leaves[:, :sigma.m]
+        out[:, -1, block] = [x[0] for x in last]
     return out[0], out[1] - sig[:, None] * out[0]
 
 

@@ -235,6 +235,24 @@ class TestComplexSpectrum:
         assert np.all(np.diff(spec.lambdas.real) > 0) and np.any(spec.lambdas.imag != 0)
         assert sum(points) <= 10_000
 
+    def test_polish_calls_at_512_cells(self, monkeypatch):
+        # 40 zeros take 175 calls of the complex delta: the circles, the
+        # rectangle and the Muller polish, whose three start values take
+        # one call per zero (the seeds come from the real part's delta)
+        calls = []
+
+        def counting(sigma, pair, f):
+            delta, _ = make_delta(sigma, pair, f)
+            if sigma.is_real():
+                return delta, None
+            return (lambda lam: calls.append(np.size(lam)) or delta(lam)), None
+
+        monkeypatch.setattr(halfinverse, "make_delta", counting)
+        sig = SigmaFunction.from_callable(lambda x: 0.3 * np.sin(x) + 0.1j * np.sin(2 * x), np.pi, 512)
+        spec, reason = problem_spectrum(sig, BoundaryPolyPair([1.0], [0.2]), F_DIR, 40)
+        assert reason is None and len(spec) == 40
+        assert len(calls) == 175
+
     def test_hl_right_half_seeds_from_the_real_part(self):
         # a complex sigma whose right half is folded into f: the seeds come
         # from the real part of both halves, joined; the zeros are eigenvalues
@@ -295,10 +313,11 @@ class TestIndexSearch:
         hits = []
 
         def rounded_to_zero(*args):
-            starts, y, yq = propagate(*args)
-            assert starts[-1, 0] > 0 > yq[0]
+            y, v = propagate(*args)
+            assert y[-2, 0] > 0 > v[-1, 0]
             hits.append(args[-1])
-            return starts, np.full_like(y, zero), yq
+            y[-1] = zero
+            return y, v
 
         monkeypatch.setattr(forward, "factor_values", rounded_to_zero)
         assert sides[0] == sides[1] == count_below(SIG0, PAIR_FREE, RIGHT_NEU, [lam])[0]
@@ -362,6 +381,33 @@ def _group_edge(sigma, cells=4):
     return (1.0 / cells**2 - np.max(np.abs(np.diff(sigma.samples.real))) / sigma.dx * h2) / h2
 
 
+# count_below and delta of `hl_exclusion_instance` at
+# np.linspace(-200, 12000, 41), 7 lambdas on the groups, 16 on the pairs and
+# 18 on the cells, as the count's separate per-level sweep gave them; delta
+# feeds the bracket refinement, so the sweep must keep every bit
+EXCLUSION_COUNTS = [
+    0, 22, 42, 55, 65, 74, 82, 89, 96, 102, 108, 114, 119, 124, 129, 134, 138, 143, 147, 151, 155,
+    159, 163, 167, 170, 174, 177, 181, 184, 187, 191, 194, 197, 200, 203, 206, 209, 212, 215, 218,
+    221,
+]
+EXCLUSION_DELTAS = [float.fromhex(x) for x in (
+    '-0x1.9091e01f686f7p+138', '-0x1.0e3b1ec8b98dap+10', '-0x1.03c2ece74d075p+13',
+    '0x1.2a5ebe79680f7p+14', '0x1.8335b780209a4p+13', '-0x1.b75a38b0fba30p+14',
+    '-0x1.6ebaeed8c74a3p+15', '0x1.6fa5cdda366cap+12', '-0x1.6c44057b76b47p+16',
+    '-0x1.4026ba4a16efbp+15', '-0x1.872d3a6d4d9bcp+16', '-0x1.2f03257ff239dp+17',
+    '0x1.6589299dc6742p+17', '-0x1.5bf92a0e5333cp+17', '0x1.e56d570f4d3bap+17',
+    '-0x1.bc824237c3041p+17', '-0x1.4c94893a3e4fep+17', '0x1.a48bd5689ab2dp+17',
+    '0x1.75881b0e37804p+18', '0x1.84c5d79a9c03fp+18', '0x1.99cc34e11c9f5p+18',
+    '0x1.d8cce81821b41p+18', '0x1.d67fbcaa5524ep+18', '0x1.689046e3b1427p+17',
+    '-0x1.90e6d1f6545b3p+18', '-0x1.1077f738102a7p+19', '0x1.3d91230d6d385p+18',
+    '0x1.0ca35558e7e62p+19', '-0x1.4cabc7fe86e2fp+19', '0x1.a3b3fd24e48d8p+16',
+    '0x1.f9358b7cac38cp+18', '-0x1.a0027d1fa486dp+19', '0x1.c2a12e52b2854p+19',
+    '-0x1.ad2d7c0d85dacp+19', '0x1.9b6772accb570p+19', '-0x1.ac1ce48da612bp+19',
+    '0x1.e3eb840697fa0p+19', '-0x1.15e5941f7d4f5p+20', '0x1.24dd2af46427fp+20',
+    '-0x1.e48f7948554d7p+19', '0x1.6380dfe3dc84ap+18',
+)]
+
+
 class TestGroupCount:
     # the count reads the nodes 0, 4, 8, ..., m where every lambda of a batch
     # lies inside the group radius; the every-node count is the reference
@@ -421,6 +467,14 @@ class TestGroupCount:
         assert set(_cells_per_factor(sig, lam).tolist()) == {1, 2, 4}
         single = [count_below(sig, left, right, [x])[0] for x in lam]
         assert np.array_equal(count_below(sig, left, right, lam), single)
+
+    def test_counts_and_deltas_keep_every_bit(self):
+        prob = hl_exclusion_instance()
+        lam = np.linspace(-200.0, 12000.0, 41)
+        assert np.array_equal(np.bincount(_cells_per_factor(prob.sigma_full, lam)), [0, 18, 16, 0, 7])
+        counts, delta = forward._count_and_delta(prob.sigma_full, prob.left_pair, prob.right_pair, lam)
+        assert np.array_equal(counts, EXCLUSION_COUNTS)
+        assert np.array_equal(delta, EXCLUSION_DELTAS)
 
     def test_the_index_hands_delta_at_the_bracket_ends(self, monkeypatch):
         # find_eigenvalues refines from the delta the count formed at the

@@ -28,12 +28,12 @@ from invsl.ode import (
     _leaf_order,
     _tree,
     endpoint_data,
+    factor_values,
     monodromy,
     node_values,
     rk4_node_values,
 )
 from invsl.problems import sigma_random_smooth, sigma_step
-from invsl.trig import cos_sinc_sqrt
 from invsl.types import SigmaFunction
 
 
@@ -308,40 +308,14 @@ def _taylor_edge(sig):
 
 
 class TestTaylorCells:
-    """The polynomial cells of a lambda with |lambda| h^2 + max |s| h^2 <= R,
-    the Taylor polynomials of cos(w) and sin(w)/w expanded in powers of
-    lambda h^2 (the level of one cell of `ode._coefficients`), which
-    `node_values` takes there."""
-
-    @pytest.mark.parametrize("name", list(TAYLOR_SIGMAS))
-    @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_match_cos_sinc_sqrt(self, name, kind, monkeypatch):
-        # every entry within 8 eps of its scale (1, h and (|lambda| + |s|) h)
-        # of cos_sinc_sqrt's cells, out to the edge
-        sig = TAYLOR_SIGMAS[name]
-        h, slopes, edge = sig.dx, _cell_slopes(sig), _taylor_edge(sig) * (1.0 - 1e-12)
-        rng = np.random.default_rng(5)
-        lam = edge * rng.uniform(-1.0, 1.0, 64)
-        if kind == "complex":
-            lam = edge * rng.uniform(0.0, 1.0, 64) * np.exp(1j * rng.uniform(-np.pi, np.pi, 64))
-        lam[:2] = edge, -edge
-        if not sig.is_real():
-            lam = lam.astype(complex)
-        calls = []
-        monkeypatch.setattr(ode, "cos_sinc_sqrt", calls.append)
-        got = _factor_matrices(sig, lam, 1)
-        assert not calls
-        mu2 = lam[None] - slopes[:, None]
-        c, sinc = cos_sinc_sqrt(mu2 * h * h)
-        ref = c, sinc * h, -mu2 * sinc * h, c
-        scales = 1.0, h, (np.abs(lam)[None] + np.abs(slopes)[:, None]) * h, 1.0
-        for g, r, scale in zip(got, ref, scales):
-            assert np.max(np.abs(g - r) / scale) <= 8 * EPS
+    """The closed-form cells out to the Taylor edge, |lambda| h^2 + max |s|
+    h^2 = R, where the pairs end, and batches that straddle it."""
 
     @pytest.mark.parametrize("name", list(TAYLOR_SIGMAS))
     def test_against_mpmath_on_the_edge(self, name):
-        # |lambda| h^2 + max |s| h^2 = R on four rays, at the steepest cell and
-        # three others, against 30 digits (measured at most 2 eps of the scale)
+        # the closed-form cells of cos_sinc_sqrt at |lambda| h^2 + max |s| h^2
+        # = R on four rays, at the steepest cell and three others, against 30
+        # digits (measured at most 1.9 eps of the scale)
         mpmath = pytest.importorskip("mpmath")
         sig = TAYLOR_SIGMAS[name]
         h, slopes, edge = sig.dx, _cell_slopes(sig), _taylor_edge(sig) * (1.0 - 1e-12)
@@ -360,32 +334,13 @@ class TestTaylorCells:
                         for g, r, scale in zip(got[:3, k, j], ref, scales):
                             assert abs(complex(g) - complex(r)) <= 4 * EPS * scale
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    def test_the_edge_splits_the_paths(self, dtype, monkeypatch):
-        # in node_values, lambdas a relative 1e-12 inside the edge take the
-        # polynomial cells, those as far outside take cos_sinc_sqrt, on
-        # every cell (in leaf order) and only they
-        sig = sigma_random_smooth(64, scale=0.8, seed=3)
-        edge = _taylor_edge(sig)
-        lam = (edge * np.array([1 - 1e-12, -(1 - 1e-12), 1 + 1e-12, -(1 + 1e-12)])).astype(dtype)
-        calls = []
-
-        def record(z2):
-            calls.append(z2)
-            return cos_sinc_sqrt(z2)
-
-        monkeypatch.setattr(ode, "cos_sinc_sqrt", record)
-        node_values(sig, lam, 0.3, -0.8)
-        mu2 = lam[None, 2:] - _cell_slopes(sig)[_leaf_order(sig.m), None]
-        assert len(calls) == 1 and np.array_equal(calls[0], mu2 * (sig.dx * sig.dx))
-
     @pytest.mark.parametrize("batch", [1, 2, 63, 64, 65, 129])
     @pytest.mark.parametrize("kind", ["real", "complex lambda", "complex sigma"])
     def test_batch_equals_single_lambdas(self, batch, kind):
         # lambdas on both sides of the Taylor edge (the pair edge) and of the
-        # group edge, so that a batch mixes all three levels of monodromy and
-        # both kinds of cells of node_values: every column equals its lambda
-        # run alone, bit for bit (BLAS rounds no column by the width of the
+        # group edge, so that a batch mixes all three levels of monodromy:
+        # every column of monodromy and of node_values equals its lambda run
+        # alone, bit for bit (BLAS rounds no column by the width of the
         # product)
         sig = sigma_random_smooth(257, scale=0.8, seed=6)
         if kind == "complex sigma":
@@ -528,7 +483,8 @@ class TestGroups:
     def test_built_once_per_sigma_object(self, monkeypatch):
         # each level's coefficients are built on the first call that takes
         # it and kept on that object; an equal new object builds its own,
-        # and lambdas outside the pair radius build none
+        # and lambdas outside the pair radius build none, nor node_values,
+        # which takes the closed-form cells
         built = []
         polynomials = ode._polynomials
 
@@ -549,9 +505,9 @@ class TestGroups:
         for _ in range(2):
             monodromy(sig, pair)
             node_values(sig, np.array([1.0]), 0.3, -0.8)
-        assert built == [4, 2, 1]
+        assert built == [4, 2]
         monodromy(SigmaFunction(sig.samples, sig.interval_length), np.array([1.0]))
-        assert built == [4, 2, 1, 4]
+        assert built == [4, 2, 4]
 
 
 class TestLeafOrder:
@@ -598,6 +554,26 @@ class TestNodeValues:
         for k, lv in enumerate(lam):
             yk, yqk = node_values(sig, [lv], np.cos(lv), np.sin(lv))
             assert np.array_equal(yk[:, 0], y[:, k]) and np.array_equal(yqk[:, 0], yq[:, k])
+
+
+class TestFactorValues:
+    # the down-sweep over the pairs and the groups, which the count reads:
+    # (y, y') against the long-double cell loop at the factor starts and X,
+    # out to each level's edge, over more than one block of lambdas
+    # (measured max 5.0e-14 over these cases)
+    @pytest.mark.parametrize("m", [16, 17, 512])
+    @pytest.mark.parametrize("kind", TestGroups.KINDS)
+    def test_matches_sequential_loop(self, m, kind):
+        sig = _group_sigma(m, kind)
+        for cells in (2, _GROUP):
+            lam = _group_lambdas(sig, kind, 4 * _BLOCK + 1, seed=m, cells=cells)
+            assert np.all(_cells_per_factor(sig, lam) >= cells)
+            got = factor_values(sig, lam, 0.3, -0.8, cells)
+            rec = sequential_cells(sig, lam, 0.3, -0.8 + sig.samples[0] * 0.3)
+            nodes = np.append(np.arange(0, m, cells), m)
+            ref = rec["y"][nodes], rec["v"][nodes]
+            assert got[0].shape == (nodes.size, lam.size)
+            assert np.max(_nodewise_dev(got, ref)) <= TREE_RTOL, cells
 
 
 # Four stability experiments (2 x 20 trials, N = 40) of a library caller in a

@@ -18,6 +18,10 @@ the checkout this script lives in) at batches of 1, 48 and 1640 lambdas, on
   the groups and of the pairs, 16 r = 1 and 4 r = 1 with r = |lambda| h^2 +
   max |s| h^2, which `monodromy` takes in pairs of cells.
 
+`monodromy` and `count_below` take the level of each lambda; `node_values`
+is the down-sweep over the closed-form cells for every kind, so its `real`
+and `pair annulus` rows time those cells, not the groups and the pairs.
+
 Each entry is the best of N repeats (default 5) of the mean time of a run of
 calls long enough to take about 20 ms, divided by cells x lambdas.  The
 calls reuse one SigmaFunction, as the calls of an eigenvalue search or of a
