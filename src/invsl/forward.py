@@ -497,7 +497,8 @@ def extract_cauchy(sigma: SigmaFunction, pair: BoundaryPolyPair,
     Delta1 and Delta0 are the moment row's pattern at (f1, f2) = (1, 0) and
     (0, 1) (`slot_layout`).  Both are sampled at rho in {0.5, 1.0, 1.5, ...}
     (integer and half-integer points keep the trig columns well conditioned),
-    and one least-squares fit per family (`_fit_family`) recovers its
+    and one least-squares fit per family (`_fit_family`, by `svd_solve`: QR
+    when nothing is truncated, float64 for a real sigma) recovers its
     kernel's probe series plus its polynomial constants.  Kernels are
     synthesized on the sigma grid (or a `grid_m`-cell grid); `series` holds
     the probe series and `meta` the fit report.

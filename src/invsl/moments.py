@@ -7,8 +7,10 @@ the moment row v(t, lambda).  A `ProbeFamily` (`probe_family`) holds the
 probe functions of one kernel component, monomials then modes, with their
 closed-form columns (`_component_columns`, from the per-row values of
 `trig_rows`) and the Gram matrix read from those columns (`_gram_block`);
-`svd_solve` is the one least-squares step, SVD and residual included, also
-over a stack of systems.
+`svd_solve` is the one least-squares step, also over a stack of systems:
+the singular values for the rank decision and the report, Householder QR
+where nothing is truncated, the singular vectors where something is or where
+the solve is damped, and the residual; a real system is solved in float64.
 `build_moment_system` lays the rows of a subspectrum out once and keeps the
 layout; the targets w (`build_w`) and the row norms (`row_norm_exact`) are
 read from it.  Also here: one row v(., lambda) on a grid as an element of H
@@ -25,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParityMismatch
-from .trig import gauss_nodes, overlap, poly_poly, poly_trig, sinc
+from .trig import exact_real, gauss_nodes, overlap, poly_poly, poly_trig, sinc
 from .types import CauchyData, EntirePair, Subspectrum, branch_sqrt
 
 # Singular values at or below this fraction of the largest are truncated.
@@ -238,22 +240,37 @@ def svd_solve(design, rhs, reg: float = 0.0):
     """Least-squares solution x of design @ x = rhs, with the design's
     singular values and the residual norm ||design x - rhs||.
 
-    The gains on the singular directions are s/(s^2 + reg) for a positive
-    `reg` (Tikhonov damping), else 1/s with singular values at or below
-    `_RANK_TOL` times the largest dropped (the minimum-norm solution).  A
-    stack of systems (leading axes on both arguments) is solved system by
-    system, each truncated against its own largest singular value.
+    The singular values alone decide the method.  With `reg` 0, at least as
+    many rows as columns and no singular value at or below `_RANK_TOL` times
+    the largest, the solution is unique: Householder QR of [design | rhs]
+    gives R and Q^H rhs, and one triangular solve gives x.  Else the singular
+    vectors are formed, with gains s/(s^2 + reg) for a positive `reg`
+    (Tikhonov damping), else 1/s with the small singular values dropped (the
+    minimum-norm solution).  A stack of systems (leading axes on both
+    arguments) takes QR only when every system would, and each system is
+    truncated against its own largest singular value.  A design or rhs that
+    `exact_real` finds real is taken in float64.
     """
     if not (np.isfinite(reg) and reg >= 0):
         raise ValueError(f"reg must be finite and >= 0, got {reg!r}")
-    u, s, vh = np.linalg.svd(design, full_matrices=False)
-    if reg > 0:
-        gains = s / (s**2 + reg)
+    design, rhs = exact_real(design), exact_real(rhs)
+    rows, cols = design.shape[-2:]
+
+    def kept(s):
+        return s > _RANK_TOL * s.max(axis=-1, keepdims=True, initial=0.0)
+
+    s = np.linalg.svd(design, compute_uv=False)
+    if reg == 0 and rows >= cols and np.all(kept(s)):
+        r = np.linalg.qr(np.concatenate([design, rhs[..., None]], axis=-1), mode="r")
+        x = np.linalg.solve(r[..., :cols, :cols], r[..., :cols, cols:])[..., 0]
     else:
-        keep = s > _RANK_TOL * s.max(axis=-1, keepdims=True, initial=0.0)
-        gains = np.where(keep, 1.0 / np.maximum(s, 1e-300), 0.0)
-    coef = (np.swapaxes(u, -1, -2).conj() @ rhs[..., None])[..., 0]
-    x = (np.swapaxes(vh, -1, -2).conj() @ (gains * coef)[..., None])[..., 0]
+        u, s, vh = np.linalg.svd(design, full_matrices=False)
+        if reg > 0:
+            gains = s / (s**2 + reg)
+        else:
+            gains = np.where(kept(s), 1.0 / np.maximum(s, 1e-300), 0.0)
+        coef = (np.swapaxes(u, -1, -2).conj() @ rhs[..., None])[..., 0]
+        x = (np.swapaxes(vh, -1, -2).conj() @ (gains * coef)[..., None])[..., 0]
     return x, s, np.linalg.norm((design @ x[..., None])[..., 0] - rhs, axis=-1)
 
 

@@ -32,7 +32,7 @@ from .moments import (
     svd_solve,
     trig_rows,
 )
-from .trig import sinc, synth_series
+from .trig import exact_real, sinc, synth_series
 from .types import (
     BoundaryPolyPair,
     CauchyData,
@@ -149,8 +149,10 @@ def solve_moment(system: MomentSystem, basis: ProbeBasis, reg: float = 0.0):
     product-space norm.  Without damping, singular values at or below
     `_RANK_TOL` times the largest are truncated, so an underdetermined or
     rank-deficient system gives the minimum-norm solution, and the report
-    sets `deficient` when the smallest one is among them.  The `CauchyData`
-    returned carries its probe series and, as `meta`, the solve report.
+    sets `deficient` when the smallest one is among them; a full-rank system
+    is solved by QR (`svd_solve`), in float64 when its design and targets
+    are real.  The `CauchyData` returned carries its probe series and, as
+    `meta`, the solve report, read from the design's singular values.
 
     A stacked system is solved with one `svd_solve` over its (trials, N, K)
     design stack and gives a list of `CauchyData`, one per trial, each by
@@ -272,12 +274,13 @@ def completeness_ratio(system: MomentSystem) -> dict:
     A healthy (complete) moment system keeps the ratio at O(1); losing a
     required eigenvalue leaves a probe direction nearly unseen by every row
     and the ratio collapses as the row count grows.  `gram_ratio`, the
-    squared ratio, is what `reconstruct`'s uniqueness verdict judges.
+    squared ratio, is what `reconstruct`'s uniqueness verdict judges.  The
+    singular values are taken in float64 when the design is real.
     """
     n = max(4, (len(system) - system.p - 3) // 2)
     basis = make_probe_basis(system.p, (n, n), n_poly=2, freq_step=0.5)
     design, _ = moment_design(system, basis)
-    svals = np.linalg.svd(design, compute_uv=False)
+    svals = np.linalg.svd(exact_real(design), compute_uv=False)
     smax, smin = float(svals[0]), float(svals[-1])
     ratio = smin / smax if smax > 0 else 0.0
     return {"smin": smin, "smax": smax, "ratio": ratio,

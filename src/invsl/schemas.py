@@ -7,6 +7,8 @@ with a one-pass check of plain numeric arrays, and checks each schema object
 against the metaschema once per process.
 """
 
+from itertools import chain
+
 import jsonschema
 
 COMPLEX = {
@@ -104,11 +106,20 @@ ALL = {
 }
 
 
-def _number_or_pair(x):
-    # a JSON number loads as int or float; bool subclasses int but is no number
-    return type(x) in (int, float) or (type(x) is list and len(x) == 2
-                                       and type(x[0]) in (int, float)
-                                       and type(x[1]) in (int, float))
+# a JSON number loads as int or float; bool subclasses int but is no number
+_NUMBER = {int, float}
+
+
+def _numbers_or_pairs(instance):
+    """Whether every item of a list is a number or a [re, im] pair of numbers,
+    read from the sets of the items' types and the pairs' lengths."""
+    kinds = set(map(type, instance))
+    if kinds <= _NUMBER:
+        return True
+    if not kinds <= _NUMBER | {list}:
+        return False
+    pairs = instance if kinds == {list} else [x for x in instance if type(x) is list]
+    return set(map(len, pairs)) == {2} and set(map(type, chain.from_iterable(pairs))) <= _NUMBER
 
 
 _stock_items = jsonschema.Draft202012Validator.VALIDATORS["items"]
@@ -120,7 +131,7 @@ def _items(validator, items, instance, schema):
     Any other array goes to the stock keyword (`oneOf` per item), so errors
     and their messages are unchanged.
     """
-    if items == NUMBER_OR_COMPLEX and type(instance) is list and all(map(_number_or_pair, instance)):
+    if items == NUMBER_OR_COMPLEX and type(instance) is list and _numbers_or_pairs(instance):
         return
     yield from _stock_items(validator, items, instance, schema)
 

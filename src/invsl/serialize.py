@@ -49,15 +49,16 @@ def pair_to_complex(v) -> complex:
 
 def complex_array(values) -> np.ndarray:
     """A list of bare numbers, [re, im] pairs or both, as a complex array."""
+    if type(values) is list and set(map(type, values)) == {list} and set(map(len, values)) == {2}:
+        flat = np.array(list(chain.from_iterable(values)))
+        if flat.dtype.kind in "biuf":
+            return flat.astype(float, copy=False).view(complex)
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged: bare numbers mixed with pairs
         arr = None
-    if arr is not None and arr.dtype.kind in "biuf":
-        if arr.ndim == 1:
-            return arr.astype(complex)
-        if arr.ndim == 2 and arr.shape[1] == 2:
-            return np.ascontiguousarray(arr, dtype=float).view(complex).ravel()
+    if arr is not None and arr.dtype.kind in "biuf" and arr.ndim == 1:
+        return arr.astype(complex)
     return np.array([pair_to_complex(v) for v in values], dtype=complex)
 
 

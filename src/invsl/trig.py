@@ -6,7 +6,8 @@ the branch of ``rho = sqrt(lambda)`` or about removable singularities at
 ``rho = 0``.  Each function has one evaluation: `sinc` and `cos_sinc_sqrt`
 their closed forms (the cell propagator's Taylor polynomials live in `ode`),
 `poly_trig` a power series below |rho| length = 1 and a recurrence above.
-`synth_series` sums a series over a probe family (`moments.ProbeFamily`).
+`synth_series` sums a series over a probe family (`moments.ProbeFamily`),
+in float64 where `exact_real` finds its coefficients real.
 """
 
 from __future__ import annotations
@@ -15,6 +16,14 @@ import functools
 import math
 
 import numpy as np
+
+
+def exact_real(a):
+    """`a` as a float64 array when its imaginary parts are all exactly zero,
+    else as it is, so that a real problem carried in complex128 is computed
+    in real arithmetic."""
+    a = np.asarray(a)
+    return a.real if np.iscomplexobj(a) and not np.any(a.imag) else a
 
 
 def sinc(z):
@@ -131,11 +140,12 @@ def synth_series(family, coeffs, t):
 
     `coeffs` may carry leading axes (one series per row, say); the last axis
     runs over the family's functions, and each series is summed in order.
+    The sum is complex, or float64 when `exact_real` finds `coeffs` real.
     """
-    coeffs = np.asarray(coeffs)
+    coeffs = exact_real(coeffs)
     wave = np.sin if family.kind == "sin" else np.cos
     funcs = [t**m for m in family.degrees] + [wave(mu * t) for mu in family.mu]
-    out = np.zeros(coeffs.shape[:-1] + np.shape(t), dtype=complex)
+    out = np.zeros(coeffs.shape[:-1] + np.shape(t), dtype=np.result_type(coeffs, float))
     for phi, c in zip(funcs, np.moveaxis(coeffs, -1, 0)):
         out += c[..., None] * phi
     return out

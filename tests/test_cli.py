@@ -35,9 +35,10 @@ def read_json(path):
     return json.loads(Path(path).read_text())
 
 
-# The Cauchy data come from one SVD least-squares fit per family, whose
-# condition number the output reports as fit.cond; another LAPACK build may
-# move them by up to cond * eps.  The golden file's cond is used, so a
+# The Cauchy data come from one least-squares fit per family (Householder QR
+# when no singular value is truncated), whose condition number the output
+# reports as fit.cond; another LAPACK build or another backward-stable solver
+# may move them by up to cond * eps.  The golden file's cond is used, so a
 # regression that worsens the conditioning cannot widen its own tolerance.
 CAUCHY_RTOL = max(load_golden("cauchy.json")["fit"]["cond"]) * np.finfo(float).eps
 # Eigenvalues and Weyl samples: refine_brackets stops a root once its step

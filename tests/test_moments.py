@@ -11,6 +11,7 @@ from invsl.moments import (
     build_w,
     row_norm_exact,
     slot_layout,
+    svd_solve,
     xi_identity_residual,
 )
 from invsl.problems import sigma_bump
@@ -208,3 +209,79 @@ class TestBasisDiagnostics:
 def test_row_norm_exact_positive():
     for p in (1, 2, 3):
         assert row_norm_exact(*_at(3.7, F11, p)) > 0
+
+
+def _conditioned_stack(seed, trials, rows, cols, cond, complex_):
+    """`trials` designs (rows, cols) with singular values spaced geometrically
+    from 1 to 1/cond, and right-hand sides with a part off their range."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if complex_ else z
+
+    u, _ = np.linalg.qr(draw(trials, rows, cols))
+    v, _ = np.linalg.qr(draw(trials, cols, cols))
+    design = (u * np.geomspace(1.0, 1.0 / cond, cols)) @ v.conj().swapaxes(-1, -2)
+    rhs = (design @ draw(trials, cols, 1))[..., 0] + 1e-3 * draw(trials, rows)
+    return design, rhs
+
+
+class TestSvdSolve:
+    @pytest.fixture
+    def qr_calls(self, monkeypatch):
+        calls, qr = [], np.linalg.qr
+
+        def counting_qr(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        return calls
+
+    def test_qr_only_where_nothing_is_truncated(self, qr_calls):
+        design, rhs = _conditioned_stack(0, 5, 12, 8, 1e3, True)
+        qr_calls.clear()
+        svd_solve(design, rhs)
+        assert qr_calls == [(5, 12, 9)]        # [design | rhs], once for the stack
+        qr_calls.clear()
+        truncating = design.copy()
+        truncating[2, :, -1] = truncating[2, :, 0]     # trial 2 has two equal columns
+        svd_solve(truncating, rhs)
+        svd_solve(design, rhs, reg=1e-6)
+        svd_solve(design[:, :6], rhs[:, :6])           # fewer rows than columns
+        assert qr_calls == []
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_real_system_is_solved_in_float64(self, complex_):
+        design, rhs = _conditioned_stack(1, 3, 12, 8, 1e3, complex_)
+        x, s, residual = svd_solve(design.astype(complex), rhs.astype(complex))
+        assert x.dtype == (np.complex128 if complex_ else np.float64)
+        assert s.dtype == residual.dtype == np.float64
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("cond", [1e2, 1e8])
+    def test_qr_agrees_with_lstsq(self, complex_, cond):
+        # QR and the SVD behind lstsq are both backward stable, so the two
+        # solutions agree to a small multiple of cond * eps of their size
+        design, rhs = _conditioned_stack(2, 4, 40, 37, cond, complex_)
+        x, s, residual = svd_solve(design, rhs)
+        bound = 40 * cond * np.finfo(float).eps
+        for k in range(len(design)):
+            ref, res_sq, _, ref_s = np.linalg.lstsq(design[k], rhs[k], rcond=None)
+            assert np.linalg.norm(x[k] - ref) <= bound * np.linalg.norm(ref)
+            assert np.allclose(s[k], ref_s, rtol=1e-12, atol=1e-14)
+            assert residual[k] == pytest.approx(np.sqrt(res_sq[0]), rel=1e-6)
+
+    def test_mixed_stack_equals_its_trials(self):
+        # one truncating trial sends the whole stack to the singular vectors;
+        # each trial still gets its own solve
+        design, rhs = _conditioned_stack(3, 4, 40, 37, 1e4, True)
+        design[1, :, 5] = design[1, :, 7]
+        x, s, residual = svd_solve(design, rhs)
+        bound = 40 * 1e4 * np.finfo(float).eps
+        for k in range(len(design)):
+            xk, sk, rk = svd_solve(design[k], rhs[k])
+            assert np.linalg.norm(x[k] - xk) <= bound * np.linalg.norm(xk)
+            assert np.allclose(s[k], sk, rtol=1e-12, atol=1e-14)
+            assert residual[k] == pytest.approx(rk, rel=1e-9)

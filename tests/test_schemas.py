@@ -57,6 +57,24 @@ def test_validator_matches_stock_draft(name, data):
         for key in path[:-1]:
             parent = parent[key]
         parent[path[-1]] = data.draw(MUTANTS)
+    _assert_same_as_stock(name, doc)
+
+
+@pytest.mark.parametrize("lambdas, valid", [
+    ([[True, 0.5], 1.0], False),            # a bool inside a pair
+    ([1.0, [1.0, 2.0, 3.0]], False),        # a 3-list
+    ([1.0, "2.0", [3.0, 0.0]], False),      # a string
+    ([[1, 2], [3, 4]], True),               # int pairs
+    ([1, [2.0, 0.5], 3.5, [4, -1.0]], True),  # mixed numbers and pairs
+])
+def test_numeric_arrays_as_stock_draft(lambdas, valid):
+    doc = {"schema": "invsl/subspectrum-v1", "lambdas": lambdas}
+    assert schemas.Validator(schemas.SUBSPECTRUM_V1).is_valid(doc) == valid
+    _assert_same_as_stock("subspectrum-v1", doc)
+
+
+def _assert_same_as_stock(name, doc):
+    """The package's validator gives the stock Draft 2020-12 verdict, errors and best match."""
     fast = schemas.Validator(schemas.ALL[name])
     stock = jsonschema.Draft202012Validator(schemas.ALL[name])
     assert fast.is_valid(doc) == stock.is_valid(doc)

@@ -368,13 +368,14 @@ class TestVectorizedHelpers:
         [], [2, [0, 1]], [[0, 1], 2.5, [3.0, -0.0]], [1, 2, 3], [True, 2], [0.5, -0.0],
         [[1, 2], [3, 4]], [[0.1, -0.0], [5e-324, 1e308]], [[nan, inf], [-inf, 0.0]],
         [inf, nan], [2**70, 1.0], [np.float64(0.25), [np.float64(1.5), 2]],
+        [[True, 0.5], [1, 2]], [[2**70, 1], [0.5, 1]], [(1.0, 2.0), (3, 4)], [[1.5, 2]] * 513,
     ])
     def test_complex_array(self, values):
         got, want = complex_array(values), complex_array_loop(values)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("values", [[[1, 2, 3]], [[1.0], 2.0], ["1.5"], [1j]])
+    @pytest.mark.parametrize("values", [[[1, 2, 3]], [[1.0], 2.0], ["1.5"], [1j], [[1.0, 2.0], [3.0]]])
     def test_complex_array_rejects_what_the_loop_rejects(self, values):
         with pytest.raises(SchemaError):
             complex_array_loop(values)
