@@ -81,8 +81,8 @@ def psi_mid(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair, lam):
 def hl_entire_pair(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair) -> EntirePair:
     """Entire pair encoding the known right half: f1 = -psi(mid), f2 = psi^{[1]}(mid).
 
-    Its right end is (sigma_right, right_pair), from which its descriptor
-    (the problem file's `hl_right_half` object) is derived.
+    Its right end is (sigma_right, right_pair), from which
+    `serialize.entire_pair_to_json` writes its `hl_right_half` object.
     """
 
     def joint(lam):

@@ -1,14 +1,16 @@
 """In-memory model <-> JSON-able structures, and their one canonical encoding.
 
-Complex values are [re, im] pairs everywhere.  `canonical_dumps` writes the
-bytes of `json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)` plus a
-newline, without going through json's pure-Python indent encoder: a direct
-emitter for the shapes the schemas allow, with every list of [re, im] float
-pairs (the bulk of every file) filled into one template.  Reruns produce
-byte-identical files.  `meta_block` records the sha256 of an input file's
-bytes as the CLI read them (`sha256sum` gives the same digest), so a
-reformatted copy of an input has another hash.  All actual file I/O lives in
-the CLI.
+Every JSON form of the domain model lives here.  Complex values are [re, im]
+pairs everywhere (`encode_array`), and `entire_pair_to_json` derives the
+problem file's `f` object from an entire pair's right end.  `canonical_dumps`
+writes the bytes of `json.dumps(obj, sort_keys=True, indent=2,
+allow_nan=False)` plus a newline, without going through json's pure-Python
+indent encoder: a direct emitter for the shapes the schemas allow, with every
+list of [re, im] float pairs (the bulk of every file) filled into one
+template.  Reruns produce byte-identical files.  `meta_block` records the
+sha256 of an input file's bytes as the CLI read them (`sha256sum` gives the
+same digest), so a reformatted copy of an input has another hash.  All actual
+file I/O lives in the CLI.
 """
 
 from __future__ import annotations
@@ -28,15 +30,8 @@ from .types import (
     EntirePair,
     SigmaFunction,
     Subspectrum,
-    encode_array,
-    sigma_to_json,
     validate_rp,
 )
-
-
-def complex_to_pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def pair_to_complex(v) -> complex:
@@ -109,22 +104,42 @@ def two_sided_from_json(obj) -> TwoSidedProblem:
     )
 
 
+def encode_array(values) -> list:
+    """Complex values, flattened, as the JSON form of a complex array: a list
+    of [re, im] float pairs."""
+    a = np.asarray(values, dtype=complex).ravel()
+    return np.column_stack((a.real, a.imag)).tolist()
+
+
+def sigma_to_json(sigma: SigmaFunction) -> dict:
+    return {"interval": float(sigma.interval_length), "samples": encode_array(sigma.samples)}
+
+
 def subspectrum_to_json(sub: Subspectrum) -> dict:
     return {"schema": "invsl/subspectrum-v1", "lambdas": encode_array(sub.lambdas)}
 
 
 def hl_f_descriptor(sigma_right: SigmaFunction, right_pair: BoundaryPolyPair) -> dict:
-    return hl_entire_pair(sigma_right, right_pair).descriptor
+    """The problem file's `hl_right_half` object of a known right half."""
+    return {"kind": "hl_right_half", "sigma": sigma_to_json(sigma_right),
+            "r1": encode_array(right_pair.a), "r2": encode_array(right_pair.b)}
+
+
+def entire_pair_to_json(f: EntirePair) -> dict:
+    """The problem file's `f` object, read from `f.right_end`: `hl_right_half`
+    for a right half, `constant` for a degree-0 pair; SchemaError otherwise."""
+    half, pair = f.right_end or (None, None)
+    if half is not None:
+        return hl_f_descriptor(half, pair)
+    if pair is not None and pair.a.size == pair.b.size == 1:
+        return {"kind": "constant",
+                "f1": encode_array(pair.a)[0], "f2": encode_array(pair.b)[0]}
+    raise SchemaError("this entire pair carries no serializable descriptor")
 
 
 def problem_to_json(sigma: SigmaFunction, pair: BoundaryPolyPair, f,
                     subspectrum=None) -> dict:
-    if isinstance(f, EntirePair):
-        if f.descriptor is None or "kind" not in f.descriptor:
-            raise SchemaError("this entire pair carries no serializable descriptor")
-        f_desc = f.descriptor
-    else:
-        f_desc = dict(f)
+    f_desc = entire_pair_to_json(f) if isinstance(f, EntirePair) else dict(f)
     obj = {"schema": "invsl/problem-v1", "sigma": sigma_to_json(sigma),
            "p1": encode_array(pair.a), "p2": encode_array(pair.b), "f": f_desc}
     if subspectrum is not None:
@@ -262,7 +277,7 @@ def jsonable(value):
     if isinstance(value, (np.bool_, bool)):
         return bool(value)
     if isinstance(value, (np.complexfloating, complex)):
-        return complex_to_pair(value)
+        return encode_array(value)[0]
     if isinstance(value, (np.floating, float)):
         v = float(value)
         return v if np.isfinite(v) else repr(v)

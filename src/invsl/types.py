@@ -5,9 +5,7 @@ with `hp_inner` its scalar product and `CauchyData.norm` its norm.
 All types are immutable value objects; construction validates the invariants
 that are cheap to check, while `validate_rp` performs the full boundary-pair
 diagnostics (normalization and coprimality) beside the pair's Herglotz test,
-which an eigenvalue index needs.  The JSON form of a complex
-array ([re, im] pairs) and of an antiderivative lives here too, because an
-entire pair carries it in its descriptor.
+which an eigenvalue index needs.  Their JSON forms live in `serialize`.
 """
 
 from __future__ import annotations
@@ -39,13 +37,6 @@ def branch_sqrt(lam):
     z = np.sqrt(lam)
     flip = (z.real < 0) | ((z.real == 0) & (z.imag > 0))
     return np.where(flip, -z, z)
-
-
-def encode_array(values) -> list:
-    """Complex values, flattened, as the JSON form of a complex array: a list
-    of [re, im] float pairs."""
-    a = np.asarray(values, dtype=complex).ravel()
-    return np.column_stack((a.real, a.imag)).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,10 +98,6 @@ class SigmaFunction:
         half = self.interval_length / 2
         return (SigmaFunction(self.samples[: k + 1].copy(), half),
                 SigmaFunction(self.samples[k:].copy(), half))
-
-
-def sigma_to_json(sigma: SigmaFunction) -> dict:
-    return {"interval": float(sigma.interval_length), "samples": encode_array(sigma.samples)}
 
 
 def _polyval(coeffs: np.ndarray, lam):
@@ -243,19 +230,6 @@ class EntirePair:
 
     joint: Callable
     right_end: Optional[tuple] = None
-
-    @property
-    def descriptor(self) -> Optional[dict]:
-        """The problem file's `f` object, derived from `right_end`: `constant`
-        for a degree-0 pair, `hl_right_half` for a right half, else None."""
-        half, pair = self.right_end or (None, None)
-        if half is not None:
-            return {"kind": "hl_right_half", "sigma": sigma_to_json(half),
-                    "r1": encode_array(pair.a), "r2": encode_array(pair.b)}
-        if pair is not None and pair.a.size == pair.b.size == 1:
-            return {"kind": "constant",
-                    "f1": encode_array(pair.a)[0], "f2": encode_array(pair.b)[0]}
-        return None
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)

@@ -18,7 +18,7 @@ from invsl.ode import (
 )
 from invsl.problems import hl_exclusion_instance, roundtrip_corpus
 from invsl.reconstruct import default_basis, reconstruct
-from invsl.serialize import complex_array, complex_to_pair, pair_to_complex
+from invsl.serialize import complex_array, pair_to_complex
 from invsl.trig import gauss_nodes
 from invsl.types import CauchyData, SigmaFunction, Subspectrum
 
@@ -403,6 +403,10 @@ def assert_json_close(fresh, golden, bounds, path=""):
 
 def complex_array_loop(values):
     return np.array([pair_to_complex(v) for v in values], dtype=complex)
+
+
+def complex_to_pair(z):
+    return [complex(z).real, complex(z).imag]
 
 
 def encode_array_loop(arr):

@@ -8,7 +8,7 @@ import pytest
 from conftest import conjugate, gauss_panels, rel_l2, sequential_stability
 from invsl.errors import DuplicateEigenvalue, NonUniqueWarning, PoleProximity
 from invsl.forward import char_pair, extract_cauchy, resample_cauchy, weyl_ratio
-from invsl.halfinverse import hl_reconstruct
+from invsl.halfinverse import hl_reconstruct, hl_spectrum
 from invsl.moments import (
     _component_columns,
     _gram_block,
@@ -397,6 +397,21 @@ class TestReconstruct:
             res = reconstruct(1, exclusion_case.f, exclusion_case.spectrum.take(n), 128)
             errs.append(rel_l2(res.j, oracle.j) + rel_l2(res.g, oracle.g))
         assert errs[1] <= 1.1 * errs[0]
+
+    @pytest.mark.parametrize("n", [39, 41, 47, 49])
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP Q: an odd row count gets the probe basis of the even count "
+        "above it, and the solve returns a wrong answer with no warning"))
+    def test_odd_row_count_meets_criterion_06(self, n, rt_free):
+        # rt_bump_free through hl at drop 0: 40 and 48 rows give 3.8e-4 and
+        # 4.0e-4 (cond 12 and 15); 39, 41, 47 and 49 give 41, 16, 19 and 18
+        # (cond 1.7e7 to 5.2e7), with non_unique False
+        spec = hl_spectrum(rt_free.problem, n)
+        res = hl_reconstruct(rt_free.sigma_right, rt_free.problem.right_pair, 1, spec, 0, 128)
+        oracle = rt_free.oracle_on(128)
+        err = max(rel_l2(res.j, oracle.j), rel_l2(res.g, oracle.g),
+                  np.max(np.abs(res.a - oracle.a)))
+        assert err <= 1e-3
 
 
 class TestCompleteness:

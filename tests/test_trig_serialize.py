@@ -19,6 +19,7 @@ from invsl.serialize import (
     complex_array,
     encode_array,
     entire_pair_from_json,
+    entire_pair_to_json,
     jsonable,
     pair_from_json,
     problem_from_json,
@@ -38,7 +39,7 @@ from invsl.trig import (
     sinc,
     synth_series,
 )
-from invsl.types import BoundaryPolyPair, SigmaFunction, Subspectrum
+from invsl.types import BoundaryPolyPair, EntirePair, SigmaFunction, Subspectrum
 
 
 def _series_loop(family, coeffs, t):
@@ -273,10 +274,27 @@ class TestSerialize:
         obj = json.loads(text)
         jsonschema.validate(obj, schemas.ALL["problem-v1"], cls=schemas.Validator)
         back = entire_pair_from_json(obj["f"])
-        assert canonical_dumps(back.descriptor) == canonical_dumps(obj["f"])
+        assert canonical_dumps(entire_pair_to_json(back)) == canonical_dumps(obj["f"])
         lam = np.array([0.5, 7.3 + 0.2j, 40.0])
         for got, want in zip(back(lam), rt_free.f(lam)):
             assert np.array_equal(got, want)
+
+    def test_entire_pair_to_json_round_trips(self, rt_free):
+        # a constant pair and a right half each read back to the same bytes
+        for f in (EntirePair.constant(0.3, 1.0),
+                  hl_entire_pair(rt_free.sigma_right, rt_free.problem.right_pair)):
+            text = canonical_dumps(entire_pair_to_json(f))
+            back = entire_pair_from_json(json.loads(text))
+            assert canonical_dumps(entire_pair_to_json(back)) == text
+
+    def test_entire_pair_to_json_refuses_what_no_file_holds(self):
+        degree_one = EntirePair.of_pair(BoundaryPolyPair([0.2, 1.0], [0.5, 0.1]))
+        bare = EntirePair(joint=lambda lam: (np.ones_like(lam), np.zeros_like(lam)))
+        for f in (degree_one, bare):
+            with pytest.raises(SchemaError, match="serializable"):
+                entire_pair_to_json(f)
+            with pytest.raises(SchemaError, match="serializable"):
+                problem_to_json(SigmaFunction.zero(np.pi, 32), BoundaryPolyPair([1.0], [0.0]), f)
 
 
 def _json_dumps(obj) -> str:

@@ -38,23 +38,17 @@ import tempfile
 from collections import defaultdict
 from pathlib import Path
 
-
-def import_checkout(checkout: Path):
-    """`invsl.cli.main` and the workloads module of `checkout`; SystemExit
-    when invsl is imported from anywhere else."""
-    src = (checkout / "src").resolve()
-    sys.path[:0] = [str(src), str(checkout / "bench")]
-    import invsl.cli
-    import workloads
-    if not Path(invsl.cli.__file__).resolve().is_relative_to(src):
-        raise SystemExit(f"cli_digest: invsl was imported from {invsl.cli.__file__}, not {src}")
-    return invsl.cli.main, workloads
+from harness import import_checkout
 
 
 def run_ops(checkout: Path, seed: int, visit):
     """Run every op of `checkout`'s workloads at `seed`, in workload order, and
-    call visit(name, exit code, output directory, stdout, stderr) after each."""
-    cli_main, workloads = import_checkout(checkout)
+    call visit(name, exit code, output directory, stdout, stderr) after each;
+    SystemExit when invsl is imported from anywhere but `checkout`."""
+    import_checkout(checkout, "cli_digest")
+    sys.path.insert(1, str(checkout / "bench"))
+    import workloads
+    from invsl.cli import main as cli_main
     with tempfile.TemporaryDirectory(prefix="cli-digest-") as tmp:
         for name, setup in workloads.WORKLOADS.items():
             work = Path(tmp) / name

@@ -32,30 +32,14 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import sys
-import time
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
+from harness import best_time, timing_args
+
 GRID = 128            # CLI default --grid of `reconstruct`, `hl` and `stability`
 TRIALS = 20           # per noise size, as the benchmark's `stability` op
-
-
-def best_time(call, repeat):
-    """Best over `repeat` runs of the mean seconds per call, each run taking
-    about 20 ms."""
-    call()
-    start = time.perf_counter()
-    call()
-    number = max(1, int(0.02 / max(time.perf_counter() - start, 1e-7)))
-    best = np.inf
-    for _ in range(repeat):
-        start = time.perf_counter()
-        for _ in range(number):
-            call()
-        best = min(best, (time.perf_counter() - start) / number)
-    return best
 
 
 def systems(complex_):
@@ -103,12 +87,7 @@ def systems(complex_):
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    repeat = 5
-    if argv[:1] == ["--repeat"]:
-        repeat, argv = int(argv[1]), argv[2:]
-    checkout = Path(argv[0]) if argv else Path(__file__).resolve().parents[1]
-    sys.path.insert(0, str((checkout / "src").resolve()))
+    repeat, checkout = timing_args("lsq_timing", argv)
     from invsl.moments import svd_solve
     from invsl.reconstruct import completeness_ratio
 

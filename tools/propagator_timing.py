@@ -37,29 +37,13 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
+from harness import best_time, timing_args
+
 BATCHES = (1, 48, 1640)
 CELLS = (512, 1024)
-
-
-def best_time(call, repeat):
-    """Best over `repeat` runs of the mean seconds per call, each run taking
-    about 20 ms."""
-    call()
-    start = time.perf_counter()
-    call()
-    number = max(1, int(0.02 / max(time.perf_counter() - start, 1e-7)))
-    best = np.inf
-    for _ in range(repeat):
-        start = time.perf_counter()
-        for _ in range(number):
-            call()
-        best = min(best, (time.perf_counter() - start) / number)
-    return best
 
 
 def inputs(m, batch):
@@ -80,12 +64,7 @@ def inputs(m, batch):
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    repeat = 5
-    if argv[:1] == ["--repeat"]:
-        repeat, argv = int(argv[1]), argv[2:]
-    checkout = Path(argv[0]) if argv else Path(__file__).resolve().parents[1]
-    sys.path.insert(0, str((checkout / "src").resolve()))
+    repeat, checkout = timing_args("propagator_timing", argv)
     from invsl.forward import count_below
     from invsl.ode import monodromy, node_values
     from invsl.types import BoundaryPolyPair, SigmaFunction
