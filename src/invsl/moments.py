@@ -12,10 +12,12 @@ the singular values for the rank decision and the report, Householder QR
 where nothing is truncated, the singular vectors where something is or where
 the solve is damped, and the residual; a real system is solved in float64.
 `build_moment_system` lays the rows of a subspectrum out once and keeps the
-layout; the targets w (`build_w`) and the row norms (`row_norm_exact`) are
-read from it.  Also here: one row v(., lambda) on a grid as an element of H
-(`build_v`, the grid-quadrature oracle of the closed-form rows) and
-Riesz-basis condition estimates for sine families.
+layout and the rows' `trig_rows`, which every design of the system reads;
+the targets w (`build_w`) and the row norms (`row_norm_exact`) are read from
+the layout.  Also here: one row v(., lambda) on a grid as an element of H
+(`build_v`, the grid-quadrature oracle of the closed-form rows), Riesz-basis
+condition estimates for sine families, and the residual of the folding
+identity (`xi_identity_residual`), in float64 when every lambda is real.
 """
 
 from __future__ import annotations
@@ -196,7 +198,7 @@ def _component_columns(family: ProbeFamily, rows: TrigRows):
     rho/(mu + rho) (the other two), which is exact at rho = mu and at
     rho = mu = 0.  The monomial columns come from one recurrence over the
     same sin(rho pi) and cos(rho pi) (`trig.poly_trig`), or its power series
-    where |rho| pi < 0.5.
+    where |rho| pi < 1.
     """
     rho, two_h, d, sin_r, cos_r = rows
     sin_form = family.kind == "sin"
@@ -315,9 +317,11 @@ class MomentSystem:
 
     Arrays over the eigenvalues: `layout` is the rows' `slot_layout`, `rho`
     holds rho_n = sqrt(lambda_n), `ws` the targets w_n and `norms` the
-    continuum norms ||v_n||.  The rows v_n themselves are not stored: the
-    solve integrates the layout against its probe functions in closed form
-    (`reconstruct.moment_design`), and `build_v` gives one on a grid.
+    continuum norms ||v_n||.  `rows` holds `trig_rows` of rho, flattened,
+    which every design of the system reads (`reconstruct.moment_design`, for
+    the solve and for `completeness_ratio`).  The rows v_n themselves are
+    not stored: the designs integrate the layout against their probe
+    functions in closed form, and `build_v` gives one on a grid.
     `grid_m` is the cell count of the grid the solution is synthesized on.
     A stacked subspectrum gives a stacked system: every array has its
     (trials, N) shape.  Equality and hashing are by identity (see
@@ -326,6 +330,7 @@ class MomentSystem:
 
     layout: SlotLayout
     rho: np.ndarray
+    rows: TrigRows
     ws: np.ndarray
     norms: np.ndarray
     grid_m: int
@@ -339,11 +344,12 @@ class MomentSystem:
 
 
 def build_moment_system(subspectrum: Subspectrum, f: EntirePair, p: int, grid: int) -> MomentSystem:
-    """Layout, targets and row norms for every eigenvalue of a simple subspectrum,
-    with `grid` cells for the synthesis grid (ValueError unless an integer >= 1).
+    """Layout, trig rows, targets and row norms for every eigenvalue of a
+    simple subspectrum, with `grid` cells for the synthesis grid (ValueError
+    unless an integer >= 1).
 
-    `f`, `slot_layout` and `branch_sqrt` are evaluated once over all
-    eigenvalues, also those of a stack.
+    `f`, `slot_layout`, `branch_sqrt` and `trig_rows` are evaluated once over
+    all eigenvalues, also those of a stack.
     """
     if not isinstance(grid, (int, np.integer)) or grid < 1:
         raise ValueError(f"grid must be a cell count, an integer >= 1, got {grid!r}")
@@ -352,8 +358,31 @@ def build_moment_system(subspectrum: Subspectrum, f: EntirePair, p: int, grid: i
     f1, f2 = (v.reshape(lams.shape) for v in f(lams.reshape(-1)))
     layout = slot_layout(p, lams, f1, f2)
     rho = branch_sqrt(lams)
-    return MomentSystem(layout=layout, rho=rho, ws=build_w(rho, layout),
+    return MomentSystem(layout=layout, rho=rho, rows=trig_rows(rho), ws=build_w(rho, layout),
                         norms=row_norm_exact(rho, layout), grid_m=int(grid))
+
+
+def _even_trig(rho, x, sine: bool):
+    """sin(rho x)/rho (`sine`, with its limit x at rho = 0) or cos(rho x),
+    one row per rho and one column per x.  Both are even in rho, so they are
+    real where lambda = rho^2 is: sin and cos of |rho| x for lambda >= 0,
+    sinh and cosh for lambda < 0.  The rows are float64 when every lambda is
+    real, else complex128."""
+    lam = rho * rho
+    if np.any(lam.imag):
+        groups = [(np.ones(rho.size, dtype=bool), np.sin if sine else np.cos)]
+    else:
+        rho, neg = np.abs(rho), lam.real < 0
+        groups = [(~neg, np.sin if sine else np.cos), (neg, np.sinh if sine else np.cosh)]
+    out = np.empty((rho.size, x.size), dtype=rho.dtype)
+    for rows, fn in groups:
+        if np.any(rows):
+            out[rows] = fn(rho[rows, None] * x)
+    if sine:
+        zero = rho == 0
+        np.divide(out, rho[:, None], out=out, where=~zero[:, None])
+        out[zero] = x
+    return out
 
 
 def xi_identity_residual(rhos: Sequence[complex]) -> float:
@@ -362,6 +391,13 @@ def xi_identity_residual(rhos: Sequence[complex]) -> float:
     products: entry (i, j) of |lhs - 2 rhs| over sqrt(|lhs_ii lhs_jj|), which
     bounds |lhs_ij| (the Gram entries of an imaginary rho grow as sinh(2 pi
     |rho|)^2, so an absolute residual grows with them).
+
+    Row i of both sides is scaled by 1/rho_i, which leaves that relative
+    residual as it is: the products are of sin(rho x)/rho on (0, 2pi) and of
+    the pair (sin(rho x)/rho cos(rho pi), -cos(rho x) sin(rho pi)/rho) on
+    (0, pi) (`_even_trig`).  These are real for every real lambda = rho^2
+    and defined at rho = 0, so the identity is evaluated in float64 when
+    every lambda is real, and in complex128 otherwise.
 
     Both sides are evaluated by composite 12-point Gauss-Legendre quadrature
     (panel count follows the largest frequency), independently of the
@@ -372,13 +408,17 @@ def xi_identity_residual(rhos: Sequence[complex]) -> float:
     rho = np.atleast_1d(np.asarray(rhos, dtype=complex))
     panels = int(max(24, 4 * np.ceil(np.max(np.abs(rho)))))
     x2, w2 = gauss_nodes(0.0, 2 * np.pi, panels, 12)
-    f2 = np.sin(rho[:, None] * x2[None, :])
+    n = x2.size // 2
+    w1 = w2[:n]
+    # the values at pi ride along as one more column
+    f2 = _even_trig(rho, np.append(x2, np.pi), sine=True)
+    f2, sin_pi = f2[:, :-1], f2[:, -1:]
+    cos_1 = _even_trig(rho, np.append(x2[:n], np.pi), sine=False)
+    cos_1, cos_pi = cos_1[:, :-1], cos_1[:, -1:]
     lhs = (np.conj(f2) * w2[None, :]) @ f2.T
 
-    n = x2.size // 2
-    x1, w1 = x2[:n], w2[:n]
-    a_part = f2[:, :n] * np.cos(rho[:, None] * np.pi)
-    b_part = -np.cos(rho[:, None] * x1[None, :]) * np.sin(rho[:, None] * np.pi)
+    a_part = f2[:, :n] * cos_pi
+    b_part = -cos_1 * sin_pi
     rhs = (np.conj(a_part) * w1[None, :]) @ a_part.T + (np.conj(b_part) * w1[None, :]) @ b_part.T
 
     norms = np.sqrt(np.abs(np.diag(lhs)))

@@ -30,7 +30,6 @@ from .moments import (
     probe_family,
     slot_layout,
     svd_solve,
-    trig_rows,
 )
 from .trig import exact_real, sinc, synth_series
 from .types import (
@@ -106,14 +105,15 @@ def moment_design(system: MomentSystem, basis: ProbeBasis):
 
     Row n is (phi_i, v_n)/||v_n|| and the right-hand side w_n/||v_n||, so the
     solution of D x = b holds the Cauchy data's own coefficients, of least
-    true product-space norm.  The rows of a stacked system come trial by
-    trial, so the design is always (rows, columns).
+    true product-space norm.  The columns are read from the system's own
+    `trig_rows`, which every design of one system shares.  The rows of a
+    stacked system come trial by trial, so the design is always (rows,
+    columns).
     """
-    rows = trig_rows(system.rho)
     layout = system.layout
     inv_norm = 1.0 / np.maximum(system.norms.reshape(-1), 1e-300)
-    d1 = _component_columns(basis.h1, rows) @ basis.b1
-    d2 = _component_columns(basis.h2, rows) @ basis.b2
+    d1 = _component_columns(basis.h1, system.rows) @ basis.b1
+    d2 = _component_columns(basis.h2, system.rows) @ basis.b2
     d1 *= (layout.k1.reshape(-1) * inv_norm)[:, None]
     d2 *= (layout.k2.reshape(-1) * inv_norm)[:, None]
     slots = layout.slots.reshape(inv_norm.size, -1) * inv_norm[:, None]
@@ -308,9 +308,10 @@ def stability_experiment(p: int, f: EntirePair, subspectrum: Subspectrum, grid: 
 
     Each trial draws i.i.d. complex Gaussian noise on the rho values (real
     part, then imaginary part, omega by omega and trial by trial) and
-    rescales it to the exact target omega.  All noise is drawn first; the
-    perturbed subspectra form one stack, solved by one `solve_moment` call
-    with the rules of `reconstruct` (one f-evaluation, one design, one SVD).
+    rescales it to the exact target omega.  All noise is drawn first, in one
+    call of the generator; the perturbed subspectra form one stack, solved
+    by one `solve_moment` call with the rules of `reconstruct` (one
+    f-evaluation, one design, one SVD).
     Each row records the product-space and component-wise errors against the
     unperturbed solve, which runs on its own; its report is `base`.  The
     errors are normed over the stack of the trials' kernels at once.
@@ -321,12 +322,14 @@ def stability_experiment(p: int, f: EntirePair, subspectrum: Subspectrum, grid: 
     basis = default_basis(subspectrum, p)
     base = reconstruct(p, f, subspectrum, grid, reg=reg, basis=basis)
 
-    n = len(subspectrum)
-    noise = np.zeros((len(omegas) * trials, n), dtype=complex)
-    for i, omega in enumerate(np.repeat(omegas, trials)):
-        draw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        if omega > 0:
-            noise[i] = draw * (omega / np.linalg.norm(draw))
+    # one draw of the whole stream, each trial's real then imaginary parts;
+    # each trial is normed on its own, as `np.linalg.norm` of one vector
+    draws = rng.standard_normal((len(omegas) * trials, 2, len(subspectrum)))
+    draws = draws[:, 0] + 1j * draws[:, 1]
+    sizes = np.repeat(omegas, trials)
+    noise = np.zeros_like(draws)
+    for i in np.flatnonzero(sizes > 0):
+        noise[i] = draws[i] * (sizes[i] / np.linalg.norm(draws[i]))
     rho = subspectrum.rhos + noise
     system = build_moment_system(Subspectrum(rho * rho), f, p, grid)
     solved = solve_moment(system, basis, reg=reg)

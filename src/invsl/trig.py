@@ -5,7 +5,8 @@ Everything here is written in terms of quantities that are even in rho
 the branch of ``rho = sqrt(lambda)`` or about removable singularities at
 ``rho = 0``.  Each function has one evaluation: `sinc` and `cos_sinc_sqrt`
 their closed forms (the cell propagator's Taylor polynomials live in `ode`),
-`poly_trig` a power series below |rho| length = 1 and a recurrence above.
+`poly_trig` a power series below |rho| length = 1 (its coefficients tabled
+once per degrees, s and length) and a recurrence above.
 `synth_series` sums a series over a probe family (`moments.ProbeFamily`),
 in float64 where `exact_real` finds its coefficients real.
 """
@@ -62,16 +63,16 @@ def poly_trig(degrees, rho, s, sin_l, cos_l, length=np.pi):
     """Integrals of t^m sin(rho t) (s = 1) or t^m cos(rho t) (s = 0) over
     [0, length], one row per degree m of `degrees`, given sin_l =
     sin(rho length) and cos_l = cos(rho length) in the shape of rho: the power
-    series where |rho| length < 1, one recurrence elsewhere."""
-    out = np.empty((len(degrees),) + rho.shape, dtype=complex)
+    series where |rho| length < 1, one recurrence elsewhere.
+
+    The recurrence runs on every element, the small ones at rho = 1 so that
+    it divides by no zero, and the series then overwrites the small ones.
+    """
     small = np.abs(rho) * length < 1.0
+    table = _poly_trig_recur(max(degrees), np.where(small, 1.0, rho), length, sin_l, cos_l)[1 - s]
+    out = np.array([table[m] for m in degrees], dtype=complex)
     if np.any(small):
-        out[:, small] = _poly_series(np.array(degrees)[:, None], rho[small], length, s)
-    if np.any(~small):
-        big = ~small
-        table = _poly_trig_recur(max(degrees), rho[big], length, sin_l[big], cos_l[big])[1 - s]
-        for row, m in zip(out, degrees):
-            row[big] = table[m]
+        out[:, small] = _poly_series(tuple(degrees), rho[small], length, s)
     return out
 
 
@@ -96,14 +97,32 @@ def _poly_trig_recur(m, rho, length, sin_l, cos_l):
 _SERIES_TERMS = 10
 
 
-def _poly_series(m, rho, length, s):
-    # sum_k (-1)^k rho^(2k+s) L^(m+2k+s+1) / ((2k+s)! (m+2k+s+1)), in the
-    # shape of m and rho broadcast together: one Horner pass in -(rho L)^2
+@functools.lru_cache(maxsize=64)
+def _series_table(degrees, s, length):
+    """The Horner coefficients 1/((2k+s)! (m+2k+s+1)) of `_poly_series`, one
+    (len(degrees), 1) array per term k, and the factors L^(m+s+1) of its
+    degrees m; computed once per argument tuple and returned read-only."""
+    m = np.array(degrees)[:, None]
+    coefs = np.stack([1.0 / (math.factorial(2 * k + s) * (m + 2 * k + s + 1))
+                      for k in range(_SERIES_TERMS)])
+    scale = length ** (m + s + 1)
+    coefs.setflags(write=False)
+    scale.setflags(write=False)
+    return coefs, scale
+
+
+def _poly_series(degrees, rho, length, s):
+    # sum_k (-1)^k rho^(2k+s) L^(m+2k+s+1) / ((2k+s)! (m+2k+s+1)), one row
+    # per degree m over rho: one Horner pass in -(rho L)^2
+    coefs, scale = _series_table(degrees, s, length)
     y = -(rho * length) ** 2
-    out = 0.0
-    for k in range(_SERIES_TERMS - 1, -1, -1):
-        out = out * y + 1.0 / (math.factorial(2 * k + s) * (m + 2 * k + s + 1))
-    return out * rho**s * length ** (m + s + 1)
+    out = np.zeros((len(degrees),) + y.shape, dtype=np.result_type(y, float))
+    for coef in coefs[::-1]:
+        out *= y
+        out += coef
+    out *= rho**s
+    out *= scale
+    return out
 
 
 def poly_poly(m, n, length=np.pi):

@@ -1,5 +1,6 @@
 """Shared fixtures: corpus problems with precomputed spectra and oracles."""
 
+import math
 import warnings
 
 import numpy as np
@@ -296,6 +297,50 @@ def interleaved_node_values(sigma, lam, y0, yq0):
     return out[0], out[1] - sig[:, None] * out[0]
 
 
+def poly_series_loop(degrees, rho, length, s, terms=10):
+    """The power series of `invsl.trig.poly_trig` (|rho| length < 1), one row
+    per degree m over rho, by one Horner pass whose coefficients are formed
+    at every step: the evaluation that the tabled one replaced, kept as its
+    bit-for-bit oracle."""
+    m = np.array(degrees)[:, None]
+    y = -(rho * length) ** 2
+    out = 0.0
+    for k in range(terms - 1, -1, -1):
+        out = out * y + 1.0 / (math.factorial(2 * k + s) * (m + 2 * k + s + 1))
+    return out * rho**s * length ** (m + s + 1)
+
+
+def stability_noise_loop(omegas, trials, n, seed):
+    """The rho noise of `invsl.reconstruct.stability_experiment`, drawn trial
+    by trial (n real parts, then n imaginary parts) and rescaled to its
+    omega, as the element-wise loop that its one draw replaced."""
+    rng = np.random.default_rng(seed)
+    noise = np.zeros((len(omegas) * trials, n), dtype=complex)
+    for i, omega in enumerate(np.repeat(omegas, trials)):
+        draw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if omega > 0:
+            noise[i] = draw * (omega / np.linalg.norm(draw))
+    return noise
+
+
+def xi_identity_residual_complex(rhos):
+    """`invsl.moments.xi_identity_residual` on the unscaled rows sin(rho x)
+    and cos(rho x), always in complex128: the evaluation that the scaled,
+    float64-where-real one replaced, kept as its oracle."""
+    rho = np.atleast_1d(np.asarray(rhos, dtype=complex))
+    panels = int(max(24, 4 * np.ceil(np.max(np.abs(rho)))))
+    x2, w2 = gauss_nodes(0.0, 2 * np.pi, panels, 12)
+    f2 = np.sin(rho[:, None] * x2[None, :])
+    lhs = (np.conj(f2) * w2[None, :]) @ f2.T
+    n = x2.size // 2
+    x1, w1 = x2[:n], w2[:n]
+    a_part = f2[:, :n] * np.cos(rho[:, None] * np.pi)
+    b_part = -np.cos(rho[:, None] * x1[None, :]) * np.sin(rho[:, None] * np.pi)
+    rhs = (np.conj(a_part) * w1[None, :]) @ a_part.T + (np.conj(b_part) * w1[None, :]) @ b_part.T
+    norms = np.sqrt(np.abs(np.diag(lhs)))
+    return float(np.max(np.abs(lhs - 2.0 * rhs) / np.maximum(np.outer(norms, norms), 1e-300)))
+
+
 def sequential_stability(p, f, subspectrum, grid, omegas, trials=20, seed=0, reg=0.0):
     """Reference stability experiment: one `reconstruct` per trial, in sequence.
 
@@ -304,7 +349,7 @@ def sequential_stability(p, f, subspectrum, grid, omegas, trials=20, seed=0, reg
     design and SVD), over the default basis of the unperturbed subspectrum,
     so tests compare the stacked solve with it.
     """
-    rng = np.random.default_rng(seed)
+    noise = iter(stability_noise_loop(omegas, trials, len(subspectrum), seed))
     basis = default_basis(subspectrum, p)
     base = reconstruct(p, f, subspectrum, grid, reg=reg, basis=basis)
     rho0 = subspectrum.rhos
@@ -316,12 +361,7 @@ def sequential_stability(p, f, subspectrum, grid, omegas, trials=20, seed=0, reg
     rows = []
     for omega in omegas:
         for trial in range(trials):
-            noise = rng.standard_normal(len(subspectrum)) + 1j * rng.standard_normal(len(subspectrum))
-            if omega > 0:
-                noise *= omega / np.linalg.norm(noise)
-            else:
-                noise = np.zeros_like(noise)
-            rho = rho0 + noise
+            rho = rho0 + next(noise)
             pert = Subspectrum(rho * rho)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", NonUniqueWarning)

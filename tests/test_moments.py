@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import conjugate
+from conftest import conjugate, xi_identity_residual_complex
 from invsl.errors import DuplicateEigenvalue, ParityMismatch
 from invsl.forward import char_pair, extract_cauchy, find_eigenvalues, make_delta
 from invsl.moments import (
+    _even_trig,
     basis_diagnostics,
     build_moment_system,
     build_v,
@@ -158,6 +159,35 @@ class TestXiIdentity:
             worst = max(worst, xi_identity_residual(rho))
         assert worst <= 1e-12
 
+
+    @pytest.mark.parametrize("case", ["zero", "negative and zero", "bump-like", "drawn real",
+                                      "drawn complex"])
+    def test_matches_complex_oracle(self, case):
+        # the rows scaled by 1/rho, float64 where every lambda is real,
+        # against the unscaled complex128 evaluation; lambda = 0 has no
+        # scaled row of its own there (its sines vanish), so it adds nothing
+        rng = np.random.default_rng(len(case))
+        lam = {"zero": np.array([0.0, 1.0, 4.0, 9.0]),
+               "negative and zero": np.array([-25.0, -1.0, 0.0, 2.25, 30.5]),
+               "bump-like": np.concatenate([[-0.02], (np.arange(1, 40) / 2 - 0.1) ** 2]),
+               "drawn real": rng.uniform(-5.0, 400.0, 40),
+               "drawn complex": rng.uniform(-5.0, 400.0, 20) + 1j * rng.uniform(-5.0, 5.0, 20),
+               }[case]
+        rho = branch_sqrt(lam.astype(complex))
+        assert _even_trig(rho, np.array([0.5]), True).dtype == (
+            complex if case == "drawn complex" else float)
+        got, want = xi_identity_residual(rho), xi_identity_residual_complex(rho)
+        assert abs(got - want) <= 1e-14
+
+    def test_even_rows_at_zero_take_their_limits(self):
+        x = np.array([0.0, 0.5, np.pi])
+        rho = branch_sqrt(np.array([0.0, -4.0, 9.0], dtype=complex))
+        assert np.array_equal(_even_trig(rho, x, True)[0], x)
+        assert np.array_equal(_even_trig(rho, x, False)[0], np.ones(3))
+        assert np.allclose(_even_trig(rho, x, True)[1:], [np.sinh(2 * x) / 2, np.sin(3 * x) / 3],
+                           rtol=1e-15, atol=0.0)
+        assert np.allclose(_even_trig(rho, x, False)[1:], [np.cosh(2 * x), np.cos(3 * x)],
+                           rtol=1e-15, atol=1e-16)
 
     @pytest.mark.parametrize("lam0", [-1.0, -4.0, -9.0, -25.0])
     def test_negative_eigenvalue_is_rounding_level(self, lam0):

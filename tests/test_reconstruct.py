@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import conjugate, gauss_panels, rel_l2, sequential_stability
+from conftest import conjugate, gauss_panels, rel_l2, sequential_stability, stability_noise_loop
 from invsl.errors import DuplicateEigenvalue, NonUniqueWarning, PoleProximity
 from invsl.forward import char_pair, extract_cauchy, resample_cauchy, weyl_ratio
 from invsl.halfinverse import hl_reconstruct, hl_spectrum
@@ -598,6 +598,25 @@ class TestStackedStability:
                                    omegas=[0.0], trials=4, seed=1)
         assert len(out["rows"]) == 4
         assert max(r["err_u"] for r in out["rows"]) <= 1e-12
+
+    @pytest.mark.parametrize("omegas, trials, seed", [([0.0, 1e-3, 1e-2], 5, 3),
+                                                      ([1e-2], 1, 11), ([1e-3, 0.0], 7, 0)])
+    def test_noise_equals_trial_by_trial_draws(self, rt_free, monkeypatch, omegas, trials, seed):
+        # the one draw of the stream perturbs every trial's rho exactly as
+        # the trial-by-trial loop does, bit for bit
+        stacks = []
+        build = reconstruct_module.build_moment_system
+
+        def recording_build(subspectrum, *a, **kw):
+            if subspectrum.lambdas.ndim > 1:
+                stacks.append(subspectrum.lambdas)
+            return build(subspectrum, *a, **kw)
+
+        monkeypatch.setattr(reconstruct_module, "build_moment_system", recording_build)
+        spec = rt_free.spectrum
+        stability_experiment(1, rt_free.f, spec, 128, omegas, trials=trials, seed=seed)
+        rho = spec.rhos + stability_noise_loop(omegas, trials, len(spec), seed)
+        assert len(stacks) == 1 and stacks[0].tobytes() == (rho * rho).tobytes()
 
     def test_non_simple_input_raises(self, rt_free):
         lams = rt_free.spectrum.lambdas

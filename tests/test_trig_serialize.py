@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complex_array_loop, encode_array_loop, gauss_panels, jsonable_loop
+from conftest import (
+    complex_array_loop,
+    encode_array_loop,
+    gauss_panels,
+    jsonable_loop,
+    poly_series_loop,
+)
 from invsl import schemas
 from invsl.errors import SchemaError
 from invsl.cli import main
@@ -32,6 +38,7 @@ from invsl.moments import probe_family
 from invsl.ode import _TAYLOR_DEGREE, _TAYLOR_RADIUS
 from invsl.trig import (
     _legendre_rule,
+    _series_table,
     cos_sinc_sqrt,
     gauss_nodes,
     overlap,
@@ -117,6 +124,34 @@ class TestTrigClosedForms:
                           (1 - 1e-9, 1e-14), (1 + 1e-9, 1e-13)):
             rho = edge / np.pi * np.array([1.0, np.exp(0.4j), 1j])
             self._poly_trig_against_quadrature(rho, abs=0.0, rel=rel)
+
+    def test_poly_trig_rows_equal_row_by_row(self):
+        # one call over rows that mix the series (|rho| pi < 1, rho = 0
+        # among them) and the recurrence, on real, imaginary (lambda < 0) and
+        # complex rho, gives every row as a call on that row alone does, bit
+        # for bit; so do rows that are all small.  A small row alone is the
+        # Horner pass with coefficients formed at every step, bit for bit
+        mixed = np.array([0.01, 7.3, 0.2j, 2.5, 0.3 * np.exp(0.7j), 1.2 + 0.3j,
+                          4.1j, 0.0, 0.15j, 19.6])
+        for rho in (mixed, np.array([0.01, 0.2j, 0.0, 0.3 * np.exp(0.7j)])):
+            small = np.abs(rho) * np.pi < 1.0
+            for degrees in ((0, 1, 2), (1, 2), (0, 3, 4)):
+                for s in (0, 1):
+                    def call(r):
+                        return poly_trig(degrees, r, s, np.sin(r * np.pi), np.cos(r * np.pi))
+
+                    want = np.concatenate([call(rho[k:k + 1]) for k in range(rho.size)], axis=1)
+                    assert call(rho).tobytes() == want.tobytes()
+                    series = poly_series_loop(degrees, rho[small], np.pi, s)
+                    assert want[:, small].tobytes() == series.tobytes()
+
+    def test_series_tables_are_cached_and_read_only(self):
+        coefs, scale = _series_table((0, 1, 2), 1, np.pi)
+        assert _series_table((0, 1, 2), 1, np.pi)[0] is coefs
+        assert coefs.shape == (10, 3, 1) and scale.shape == (3, 1)
+        for table in (coefs, scale):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
     def test_sinc_series_matches_direct(self):
         z = np.array([1e-5, 5e-5 + 1e-5j, 9e-5])
